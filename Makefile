@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-syntactic lint-typed lint-dataflow lint-concurrency test race check bench profile repro examples clean
+.PHONY: all build vet lint lint-syntactic lint-typed lint-dataflow lint-concurrency test race check bench perf perf-compare profile repro examples clean
 
 all: build vet lint test race
 
@@ -59,11 +59,31 @@ check: build vet lint test race
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x ./... | $(GO) run ./cmd/c4h-benchjson -o BENCH_baseline.json
 
-# Profile the hot-path experiment: CPU + allocation profiles and a
+# The repository benchmark (BENCHMARK.json, cmd/c4h-perf/README.md): all
+# four workloads once per seed, end-to-end metrics, into one .jsonl that
+# `make perf-compare` reads. ~50 s per seed on a 2-core box.
+SEEDS ?= 1 2 3 4 5 6 7 8 9 10
+PERF_OUT ?= perf.jsonl
+perf:
+	@rm -f $(PERF_OUT)
+	@for w in home-trace city-meta home-process daemon-loopback; do \
+		for s in $(SEEDS); do \
+			echo "c4h-perf $$w seed $$s" >&2; \
+			$(GO) run ./cmd/c4h-perf -workload $$w -seed $$s >> $(PERF_OUT) || exit 1; \
+		done; \
+	done
+	@echo "wrote $(PERF_OUT)"
+
+# Declared bounds on medians, no failed op, and equal virt_digest/client_*
+# on the simulated workloads: `make perf-compare A=parent.jsonl B=change.jsonl`.
+perf-compare:
+	$(GO) run ./cmd/c4h-perf -compare $(A) $(B)
+
+# Profile the data-plane scale-up sweep: CPU + allocation profiles and a
 # runtime execution trace. See DESIGN.md ("Hot-path performance") for
 # how to read them.
 profile:
-	$(GO) run ./cmd/c4h-bench -exp hotpath -workers 4 -cpuprofile cpu.prof -memprofile mem.prof -trace trace.out
+	$(GO) run ./cmd/c4h-bench -exp scaleup -workers 4 -cpuprofile cpu.prof -memprofile mem.prof -trace trace.out
 	@echo "inspect with:"
 	@echo "  go tool pprof -top cpu.prof"
 	@echo "  go tool pprof -top -sample_index=alloc_space mem.prof"

@@ -220,9 +220,7 @@ func run(exp string, seed int64, workers int, nodes string, regions int) error {
 		ran = true
 	}
 	if want("hotpath") {
-		cfg := experiments.DefaultHotPath(seed)
-		cfg.Workers = workers
-		res, err := experiments.RunHotPath(cfg)
+		res, err := experiments.RunHotPath(experiments.DefaultHotPath(seed))
 		if err != nil {
 			return err
 		}

@@ -84,7 +84,7 @@ type Home struct {
 
 	perf  PerfConfig  // hot-path gates; zero value = paper behaviour
 	scale ScaleConfig // city-scale gates; zero value = paper behaviour
-	memo  decodeMemo  // BatchedMeta: per-record decode cache
+	memo  decodeMemo  // one decoded resource record per live node
 }
 
 // HomeOptions configures a Home.
@@ -96,37 +96,27 @@ type HomeOptions struct {
 	// Perf gates the hot-path performance work; the zero value keeps the
 	// previous behaviour bit-for-bit.
 	Perf PerfConfig
-	// Scale gates the city-scale simulator core (compact membership,
-	// calendar-queue dispatch, lazy monitors, super-peer tier); the zero
-	// value keeps the previous behaviour bit-for-bit.
+	// Scale gates the city-scale simulator core (calendar-queue dispatch,
+	// lazy monitors, super-peer tier); the zero value keeps the previous
+	// behaviour bit-for-bit.
 	Scale ScaleConfig
 }
 
 // NewHome builds an empty home cloud on the given clock.
 func NewHome(clock vclock.Clock, opts HomeOptions) *Home {
 	net := netsim.New(clock, opts.Seed)
-	if opts.Perf.LazyRNG {
-		net.EnableLazyRNG()
-	}
 	fabric := netsim.NewResource("home-lan", netsim.LANFabricBps)
 	wire := newLANWire(net, fabric)
-	var mesh *overlay.Mesh
-	if opts.Scale.CompactMembership {
-		mesh = overlay.NewMeshCompact(wire)
-	} else {
-		mesh = overlay.NewMesh(wire)
-	}
+	mesh := overlay.NewMesh(wire)
 	if opts.Scale.SuperPeerRegions > 1 {
 		mesh.EnableSuperPeers(opts.Scale.SuperPeerRegions)
 	}
-	kvOpts := opts.KV
-	kvOpts.RouteMemo = opts.Perf.BatchedMeta
 	return &Home{
 		clock:  clock,
 		net:    net,
 		mesh:   mesh,
 		wire:   wire,
-		kv:     kv.New(mesh, wire, kvOpts),
+		kv:     kv.New(mesh, wire, opts.KV),
 		fabric: fabric,
 		nodes:  make(map[string]*Node),
 		perf:   opts.Perf,
@@ -287,6 +277,7 @@ func (h *Home) RemoveNode(addr string, graceful bool) error {
 		return fmt.Errorf("core: remove node: unknown addr %q", addr)
 	}
 	delete(h.nodes, addr)
+	h.memo.drop(n.mon.Key())
 	h.mu.Unlock()
 	return n.shutdown(graceful)
 }

@@ -456,31 +456,30 @@ func wanDownPathFor(n *Node, cloud *cloudsim.Cloud) *netsim.Path {
 	return netsim.WANDownPath(cloud.DownPipe(), n.nic)
 }
 
-// resources looks up a candidate's monitored resource record. With
-// BatchedMeta on, the record is read zero-copy and decoded through the
-// home's memo: the decision layer queries every candidate per operation,
-// but records only change once per monitor period, so most lookups skip
-// the JSON pass. The kv walk (and its wire charges) is identical either
-// way.
+// resources looks up a candidate's monitored resource record. The kv
+// walk and its wire charges are those of monitor.Lookup; the host-side
+// work around it is not: the key was hashed once when the candidate
+// joined, the record is read zero-copy, and it is decoded through the
+// home's memo — the decision layer queries every candidate per
+// operation, but a record only changes once per monitor period.
 func (n *Node) resources(addr string) (monitor.Resources, error) {
+	peer, ok := n.home.Node(addr)
+	if !ok {
+		// Not (or no longer) a member; replicas may still hold its record.
+		return monitor.Lookup(n.home.kv, n.id, addr)
+	}
 	if n.home.scale.LazyMonitors {
 		// On-demand materialisation: the candidate publishes (or memoises,
 		// within its validity window) before we read its record.
-		if peer, ok := n.home.Node(addr); ok {
-			if err := peer.mon.EnsureFresh(); err != nil {
-				return monitor.Resources{}, fmt.Errorf("monitor: refresh %s: %w", addr, err)
-			}
+		if err := peer.mon.EnsureFresh(); err != nil {
+			return monitor.Resources{}, fmt.Errorf("monitor: refresh %s: %w", addr, err)
 		}
 	}
-	if !n.home.perf.BatchedMeta {
-		return monitor.Lookup(n.home.kv, n.id, addr)
-	}
-	key := monitor.Key(addr)
-	gr, err := n.home.kv.GetRef(n.id, key)
+	gr, err := n.home.kv.GetRef(n.id, peer.mon.Key())
 	if err != nil {
 		return monitor.Resources{}, fmt.Errorf("monitor: lookup %s: %w", addr, err)
 	}
-	return n.home.memo.resources(key, gr.Value)
+	return n.home.decodeResources(peer, gr.Value)
 }
 
 // chimeraIPC is the cost of one VStore++ ↔ metadata-layer exchange:
@@ -511,8 +510,7 @@ func (n *Node) putMeta(meta ObjectMeta) error {
 func (n *Node) getMeta(name string) (ObjectMeta, time.Duration, error) {
 	start := n.clock.Now()
 	n.clock.Sleep(chimeraIPC)
-	key := ids.HashString(name)
-	gr, err := n.home.kv.GetRef(n.id, key)
+	gr, err := n.home.kv.GetRef(n.id, ids.HashString(name))
 	lookup := n.clock.Now().Sub(start)
 	if gr.Hops > 0 {
 		n.ops.kvHops.Add(int64(gr.Hops))
@@ -525,10 +523,6 @@ func (n *Node) getMeta(name string) (ObjectMeta, time.Duration, error) {
 			return ObjectMeta{}, lookup, fmt.Errorf("%w: %q", ErrObjectNotFound, name)
 		}
 		return ObjectMeta{}, lookup, err
-	}
-	if n.home.perf.BatchedMeta {
-		meta, err := n.home.memo.objectMeta(key, gr.Value)
-		return meta, lookup, err
 	}
 	meta, err := UnmarshalObjectMeta(gr.Value.Data)
 	return meta, lookup, err

@@ -1,23 +1,15 @@
 package core
 
 // ScaleConfig gates the city-scale simulator core. The zero value
-// reproduces the repository's previous behaviour bit-for-bit: flat
-// per-router membership, the default virtual-clock engine, eager
-// periodic monitors, and no aggregation tier. CompactMembership and
-// CalendarQueue are *result*-preserving — they change host-side memory
-// and CPU per simulated event, never which events happen or when, so
-// virtual-time metrics are byte-identical with the gates on or off
-// (experiments.RunCityScale verifies exactly that). LazyMonitors and
+// reproduces the repository's previous behaviour bit-for-bit: the default
+// virtual-clock engine, eager periodic monitors, and no aggregation tier.
+// CalendarQueue is *result*-preserving — it changes host-side CPU per
+// simulated event, never which events happen or when. LazyMonitors and
 // SuperPeerRegions are modeled behaviour changes: fewer publish events
-// and a different hop structure are the point.
+// and a different hop structure are the point. (The membership is always
+// interned once in a shared arena — internal/overlay/arena.go — so
+// aggregate membership memory is O(N) at any size.)
 type ScaleConfig struct {
-	// CompactMembership stores the overlay membership once, in a shared
-	// interned arena, instead of one full red-black copy plus a
-	// materialised prefix table per router. Every routing answer is
-	// recomputed from the shared tree on demand and is bit-identical to
-	// the flat router's (see internal/overlay/arena.go for the proof
-	// obligations); aggregate membership memory drops from O(N²) to O(N).
-	CompactMembership bool
 	// CalendarQueue runs the virtual clock on the calendar-queue engine:
 	// O(1) amortized enqueue/dequeue over deadline buckets plus targeted
 	// single-sleeper wakeups, replacing the O(log N) heap and the
@@ -43,5 +35,5 @@ type ScaleConfig struct {
 
 // Enabled reports whether any gate is on.
 func (s ScaleConfig) Enabled() bool {
-	return s.CompactMembership || s.CalendarQueue || s.LazyMonitors || s.SuperPeerRegions > 1
+	return s.CalendarQueue || s.LazyMonitors || s.SuperPeerRegions > 1
 }

@@ -73,8 +73,7 @@ type OpStats struct {
 	KVHops        int64
 	SuperPeerHops int64
 	// ArenaBytes is a snapshot-time gauge of the shared membership
-	// arena's resident bytes (whole-mesh, not per-node); zero unless
-	// ScaleConfig.CompactMembership is on.
+	// arena's resident bytes (whole-mesh, not per-node).
 	ArenaBytes int64
 }
 
@@ -83,19 +82,19 @@ type OpStats struct {
 // the `// guarded by` convention does not apply here; atomicity is the
 // whole discipline.
 type opCounters struct {
-	stores           atomic.Int64
-	fetches          atomic.Int64
-	processes        atomic.Int64
-	deletes          atomic.Int64
-	bytesStored      atomic.Int64
-	bytesFetched     atomic.Int64
-	cacheHits        atomic.Int64
-	cacheMisses      atomic.Int64
-	shardsExecuted   atomic.Int64
-	overlapSaved     atomic.Int64 // nanoseconds
-	specLaunches     atomic.Int64
-	specWins         atomic.Int64
-	specCancels      atomic.Int64
+	stores            atomic.Int64
+	fetches           atomic.Int64
+	processes         atomic.Int64
+	deletes           atomic.Int64
+	bytesStored       atomic.Int64
+	bytesFetched      atomic.Int64
+	cacheHits         atomic.Int64
+	cacheMisses       atomic.Int64
+	shardsExecuted    atomic.Int64
+	overlapSaved      atomic.Int64 // nanoseconds
+	specLaunches      atomic.Int64
+	specWins          atomic.Int64
+	specCancels       atomic.Int64
 	fetchRetries      atomic.Int64
 	objectsRepaired   atomic.Int64
 	replicasRestored  atomic.Int64
@@ -103,11 +102,11 @@ type opCounters struct {
 	shardsPlaced      atomic.Int64
 	shardsRestored    atomic.Int64
 	shardReconstructs atomic.Int64
-	asyncPlaceDrops  atomic.Int64
-	federatedProbes  atomic.Int64
-	coalescedFetches atomic.Int64
-	kvHops           atomic.Int64
-	superPeerHops    atomic.Int64
+	asyncPlaceDrops   atomic.Int64
+	federatedProbes   atomic.Int64
+	coalescedFetches  atomic.Int64
+	kvHops            atomic.Int64
+	superPeerHops     atomic.Int64
 }
 
 func (c *opCounters) snapshot() OpStats {
@@ -133,11 +132,11 @@ func (c *opCounters) snapshot() OpStats {
 		ShardsPlaced:      c.shardsPlaced.Load(),
 		ShardsRestored:    c.shardsRestored.Load(),
 		ShardReconstructs: c.shardReconstructs.Load(),
-		AsyncPlaceDrops:  c.asyncPlaceDrops.Load(),
-		FederatedProbes:  c.federatedProbes.Load(),
-		CoalescedFetches: c.coalescedFetches.Load(),
-		KVHops:           c.kvHops.Load(),
-		SuperPeerHops:    c.superPeerHops.Load(),
+		AsyncPlaceDrops:   c.asyncPlaceDrops.Load(),
+		FederatedProbes:   c.federatedProbes.Load(),
+		CoalescedFetches:  c.coalescedFetches.Load(),
+		KVHops:            c.kvHops.Load(),
+		SuperPeerHops:     c.superPeerHops.Load(),
 	}
 }
 

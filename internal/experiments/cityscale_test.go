@@ -1,56 +1,53 @@
 package experiments
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
-// TestCityScaleIdentity runs a scaled-down city sweep with a baseline arm
-// at every size and asserts the tentpole's core property: the
-// result-preserving gates (compact membership, calendar queue, lazy
-// monitors) reproduce the flat core's virtual-time metrics bit for bit.
+// TestCityScaleIdentity runs a scaled-down city sweep under the sweep's
+// default gates (calendar queue, lazy monitors) and asserts the
+// result-preserving property: its virtual-time metrics equal, field for
+// field, the ones frozen in testdata/golden/city_identity.json from the
+// zero-ScaleConfig flat core (TestGoldenOutputs holds today's
+// zero-config run to the same file).
 func TestCityScaleIdentity(t *testing.T) {
 	sizes := []int{64, 200}
 	if testing.Short() {
 		sizes = []int{64}
 	}
-	res, err := RunCityScale(CityScaleConfig{
-		Seed:        7,
-		Nodes:       sizes,
-		Ops:         300,
-		Objects:     40,
-		ChurnEvents: 3,
-		IdentityMax: 200,
-		WallPairMax: 200,
-		Regions:     4,
-	})
+	cfg := goldenCityIdentity
+	cfg.Nodes = sizes
+	res, err := RunCityScale(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Identical {
-		t.Fatalf("gated core diverged from flat core: %s", res.Mismatch)
+	raw, err := os.ReadFile(filepath.Join("testdata", "golden", "city_identity.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden []CityScaleMetrics
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		t.Fatal(err)
 	}
 	var repairTotal int64
-	for _, row := range res.Rows {
-		if row.Baseline == nil {
-			t.Fatalf("n=%d: baseline arm missing", row.Gated.Nodes)
+	for i, row := range res.Rows {
+		if row.Metrics != golden[i] {
+			t.Fatalf("n=%d: gated core diverged from the frozen flat core:\n got  %+v\n want %+v",
+				sizes[i], row.Metrics, golden[i])
 		}
-		if row.Gated.Fetches == 0 || row.Gated.Stores == 0 {
-			t.Fatalf("n=%d: workload did not execute: %+v", row.Gated.Nodes, row.Gated)
+		if row.Metrics.Fetches == 0 || row.Metrics.Stores == 0 {
+			t.Fatalf("n=%d: workload did not execute: %+v", row.Metrics.Nodes, row.Metrics)
 		}
-		if row.Gated.MeanLookupHops <= 0 {
-			t.Fatalf("n=%d: no lookup hops recorded", row.Gated.Nodes)
+		if row.Metrics.MeanLookupHops <= 0 {
+			t.Fatalf("n=%d: no lookup hops recorded", row.Metrics.Nodes)
 		}
-		if row.Gated.RepairMessages < 0 {
-			t.Fatalf("n=%d: negative repair traffic", row.Gated.Nodes)
-		}
-		repairTotal += row.Gated.RepairMessages
-		if ratio := row.MemRatio(); ratio < 2 {
-			t.Errorf("n=%d: compact membership saved only %.1fx bytes/node (gated %d, flat %d)",
-				row.Gated.Nodes, ratio, row.BytesPerNode, row.BaselineBytesPerNode)
-		}
-		t.Logf("n=%d hops=%.2f fetch=%v msgs=%d repair=%d bytes/node=%d (flat %d, %.1fx) wall=%.2fx",
-			row.Gated.Nodes, row.Gated.MeanLookupHops, row.Gated.FetchMean, row.Gated.Messages,
-			row.Gated.RepairMessages, row.BytesPerNode, row.BaselineBytesPerNode, row.MemRatio(), row.WallRatio())
+		repairTotal += row.Metrics.RepairMessages
+		t.Logf("n=%d hops=%.2f fetch=%v msgs=%d repair=%d bytes/node=%d wall=%v",
+			row.Metrics.Nodes, row.Metrics.MeanLookupHops, row.Metrics.FetchMean, row.Metrics.Messages,
+			row.Metrics.RepairMessages, row.BytesPerNode, row.Wall)
 	}
 
 	// Some sweep sizes can legitimately see zero repair traffic (the

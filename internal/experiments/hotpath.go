@@ -7,40 +7,25 @@ import (
 
 	"cloud4home/internal/cluster"
 	"cloud4home/internal/core"
-	"cloud4home/internal/vclock"
 )
 
-// HotPathConfig parameterises the hot-path gate verification driver: it
-// proves the result-preserving gates (lazy RNG, sharded clock, batched
-// metadata) change host wall-clock but not one bit of the simulation's
-// output, and measures what fetch coalescing — the one modeled behaviour
-// change — buys on a hot object.
+// HotPathConfig parameterises the fetch-coalescing measurement: what
+// sharing one wire transfer — the one modeled behaviour change among the
+// hot-path optimisations — buys concurrent readers of a hot object. (The
+// result-preserving optimisations are no longer gates to compare: host
+// cost is measured end to end by cmd/c4h-perf, and their virtual results
+// are pinned by testdata/golden.)
 type HotPathConfig struct {
 	Seed int64
-	// Workers bounds host-side concurrency of the scale-up cells.
-	Workers int
-	// Perf is the gate set under test. CoalesceFetch is ignored here (it
-	// is a modeled change, measured by the coalescing section instead).
-	Perf core.PerfConfig
-	// CoalesceClients concurrent sessions fetch the same hot object in the
-	// coalescing section.
+	// CoalesceClients concurrent sessions fetch the same hot object.
 	CoalesceClients int
 	// CoalesceSize is the hot object's size.
 	CoalesceSize int64
-	// Host is the clock that times the sweeps' host-side (real) duration —
-	// the one number the result-preserving gates are allowed to change.
-	// Nil means the real wall clock.
-	Host vclock.Clock
 }
 
-// DefaultHotPath turns on every result-preserving gate.
+// DefaultHotPath has four readers fetch one 8 MB object.
 func DefaultHotPath(seed int64) HotPathConfig {
-	return HotPathConfig{
-		Seed:            seed,
-		Perf:            core.PerfConfig{LazyRNG: true, SimShards: 4, BatchedMeta: true},
-		CoalesceClients: 4,
-		CoalesceSize:    8 * MB,
-	}
+	return HotPathConfig{Seed: seed, CoalesceClients: 4, CoalesceSize: 8 * MB}
 }
 
 // CoalesceResult compares concurrent hot-object fetches with and without
@@ -62,31 +47,12 @@ type CoalesceResult struct {
 
 // HotPathResult is RunHotPath's comparison.
 type HotPathResult struct {
-	// Baseline ran with every gate off, Gated with cfg.Perf.
-	Baseline, Gated *ScaleUpResult
-	// BaselineHost/GatedHost are host (real) wall-clock times for the two
-	// scale-up sweeps — the only numbers the gates may change.
-	BaselineHost, GatedHost time.Duration
-	// Identical reports that every virtual-time metric matched exactly;
-	// Mismatch names the first difference otherwise.
-	Identical bool
-	Mismatch  string
-	Coalesce  CoalesceResult
+	Coalesce CoalesceResult
 }
 
-// Speedup is the host wall-clock ratio baseline/gated.
-func (r *HotPathResult) Speedup() float64 {
-	if r.GatedHost <= 0 {
-		return 0
-	}
-	return float64(r.BaselineHost) / float64(r.GatedHost)
-}
-
-// RunHotPath runs the scale-up sweep twice — gates off, then gates on —
-// and verifies the reported virtual-time results are bit-identical while
-// recording the host wall-clock of each pass. It then measures the
-// coalescing gate separately, since that one intentionally changes the
-// modeled schedule.
+// RunHotPath measures the coalescing gate: the same concurrent fetches of
+// one hot object with every reader running its own transfer, then with
+// followers sharing the leader's.
 func RunHotPath(cfg HotPathConfig) (*HotPathResult, error) {
 	if cfg.CoalesceClients <= 0 {
 		cfg.CoalesceClients = 4
@@ -94,32 +60,7 @@ func RunHotPath(cfg HotPathConfig) (*HotPathResult, error) {
 	if cfg.CoalesceSize <= 0 {
 		cfg.CoalesceSize = 8 * MB
 	}
-	host := cfg.Host
-	if host == nil {
-		host = vclock.Real{}
-	}
 	res := &HotPathResult{}
-
-	sweep := DefaultScaleUp(cfg.Seed)
-	sweep.Workers = cfg.Workers
-	t0 := host.Now()
-	baseline, err := RunScaleUp(sweep)
-	if err != nil {
-		return nil, fmt.Errorf("hot path baseline: %w", err)
-	}
-	res.BaselineHost = host.Now().Sub(t0)
-
-	sweep.Perf = cfg.Perf
-	sweep.Perf.CoalesceFetch = false
-	t1 := host.Now()
-	gated, err := RunScaleUp(sweep)
-	if err != nil {
-		return nil, fmt.Errorf("hot path gated: %w", err)
-	}
-	res.GatedHost = host.Now().Sub(t1)
-	res.Baseline, res.Gated = baseline, gated
-	res.Identical, res.Mismatch = compareScaleUp(baseline, gated)
-
 	res.Coalesce.Requests = cfg.CoalesceClients
 	solo, err := runCoalesceCell(cfg, false)
 	if err != nil {
@@ -135,21 +76,6 @@ func RunHotPath(cfg HotPathConfig) (*HotPathResult, error) {
 	return res, nil
 }
 
-// compareScaleUp reports whether two sweeps produced identical rows, and
-// if not, where they first diverge. Rows are plain value structs, so ==
-// is an exact bitwise comparison of every reported metric.
-func compareScaleUp(a, b *ScaleUpResult) (bool, string) {
-	if len(a.Rows) != len(b.Rows) {
-		return false, fmt.Sprintf("row count %d vs %d", len(a.Rows), len(b.Rows))
-	}
-	for i := range a.Rows {
-		if a.Rows[i] != b.Rows[i] {
-			return false, fmt.Sprintf("row %d: %+v vs %+v", i, a.Rows[i], b.Rows[i])
-		}
-	}
-	return true, ""
-}
-
 type coalesceCell struct {
 	wall      time.Duration
 	fetch     Stats
@@ -160,9 +86,7 @@ type coalesceCell struct {
 // CoalesceClients sessions on one netbook fetch it near-simultaneously
 // (staggered 500 µs apart so the run is deterministic).
 func runCoalesceCell(cfg HotPathConfig, coalesce bool) (coalesceCell, error) {
-	perf := cfg.Perf
-	perf.CoalesceFetch = coalesce
-	tb, err := cluster.New(cluster.Options{Seed: cfg.Seed, Perf: perf})
+	tb, err := cluster.New(cluster.Options{Seed: cfg.Seed, Perf: core.PerfConfig{CoalesceFetch: coalesce}})
 	if err != nil {
 		return coalesceCell{}, err
 	}
@@ -223,20 +147,13 @@ func runCoalesceCell(cfg HotPathConfig, coalesce bool) (coalesceCell, error) {
 
 // Table renders the comparison.
 func (r *HotPathResult) Table() Table {
-	ident := "DIVERGED: " + r.Mismatch
-	if r.Identical {
-		ident = "bit-identical"
-	}
 	return Table{
-		Title:   "Hot path: gated simulation speed vs baseline (identical results)",
-		Headers: []string{"Measure", "Baseline", "Gated"},
+		Title:   "Hot path: fetch coalescing on a hot object",
+		Headers: []string{"Measure", "Solo", "Coalesced"},
 		Rows: [][]string{
-			{"scale-up host wall", r.BaselineHost.Round(time.Millisecond).String(), r.GatedHost.Round(time.Millisecond).String()},
-			{"host speedup", "1.00x", fmt.Sprintf("%.2fx", r.Speedup())},
-			{"virtual-time results", ident, ident},
-			{fmt.Sprintf("coalesce wall (%d readers)", r.Coalesce.Requests),
+			{fmt.Sprintf("wall (%d readers)", r.Coalesce.Requests),
 				Seconds(r.Coalesce.SoloWall), Seconds(r.Coalesce.SharedWall)},
-			{"coalesce fetch mean", Seconds(r.Coalesce.SoloFetch.Mean), Seconds(r.Coalesce.SharedFetch.Mean)},
+			{"fetch mean", Seconds(r.Coalesce.SoloFetch.Mean), Seconds(r.Coalesce.SharedFetch.Mean)},
 			{"coalesced followers", "0", fmt.Sprintf("%d", r.Coalesce.Coalesced)},
 		},
 	}

@@ -1,9 +1,12 @@
 package kv
 
 import (
-	"bytes"
+	"flag"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -11,8 +14,11 @@ import (
 	"cloud4home/internal/overlay"
 )
 
-// logWire records every Send so two store builds can be compared
-// message-for-message.
+// updateGolden rewrites testdata/golden from this tree's transcripts.
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden/*.txt from this tree's transcripts")
+
+// logWire records every Send so a store build can be compared with the
+// frozen transcript message-for-message.
 type logWire struct {
 	mu  sync.Mutex
 	log [][2]ids.ID
@@ -30,43 +36,32 @@ func (w *logWire) snapshot() [][2]ids.ID {
 	return append([][2]ids.ID(nil), w.log...)
 }
 
-// TestCompactStoreMatchesFlat drives the same deterministic workload —
-// puts, gets, joins, leaves, crashes — against a flat-mesh store (per-node
-// churn handlers, full-membership attach sweep) and a compact-mesh store
-// (shared arena, global handlers, dirty-set walks) and requires the wire
-// traffic and every operation result to match exactly. This pins the
-// dirty-set and global-handler equivalence argument in kv.go.
+// TestCompactStoreMatchesFlat drives a deterministic workload — puts,
+// gets, joins, leaves, crashes — against the store (shared membership
+// arena, one global churn-handler pair, dirty-set walks) and requires
+// every operation result and the whole wire log to equal the transcript
+// frozen from the flat-mesh store it replaced (per-router membership
+// copies, one churn-handler pair per node, full-membership attach
+// sweep). This pins the dirty-set and global-handler equivalence
+// argument in kv.go.
 func TestCompactStoreMatchesFlat(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			type build struct {
-				wire  *logWire
-				mesh  *overlay.Mesh
-				store *Store
-				nodes []ids.ID
-			}
-			mk := func(compact bool) *build {
-				b := &build{wire: &logWire{}}
-				if compact {
-					b.mesh = overlay.NewMeshCompact(b.wire)
-				} else {
-					b.mesh = overlay.NewMesh(b.wire)
+			wire := &logWire{}
+			mesh := overlay.NewMesh(wire)
+			store := New(mesh, wire, Options{ReplicationFactor: 2, CacheEnabled: true})
+			var alive []ids.ID
+			for i := 0; i < 10; i++ {
+				r, err := mesh.Join(fmt.Sprintf("10.9.%d.1:7000", i+1))
+				if err != nil {
+					t.Fatal(err)
 				}
-				b.store = New(b.mesh, b.wire, Options{ReplicationFactor: 2, CacheEnabled: true})
-				for i := 0; i < 10; i++ {
-					r, err := b.mesh.Join(fmt.Sprintf("10.9.%d.1:7000", i+1))
-					if err != nil {
-						t.Fatal(err)
-					}
-					b.store.Attach(r.Self().ID)
-					b.nodes = append(b.nodes, r.Self().ID)
-				}
-				return b
+				store.Attach(r.Self().ID)
+				alive = append(alive, r.Self().ID)
 			}
-			flat, comp := mk(false), mk(true)
 
-			alive := append([]ids.ID(nil), flat.nodes...)
+			var sb strings.Builder
 			rng := rand.New(rand.NewSource(seed))
 			nextAddr := 100
 			for step := 0; step < 120; step++ {
@@ -74,39 +69,23 @@ func TestCompactStoreMatchesFlat(t *testing.T) {
 				case op < 4: // put
 					from := alive[rng.Intn(len(alive))]
 					key := ids.HashString(fmt.Sprintf("obj-%d", rng.Intn(12)))
-					data := []byte(fmt.Sprintf("v%d", step))
-					pf, ef := flat.store.Put(from, key, data, Overwrite)
-					pc, ec := comp.store.Put(from, key, data, Overwrite)
-					if (ef == nil) != (ec == nil) || pf != pc {
-						t.Fatalf("step %d: put diverged: flat=%+v/%v compact=%+v/%v", step, pf, ef, pc, ec)
-					}
+					pr, err := store.Put(from, key, []byte(fmt.Sprintf("v%d", step)), Overwrite)
+					fmt.Fprintf(&sb, "%d put %s %s -> v%d hops=%d owner=%s ok=%v\n",
+						step, from, key, pr.Version, pr.Hops, pr.Owner, err == nil)
 				case op < 8: // get
 					from := alive[rng.Intn(len(alive))]
 					key := ids.HashString(fmt.Sprintf("obj-%d", rng.Intn(12)))
-					gf, ef := flat.store.Get(from, key)
-					gc, ec := comp.store.Get(from, key)
-					if (ef == nil) != (ec == nil) {
-						t.Fatalf("step %d: get err diverged: %v vs %v", step, ef, ec)
-					}
-					if ef == nil {
-						if gf.Hops != gc.Hops || gf.FromCache != gc.FromCache ||
-							gf.Value.Version != gc.Value.Version ||
-							!bytes.Equal(gf.Value.Data, gc.Value.Data) {
-							t.Fatalf("step %d: get diverged: flat=%+v compact=%+v", step, gf, gc)
-						}
-					}
+					gr, err := store.Get(from, key)
+					fmt.Fprintf(&sb, "%d get %s %s -> v%d %q hops=%d cache=%v ok=%v\n",
+						step, from, key, gr.Value.Version, gr.Value.Data, gr.Hops, gr.FromCache, err == nil)
 				case op == 8: // join + attach
 					addr := fmt.Sprintf("10.9.200.%d:7000", nextAddr)
 					nextAddr++
-					rf, ef := flat.mesh.Join(addr)
-					rc, ec := comp.mesh.Join(addr)
-					if (ef == nil) != (ec == nil) {
-						t.Fatalf("step %d: join err diverged: %v vs %v", step, ef, ec)
-					}
-					if ef == nil {
-						flat.store.Attach(rf.Self().ID)
-						comp.store.Attach(rc.Self().ID)
-						alive = append(alive, rf.Self().ID)
+					r, err := mesh.Join(addr)
+					fmt.Fprintf(&sb, "%d join %s ok=%v\n", step, addr, err == nil)
+					if err == nil {
+						store.Attach(r.Self().ID)
+						alive = append(alive, r.Self().ID)
 					}
 				default: // leave or crash
 					if len(alive) <= 4 {
@@ -116,30 +95,45 @@ func TestCompactStoreMatchesFlat(t *testing.T) {
 					id := alive[i]
 					alive = append(alive[:i], alive[i+1:]...)
 					if rng.Intn(2) == 0 {
-						if err := flat.store.Depart(id); err != nil {
+						if err := store.Depart(id); err != nil {
 							t.Fatal(err)
 						}
-						if err := comp.store.Depart(id); err != nil {
-							t.Fatal(err)
-						}
+						fmt.Fprintf(&sb, "%d depart %s\n", step, id)
 					} else {
-						if err := flat.mesh.Fail(id); err != nil {
+						if err := mesh.Fail(id); err != nil {
 							t.Fatal(err)
 						}
-						if err := comp.mesh.Fail(id); err != nil {
-							t.Fatal(err)
-						}
+						fmt.Fprintf(&sb, "%d fail %s\n", step, id)
 					}
 				}
 			}
-			lf, lc := flat.wire.snapshot(), comp.wire.snapshot()
-			if len(lf) != len(lc) {
-				t.Fatalf("wire log lengths diverged: flat=%d compact=%d", len(lf), len(lc))
+			for _, m := range wire.snapshot() {
+				fmt.Fprintf(&sb, "%s>%s\n", m[0], m[1])
 			}
-			for i := range lf {
-				if lf[i] != lc[i] {
-					t.Fatalf("wire log diverged at message %d: flat=%v compact=%v", i, lf[i], lc[i])
+			got := sb.String()
+
+			path := filepath.Join("testdata", "golden", fmt.Sprintf("churn_seed%d.txt", seed))
+			if *updateGolden {
+				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+					t.Fatal(err)
 				}
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != string(want) {
+				gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+				for i := 0; i < len(gl) && i < len(wl); i++ {
+					if gl[i] != wl[i] {
+						t.Fatalf("transcript diverged at line %d:\n got  %s\n want %s", i+1, gl[i], wl[i])
+					}
+				}
+				t.Fatalf("transcript length diverged: got %d lines, want %d", len(gl), len(wl))
 			}
 		})
 	}

@@ -83,14 +83,6 @@ type Options struct {
 	// the coordinator is a single point of failure. The DHT/centralized
 	// ablation compares the two.
 	Centralized bool
-	// RouteMemo caches resolved ownership routes (core.PerfConfig's
-	// BatchedMeta gate): repeated lookups from the same origin for the same
-	// key replay the cached hop sequence instead of walking the overlay
-	// again. The replay issues the exact wire messages the walk would, so
-	// modeled time is unchanged; only the host-side routing work is saved.
-	// The memo is dropped whenever membership changes, so cached routes
-	// always reflect the live mesh.
-	RouteMemo bool
 }
 
 // Broadcaster is an optional capability of the wire: delivering one
@@ -153,21 +145,14 @@ type Store struct {
 	nodes       map[ids.ID]*nodeStore
 	coordinator ids.ID // centralized mode: the node holding every key
 
-	routeMu sync.Mutex
-	routes  map[routeKey]routeEntry
-
 	// dirty over-approximates the set of nodes holding authoritative
 	// entries: a node is marked at every site that writes entries and only
-	// unmarked on Detach. Churn handlers (repair, handOver) are no-ops on
-	// nodes without entries, so iterating the dirty set instead of the
-	// full membership produces byte-identical wire traffic while a churn
-	// event costs O(dirty) instead of O(N).
+	// unmarked on Detach. Churn reactions (repair, handOver) are no-ops on
+	// nodes without entries, so walking the dirty set instead of the full
+	// membership produces byte-identical wire traffic while a churn event
+	// costs O(dirty) instead of O(N).
 	dirtyMu sync.Mutex
 	dirty   map[ids.ID]bool
-
-	// globalHandlers records that the compact-mesh OnJoinAll/OnDepartureAll
-	// pair has been registered (once per store). Guarded by mu.
-	globalHandlers bool
 
 	stats Stats
 }
@@ -182,9 +167,9 @@ func (s *Store) markDirty(node ids.ID) {
 	s.dirtyMu.Unlock()
 }
 
-// dirtySorted snapshots the dirty set in ascending ID order — the same
-// order per-node churn handlers fire in, keeping handler-driven wire
-// traffic identical between the per-node and global registration modes.
+// dirtySorted snapshots the dirty set in ascending ID order, so churn
+// reactions — and the wire traffic they drive — happen in one
+// deterministic order.
 func (s *Store) dirtySorted() []ids.ID {
 	s.dirtyMu.Lock()
 	out := make([]ids.ID, 0, len(s.dirty))
@@ -194,30 +179,6 @@ func (s *Store) dirtySorted() []ids.ID {
 	s.dirtyMu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// routeKey identifies one memoised route: requests for key starting at
-// from always take the same path while membership holds still.
-type routeKey struct{ from, key ids.ID }
-
-// routeEntry caches a resolved route: the owner plus the hop sequence the
-// walk charged, so a memo hit replays identical wire traffic.
-type routeEntry struct {
-	owner ids.ID
-	hops  [][2]ids.ID
-	super int // super-peer hops within the sequence
-}
-
-// dropRoutes forgets every memoised route. Called on any membership
-// change: routes are a pure function of the live mesh, so a stale entry
-// could replay hops through a departed node or miss a closer newcomer.
-func (s *Store) dropRoutes() {
-	if !s.opts.RouteMemo {
-		return
-	}
-	s.routeMu.Lock()
-	s.routes = nil
-	s.routeMu.Unlock()
 }
 
 // Stats counts store activity (used by the caching/replication ablations).
@@ -235,25 +196,50 @@ func (s *Stats) Snapshot() (lookups, cacheHits, puts int) {
 	return s.Lookups, s.CacheHits, s.PutOps
 }
 
-// New returns a store over the mesh. Each participating node must be
-// registered with Attach after joining the overlay.
+// New returns a store over the mesh and registers the churn handlers
+// that keep data available across joins and departures. Each
+// participating node must be registered with Attach after joining the
+// overlay.
+//
+// One handler pair serves the whole mesh: a membership event walks the
+// dirty set in ascending ID order, which is exactly the set of nodes
+// where repair or handOver has anything to do (both are no-ops at a node
+// without entries, and at one that has left the mesh, because they first
+// resolve the node's router). A handler per attached node would produce
+// the same wire traffic at O(N) dispatch per event — at city scale that
+// dominated churn cost.
 func New(mesh *overlay.Mesh, wire overlay.Wire, opts Options) *Store {
 	if opts.ReplicationFactor < 0 {
 		opts.ReplicationFactor = 0
 	}
-	return &Store{
+	s := &Store{
 		mesh:  mesh,
 		wire:  wire,
 		opts:  opts,
 		nodes: make(map[ids.ID]*nodeStore),
 	}
+	mesh.OnDeparture(func(departed overlay.Member) {
+		for _, d := range s.dirtySorted() {
+			if d != departed.ID {
+				s.repair(d)
+			}
+		}
+	})
+	mesh.OnJoin(func(joined overlay.Member) {
+		for _, d := range s.dirtySorted() {
+			if d != joined.ID {
+				s.handOver(d, joined.ID)
+			}
+		}
+	})
+	return s
 }
 
 // Stats exposes the activity counters.
 func (s *Store) Stats() *Stats { return &s.stats }
 
-// Attach registers node as a participant and wires up the churn handlers
-// that keep data available across joins and departures.
+// Attach registers node as a participant and pulls the keys it is now
+// responsible for.
 func (s *Store) Attach(node ids.ID) {
 	s.mu.Lock()
 	if _, ok := s.nodes[node]; ok {
@@ -266,68 +252,17 @@ func (s *Store) Attach(node ids.ID) {
 	}
 	s.mu.Unlock()
 
-	if s.mesh.Compact() {
-		s.ensureGlobalHandlers()
-	} else {
-		s.mesh.OnDeparture(node, func(overlay.Member) {
-			s.dropRoutes()
-			s.repair(node)
-		})
-		s.mesh.OnJoin(node, func(joined overlay.Member) {
-			s.dropRoutes()
-			s.handOver(node, joined.ID)
-		})
-	}
-	s.dropRoutes()
-
-	// Nodes attach after joining the mesh, so the join handlers above ran
-	// before this slice existed. Pull the keys this node is now
-	// responsible for from the existing members. Only dirty nodes can hold
-	// entries, so the pull visits them alone — hand-over from a clean node
-	// moves nothing and sends nothing, so the skip is unobservable while an
-	// attach costs O(dirty) instead of O(N). Order (ascending ID) matches
-	// the full-membership sweep this replaces.
+	// Nodes attach after joining the mesh, so the join handler ran before
+	// this slice existed. Pull the keys this node is now responsible for
+	// from the existing members. Only dirty nodes can hold entries, so the
+	// pull visits them alone — hand-over from a clean node moves nothing
+	// and sends nothing, so the skip is unobservable while an attach costs
+	// O(dirty) instead of O(N).
 	for _, other := range s.dirtySorted() {
 		if other != node {
 			s.handOver(other, node)
 		}
 	}
-}
-
-// ensureGlobalHandlers registers, once, the mesh-wide churn handler pair
-// compact deployments use in place of per-node handlers. Per-node
-// registration runs N handlers per membership event — O(N) even when
-// every one is a no-op; at city scale that dominates churn cost. The
-// global pair walks only the dirty set. The wire traffic is identical:
-// per-node handlers fire in ascending node-ID order and act only at
-// nodes holding entries, which is exactly the sorted dirty walk. Handlers
-// for a node that has left the mesh (per-node registration deletes them;
-// the dirty set does not) no-op either way because repair and handOver
-// first resolve the node's router, which fails once it has departed.
-func (s *Store) ensureGlobalHandlers() {
-	s.mu.Lock()
-	if s.globalHandlers {
-		s.mu.Unlock()
-		return
-	}
-	s.globalHandlers = true
-	s.mu.Unlock()
-	s.mesh.OnDepartureAll(func(departed overlay.Member) {
-		s.dropRoutes()
-		for _, d := range s.dirtySorted() {
-			if d != departed.ID {
-				s.repair(d)
-			}
-		}
-	})
-	s.mesh.OnJoinAll(func(joined overlay.Member) {
-		s.dropRoutes()
-		for _, d := range s.dirtySorted() {
-			if d != joined.ID {
-				s.handOver(d, joined.ID)
-			}
-		}
-	})
 }
 
 // Detach removes a node's slice (after it has left the mesh).
@@ -338,7 +273,6 @@ func (s *Store) Detach(node ids.ID) {
 	s.dirtyMu.Lock()
 	delete(s.dirty, node)
 	s.dirtyMu.Unlock()
-	s.dropRoutes()
 }
 
 func (s *Store) node(id ids.ID) (*nodeStore, error) {
@@ -370,34 +304,9 @@ func (s *Store) locateOwner(from, key ids.ID) (owner ids.ID, hops, superHops int
 		}
 		return coord, 0, 0, nil
 	}
-	if s.opts.RouteMemo {
-		s.routeMu.Lock()
-		e, hit := s.routes[routeKey{from, key}]
-		s.routeMu.Unlock()
-		if hit {
-			// Replay the walk's exact wire charges: same messages, same
-			// hops, same instants as re-routing would produce.
-			for _, h := range e.hops {
-				s.wire.Send(h[0], h[1])
-			}
-			return e.owner, len(e.hops), e.super, nil
-		}
-	}
 	res, err := s.mesh.Route(from, key)
 	if err != nil {
 		return 0, 0, 0, err
-	}
-	if s.opts.RouteMemo {
-		e := routeEntry{owner: res.Owner.ID, hops: make([][2]ids.ID, 0, res.Hops), super: res.SuperHops}
-		for i := 1; i < len(res.Path); i++ {
-			e.hops = append(e.hops, [2]ids.ID{res.Path[i-1].ID, res.Path[i].ID})
-		}
-		s.routeMu.Lock()
-		if s.routes == nil {
-			s.routes = make(map[routeKey]routeEntry)
-		}
-		s.routes[routeKey{from, key}] = e
-		s.routeMu.Unlock()
 	}
 	return res.Owner.ID, res.Hops, res.SuperHops, nil
 }
@@ -761,6 +670,9 @@ func (s *Store) Delete(from, key ids.ID) error {
 		_, hadCache := ns.cache[key]
 		delete(ns.entries, key)
 		delete(ns.cache, key)
+		// A replica or cache that served reads indexed its own cache
+		// holders; every one of those caches is purged by this sweep.
+		delete(ns.holders, key)
 		ns.mu.Unlock()
 		if hadEntry || hadCache || holderSet[id] {
 			s.wire.Send(ownerID, id)

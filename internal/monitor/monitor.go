@@ -124,6 +124,7 @@ type Monitor struct {
 	store   *kv.Store
 	clock   vclock.Clock
 	node    ids.ID
+	key     ids.ID // Key(addr), hashed once
 	addr    string
 	sampler Sampler
 	period  time.Duration
@@ -151,11 +152,17 @@ func New(store *kv.Store, clock vclock.Clock, addr string, sampler Sampler, peri
 		store:   store,
 		clock:   clock,
 		node:    ids.HashString(addr),
+		key:     Key(addr),
 		addr:    addr,
 		sampler: sampler,
 		period:  period,
 	}, nil
 }
+
+// Key returns the key-value store key the monitor publishes under:
+// Key(addr), computed once at construction so readers that hold the
+// monitor need not re-hash the address per lookup.
+func (m *Monitor) Key() ids.ID { return m.key }
 
 // PublishOnce samples and writes the record immediately. Simulations call
 // this from their own (registered) workers.
@@ -171,7 +178,7 @@ func (m *Monitor) PublishOnce() error {
 	if err != nil {
 		return err
 	}
-	if _, err = m.store.Put(m.node, Key(m.addr), data, kv.Overwrite); err != nil {
+	if _, err = m.store.Put(m.node, m.key, data, kv.Overwrite); err != nil {
 		return err
 	}
 	m.mu.Lock()

@@ -168,7 +168,6 @@ func (p *Path) Validate() error {
 type Network struct {
 	clock vclock.Clock
 	seed  int64
-	lazy  bool
 	ctr   atomic.Uint64
 
 	// Traffic accounting: constant-cost atomic bumps on the charge paths,
@@ -186,14 +185,6 @@ func New(clock vclock.Clock, seed int64) *Network {
 	return &Network{clock: clock, seed: seed}
 }
 
-// EnableLazyRNG switches per-operation jitter streams to the lazily
-// materialised generator engine (core.PerfConfig.LazyRNG). Every drawn
-// value is bit-identical to the default engine — detrand verifies the
-// equivalence against math/rand at startup — so schedules and results do
-// not change; only the per-operation seeding cost does. Call during
-// setup, before traffic flows.
-func (n *Network) EnableLazyRNG() { n.lazy = true }
-
 // Clock returns the clock the network charges time to.
 func (n *Network) Clock() vclock.Clock { return n.clock }
 
@@ -206,13 +197,14 @@ func (n *Network) Traffic() (messages, transfers, bytes int64) {
 
 // rng returns a pooled deterministic source for one operation. Each
 // operation gets its own stream so concurrent goroutines cannot perturb
-// each other's randomness. Pair with putRNG when the operation's draws
-// are done.
+// each other's randomness; detrand materialises only the state words the
+// operation draws, so the stream costs neither a reseed nor an
+// allocation. Pair with putRNG when the operation's draws are done.
 //
 // c4h:hotpath
 func (n *Network) rng() *detrand.Rand {
 	k := n.ctr.Add(1)
-	return detrand.Get(n.seed*1_000_003+int64(k), n.lazy)
+	return detrand.Get(n.seed*1_000_003 + int64(k))
 }
 
 // putRNG recycles an operation's generator.

@@ -298,3 +298,29 @@ func TestWirelessPathSlowerAndJitterier(t *testing.T) {
 		t.Fatalf("wired mixed path should match HomePath: %+v", pp)
 	}
 }
+
+// idleClock accepts sleeps without blocking or allocating, so
+// AllocsPerRun sees only the network's own per-operation work.
+type idleClock struct{}
+
+func (idleClock) Now() time.Time      { return time.Time{} }
+func (idleClock) Sleep(time.Duration) {}
+
+// TestOperationsDoNotAllocateGenerators: every Message and Transfer
+// draws its own seeded jitter stream; the stream must come from the
+// pool, lazily seeded, not from a fresh 5 KB generator.
+func TestOperationsDoNotAllocateGenerators(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	n := New(idleClock{}, 2011)
+	p, _, _, _ := lanPath()
+	n.Message(p) // warm the pool
+	if avg := testing.AllocsPerRun(200, func() { n.Message(p) }); avg != 0 {
+		t.Errorf("Message allocates %.1f objects per call, want 0", avg)
+	}
+	const oneChunk = 32 << 10
+	if avg := testing.AllocsPerRun(200, func() { n.Transfer(p, oneChunk) }); avg != 0 {
+		t.Errorf("one-chunk Transfer allocates %.1f objects per call, want 0", avg)
+	}
+}

@@ -63,43 +63,13 @@ func BenchmarkJoinLeave(b *testing.B) {
 	}
 }
 
-// BenchmarkChurnRemoveAdd measures one router's membership-churn cost
-// (RemoveMember + AddMember of a single peer) across membership sizes.
-// Before the targeted slot refill, RemoveMember rebuilt the whole prefix
-// table from every member, so this scaled linearly with n; now both
-// operations are O(log n) tree work and the numbers stay flat.
-func BenchmarkChurnRemoveAdd(b *testing.B) {
-	for _, n := range []int{256, 2048, 16384} {
-		b.Run(fmt.Sprintf("flat/n=%d", n), func(b *testing.B) {
-			r := NewRouter(Member{ID: ids.HashString("churn-self:1"), Addr: "churn-self:1"})
-			var peer Member
-			for i := 0; i < n; i++ {
-				m := Member{ID: ids.HashString(fmt.Sprintf("churn-%d:1", i)), Addr: fmt.Sprintf("churn-%d:1", i)}
-				r.AddMember(m)
-				peer = m
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r.RemoveMember(peer.ID)
-				r.AddMember(peer)
-			}
-		})
-	}
-}
-
-// BenchmarkChurnJoinLeaveCompact measures whole-mesh churn (join + leave
-// of one node) in compact mode, where an event costs O(log n) arena work
-// instead of the flat mode's O(n) fan-out to every router.
-func BenchmarkChurnJoinLeaveCompact(b *testing.B) {
+// BenchmarkChurnJoinLeave measures whole-mesh churn (join + leave of one
+// node) across membership sizes: an event costs O(log n) arena work, not
+// an O(n) fan-out to every router, so the numbers stay flat.
+func BenchmarkChurnJoinLeave(b *testing.B) {
 	for _, n := range []int{256, 2048, 16384} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			m := NewMeshCompact(FreeWire{})
-			for i := 0; i < n; i++ {
-				if _, err := m.Join(fmt.Sprintf("cc-%d:1", i)); err != nil {
-					b.Fatal(err)
-				}
-			}
+			m, _ := benchMesh(b, n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

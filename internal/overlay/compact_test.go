@@ -3,13 +3,14 @@ package overlay
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"cloud4home/internal/ids"
 )
 
-// recordWire logs every wire message so two meshes can be compared
-// send-for-send.
+// recordWire logs every wire message so the mesh can be compared
+// send-for-send with what the oracle predicts.
 type recordWire struct {
 	log [][2]ids.ID
 }
@@ -18,100 +19,209 @@ func (w *recordWire) Send(from, to ids.ID) {
 	w.log = append(w.log, [2]ids.ID{from, to})
 }
 
-// buildPair builds one flat and one compact mesh over the same n
-// addresses and returns them with their wires.
-func buildPair(t testing.TB, n int) (*Mesh, *Mesh, *recordWire, *recordWire) {
-	t.Helper()
-	fw, cw := &recordWire{}, &recordWire{}
-	flat, compact := NewMesh(fw), NewMeshCompact(cw)
-	for i := 0; i < n; i++ {
-		addr := fmt.Sprintf("city-%d:9000", i)
-		if _, err := flat.Join(addr); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := compact.Join(addr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return flat, compact, fw, cw
+// oracle is the brute-force reference router: the membership as a slice
+// sorted by ID, every routing answer a full scan minimising ids.Closer.
+// It is what a router with a private membership copy and an eagerly
+// maintained prefix table computes, written without any tree geometry,
+// so the arena's O(log N) probes are checked against the definition
+// rather than against themselves.
+type oracle struct {
+	members []Member // ascending ID
+	wire    recordWire
 }
 
-// TestCompactMeshMatchesFlat: every routing answer of a compact mesh —
-// owners, next hops, replica sets, neighbours, full routes, and the
-// exact wire-message log of joins/leaves — is bit-identical to a flat
-// mesh over the same membership.
-func TestCompactMeshMatchesFlat(t *testing.T) {
-	flat, compact, fw, cw := buildPair(t, 48)
-	if len(fw.log) != len(cw.log) {
-		t.Fatalf("join wire traffic: flat %d msgs, compact %d", len(fw.log), len(cw.log))
+func (o *oracle) index(id ids.ID) int {
+	return sort.Search(len(o.members), func(i int) bool { return o.members[i].ID >= id })
+}
+
+// join interns m and logs the newcomer's messages to its ring neighbours.
+func (o *oracle) join(m Member) {
+	i := o.index(m.ID)
+	o.members = append(o.members, Member{})
+	copy(o.members[i+1:], o.members[i:])
+	o.members[i] = m
+	o.greet(m.ID)
+}
+
+// remove forgets id, after its farewell messages when it leaves cleanly.
+func (o *oracle) remove(id ids.ID, farewell bool) {
+	if farewell {
+		o.greet(id)
 	}
-	for i := range fw.log {
-		if fw.log[i] != cw.log[i] {
-			t.Fatalf("join wire msg %d: flat %v, compact %v", i, fw.log[i], cw.log[i])
+	i := o.index(id)
+	o.members = append(o.members[:i], o.members[i+1:]...)
+}
+
+func (o *oracle) greet(id ids.ID) {
+	if left, right, ok := o.neighbors(id); ok {
+		o.wire.Send(id, left.ID)
+		if right.ID != left.ID {
+			o.wire.Send(id, right.ID)
 		}
 	}
+}
 
-	nodes := flat.Nodes()
+func (o *oracle) neighbors(self ids.ID) (left, right Member, ok bool) {
+	n := len(o.members)
+	if n < 2 {
+		return Member{}, Member{}, false
+	}
+	i := o.index(self)
+	return o.members[(i-1+n)%n], o.members[(i+1)%n], true
+}
+
+// closest returns the member minimising ids.Closer distance to target
+// among those keep admits.
+func (o *oracle) closest(target ids.ID, keep func(Member) bool) (Member, bool) {
+	var best Member
+	found := false
+	for _, m := range o.members {
+		if keep(m) && (!found || ids.Closer(target, m.ID, best.ID)) {
+			best, found = m, true
+		}
+	}
+	return best, found
+}
+
+func (o *oracle) owner(key ids.ID) Member {
+	m, _ := o.closest(key, func(Member) bool { return true })
+	return m
+}
+
+func (o *oracle) replicaSet(key ids.ID, n int) []Member {
+	out := append([]Member(nil), o.members...)
+	sort.Slice(out, func(i, j int) bool { return ids.Closer(key, out[i].ID, out[j].ID) })
+	if n < len(out) {
+		out = out[:n]
+	}
+	return out
+}
+
+// nextHop is one prefix-routing step from self: the prefix-table slot
+// for the key's next digit — the member closest to self among those
+// sharing self's first l digits and carrying digit d there — or the
+// owner when that slot is empty.
+func (o *oracle) nextHop(self, key ids.ID) (Member, bool) {
+	owner := o.owner(key)
+	if owner.ID == self {
+		return owner, false
+	}
+	if l := ids.CommonPrefixLen(key, self); l < ids.Digits {
+		d := key.Digit(l)
+		if m, ok := o.closest(self, func(m Member) bool {
+			return m.ID != self && ids.CommonPrefixLen(self, m.ID) == l && m.ID.Digit(l) == d
+		}); ok {
+			return m, true
+		}
+	}
+	return owner, true
+}
+
+func (o *oracle) route(from, key ids.ID) (owner Member, path []ids.ID) {
+	path = []ids.ID{from}
+	for cur := from; ; {
+		next, forward := o.nextHop(cur, key)
+		if !forward {
+			return next, path
+		}
+		path = append(path, next.ID)
+		cur = next.ID
+	}
+}
+
+func sameWireLog(t *testing.T, what string, got, want [][2]ids.ID) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: mesh sent %d msgs, oracle %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s msg %d: mesh %v, oracle %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestCompactMeshMatchesFlat: every routing answer of the mesh — owners,
+// next hops, replica sets, neighbours, full routes, and the exact
+// wire-message log of joins — equals the brute-force oracle's over the
+// same membership.
+func TestCompactMeshMatchesFlat(t *testing.T) {
+	w := &recordWire{}
+	mesh, ref := NewMesh(w), &oracle{}
+	for i := 0; i < 48; i++ {
+		addr := fmt.Sprintf("city-%d:9000", i)
+		r, err := mesh.Join(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref.join(r.Self())
+	}
+	sameWireLog(t, "join", w.log, ref.wire.log)
+
+	nodes := mesh.Nodes()
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 400; trial++ {
 		key := ids.ID(rng.Uint64()) & ids.Max()
 		from := nodes[rng.Intn(len(nodes))]
-		fr, _ := flat.Router(from)
-		cr, _ := compact.Router(from)
+		r, _ := mesh.Router(from)
 
-		if fo, co := fr.Owner(key), cr.Owner(key); fo != co {
-			t.Fatalf("Owner(%s) from %s: flat %v, compact %v", key, from, fo, co)
+		if got, want := r.Owner(key), ref.owner(key); got != want {
+			t.Fatalf("Owner(%s) from %s: mesh %v, oracle %v", key, from, got, want)
 		}
-		fn, ff := fr.NextHop(key)
-		cn, cf := cr.NextHop(key)
-		if fn != cn || ff != cf {
-			t.Fatalf("NextHop(%s) from %s: flat (%v,%v), compact (%v,%v)", key, from, fn, ff, cn, cf)
+		gn, gf := r.NextHop(key)
+		wn, wf := ref.nextHop(from, key)
+		if gn != wn || gf != wf {
+			t.Fatalf("NextHop(%s) from %s: mesh (%v,%v), oracle (%v,%v)", key, from, gn, gf, wn, wf)
 		}
 		rf := rng.Intn(len(nodes)+2) + 1
-		fs, cs := fr.ReplicaSet(key, rf), cr.ReplicaSet(key, rf)
-		if len(fs) != len(cs) {
-			t.Fatalf("ReplicaSet(%s, %d): flat %d members, compact %d", key, rf, len(fs), len(cs))
+		gs, ws := r.ReplicaSet(key, rf), ref.replicaSet(key, rf)
+		if len(gs) != len(ws) {
+			t.Fatalf("ReplicaSet(%s, %d): mesh %d members, oracle %d", key, rf, len(gs), len(ws))
 		}
-		for i := range fs {
-			if fs[i] != cs[i] {
-				t.Fatalf("ReplicaSet(%s, %d)[%d]: flat %v, compact %v", key, rf, i, fs[i], cs[i])
+		for i := range gs {
+			if gs[i] != ws[i] {
+				t.Fatalf("ReplicaSet(%s, %d)[%d]: mesh %v, oracle %v", key, rf, i, gs[i], ws[i])
 			}
 		}
-		fl, frt, fok := fr.Neighbors()
-		cl, crt, cok := cr.Neighbors()
-		if fl != cl || frt != crt || fok != cok {
-			t.Fatalf("Neighbors of %s differ: flat (%v,%v,%v) compact (%v,%v,%v)", from, fl, frt, fok, cl, crt, cok)
+		gl, gr, gok := r.Neighbors()
+		wl, wr, wok := ref.neighbors(from)
+		if gl != wl || gr != wr || gok != wok {
+			t.Fatalf("Neighbors of %s differ: mesh (%v,%v,%v) oracle (%v,%v,%v)", from, gl, gr, gok, wl, wr, wok)
 		}
 
-		fres, err1 := flat.Route(from, key)
-		cres, err2 := compact.Route(from, key)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("route errors: %v / %v", err1, err2)
+		res, err := mesh.Route(from, key)
+		if err != nil {
+			t.Fatalf("route: %v", err)
 		}
-		if fres.Owner != cres.Owner || fres.Hops != cres.Hops || len(fres.Path) != len(cres.Path) {
-			t.Fatalf("Route(%s) from %s: flat %+v, compact %+v", key, from, fres, cres)
+		wantOwner, wantPath := ref.route(from, key)
+		if res.Owner != wantOwner || res.Hops != len(wantPath)-1 || len(res.Path) != len(wantPath) {
+			t.Fatalf("Route(%s) from %s: mesh %+v, oracle owner %v path %v", key, from, res, wantOwner, wantPath)
+		}
+		for i, m := range res.Path {
+			if m.ID != wantPath[i] {
+				t.Fatalf("Route(%s) from %s hop %d: mesh %s, oracle %s", key, from, i, m.ID, wantPath[i])
+			}
 		}
 	}
 }
 
-// TestCompactMeshChurnMatchesFlat drives an identical random join/leave/
-// fail schedule through both meshes and checks membership, owners, and
-// wire logs stay in lockstep throughout.
+// TestCompactMeshChurnMatchesFlat drives a random join/leave/fail
+// schedule through the mesh and the oracle and checks membership,
+// owners, next hops and wire logs stay in lockstep throughout.
 func TestCompactMeshChurnMatchesFlat(t *testing.T) {
-	fw, cw := &recordWire{}, &recordWire{}
-	flat, compact := NewMesh(fw), NewMeshCompact(cw)
+	w := &recordWire{}
+	mesh, ref := NewMesh(w), &oracle{}
 	rng := rand.New(rand.NewSource(23))
 	var live []string
 	nextAddr := 0
 	join := func() {
 		addr := fmt.Sprintf("churn-%d:9000", nextAddr)
 		nextAddr++
-		if _, err := flat.Join(addr); err != nil {
+		r, err := mesh.Join(addr)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := compact.Join(addr); err != nil {
-			t.Fatal(err)
-		}
+		ref.join(r.Self())
 		live = append(live, addr)
 	}
 	for i := 0; i < 12; i++ {
@@ -125,83 +235,68 @@ func TestCompactMeshChurnMatchesFlat(t *testing.T) {
 			i := rng.Intn(len(live))
 			id := ids.HashString(live[i])
 			live = append(live[:i], live[i+1:]...)
+			var err error
 			if op == 1 {
-				if err := flat.Leave(id); err != nil {
-					t.Fatal(err)
-				}
-				if err := compact.Leave(id); err != nil {
-					t.Fatal(err)
-				}
+				err = mesh.Leave(id)
 			} else {
-				if err := flat.Fail(id); err != nil {
-					t.Fatal(err)
-				}
-				if err := compact.Fail(id); err != nil {
-					t.Fatal(err)
-				}
+				err = mesh.Fail(id)
 			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref.remove(id, op == 1)
 		}
-		if flat.Len() != compact.Len() || flat.Len() != len(live) {
-			t.Fatalf("step %d: flat %d, compact %d, live %d", step, flat.Len(), compact.Len(), len(live))
+		if mesh.Len() != len(live) || len(ref.members) != len(live) {
+			t.Fatalf("step %d: mesh %d, oracle %d, live %d", step, mesh.Len(), len(ref.members), len(live))
 		}
 		key := ids.ID(rng.Uint64()) & ids.Max()
 		from := ids.HashString(live[rng.Intn(len(live))])
-		fr, _ := flat.Router(from)
-		cr, _ := compact.Router(from)
-		if fr.Len() != cr.Len() || fr.Len() != len(live) {
-			t.Fatalf("step %d: router views flat %d, compact %d, live %d", step, fr.Len(), cr.Len(), len(live))
+		r, _ := mesh.Router(from)
+		if r.Len() != len(live) {
+			t.Fatalf("step %d: router view %d, live %d", step, r.Len(), len(live))
 		}
-		if fo, co := fr.Owner(key), cr.Owner(key); fo != co {
-			t.Fatalf("step %d: Owner(%s) flat %v, compact %v", step, key, fo, co)
+		if got, want := r.Owner(key), ref.owner(key); got != want {
+			t.Fatalf("step %d: Owner(%s) mesh %v, oracle %v", step, key, got, want)
 		}
-	}
-	if len(fw.log) != len(cw.log) {
-		t.Fatalf("wire traffic: flat %d msgs, compact %d", len(fw.log), len(cw.log))
-	}
-	for i := range fw.log {
-		if fw.log[i] != cw.log[i] {
-			t.Fatalf("wire msg %d: flat %v, compact %v", i, fw.log[i], cw.log[i])
+		gn, gf := r.NextHop(key)
+		wn, wf := ref.nextHop(from, key)
+		if gn != wn || gf != wf {
+			t.Fatalf("step %d: NextHop(%s) from %s: mesh (%v,%v), oracle (%v,%v)", step, key, from, gn, gf, wn, wf)
 		}
 	}
+	sameWireLog(t, "churn", w.log, ref.wire.log)
 }
 
-// TestCompactGlobalHandlersFire: OnJoinAll/OnDepartureAll run once per
-// event in both mesh modes.
+// TestCompactGlobalHandlersFire: OnJoin/OnDeparture handlers run once
+// per event across a sequence of joins, a leave and a crash.
 func TestCompactGlobalHandlersFire(t *testing.T) {
-	for _, mode := range []string{"flat", "compact"} {
-		var m *Mesh
-		if mode == "flat" {
-			m = NewMesh(FreeWire{})
-		} else {
-			m = NewMeshCompact(FreeWire{})
-		}
-		var joins, departs []ids.ID
-		m.OnJoinAll(func(j Member) { joins = append(joins, j.ID) })
-		m.OnDepartureAll(func(d Member) { departs = append(departs, d.ID) })
-		for i := 0; i < 5; i++ {
-			if _, err := m.Join(fmt.Sprintf("gh-%d:1", i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if len(joins) != 5 {
-			t.Fatalf("%s: %d join events, want 5", mode, len(joins))
-		}
-		if err := m.Leave(joins[1]); err != nil {
+	m := NewMesh(FreeWire{})
+	var joins, departs []ids.ID
+	m.OnJoin(func(j Member) { joins = append(joins, j.ID) })
+	m.OnDeparture(func(d Member) { departs = append(departs, d.ID) })
+	for i := 0; i < 5; i++ {
+		if _, err := m.Join(fmt.Sprintf("gh-%d:1", i)); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Fail(joins[3]); err != nil {
-			t.Fatal(err)
-		}
-		if len(departs) != 2 || departs[0] != joins[1] || departs[1] != joins[3] {
-			t.Fatalf("%s: departure events %v, want [%s %s]", mode, departs, joins[1], joins[3])
-		}
+	}
+	if len(joins) != 5 {
+		t.Fatalf("%d join events, want 5", len(joins))
+	}
+	if err := m.Leave(joins[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Fail(joins[3]); err != nil {
+		t.Fatal(err)
+	}
+	if len(departs) != 2 || departs[0] != joins[1] || departs[1] != joins[3] {
+		t.Fatalf("departure events %v, want [%s %s]", departs, joins[1], joins[3])
 	}
 }
 
 // TestArenaBytesGrowsAndShrinks: the arena footprint gauge tracks
 // membership.
 func TestArenaBytesGrowsAndShrinks(t *testing.T) {
-	m := NewMeshCompact(FreeWire{})
+	m := NewMesh(FreeWire{})
 	if m.ArenaBytes() != 0 {
 		t.Fatalf("empty arena reports %d bytes", m.ArenaBytes())
 	}
@@ -225,10 +320,6 @@ func TestArenaBytesGrowsAndShrinks(t *testing.T) {
 	if half := m.ArenaBytes(); half >= full || half <= 0 {
 		t.Fatalf("arena bytes %d after leaves, was %d", half, full)
 	}
-	flat := NewMesh(FreeWire{})
-	if flat.ArenaBytes() != 0 {
-		t.Fatal("flat mesh must report zero arena bytes")
-	}
 }
 
 // TestSuperPeerLookupMatchesFlatOwner is the hierarchical-lookup property
@@ -240,63 +331,57 @@ func TestSuperPeerLookupMatchesFlatOwner(t *testing.T) {
 	for _, regions := range []int{1, 2, 4} {
 		for seed := int64(0); seed < 4; seed++ {
 			rng := rand.New(rand.NewSource(100*int64(regions) + seed))
-			for _, mode := range []string{"flat", "compact"} {
-				var sp, ref *Mesh
-				if mode == "flat" {
-					sp, ref = NewMesh(FreeWire{}), NewMesh(FreeWire{})
+			// ref routes the same membership without the tier.
+			sp, ref := NewMesh(FreeWire{}), NewMesh(FreeWire{})
+			sp.EnableSuperPeers(regions)
+			n := 6 + rng.Intn(10)
+			var live []string
+			for i := 0; i < n; i++ {
+				addr := fmt.Sprintf("sp-%d-%d-%d:9000", regions, seed, i)
+				if _, err := sp.Join(addr); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := ref.Join(addr); err != nil {
+					t.Fatal(err)
+				}
+				live = append(live, addr)
+			}
+			// Random fault schedule: a few crashes and departures.
+			for k := 0; k < 1+rng.Intn(3) && len(live) > 3; k++ {
+				i := rng.Intn(len(live))
+				id := ids.HashString(live[i])
+				live = append(live[:i], live[i+1:]...)
+				var err1, err2 error
+				if rng.Intn(2) == 0 {
+					err1, err2 = sp.Fail(id), ref.Fail(id)
 				} else {
-					sp, ref = NewMeshCompact(FreeWire{}), NewMeshCompact(FreeWire{})
+					err1, err2 = sp.Leave(id), ref.Leave(id)
 				}
-				sp.EnableSuperPeers(regions)
-				n := 6 + rng.Intn(10)
-				var live []string
-				for i := 0; i < n; i++ {
-					addr := fmt.Sprintf("sp-%d-%d-%d:9000", regions, seed, i)
-					if _, err := sp.Join(addr); err != nil {
-						t.Fatal(err)
-					}
-					if _, err := ref.Join(addr); err != nil {
-						t.Fatal(err)
-					}
-					live = append(live, addr)
+				if err1 != nil || err2 != nil {
+					t.Fatal(err1, err2)
 				}
-				// Random fault schedule: a few crashes and departures.
-				for k := 0; k < 1+rng.Intn(3) && len(live) > 3; k++ {
-					i := rng.Intn(len(live))
-					id := ids.HashString(live[i])
-					live = append(live[:i], live[i+1:]...)
-					var err1, err2 error
-					if rng.Intn(2) == 0 {
-						err1, err2 = sp.Fail(id), ref.Fail(id)
-					} else {
-						err1, err2 = sp.Leave(id), ref.Leave(id)
-					}
-					if err1 != nil || err2 != nil {
-						t.Fatal(err1, err2)
-					}
+			}
+			for trial := 0; trial < 60; trial++ {
+				key := ids.ID(rng.Uint64()) & ids.Max()
+				from := ids.HashString(live[rng.Intn(len(live))])
+				fromR, _ := ref.Router(from)
+				wantOwner := fromR.Owner(key)
+				res, err := sp.Route(from, key)
+				if err != nil {
+					t.Fatalf("regions=%d seed=%d: route: %v", regions, seed, err)
 				}
-				for trial := 0; trial < 60; trial++ {
-					key := ids.ID(rng.Uint64()) & ids.Max()
-					from := ids.HashString(live[rng.Intn(len(live))])
-					fromR, _ := ref.Router(from)
-					wantOwner := fromR.Owner(key)
-					res, err := sp.Route(from, key)
-					if err != nil {
-						t.Fatalf("regions=%d seed=%d %s: route: %v", regions, seed, mode, err)
-					}
-					if res.Owner != wantOwner {
-						t.Fatalf("regions=%d seed=%d %s: key %s owner %v, flat owner %v",
-							regions, seed, mode, key, res.Owner, wantOwner)
-					}
-					if res.Hops > 3 {
-						t.Fatalf("regions=%d: %d hops through the super-peer tier, want <= 3", regions, res.Hops)
-					}
-					if res.SuperHops > res.Hops {
-						t.Fatalf("SuperHops %d > Hops %d", res.SuperHops, res.Hops)
-					}
-					if regions == 1 && res.SuperHops > 1 {
-						t.Fatalf("single region: %d super hops, want <= 1", res.SuperHops)
-					}
+				if res.Owner != wantOwner {
+					t.Fatalf("regions=%d seed=%d: key %s owner %v, flat owner %v",
+						regions, seed, key, res.Owner, wantOwner)
+				}
+				if res.Hops > 3 {
+					t.Fatalf("regions=%d: %d hops through the super-peer tier, want <= 3", regions, res.Hops)
+				}
+				if res.SuperHops > res.Hops {
+					t.Fatalf("SuperHops %d > Hops %d", res.SuperHops, res.Hops)
+				}
+				if regions == 1 && res.SuperHops > 1 {
+					t.Fatalf("single region: %d super hops, want <= 1", res.SuperHops)
 				}
 			}
 		}
@@ -306,7 +391,7 @@ func TestSuperPeerLookupMatchesFlatOwner(t *testing.T) {
 // TestSuperPeerPromotionAfterFailure: when a region's super-peer dies,
 // the next lowest-addressed member of the domain takes over.
 func TestSuperPeerPromotionAfterFailure(t *testing.T) {
-	m := NewMeshCompact(FreeWire{})
+	m := NewMesh(FreeWire{})
 	m.EnableSuperPeers(2)
 	for i := 0; i < 16; i++ {
 		if _, err := m.Join(fmt.Sprintf("promo-%d:9000", i)); err != nil {

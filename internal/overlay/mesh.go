@@ -32,15 +32,15 @@ var (
 	ErrEmptyMesh   = errors.New("overlay: mesh has no nodes")
 )
 
-// DepartureHandler is invoked on every surviving node when a peer leaves,
-// after membership has been updated. The key-value store uses it to
+// DepartureHandler is invoked once when a peer leaves or fails, after
+// membership has been updated. The key-value store uses it to
 // redistribute the departed node's keys ("a departing node's keys are
 // always redistributed among the available set of nodes", §III-A).
 type DepartureHandler func(departed Member)
 
-// JoinHandler is invoked on every pre-existing node when a peer joins,
-// after membership has been updated; the key-value store uses it to hand
-// over keys the newcomer now owns.
+// JoinHandler is invoked once when a peer joins, after membership has
+// been updated; the key-value store uses it to hand over keys the
+// newcomer now owns.
 type JoinHandler func(joined Member)
 
 // Mesh is an in-process home-cloud overlay: a set of routers connected by
@@ -48,21 +48,18 @@ type JoinHandler func(joined Member)
 // nodes join and leave at runtime, neighbours are notified, and routing
 // proceeds hop-by-hop with per-hop cost.
 //
-// A compact mesh (NewMeshCompact) interns the membership once in a
-// shared Arena instead of replicating it into every router, and its
-// joins/leaves cost O(log N) instead of O(N); higher layers then
-// register OnJoinAll/OnDepartureAll handlers once instead of one handler
-// per node.
+// The membership is interned once in a shared Arena instead of being
+// replicated into every router, so a join or leave costs O(log N); higher
+// layers register one handler per event kind, not one per node, so churn
+// costs O(1) handler dispatch.
 type Mesh struct {
 	wire  Wire
-	arena *Arena // non-nil: compact membership mode
+	arena *Arena
 
-	mu             sync.RWMutex
-	nodes          map[ids.ID]*Router
-	onJoin         map[ids.ID]JoinHandler
-	onDeparture    map[ids.ID]DepartureHandler
-	onJoinAll      []JoinHandler
-	onDepartureAll []DepartureHandler
+	mu          sync.RWMutex
+	nodes       map[ids.ID]*Router
+	onJoin      []JoinHandler
+	onDeparture []DepartureHandler
 
 	// Super-peer tier: regions > 0 partitions the ID ring into that many
 	// contiguous regional domains; the lowest-addressed live member of
@@ -72,48 +69,18 @@ type Mesh struct {
 	regionTrees []*rbtree.Tree[Member] // guarded by mu
 }
 
-// sortRouters orders routers by ID so membership iteration (and thus
-// handler execution and wire-message order) is deterministic.
-func sortRouters(rs []*Router) {
-	sort.Slice(rs, func(i, j int) bool { return rs[i].Self().ID < rs[j].Self().ID })
-}
-
-// NewMesh returns an empty flat mesh over the given wire.
+// NewMesh returns an empty mesh over the given wire.
 func NewMesh(wire Wire) *Mesh {
-	return &Mesh{
-		wire:        wire,
-		nodes:       make(map[ids.ID]*Router),
-		onJoin:      make(map[ids.ID]JoinHandler),
-		onDeparture: make(map[ids.ID]DepartureHandler),
-	}
+	return &Mesh{wire: wire, arena: NewArena(), nodes: make(map[ids.ID]*Router)}
 }
 
-// NewMeshCompact returns an empty mesh whose membership is interned in a
-// shared arena. Routing answers are bit-identical to a flat mesh; only
-// resident memory and join/leave cost change.
-func NewMeshCompact(wire Wire) *Mesh {
-	m := NewMesh(wire)
-	m.arena = NewArena()
-	return m
-}
-
-// Compact reports whether the mesh interns membership in a shared arena.
-func (m *Mesh) Compact() bool { return m.arena != nil }
-
-// ArenaBytes estimates the resident bytes of the shared membership
-// arena; it is zero for a flat mesh (whose cost lives inside each
-// router instead).
-func (m *Mesh) ArenaBytes() int64 {
-	if m.arena == nil {
-		return 0
-	}
-	return m.arena.Bytes()
-}
+// ArenaBytes estimates the resident bytes of the shared membership arena.
+func (m *Mesh) ArenaBytes() int64 { return m.arena.Bytes() }
 
 // Join adds a node with the given address to the overlay and returns its
-// router. Every node learns of the newcomer (the membership view is
-// complete); the newcomer's ring neighbours are notified first, as in
-// the paper's protocol.
+// router. One interned record makes the newcomer visible to every router
+// (the membership view is complete); the newcomer's ring neighbours are
+// messaged, as in the paper's protocol.
 func (m *Mesh) Join(addr string) (*Router, error) {
 	id := ids.HashString(addr)
 	m.mu.Lock()
@@ -122,83 +89,29 @@ func (m *Mesh) Join(addr string) (*Router, error) {
 		return nil, fmt.Errorf("%w: %s (addr %q)", ErrDuplicateID, id, addr)
 	}
 	self := Member{ID: id, Addr: addr}
-	var r *Router
-	var existing []*Router
-	if m.arena != nil {
-		r = newArenaRouter(self, m.arena)
-	} else {
-		r = NewRouter(self)
-		existing = make([]*Router, 0, len(m.nodes))
-		for _, n := range m.nodes {
-			existing = append(existing, n)
-		}
-		sortRouters(existing)
-	}
+	r := &Router{self: self, arena: m.arena}
 	m.nodes[id] = r
-	joinHandlers := make(map[ids.ID]JoinHandler, len(m.onJoin))
-	for k, v := range m.onJoin {
-		joinHandlers[k] = v
-	}
-	joinAll := m.onJoinAll
+	handlers := m.onJoin
 	m.regionInsertLocked(self)
 	m.mu.Unlock()
 
-	if m.arena != nil {
-		// One interned record replaces the flat mode's N AddMember calls;
-		// every router sees the newcomer through the shared tree.
-		m.arena.Insert(self)
-	} else {
-		// The newcomer learns the membership from its bootstrap exchange.
-		for _, n := range existing {
-			r.AddMember(n.Self())
-		}
+	m.arena.Insert(self)
+	m.messageNeighbors(r)
+	for _, h := range handlers {
+		h(self)
 	}
-	// "Whenever a node enters ... it sends a message to its right and
-	// left nodes in the logical tree structure"; the remaining members
-	// learn via the membership update that follows.
-	if left, right, ok := r.Neighbors(); ok {
-		m.wire.Send(id, left.ID)
-		if right.ID != left.ID {
-			m.wire.Send(id, right.ID)
-		}
-	}
-	for _, n := range existing {
-		n.AddMember(self)
-	}
-	m.runJoinHandlers(joinHandlers, joinAll, self)
 	return r, nil
 }
 
-// runJoinHandlers fires per-node handlers in node-ID order, then global
-// handlers in registration order.
-func (m *Mesh) runJoinHandlers(perNode map[ids.ID]JoinHandler, all []JoinHandler, joined Member) {
-	keys := make([]ids.ID, 0, len(perNode))
-	for k := range perNode {
-		if k != joined.ID {
-			keys = append(keys, k)
+// messageNeighbors charges r's hello or farewell: "whenever a node enters
+// ... it sends a message to its right and left nodes in the logical tree
+// structure"; the remaining members learn via the membership update.
+func (m *Mesh) messageNeighbors(r *Router) {
+	if left, right, ok := r.Neighbors(); ok {
+		m.wire.Send(r.self.ID, left.ID)
+		if right.ID != left.ID {
+			m.wire.Send(r.self.ID, right.ID)
 		}
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		perNode[k](joined)
-	}
-	for _, h := range all {
-		h(joined)
-	}
-}
-
-// runDepartureHandlers mirrors runJoinHandlers for leave/fail.
-func (m *Mesh) runDepartureHandlers(perNode map[ids.ID]DepartureHandler, all []DepartureHandler, departed Member) {
-	keys := make([]ids.ID, 0, len(perNode))
-	for k := range perNode {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		perNode[k](departed)
-	}
-	for _, h := range all {
-		h(departed)
 	}
 }
 
@@ -211,43 +124,20 @@ func (m *Mesh) remove(id ids.ID, farewell bool) error {
 		return fmt.Errorf("%w: %s", ErrUnknownNode, id)
 	}
 	delete(m.nodes, id)
-	delete(m.onJoin, id)
-	delete(m.onDeparture, id)
-	var survivors []*Router
-	if m.arena == nil {
-		survivors = make([]*Router, 0, len(m.nodes))
-		for _, n := range m.nodes {
-			survivors = append(survivors, n)
-		}
-		sortRouters(survivors)
-	}
-	handlers := make(map[ids.ID]DepartureHandler, len(m.onDeparture))
-	for k, v := range m.onDeparture {
-		handlers[k] = v
-	}
-	departureAll := m.onDepartureAll
+	handlers := m.onDeparture
 	departed := r.Self()
 	m.regionRemoveLocked(departed)
 	m.mu.Unlock()
 
 	if farewell {
-		// Neighbours are computed before the membership is updated, so
-		// the departing node still sees the full ring.
-		if left, right, ok := r.Neighbors(); ok {
-			m.wire.Send(id, left.ID)
-			if right.ID != left.ID {
-				m.wire.Send(id, right.ID)
-			}
-		}
+		// Before the membership is updated, so the departing node still
+		// sees the full ring.
+		m.messageNeighbors(r)
 	}
-	if m.arena != nil {
-		m.arena.Remove(id)
-	} else {
-		for _, n := range survivors {
-			n.RemoveMember(id)
-		}
+	m.arena.Remove(id)
+	for _, h := range handlers {
+		h(departed)
 	}
-	m.runDepartureHandlers(handlers, departureAll, departed)
 	return nil
 }
 
@@ -261,35 +151,19 @@ func (m *Mesh) Leave(id ids.ID) error { return m.remove(id, true) }
 // replicated state rather than a handover from the failed node.
 func (m *Mesh) Fail(id ids.ID) error { return m.remove(id, false) }
 
-// OnJoin registers a handler run at node whenever another node joins.
-func (m *Mesh) OnJoin(node ids.ID, h JoinHandler) {
+// OnJoin registers a handler run once per join, in registration order,
+// regardless of mesh size.
+func (m *Mesh) OnJoin(h JoinHandler) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.onJoin[node] = h
+	m.onJoin = append(m.onJoin, h)
 }
 
-// OnDeparture registers a handler run at node whenever another node
-// leaves or fails.
-func (m *Mesh) OnDeparture(node ids.ID, h DepartureHandler) {
+// OnDeparture registers a handler run once per leave or fail.
+func (m *Mesh) OnDeparture(h DepartureHandler) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.onDeparture[node] = h
-}
-
-// OnJoinAll registers one handler run once per join, regardless of mesh
-// size. Compact deployments use it instead of per-node handlers so a
-// join costs O(1) handler work rather than O(N).
-func (m *Mesh) OnJoinAll(h JoinHandler) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.onJoinAll = append(m.onJoinAll, h)
-}
-
-// OnDepartureAll registers one handler run once per leave/fail.
-func (m *Mesh) OnDepartureAll(h DepartureHandler) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.onDepartureAll = append(m.onDepartureAll, h)
+	m.onDeparture = append(m.onDeparture, h)
 }
 
 // Router returns the router of a live node.
@@ -485,9 +359,10 @@ func (m *Mesh) Route(from ids.ID, key ids.ID) (RouteResult, error) {
 		nr, live := m.nodes[next.ID]
 		m.mu.RUnlock()
 		if !live {
-			// Stale routing entry pointing at a dead node: drop it and
-			// retry from the same position.
-			cur.RemoveMember(next.ID)
+			// The next hop left the mesh but is still interned (its
+			// departure is mid-flight): drop the record and retry from
+			// the same position.
+			m.arena.Remove(next.ID)
 			res.Hops--
 			if super {
 				res.SuperHops--

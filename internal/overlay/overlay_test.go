@@ -204,55 +204,38 @@ func TestLeaveUnknownNode(t *testing.T) {
 
 func TestDepartureHandlersFire(t *testing.T) {
 	m, nodeIDs := buildMesh(t, 4)
-	var mu sync.Mutex
-	fired := map[ids.ID]ids.ID{}
-	for _, id := range nodeIDs[1:] {
-		id := id
-		m.OnDeparture(id, func(departed Member) {
-			mu.Lock()
-			fired[id] = departed.ID
-			mu.Unlock()
-		})
-	}
+	var fired []string
+	m.OnDeparture(func(departed Member) { fired = append(fired, "a:"+departed.ID.String()) })
+	m.OnDeparture(func(departed Member) { fired = append(fired, "b:"+departed.ID.String()) })
 	if err := m.Leave(nodeIDs[0]); err != nil {
 		t.Fatal(err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(fired) != 3 {
-		t.Fatalf("%d departure handlers fired, want 3", len(fired))
-	}
-	for node, dep := range fired {
-		if dep != nodeIDs[0] {
-			t.Fatalf("node %s saw departure of %s, want %s", node, dep, nodeIDs[0])
-		}
+	// One run per handler per event, in registration order, however many
+	// nodes survive.
+	want := []string{"a:" + nodeIDs[0].String(), "b:" + nodeIDs[0].String()}
+	if len(fired) != 2 || fired[0] != want[0] || fired[1] != want[1] {
+		t.Fatalf("departure handlers fired %v, want %v", fired, want)
 	}
 }
 
 func TestJoinHandlersFire(t *testing.T) {
 	m, nodeIDs := buildMesh(t, 3)
-	var mu sync.Mutex
+	old, _ := m.Router(nodeIDs[0])
 	var seen []ids.ID
-	for _, id := range nodeIDs {
-		m.OnJoin(id, func(joined Member) {
-			mu.Lock()
-			seen = append(seen, joined.ID)
-			mu.Unlock()
-		})
-	}
+	known := false
+	m.OnJoin(func(joined Member) {
+		seen = append(seen, joined.ID)
+		known = old.Knows(joined.ID)
+	})
 	r, err := m.Join("latecomer:1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(seen) != 3 {
-		t.Fatalf("%d join handlers fired, want 3", len(seen))
+	if len(seen) != 1 || seen[0] != r.Self().ID {
+		t.Fatalf("join handler saw %v, want one event for %s", seen, r.Self().ID)
 	}
-	for _, got := range seen {
-		if got != r.Self().ID {
-			t.Fatalf("handler saw %s, want %s", got, r.Self().ID)
-		}
+	if !known {
+		t.Fatal("join handler ran before membership was updated")
 	}
 }
 
@@ -268,7 +251,7 @@ func TestFailRunsHandlersWithoutFarewell(t *testing.T) {
 		nodeIDs = append(nodeIDs, r.Self().ID)
 	}
 	fired := 0
-	m.OnDeparture(nodeIDs[1], func(Member) { fired++ })
+	m.OnDeparture(func(Member) { fired++ })
 	before := w.count()
 	if err := m.Fail(nodeIDs[0]); err != nil {
 		t.Fatal(err)
