@@ -11,9 +11,9 @@ import (
 // CityOptions configures a city-scale build: one overlay spanning many
 // homes, each contributing a single netbook-class node. This is the §VII
 // "multiple Cloud4Home systems interact" direction pushed to municipal
-// scale, where the simulator core itself — membership storage, event
-// dispatch, monitor scheduling — becomes the bottleneck ScaleConfig gates
-// address.
+// scale, where the simulator core itself — membership storage, monitor
+// scheduling, flat routing — becomes the bottleneck; the shared membership
+// arena is always on, LazyMonitors and SuperPeerRegions address the rest.
 type CityOptions struct {
 	// Seed drives all simulated randomness.
 	Seed int64
@@ -21,12 +21,11 @@ type CityOptions struct {
 	Homes int
 	// KV configures the metadata store (default: replication 1, caching).
 	KV *kv.Options
-	// Perf gates the hot-path performance work.
-	Perf core.PerfConfig
-	// Scale gates the city-scale simulator core. CalendarQueue is applied
-	// here (the clock outlives the home); the remaining gates pass through
-	// to core.NewHome.
-	Scale core.ScaleConfig
+	// LazyMonitors and SuperPeerRegions pass through to the fields of the
+	// same name on core.HomeOptions: on-demand resource records, and the
+	// regional aggregation tier (≤ 1 keeps flat routing).
+	LazyMonitors     bool
+	SuperPeerRegions int
 }
 
 // City is the assembled city-scale deployment.
@@ -39,7 +38,7 @@ type City struct {
 // NewCity builds a city-scale overlay of opts.Homes nodes. Construction
 // runs inside the virtual clock so join traffic is charged; periodic
 // monitors are not started (city runs publish on demand via the
-// LazyMonitors gate, or explicitly). Node 0 is the cloud gateway.
+// LazyMonitors option, or explicitly). Node 0 is the cloud gateway.
 func NewCity(opts CityOptions) (*City, error) {
 	if opts.Homes == 0 {
 		opts.Homes = 1000
@@ -48,21 +47,14 @@ func NewCity(opts CityOptions) (*City, error) {
 	if opts.KV != nil {
 		kvOpts = *opts.KV
 	}
-	clock := vclock.NewVirtual(Epoch)
-	switch {
-	case opts.Scale.CalendarQueue:
-		clock = vclock.NewVirtualCalendar(Epoch)
-	case opts.Perf.SimShards > 0:
-		clock = vclock.NewVirtualSharded(Epoch, opts.Perf.SimShards)
-	}
-	city := &City{V: clock}
+	city := &City{V: vclock.NewVirtual(Epoch)}
 	var err error
 	city.V.Run(func() {
 		city.Home = core.NewHome(city.V, core.HomeOptions{
-			Seed:  opts.Seed,
-			KV:    kvOpts,
-			Perf:  opts.Perf,
-			Scale: opts.Scale,
+			Seed:             opts.Seed,
+			KV:               kvOpts,
+			LazyMonitors:     opts.LazyMonitors,
+			SuperPeerRegions: opts.SuperPeerRegions,
 		})
 		city.Nodes = make([]*core.Node, 0, opts.Homes)
 		for i := 0; i < opts.Homes; i++ {

@@ -89,14 +89,10 @@ type Options struct {
 	// Backends attaches extra federated storage backends (beyond the
 	// default S3 clone) built from these profiles, in order.
 	Backends []cloudsim.BackendProfile
-	// Perf gates the hot-path performance work (allocation-free data
-	// plane, sharded event loop); the zero value keeps the previous
-	// behaviour bit-for-bit.
-	Perf core.PerfConfig
-	// Scale gates the city-scale simulator core (compact membership,
-	// calendar-queue dispatch, lazy monitors, super-peer tier); the zero
-	// value keeps the previous behaviour bit-for-bit.
-	Scale core.ScaleConfig
+	// CoalesceFetch is core.HomeOptions.CoalesceFetch: concurrent remote
+	// fetches of one object share a single wire transfer. Off keeps the
+	// paper's one-transfer-per-fetch behaviour.
+	CoalesceFetch bool
 }
 
 // New builds the paper testbed. All construction runs inside the virtual
@@ -109,17 +105,10 @@ func New(opts Options) (*Testbed, error) {
 	if opts.KV != nil {
 		kvOpts = *opts.KV
 	}
-	clock := vclock.NewVirtual(Epoch)
-	switch {
-	case opts.Scale.CalendarQueue:
-		clock = vclock.NewVirtualCalendar(Epoch)
-	case opts.Perf.SimShards > 0:
-		clock = vclock.NewVirtualSharded(Epoch, opts.Perf.SimShards)
-	}
-	tb := &Testbed{V: clock, opts: opts}
+	tb := &Testbed{V: vclock.NewVirtual(Epoch), opts: opts}
 	var err error
 	tb.V.Run(func() {
-		tb.Home = core.NewHome(tb.V, core.HomeOptions{Seed: opts.Seed, KV: kvOpts, Perf: opts.Perf, Scale: opts.Scale})
+		tb.Home = core.NewHome(tb.V, core.HomeOptions{Seed: opts.Seed, KV: kvOpts, CoalesceFetch: opts.CoalesceFetch})
 		tb.Cloud = cloudsim.New(tb.V, tb.Home.Net())
 		tb.Home.AttachCloud(tb.Cloud)
 		for _, prof := range opts.Backends {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -233,6 +234,33 @@ func TestNonBlockingStoreCompletesInBackground(t *testing.T) {
 		if meta.Size != 100<<20 {
 			t.Errorf("meta.Size = %d", meta.Size)
 		}
+	})
+}
+
+// TestFlushIdleDoesNotYieldClock: Flush with nothing in flight (every
+// RemoveNode starts with one) returns without deregistering the caller.
+// Yielding there leaves the clock with no runnable worker for an instant,
+// so it jumps to the next sleeper and wakes it beside the caller.
+func TestFlushIdleDoesNotYieldClock(t *testing.T) {
+	tb := newTestbed(t, kv.Options{})
+	tb.run(func() {
+		var ran atomic.Bool
+		woke := tb.v.NewEvent()
+		tb.v.Go(func() {
+			tb.v.Sleep(time.Second + time.Millisecond)
+			ran.Store(true)
+			woke.Fire()
+		})
+		tb.v.Sleep(time.Millisecond) // resumes only once the sleeper is parked, 1 s ahead
+		t0 := tb.v.Now()
+		tb.atom.Flush()
+		if now := tb.v.Now(); !now.Equal(t0) {
+			t.Errorf("idle Flush moved virtual time by %v", now.Sub(t0))
+		}
+		if ran.Load() {
+			t.Error("idle Flush let a sleeper parked 1 s ahead run")
+		}
+		woke.Wait()
 	})
 }
 

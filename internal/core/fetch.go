@@ -150,7 +150,7 @@ func (n *Node) fetchToDom0(name, principal string, sink *domainSink) (ObjectMeta
 		if data, hit := n.cacheGet(meta); hit {
 			return meta, data, "cache:" + n.addr, bd, nil
 		}
-		if v, ok := n.clock.(*vclock.Virtual); ok && n.home.perf.CoalesceFetch {
+		if v, ok := n.clock.(*vclock.Virtual); ok && n.home.coalesceFetch {
 			return n.fetchCoalesced(v, meta, sink, bd)
 		}
 		return n.fetchRemote(meta, sink, bd)
@@ -230,7 +230,7 @@ type fetchFlight struct {
 }
 
 // fetchCoalesced merges concurrent remote fetches of one object
-// (PerfConfig.CoalesceFetch): the first requester becomes the leader and
+// (HomeOptions.CoalesceFetch): the first requester becomes the leader and
 // runs the real wire transfer; followers park on the flight's event until
 // the leader's bytes arrive — so each follower's inter-node time is
 // exactly the remaining duration of the shared transfer — then copy the

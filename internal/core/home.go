@@ -82,9 +82,9 @@ type Home struct {
 	fedHits map[string]*Home       // last neighbour that served each name
 	fedMiss map[string]fedMissMark // names no neighbour had, with put marks
 
-	perf  PerfConfig  // hot-path gates; zero value = paper behaviour
-	scale ScaleConfig // city-scale gates; zero value = paper behaviour
-	memo  decodeMemo  // one decoded resource record per live node
+	coalesceFetch bool       // HomeOptions.CoalesceFetch
+	lazyMonitors  bool       // HomeOptions.LazyMonitors
+	memo          decodeMemo // one decoded resource record per live node
 }
 
 // HomeOptions configures a Home.
@@ -93,13 +93,28 @@ type HomeOptions struct {
 	Seed int64
 	// KV configures the metadata store (replication, caching).
 	KV kv.Options
-	// Perf gates the hot-path performance work; the zero value keeps the
-	// previous behaviour bit-for-bit.
-	Perf PerfConfig
-	// Scale gates the city-scale simulator core (calendar-queue dispatch,
-	// lazy monitors, super-peer tier); the zero value keeps the previous
-	// behaviour bit-for-bit.
-	Scale ScaleConfig
+	// The three knobs below are modeled behaviour changes; their zero
+	// values reproduce the paper's behaviour bit-for-bit.
+
+	// CoalesceFetch merges concurrent remote fetches of the same object:
+	// the first requester runs the wire transfer, followers park on a
+	// deterministic event and are charged exactly the virtual time until
+	// the leader's bytes arrive, then copy the payload locally.
+	CoalesceFetch bool
+	// LazyMonitors materialises resource records on demand instead of
+	// running one periodic publisher goroutine per node: a node's record
+	// is published when a decision path first reads it and refreshed only
+	// once its validity window (the monitor period) has lapsed. At city
+	// scale this removes N always-on sleepers and N puts per period for
+	// records nobody reads.
+	LazyMonitors bool
+	// SuperPeerRegions, when > 1, partitions the ID space into that many
+	// contiguous regions and routes inter-region traffic through each
+	// region's super-peer (its lowest-addressed member), giving the
+	// home → regional aggregator → owner hierarchy a city of homes needs
+	// instead of a flat hop sequence. Lookup results (owners, values) are
+	// unchanged — only the hop structure differs; ≤ 1 keeps flat routing.
+	SuperPeerRegions int
 }
 
 // NewHome builds an empty home cloud on the given clock.
@@ -108,8 +123,8 @@ func NewHome(clock vclock.Clock, opts HomeOptions) *Home {
 	fabric := netsim.NewResource("home-lan", netsim.LANFabricBps)
 	wire := newLANWire(net, fabric)
 	mesh := overlay.NewMesh(wire)
-	if opts.Scale.SuperPeerRegions > 1 {
-		mesh.EnableSuperPeers(opts.Scale.SuperPeerRegions)
+	if opts.SuperPeerRegions > 1 {
+		mesh.EnableSuperPeers(opts.SuperPeerRegions)
 	}
 	return &Home{
 		clock:  clock,
@@ -119,16 +134,11 @@ func NewHome(clock vclock.Clock, opts HomeOptions) *Home {
 		kv:     kv.New(mesh, wire, opts.KV),
 		fabric: fabric,
 		nodes:  make(map[string]*Node),
-		perf:   opts.Perf,
-		scale:  opts.Scale,
+
+		coalesceFetch: opts.CoalesceFetch,
+		lazyMonitors:  opts.LazyMonitors,
 	}
 }
-
-// Perf returns the home's hot-path gates.
-func (h *Home) Perf() PerfConfig { return h.perf }
-
-// Scale returns the home's city-scale gates.
-func (h *Home) Scale() ScaleConfig { return h.scale }
 
 // Clock returns the home's clock.
 func (h *Home) Clock() vclock.Clock { return h.clock }

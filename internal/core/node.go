@@ -116,7 +116,14 @@ type Node struct {
 	flightMu sync.Mutex
 	flights  map[string]*fetchFlight // guarded by flightMu; joinable in-flight fetches
 
-	wg sync.WaitGroup // in-flight non-blocking operations
+	// In-flight non-blocking operations. On the real clock wg joins them;
+	// on a virtual clock Flush parks on drained, which the last finisher
+	// fires while still a registered worker (see vclock.Virtual.Block for
+	// why a WaitGroup inside Block is not a deterministic join).
+	wg       sync.WaitGroup
+	bgMu     sync.Mutex
+	inflight int           // guarded by bgMu
+	drained  *vclock.Event // guarded by bgMu; non-nil while a Flush waits
 
 	ops opCounters // cumulative operation counters
 }
@@ -188,7 +195,7 @@ func (h *Home) AddNode(cfg NodeConfig) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	if h.scale.LazyMonitors {
+	if h.lazyMonitors {
 		mon.SetLazy(true)
 	}
 	n.mon = mon
@@ -303,25 +310,52 @@ func (n *Node) trainingSet() [][]byte {
 // spawn runs fn as a tracked background operation, registering it with
 // the virtual clock when one is in use.
 func (n *Node) spawn(fn func()) {
-	n.wg.Add(1)
-	run := func() {
-		defer n.wg.Done()
+	v, ok := n.clock.(*vclock.Virtual)
+	if !ok {
+		n.wg.Add(1)
+		go func() {
+			defer n.wg.Done()
+			fn()
+		}()
+		return
+	}
+	n.bgMu.Lock()
+	n.inflight++
+	n.bgMu.Unlock()
+	v.Go(func() {
 		fn()
-	}
-	if v, ok := n.clock.(*vclock.Virtual); ok {
-		v.Go(run)
-	} else {
-		go run()
-	}
+		n.bgMu.Lock()
+		n.inflight--
+		var drained *vclock.Event
+		if n.inflight == 0 {
+			drained, n.drained = n.drained, nil
+		}
+		n.bgMu.Unlock()
+		if drained != nil {
+			drained.Fire()
+		}
+	})
 }
 
-// Flush waits for the node's in-flight non-blocking operations.
+// Flush waits for the node's in-flight non-blocking operations. With
+// none in flight it returns without yielding the virtual clock.
 func (n *Node) Flush() {
-	if v, ok := n.clock.(*vclock.Virtual); ok {
-		v.Block(n.wg.Wait)
-	} else {
+	v, ok := n.clock.(*vclock.Virtual)
+	if !ok {
 		n.wg.Wait()
+		return
 	}
+	n.bgMu.Lock()
+	if n.inflight == 0 {
+		n.bgMu.Unlock()
+		return
+	}
+	if n.drained == nil {
+		n.drained = v.NewEvent()
+	}
+	drained := n.drained
+	n.bgMu.Unlock()
+	drained.Wait()
 }
 
 // shutdown departs the overlay. Graceful shutdown first evacuates the
@@ -468,7 +502,7 @@ func (n *Node) resources(addr string) (monitor.Resources, error) {
 		// Not (or no longer) a member; replicas may still hold its record.
 		return monitor.Lookup(n.home.kv, n.id, addr)
 	}
-	if n.home.scale.LazyMonitors {
+	if n.home.lazyMonitors {
 		// On-demand materialisation: the candidate publishes (or memoises,
 		// within its validity window) before we read its record.
 		if err := peer.mon.EnsureFresh(); err != nil {

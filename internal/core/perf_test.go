@@ -13,14 +13,14 @@ import (
 // has k concurrent sessions on the netbook fetch it (staggered 500 µs
 // apart), returning each session's payload and fetch latency plus the
 // netbook's coalesced-fetch counter.
-func coalesceRun(t *testing.T, perf PerfConfig, k int) ([][]byte, []time.Duration, int64) {
+func coalesceRun(t *testing.T, coalesce bool, k int) ([][]byte, []time.Duration, int64) {
 	t.Helper()
 	v := vclock.NewVirtual(epoch)
 	var payloads [][]byte
 	var durs []time.Duration
 	var coalesced int64
 	v.Run(func() {
-		home := NewHome(v, HomeOptions{Seed: 7, Perf: perf})
+		home := NewHome(v, HomeOptions{Seed: 7, CoalesceFetch: coalesce})
 		desktop, err := home.AddNode(NodeConfig{
 			Addr: "desktop:9000", Machine: desktopSpec(),
 			MandatoryBytes: 8 * GB, VoluntaryBytes: 8 * GB,
@@ -94,8 +94,7 @@ func coalesceRun(t *testing.T, perf PerfConfig, k int) ([][]byte, []time.Duratio
 // deterministic across repetitions.
 func TestCoalescedFetchSharesOneTransfer(t *testing.T) {
 	const k = 4
-	perf := PerfConfig{CoalesceFetch: true}
-	payloads, durs, coalesced := coalesceRun(t, perf, k)
+	payloads, durs, coalesced := coalesceRun(t, true, k)
 
 	if coalesced != k-1 {
 		t.Fatalf("coalesced %d fetches, want %d (one leader, rest followers)", coalesced, k-1)
@@ -116,7 +115,7 @@ func TestCoalescedFetchSharesOneTransfer(t *testing.T) {
 	}
 
 	for trial := 0; trial < 2; trial++ {
-		p2, d2, c2 := coalesceRun(t, perf, k)
+		p2, d2, c2 := coalesceRun(t, true, k)
 		if c2 != coalesced {
 			t.Fatalf("trial %d coalesced %d, first run %d", trial, c2, coalesced)
 		}
@@ -132,7 +131,7 @@ func TestCoalescedFetchSharesOneTransfer(t *testing.T) {
 
 	// Gate off: no coalescing happens and every session pays for its own
 	// transfer, so the concurrent batch is strictly slower.
-	pOff, dOff, cOff := coalesceRun(t, PerfConfig{}, k)
+	pOff, dOff, cOff := coalesceRun(t, false, k)
 	if cOff != 0 {
 		t.Fatalf("gate off but %d fetches coalesced", cOff)
 	}

@@ -64,11 +64,11 @@ type OpStats struct {
 	FederatedProbes int64
 	// CoalescedFetches counts remote fetches that joined another in-flight
 	// fetch of the same object instead of running their own wire transfer;
-	// zero unless PerfConfig.CoalesceFetch is on.
+	// zero unless HomeOptions.CoalesceFetch is on.
 	CoalescedFetches int64
 	// KVHops counts every routing hop this node's metadata operations
 	// took; SuperPeerHops the subset that landed on a regional super-peer
-	// (zero unless ScaleConfig.SuperPeerRegions > 1), so KVHops −
+	// (zero unless HomeOptions.SuperPeerRegions > 1), so KVHops −
 	// SuperPeerHops is the home-tier remainder.
 	KVHops        int64
 	SuperPeerHops int64

@@ -219,7 +219,7 @@ type nodeStats struct {
 	ShardsRestored    int64 `json:"shardsRestored,omitempty"`
 	ShardReconstructs int64 `json:"shardReconstructs,omitempty"`
 	// City-scale counters: total metadata-routing hops, the super-peer
-	// subset (zero unless ScaleConfig enables the aggregation tier), and
+	// subset (zero unless HomeOptions.SuperPeerRegions > 1), and
 	// the shared membership arena gauge.
 	KVHops        int64 `json:"kvHops,omitempty"`
 	SuperPeerHops int64 `json:"superPeerHops,omitempty"`

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"cloud4home/internal/cluster"
-	"cloud4home/internal/core"
 	"cloud4home/internal/ids"
 	"cloud4home/internal/kv"
 	"cloud4home/internal/trace"
@@ -26,9 +25,6 @@ type CityScaleConfig struct {
 	// ChurnEvents is the number of node failures injected after the
 	// workload to measure KV repair traffic (default 4).
 	ChurnEvents int
-	// Scale is the gate set the sweep runs under; the zero value is
-	// replaced by calendar queue + lazy monitors.
-	Scale core.ScaleConfig
 	// Regions configures the super-peer cell's aggregation tier
 	// (default 8); the cell runs at the smallest sweep size.
 	Regions int
@@ -98,8 +94,10 @@ type CityScaleResult struct {
 // cityArm builds one city and drives the population workload through its
 // kv layer, then injects churn and measures repair traffic. All ops run
 // sequentially inside the virtual clock, so the schedule — and every
-// metric — is a pure function of (seed, nodes, gates' modeled behaviour).
-func cityArm(cfg CityScaleConfig, nodes int, scale core.ScaleConfig) (CityScaleMetrics, int64, error) {
+// metric — is a pure function of (seed, nodes). The sweep runs with lazy
+// monitors; the golden test passes false to pin the eager default to the
+// same numbers.
+func cityArm(cfg CityScaleConfig, nodes int, lazyMonitors bool) (CityScaleMetrics, int64, error) {
 	ops, err := trace.GeneratePopulation(trace.PopulationConfig{
 		Seed:          cfg.Seed,
 		Homes:         nodes,
@@ -116,9 +114,9 @@ func cityArm(cfg CityScaleConfig, nodes int, scale core.ScaleConfig) (CityScaleM
 	runtime.ReadMemStats(&before)
 
 	city, err := cluster.NewCity(cluster.CityOptions{
-		Seed:  cfg.Seed,
-		Homes: nodes,
-		Scale: scale,
+		Seed:         cfg.Seed,
+		Homes:        nodes,
+		LazyMonitors: lazyMonitors,
 	})
 	if err != nil {
 		return CityScaleMetrics{}, 0, err
@@ -218,9 +216,6 @@ func RunCityScale(cfg CityScaleConfig) (*CityScaleResult, error) {
 	if cfg.ChurnEvents == 0 {
 		cfg.ChurnEvents = 4
 	}
-	if !cfg.Scale.Enabled() {
-		cfg.Scale = core.ScaleConfig{CalendarQueue: true, LazyMonitors: true}
-	}
 	if cfg.Regions == 0 {
 		cfg.Regions = 8
 	}
@@ -232,7 +227,7 @@ func RunCityScale(cfg CityScaleConfig) (*CityScaleResult, error) {
 	res := &CityScaleResult{}
 	for _, n := range cfg.Nodes {
 		t0 := host.Now()
-		m, bpn, err := cityArm(cfg, n, cfg.Scale)
+		m, bpn, err := cityArm(cfg, n, true)
 		if err != nil {
 			return nil, fmt.Errorf("city scale n=%d: %w", n, err)
 		}
@@ -242,10 +237,7 @@ func RunCityScale(cfg CityScaleConfig) (*CityScaleResult, error) {
 	// Super-peer cell: the smallest size with the aggregation tier on. The
 	// tier is a modeled change (hop structure differs), so it is measured
 	// beside the sweep, not inside it.
-	spScale := cfg.Scale
-	spScale.SuperPeerRegions = cfg.Regions
-	spNodes := cfg.Nodes[0]
-	sp, _, err := citySuperPeerCell(cfg, spNodes, spScale)
+	sp, err := citySuperPeerCell(cfg, cfg.Nodes[0])
 	if err != nil {
 		return nil, fmt.Errorf("city scale super-peer cell: %w", err)
 	}
@@ -253,9 +245,10 @@ func RunCityScale(cfg CityScaleConfig) (*CityScaleResult, error) {
 	return res, nil
 }
 
-// citySuperPeerCell runs the workload under the aggregation tier and
-// splits hops by tier.
-func citySuperPeerCell(cfg CityScaleConfig, nodes int, scale core.ScaleConfig) (CitySuperPeerCell, int64, error) {
+// citySuperPeerCell runs the workload under the aggregation tier
+// (cfg.Regions regions, lazy monitors like the sweep) and splits hops by
+// tier.
+func citySuperPeerCell(cfg CityScaleConfig, nodes int) (CitySuperPeerCell, error) {
 	ops, err := trace.GeneratePopulation(trace.PopulationConfig{
 		Seed:          cfg.Seed,
 		Homes:         nodes,
@@ -264,13 +257,18 @@ func citySuperPeerCell(cfg CityScaleConfig, nodes int, scale core.ScaleConfig) (
 		StoreFraction: 0.4,
 	})
 	if err != nil {
-		return CitySuperPeerCell{}, 0, err
+		return CitySuperPeerCell{}, err
 	}
-	city, err := cluster.NewCity(cluster.CityOptions{Seed: cfg.Seed, Homes: nodes, Scale: scale})
+	city, err := cluster.NewCity(cluster.CityOptions{
+		Seed:             cfg.Seed,
+		Homes:            nodes,
+		LazyMonitors:     true,
+		SuperPeerRegions: cfg.Regions,
+	})
 	if err != nil {
-		return CitySuperPeerCell{}, 0, err
+		return CitySuperPeerCell{}, err
 	}
-	cell := CitySuperPeerCell{Nodes: nodes, Regions: scale.SuperPeerRegions}
+	cell := CitySuperPeerCell{Nodes: nodes, Regions: cfg.Regions}
 	var runErr error
 	city.Run(func() {
 		kvs := city.Home.KV()
@@ -307,9 +305,9 @@ func citySuperPeerCell(cfg CityScaleConfig, nodes int, scale core.ScaleConfig) (
 		}
 	})
 	if runErr != nil {
-		return CitySuperPeerCell{}, 0, runErr
+		return CitySuperPeerCell{}, runErr
 	}
-	return cell, 0, nil
+	return cell, nil
 }
 
 // Table renders the sweep.

@@ -7,12 +7,11 @@ import (
 	"testing"
 )
 
-// TestCityScaleIdentity runs a scaled-down city sweep under the sweep's
-// default gates (calendar queue, lazy monitors) and asserts the
-// result-preserving property: its virtual-time metrics equal, field for
-// field, the ones frozen in testdata/golden/city_identity.json from the
-// zero-ScaleConfig flat core (TestGoldenOutputs holds today's
-// zero-config run to the same file).
+// TestCityScaleIdentity runs a scaled-down city sweep as RunCityScale
+// runs it (lazy monitors) and asserts the result-preserving property: its
+// virtual-time metrics equal, field for field, the ones frozen in
+// testdata/golden/city_identity.json from the eager-monitor flat core
+// (TestGoldenOutputs holds today's default run to the same file).
 func TestCityScaleIdentity(t *testing.T) {
 	sizes := []int{64, 200}
 	if testing.Short() {
@@ -35,7 +34,7 @@ func TestCityScaleIdentity(t *testing.T) {
 	var repairTotal int64
 	for i, row := range res.Rows {
 		if row.Metrics != golden[i] {
-			t.Fatalf("n=%d: gated core diverged from the frozen flat core:\n got  %+v\n want %+v",
+			t.Fatalf("n=%d: lazy-monitor sweep diverged from the frozen eager-monitor core:\n got  %+v\n want %+v",
 				sizes[i], row.Metrics, golden[i])
 		}
 		if row.Metrics.Fetches == 0 || row.Metrics.Stores == 0 {

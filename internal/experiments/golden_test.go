@@ -7,8 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"cloud4home/internal/core"
 )
 
 // updateGolden rewrites testdata/golden from this tree's results. The
@@ -53,12 +51,12 @@ func checkGolden(t *testing.T, name string, v any) {
 	}
 }
 
-// cityMetrics runs cityArm at each size under the zero ScaleConfig.
+// cityMetrics runs cityArm at each size with the default eager monitors.
 func cityMetrics(t *testing.T, cfg CityScaleConfig, sizes ...int) []CityScaleMetrics {
 	t.Helper()
 	out := make([]CityScaleMetrics, 0, len(sizes))
 	for _, n := range sizes {
-		m, _, err := cityArm(cfg, n, core.ScaleConfig{})
+		m, _, err := cityArm(cfg, n, false)
 		if err != nil {
 			t.Fatal(err)
 		}

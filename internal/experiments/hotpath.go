@@ -86,7 +86,7 @@ type coalesceCell struct {
 // CoalesceClients sessions on one netbook fetch it near-simultaneously
 // (staggered 500 µs apart so the run is deterministic).
 func runCoalesceCell(cfg HotPathConfig, coalesce bool) (coalesceCell, error) {
-	tb, err := cluster.New(cluster.Options{Seed: cfg.Seed, Perf: core.PerfConfig{CoalesceFetch: coalesce}})
+	tb, err := cluster.New(cluster.Options{Seed: cfg.Seed, CoalesceFetch: coalesce})
 	if err != nil {
 		return coalesceCell{}, err
 	}

@@ -135,8 +135,9 @@ type Monitor struct {
 	lastPub time.Time // guarded by mu; when the record was last published
 	hasPub  bool      // guarded by mu; whether any publish has happened
 	stop    chan struct{}
-	done    chan struct{}
-	lastErr error // guarded by mu; most recent periodic-publish failure
+	done    chan struct{} // real clock: closed when the loop has exited
+	exited  *vclock.Event // virtual clock: fired when the loop has exited
+	lastErr error         // guarded by mu; most recent periodic-publish failure
 }
 
 // New returns a monitor for the node identified by addr (already joined
@@ -225,14 +226,13 @@ func (m *Monitor) Start() {
 		return
 	}
 	m.started = true
-	m.stop = make(chan struct{})
-	m.done = make(chan struct{})
+	stop := make(chan struct{})
+	m.stop = stop
 	loop := func() {
-		defer close(m.done)
 		for {
 			m.clock.Sleep(m.period)
 			select {
-			case <-m.stop:
+			case <-stop:
 				return
 			default:
 			}
@@ -247,9 +247,23 @@ func (m *Monitor) Start() {
 		}
 	}
 	if v, ok := m.clock.(*vclock.Virtual); ok {
-		v.Go(loop)
+		// The loop fires exited while it is still a registered worker, so
+		// a stopper parked on it is re-queued by the clock in (deadline,
+		// seq) order; a channel inside Virtual.Block would let the
+		// stopper's re-registration race the loop's deregistration.
+		exited := v.NewEvent()
+		m.exited = exited
+		v.Go(func() {
+			loop()
+			exited.Fire()
+		})
 	} else {
-		go loop()
+		done := make(chan struct{})
+		m.done = done
+		go func() {
+			defer close(done)
+			loop()
+		}()
 	}
 }
 
@@ -260,14 +274,14 @@ func (m *Monitor) Stop() {
 		m.mu.Unlock()
 		return
 	}
-	stop, done := m.stop, m.done
+	stop, done, exited := m.stop, m.done, m.exited
 	m.started = false
 	m.mu.Unlock()
 	close(stop)
-	if v, ok := m.clock.(*vclock.Virtual); ok {
-		// The loop only observes stop after its next tick; let virtual
-		// time advance while we wait.
-		v.Block(func() { <-done })
+	// The loop only observes stop after its next tick; on a virtual clock
+	// the stopper parks and time advances to that tick.
+	if exited != nil {
+		exited.Wait()
 	} else {
 		<-done
 	}

@@ -157,6 +157,38 @@ func TestStartIdempotentStopSafe(t *testing.T) {
 	})
 }
 
+// TestStopResumesAtNextTick: a Stop issued at t0 observes the loop's exit
+// at its next tick and resumes at exactly t0+period, even with another
+// worker parked beyond that tick. A stopper that re-registers with the
+// clock only after the loop has deregistered lets time run on to the
+// decoy first, in host-scheduling order — hence the repetitions.
+func TestStopResumesAtNextTick(t *testing.T) {
+	const period = 10 * time.Second
+	st, _ := buildKV(t, []string{"s1:1", "s2:1"})
+	for i := 0; i < 200; i++ {
+		v := vclock.NewVirtual(epoch)
+		m, err := New(st, v, "s1:1", StaticSampler{}, period)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var resumed time.Duration
+		v.Run(func() {
+			decoyDone := v.NewEvent()
+			v.Go(func() {
+				v.Sleep(period + period/2)
+				decoyDone.Fire()
+			})
+			m.Start()
+			m.Stop()
+			resumed = v.Now().Sub(epoch)
+			decoyDone.Wait()
+		})
+		if resumed != period {
+			t.Fatalf("iteration %d: stopper resumed at t0+%v, want t0+%v", i, resumed, period)
+		}
+	}
+}
+
 func TestNewValidation(t *testing.T) {
 	st, _ := buildKV(t, []string{"v1:1"})
 	v := vclock.NewVirtual(epoch)

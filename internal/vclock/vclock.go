@@ -9,31 +9,24 @@
 // when every registered worker is blocked in Sleep, virtual time jumps to
 // the earliest pending deadline and the corresponding sleepers wake.
 //
-// Three scheduler engines share that contract:
-//
-//   - the default engine keeps one global deadline heap and wakes
-//     sleepers through a condition-variable broadcast;
-//   - the sharded engine (NewVirtualSharded, enabled by
-//     core.PerfConfig.SimShards) spreads sleepers round-robin over
-//     per-shard heaps merged deterministically at each advance;
-//   - the calendar engine (NewVirtualCalendar, enabled by
-//     core.ScaleConfig.CalendarQueue) keeps sleepers in a calendar queue
-//     — deadline-bucketed, amortised O(1) per event — and wakes each
-//     sleeper through its own one-slot channel instead of broadcasting,
-//     so an advance costs O(1) instead of O(parked workers).
-//
-// All engines wake exactly one sleeper per advance in (deadline, seq)
-// order, so they produce bit-identical schedules; only the host-side cost
-// per event differs. The heap stays the default because it is the fastest
-// at the actor counts the benchmark runs: on c4h-perf's home-trace (six
-// actors) the heap did 36.8k host ops/s, the sharded engine 35.4k and the
-// calendar engine 31.8k (PR 12 prototype, lazy RNG on all three), so
-// neither alternative has been promoted.
+// There is one scheduler engine: a global (deadline, seq) min-heap of
+// sleepers, woken through a condition-variable broadcast, one sleeper per
+// advance. It is the only engine because nothing measured needs another.
+// On c4h-perf's home-trace (six actors) the heap did 36.8k host ops/s
+// against 35.4k for a sharded k-way-merge engine and 31.8k for a calendar
+// queue with targeted wakeups (PR 12 prototype, lazy RNG on all three).
+// The calendar queue's one caller, the 1k/10k/100k-home city sweep, ran
+// in 26/110/1016 ms on the heap against 26/122/1597 ms on the calendar
+// queue with equal metrics (one sample each): a city built by
+// cluster.NewCity starts no periodic monitors, so it has about one
+// sleeper. Both alternatives produced bit-identical schedules, which made
+// them second implementations rather than features; they were deleted in
+// PR 17 and live on in git history for whoever brings a workload with
+// thousands of concurrent sleepers.
 package vclock
 
 import (
 	"container/heap"
-	"sort"
 	"sync"
 	"time"
 )
@@ -64,15 +57,12 @@ func (Real) Sleep(d time.Duration) {
 
 // Virtual is a deterministic discrete-event clock.
 type Virtual struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	now      time.Time
-	active   int            // registered workers currently runnable
-	sleeper  sleeperHeap    // default engine: one global heap
-	shards   []sleeperHeap  // sharded engine when non-nil
-	cal      *calendarQueue // calendar engine when non-nil
-	targeted bool           // wake via per-sleeper channel, not broadcast
-	seq      uint64         // tie-break so equal deadlines wake FIFO
+	mu      sync.Mutex
+	cond    *sync.Cond
+	now     time.Time
+	active  int         // registered workers currently runnable
+	sleeper sleeperHeap // parked workers by (deadline, seq)
+	seq     uint64      // tie-break so equal deadlines wake FIFO
 }
 
 var _ Clock = (*Virtual)(nil)
@@ -82,34 +72,6 @@ var _ Clock = (*Virtual)(nil)
 func NewVirtual(epoch time.Time) *Virtual {
 	v := &Virtual{now: epoch}
 	v.cond = sync.NewCond(&v.mu)
-	return v
-}
-
-// NewVirtualSharded returns a virtual clock whose sleeper queue is split
-// over shards per-shard heaps with a deterministic k-way merge at every
-// advance, so each push/pop works on a heap 1/shards the size. Schedules
-// are bit-identical to NewVirtual at any shard count; only the
-// wall-clock cost per event differs. Shard counts below one are clamped
-// to one.
-func NewVirtualSharded(epoch time.Time, shards int) *Virtual {
-	if shards < 1 {
-		shards = 1
-	}
-	v := NewVirtual(epoch)
-	v.shards = make([]sleeperHeap, shards)
-	return v
-}
-
-// NewVirtualCalendar returns a virtual clock backed by a calendar queue
-// (deadline-bucketed ring, amortised O(1) insert/pop) with targeted
-// single-sleeper wakeups: each advance hands the token to exactly the
-// woken sleeper's channel instead of broadcasting to every parked
-// worker. Schedules are bit-identical to NewVirtual; at city scale
-// (10⁵–10⁶ queued events) advances stop costing O(parked workers).
-func NewVirtualCalendar(epoch time.Time) *Virtual {
-	v := NewVirtual(epoch)
-	v.cal = newCalendarQueue(epoch)
-	v.targeted = true
 	return v
 }
 
@@ -134,14 +96,10 @@ func (v *Virtual) Add(n int) {
 func (v *Virtual) Done() {
 	v.mu.Lock()
 	v.active--
-	var wake *sleeper
 	if v.active == 0 {
-		wake = v.advanceLocked()
+		v.advanceLocked()
 	}
 	v.mu.Unlock()
-	if wake != nil {
-		wake.signal()
-	}
 }
 
 // Go runs fn as a registered worker in a new goroutine.
@@ -166,25 +124,18 @@ func (v *Virtual) Run(fn func()) {
 // sync.WaitGroup, channel receive, ...): while fn blocks, virtual time is
 // free to advance so the goroutines it waits for can make progress.
 // Blocking on such primitives while registered deadlocks the clock.
+//
+// Hazard: fn must really block, and be released by a worker that is still
+// registered. If fn returns at once, or its releaser has already called
+// Done, the deregistration above can drop the runnable count to zero:
+// time then jumps to the next sleeper and wakes it while the caller is
+// about to run too — two runnable workers, in host-scheduling order. A
+// join on a virtual clock should use an Event, fired by the finisher
+// before it deregisters.
 func (v *Virtual) Block(fn func()) {
 	v.Done()
 	defer v.Add(1)
 	fn()
-}
-
-// enqueueLocked files a sleeper (deadline and seq already assigned) into
-// whichever queue engine this clock runs. Caller holds v.mu.
-//
-// c4h:hotpath
-func (v *Virtual) enqueueLocked(s *sleeper) {
-	switch {
-	case v.cal != nil:
-		v.cal.insert(s)
-	case v.shards != nil:
-		heap.Push(&v.shards[s.seq%uint64(len(v.shards))], s)
-	default:
-		heap.Push(&v.sleeper, s)
-	}
 }
 
 // Sleep implements Clock. The caller must be a registered worker.
@@ -199,24 +150,10 @@ func (v *Virtual) Sleep(d time.Duration) {
 	s.deadline = v.now.Add(d)
 	s.seq = v.seq
 	v.seq++
-	v.enqueueLocked(s)
+	heap.Push(&v.sleeper, s)
 	v.active--
-	var wake *sleeper
 	if v.active == 0 {
-		wake = v.advanceLocked()
-	}
-	if v.targeted {
-		v.mu.Unlock()
-		// Hand the token over outside the lock (chanhold discipline);
-		// if the advance woke ourselves, skip the channel round-trip.
-		if wake != nil && wake != s {
-			wake.signal()
-		}
-		if wake != s {
-			s.wait()
-		}
-		putSleeper(s)
-		return
+		v.advanceLocked()
 	}
 	for !s.woken {
 		v.cond.Wait()
@@ -227,9 +164,7 @@ func (v *Virtual) Sleep(d time.Duration) {
 
 // advanceLocked jumps time to the earliest deadline and wakes exactly
 // one sleeper — the earliest, FIFO among equal deadlines. Caller holds
-// v.mu and v.active == 0. In targeted mode the woken sleeper is
-// returned and the caller must signal it after releasing v.mu; in
-// broadcast mode the condition variable is notified and nil returned.
+// v.mu and v.active == 0.
 //
 // Waking one worker at a time (rather than every sleeper due at the
 // instant) keeps concurrent workloads deterministic: at most one worker
@@ -239,54 +174,18 @@ func (v *Virtual) Sleep(d time.Duration) {
 // the woken worker sleeps or finishes, the next sleeper due at the same
 // instant wakes; virtual time never regresses.
 //
-// The sharded engine merges the shard heads and the calendar engine
-// pops its earliest bucket entry — in every engine the popped sleeper is
-// the global minimum by (deadline, seq), so the wake order (and
-// therefore every downstream schedule) is invariant under the engine.
-//
 // c4h:hotpath
-func (v *Virtual) advanceLocked() *sleeper {
-	var s *sleeper
-	switch {
-	case v.cal != nil:
-		s = v.cal.pop()
-	case v.shards != nil:
-		bi := -1
-		var best *sleeper
-		for i := range v.shards {
-			if len(v.shards[i]) == 0 {
-				continue
-			}
-			h := v.shards[i][0]
-			if best == nil || h.deadline.Before(best.deadline) ||
-				(h.deadline.Equal(best.deadline) && h.seq < best.seq) {
-				best, bi = h, i
-			}
-		}
-		if best == nil {
-			return nil
-		}
-		heap.Pop(&v.shards[bi])
-		s = best
-	default:
-		if v.sleeper.Len() == 0 {
-			return nil
-		}
-		s = heap.Pop(&v.sleeper).(*sleeper)
+func (v *Virtual) advanceLocked() {
+	if v.sleeper.Len() == 0 {
+		return
 	}
-	if s == nil {
-		return nil
-	}
+	s := heap.Pop(&v.sleeper).(*sleeper)
 	if s.deadline.After(v.now) {
 		v.now = s.deadline
 	}
 	s.woken = true
 	v.active++
-	if v.targeted {
-		return s
-	}
 	v.cond.Broadcast()
-	return nil
 }
 
 // Event is a deterministic one-shot broadcast point for registered
@@ -318,20 +217,8 @@ func (e *Event) Wait() {
 	}
 	e.waiters = append(e.waiters, s)
 	v.active--
-	var wake *sleeper
 	if v.active == 0 {
-		wake = v.advanceLocked()
-	}
-	if v.targeted {
-		v.mu.Unlock()
-		// wake can never be s here: s is parked on the event, not in the
-		// deadline queue, until Fire enqueues it.
-		if wake != nil {
-			wake.signal()
-		}
-		s.wait()
-		putSleeper(s)
-		return
+		v.advanceLocked()
 	}
 	for !s.woken {
 		v.cond.Wait()
@@ -354,7 +241,7 @@ func (e *Event) Fire() {
 			s.deadline = v.now
 			s.seq = v.seq
 			v.seq++
-			v.enqueueLocked(s)
+			heap.Push(&v.sleeper, s)
 		}
 		e.waiters = nil
 	}
@@ -363,51 +250,16 @@ func (e *Event) Fire() {
 
 type sleeper struct {
 	deadline time.Time
-	dns      time.Duration // deadline minus calendar epoch (calendar engine)
 	seq      uint64
 	woken    bool
 	index    int
-
-	// Targeted-wakeup rendezvous: a private one-waiter condition
-	// variable. Signalling one sleeper costs O(1), unlike the broadcast
-	// engines' cond.Broadcast which wakes every parked worker per
-	// advance.
-	wmu   sync.Mutex
-	wcond *sync.Cond
-	ready bool
-}
-
-// signal hands the wake token to a parked sleeper. A sleeper is
-// signalled at most once per park (advanceLocked pops it from the queue
-// before anyone may signal it), and never blocks the signaller.
-// Callers must not hold v.mu.
-func (s *sleeper) signal() {
-	s.wmu.Lock()
-	s.ready = true
-	s.wmu.Unlock()
-	s.wcond.Signal()
-}
-
-// wait parks until signal (token semantics: signal-before-wait returns
-// immediately). Callers must not hold v.mu.
-func (s *sleeper) wait() {
-	s.wmu.Lock()
-	for !s.ready {
-		s.wcond.Wait()
-	}
-	s.ready = false
-	s.wmu.Unlock()
 }
 
 // sleeperPool recycles sleeper records: every Sleep used to allocate
 // one, which made the scheduler itself the simulator's largest source of
 // small objects. A sleeper is owned by exactly one goroutine between
 // getSleeper and putSleeper, so pooling is race-free.
-var sleeperPool = sync.Pool{New: func() any {
-	s := &sleeper{}
-	s.wcond = sync.NewCond(&s.wmu)
-	return s
-}}
+var sleeperPool = sync.Pool{New: func() any { return &sleeper{} }}
 
 // c4h:hotpath
 func getSleeper() *sleeper {
@@ -445,162 +297,4 @@ func (h *sleeperHeap) Pop() any {
 	old[n-1] = nil
 	*h = old[:n-1]
 	return s
-}
-
-// calendarQueue is a calendar-queue priority queue over sleepers: a ring
-// of deadline buckets of fixed width, each holding its sleepers sorted
-// descending by (deadline, seq) so the bucket minimum pops from the
-// tail in O(1).
-//
-// Ordering invariant (the "wheel ordering invariant" relied on for
-// byte-identical schedules): pop always returns the global minimum by
-// (deadline, seq). Equal deadlines map to the same bucket, where they
-// sit in seq order; across buckets the scan visits windows in
-// increasing deadline order starting from the last popped deadline, and
-// a bucket entry is only taken when its deadline falls inside the
-// window currently being scanned, so no later bucket can hide an
-// earlier deadline. If a whole lap finds nothing in-window (sparse,
-// far-future events), a direct minimum over the bucket tails resolves
-// the next event and the scan position jumps to it.
-type calendarQueue struct {
-	epoch   time.Time
-	width   time.Duration // bucket width
-	buckets [][]*sleeper
-	size    int
-	scan    time.Duration // lower bound on every queued dns
-}
-
-const (
-	calInitialBuckets = 64
-	calMaxBuckets     = 1 << 15
-	calMinWidth       = time.Microsecond
-)
-
-func newCalendarQueue(epoch time.Time) *calendarQueue {
-	return &calendarQueue{
-		epoch:   epoch,
-		width:   time.Millisecond,
-		buckets: make([][]*sleeper, calInitialBuckets),
-	}
-}
-
-// less orders sleepers by (deadline, seq) using the pre-computed
-// epoch-relative deadline.
-func calLess(a, b *sleeper) bool {
-	if a.dns != b.dns {
-		return a.dns < b.dns
-	}
-	return a.seq < b.seq
-}
-
-// insert files s by deadline. Amortised O(1): the resize policy keeps
-// expected bucket occupancy constant.
-//
-// c4h:hotpath
-func (q *calendarQueue) insert(s *sleeper) {
-	s.dns = s.deadline.Sub(q.epoch)
-	bi := q.bucketOf(s.dns)
-	b := q.buckets[bi]
-	// Descending order: binary-search the insertion point.
-	i := sort.Search(len(b), func(i int) bool { return calLess(b[i], s) })
-	if len(b) == cap(b) {
-		nb := make([]*sleeper, len(b), 2*cap(b)+4)
-		copy(nb, b)
-		b = nb
-	}
-	b = b[:len(b)+1]
-	copy(b[i+1:], b[i:len(b)-1])
-	b[i] = s
-	q.buckets[bi] = b
-	if s.dns < q.scan {
-		q.scan = s.dns
-	}
-	q.size++
-	if q.size > 2*len(q.buckets) && len(q.buckets) < calMaxBuckets {
-		q.resize()
-	}
-}
-
-func (q *calendarQueue) bucketOf(dns time.Duration) int {
-	b := int64(dns/q.width) % int64(len(q.buckets))
-	if b < 0 {
-		b += int64(len(q.buckets)) // deadlines before the epoch
-	}
-	return int(b)
-}
-
-// pop removes and returns the global (deadline, seq) minimum, or nil.
-//
-// c4h:hotpath
-func (q *calendarQueue) pop() *sleeper {
-	if q.size == 0 {
-		return nil
-	}
-	n := len(q.buckets)
-	pos := q.scan
-	for i := 0; i < n; i++ {
-		winEnd := pos - pos%q.width + q.width
-		b := q.buckets[q.bucketOf(pos)]
-		if len(b) > 0 {
-			if s := b[len(b)-1]; s.dns < winEnd {
-				q.buckets[q.bucketOf(pos)] = b[:len(b)-1]
-				q.size--
-				q.scan = s.dns
-				return s
-			}
-		}
-		pos = winEnd
-	}
-	// Sparse queue: nothing within a full lap of windows. Take the
-	// minimum over bucket tails directly and jump the scan to it.
-	var best *sleeper
-	bi := -1
-	for i := range q.buckets {
-		b := q.buckets[i]
-		if len(b) == 0 {
-			continue
-		}
-		if t := b[len(b)-1]; best == nil || calLess(t, best) {
-			best, bi = t, i
-		}
-	}
-	b := q.buckets[bi]
-	q.buckets[bi] = b[:len(b)-1]
-	q.size--
-	q.scan = best.dns
-	return best
-}
-
-// resize doubles the bucket count and re-derives the width from the
-// current deadline span so expected occupancy returns to O(1). The
-// policy depends only on queue content, which is schedule-deterministic,
-// so resizes (and therefore every subsequent bucket layout) are
-// identical across runs.
-func (q *calendarQueue) resize() {
-	old := q.buckets
-	var min, max time.Duration
-	first := true
-	for _, b := range old {
-		for _, s := range b {
-			if first || s.dns < min {
-				min = s.dns
-			}
-			if first || s.dns > max {
-				max = s.dns
-			}
-			first = false
-		}
-	}
-	width := (max - min) / time.Duration(q.size)
-	if width < calMinWidth {
-		width = calMinWidth
-	}
-	q.width = width
-	q.buckets = make([][]*sleeper, 2*len(old))
-	q.size = 0
-	for _, b := range old {
-		for _, s := range b {
-			q.insert(s)
-		}
-	}
 }

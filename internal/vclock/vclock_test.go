@@ -1,7 +1,6 @@
 package vclock
 
 import (
-	"container/heap"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -147,69 +146,6 @@ func TestRealClockMonotone(t *testing.T) {
 	c.Sleep(-time.Hour) // must not block
 }
 
-// shardedWorkload runs a nontrivial interleaving on the given clock and
-// returns a trace of wake instants, the one artifact every engine must
-// reproduce exactly.
-func shardedWorkload(v *Virtual) []time.Time {
-	var mu sync.Mutex
-	var trace []time.Time
-	v.Run(func() {
-		var wg sync.WaitGroup
-		for i := 1; i <= 7; i++ {
-			wg.Add(1)
-			d := time.Duration(i) * 70 * time.Millisecond
-			v.Go(func() {
-				defer wg.Done()
-				for j := 0; j < 9; j++ {
-					v.Sleep(d)
-					mu.Lock()
-					trace = append(trace, v.Now())
-					mu.Unlock()
-				}
-			})
-		}
-		v.Sleep(5 * time.Second)
-		v.Block(wg.Wait)
-	})
-	return trace
-}
-
-func TestVirtualShardedMatchesDefault(t *testing.T) {
-	want := shardedWorkload(NewVirtual(epoch))
-	for _, shards := range []int{1, 2, 4, 8} {
-		got := shardedWorkload(NewVirtualSharded(epoch, shards))
-		if len(got) != len(want) {
-			t.Fatalf("shards=%d: %d wakes, want %d", shards, len(got), len(want))
-		}
-		for i := range want {
-			if !got[i].Equal(want[i]) {
-				t.Fatalf("shards=%d wake %d at %v, default engine at %v", shards, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestVirtualShardedEqualDeadlinesAllWake(t *testing.T) {
-	v := NewVirtualSharded(epoch, 4)
-	var n atomic.Int32
-	v.Run(func() {
-		var wg sync.WaitGroup
-		for i := 0; i < 8; i++ {
-			wg.Add(1)
-			v.Go(func() {
-				defer wg.Done()
-				v.Sleep(time.Second)
-				n.Add(1)
-			})
-		}
-		v.Sleep(2 * time.Second)
-		v.Block(wg.Wait)
-	})
-	if n.Load() != 8 {
-		t.Fatalf("woke %d of 8 sleepers", n.Load())
-	}
-}
-
 func eventWorkload(t *testing.T, v *Virtual) []time.Duration {
 	t.Helper()
 	waits := make([]time.Duration, 4)
@@ -239,69 +175,32 @@ func eventWorkload(t *testing.T, v *Virtual) []time.Duration {
 // all resume at the fire instant t=1s, so each is charged exactly the
 // virtual time it spent parked — the contract fetch coalescing relies on.
 func TestEventReleasesWaitersAtFireInstant(t *testing.T) {
-	for name, v := range map[string]*Virtual{
-		"default": NewVirtual(epoch),
-		"sharded": NewVirtualSharded(epoch, 4),
-	} {
-		waits := eventWorkload(t, v)
-		for i, w := range waits {
-			want := time.Second - time.Duration(i+1)*100*time.Millisecond
-			if w != want {
-				t.Fatalf("%s engine: waiter %d parked %v, want %v", name, i, w, want)
-			}
-		}
-	}
-}
-
-func TestVirtualCalendarMatchesDefault(t *testing.T) {
-	want := shardedWorkload(NewVirtual(epoch))
-	got := shardedWorkload(NewVirtualCalendar(epoch))
-	if len(got) != len(want) {
-		t.Fatalf("calendar: %d wakes, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !got[i].Equal(want[i]) {
-			t.Fatalf("calendar wake %d at %v, default engine at %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestVirtualCalendarEqualDeadlinesAllWake(t *testing.T) {
-	v := NewVirtualCalendar(epoch)
-	var n atomic.Int32
-	v.Run(func() {
-		var wg sync.WaitGroup
-		for i := 0; i < 8; i++ {
-			wg.Add(1)
-			v.Go(func() {
-				defer wg.Done()
-				v.Sleep(time.Second)
-				n.Add(1)
-			})
-		}
-		v.Sleep(2 * time.Second)
-		v.Block(wg.Wait)
-	})
-	if n.Load() != 8 {
-		t.Fatalf("woke %d of 8 sleepers", n.Load())
-	}
-}
-
-func TestEventReleasesWaitersAtFireInstantCalendar(t *testing.T) {
-	waits := eventWorkload(t, NewVirtualCalendar(epoch))
+	waits := eventWorkload(t, NewVirtual(epoch))
 	for i, w := range waits {
 		want := time.Second - time.Duration(i+1)*100*time.Millisecond
 		if w != want {
-			t.Fatalf("calendar engine: waiter %d parked %v, want %v", i, w, want)
+			t.Fatalf("waiter %d parked %v, want %v", i, w, want)
 		}
 	}
 }
 
+// wake is one entry of a wake transcript: which worker resumed, and when.
+type wake struct {
+	worker int
+	at     time.Duration
+}
+
 // randomWakeWorkload drives W workers through seeded pseudo-random sleep
-// sequences spanning six orders of magnitude (µs to minutes) — enough
-// queued events to force several calendar resizes and sparse-lap
-// fallbacks — and returns the exact wake schedule.
-func randomWakeWorkload(v *Virtual, seed int64, workers, rounds int) []time.Duration {
+// sequences spanning six orders of magnitude (µs to tens of ms) and
+// returns the wake transcript the clock produced next to the one a
+// brute-force oracle predicts: the same sleeps kept in a plain slice and
+// released one at a time by a linear scan for the (deadline, arrival seq)
+// minimum. The driver sleeps 1 ns after starting each worker, and wakes
+// only once that worker is parked, so first sleeps arrive in worker order
+// (all of them before any worker's 1 µs minimum sleep ends); after that a
+// worker's next sleep arrives the moment it wakes, which is exactly what
+// the oracle replays.
+func randomWakeWorkload(v *Virtual, seed int64, workers, rounds int) (got, want []wake) {
 	rng := rand.New(rand.NewSource(seed))
 	durs := make([][]time.Duration, workers)
 	for w := range durs {
@@ -311,93 +210,81 @@ func randomWakeWorkload(v *Virtual, seed int64, workers, rounds int) []time.Dura
 			durs[w][j] = time.Microsecond + exp
 		}
 	}
+
+	type pending struct {
+		worker, round int
+		deadline      time.Duration
+		seq           int
+	}
+	var parked []pending
+	seq := 0
+	for w := 0; w < workers; w++ {
+		parked = append(parked, pending{w, 0, time.Duration(w) + durs[w][0], seq})
+		seq++
+	}
+	for len(parked) > 0 {
+		min := 0
+		for i, p := range parked {
+			if m := parked[min]; p.deadline < m.deadline || (p.deadline == m.deadline && p.seq < m.seq) {
+				min = i
+			}
+		}
+		p := parked[min]
+		parked = append(parked[:min], parked[min+1:]...)
+		want = append(want, wake{p.worker, p.deadline})
+		if r := p.round + 1; r < rounds {
+			parked = append(parked, pending{p.worker, r, p.deadline + durs[p.worker][r], seq})
+			seq++
+		}
+	}
+
 	var mu sync.Mutex
-	sched := make([]time.Duration, 0, workers*rounds)
 	start := v.Now()
 	v.Run(func() {
-		var wg sync.WaitGroup
+		done := v.NewEvent()
+		left := workers
 		for w := 0; w < workers; w++ {
 			w := w
-			wg.Add(1)
 			v.Go(func() {
-				defer wg.Done()
 				for _, d := range durs[w] {
 					v.Sleep(d)
 					mu.Lock()
-					sched = append(sched, v.Now().Sub(start))
+					got = append(got, wake{w, v.Now().Sub(start)})
 					mu.Unlock()
 				}
+				mu.Lock()
+				left--
+				last := left == 0
+				mu.Unlock()
+				if last {
+					done.Fire()
+				}
 			})
+			v.Sleep(time.Nanosecond)
 		}
-		v.Block(wg.Wait)
+		done.Wait()
 	})
-	return sched
+	return got, want
 }
 
-// TestVirtualCalendarPropertyByteIdentical: across random workloads, the
-// calendar engine's complete wake schedule equals the heap engine's,
-// element for element — the wheel ordering invariant.
-func TestVirtualCalendarPropertyByteIdentical(t *testing.T) {
+// TestVirtualWakeOrderMatchesOracle: across random workloads the clock's
+// complete wake transcript — who resumed, at what instant, in what order
+// — equals the brute-force (deadline, arrival seq) oracle's, element for
+// element.
+func TestVirtualWakeOrderMatchesOracle(t *testing.T) {
 	workers, rounds := 32, 40
 	if testing.Short() {
 		workers = 12
 	}
 	for seed := int64(1); seed <= 5; seed++ {
-		want := randomWakeWorkload(NewVirtual(epoch), seed, workers, rounds)
-		got := randomWakeWorkload(NewVirtualCalendar(epoch), seed, workers, rounds)
+		got, want := randomWakeWorkload(NewVirtual(epoch), seed, workers, rounds)
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: %d wakes, want %d", seed, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("seed %d: wake %d at +%v, heap engine at +%v", seed, i, got[i], want[i])
+				t.Fatalf("seed %d: wake %d is %+v, oracle says %+v", seed, i, got[i], want[i])
 			}
-		}
-	}
-}
-
-// TestCalendarQueueOrderAgainstHeap pounds the raw calendar queue with
-// interleaved inserts and pops (including far-future outliers that force
-// the sparse-lap fallback and same-instant duplicates that exercise seq
-// ordering) and checks every pop matches a reference heap.
-func TestCalendarQueueOrderAgainstHeap(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	q := newCalendarQueue(epoch)
-	var ref sleeperHeap
-	var seq uint64
-	now := time.Duration(0)
-	for step := 0; step < 20000; step++ {
-		if q.size == 0 || rng.Intn(3) != 0 {
-			var d time.Duration
-			switch rng.Intn(10) {
-			case 0:
-				d = time.Duration(rng.Intn(1000)) * time.Hour // sparse outlier
-			case 1, 2:
-				d = 0 // same-instant (Event.Fire shape)
-			default:
-				d = time.Duration(rng.Intn(5_000_000)) * time.Nanosecond
-			}
-			s := &sleeper{deadline: epoch.Add(now + d), seq: seq}
-			seq++
-			q.insert(s)
-			r := &sleeper{deadline: s.deadline, seq: s.seq}
-			heap.Push(&ref, r)
-			continue
-		}
-		got := q.pop()
-		want := heap.Pop(&ref).(*sleeper)
-		if !got.deadline.Equal(want.deadline) || got.seq != want.seq {
-			t.Fatalf("step %d: popped (%v, %d), heap says (%v, %d)",
-				step, got.deadline, got.seq, want.deadline, want.seq)
-		}
-		now = got.deadline.Sub(epoch)
-	}
-	for q.size > 0 {
-		got := q.pop()
-		want := heap.Pop(&ref).(*sleeper)
-		if !got.deadline.Equal(want.deadline) || got.seq != want.seq {
-			t.Fatalf("drain: popped (%v, %d), heap says (%v, %d)",
-				got.deadline, got.seq, want.deadline, want.seq)
 		}
 	}
 }
