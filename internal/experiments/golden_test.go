@@ -99,4 +99,22 @@ func TestGoldenOutputs(t *testing.T) {
 	t.Run("city_identity", func(t *testing.T) {
 		checkGolden(t, "city_identity", cityMetrics(t, goldenCityIdentity, 64, 200))
 	})
+	// The two experiments that run the redundancy code (replicas and
+	// k-of-n shards under Fallback+Repair with a scheduled crash), frozen
+	// on the last commit that had one placement/gather/repair path per
+	// scheme. Neither result carries a host-side field.
+	t.Run("availability", func(t *testing.T) {
+		res, err := RunAvailability(DefaultAvailability(goldenSeed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, "availability", res)
+	})
+	t.Run("federation", func(t *testing.T) {
+		res, err := RunFederation(DefaultFederation(goldenSeed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, "federation", res)
+	})
 }
