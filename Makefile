@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-syntactic lint-typed lint-dataflow lint-concurrency test race check bench perf perf-compare profile repro examples clean
+.PHONY: all build vet lint lint-syntactic lint-typed lint-dataflow lint-concurrency test race check bench perf perf-compare profile repro examples loc clean
 
 all: build vet lint test race
 
@@ -98,6 +98,13 @@ examples:
 	$(GO) run ./examples/surveillance
 	$(GO) run ./examples/mediaconv
 	$(GO) run ./examples/neighborhood
+
+# Non-test Go lines per package (comments and blanks included) — the
+# number simplicity PRs quote and ROADMAP tracks.
+loc:
+	@$(GO) list -f '{{.Dir}} {{.ImportPath}}' ./... | while read dir pkg; do \
+		printf '%6d %s\n' "$$(cat /dev/null $$(ls $$dir/*.go | grep -v _test.go) | wc -l)" "$$pkg"; \
+	done
 
 clean:
 	$(GO) clean ./...

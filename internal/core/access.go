@@ -117,8 +117,22 @@ func (s *Session) DeleteObject(name string) error {
 	if meta.Owner != "" && meta.Owner != s.principal {
 		return fmt.Errorf("%w: only owner %q may delete %q", ErrAccessDenied, meta.Owner, name)
 	}
-	switch {
-	case meta.InCloud():
+	// drop deletes one bin object at a home node; a holder that already
+	// departed simply has nothing left to delete.
+	drop := func(addr, bin string) error {
+		holder, ok := s.node.home.Node(addr)
+		if !ok {
+			return nil
+		}
+		if holder != s.node {
+			s.node.home.net.Message(s.node.lanPathTo(holder))
+		}
+		if err := holder.store.Delete(bin); err != nil && !errors.Is(err, objstore.ErrNotFound) {
+			return err
+		}
+		return nil
+	}
+	if meta.InCloud() {
 		cloud, err := s.node.home.backendFor(meta.Backend)
 		if err != nil {
 			return err
@@ -128,43 +142,12 @@ func (s *Session) DeleteObject(name string) error {
 		if err := cloud.Delete(meta.Name); err != nil && !errors.Is(err, objstore.ErrNotFound) {
 			return err
 		}
-	default:
-		holder, ok := s.node.home.Node(meta.Location)
-		if !ok {
-			// Holder departed; the metadata is all that is left.
-			break
-		}
-		if holder != s.node {
-			s.node.home.net.Message(s.node.lanPathTo(holder))
-		}
-		if err := holder.store.Delete(meta.Name); err != nil && !errors.Is(err, objstore.ErrNotFound) {
-			return err
-		}
+	} else if err := drop(meta.Location, meta.Name); err != nil {
+		return err
 	}
-	// Coded shards go too (best effort, like replicas below).
-	for _, sref := range meta.Shards {
-		rep, ok := s.node.home.Node(sref.Addr)
-		if !ok {
-			continue
-		}
-		if rep != s.node {
-			s.node.home.net.Message(s.node.lanPathTo(rep))
-		}
-		if err := rep.store.Delete(shardName(meta.Name, sref.Index)); err != nil && !errors.Is(err, objstore.ErrNotFound) {
-			return err
-		}
-	}
-	// Best-effort payload replicas go too, best effort again: a replica
-	// that already departed simply has nothing left to delete.
-	for _, addr := range meta.Replicas {
-		rep, ok := s.node.home.Node(addr)
-		if !ok || addr == meta.Location {
-			continue
-		}
-		if rep != s.node {
-			s.node.home.net.Message(s.node.lanPathTo(rep))
-		}
-		if err := rep.store.Delete(meta.Name); err != nil && !errors.Is(err, objstore.ErrNotFound) {
+	// The redundant pieces go too.
+	for _, p := range meta.pieces() {
+		if err := drop(p.addr, meta.pieceName(p.index)); err != nil {
 			return err
 		}
 	}

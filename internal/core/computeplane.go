@@ -31,22 +31,20 @@ type ComputePlaneConfig struct {
 	// at large inputs while each phase still reports its full cost.
 	Overlap bool
 	// Speculation hedges a decided process operation onto the top two
-	// candidates when their estimates are within SpeculationMargin,
+	// candidates when their estimates are within defaultSpeculationMargin,
 	// cancelling the loser on first completion.
 	Speculation bool
-	// SpeculationMargin is the relative estimate gap under which the
-	// runner-up is launched too (0 selects the 0.25 default).
-	SpeculationMargin float64
-	// SpeculationDelay staggers the secondary launch behind the primary
-	// (0 selects the 2 ms default). The stagger keeps the hedges'
-	// simulated events deterministically ordered and bounds the wasted
-	// work when the primary is healthy.
-	SpeculationDelay time.Duration
 }
 
 const (
+	// defaultSpeculationMargin is the relative estimate gap under which
+	// the runner-up is launched too.
 	defaultSpeculationMargin = 0.25
-	defaultSpeculationDelay  = 2 * time.Millisecond
+	// defaultSpeculationDelay staggers the secondary launch behind the
+	// primary. The stagger keeps the hedges' simulated events
+	// deterministically ordered and bounds the wasted work when the
+	// primary is healthy.
+	defaultSpeculationDelay = 2 * time.Millisecond
 )
 
 // errSpeculationCancelled aborts the losing hedge at a phase boundary.
@@ -185,16 +183,8 @@ func (n *Node) executeDecided(dec Decision, spec services.Spec, meta ObjectMeta)
 	if !ok {
 		return n.executeAt(dec.Chosen.Addr, spec, meta)
 	}
-	margin := cp.SpeculationMargin
-	if margin <= 0 {
-		margin = defaultSpeculationMargin
-	}
-	if float64(second.Total()) > float64(dec.Chosen.Total())*(1+margin) {
+	if float64(second.Total()) > float64(dec.Chosen.Total())*(1+defaultSpeculationMargin) {
 		return n.executeAt(dec.Chosen.Addr, spec, meta)
-	}
-	delay := cp.SpeculationDelay
-	if delay <= 0 {
-		delay = defaultSpeculationDelay
 	}
 
 	n.ops.specLaunches.Add(1)
@@ -214,7 +204,7 @@ func (n *Node) executeDecided(dec Decision, spec services.Spec, meta ObjectMeta)
 	n.spawn(func() {
 		// The stagger is this goroutine's first event, so the hedges
 		// serialise through the clock before touching shared state.
-		n.clock.Sleep(delay)
+		n.clock.Sleep(defaultSpeculationDelay)
 		if cancelSecondary.Load() {
 			n.ops.specCancels.Add(1)
 			record(specOutcome{secondary: true, err: errSpeculationCancelled})

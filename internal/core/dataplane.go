@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"cloud4home/internal/netsim"
-	"cloud4home/internal/objstore"
 	"cloud4home/internal/vclock"
 	"cloud4home/internal/xenchan"
 )
@@ -103,78 +102,6 @@ func (n *Node) cacheFill(meta ObjectMeta, data []byte) {
 	}
 }
 
-// replicateData pushes up to DataReplicas best-effort payload copies into
-// peers' voluntary bins, transferring to all targets concurrently, and
-// returns the addresses that accepted one. Peers with the most voluntary
-// space are preferred (ties broken by address, so placement is
-// deterministic); failures simply shrink the replica list — the primary
-// copy is already safe.
-func (n *Node) replicateData(obj objstore.Object, data []byte, primaryAddr string) []string {
-	return n.placeCopies(obj, data, n.cfg.DataPlane.DataReplicas,
-		map[string]bool{primaryAddr: true})
-}
-
-// placeCopies places up to want voluntary-bin payload copies on peers not
-// in exclude, pushed concurrently from this node (which holds the data in
-// dom0). Store-time replication and post-crash repair share it so both
-// pick targets identically.
-func (n *Node) placeCopies(obj objstore.Object, data []byte, want int, exclude map[string]bool) []string {
-	if want <= 0 {
-		return nil
-	}
-	type candidate struct {
-		node *Node
-		free int64
-	}
-	var cands []candidate
-	for _, peer := range n.home.Nodes() {
-		if exclude[peer.addr] {
-			continue
-		}
-		u, err := peer.store.Usage(objstore.Voluntary)
-		if err != nil || u.Free() < obj.Size {
-			continue
-		}
-		cands = append(cands, candidate{peer, u.Free()})
-	}
-	// Nodes() is address-sorted; a stable re-sort by free space keeps the
-	// address order among equals.
-	for i := 1; i < len(cands); i++ {
-		for j := i; j > 0 && cands[j].free > cands[j-1].free; j-- {
-			cands[j], cands[j-1] = cands[j-1], cands[j]
-		}
-	}
-	if len(cands) > want {
-		cands = cands[:want]
-	}
-	if len(cands) == 0 {
-		return nil
-	}
-
-	// The payload is already in this dom0, so a copy kept locally (when
-	// the primary went to a peer) crosses no wire.
-	var reqs []netsim.TransferReq
-	for _, c := range cands {
-		if c.node != n {
-			reqs = append(reqs, netsim.TransferReq{Path: n.lanPathTo(c.node), Size: obj.Size})
-		}
-	}
-	if len(reqs) > 0 {
-		if _, _, err := n.home.net.TransferSet(reqs); err != nil {
-			return nil
-		}
-	}
-	var placed []string
-	for _, c := range cands {
-		if err := c.node.store.Put(objstore.Voluntary, obj, data); err == nil {
-			placed = append(placed, c.node.addr)
-		}
-	}
-	// Acknowledgements ride the replica-set broadcast the metadata update
-	// triggers next; no separate ack messages are charged.
-	return placed
-}
-
 // fetchStriped pulls the object from every live payload holder in
 // parallel, one contiguous range per holder, and reassembles the payload
 // in dom0. A holder crashing mid-stripe aborts only its range: the
@@ -183,17 +110,10 @@ func (n *Node) placeCopies(obj objstore.Object, data []byte, want int, exclude m
 // the sequential single-holder path.
 func (n *Node) fetchStriped(meta ObjectMeta, sink *domainSink) (data []byte, source string, interNode time.Duration, ok bool) {
 	var holders []*Node
-	seen := map[string]bool{}
-	for _, addr := range append([]string{meta.Location}, meta.Replicas...) {
-		if seen[addr] {
-			continue
+	for _, peer := range n.home.wholeCopies(meta) {
+		if peer != n {
+			holders = append(holders, peer)
 		}
-		seen[addr] = true
-		peer, live := n.home.Node(addr)
-		if !live || peer == n || !peer.store.Has(meta.Name) {
-			continue
-		}
-		holders = append(holders, peer)
 	}
 	if len(holders) < 2 || meta.Size <= 0 {
 		return nil, "", 0, false
@@ -212,15 +132,7 @@ func (n *Node) fetchStriped(meta ObjectMeta, sink *domainSink) (data []byte, sou
 
 	reqs := make([]netsim.TransferReq, k)
 	for i, h := range holders {
-		h := h
-		reqs[i] = netsim.TransferReq{
-			Path: h.lanPathTo(n),
-			Size: ranges[i],
-			Cancel: func() bool {
-				_, alive := n.home.Node(h.addr)
-				return !alive
-			},
-		}
+		reqs[i] = netsim.TransferReq{Path: h.lanPathTo(n), Size: ranges[i], Cancel: n.holderGone(h)}
 		if sink != nil {
 			reqs[i].Chunk = sink.chunk
 			if i == 0 {

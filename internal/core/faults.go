@@ -1,11 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"time"
-
-	"cloud4home/internal/netsim"
-)
+import "fmt"
 
 // FaultConfig enables the fault-tolerance layer on the VStore++ data
 // path. The zero value reproduces the paper's behaviour exactly: a fetch
@@ -14,95 +9,40 @@ import (
 // best-effort payload copies.
 type FaultConfig struct {
 	// Fallback turns holder loss from an error into a retry ladder: the
-	// fetch walks surviving payload replicas, then the dom0 cache, then
-	// the remote cloud, charging each failed attempt's modeled cost into
-	// FetchBreakdown.Retries. Applies to fetchToDom0 (plain and
+	// fetch gathers the object's surviving pieces (a whole copy, else k
+	// coded shards), then tries the remote cloud, charging each failed
+	// attempt's modeled cost into FetchBreakdown.Retries. Applies to fetchToDom0 (plain and
 	// pipelined), striped fetches (via their sequential fallback),
 	// federated fetches, and the process path's input move.
 	Fallback bool
-	// Repair re-replicates payloads after a crash: the lowest-addressed
-	// surviving holder of each affected object restores the configured
-	// DataReplicas count from its copy and rewrites the object's
+	// Repair restores redundancy after a crash: one elected holder of each
+	// affected object (see Node.repair) takes over as primary if needed,
+	// re-places the missing replicas or shards and rewrites the object's
 	// metadata, mirroring the kv layer's metadata repair. Surfaced
-	// through the ObjectsRepaired / ReplicasRestored counters.
+	// through the ObjectsRepaired / ReplicasRestored / ShardsRestored
+	// counters.
 	Repair bool
 }
 
-// fetchViaFallback is the retry ladder a fetch takes when its holder is
-// gone or died mid-transfer: surviving payload replicas → erasure-coded
-// shard reconstruction → dom0 cache → remote cloud (probed with a
-// charged Stat HEAD, never the free Has oracle). Failed attempts charge
-// their modeled cost into
-// bd.Retries; the successful rung's wire time lands in bd.InterNode as
-// usual. A non-nil sink receives the payload through the guest channel so
-// pipelined accounting stays consistent across retries. cacheChecked
-// skips the cache rung when the caller already consulted it (avoiding a
-// double-counted miss).
-func (n *Node) fetchViaFallback(meta ObjectMeta, sink *domainSink, bd *FetchBreakdown, cacheChecked bool) ([]byte, string, error) {
+// fetchViaFallback is the retry ladder fetchRemote takes when the holder
+// is gone or died mid-transfer: the object's live pieces (gather), then
+// the remote cloud (probed with a charged Stat HEAD, never the free Has
+// oracle); the dom0 cache was consulted before the wire was tried. Failed
+// attempts charge their modeled cost into bd.Retries; the successful
+// rung's wire time lands in bd.InterNode as usual, and its payload fills
+// the cache like a direct fetch does. A non-nil sink receives the payload
+// through the guest channel so pipelined accounting stays consistent
+// across retries.
+func (n *Node) fetchViaFallback(meta ObjectMeta, sink *domainSink, bd FetchBreakdown) (ObjectMeta, []byte, string, FetchBreakdown, error) {
 	n.ops.fetchRetries.Add(1)
 
-	// Rung 1: surviving payload replicas, primary location first.
-	tried := map[string]bool{n.addr: true}
-	for _, addr := range append([]string{meta.Location}, meta.Replicas...) {
-		if tried[addr] {
-			continue
-		}
-		tried[addr] = true
-		peer, ok := n.home.Node(addr)
-		if !ok || !peer.store.Has(meta.Name) {
-			continue
-		}
-		attempt := n.clock.Now()
-		n.home.net.Message(n.lanPathTo(peer))
-		_, data, err := peer.store.Get(meta.Name)
-		if err != nil {
-			bd.Retries += n.clock.Now().Sub(attempt)
-			continue
-		}
-		var wire time.Duration
-		if sink != nil && meta.Size > 0 {
-			st, wall, terr := n.home.net.TransferSet([]netsim.TransferReq{{
-				Path:    peer.lanPathTo(n),
-				Size:    meta.Size,
-				Chunk:   sink.chunk,
-				OnChunk: sink.onChunk,
-				Cancel: func() bool {
-					_, alive := n.home.Node(peer.addr)
-					return !alive
-				},
-			}})
-			if terr != nil || len(st) == 0 || st[0].Aborted {
-				// This replica died mid-retry too; its cost is retry cost.
-				bd.Retries += n.clock.Now().Sub(attempt)
-				continue
-			}
-			wire = wall
-		} else {
-			wire = n.home.net.Transfer(peer.lanPathTo(n), meta.Size)
-		}
-		bd.InterNode += wire
-		return data, peer.addr, nil
+	// Rung 1: the object's live copies — a whole copy, else k shards.
+	if data, src, ok := n.gather(meta, sink, &bd); ok {
+		n.cacheFill(meta, data)
+		return meta, data, src, bd, nil
 	}
 
-	// Rung 2: reconstruct from erasure-coded shards, when the object was
-	// stored under a k-of-n FederationConfig.
-	if meta.ErasureK > 0 {
-		if data, src, ok := n.fetchShards(meta, sink, bd); ok {
-			return data, src, nil
-		}
-	}
-
-	// Rung 3: the dom0 cache answers at local latency.
-	if !cacheChecked {
-		if data, hit := n.cacheGet(meta); hit {
-			if sink != nil && meta.Size > 0 {
-				sink.onChunk(meta.Size)
-			}
-			return data, "cache:" + n.addr, nil
-		}
-	}
-
-	// Rung 4: the remote cloud. Whether it holds a copy is not knowable
+	// Rung 2: the remote cloud. Whether it holds a copy is not knowable
 	// for free — a real S3 endpoint answers nothing without a round trip —
 	// so the probe is a charged Stat HEAD request whose cost lands in
 	// bd.Retries either way (it is ladder overhead, not useful transfer).
@@ -118,135 +58,12 @@ func (n *Node) fetchViaFallback(meta ObjectMeta, sink *domainSink, bd *FetchBrea
 					sink.onChunk(meta.Size)
 				}
 				bd.InterNode += d
-				return data, cloud.URL(meta.Name), nil
+				n.cacheFill(meta, data)
+				return meta, data, cloud.URL(meta.Name), bd, nil
 			}
 			bd.Retries += n.clock.Now().Sub(attempt)
 		}
 	}
 
-	return nil, "", fmt.Errorf("%w: %q (no surviving copy)", ErrObjectNotFound, meta.Name)
-}
-
-// survivingHolder returns a live node still holding a payload copy,
-// preferring the primary location, then replicas in list order. The
-// process path's input move uses it to substitute a holder for a crashed
-// one.
-func (n *Node) survivingHolder(meta ObjectMeta) (*Node, bool) {
-	for _, addr := range append([]string{meta.Location}, meta.Replicas...) {
-		if peer, ok := n.home.Node(addr); ok && peer.store.Has(meta.Name) {
-			return peer, true
-		}
-	}
-	return nil, false
-}
-
-// payloadRepairAfterCrash runs payload re-replication at every surviving
-// repair-enabled node after dead crashed. It is invoked from the crash
-// path once the kv layer's metadata repair has completed, so repairers
-// read post-repair metadata. Nodes() is address-sorted, which keeps the
-// repair order — and therefore placement — deterministic.
-func (h *Home) payloadRepairAfterCrash(dead string) {
-	for _, n := range h.Nodes() {
-		if n.cfg.Faults.Repair {
-			n.repairPayloads(dead)
-		}
-	}
-}
-
-// repairPayloads scans this node's local objects for ones that lost a
-// copy when dead crashed. For each affected object the lowest-addressed
-// surviving holder acts (the others skip, so exactly one node repairs):
-// it promotes itself to primary if the primary died, restores the
-// configured DataReplicas count from its local copy, and rewrites the
-// object's metadata.
-func (n *Node) repairPayloads(dead string) {
-	repairedParents := map[string]bool{}
-	for _, name := range n.store.List() {
-		// Coded shards route to the erasure repair path via their parent;
-		// shard names never occur under a zero FederationConfig.
-		if parent, _, isShard := parseShardName(name); isShard {
-			if !repairedParents[parent] {
-				repairedParents[parent] = true
-				n.repairShards(parent, dead)
-			}
-			continue
-		}
-		meta, _, err := n.getMeta(name)
-		if err != nil || meta.InCloud() {
-			continue
-		}
-		if meta.ErasureK > 0 {
-			// This node is the erasure primary; restore missing shards.
-			n.repairShards(name, dead)
-			continue
-		}
-		holders := append([]string{meta.Location}, meta.Replicas...)
-		affected := false
-		for _, h := range holders {
-			if h == dead {
-				affected = true
-				break
-			}
-		}
-		if !affected {
-			continue
-		}
-		// Live holders that still have a copy, in metadata order, deduped.
-		seen := map[string]bool{}
-		var survivors []*Node
-		for _, h := range holders {
-			if h == dead || seen[h] {
-				continue
-			}
-			seen[h] = true
-			if peer, ok := n.home.Node(h); ok && peer.store.Has(name) {
-				survivors = append(survivors, peer)
-			}
-		}
-		if len(survivors) == 0 {
-			continue // no surviving copy; nothing to repair from
-		}
-		actor := survivors[0]
-		for _, s := range survivors[1:] {
-			if s.addr < actor.addr {
-				actor = s
-			}
-		}
-		if actor != n {
-			continue
-		}
-
-		obj, bin, err := n.store.Stat(name)
-		if err != nil {
-			continue
-		}
-		_, data, err := n.store.Get(name)
-		if err != nil {
-			continue
-		}
-		// Keep the primary if it survived; otherwise this node takes over.
-		primary := meta.Location
-		if _, alive := n.home.Node(primary); primary == dead || !alive {
-			primary = n.addr
-			meta.Bin = bin.String()
-		}
-		exclude := map[string]bool{primary: true}
-		var extras []string
-		for _, s := range survivors {
-			if s.addr != primary {
-				extras = append(extras, s.addr)
-				exclude[s.addr] = true
-			}
-		}
-		if missing := n.cfg.DataPlane.DataReplicas - len(extras); missing > 0 {
-			placed := n.placeCopies(obj, data, missing, exclude)
-			extras = append(extras, placed...)
-			n.ops.replicasRestored.Add(int64(len(placed)))
-		}
-		meta.Location = primary
-		meta.Replicas = extras
-		if err := n.putMeta(meta); err == nil {
-			n.ops.objectsRepaired.Add(1)
-		}
-	}
+	return meta, nil, "", bd, fmt.Errorf("%w: %q (no surviving copy)", ErrObjectNotFound, meta.Name)
 }

@@ -1,15 +1,12 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
 	"cloud4home/internal/cloudsim"
 	"cloud4home/internal/erasure"
-	"cloud4home/internal/netsim"
 	"cloud4home/internal/objstore"
 	"cloud4home/internal/policy"
 )
@@ -109,18 +106,6 @@ func (n *Node) cloudProbe(b cloudsim.Backend, name string) bool {
 	return err == nil
 }
 
-// addRedundancy fills a freshly placed home-tier object's redundancy
-// fields: coded shards when erasure is configured, whole DataReplicas
-// copies otherwise (the pre-federation behaviour, bit-for-bit).
-func (n *Node) addRedundancy(meta *ObjectMeta, obj objstore.Object, data []byte, primaryAddr string) {
-	if n.cfg.Federation.erasureOn() {
-		meta.ErasureK, meta.ErasureN = n.cfg.Federation.ErasureK, n.cfg.Federation.ErasureN
-		meta.Shards = n.placeShards(obj, data, primaryAddr)
-		return
-	}
-	meta.Replicas = n.replicateData(obj, data, primaryAddr)
-}
-
 // shardSuffix marks coded-shard object names: "<parent>#shard.<index>".
 const shardSuffix = "#shard."
 
@@ -135,9 +120,10 @@ func parseShardName(name string) (parent string, idx int, ok bool) {
 	if i < 0 {
 		return "", 0, false
 	}
-	idx, err := strconv.Atoi(name[i+len(shardSuffix):])
-	if err != nil || idx < 0 {
-		return "", 0, false
+	digits := name[i+len(shardSuffix):]
+	idx, err := strconv.Atoi(digits)
+	if err != nil || idx < 0 || strconv.Itoa(idx) != digits {
+		return "", 0, false // only shardName's own canonical form parses
 	}
 	return name[:i], idx, true
 }
@@ -150,440 +136,4 @@ func shardObject(parent objstore.Object, idx int, shardSize int64) objstore.Obje
 		Size:  shardSize,
 		Owner: parent.Owner,
 	}
-}
-
-// placeShards encodes the object into n coded shards and spreads them
-// over peers' voluntary bins (one shard per node, primary excluded),
-// returning the placements. Like replicateData it is best effort: fewer
-// eligible peers simply place fewer shards. Sparse objects (nil data)
-// place sparse shards — the cost model still moves shard-sized payloads.
-func (n *Node) placeShards(obj objstore.Object, data []byte, primaryAddr string) []ShardRef {
-	k, total := n.cfg.Federation.ErasureK, n.cfg.Federation.ErasureN
-	shardSize := erasure.ShardSize(obj.Size, k)
-	var enc [][]byte
-	if data != nil {
-		var err error
-		if enc, err = erasure.Encode(data, k, total); err != nil {
-			return nil
-		}
-	}
-	indices := make([]int, total)
-	for i := range indices {
-		indices[i] = i
-	}
-	return n.placeShardSet(obj, enc, shardSize, indices, map[string]bool{primaryAddr: true})
-}
-
-// placeShardSet places the given shard indices on distinct peers not in
-// exclude, most voluntary free space first (ties broken by address via
-// the stable re-sort over the address-sorted Nodes() snapshot, so
-// store-time placement and post-crash repair pick targets identically).
-// All wire transfers run concurrently from this node's dom0; a shard
-// kept locally crosses no wire. enc is nil for sparse parents.
-func (n *Node) placeShardSet(parent objstore.Object, enc [][]byte, shardSize int64, indices []int, exclude map[string]bool) []ShardRef {
-	if len(indices) == 0 {
-		return nil
-	}
-	type candidate struct {
-		node *Node
-		free int64
-	}
-	var cands []candidate
-	for _, peer := range n.home.Nodes() {
-		if exclude[peer.addr] {
-			continue
-		}
-		u, err := peer.store.Usage(objstore.Voluntary)
-		if err != nil || u.Free() < shardSize {
-			continue
-		}
-		cands = append(cands, candidate{peer, u.Free()})
-	}
-	for i := 1; i < len(cands); i++ {
-		for j := i; j > 0 && cands[j].free > cands[j-1].free; j-- {
-			cands[j], cands[j-1] = cands[j-1], cands[j]
-		}
-	}
-	if len(cands) > len(indices) {
-		cands = cands[:len(indices)]
-	}
-	if len(cands) == 0 {
-		return nil
-	}
-
-	var reqs []netsim.TransferReq
-	for _, c := range cands {
-		if c.node != n {
-			reqs = append(reqs, netsim.TransferReq{Path: n.lanPathTo(c.node), Size: shardSize})
-		}
-	}
-	if len(reqs) > 0 {
-		if _, _, err := n.home.net.TransferSet(reqs); err != nil {
-			return nil
-		}
-	}
-	var placed []ShardRef
-	for i, c := range cands {
-		idx := indices[i]
-		var payload []byte
-		if enc != nil {
-			payload = enc[idx]
-		}
-		if err := c.node.store.Put(objstore.Voluntary, shardObject(parent, idx, shardSize), payload); err == nil {
-			placed = append(placed, ShardRef{Index: idx, Addr: c.node.addr})
-			n.ops.shardsPlaced.Add(1)
-		}
-	}
-	// Acknowledgements ride the metadata update's broadcast, exactly like
-	// whole-copy replication.
-	return placed
-}
-
-// liveShardRefs returns the shard placements whose holder is alive and
-// still has its shard, in metadata order.
-func (n *Node) liveShardRefs(meta ObjectMeta) []ShardRef {
-	var live []ShardRef
-	for _, s := range meta.Shards {
-		if peer, ok := n.home.Node(s.Addr); ok && peer.store.Has(shardName(meta.Name, s.Index)) {
-			live = append(live, s)
-		}
-	}
-	return live
-}
-
-// fetchShards is the fallback ladder's erasure rung: pull any k live
-// coded shards concurrently and reconstruct the payload in dom0. Holders
-// dying mid-transfer charge the aborted attempt into bd.Retries and the
-// rung retries with the survivors; ok is false when fewer than k shards
-// remain reachable. A non-nil sink sees the payload materialise after
-// reconstruction (shards are not an in-order byte prefix, so nothing can
-// stream to the guest before the last shard lands).
-func (n *Node) fetchShards(meta ObjectMeta, sink *domainSink, bd *FetchBreakdown) ([]byte, string, bool) {
-	k := meta.ErasureK
-	if k <= 0 || meta.ErasureN <= k {
-		return nil, "", false
-	}
-	shardSize := erasure.ShardSize(meta.Size, k)
-	excluded := map[int]bool{}
-	for {
-		var holders []*Node
-		var refs []ShardRef
-		for _, s := range n.liveShardRefs(meta) {
-			if excluded[s.Index] {
-				continue
-			}
-			peer, _ := n.home.Node(s.Addr)
-			holders = append(holders, peer)
-			refs = append(refs, s)
-			if len(refs) == k {
-				break
-			}
-		}
-		if len(refs) < k {
-			return nil, "", false
-		}
-
-		attempt := n.clock.Now()
-		remote := 0
-		var reqs []netsim.TransferReq
-		for _, h := range holders {
-			if h == n {
-				continue
-			}
-			h := h
-			remote++
-			reqs = append(reqs, netsim.TransferReq{
-				Path: h.lanPathTo(n),
-				Size: shardSize,
-				Cancel: func() bool {
-					_, alive := n.home.Node(h.addr)
-					return !alive
-				},
-			})
-		}
-		if remote > 0 {
-			// One parallel request message per remote holder (overlapping
-			// deliveries), then the shard transfers run concurrently.
-			n.home.net.MessageAll(n.lanPathTo(firstRemote(holders, n)), remote)
-			statuses, wall, err := n.home.net.TransferSet(reqs)
-			if err != nil {
-				return nil, "", false
-			}
-			aborted := false
-			ri := 0
-			for i, h := range holders {
-				if h == n {
-					continue
-				}
-				if statuses[ri].Aborted {
-					aborted = true
-					// This holder died mid-shard: never ask it again.
-					excluded[refs[i].Index] = true
-				}
-				ri++
-			}
-			if aborted {
-				bd.Retries += n.clock.Now().Sub(attempt)
-				continue
-			}
-			bd.InterNode += wall
-		}
-
-		idxs := make([]int, 0, k)
-		shards := make([][]byte, 0, k)
-		sparse := false
-		for i, h := range holders {
-			_, payload, err := h.store.GetRef(shardName(meta.Name, refs[i].Index))
-			if err != nil {
-				bd.Retries += n.clock.Now().Sub(attempt)
-				excluded[refs[i].Index] = true
-				sparse = false
-				idxs = nil
-				break
-			}
-			if payload == nil {
-				sparse = true
-			}
-			idxs = append(idxs, refs[i].Index)
-			shards = append(shards, payload)
-		}
-		if idxs == nil {
-			continue
-		}
-		var data []byte
-		if !sparse {
-			var err error
-			data, err = erasure.Reconstruct(idxs, shards, k, meta.ErasureN, meta.Size)
-			if err != nil {
-				return nil, "", false
-			}
-		}
-		if sink != nil && meta.Size > 0 {
-			sink.onChunk(meta.Size)
-		}
-		n.ops.shardReconstructs.Add(1)
-		return data, fmt.Sprintf("erasure:%d-of-%d", k, meta.ErasureN), true
-	}
-}
-
-// firstRemote returns the first holder that is not self (callers ensure
-// one exists when remote > 0).
-func firstRemote(holders []*Node, self *Node) *Node {
-	for _, h := range holders {
-		if h != self {
-			return h
-		}
-	}
-	return self
-}
-
-// repairShards restores an erasure-coded object's redundancy after dead
-// crashed. Exactly one node acts per object: the primary when it
-// survived with its copy, else the lowest-addressed live shard holder —
-// which first reconstructs the payload from k shards (charged
-// transfers), promotes itself to primary in its voluntary bin, and drops
-// its own shard. Either way the actor re-encodes and re-places the
-// missing shard indices, then rewrites the metadata.
-func (n *Node) repairShards(parentName, dead string) {
-	meta, _, err := n.getMeta(parentName)
-	if err != nil || meta.InCloud() || !(meta.ErasureK > 0 && meta.ErasureN > meta.ErasureK) {
-		return
-	}
-	k := meta.ErasureK
-	affected := meta.Location == dead
-	for _, s := range meta.Shards {
-		if s.Addr == dead {
-			affected = true
-		}
-	}
-	if !affected {
-		return
-	}
-
-	primary, primaryAlive := n.home.Node(meta.Location)
-	primaryHas := primaryAlive && primary.store.Has(meta.Name)
-	live := n.liveShardRefs(meta)
-
-	actor := primary
-	if !primaryHas {
-		actor = nil
-		for _, s := range live {
-			peer, _ := n.home.Node(s.Addr)
-			if actor == nil || peer.addr < actor.addr {
-				actor = peer
-			}
-		}
-	}
-	if actor != n {
-		return
-	}
-
-	var data []byte
-	var obj objstore.Object
-	restored := 0
-	if primaryHas {
-		var err error
-		if obj, _, err = n.store.Stat(meta.Name); err != nil {
-			return
-		}
-		if _, data, err = n.store.Get(meta.Name); err != nil {
-			return
-		}
-	} else {
-		// The primary is gone: reconstruct from the first k live shards,
-		// pulling the remote ones concurrently, then take over as primary.
-		if len(live) < k {
-			return // unrecoverable; the payload is lost
-		}
-		take := live[:k]
-		shardSize := erasure.ShardSize(meta.Size, k)
-		var reqs []netsim.TransferReq
-		holders := make([]*Node, len(take))
-		remote := 0
-		for i, s := range take {
-			holders[i], _ = n.home.Node(s.Addr)
-			if holders[i] != n {
-				remote++
-				reqs = append(reqs, netsim.TransferReq{Path: holders[i].lanPathTo(n), Size: shardSize})
-			}
-		}
-		if remote > 0 {
-			n.home.net.MessageAll(n.lanPathTo(firstRemote(holders, n)), remote)
-			if _, _, err := n.home.net.TransferSet(reqs); err != nil {
-				return
-			}
-		}
-		idxs := make([]int, 0, k)
-		shards := make([][]byte, 0, k)
-		sparse := false
-		for i, s := range take {
-			_, payload, err := holders[i].store.GetRef(shardName(meta.Name, s.Index))
-			if err != nil {
-				return
-			}
-			if payload == nil {
-				sparse = true
-			}
-			idxs = append(idxs, s.Index)
-			shards = append(shards, payload)
-		}
-		if !sparse {
-			var err error
-			if data, err = erasure.Reconstruct(idxs, shards, k, meta.ErasureN, meta.Size); err != nil {
-				return
-			}
-		}
-		obj = objstore.Object{Name: meta.Name, Type: meta.Type, Size: meta.Size, Tags: meta.Tags, Owner: meta.Owner}
-		if err := n.store.Put(objstore.Voluntary, obj, data); err != nil {
-			return // no room to host the rebuilt primary; shards stay as-is
-		}
-		n.ops.shardReconstructs.Add(1)
-		// The primary never doubles as a shard holder: drop our shard and
-		// let its index be re-placed below.
-		var ownIdx = -1
-		for _, s := range meta.Shards {
-			if s.Addr == n.addr {
-				ownIdx = s.Index
-			}
-		}
-		if ownIdx >= 0 {
-			if err := n.store.Delete(shardName(meta.Name, ownIdx)); err != nil && !errors.Is(err, objstore.ErrNotFound) {
-				return
-			}
-		}
-		meta.Location = n.addr
-		meta.Bin = objstore.Voluntary.String()
-		kept := live[:0]
-		for _, s := range live {
-			if s.Addr != n.addr {
-				kept = append(kept, s)
-			}
-		}
-		live = kept
-	}
-
-	held := map[string]bool{meta.Location: true}
-	haveIdx := map[int]bool{}
-	for _, s := range live {
-		held[s.Addr] = true
-		haveIdx[s.Index] = true
-	}
-	var missing []int
-	for i := 0; i < meta.ErasureN; i++ {
-		if !haveIdx[i] {
-			missing = append(missing, i)
-		}
-	}
-	if len(missing) > 0 {
-		var enc [][]byte
-		if data != nil {
-			var err error
-			if enc, err = erasure.Encode(data, k, meta.ErasureN); err != nil {
-				return
-			}
-		}
-		placed := n.placeShardSet(obj, enc, erasure.ShardSize(meta.Size, k), missing, held)
-		restored = len(placed)
-		live = append(live, placed...)
-	}
-	sort.Slice(live, func(i, j int) bool { return live[i].Index < live[j].Index })
-	meta.Shards = live
-	if err := n.putMeta(meta); err == nil {
-		n.ops.objectsRepaired.Add(1)
-		n.ops.shardsRestored.Add(int64(restored))
-	}
-}
-
-// evacuateShard hands one locally held coded shard to another peer on
-// graceful departure, updating the parent's metadata reference. Reports
-// whether the shard found a new home.
-func (n *Node) evacuateShard(name string) bool {
-	parent, idx, ok := parseShardName(name)
-	if !ok {
-		return false
-	}
-	meta, _, err := n.getMeta(parent)
-	if err != nil || meta.ErasureK <= 0 {
-		return false
-	}
-	obj, _, err := n.store.Stat(name)
-	if err != nil {
-		return false
-	}
-	_, data, err := n.store.Get(name)
-	if err != nil {
-		return false
-	}
-	// One shard per node: exclude the primary and every current holder.
-	exclude := map[string]bool{meta.Location: true, n.addr: true}
-	for _, s := range meta.Shards {
-		exclude[s.Addr] = true
-	}
-	var best *Node
-	var bestFree int64 = -1
-	for _, peer := range n.home.Nodes() {
-		if exclude[peer.addr] {
-			continue
-		}
-		if u, err := peer.store.Usage(objstore.Voluntary); err == nil &&
-			u.Free() >= obj.Size && u.Free() > bestFree {
-			best, bestFree = peer, u.Free()
-		}
-	}
-	if best == nil {
-		return false
-	}
-	n.home.net.Transfer(n.lanPathTo(best), obj.Size)
-	if err := best.store.Put(objstore.Voluntary, obj, data); err != nil {
-		return false
-	}
-	for i, s := range meta.Shards {
-		if s.Index == idx && s.Addr == n.addr {
-			meta.Shards[i].Addr = best.addr
-		}
-	}
-	if err := n.putMeta(meta); err != nil {
-		return false
-	}
-	return true
 }

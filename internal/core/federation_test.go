@@ -6,13 +6,11 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"cloud4home/internal/cloudsim"
 	"cloud4home/internal/kv"
-	"cloud4home/internal/netsim"
 	"cloud4home/internal/policy"
 	"cloud4home/internal/vclock"
 )
@@ -133,70 +131,6 @@ func TestErasureStorePlacesShardsNotReplicas(t *testing.T) {
 			t.Fatalf("primary ShardsPlaced = %d, want 3", got)
 		}
 	})
-}
-
-// TestErasureFetchSurvivesAnyHolderCrash is the round-trip property: for
-// every shard holder, crashing the primary plus that holder (n−k = 1
-// losses beyond the primary) still reconstructs the payload
-// byte-identically from the surviving k shards.
-func TestErasureFetchSurvivesAnyHolderCrash(t *testing.T) {
-	payload := make([]byte, 1<<20)
-	rand.New(rand.NewSource(19)).Read(payload)
-	for victim := 0; victim < 3; victim++ {
-		victim := victim
-		t.Run(fmt.Sprintf("holder-%d", victim), func(t *testing.T) {
-			tb := newFederationTestbed(t, FaultConfig{Fallback: true},
-				FederationConfig{ErasureK: 2, ErasureN: 3}, nil)
-			tb.run(func() {
-				meta := storeErasure(t, tb, "coded.bin", payload)
-				dead := map[string]bool{
-					tb.atom.addr:             true,
-					meta.Shards[victim].Addr: true,
-				}
-				schedule := netsim.FaultSchedule{Events: []netsim.FaultEvent{
-					{At: 10 * time.Millisecond, Node: tb.atom.addr, Kind: netsim.FaultCrash},
-					{At: 20 * time.Millisecond, Node: meta.Shards[victim].Addr, Kind: netsim.FaultCrash},
-				}}
-				var wg sync.WaitGroup
-				wg.Add(1)
-				tb.v.Go(func() {
-					defer wg.Done()
-					if err := netsim.RunFaults(tb.v, schedule, func(e netsim.FaultEvent) error {
-						return tb.home.RemoveNode(e.Node, false)
-					}); err != nil {
-						t.Error(err)
-					}
-				})
-				tb.v.Block(wg.Wait)
-
-				var reader *Node
-				for _, n := range tb.peers {
-					if !dead[n.addr] {
-						reader = n
-						break
-					}
-				}
-				sess, err := reader.OpenSession()
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer sess.Close()
-				res, err := sess.FetchObject("coded.bin")
-				if err != nil {
-					t.Fatalf("fetch with primary and holder %d dead: %v", victim, err)
-				}
-				if res.Source != "erasure:2-of-3" {
-					t.Fatalf("source = %q, want erasure:2-of-3", res.Source)
-				}
-				if !bytes.Equal(res.Data, payload) {
-					t.Fatal("reconstructed payload differs from the original")
-				}
-				if got := reader.OpStats().ShardReconstructs; got != 1 {
-					t.Fatalf("ShardReconstructs = %d, want 1", got)
-				}
-			})
-		})
-	}
 }
 
 func TestErasureRepairPromotesNewPrimaryAndRestoresShards(t *testing.T) {

@@ -171,7 +171,7 @@ func (n *Node) fetchRemote(meta ObjectMeta, sink *domainSink, bd FetchBreakdown)
 	peer, ok := n.home.Node(meta.Location)
 	if !ok {
 		if n.cfg.Faults.Fallback {
-			return n.finishFallback(meta, sink, bd)
+			return n.fetchViaFallback(meta, sink, bd)
 		}
 		return meta, nil, "", bd, fmt.Errorf("%w: %q (holder %q gone)", ErrObjectNotFound, name, meta.Location)
 	}
@@ -182,7 +182,7 @@ func (n *Node) fetchRemote(meta ObjectMeta, sink *domainSink, bd FetchBreakdown)
 	_, data, err := peer.store.Get(name)
 	if err != nil {
 		if n.cfg.Faults.Fallback {
-			return n.finishFallback(meta, sink, bd)
+			return n.fetchViaFallback(meta, sink, bd)
 		}
 		return meta, nil, "", bd, fmt.Errorf("core: fetch %q from %s: %w", name, peer.addr, err)
 	}
@@ -196,10 +196,7 @@ func (n *Node) fetchRemote(meta ObjectMeta, sink *domainSink, bd FetchBreakdown)
 		if n.cfg.Faults.Fallback {
 			// Let a holder crash abort the transfer instead of running the
 			// modeled wire to completion against a dead endpoint.
-			req.Cancel = func() bool {
-				_, alive := n.home.Node(peer.addr)
-				return !alive
-			}
+			req.Cancel = n.holderGone(peer)
 		}
 		st, wall, terr := n.home.net.TransferSet([]netsim.TransferReq{req})
 		aborted := terr == nil && len(st) > 0 && st[0].Aborted
@@ -208,7 +205,7 @@ func (n *Node) fetchRemote(meta ObjectMeta, sink *domainSink, bd FetchBreakdown)
 				// The aborted attempt's partial wire time is retry cost,
 				// not useful inter-node time.
 				bd.Retries += wall
-				return n.finishFallback(meta, sink, bd)
+				return n.fetchViaFallback(meta, sink, bd)
 			}
 			return meta, nil, "", bd, fmt.Errorf("core: fetch %q from %s: %v", name, peer.addr, terr)
 		}
@@ -271,18 +268,6 @@ func (n *Node) fetchCoalesced(v *vclock.Virtual, meta ObjectMeta, sink *domainSi
 	return m, data, src, bd, err
 }
 
-// finishFallback runs the retry ladder for fetchToDom0's remote case and
-// packages its result, filling the cache on success like the direct path
-// does. The cache rung is skipped: fetchToDom0 consulted it already.
-func (n *Node) finishFallback(meta ObjectMeta, sink *domainSink, bd FetchBreakdown) (ObjectMeta, []byte, string, FetchBreakdown, error) {
-	data, src, err := n.fetchViaFallback(meta, sink, &bd, true)
-	if err != nil {
-		return meta, nil, "", bd, err
-	}
-	n.cacheFill(meta, data)
-	return meta, data, src, bd, nil
-}
-
 // fetchFederated pulls an object from a neighbour home over the
 // inter-home link.
 func (n *Node) fetchFederated(peerHome *Home, meta ObjectMeta) ([]byte, string, time.Duration, error) {
@@ -300,11 +285,8 @@ func (n *Node) fetchFederated(peerHome *Home, meta ObjectMeta) ([]byte, string, 
 		// replica holder over there before giving up.
 		n.ops.fetchRetries.Add(1)
 		holder, ok = nil, false
-		for _, addr := range meta.Replicas {
-			if p, live := peerHome.Node(addr); live && p.store.Has(meta.Name) {
-				holder, ok = p, true
-				break
-			}
+		if whole := peerHome.wholeCopies(meta); len(whole) > 0 {
+			holder, ok = whole[0], true
 		}
 	}
 	if !ok {

@@ -379,82 +379,6 @@ func (n *Node) shutdown(graceful bool) error {
 	return nil
 }
 
-// evacuate moves every locally stored object to a peer's voluntary bin
-// (most free space first) or the remote cloud, updating metadata so
-// fetches keep working after this node leaves. Objects that fit nowhere
-// are left behind (best effort), exactly as a full home cloud would.
-func (n *Node) evacuate() {
-	for _, name := range n.store.List() {
-		if _, _, isShard := parseShardName(name); isShard {
-			// Coded shards move individually, updating the parent's shard
-			// reference; ones that fit nowhere are left behind and repair
-			// (or the k-of-n code itself) absorbs the loss.
-			if n.evacuateShard(name) {
-				if err := n.store.Delete(name); err != nil && !errors.Is(err, objstore.ErrNotFound) {
-					continue
-				}
-			}
-			continue
-		}
-		obj, _, err := n.store.Stat(name)
-		if err != nil {
-			continue
-		}
-		_, data, err := n.store.Get(name)
-		if err != nil {
-			continue
-		}
-		moved := false
-		// Prefer home peers, best voluntary fit first.
-		var best *Node
-		var bestFree int64 = -1
-		for _, peer := range n.home.Nodes() {
-			if peer == n {
-				continue
-			}
-			if u, err := peer.store.Usage(objstore.Voluntary); err == nil &&
-				u.Free() >= obj.Size && u.Free() > bestFree {
-				best, bestFree = peer, u.Free()
-			}
-		}
-		if best != nil {
-			n.home.net.Transfer(n.lanPathTo(best), obj.Size)
-			if err := best.store.Put(objstore.Voluntary, obj, data); err == nil {
-				meta := metaFromObject(obj, best.addr, objstore.Voluntary)
-				if n.cfg.Federation.erasureOn() {
-					// A relocated erasure primary keeps its shard set; the
-					// extra lookup is gated so zero-config evacuation timing
-					// is untouched.
-					if old, _, err := n.getMeta(name); err == nil && old.ErasureK > 0 {
-						meta.ErasureK, meta.ErasureN = old.ErasureK, old.ErasureN
-						meta.Shards = old.Shards
-					}
-				}
-				if err := n.putMeta(meta); err == nil {
-					moved = true
-				}
-			}
-		}
-		if !moved {
-			if cloud := n.home.Cloud(); cloud != nil {
-				if url, _, err := cloud.StoreObject(n.nic, obj, data); err == nil {
-					if err := n.putMeta(metaFromObject(obj, url, 0)); err == nil {
-						moved = true
-					}
-				}
-			}
-		}
-		if moved {
-			// Delete only fails when the object is already gone, which is
-			// the goal state here; anything else keeps the local copy for
-			// the next evacuation pass.
-			if err := n.store.Delete(name); err != nil && !errors.Is(err, objstore.ErrNotFound) {
-				continue
-			}
-		}
-	}
-}
-
 // lanPathTo builds the transfer path from this node to a peer, taking
 // the wireless segment's penalty when either endpoint sits on it. Paths
 // are memoised per peer: the inputs (NICs, fabric, wireless flags) are

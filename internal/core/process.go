@@ -421,9 +421,9 @@ func (n *Node) moveInput(meta ObjectMeta, target string) ([]byte, time.Duration,
 				n.ops.fetchRetries.Add(1)
 				return nil, 0, nil
 			}
-			if s, live := n.survivingHolder(meta); live {
+			if whole := n.home.wholeCopies(meta); len(whole) > 0 {
 				n.ops.fetchRetries.Add(1)
-				holder, ok = s, true
+				holder, ok = whole[0], true
 			}
 		}
 		if !ok {
@@ -440,9 +440,9 @@ func (n *Node) moveInput(meta ObjectMeta, target string) ([]byte, time.Duration,
 		holder, ok1 := n.home.Node(meta.Location)
 		tgt, ok2 := n.home.Node(target)
 		if n.cfg.Faults.Fallback && ok2 && (!ok1 || !holder.store.Has(meta.Name)) {
-			if s, live := n.survivingHolder(meta); live {
+			if whole := n.home.wholeCopies(meta); len(whole) > 0 {
 				n.ops.fetchRetries.Add(1)
-				holder, ok1 = s, true
+				holder, ok1 = whole[0], true
 			} else if cloud != nil && n.cloudProbe(cloud, meta.Name) {
 				// Last rung: pull the input down from the cloud straight to
 				// the target (after the probe's charged HEAD round trip).

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"cloud4home/internal/command"
@@ -77,6 +78,11 @@ func (s *Session) sendCommand(t command.Type, serviceID uint32, data string) err
 func (s *Session) CreateObject(name, typ string, tags []string) error {
 	if name == "" {
 		return fmt.Errorf("core: object needs a name")
+	}
+	if strings.Contains(name, shardSuffix) {
+		// Bin objects under this suffix are coded shards of the name before
+		// it; an application object there would be taken for one.
+		return fmt.Errorf("core: object name %q contains the reserved %q", name, shardSuffix)
 	}
 	if err := s.sendCommand(command.TypeCreateObject, 0, name); err != nil {
 		return err

@@ -206,6 +206,14 @@ func (n *Network) TransferSet(reqs []TransferReq) ([]TransferStatus, time.Durati
 	last := start
 	for i, st := range stripes {
 		out[i] = TransferStatus{Elapsed: st.finish.Sub(start), Moved: st.moved, Aborted: st.aborted}
+		// Traffic() sees each member as Transfer would: the bytes that
+		// crossed the wire, or a bare message for a zero-byte member.
+		if st.req.Size <= 0 {
+			n.msgCount.Add(1)
+		} else {
+			n.xferCount.Add(1)
+			n.xferBytes.Add(st.moved)
+		}
 		if st.finish.After(last) {
 			last = st.finish
 		}

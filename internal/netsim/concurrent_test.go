@@ -29,7 +29,10 @@ func runSet(t *testing.T, seed int64, build func() []TransferReq) ([]TransferSta
 func TestTransferSetMatchesTransferSingle(t *testing.T) {
 	// A one-member set and a plain Transfer draw jitter in the same order
 	// from the same stream, so with a fresh network they are identical —
-	// on the plain LAN path and on the WAN path with slow start + shaping.
+	// on the plain LAN path and on the WAN path with slow start + shaping —
+	// in elapsed time and in what Traffic() counts (a zero-byte member is
+	// a message on both sides).
+	type traffic struct{ messages, transfers, bytes int64 }
 	cases := []struct {
 		name string
 		path func() *Path
@@ -39,22 +42,37 @@ func TestTransferSetMatchesTransferSingle(t *testing.T) {
 		{"wan", func() *Path {
 			return WANDownPath(NewResource("wan", WANDownBps), NewResource("dst", NodeNICBps))
 		}, 60 * MB},
+		{"zero-byte", func() *Path { p, _, _, _ := lanPath(); return p }, 0},
 	}
 	for _, tc := range cases {
-		var single time.Duration
+		var single, total time.Duration
+		var st []TransferStatus
+		var err error
+		var plain, set traffic
+
 		v := vclock.NewVirtual(epoch)
 		net := New(v, 3)
 		p := tc.path()
 		v.Run(func() { single = net.Transfer(p, tc.size) })
+		plain.messages, plain.transfers, plain.bytes = net.Traffic()
 
-		st, total := runSet(t, 3, func() []TransferReq {
-			return []TransferReq{{Path: tc.path(), Size: tc.size}}
-		})
+		v = vclock.NewVirtual(epoch)
+		net = New(v, 3)
+		reqs := []TransferReq{{Path: tc.path(), Size: tc.size}}
+		v.Run(func() { st, total, err = net.TransferSet(reqs) })
+		if err != nil {
+			t.Fatalf("%s: TransferSet: %v", tc.name, err)
+		}
+		set.messages, set.transfers, set.bytes = net.Traffic()
+
 		if st[0].Elapsed != single || total != single {
 			t.Errorf("%s: set elapsed %v / total %v, Transfer %v", tc.name, st[0].Elapsed, total, single)
 		}
 		if st[0].Moved != tc.size || st[0].Aborted {
 			t.Errorf("%s: status %+v", tc.name, st[0])
+		}
+		if set != plain {
+			t.Errorf("%s: Traffic() after TransferSet = %+v, after Transfer = %+v", tc.name, set, plain)
 		}
 	}
 }
