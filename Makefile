@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-syntactic lint-typed lint-dataflow lint-concurrency test race check bench perf perf-compare profile repro examples loc clean
+.PHONY: all build vet lint lint-syntactic lint-typed lint-dataflow lint-concurrency test race check bench perf perf-compare perf-pairs profile profile-process repro examples loc clean
 
 all: build vet lint test race
 
@@ -79,6 +79,31 @@ perf:
 perf-compare:
 	$(GO) run ./cmd/c4h-perf -compare $(A) $(B)
 
+# Alternating parent/change pairs for a BENCH_pr<N>.json:
+# `make perf-pairs PARENT=<rev> [W=<workload>] [SEEDS="1 2 3"]`. PARENT is
+# built from a `git archive` of that revision, this tree as it stands;
+# each side runs once per seed from its own checkout (daemon-loopback
+# builds the c4hd it spawns there), the parent first on odd seeds and the
+# change first on even ones, into parent.jsonl and change.jsonl.
+PAIRS_DIR ?= .bench_build/pairs
+W ?= home-trace city-meta home-process daemon-loopback
+perf-pairs:
+	@test -n "$(PARENT)" || { echo "usage: make perf-pairs PARENT=<rev> [W=<workload>]" >&2; exit 2; }
+	@rm -rf $(PAIRS_DIR) && mkdir -p $(PAIRS_DIR)/parent
+	@git archive $(PARENT) | tar -x -C $(PAIRS_DIR)/parent
+	@cd $(PAIRS_DIR)/parent && $(GO) build -o c4h-perf ./cmd/c4h-perf
+	@$(GO) build -o $(PAIRS_DIR)/c4h-perf ./cmd/c4h-perf
+	@rm -f parent.jsonl change.jsonl
+	@out=$$PWD; for w in $(W); do \
+		for s in $(SEEDS); do \
+			echo "c4h-perf $$w seed $$s" >&2; \
+			parent() { (cd $(PAIRS_DIR)/parent && ./c4h-perf -workload $$w -seed $$s) >> $$out/parent.jsonl; }; \
+			change() { $(PAIRS_DIR)/c4h-perf -workload $$w -seed $$s >> $$out/change.jsonl; }; \
+			if [ $$((s % 2)) -eq 1 ]; then parent && change; else change && parent; fi || exit 1; \
+		done; \
+	done
+	@echo "wrote parent.jsonl change.jsonl; compare with: make perf-compare A=parent.jsonl B=change.jsonl"
+
 # Profile the data-plane scale-up sweep: CPU + allocation profiles and a
 # runtime execution trace. See DESIGN.md ("Hot-path performance") for
 # how to read them.
@@ -88,6 +113,16 @@ profile:
 	@echo "  go tool pprof -top cpu.prof"
 	@echo "  go tool pprof -top -sample_index=alloc_space mem.prof"
 	@echo "  go tool trace trace.out"
+
+# Profile the materialised process path — real payload bytes through
+# objstore, core and the services kernels, which the sparse scale-up sweep
+# above never touches: 1 MB image x fdet/frec/x264 x owner/decided.
+profile-process:
+	$(GO) test -run '^$$' -bench BenchmarkFetchProcessMaterialised -benchtime 200x \
+		-cpuprofile cpu.prof -memprofile mem.prof -o core.test ./internal/core
+	@echo "inspect with:"
+	@echo "  go tool pprof -top core.test cpu.prof"
+	@echo "  go tool pprof -top -sample_index=alloc_space core.test mem.prof"
 
 # Regenerate every table and figure of the paper's evaluation.
 repro:

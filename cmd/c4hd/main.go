@@ -44,7 +44,7 @@ func run() error {
 		cloud    = flag.Bool("cloud", true, "attach the simulated remote public cloud")
 		seed     = flag.Int64("seed", 1, "seed for simulated network jitter")
 		dataDir  = flag.String("data", "", "back object bins with files under this directory (empty = in-memory)")
-		workers  = flag.Int("workers", 0, "compute-plane worker pool width (0/1 = paper's sequential kernels)")
+		workers  = flag.Int("workers", 0, "compute-plane simulated strand width (0/1 = paper's intrinsic Task.Parallelism model)")
 		overlap  = flag.Bool("overlap", false, "overlap input movement with execution (process-as-pages-arrive)")
 		spec     = flag.Bool("speculate", false, "hedge process operations onto the top two candidates")
 	)

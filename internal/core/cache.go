@@ -42,8 +42,8 @@ func newDataCache(capBytes int64) *dataCache {
 	}
 }
 
-// get returns a copy of the cached payload (nil for a sparse hit) and
-// whether the object was cached at all.
+// get returns a read-only borrow of the cached payload (nil for a sparse
+// hit) and whether the object was cached at all.
 func (c *dataCache) get(name string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -52,25 +52,15 @@ func (c *dataCache) get(name string) ([]byte, bool) {
 		return nil, false
 	}
 	c.order.MoveToFront(el)
-	e := el.Value.(*cacheEntry)
-	if e.data == nil {
-		return nil, true
-	}
-	out := make([]byte, len(e.data))
-	copy(out, e.data)
-	return out, true
+	return el.Value.(*cacheEntry).data, true
 }
 
 // put inserts (or refreshes) an entry, evicting least-recently-used
 // entries until it fits. Objects larger than the whole cache are skipped.
+// data is kept as the borrow it arrived as: nobody in core writes one.
 func (c *dataCache) put(name string, data []byte, size int64) {
 	if size < 0 || size > c.cap {
 		return
-	}
-	var cp []byte
-	if data != nil {
-		cp = make([]byte, len(data))
-		copy(cp, data)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -90,7 +80,7 @@ func (c *dataCache) put(name string, data []byte, size int64) {
 		c.order.Remove(back)
 		delete(c.items, victim.name)
 	}
-	c.items[name] = c.order.PushFront(&cacheEntry{name: name, data: cp, size: size})
+	c.items[name] = c.order.PushFront(&cacheEntry{name: name, data: data, size: size})
 	c.used += size
 }
 

@@ -15,15 +15,16 @@ import (
 )
 
 // ComputePlaneConfig enables the concurrent compute-plane features. The
-// zero value reproduces the paper's behaviour exactly: single-threaded
-// kernels, input movement and execution charged back-to-back, and one
+// zero value reproduces the paper's behaviour exactly: one machine strand
+// per task, input movement and execution charged back-to-back, and one
 // execution site per process operation.
 type ComputePlaneConfig struct {
-	// Workers is the per-node worker-pool width for sharded kernels.
-	// Values ≤ 1 keep the sequential kernels and the paper's intrinsic
+	// Workers is the per-node width of simulated sharded execution
+	// (machine.ExecSharded strands). Values ≤ 1 keep the paper's intrinsic
 	// Task.Parallelism execution model. Sharded execution engages only
 	// when it strictly beats that model (the effective strand count
-	// exceeds the service's intrinsic parallelism).
+	// exceeds the service's intrinsic parallelism). It sizes virtual time
+	// only: how the host runs a kernel is the services package's business.
 	Workers int
 	// Overlap starts execution on delivered pages while the rest of the
 	// input move is still in flight (process-as-pages-arrive), so
@@ -50,7 +51,7 @@ const (
 // errSpeculationCancelled aborts the losing hedge at a phase boundary.
 var errSpeculationCancelled = errors.New("core: speculative execution cancelled")
 
-// strandsFor decides how many machine strands (and kernel shards) a task
+// strandsFor decides how many machine strands (and counted shards) a task
 // of the given input size uses on this node. One strand — the paper's
 // sequential model, which already grants Task.Parallelism speedup for
 // free — is kept whenever sharding would not strictly beat it, so the
@@ -97,7 +98,7 @@ func (n *Node) moveAndRun(target string, spec services.Spec, meta ObjectMeta) (r
 
 	// Request message to the owner, exactly as the sequential path.
 	n.home.net.Message(n.lanPathTo(holder))
-	_, data, err = holder.store.Get(meta.Name)
+	_, data, err = holder.store.GetRef(meta.Name)
 	if err != nil {
 		return ProcessResult{}, nil, true, err
 	}
@@ -162,7 +163,7 @@ func (n *Node) moveAndRun(target string, spec services.Spec, meta ObjectMeta) (r
 		n.ops.overlapSaved.Add(int64(saved))
 	}
 	if len(data) > 0 {
-		if err := n.applyKernel(spec, data, &res, strands); err != nil {
+		if err := n.applyKernel(spec, data, &res); err != nil {
 			return ProcessResult{}, nil, true, err
 		}
 	}

@@ -43,7 +43,7 @@ func desktopSpec() machine.Spec {
 	return machine.Spec{Name: "desktop", Cores: 4, GHz: 2.3, MemMB: 2048, Battery: 1}
 }
 
-func newTestbed(t *testing.T, kvOpts kv.Options) *testbed {
+func newTestbed(t testing.TB, kvOpts kv.Options) *testbed {
 	t.Helper()
 	tb := &testbed{v: vclock.NewVirtual(epoch)}
 	tb.v.Run(func() {

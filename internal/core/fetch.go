@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 
@@ -81,9 +82,11 @@ func (s *Session) FetchObject(name string) (FetchResult, error) {
 	breakdown.Total = s.node.clock.Now().Sub(start)
 	s.node.ops.fetches.Add(1)
 	s.node.ops.bytesFetched.Add(meta.Size)
+	// Ownership: data is a borrow of a store's (or the cache's) own bytes;
+	// the copy made here is the application's to write.
 	return FetchResult{
 		Meta:      meta,
-		Data:      data,
+		Data:      bytes.Clone(data),
 		Source:    source,
 		Breakdown: breakdown,
 	}, nil
@@ -95,6 +98,10 @@ func (s *Session) FetchObject(name string) (FetchResult, error) {
 // resolution, before any payload moves. A non-nil sink streams LAN wire
 // chunks into the guest channel as they arrive (the pipelined data
 // plane); local, cached, cloud, and federated paths leave it untouched.
+//
+// Ownership: the payload is a read-only borrow (objstore.Store.GetRef) —
+// core may read it and pass it on, never write it, and copies it only
+// where it leaves for the application (FetchObject, finishProcess).
 func (n *Node) fetchToDom0(name, principal string, sink *domainSink) (ObjectMeta, []byte, string, FetchBreakdown, error) {
 	var bd FetchBreakdown
 	meta, lookup, err := n.getMeta(name)
@@ -132,7 +139,7 @@ func (n *Node) fetchToDom0(name, principal string, sink *domainSink) (ObjectMeta
 		return meta, data, meta.Location, bd, nil
 
 	case meta.Location == n.addr:
-		_, data, err := n.store.Get(name)
+		_, data, err := n.store.GetRef(name)
 		if err != nil {
 			return meta, nil, "", bd, fmt.Errorf("core: fetch %q: metadata points here but: %w", name, err)
 		}
@@ -141,7 +148,7 @@ func (n *Node) fetchToDom0(name, principal string, sink *domainSink) (ObjectMeta
 	default:
 		// A best-effort replica on this very node short-circuits the wire.
 		if len(meta.Replicas) > 0 && n.store.Has(name) {
-			_, data, err := n.store.Get(name)
+			_, data, err := n.store.GetRef(name)
 			if err == nil {
 				return meta, data, n.addr, bd, nil
 			}
@@ -179,7 +186,7 @@ func (n *Node) fetchRemote(meta ObjectMeta, sink *domainSink, bd FetchBreakdown)
 	// (kernel-to-kernel zero copy in the prototype; here the netsim
 	// path charges the same wire time).
 	n.home.net.Message(n.lanPathTo(peer))
-	_, data, err := peer.store.Get(name)
+	_, data, err := peer.store.GetRef(name)
 	if err != nil {
 		if n.cfg.Faults.Fallback {
 			return n.fetchViaFallback(meta, sink, bd)
@@ -230,10 +237,10 @@ type fetchFlight struct {
 // (HomeOptions.CoalesceFetch): the first requester becomes the leader and
 // runs the real wire transfer; followers park on the flight's event until
 // the leader's bytes arrive — so each follower's inter-node time is
-// exactly the remaining duration of the shared transfer — then copy the
-// payload locally. Followers leave their pipeline sink untouched (their
-// session falls back to the serial dom0→guest drain); the flight's fields
-// are written by the leader before Fire and read-only afterwards.
+// exactly the remaining duration of the shared transfer — then share the
+// leader's borrowed payload. Followers leave their pipeline sink untouched
+// (their session falls back to the serial dom0→guest drain); the flight's
+// fields are written by the leader before Fire and read-only afterwards.
 func (n *Node) fetchCoalesced(v *vclock.Virtual, meta ObjectMeta, sink *domainSink, bd FetchBreakdown) (ObjectMeta, []byte, string, FetchBreakdown, error) {
 	name := meta.Name
 	n.flightMu.Lock()
@@ -246,9 +253,7 @@ func (n *Node) fetchCoalesced(v *vclock.Virtual, meta ObjectMeta, sink *domainSi
 			return meta, nil, "", bd, f.err
 		}
 		bd.InterNode = n.clock.Now().Sub(start)
-		data := make([]byte, len(f.data))
-		copy(data, f.data)
-		return f.meta, data, f.src, bd, nil
+		return f.meta, f.data, f.src, bd, nil
 	}
 	f := &fetchFlight{ev: v.NewEvent()}
 	if n.flights == nil {
@@ -292,7 +297,7 @@ func (n *Node) fetchFederated(peerHome *Home, meta ObjectMeta) ([]byte, string, 
 	if !ok {
 		return nil, "", 0, fmt.Errorf("%w: %q (federated holder gone)", ErrObjectNotFound, meta.Name)
 	}
-	_, data, err := holder.store.Get(meta.Name)
+	_, data, err := holder.store.GetRef(meta.Name)
 	if err != nil {
 		return nil, "", 0, err
 	}

@@ -2,10 +2,14 @@ package core
 
 import (
 	"bytes"
+	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"cloud4home/internal/kv"
+	"cloud4home/internal/services"
 	"cloud4home/internal/vclock"
 )
 
@@ -143,4 +147,117 @@ func TestCoalescedFetchSharesOneTransfer(t *testing.T) {
 	if dOff[k-1] <= durs[k-1] {
 		t.Fatalf("solo transfers (%v) not slower than coalesced (%v)", dOff[k-1], durs[k-1])
 	}
+}
+
+// processBedImage is the size of the images processBed stores.
+const processBedImage = 1 << 20
+
+// processBed is newTestbed with the three built-in services on the
+// desktop only, a training set on every node, and one materialised 1 MB
+// image stored twice: on the desktop, where a FetchProcess from the atom
+// runs at the owner, and on the netbook, which hosts no service, so the
+// decision moves the image to the desktop. It returns the image's name
+// per mode.
+func processBed(t testing.TB) (*testbed, map[ProcessMode]string) {
+	t.Helper()
+	tb := newTestbed(t, kv.Options{})
+	names := map[ProcessMode]string{ModeOwner: "owned.jpg", ModeDecided: "else.jpg"}
+	tb.run(func() {
+		for _, spec := range services.Builtin() {
+			if err := tb.desktop.DeployService(spec, "performance"); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		rng := rand.New(rand.NewSource(21))
+		training := make([][]byte, 8)
+		for i := range training {
+			training[i] = make([]byte, 32<<10)
+			rng.Read(training[i])
+		}
+		image := make([]byte, processBedImage)
+		rng.Read(image)
+		for _, n := range tb.home.Nodes() {
+			n.SetTrainingSet(training)
+		}
+		for mode, holder := range map[ProcessMode]*Node{ModeOwner: tb.desktop, ModeDecided: tb.netbook} {
+			sess, err := holder.OpenSession()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := sess.StoreObjectData(names[mode], "image", image, StoreOptions{Blocking: true}); err != nil {
+				t.Error(err)
+			}
+			sess.Close()
+		}
+		tb.publish()
+	})
+	if t.Failed() {
+		t.FailNow()
+	}
+	return tb, names
+}
+
+// BenchmarkFetchProcessMaterialised is the camera loop on real bytes, one
+// service and one §III-B case at a time: what `make profile-process`
+// profiles, and where a payload copy or a slow kernel shows as B/op and
+// MB/s.
+func BenchmarkFetchProcessMaterialised(b *testing.B) {
+	tb, names := processBed(b)
+	for _, spec := range services.Builtin() {
+		for _, mode := range []ProcessMode{ModeOwner, ModeDecided} {
+			b.Run(spec.Name+"/"+mode.String(), func(b *testing.B) {
+				b.SetBytes(processBedImage)
+				b.ReportAllocs()
+				tb.run(func() {
+					sess, err := tb.atom.OpenSession()
+					if err != nil {
+						b.Error(err)
+						return
+					}
+					defer sess.Close()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						res, err := sess.FetchProcess(names[mode], spec.Name, spec.ID)
+						if err != nil || res.Mode != mode {
+							b.Errorf("mode %v, err %v", res.Mode, err)
+							return
+						}
+					}
+				})
+			})
+		}
+	}
+}
+
+// TestFetchProcessCopiesNoPayload is the budget that keeps the copies
+// out: frec returns a few digits, so a FetchProcess of a 1 MB image that
+// allocates anywhere near the image's size has copied it on the way.
+func TestFetchProcessCopiesNoPayload(t *testing.T) {
+	tb, names := processBed(t)
+	tb.run(func() {
+		sess, err := tb.atom.OpenSession()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer sess.Close()
+		for _, mode := range []ProcessMode{ModeOwner, ModeDecided} {
+			const runs = 8
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				res, err := sess.FetchProcess(names[mode], "frec", services.FaceRecognizeID)
+				if err != nil || res.Mode != mode {
+					t.Errorf("mode %v, err %v", res.Mode, err)
+					return
+				}
+			}
+			runtime.ReadMemStats(&after)
+			if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp >= 64<<10 {
+				t.Errorf("%v: frec FetchProcess of a 1 MB image allocates %d B/op, budget 64 KB", mode, perOp)
+			}
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"sync/atomic"
@@ -75,6 +76,23 @@ type ProcessResult struct {
 	MatchID int
 	// Breakdown is the phase cost profile.
 	Breakdown ProcessBreakdown
+
+	// borrowed marks an Output that still aliases the service's input — a
+	// borrow of a store's bytes — until finishProcess copies it.
+	borrowed bool
+}
+
+// finishProcess is every process operation's exit to the application: it
+// stamps the observed total and counts the operation. Ownership: an Output
+// that is still a borrow (fdet's annotated image) is copied here, so no
+// slice the application can write aliases a stored payload.
+func (s *Session) finishProcess(res ProcessResult, start time.Time) (ProcessResult, error) {
+	if res.borrowed {
+		res.Output, res.borrowed = bytes.Clone(res.Output), false
+	}
+	res.Breakdown.Total = s.node.clock.Now().Sub(start)
+	s.node.ops.processes.Add(1)
+	return res, nil
 }
 
 // Process explicitly invokes a service on an object already stored in
@@ -106,9 +124,7 @@ func (s *Session) Process(name, svcName string, svcID uint32) (ProcessResult, er
 	}
 	res.Mode = ModeDecided
 	res.Breakdown.Decision = dec.Elapsed
-	res.Breakdown.Total = s.node.clock.Now().Sub(start)
-	s.node.ops.processes.Add(1)
-	return res, nil
+	return s.finishProcess(res, start)
 }
 
 // FetchProcess is the fetch-and-process operation of §III-B: the request
@@ -146,9 +162,7 @@ func (s *Session) FetchProcess(name, svcName string, svcID uint32) (ProcessResul
 		}
 		res.Mode = ModeRequester
 		res.Breakdown.InputMove = bd.InterNode
-		res.Breakdown.Total = s.node.clock.Now().Sub(start)
-		s.node.ops.processes.Add(1)
-		return res, nil
+		return s.finishProcess(res, start)
 	}
 
 	// Case 2: "the object owner checks whether it is capable of
@@ -169,9 +183,7 @@ func (s *Session) FetchProcess(name, svcName string, svcID uint32) (ProcessResul
 			return ProcessResult{}, err
 		}
 		res.Mode = ModeOwner
-		res.Breakdown.Total = s.node.clock.Now().Sub(start)
-		s.node.ops.processes.Add(1)
-		return res, nil
+		return s.finishProcess(res, start)
 	}
 
 	// Case 3: full decision over the service's registered hosts.
@@ -189,9 +201,7 @@ func (s *Session) FetchProcess(name, svcName string, svcID uint32) (ProcessResul
 	}
 	res.Mode = ModeDecided
 	res.Breakdown.Decision = dec.Elapsed
-	res.Breakdown.Total = s.node.clock.Now().Sub(start)
-	s.node.ops.processes.Add(1)
-	return res, nil
+	return s.finishProcess(res, start)
 }
 
 // ProcessAt invokes a service on a stored object at an explicit target
@@ -256,7 +266,7 @@ func (s *Session) ProcessPipelineAt(name string, svcNames []string, svcIDs []uin
 		if step.MatchID >= 0 {
 			combined.MatchID = step.MatchID
 		}
-		combined.Output = step.Output
+		combined.Output, combined.borrowed = step.Output, step.borrowed
 		inputSize = step.OutputSize
 	}
 
@@ -295,9 +305,7 @@ func (s *Session) ProcessPipelineAt(name string, svcNames []string, svcIDs []uin
 	if target != s.node.addr {
 		combined.Breakdown.OutputMove = s.node.moveOutput(target, combined.OutputSize)
 	}
-	combined.Breakdown.Total = s.node.clock.Now().Sub(start)
-	s.node.ops.processes.Add(1)
-	return combined, nil
+	return s.finishProcess(combined, start)
 }
 
 // serviceSpec returns a locally deployed service's profile.
@@ -377,11 +385,12 @@ func (n *Node) executeAtCancellable(target string, spec services.Spec, meta Obje
 }
 
 // moveInput brings the argument object from its location to the target,
-// returning any materialised payload and the movement cost.
+// returning any materialised payload — a read-only borrow, see
+// fetchToDom0 — and the movement cost.
 func (n *Node) moveInput(meta ObjectMeta, target string) ([]byte, time.Duration, error) {
 	if meta.Location == target {
 		if holder, ok := n.home.Node(target); ok {
-			_, data, err := holder.store.Get(meta.Name)
+			_, data, err := holder.store.GetRef(meta.Name)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -429,7 +438,7 @@ func (n *Node) moveInput(meta ObjectMeta, target string) ([]byte, time.Duration,
 		if !ok {
 			return nil, 0, fmt.Errorf("%w: %q (holder gone)", ErrObjectNotFound, meta.Name)
 		}
-		_, data, err := holder.store.Get(meta.Name)
+		_, data, err := holder.store.GetRef(meta.Name)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -455,7 +464,7 @@ func (n *Node) moveInput(meta ObjectMeta, target string) ([]byte, time.Duration,
 			return nil, 0, fmt.Errorf("%w: %q (holder or target gone)", ErrObjectNotFound, meta.Name)
 		}
 		n.home.net.Message(n.lanPathTo(holder)) // request to the owner
-		_, data, err := holder.store.Get(meta.Name)
+		_, data, err := holder.store.GetRef(meta.Name)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -508,7 +517,6 @@ func (n *Node) runService(target string, spec services.Spec, inputSize int64, da
 	n.clock.Sleep(dispatch)
 
 	var execDur time.Duration
-	strands := 1
 	if inst, ok := cloudInstanceName(target); ok {
 		cloud := n.home.Cloud()
 		if cloud == nil {
@@ -518,8 +526,7 @@ func (n *Node) runService(target string, spec services.Spec, inputSize int64, da
 		if err != nil {
 			return ProcessResult{}, err
 		}
-		var shards int
-		strands, shards = n.strandsFor(task, inputSize)
+		strands, shards := n.strandsFor(task, inputSize)
 		if strands > 1 {
 			execDur, err = m.ExecSharded(task, strands)
 			n.ops.shardsExecuted.Add(int64(shards))
@@ -535,8 +542,7 @@ func (n *Node) runService(target string, spec services.Spec, inputSize int64, da
 			return ProcessResult{}, fmt.Errorf("core: run %s: target %q gone", spec.Name, target)
 		}
 		var err error
-		var shards int
-		strands, shards = host.strandsFor(task, inputSize)
+		strands, shards := host.strandsFor(task, inputSize)
 		if strands > 1 {
 			execDur, err = host.mach.ExecSharded(task, strands)
 			n.ops.shardsExecuted.Add(int64(shards))
@@ -550,7 +556,7 @@ func (n *Node) runService(target string, spec services.Spec, inputSize int64, da
 	res.Breakdown.Exec = dispatch + execDur
 
 	if len(data) > 0 {
-		if err := n.applyKernel(spec, data, &res, strands); err != nil {
+		if err := n.applyKernel(spec, data, &res); err != nil {
 			return ProcessResult{}, err
 		}
 	}
@@ -560,7 +566,7 @@ func (n *Node) runService(target string, spec services.Spec, inputSize int64, da
 // runServiceOnLocalObject is the owner-execution path: the object is
 // already local, so only execution (plus kernel) happens here.
 func (n *Node) runServiceOnLocalObject(spec services.Spec, meta ObjectMeta) (ProcessResult, error) {
-	_, data, err := n.store.Get(meta.Name)
+	_, data, err := n.store.GetRef(meta.Name)
 	if err != nil {
 		return ProcessResult{}, err
 	}
@@ -570,24 +576,25 @@ func (n *Node) runServiceOnLocalObject(spec services.Spec, meta ObjectMeta) (Pro
 // applyKernel performs the actual computation for materialised payloads.
 // The training set for recognition is "available on any of the processing
 // locations" (the paper's assumption), so the requester's set is used.
-// workers > 1 selects the sharded kernel variants, whose output is
-// byte-identical to the sequential kernels at any worker count.
-func (n *Node) applyKernel(spec services.Spec, data []byte, res *ProcessResult, workers int) error {
+// data is a read-only borrow; the kernels only read it.
+func (n *Node) applyKernel(spec services.Spec, data []byte, res *ProcessResult) error {
 	switch spec.Name {
 	case "fdet":
-		hits, err := services.DetectFacesParallel(data, workers)
+		hits, err := services.DetectFaces(data)
 		if err != nil {
 			return err
 		}
 		res.Detections = len(hits)
-		res.Output = data // annotated image continues down the pipeline
+		// The annotated image continues down the pipeline as the borrow
+		// it came in as.
+		res.Output, res.borrowed = data, true
 		res.OutputSize = int64(len(data))
 	case "frec":
 		training := n.trainingSet()
 		if len(training) == 0 {
 			return fmt.Errorf("core: frec: no training set installed on %s", n.addr)
 		}
-		best, err := services.RecognizeFaceParallel(data, training, workers)
+		best, err := services.RecognizeFace(data, training)
 		if err != nil {
 			return err
 		}
@@ -595,7 +602,7 @@ func (n *Node) applyKernel(spec services.Spec, data []byte, res *ProcessResult, 
 		res.Output = []byte(strconv.Itoa(best))
 		res.OutputSize = int64(len(res.Output))
 	case "x264":
-		out, err := services.ConvertVideoParallel(data, workers)
+		out, err := services.ConvertVideo(data)
 		if err != nil {
 			return err
 		}

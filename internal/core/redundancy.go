@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -382,7 +381,7 @@ func (n *Node) gather(meta ObjectMeta, sink *domainSink, bd *FetchBreakdown) (da
 			continue
 		}
 		if whole {
-			return bytes.Clone(payloads[0]), srcs[0].addr, true
+			return payloads[0], srcs[0].addr, true // a borrow, like every payload in core
 		}
 		if !sparse {
 			var err error
@@ -456,7 +455,7 @@ func (n *Node) repair(name, dead string) {
 	var obj objstore.Object
 	var data []byte
 	if len(whole) > 0 {
-		if obj, data, err = n.store.Get(name); err != nil {
+		if obj, data, err = n.store.GetRef(name); err != nil {
 			return
 		}
 	} else {
@@ -539,7 +538,7 @@ func (n *Node) evacuateLocal(name string) bool {
 	if err != nil {
 		return false
 	}
-	obj, data, err := n.store.Get(name)
+	obj, data, err := n.store.GetRef(name)
 	if err != nil {
 		return false
 	}

@@ -18,8 +18,8 @@ type OpStats struct {
 	// fetches; both stay zero when the cache is disabled.
 	CacheHits   int64
 	CacheMisses int64
-	// ShardsExecuted counts kernel shards run by the sharded compute
-	// plane; zero while ComputePlaneConfig.Workers ≤ 1.
+	// ShardsExecuted counts the shards of simulated sharded executions;
+	// zero while ComputePlaneConfig.Workers ≤ 1.
 	ShardsExecuted int64
 	// OverlapSaved accumulates the latency recovered by overlapping
 	// input movement with execution, versus running the phases serially.

@@ -1,15 +1,16 @@
-// Package parallel provides the deterministic worker pool behind the
-// concurrent compute plane's sharded kernels. Work is split into a fixed
-// number of shards derived from the input size — never from the worker
-// count — and every shard writes its result into an indexed slot, so the
-// merged output is byte-identical to a sequential run at any worker
-// count. The pool itself is pure CPU: it never touches a clock, so it is
-// safe to drive from a virtual-clock worker (the pool goroutines finish
-// on their own and the caller's wait does not need the clock to advance).
+// Package parallel provides the deterministic fan-out behind the services
+// kernels' host split, and the shard count the compute plane's simulated
+// sharded execution reports. A caller splits its work into indexed shards
+// and every shard writes its result into its own slot, so the merged
+// output is byte-identical to a sequential run at any worker count. Run is
+// pure CPU: it never touches a clock, so it is safe to call from a
+// virtual-clock worker (the goroutines finish on their own and the
+// caller's wait does not need the clock to advance).
 package parallel
 
 import (
 	"sync"
+	"sync/atomic"
 )
 
 // shardBytes is the shard granularity: one shard per mebibyte of input.
@@ -19,9 +20,8 @@ const shardBytes = 1 << 20
 // very large inputs.
 const maxShards = 64
 
-// ShardsFor returns the shard count for an input of the given size. The
-// count depends only on the size, so a task splits identically whatever
-// worker count later executes it.
+// ShardsFor returns the simulated shard count for an input of the given
+// size. The count depends only on the size, never on a worker count.
 func ShardsFor(size int64) int {
 	if size <= 0 {
 		return 1
@@ -33,60 +33,42 @@ func ShardsFor(size int64) int {
 	return int(n)
 }
 
-// Run executes fn(shard) for every shard in [0, n), using at most
-// workers concurrent goroutines. workers ≤ 1 (or n ≤ 1) degrades to a
-// plain sequential loop. fn must confine its writes to per-shard state
-// (indexed result slots); Run returns only after every shard completed.
+// Run executes fn(shard) for every shard in [0, n), on at most workers
+// goroutines, the caller's being one of them. workers ≤ 1 (or n ≤ 1)
+// degrades to a plain sequential loop. fn must confine its writes to
+// per-shard state (indexed result slots); Run returns only after every
+// shard completed.
 func Run(workers, n int, fn func(shard int)) {
-	if n <= 0 {
-		return
-	}
 	if workers > n {
 		workers = n
 	}
-	if workers <= 1 || n == 1 {
+	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
 		return
 	}
-	p := &pool{n: n}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i, ok := p.take()
-				if !ok {
-					return
-				}
-				fn(i)
-			}
-		}()
+	// Workers pull the next undispatched shard until none remain. Which
+	// worker runs which shard is irrelevant to the result (indexed slots),
+	// so a shared counter is all the coordination needed. Counter and wait
+	// group are one struct so that the closure's capture is one heap object:
+	// Run sits on the per-operation path of every kernel call.
+	var st struct {
+		next atomic.Int64
+		wg   sync.WaitGroup
 	}
-	wg.Wait()
-}
-
-// pool is one Run invocation's shared dispatch state: workers pull the
-// next undispatched shard until none remain. Dispatch order across
-// workers is irrelevant to the result (indexed slots), so a plain
-// guarded counter is all the coordination needed.
-type pool struct {
-	n    int
-	mu   sync.Mutex
-	next int // guarded by mu; index of the next undispatched shard
-}
-
-func (p *pool) take() (int, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.next >= p.n {
-		return 0, false
+	work := func() {
+		defer st.wg.Done()
+		for i := int(st.next.Add(1)) - 1; i < n; i = int(st.next.Add(1)) - 1 {
+			fn(i)
+		}
 	}
-	i := p.next
-	p.next++
-	return i, true
+	st.wg.Add(workers)
+	for w := 1; w < workers; w++ {
+		go work()
+	}
+	work()
+	st.wg.Wait()
 }
 
 // Range returns the half-open slice [lo, hi) of total items owned by
@@ -104,11 +86,4 @@ func Range(total, n, i int) (lo, hi int) {
 		hi++
 	}
 	return lo, hi
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

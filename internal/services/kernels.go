@@ -4,6 +4,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
+	"runtime"
+
+	"cloud4home/internal/parallel"
 )
 
 // The kernels below are the actual computations the services run when a
@@ -14,6 +18,13 @@ import (
 // and delta-encodes the stream. The simulation's *timing* comes from the
 // Spec cost model; the kernels keep the data path honest (corruption or
 // misrouted objects change answers and fail tests).
+//
+// Each exported kernel is a thin wrapper over one implementation that
+// takes the number of host parts to split its scan over. Parts own
+// disjoint, index-addressed ranges and merge in part order, so the output
+// is byte-identical for every part count. The count comes from the host
+// (hostParts) and is unrelated to the simulated strand count of
+// core.ComputePlaneConfig.Workers, which only sizes machine.ExecSharded.
 
 // ErrEmptyInput is returned when a kernel is given no data.
 var ErrEmptyInput = errors.New("services: empty input")
@@ -28,19 +39,31 @@ var errNoUsableTraining = errors.New("services: training set had no usable image
 // detectWindow is the sliding-window size used by DetectFaces.
 const detectWindow = 64
 
-// detectHit reports whether the window starting at off has the
-// "face-like" local-variance signature. Shared by the sequential and
-// sharded detectors so their arithmetic is identical bit for bit.
-func detectHit(data []byte, off int) bool {
-	w := data[off : off+detectWindow]
-	var sum, sumSq float64
-	for _, b := range w {
-		v := float64(b)
-		sum += v
-		sumSq += v * v
+// splitGrain is the least input worth a host goroutine of its own.
+const splitGrain = 64 << 10
+
+// hostParts sizes a kernel's split over the host's cores.
+func hostParts(n int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), n/splitGrain))
+}
+
+// detectHit reports whether the detectWindow bytes of w have the
+// "face-like" local-variance signature. The sums are integers: Σb ≤
+// 64·255 = 16 320 and Σb² ≤ 64·255² = 4 161 600 are exact in uint32 and
+// in float64 alike, and dividing by 64 only changes the exponent, so mean
+// and variance are bit for bit what a float64 accumulation over the
+// bytes gives.
+func detectHit(w []byte) bool {
+	var sum, sumSq uint32
+	for i := 0; i < detectWindow; i += 8 {
+		b := w[i : i+8 : i+8]
+		b0, b1, b2, b3 := uint32(b[0]), uint32(b[1]), uint32(b[2]), uint32(b[3])
+		b4, b5, b6, b7 := uint32(b[4]), uint32(b[5]), uint32(b[6]), uint32(b[7])
+		sum += b0 + b1 + b2 + b3 + b4 + b5 + b6 + b7
+		sumSq += b0*b0 + b1*b1 + b2*b2 + b3*b3 + b4*b4 + b5*b5 + b6*b6 + b7*b7
 	}
-	mean := sum / detectWindow
-	variance := sumSq/detectWindow - mean*mean
+	mean := float64(sum) / detectWindow
+	variance := float64(sumSq)/detectWindow - mean*mean
 	// Mid-band variance: neither flat background nor pure noise.
 	return variance >= 1000 && variance <= 4200
 }
@@ -50,13 +73,40 @@ func detectHit(data []byte, off int) bool {
 // result is deterministic in the input bytes. A payload shorter than one
 // window has no scannable window and yields no hits (not an error).
 func DetectFaces(data []byte) ([]int, error) {
+	return detectFaces(data, hostParts(len(data)))
+}
+
+func detectFaces(data []byte, parts int) ([]int, error) {
 	if len(data) == 0 {
 		return nil, ErrEmptyInput
 	}
-	var hits []int
-	for off := 0; off+detectWindow <= len(data); off += detectWindow {
-		if detectHit(data, off) {
-			hits = append(hits, off)
+	nWin := len(data) / detectWindow
+	// One verdict bit per window. A part owns whole words of the bitmap,
+	// so no two parts write the same word and no window is split.
+	marks := make([]uint64, (nWin+63)/64)
+	parallel.Run(parts, parts, func(p int) {
+		lo, hi := parallel.Range(len(marks), parts, p)
+		for wi := lo; wi < hi; wi++ {
+			var m uint64
+			for k, win := 0, wi*64; k < 64 && win < nWin; k, win = k+1, win+1 {
+				if detectHit(data[win*detectWindow : (win+1)*detectWindow]) {
+					m |= 1 << k
+				}
+			}
+			marks[wi] = m
+		}
+	})
+	total := 0
+	for _, m := range marks {
+		total += bits.OnesCount64(m)
+	}
+	if total == 0 {
+		return nil, nil
+	}
+	hits := make([]int, 0, total)
+	for wi, m := range marks {
+		for ; m != 0; m &= m - 1 {
+			hits = append(hits, (wi*64+bits.TrailingZeros64(m))*detectWindow)
 		}
 	}
 	return hits, nil
@@ -64,9 +114,43 @@ func DetectFaces(data []byte) ([]int, error) {
 
 // Histogram returns the 256-bin byte histogram of data.
 func Histogram(data []byte) [256]int {
-	var h [256]int
+	return histogram(data, hostParts(len(data)))
+}
+
+func histogram(data []byte, parts int) [256]int {
+	if parts <= 1 {
+		return count(data)
+	}
+	tabs := make([][256]int, parts)
+	parallel.Run(parts, parts, func(p int) {
+		lo, hi := parallel.Range(len(data), parts, p)
+		tabs[p] = count(data[lo:hi])
+	})
+	for _, t := range tabs[1:] {
+		for b, c := range t {
+			tabs[0][b] += c
+		}
+	}
+	return tabs[0]
+}
+
+// count is one part's histogram. Consecutive bytes go to four different
+// tables, merged at the end: a run of equal bytes (the flat background of
+// an image) would otherwise make every increment wait for the previous
+// one's store to the same counter.
+func count(data []byte) (h [256]int) {
+	var t [3][256]int
+	for ; len(data) >= 4; data = data[4:] {
+		h[data[0]]++
+		t[0][data[1]]++
+		t[1][data[2]]++
+		t[2][data[3]]++
+	}
 	for _, b := range data {
 		h[b]++
+	}
+	for b := range h {
+		h[b] += t[0][b] + t[1][b] + t[2][b]
 	}
 	return h
 }
@@ -75,20 +159,28 @@ func Histogram(data []byte) [256]int {
 // histogram distance and returns the index of the best match — "output
 // being ID of the best matched image" (§IV).
 func RecognizeFace(probe []byte, training [][]byte) (int, error) {
+	return recognizeFace(probe, training, hostParts(len(probe)))
+}
+
+func recognizeFace(probe []byte, training [][]byte, parts int) (int, error) {
 	if len(probe) == 0 {
 		return 0, ErrEmptyInput
 	}
 	if len(training) == 0 {
 		return 0, ErrEmptyTrainingSet
 	}
-	ph := Histogram(probe)
-	// Normalise by length so images of different sizes compare fairly.
-	best, bestDist := -1, 0.0
-	for i, img := range training {
+	ph := histogram(probe, parts)
+	// One distance slot per training image, -1 for an empty (unusable)
+	// one; each is computed by exactly one part.
+	dists := make([]float64, len(training))
+	parallel.Run(parts, len(training), func(i int) {
+		img := training[i]
 		if len(img) == 0 {
-			continue
+			dists[i] = -1
+			return
 		}
-		th := Histogram(img)
+		th := count(img)
+		// Normalise by length so images of different sizes compare fairly.
 		var dist float64
 		for b := 0; b < 256; b++ {
 			d := float64(ph[b])/float64(len(probe)) - float64(th[b])/float64(len(img))
@@ -97,8 +189,13 @@ func RecognizeFace(probe []byte, training [][]byte) (int, error) {
 			}
 			dist += d
 		}
-		if best == -1 || dist < bestDist {
-			best, bestDist = i, dist
+		dists[i] = dist
+	})
+	// Strict less-than in index order: ties keep the lowest index.
+	best := -1
+	for i, d := range dists {
+		if d >= 0 && (best == -1 || d < dists[best]) {
+			best = i
 		}
 	}
 	if best == -1 {
@@ -111,19 +208,34 @@ func RecognizeFace(probe []byte, training [][]byte) (int, error) {
 // stream: it downsamples by 2 and delta-encodes, prefixing the original
 // length so the conversion is checkable.
 func ConvertVideo(data []byte) ([]byte, error) {
+	return convertVideo(data, hostParts(len(data)))
+}
+
+func convertVideo(data []byte, parts int) ([]byte, error) {
 	if len(data) == 0 {
 		return nil, ErrEmptyInput
 	}
-	out := make([]byte, 0, len(data)/2+8)
-	var hdr [8]byte
-	binary.BigEndian.PutUint64(hdr[:], uint64(len(data)))
-	out = append(out, hdr[:]...)
-	prev := byte(0)
-	for i := 0; i < len(data); i += 2 {
-		cur := data[i]
-		out = append(out, cur-prev)
-		prev = cur
-	}
+	// Output byte j is data[2j] - data[2j-2]: parts read across their
+	// input boundary but write disjoint ranges of the exact-length output.
+	nOut := (len(data) + 1) / 2
+	out := make([]byte, 8+nOut)
+	binary.BigEndian.PutUint64(out, uint64(len(data)))
+	parallel.Run(parts, parts, func(p int) {
+		lo, hi := parallel.Range(nOut, parts, p)
+		if lo == hi {
+			return // more parts than output bytes
+		}
+		var prev byte
+		if lo > 0 {
+			prev = data[2*lo-2]
+		}
+		src, dst := data[2*lo:], out[8+lo:8+hi]
+		for j := range dst {
+			cur := src[2*j]
+			dst[j] = cur - prev
+			prev = cur
+		}
+	})
 	return out, nil
 }
 

@@ -8,6 +8,8 @@ import (
 	"testing"
 )
 
+// workerSweep is the part counts the one implementation of each kernel is
+// run at; parts = 1 is the sequential run the others must match.
 var workerSweep = []int{1, 2, 4, 8}
 
 // testPayload builds a deterministic pseudo-random payload with enough
@@ -37,12 +39,12 @@ var edgeSizes = []int{1, 63, 64, 65, 127, 1000, 1 << 20, 1<<20 + 33, 3<<20 + 7}
 func TestDetectFacesParallelMatchesSequential(t *testing.T) {
 	for _, size := range edgeSizes {
 		data := testPayload(int64(size), size)
-		want, err := DetectFaces(data)
+		want, err := detectFaces(data, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, w := range workerSweep {
-			got, err := DetectFacesParallel(data, w)
+			got, err := detectFaces(data, w)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -56,12 +58,12 @@ func TestDetectFacesParallelMatchesSequential(t *testing.T) {
 
 func TestDetectFacesShorterThanWindow(t *testing.T) {
 	data := testPayload(7, detectWindow-1)
-	hits, err := DetectFaces(data)
+	hits, err := detectFaces(data, 1)
 	if err != nil || len(hits) != 0 {
 		t.Fatalf("sequential: hits=%v err=%v, want none", hits, err)
 	}
 	for _, w := range workerSweep {
-		hits, err := DetectFacesParallel(data, w)
+		hits, err := detectFaces(data, w)
 		if err != nil || len(hits) != 0 {
 			t.Fatalf("workers=%d: hits=%v err=%v, want none", w, hits, err)
 		}
@@ -73,7 +75,7 @@ func TestDetectFacesParallelNeverSplitsWindows(t *testing.T) {
 	// boundary through a window would shift or drop offsets.
 	data := testPayload(11, 2<<20+detectWindow/2)
 	for _, w := range workerSweep {
-		hits, err := DetectFacesParallel(data, w)
+		hits, err := detectFaces(data, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,9 +93,9 @@ func TestDetectFacesParallelNeverSplitsWindows(t *testing.T) {
 func TestHistogramParallelMatchesSequential(t *testing.T) {
 	for _, size := range edgeSizes {
 		data := testPayload(int64(size)+1, size)
-		want := Histogram(data)
+		want := histogram(data, 1)
 		for _, w := range workerSweep {
-			if got := HistogramParallel(data, w); got != want {
+			if got := histogram(data, w); got != want {
 				t.Fatalf("size=%d workers=%d: histogram mismatch", size, w)
 			}
 		}
@@ -106,14 +108,14 @@ func TestRecognizeFaceParallelMatchesSequential(t *testing.T) {
 	for i := range training {
 		training[i] = testPayload(int64(100+i), 64<<10)
 	}
-	training[4] = nil                            // empty image is skipped
+	training[4] = nil                                // empty image is skipped
 	training[7] = append([]byte{}, probe[:1<<15]...) // a close-ish match
-	want, err := RecognizeFace(probe, training)
+	want, err := recognizeFace(probe, training, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range workerSweep {
-		got, err := RecognizeFaceParallel(probe, training, w)
+		got, err := recognizeFace(probe, training, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,8 +128,8 @@ func TestRecognizeFaceParallelMatchesSequential(t *testing.T) {
 func TestRecognizeFaceTieKeepsLowestIndex(t *testing.T) {
 	probe := testPayload(5, 32<<10)
 	dup := append([]byte{}, probe...)
-	training := [][]byte{testPayload(9, 32 << 10), dup, dup, dup}
-	want, err := RecognizeFace(probe, training)
+	training := [][]byte{testPayload(9, 32<<10), dup, dup, dup}
+	want, err := recognizeFace(probe, training, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +137,7 @@ func TestRecognizeFaceTieKeepsLowestIndex(t *testing.T) {
 		t.Fatalf("sequential tie break chose %d, want 1", want)
 	}
 	for _, w := range workerSweep {
-		got, err := RecognizeFaceParallel(probe, training, w)
+		got, err := recognizeFace(probe, training, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,20 +149,20 @@ func TestRecognizeFaceTieKeepsLowestIndex(t *testing.T) {
 
 func TestRecognizeFaceEmptyTrainingSet(t *testing.T) {
 	probe := testPayload(1, 1024)
-	if _, err := RecognizeFace(probe, nil); !errors.Is(err, ErrEmptyTrainingSet) {
+	if _, err := recognizeFace(probe, nil, 1); !errors.Is(err, ErrEmptyTrainingSet) {
 		t.Fatalf("sequential: err=%v, want ErrEmptyTrainingSet", err)
 	}
 	for _, w := range workerSweep {
-		if _, err := RecognizeFaceParallel(probe, nil, w); !errors.Is(err, ErrEmptyTrainingSet) {
+		if _, err := recognizeFace(probe, nil, w); !errors.Is(err, ErrEmptyTrainingSet) {
 			t.Fatalf("workers=%d: err=%v, want ErrEmptyTrainingSet", w, err)
 		}
 	}
 	// All-empty images: usable-image error, identically in both paths.
 	empty := [][]byte{nil, {}}
-	if _, err := RecognizeFace(probe, empty); err == nil {
+	if _, err := recognizeFace(probe, empty, 1); err == nil {
 		t.Fatal("sequential accepted an all-empty training set")
 	}
-	if _, err := RecognizeFaceParallel(probe, empty, 4); err == nil {
+	if _, err := recognizeFace(probe, empty, 4); err == nil {
 		t.Fatal("parallel accepted an all-empty training set")
 	}
 }
@@ -168,12 +170,12 @@ func TestRecognizeFaceEmptyTrainingSet(t *testing.T) {
 func TestConvertVideoParallelMatchesSequential(t *testing.T) {
 	for _, size := range edgeSizes {
 		data := testPayload(int64(size)+2, size)
-		want, err := ConvertVideo(data)
+		want, err := convertVideo(data, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, w := range workerSweep {
-			got, err := ConvertVideoParallel(data, w)
+			got, err := convertVideo(data, w)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -185,13 +187,13 @@ func TestConvertVideoParallelMatchesSequential(t *testing.T) {
 }
 
 func TestParallelKernelsEmptyInput(t *testing.T) {
-	if _, err := DetectFacesParallel(nil, 4); !errors.Is(err, ErrEmptyInput) {
+	if _, err := detectFaces(nil, 4); !errors.Is(err, ErrEmptyInput) {
 		t.Fatalf("fdet: %v", err)
 	}
-	if _, err := RecognizeFaceParallel(nil, [][]byte{{1}}, 4); !errors.Is(err, ErrEmptyInput) {
+	if _, err := recognizeFace(nil, [][]byte{{1}}, 4); !errors.Is(err, ErrEmptyInput) {
 		t.Fatalf("frec: %v", err)
 	}
-	if _, err := ConvertVideoParallel(nil, 4); !errors.Is(err, ErrEmptyInput) {
+	if _, err := convertVideo(nil, 4); !errors.Is(err, ErrEmptyInput) {
 		t.Fatalf("x264: %v", err)
 	}
 }
