@@ -24,8 +24,9 @@ import (
 //   - spawner-side accesses after the spawn point, with held sets;
 //   - synchronization edges the spawner creates: WaitGroup.Wait —
 //     called directly or passed as a method value (the
-//     `v.Block(wg.Wait)` idiom) — and channel receives, matched
-//     against the Done calls and channel sends inside each goroutine;
+//     `v.Block(wg.Wait)` idiom) — vclock.Event.Wait, and channel
+//     receives, matched against the WaitGroup.Done, Event.Fire and
+//     channel sends inside each goroutine;
 //   - sync.Cond bindings: which locker each NewCond call associates
 //     with which cond variable, joined by condwait against the
 //     cond-operation events the lock-flow walker records;
@@ -67,15 +68,16 @@ type spawnSite struct {
 	via string // "go" or the async wrapper's display name
 	// accesses inside the resolved goroutine body (one closure hop).
 	accesses []sharedAccess
-	// dones holds the WaitGroup objects the goroutine calls Done on;
-	// sends holds the channel objects it sends on. Both feed join-edge
-	// matching.
+	// dones holds the WaitGroup objects the goroutine calls Done on and
+	// the Events it fires; sends holds the channel objects it sends on.
+	// Both feed join-edge matching.
 	dones map[types.Object]bool
 	sends map[types.Object]bool
 }
 
 // joinEvent is one happens-before edge the spawner creates after a
-// spawn: a WaitGroup.Wait (call or method value) or a channel receive.
+// spawn: a WaitGroup.Wait (call or method value), an Event.Wait, or a
+// channel receive.
 type joinEvent struct {
 	kind string // "wait" or "receive"
 	obj  types.Object
@@ -412,7 +414,8 @@ func (cf *concFlow) resolveSpawnBody(enclosing *ast.BlockStmt, e ast.Expr) *ast.
 }
 
 // joinsBeforeReturn reports whether the function body contains a
-// WaitGroup.Wait call or a channel receive outside spawned literals.
+// WaitGroup.Wait or Event.Wait call or a channel receive outside spawned
+// literals.
 func (cf *concFlow) joinsBeforeReturn(fi *FuncInfo) bool {
 	joins := false
 	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
@@ -423,7 +426,7 @@ func (cf *concFlow) joinsBeforeReturn(fi *FuncInfo) bool {
 		case *ast.GoStmt:
 			return false // the goroutine's own blocking is not a join
 		case *ast.CallExpr:
-			if cf.isWaitGroupCall(n, "Wait") {
+			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && len(n.Args) == 0 && cf.joinMethod(sel) == "wait" {
 				joins = true
 				return false
 			}
@@ -438,26 +441,25 @@ func (cf *concFlow) joinsBeforeReturn(fi *FuncInfo) bool {
 	return joins
 }
 
-// isWaitGroupCall matches a zero-argument sync.WaitGroup method call.
-func (cf *concFlow) isWaitGroupCall(call *ast.CallExpr, name string) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != name || len(call.Args) != 0 {
-		return false
-	}
-	return cf.isWaitGroupSel(sel)
-}
-
-// isWaitGroupSel matches a selection of a sync.WaitGroup method.
-func (cf *concFlow) isWaitGroupSel(sel *ast.SelectorExpr) bool {
+// joinMethod classifies a selection of a join primitive's method:
+// sync.WaitGroup.Wait and vclock.Event.Wait are the spawner's half
+// ("wait"), WaitGroup.Done and Event.Fire the goroutine's ("signal").
+// Anything else is "".
+// An Event is a join only when the finisher fires it while still
+// registered with the clock (DESIGN.md, "Joins on the virtual clock");
+// the rule takes that as given, as it takes a Done for granted.
+func (cf *concFlow) joinMethod(sel *ast.SelectorExpr) string {
 	selection, ok := cf.ti.Info.Selections[sel]
 	if !ok || selection.Kind() != types.MethodVal {
-		return false
+		return ""
 	}
-	fn, ok := selection.Obj().(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return false
+	switch namedTypeName(cf.m.Path, selection.Recv()) + "." + sel.Sel.Name {
+	case "sync.WaitGroup.Wait", "vclock.Event.Wait":
+		return "wait"
+	case "sync.WaitGroup.Done", "vclock.Event.Fire":
+		return "signal"
 	}
-	return namedTypeName(cf.m.Path, selection.Recv()) == "sync.WaitGroup"
+	return ""
 }
 
 // isSyncType reports whether t (possibly behind a pointer) is a sync or
@@ -793,14 +795,14 @@ func (w *concWalker) scanCall(call *ast.CallExpr, st held) {
 	if _, _, _, ok := w.cf.lf.classifyCondCall(call); ok {
 		return // cond ops are the lock-flow walker's events, not data
 	}
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && len(call.Args) == 0 && w.cf.isWaitGroupSel(sel) {
-		switch sel.Sel.Name {
-		case "Wait":
+	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && len(call.Args) == 0 {
+		switch w.cf.joinMethod(sel) {
+		case "wait":
 			if w.cur == nil {
 				w.recordJoin("wait", sel.X, call.Pos())
 			}
 			return
-		case "Done":
+		case "signal":
 			if w.cur != nil {
 				if obj := baseIdentObj(w.cf.ti, sel.X); obj != nil {
 					w.cur.dones[obj] = true
@@ -870,7 +872,7 @@ func (w *concWalker) recordSelector(sel *ast.SelectorExpr, write bool, st held) 
 	}
 	if selection.Kind() != types.FieldVal {
 		// Method value (wg.Wait passed to v.Block): a join edge.
-		if w.cur == nil && sel.Sel.Name == "Wait" && w.cf.isWaitGroupSel(sel) {
+		if w.cur == nil && w.cf.joinMethod(sel) == "wait" {
 			w.recordJoin("wait", sel.X, sel.Pos())
 			return
 		}

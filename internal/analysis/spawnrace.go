@@ -8,9 +8,9 @@ import (
 // SpawnRace flags spawner/goroutine access pairs with no
 // happens-before edge between them: a variable the spawned goroutine
 // writes and the spawner reads after the spawn (or vice versa), with
-// neither a join — a WaitGroup.Wait the goroutine Dones, or a receive
-// on a channel the goroutine sends on — between the spawn and the
-// spawner's access, nor a mutex both sides hold at their accesses.
+// neither a join — a WaitGroup.Wait the goroutine Dones, an Event.Wait
+// on a vclock.Event it fires, or a receive on a channel it sends on —
+// between the spawn and the spawner's access, nor a mutex both sides hold at their accesses.
 //
 // The facts come from the concflow engine: spawn sites cover plain
 // `go` statements and async-wrapper calls (vclock's Virtual.Go and
@@ -74,7 +74,7 @@ func checkScopeRaces(m *Module, scope *concScope) []Diagnostic {
 					Message: fmt.Sprintf("%s is %s by the goroutine spawned at %s (via %s) and %s by the spawner here, with no join or common lock between them in %s",
 						sA.name, accessVerb(gA.write), position(m, spawn.pos), spawn.via,
 						accessVerb(sA.write), scope.name),
-					Suggestion: "join the goroutine first (WaitGroup.Wait or receive on a channel it closes/sends on), or guard both accesses with one mutex",
+					Suggestion: "join the goroutine first (WaitGroup.Wait, Event.Wait on an Event it fires, or receive on a channel it closes/sends on), or guard both accesses with one mutex",
 				})
 			}
 		}
@@ -105,7 +105,8 @@ func sameSharedObject(a, b sharedAccess) bool {
 
 // joinBetween reports whether the scope joins this spawn's goroutine
 // between the spawn point and the given access position: a Wait on a
-// WaitGroup the goroutine Dones, or a receive on a channel it sends on.
+// WaitGroup the goroutine Dones or an Event it fires, or a receive on a
+// channel it sends on.
 func joinBetween(scope *concScope, spawn *spawnSite, accessPos token.Pos) bool {
 	for _, j := range scope.joins {
 		if j.pos <= spawn.pos || j.pos >= accessPos {
