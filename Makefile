@@ -108,7 +108,7 @@ perf-pairs:
 # runtime execution trace. See DESIGN.md ("Hot-path performance") for
 # how to read them.
 profile:
-	$(GO) run ./cmd/c4h-bench -exp scaleup -workers 4 -cpuprofile cpu.prof -memprofile mem.prof -trace trace.out
+	$(GO) run ./cmd/c4h-bench -exp scaleup -cpuprofile cpu.prof -memprofile mem.prof -trace trace.out
 	@echo "inspect with:"
 	@echo "  go tool pprof -top cpu.prof"
 	@echo "  go tool pprof -top -sample_index=alloc_space mem.prof"

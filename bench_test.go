@@ -8,18 +8,12 @@ package cloud4home_test
 // ./cmd/c4h-bench`.
 
 import (
-	"flag"
 	"testing"
 
 	"cloud4home/internal/experiments"
 )
 
 const benchSeed = 2011
-
-// -workers bounds host-side concurrency for the scale-up style sweeps
-// whose cells are independent virtual-clock universes. Results are
-// identical at any worker count; only host wall-clock changes.
-var benchWorkers = flag.Int("workers", 1, "host worker goroutines for scale-up sweeps")
 
 // BenchmarkFig4HomeVsRemoteLatency regenerates Figure 4: fetch/store
 // latency and variability, home vs remote cloud, across object sizes.
@@ -281,9 +275,7 @@ func BenchmarkScale(b *testing.B) {
 func BenchmarkScaleUp(b *testing.B) {
 	var last *experiments.ScaleUpResult
 	for i := 0; i < b.N; i++ {
-		cfg := experiments.DefaultScaleUp(benchSeed)
-		cfg.Workers = *benchWorkers
-		res, err := experiments.RunScaleUp(cfg)
+		res, err := experiments.RunScaleUp(experiments.DefaultScaleUp(benchSeed))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"cloud4home/internal/cluster"
@@ -79,21 +78,6 @@ type AvailabilityResult struct {
 	Rows []AvailabilityRow
 }
 
-// availabilityModes are the compared fault configurations.
-func availabilityModes() []struct {
-	name string
-	fc   core.FaultConfig
-} {
-	return []struct {
-		name string
-		fc   core.FaultConfig
-	}{
-		{"faults-off", core.FaultConfig{}},
-		{"fallback", core.FaultConfig{Fallback: true}},
-		{"fallback+repair", core.FaultConfig{Fallback: true, Repair: true}},
-	}
-}
-
 // RunAvailability replays the same fetch trace under the same scripted
 // kill/rejoin schedule for each mode. All files are stored by the victim
 // netbook, so its crash takes out every primary copy at once; replicas
@@ -102,8 +86,9 @@ func availabilityModes() []struct {
 // node comes back empty — while the fallback ladder keeps serving from
 // the replica, and repair additionally restores the replica count and
 // promotes a new primary so later fetches stop paying retry cost.
-func RunAvailability(cfg AvailabilityConfig) (*AvailabilityResult, error) {
-	tr, err := trace.Generate(trace.Config{
+func RunAvailability(cfg AvailabilityConfig) (_ *AvailabilityResult, err error) {
+	defer catch(&err)
+	tr := must(trace.Generate(trace.Config{
 		Seed:     cfg.Seed,
 		Clients:  cfg.Clients,
 		Files:    cfg.Files,
@@ -115,152 +100,118 @@ func RunAvailability(cfg AvailabilityConfig) (*AvailabilityResult, error) {
 		// the replay skips — seeding happens at the victim instead), the
 		// trace is fetch-only, so the availability question is purely about
 		// reads surviving the holder crash.
-	})
-	if err != nil {
-		return nil, err
-	}
-
+	}))
 	res := &AvailabilityResult{}
-	for _, mode := range availabilityModes() {
-		row, err := runAvailabilityMode(cfg, tr, mode.name, mode.fc)
-		if err != nil {
-			return nil, fmt.Errorf("availability %s: %w", mode.name, err)
-		}
+	for _, mode := range []struct {
+		name string
+		fc   core.FaultConfig
+	}{
+		{"faults-off", core.FaultConfig{}},
+		{"fallback", core.FaultConfig{Fallback: true}},
+		{"fallback+repair", core.FaultConfig{Fallback: true, Repair: true}},
+	} {
+		row := AvailabilityRow{Mode: mode.name}
+		check(replay("availability "+mode.name, cluster.Options{
+			Seed:      cfg.Seed,
+			Netbooks:  2 + cfg.Clients,
+			DataPlane: core.DataPlaneConfig{DataReplicas: cfg.Replicas},
+			Faults:    mode.fc,
+		}, tr, cfg.Clients, crashRejoin(cfg.KillAt, cfg.RejoinAt), func(e *env, samples [][]fetchSample) {
+			row.Attempts, row.Failures, row.SuccessRate, row.Fetch, row.RetryCost = tally(samples)
+			for _, n := range e.Home.Nodes() {
+				st := n.OpStats()
+				row.Retries += st.FetchRetries
+				row.Repairs += st.ObjectsRepaired
+				row.ReplicasRestored += st.ReplicasRestored
+			}
+		}))
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }
 
-func runAvailabilityMode(cfg AvailabilityConfig, tr *trace.Trace, name string, fc core.FaultConfig) (AvailabilityRow, error) {
-	// Netbook 0 is the cloud gateway, netbook 1 the victim; readers get
-	// their own netbooks above those.
-	tb, err := cluster.New(cluster.Options{
-		Seed:      cfg.Seed,
-		Netbooks:  2 + cfg.Clients,
-		DataPlane: core.DataPlaneConfig{DataReplicas: cfg.Replicas},
-		Faults:    fc,
-	})
-	if err != nil {
-		return AvailabilityRow{}, err
+// fetchSample is one replayed fetch: the trace file, the virtual latency,
+// the time burned in failed rungs before the one that served it, and
+// whether it failed — a lost fetch is the datum here, not a run error.
+type fetchSample struct {
+	file       int
+	d, retries time.Duration
+	failed     bool
+}
+
+// tally counts a replay's attempts and failures, and summarises the
+// latencies and retry cost of the fetches that succeeded.
+func tally(samples [][]fetchSample) (attempts, failures int, successRate float64, fetch Stats, retryCost time.Duration) {
+	var ok []time.Duration
+	for _, cs := range samples {
+		for _, s := range cs {
+			attempts++
+			if s.failed {
+				failures++
+				continue
+			}
+			ok = append(ok, s.d)
+			retryCost += s.retries
+		}
 	}
-	const victimIdx = 1
-	victim := tb.Netbooks[victimIdx]
-	row := AvailabilityRow{Mode: name}
-	var runErr error
-	tb.Run(func() {
-		// Seed every file at the victim, replicas riding along per the
-		// data-plane config.
-		writer, err := victim.OpenSession()
-		if err != nil {
-			runErr = err
-			return
-		}
-		for _, f := range tr.Files {
-			if err := writer.CreateObject(f.Name, f.Type, f.Tags); err != nil {
-				runErr = err
-				return
-			}
-			if _, err := writer.StoreObject(f.Name, nil, f.Size, core.StoreOptions{Blocking: true}); err != nil {
-				runErr = err
-				return
-			}
-		}
-		writer.Close()
+	if attempts > 0 {
+		successRate = 100 * float64(attempts-failures) / float64(attempts)
+	}
+	return attempts, failures, successRate, Summarize(ok), retryCost
+}
 
-		schedule := netsim.FaultSchedule{Events: []netsim.FaultEvent{
-			{At: cfg.KillAt, Node: victim.Addr(), Kind: netsim.FaultCrash},
-			{At: cfg.RejoinAt, Node: victim.Addr(), Kind: netsim.FaultRejoin},
+// crashRejoin is the churn script both churn studies run: the victim
+// crashes at kill and rejoins, empty, at rejoin, offsets from the
+// replay's start.
+func crashRejoin(kill, rejoin time.Duration) func(victim string) netsim.FaultSchedule {
+	return func(victim string) netsim.FaultSchedule {
+		return netsim.FaultSchedule{Events: []netsim.FaultEvent{
+			{At: kill, Node: victim, Kind: netsim.FaultCrash},
+			{At: rejoin, Node: victim, Kind: netsim.FaultRejoin},
 		}}
-		apply := func(e netsim.FaultEvent) error {
-			switch e.Kind {
-			case netsim.FaultCrash:
-				return tb.Home.RemoveNode(e.Node, false)
-			default:
-				_, err := tb.Home.AddNode(tb.NetbookConfig(victimIdx))
-				return err
-			}
-		}
+	}
+}
 
-		type sample struct {
-			d       time.Duration
-			retries time.Duration
-			failed  bool
-		}
-		samples := make([][]sample, cfg.Clients)
-		var ferr firstErr
-		var wg sync.WaitGroup
-		start := tb.V.Now()
-		wg.Add(1)
-		tb.V.Go(func() {
-			defer wg.Done()
-			if err := netsim.RunFaults(tb.V, schedule, apply); err != nil {
-				ferr.set(err)
+// replay is the one crash/rejoin trace replay: availability's modes,
+// federation's redundancy arms and the fault-replay determinism test all
+// fold its samples. Every file of tr is seeded at netbook 1 (netbook 0 is
+// the cloud gateway), which schedule crashes and rejoins while client c
+// replays trace client c's fetches at their trace times from netbook
+// 2 + c, starting (c+1) × 500 µs in. fold sees each client's samples in
+// replay order.
+func replay(name string, opts cluster.Options, tr *trace.Trace, clients int, schedule func(victim string) netsim.FaultSchedule, fold func(e *env, samples [][]fetchSample)) error {
+	const victim = 1
+	samples := make([][]fetchSample, clients)
+	return scenario{
+		name: name,
+		opts: opts,
+		setup: func(e *env) {
+			writer := e.open(e.Netbooks[victim])
+			for _, f := range tr.Files {
+				put(writer, f.Name, f.Type, f.Tags, f.Size, blocking)
 			}
-		})
-		for c := 0; c < cfg.Clients; c++ {
-			c := c
-			wg.Add(1)
-			tb.V.Go(func() {
-				defer wg.Done()
-				sess, err := tb.Netbooks[2+c].OpenSession()
-				if err != nil {
-					ferr.set(err)
-					return
-				}
-				defer sess.Close()
-				tb.V.Sleep(time.Duration(c+1) * 500 * time.Microsecond)
-				for _, a := range tr.Accesses {
-					if a.Client != c || a.Kind != trace.OpFetch {
-						continue
-					}
-					if wait := start.Add(a.At).Sub(tb.V.Now()); wait > 0 {
-						tb.V.Sleep(wait)
-					}
-					s0 := tb.V.Now()
-					fr, err := sess.FetchObject(tr.Files[a.File].Name)
-					s := sample{d: tb.V.Now().Sub(s0)}
-					if err != nil {
-						// A lost fetch is the datum here, not a run error.
-						s.failed = true
-					} else {
-						s.retries = fr.Breakdown.Retries
-					}
-					samples[c] = append(samples[c], s)
-				}
-			})
-		}
-		tb.V.Block(wg.Wait)
-		if runErr == nil {
-			runErr = ferr.get()
-		}
-
-		var ok []time.Duration
-		for _, cs := range samples {
-			for _, s := range cs {
-				row.Attempts++
-				if s.failed {
-					row.Failures++
+		},
+		clients: clients,
+		at:      func(e *env, c int) *core.Node { return e.Netbooks[victim+1+c] },
+		start:   func(c int) time.Duration { return time.Duration(c+1) * 500 * time.Microsecond },
+		client: func(e *env, c int, sess *core.Session) {
+			for _, a := range tr.Accesses {
+				if a.Client != c || a.Kind != trace.OpFetch {
 					continue
 				}
-				ok = append(ok, s.d)
-				row.RetryCost += s.retries
+				if wait := e.start.Add(a.At).Sub(e.V.Now()); wait > 0 {
+					e.V.Sleep(wait)
+				}
+				s0 := e.V.Now()
+				fr, err := sess.FetchObject(tr.Files[a.File].Name)
+				samples[c] = append(samples[c], fetchSample{
+					file: a.File, d: e.V.Now().Sub(s0), retries: fr.Breakdown.Retries, failed: err != nil,
+				})
 			}
-		}
-		if row.Attempts > 0 {
-			row.SuccessRate = 100 * float64(row.Attempts-row.Failures) / float64(row.Attempts)
-		}
-		row.Fetch = Summarize(ok)
-		for _, n := range tb.Home.Nodes() {
-			st := n.OpStats()
-			row.Retries += st.FetchRetries
-			row.Repairs += st.ObjectsRepaired
-			row.ReplicasRestored += st.ReplicasRestored
-		}
-	})
-	if runErr != nil {
-		return AvailabilityRow{}, runErr
-	}
-	return row, nil
+		},
+		faults: func(e *env) netsim.FaultSchedule { return schedule(e.Netbooks[victim].Addr()) },
+		fold:   func(e *env) { fold(e, samples) },
+	}.run()
 }
 
 // Row returns the named mode's measurement, or false.

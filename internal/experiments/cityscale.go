@@ -94,75 +94,45 @@ type CityScaleResult struct {
 // cityArm builds one city and drives the population workload through its
 // kv layer, then injects churn and measures repair traffic. All ops run
 // sequentially inside the virtual clock, so the schedule — and every
-// metric — is a pure function of (seed, nodes). The sweep runs with lazy
-// monitors; the golden test passes false to pin the eager default to the
-// same numbers.
-func cityArm(cfg CityScaleConfig, nodes int, lazyMonitors bool) (CityScaleMetrics, int64, error) {
-	ops, err := trace.GeneratePopulation(trace.PopulationConfig{
+// metric — is a pure function of the seed and opts. It is the one city
+// loop: the sweep runs it with lazy monitors, the super-peer cell with the
+// aggregation tier on, and the golden test with the eager default, which
+// must land on the same numbers as the sweep.
+func cityArm(cfg CityScaleConfig, opts cluster.CityOptions) (_ cityRun, err error) {
+	defer catch(&err)
+	ops := must(trace.GeneratePopulation(trace.PopulationConfig{
 		Seed:          cfg.Seed,
-		Homes:         nodes,
+		Homes:         opts.Homes,
 		Objects:       cfg.Objects,
 		Ops:           cfg.Ops,
 		StoreFraction: 0.4,
-	})
-	if err != nil {
-		return CityScaleMetrics{}, 0, err
-	}
-
-	runtime.GC()
-	var before runtime.MemStats
-	runtime.ReadMemStats(&before)
-
-	city, err := cluster.NewCity(cluster.CityOptions{
-		Seed:         cfg.Seed,
-		Homes:        nodes,
-		LazyMonitors: lazyMonitors,
-	})
-	if err != nil {
-		return CityScaleMetrics{}, 0, err
-	}
-
-	runtime.GC()
-	var after runtime.MemStats
-	runtime.ReadMemStats(&after)
-	var bytesPerNode int64
-	if after.HeapAlloc > before.HeapAlloc {
-		bytesPerNode = int64(after.HeapAlloc-before.HeapAlloc) / int64(nodes)
-	}
-
-	m := CityScaleMetrics{Nodes: nodes}
-	var runErr error
-	epoch := cluster.Epoch
-	city.Run(func() {
-		kvs := city.Home.KV()
+	}))
+	r := cityRun{CityScaleMetrics: CityScaleMetrics{Nodes: opts.Homes}}
+	m := &r.CityScaleMetrics
+	s := scenario{name: fmt.Sprintf("city scale n=%d regions=%d", opts.Homes, opts.SuperPeerRegions), city: &opts, setup: func(e *env) {
+		kvs := e.Home.KV()
 		var hopSum, storeHopSum int
 		fetchDurs := make([]time.Duration, 0, len(ops))
 		payload := []byte(`{"city":"meta"}`)
 		for _, op := range ops {
-			from := city.Nodes[op.Home].ID()
+			from := e.nodes[op.Home].ID()
 			key := ids.HashString(fmt.Sprintf("city/%06d", op.Object))
 			if op.Kind == trace.OpStore {
-				pr, err := kvs.Put(from, key, payload, kv.Overwrite)
-				if err != nil {
-					runErr = err
-					return
-				}
+				pr := must(kvs.Put(from, key, payload, kv.Overwrite))
 				m.Stores++
 				storeHopSum += pr.Hops
-			} else {
-				s0 := city.V.Now()
-				gr, err := kvs.Get(from, key)
-				if err != nil {
-					runErr = err
-					return
-				}
-				m.Fetches++
-				hopSum += gr.Hops
-				if gr.Hops > m.MaxLookupHops {
-					m.MaxLookupHops = gr.Hops
-				}
-				fetchDurs = append(fetchDurs, city.V.Now().Sub(s0))
+				r.superHops += int64(pr.SuperHops)
+				r.homeHops += int64(pr.Hops - pr.SuperHops)
+				continue
 			}
+			s0 := e.V.Now()
+			gr := must(kvs.Get(from, key))
+			m.Fetches++
+			hopSum += gr.Hops
+			m.MaxLookupHops = max(m.MaxLookupHops, gr.Hops)
+			r.superHops += int64(gr.SuperHops)
+			r.homeHops += int64(gr.Hops - gr.SuperHops)
+			fetchDurs = append(fetchDurs, e.V.Now().Sub(s0))
 		}
 		if m.Fetches > 0 {
 			m.MeanLookupHops = float64(hopSum) / float64(m.Fetches)
@@ -172,38 +142,49 @@ func cityArm(cfg CityScaleConfig, nodes int, lazyMonitors bool) (CityScaleMetric
 		}
 		st := Summarize(fetchDurs)
 		m.FetchMean, m.FetchMax = st.Mean, st.Max
-
-		msgs, _, _ := city.Home.Net().Traffic()
-		m.Messages = msgs
+		m.Messages, _, _ = e.Home.Net().Traffic()
 
 		// Churn window: crash the last ChurnEvents non-gateway nodes and
 		// let the kv layer's departure handlers re-replicate. The message
 		// delta is the repair traffic.
-		churn := cfg.ChurnEvents
-		if churn > len(city.Nodes)-1 {
-			churn = len(city.Nodes) - 1
-		}
-		for i := 0; i < churn; i++ {
-			victim := city.Nodes[len(city.Nodes)-1-i]
-			if err := city.Home.Mesh().Fail(victim.ID()); err != nil {
-				runErr = err
-				return
-			}
+		for i := 0; i < min(cfg.ChurnEvents, len(e.nodes)-1); i++ {
+			victim := e.nodes[len(e.nodes)-1-i]
+			check(e.Home.Mesh().Fail(victim.ID()))
 			kvs.Detach(victim.ID())
 		}
-		after, _, _ := city.Home.Net().Traffic()
-		m.RepairMessages = after - msgs
-		m.Elapsed = city.V.Now().Sub(epoch)
-	})
-	if runErr != nil {
-		return CityScaleMetrics{}, 0, runErr
+		after, _, _ := e.Home.Net().Traffic()
+		m.RepairMessages = after - m.Messages
+		m.Elapsed = e.V.Now().Sub(cluster.Epoch)
+	}}
+
+	// The build is measured on its own: its heap delta is the city's
+	// resident size.
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e := must(s.build())
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if after.HeapAlloc > before.HeapAlloc {
+		r.bytesPerNode = int64(after.HeapAlloc-before.HeapAlloc) / int64(opts.Homes)
 	}
-	return m, bytesPerNode, nil
+	check(s.drive(e))
+	return r, nil
+}
+
+// cityRun is one pass of the population workload over a city.
+type cityRun struct {
+	CityScaleMetrics
+	// superHops and homeHops split every get's and put's hops by tier.
+	superHops, homeHops int64
+	// bytesPerNode is the host heap the city's build took, per node.
+	bytesPerNode int64
 }
 
 // RunCityScale sweeps the configured node counts, then measures the
 // super-peer tier at the smallest.
-func RunCityScale(cfg CityScaleConfig) (*CityScaleResult, error) {
+func RunCityScale(cfg CityScaleConfig) (_ *CityScaleResult, err error) {
+	defer catch(&err)
 	if len(cfg.Nodes) == 0 {
 		cfg.Nodes = []int{1_000, 10_000, 100_000}
 	}
@@ -227,87 +208,21 @@ func RunCityScale(cfg CityScaleConfig) (*CityScaleResult, error) {
 	res := &CityScaleResult{}
 	for _, n := range cfg.Nodes {
 		t0 := host.Now()
-		m, bpn, err := cityArm(cfg, n, true)
-		if err != nil {
-			return nil, fmt.Errorf("city scale n=%d: %w", n, err)
-		}
-		res.Rows = append(res.Rows, CityScaleRow{Metrics: m, BytesPerNode: bpn, Wall: host.Now().Sub(t0)})
+		r := must(cityArm(cfg, cluster.CityOptions{Seed: cfg.Seed, Homes: n, LazyMonitors: true}))
+		res.Rows = append(res.Rows, CityScaleRow{Metrics: r.CityScaleMetrics, BytesPerNode: r.bytesPerNode, Wall: host.Now().Sub(t0)})
 	}
 
 	// Super-peer cell: the smallest size with the aggregation tier on. The
 	// tier is a modeled change (hop structure differs), so it is measured
 	// beside the sweep, not inside it.
-	sp, err := citySuperPeerCell(cfg, cfg.Nodes[0])
-	if err != nil {
-		return nil, fmt.Errorf("city scale super-peer cell: %w", err)
+	n := cfg.Nodes[0]
+	r := must(cityArm(cfg, cluster.CityOptions{Seed: cfg.Seed, Homes: n, LazyMonitors: true, SuperPeerRegions: cfg.Regions}))
+	res.SuperPeer = CitySuperPeerCell{
+		Nodes: n, Regions: cfg.Regions,
+		MeanHops: r.MeanLookupHops, MaxHops: r.MaxLookupHops,
+		SuperHops: r.superHops, HomeHops: r.homeHops,
 	}
-	res.SuperPeer = sp
 	return res, nil
-}
-
-// citySuperPeerCell runs the workload under the aggregation tier
-// (cfg.Regions regions, lazy monitors like the sweep) and splits hops by
-// tier.
-func citySuperPeerCell(cfg CityScaleConfig, nodes int) (CitySuperPeerCell, error) {
-	ops, err := trace.GeneratePopulation(trace.PopulationConfig{
-		Seed:          cfg.Seed,
-		Homes:         nodes,
-		Objects:       cfg.Objects,
-		Ops:           cfg.Ops,
-		StoreFraction: 0.4,
-	})
-	if err != nil {
-		return CitySuperPeerCell{}, err
-	}
-	city, err := cluster.NewCity(cluster.CityOptions{
-		Seed:             cfg.Seed,
-		Homes:            nodes,
-		LazyMonitors:     true,
-		SuperPeerRegions: cfg.Regions,
-	})
-	if err != nil {
-		return CitySuperPeerCell{}, err
-	}
-	cell := CitySuperPeerCell{Nodes: nodes, Regions: cfg.Regions}
-	var runErr error
-	city.Run(func() {
-		kvs := city.Home.KV()
-		payload := []byte(`{"city":"meta"}`)
-		var hops, lookups int
-		for _, op := range ops {
-			from := city.Nodes[op.Home].ID()
-			key := ids.HashString(fmt.Sprintf("city/%06d", op.Object))
-			if op.Kind == trace.OpStore {
-				pr, err := kvs.Put(from, key, payload, kv.Overwrite)
-				if err != nil {
-					runErr = err
-					return
-				}
-				cell.SuperHops += int64(pr.SuperHops)
-				cell.HomeHops += int64(pr.Hops - pr.SuperHops)
-			} else {
-				gr, err := kvs.Get(from, key)
-				if err != nil {
-					runErr = err
-					return
-				}
-				lookups++
-				hops += gr.Hops
-				if gr.Hops > cell.MaxHops {
-					cell.MaxHops = gr.Hops
-				}
-				cell.SuperHops += int64(gr.SuperHops)
-				cell.HomeHops += int64(gr.Hops - gr.SuperHops)
-			}
-		}
-		if lookups > 0 {
-			cell.MeanHops = float64(hops) / float64(lookups)
-		}
-	})
-	if runErr != nil {
-		return CitySuperPeerCell{}, runErr
-	}
-	return cell, nil
 }
 
 // Table renders the sweep.

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -313,4 +315,57 @@ func TestScaleShape(t *testing.T) {
 		t.Error("join costs not measured")
 	}
 	_ = res.Table().Render()
+}
+
+// TestNoActorOutlivesItsExperiment runs every experiment of the
+// evaluation and requires each to return with none of its clock actors
+// still running: the runner joins every actor it starts, the background
+// ones (compute scale-up's hogs) included.
+func TestNoActorOutlivesItsExperiment(t *testing.T) {
+	// Allocated up front, so reading the stacks right after a run does not
+	// first yield to a collection that a leftover actor could finish in.
+	buf := make([]byte, 1<<20)
+	for _, e := range Evaluation(CityScaleConfig{}) {
+		if e.OnDemand {
+			continue
+		}
+		t.Run(e.Name, func(t *testing.T) {
+			before := clockActors(buf)
+			if _, err := e.Run(42); err != nil {
+				t.Fatal(err)
+			}
+			if after := clockActors(buf); after > before {
+				t.Errorf("%d clock actors outlived the experiment (%d before, %d after)", after-before, before, after)
+			}
+		})
+	}
+}
+
+// clockActors counts the clock actors still running their work:
+// goroutines under vclock.Virtual.Go's wrapper with a frame of their own
+// above it. One whose work has returned, and which is only deregistering
+// or exiting, is not counted, so the count does not race goroutine
+// teardown the way runtime.NumGoroutine does.
+func clockActors(buf []byte) int {
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	live := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if !strings.Contains(g, "vclock.(*Virtual).Go.func1(") {
+			continue
+		}
+		for _, frame := range strings.Split(g, "\n") {
+			if strings.HasPrefix(frame, "cloud4home/") && !strings.HasPrefix(frame, "cloud4home/internal/vclock.") {
+				live++
+				break
+			}
+		}
+	}
+	return live
 }

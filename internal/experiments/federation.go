@@ -4,13 +4,11 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"cloud4home/internal/cloudsim"
 	"cloud4home/internal/cluster"
 	"cloud4home/internal/core"
-	"cloud4home/internal/netsim"
 	"cloud4home/internal/policy"
 	"cloud4home/internal/trace"
 )
@@ -113,43 +111,30 @@ type FederationResult struct {
 	Redundancy []RedundancyRow
 }
 
-// frontierPolicies are the compared placement policies: one pinned run
-// per backend to chart the raw frontier, then the three optimizers.
-func frontierPolicies() []policy.BackendPolicy {
-	return []policy.BackendPolicy{
-		policy.PinnedBackend{Backend: "s3"},
-		policy.PinnedBackend{Backend: "archive"},
-		policy.PinnedBackend{Backend: "metro"},
-		policy.CheapestBackend{},
-		policy.FastestBackend{},
-		policy.MostDurableBackend{},
-	}
-}
-
 // extraBackends are the non-default federation members.
 func extraBackends() []cloudsim.BackendProfile {
 	return []cloudsim.BackendProfile{cloudsim.ArchiveProfile(), cloudsim.MetroProfile()}
 }
 
 // RunFederation runs the three-part federation study.
-func RunFederation(cfg FederationConfig) (*FederationResult, error) {
+func RunFederation(cfg FederationConfig) (_ *FederationResult, err error) {
+	defer catch(&err)
 	res := &FederationResult{}
-
-	identical, mismatch, err := runFederationIdentity(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("federation identity: %w", err)
+	res.Identical, res.Mismatch = federationIdentity(cfg)
+	// One pinned run per backend charts the raw frontier, then the three
+	// optimizers.
+	for _, pol := range []policy.BackendPolicy{
+		policy.PinnedBackend{Backend: "s3"},
+		policy.PinnedBackend{Backend: "archive"},
+		policy.PinnedBackend{Backend: "metro"},
+		policy.CheapestBackend{},
+		policy.FastestBackend{},
+		policy.MostDurableBackend{},
+	} {
+		res.Frontier = append(res.Frontier, must(runFrontierPolicy(cfg, pol)))
 	}
-	res.Identical, res.Mismatch = identical, mismatch
 
-	for _, pol := range frontierPolicies() {
-		row, err := runFrontierPolicy(cfg, pol)
-		if err != nil {
-			return nil, fmt.Errorf("federation frontier %s: %w", pol.Name(), err)
-		}
-		res.Frontier = append(res.Frontier, row)
-	}
-
-	tr, err := trace.Generate(trace.Config{
+	tr := must(trace.Generate(trace.Config{
 		Seed:     cfg.Seed,
 		Clients:  cfg.Clients,
 		Files:    cfg.Files,
@@ -159,10 +144,7 @@ func RunFederation(cfg FederationConfig) (*FederationResult, error) {
 		MeanGap:  cfg.MeanGap,
 		// Fetch-only beyond the seeding stores: the redundancy question is
 		// purely about reads surviving the holder crash.
-	})
-	if err != nil {
-		return nil, err
-	}
+	}))
 	arms := []struct {
 		name string
 		opts cluster.Options
@@ -187,153 +169,97 @@ func RunFederation(cfg FederationConfig) (*FederationResult, error) {
 		},
 	}
 	for _, arm := range arms {
-		row, err := runRedundancyArm(cfg, tr, arm.name, arm.opts)
-		if err != nil {
-			return nil, fmt.Errorf("federation redundancy %s: %w", arm.name, err)
-		}
-		res.Redundancy = append(res.Redundancy, row)
+		res.Redundancy = append(res.Redundancy, runRedundancyArm(cfg, tr, arm.name, arm.opts))
 	}
 	return res, nil
 }
 
-// runFederationIdentity replays one store+fetch workload on a plain
-// testbed and on one with archive+metro attached under a zero
-// FederationConfig, and compares the virtual-time samples exactly.
-func runFederationIdentity(cfg FederationConfig) (bool, string, error) {
-	plain, err := federationIdentityArm(cfg, nil)
-	if err != nil {
-		return false, "", err
-	}
-	attached, err := federationIdentityArm(cfg, extraBackends())
-	if err != nil {
-		return false, "", err
-	}
+// federationIdentity replays one store+fetch workload on a plain testbed
+// and on one with archive+metro attached under a zero FederationConfig,
+// and compares the virtual-time samples exactly.
+func federationIdentity(cfg FederationConfig) (bool, string) {
+	plain := federationIdentityArm(cfg, nil)
+	attached := federationIdentityArm(cfg, extraBackends())
 	if len(plain) != len(attached) {
-		return false, fmt.Sprintf("sample count %d vs %d", len(plain), len(attached)), nil
+		return false, fmt.Sprintf("sample count %d vs %d", len(plain), len(attached))
 	}
 	for i := range plain {
 		if plain[i] != attached[i] {
-			return false, fmt.Sprintf("sample %d: %v vs %v", i, plain[i], attached[i]), nil
+			return false, fmt.Sprintf("sample %d: %v vs %v", i, plain[i], attached[i])
 		}
 	}
-	return true, "", nil
+	return true, ""
 }
 
 // federationIdentityArm stores a small size ladder from the desktop
 // under the default policy and fetches each object back from a netbook,
 // returning every operation's virtual duration.
-func federationIdentityArm(cfg FederationConfig, backends []cloudsim.BackendProfile) ([]time.Duration, error) {
-	tb, err := cluster.New(cluster.Options{Seed: cfg.Seed, Netbooks: 2, Backends: backends})
-	if err != nil {
-		return nil, err
-	}
-	sizes := []int64{cfg.MinSize, 1 * MB, 4 * MB, cfg.MaxSize}
+func federationIdentityArm(cfg FederationConfig, backends []cloudsim.BackendProfile) []time.Duration {
 	var samples []time.Duration
-	var runErr error
-	tb.Run(func() {
-		writer, err := tb.Desktop.OpenSession()
-		if err != nil {
-			runErr = err
-			return
-		}
-		defer writer.Close()
-		reader, err := tb.Netbooks[1].OpenSession()
-		if err != nil {
-			runErr = err
-			return
-		}
-		defer reader.Close()
-		for i, size := range sizes {
-			name := fmt.Sprintf("fed/ident-%d", i)
-			if err := writer.CreateObject(name, "blob", nil); err != nil {
-				runErr = err
-				return
+	check(scenario{
+		name: "federation identity",
+		opts: cluster.Options{Seed: cfg.Seed, Netbooks: 2, Backends: backends},
+		setup: func(e *env) {
+			sess := e.openEach(e.Desktop, e.Netbooks[1])
+			writer, reader := sess[0], sess[1]
+			for i, size := range []int64{cfg.MinSize, 1 * MB, 4 * MB, cfg.MaxSize} {
+				name := fmt.Sprintf("fed/ident-%d", i)
+				stored := put(writer, name, "blob", nil, size, blocking).Total
+				t0 := e.V.Now()
+				must(reader.FetchObject(name))
+				samples = append(samples, stored, e.V.Now().Sub(t0))
 			}
-			t0 := tb.V.Now()
-			if _, err := writer.StoreObject(name, nil, size, core.StoreOptions{Blocking: true}); err != nil {
-				runErr = err
-				return
-			}
-			samples = append(samples, tb.V.Now().Sub(t0))
-			t0 = tb.V.Now()
-			if _, err := reader.FetchObject(name); err != nil {
-				runErr = err
-				return
-			}
-			samples = append(samples, tb.V.Now().Sub(t0))
-		}
-	})
-	if runErr != nil {
-		return nil, runErr
-	}
-	return samples, nil
+		},
+	}.run())
+	return samples
 }
 
 // runFrontierPolicy stores the catalogue to the cloud under one
 // placement policy, reads it back, and totals the bill.
-func runFrontierPolicy(cfg FederationConfig, pol policy.BackendPolicy) (FrontierRow, error) {
-	tb, err := cluster.New(cluster.Options{
-		Seed:       cfg.Seed,
-		Netbooks:   2,
-		Backends:   extraBackends(),
-		Federation: core.FederationConfig{Backend: pol},
-	})
-	if err != nil {
-		return FrontierRow{}, err
-	}
+func runFrontierPolicy(cfg FederationConfig, pol policy.BackendPolicy) (_ FrontierRow, err error) {
+	defer catch(&err)
 	row := FrontierRow{Policy: pol.Name()}
 	placed := map[string]int{}
 	var stores, fetches []time.Duration
-	var runErr error
-	tb.Run(func() {
-		sess, err := tb.Desktop.OpenSession()
-		if err != nil {
-			runErr = err
-			return
-		}
-		defer sess.Close()
-		// Every store is forced to the cloud tier so the backend policy —
-		// not the local/peer ladder — decides placement.
-		force := core.StoreOptions{Blocking: true, Policy: policy.SizeThreshold{RemoteBytes: 1}}
-		for i := 0; i < cfg.Objects; i++ {
-			name := fmt.Sprintf("fed/obj-%02d", i)
-			size := cfg.MinSize
-			if cfg.Objects > 1 {
-				size += (cfg.MaxSize - cfg.MinSize) * int64(i) / int64(cfg.Objects-1)
+	check(scenario{
+		name: "federation frontier " + pol.Name(),
+		opts: cluster.Options{
+			Seed:       cfg.Seed,
+			Netbooks:   2,
+			Backends:   extraBackends(),
+			Federation: core.FederationConfig{Backend: pol},
+		},
+		setup: func(e *env) {
+			sess := e.open(e.Desktop)
+			// Every store is forced to the cloud tier so the backend policy —
+			// not the local/peer ladder — decides placement.
+			for i := 0; i < cfg.Objects; i++ {
+				size := cfg.MinSize
+				if cfg.Objects > 1 {
+					size += (cfg.MaxSize - cfg.MinSize) * int64(i) / int64(cfg.Objects-1)
+				}
+				stores = append(stores, put(sess, fmt.Sprintf("fed/obj-%02d", i), "blob", nil, size, remote).Total)
 			}
-			if err := sess.CreateObject(name, "blob", nil); err != nil {
-				runErr = err
-				return
+			for _, b := range e.Home.Backends() {
+				row.StoreUSD += b.Spend().USD
 			}
-			t0 := tb.V.Now()
-			if _, err := sess.StoreObject(name, nil, size, force); err != nil {
-				runErr = err
-				return
+			for i := 0; i < cfg.Objects; i++ {
+				t0 := e.V.Now()
+				fr := must(sess.FetchObject(fmt.Sprintf("fed/obj-%02d", i)))
+				fetches = append(fetches, e.V.Now().Sub(t0))
+				backend := fr.Meta.Backend
+				if backend == "" {
+					backend = e.Cloud.Name()
+				}
+				placed[backend]++
 			}
-			stores = append(stores, tb.V.Now().Sub(t0))
-		}
-		for _, b := range tb.Home.Backends() {
-			row.StoreUSD += b.Spend().USD
-		}
-		for i := 0; i < cfg.Objects; i++ {
-			name := fmt.Sprintf("fed/obj-%02d", i)
-			t0 := tb.V.Now()
-			fr, err := sess.FetchObject(name)
-			if err != nil {
-				runErr = err
-				return
+		},
+		fold: func(e *env) {
+			for _, b := range e.Home.Backends() {
+				row.USD += b.Spend().USD
 			}
-			fetches = append(fetches, tb.V.Now().Sub(t0))
-			backend := fr.Meta.Backend
-			if backend == "" {
-				backend = tb.Cloud.Name()
-			}
-			placed[backend]++
-		}
-	})
-	if runErr != nil {
-		return FrontierRow{}, runErr
-	}
+		},
+	}.run())
 	row.Store = Summarize(stores)
 	row.Fetch = Summarize(fetches)
 	names := make([]string, 0, len(placed))
@@ -346,29 +272,17 @@ func runFrontierPolicy(cfg FederationConfig, pol policy.BackendPolicy) (Frontier
 		parts = append(parts, fmt.Sprintf("%s:%d", name, placed[name]))
 	}
 	row.Placements = strings.Join(parts, " ")
-	for _, b := range tb.Home.Backends() {
-		row.USD += b.Spend().USD
-	}
 	return row, nil
 }
 
 // runRedundancyArm seeds the catalogue at a victim netbook, crashes it
 // mid-replay, rejoins it empty, and measures fetch availability plus the
 // scheme's storage overhead.
-func runRedundancyArm(cfg FederationConfig, tr *trace.Trace, name string, opts cluster.Options) (RedundancyRow, error) {
-	tb, err := cluster.New(opts)
-	if err != nil {
-		return RedundancyRow{}, err
-	}
-	// Netbook 0 is the cloud gateway, netbook 1 the victim; readers use
-	// the netbooks above those.
-	const victimIdx = 1
-	victim := tb.Netbooks[victimIdx]
+func runRedundancyArm(cfg FederationConfig, tr *trace.Trace, name string, opts cluster.Options) RedundancyRow {
 	row := RedundancyRow{Mode: name}
-	erasureOn := opts.Federation.ErasureK > 0
 	for _, f := range tr.Files {
 		row.DataBytes += f.Size
-		if erasureOn {
+		if opts.Federation.ErasureK > 0 {
 			shard := (f.Size + int64(cfg.ErasureK) - 1) / int64(cfg.ErasureK)
 			row.RedundantBytes += int64(cfg.ErasureN) * shard
 		} else {
@@ -378,105 +292,9 @@ func runRedundancyArm(cfg FederationConfig, tr *trace.Trace, name string, opts c
 	if row.DataBytes > 0 {
 		row.Overhead = float64(row.RedundantBytes) / float64(row.DataBytes)
 	}
-	var runErr error
-	tb.Run(func() {
-		writer, err := victim.OpenSession()
-		if err != nil {
-			runErr = err
-			return
-		}
-		for _, f := range tr.Files {
-			if err := writer.CreateObject(f.Name, f.Type, f.Tags); err != nil {
-				runErr = err
-				return
-			}
-			if _, err := writer.StoreObject(f.Name, nil, f.Size, core.StoreOptions{Blocking: true}); err != nil {
-				runErr = err
-				return
-			}
-		}
-		writer.Close()
-
-		schedule := netsim.FaultSchedule{Events: []netsim.FaultEvent{
-			{At: cfg.KillAt, Node: victim.Addr(), Kind: netsim.FaultCrash},
-			{At: cfg.RejoinAt, Node: victim.Addr(), Kind: netsim.FaultRejoin},
-		}}
-		apply := func(e netsim.FaultEvent) error {
-			switch e.Kind {
-			case netsim.FaultCrash:
-				return tb.Home.RemoveNode(e.Node, false)
-			default:
-				_, err := tb.Home.AddNode(tb.NetbookConfig(victimIdx))
-				return err
-			}
-		}
-
-		type sample struct {
-			d      time.Duration
-			failed bool
-		}
-		samples := make([][]sample, cfg.Clients)
-		var ferr firstErr
-		var wg sync.WaitGroup
-		start := tb.V.Now()
-		wg.Add(1)
-		tb.V.Go(func() {
-			defer wg.Done()
-			if err := netsim.RunFaults(tb.V, schedule, apply); err != nil {
-				ferr.set(err)
-			}
-		})
-		for c := 0; c < cfg.Clients; c++ {
-			c := c
-			wg.Add(1)
-			tb.V.Go(func() {
-				defer wg.Done()
-				sess, err := tb.Netbooks[2+c].OpenSession()
-				if err != nil {
-					ferr.set(err)
-					return
-				}
-				defer sess.Close()
-				tb.V.Sleep(time.Duration(c+1) * 500 * time.Microsecond)
-				for _, a := range tr.Accesses {
-					if a.Client != c || a.Kind != trace.OpFetch {
-						continue
-					}
-					if wait := start.Add(a.At).Sub(tb.V.Now()); wait > 0 {
-						tb.V.Sleep(wait)
-					}
-					s0 := tb.V.Now()
-					_, err := sess.FetchObject(tr.Files[a.File].Name)
-					s := sample{d: tb.V.Now().Sub(s0)}
-					if err != nil {
-						// A lost fetch is the datum here, not a run error.
-						s.failed = true
-					}
-					samples[c] = append(samples[c], s)
-				}
-			})
-		}
-		tb.V.Block(wg.Wait)
-		if runErr == nil {
-			runErr = ferr.get()
-		}
-
-		var ok []time.Duration
-		for _, cs := range samples {
-			for _, s := range cs {
-				row.Attempts++
-				if s.failed {
-					row.Failures++
-					continue
-				}
-				ok = append(ok, s.d)
-			}
-		}
-		if row.Attempts > 0 {
-			row.SuccessRate = 100 * float64(row.Attempts-row.Failures) / float64(row.Attempts)
-		}
-		row.Fetch = Summarize(ok)
-		for _, n := range tb.Home.Nodes() {
+	check(replay("federation redundancy "+name, opts, tr, cfg.Clients, crashRejoin(cfg.KillAt, cfg.RejoinAt), func(e *env, samples [][]fetchSample) {
+		row.Attempts, row.Failures, row.SuccessRate, row.Fetch, _ = tally(samples)
+		for _, n := range e.Home.Nodes() {
 			st := n.OpStats()
 			row.Repairs += st.ObjectsRepaired
 			row.ReplicasRestored += st.ReplicasRestored
@@ -484,11 +302,8 @@ func runRedundancyArm(cfg FederationConfig, tr *trace.Trace, name string, opts c
 			row.ShardsRestored += st.ShardsRestored
 			row.Reconstructs += st.ShardReconstructs
 		}
-	})
-	if runErr != nil {
-		return RedundancyRow{}, runErr
-	}
-	return row, nil
+	}))
+	return row
 }
 
 // FrontierRowFor returns the named policy's frontier row, or false.

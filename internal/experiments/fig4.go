@@ -5,8 +5,6 @@ import (
 	"time"
 
 	"cloud4home/internal/cluster"
-	"cloud4home/internal/core"
-	"cloud4home/internal/policy"
 )
 
 // Fig4Config parameterises the home-vs-remote latency experiment.
@@ -44,33 +42,13 @@ type Fig4Result struct {
 // RunFig4 executes the experiment. "For the home cloud measurements, the
 // dataset is distributed across all nodes in our home prototype, so data
 // accesses are made to both on-node and off-node storage."
-func RunFig4(cfg Fig4Config) (*Fig4Result, error) {
-	tb, err := cluster.New(cluster.Options{Seed: cfg.Seed})
-	if err != nil {
-		return nil, err
-	}
+func RunFig4(cfg Fig4Config) (_ *Fig4Result, err error) {
+	defer catch(&err)
 	res := &Fig4Result{}
-	var runErr error
-	tb.Run(func() {
-		nodes := tb.AllNodes()
-		sess := make([]*core.Session, len(nodes))
-		for i, n := range nodes {
-			sess[i], runErr = n.OpenSession()
-			if runErr != nil {
-				return
-			}
-		}
-		defer func() {
-			for _, s := range sess {
-				if s != nil {
-					s.Close()
-				}
-			}
-		}()
-
+	check(scenario{name: "fig4", opts: cluster.Options{Seed: cfg.Seed}, setup: func(e *env) {
+		sess := e.openEach(e.nodes...)
 		seq := 0
 		for _, size := range cfg.Sizes {
-			row := Fig4Row{Size: size}
 			var homeFetch, homeStore, remoteFetch, remoteStore []time.Duration
 			for rep := 0; rep < cfg.Reps; rep++ {
 				// Home: store from one node, fetch from another, so both
@@ -80,51 +58,23 @@ func RunFig4(cfg Fig4Config) (*Fig4Result, error) {
 				seq++
 
 				name := fmt.Sprintf("fig4/home-%d-%d", size, rep)
-				if runErr = producer.CreateObject(name, "blob", nil); runErr != nil {
-					return
-				}
-				sr, err := producer.StoreObject(name, nil, size, core.StoreOptions{Blocking: true})
-				if err != nil {
-					runErr = err
-					return
-				}
-				homeStore = append(homeStore, sr.Total)
-				fr, err := consumer.FetchObject(name)
-				if err != nil {
-					runErr = err
-					return
-				}
-				homeFetch = append(homeFetch, fr.Breakdown.Total)
+				homeStore = append(homeStore, put(producer, name, "blob", nil, size, blocking).Total)
+				homeFetch = append(homeFetch, must(consumer.FetchObject(name)).Breakdown.Total)
 
 				// Remote: force placement into the public cloud.
 				rname := fmt.Sprintf("fig4/remote-%d-%d", size, rep)
-				if runErr = producer.CreateObject(rname, "blob", nil); runErr != nil {
-					return
-				}
-				sr, err = producer.StoreObject(rname, nil, size,
-					core.StoreOptions{Blocking: true, Policy: policy.SizeThreshold{RemoteBytes: 1}})
-				if err != nil {
-					runErr = err
-					return
-				}
-				remoteStore = append(remoteStore, sr.Total)
-				fr, err = consumer.FetchObject(rname)
-				if err != nil {
-					runErr = err
-					return
-				}
-				remoteFetch = append(remoteFetch, fr.Breakdown.Total)
+				remoteStore = append(remoteStore, put(producer, rname, "blob", nil, size, remote).Total)
+				remoteFetch = append(remoteFetch, must(consumer.FetchObject(rname)).Breakdown.Total)
 			}
-			row.HomeFetch = Summarize(homeFetch)
-			row.HomeStore = Summarize(homeStore)
-			row.RemoteFetch = Summarize(remoteFetch)
-			row.RemoteStore = Summarize(remoteStore)
-			res.Rows = append(res.Rows, row)
+			res.Rows = append(res.Rows, Fig4Row{
+				Size:        size,
+				HomeFetch:   Summarize(homeFetch),
+				HomeStore:   Summarize(homeStore),
+				RemoteFetch: Summarize(remoteFetch),
+				RemoteStore: Summarize(remoteStore),
+			})
 		}
-	})
-	if runErr != nil {
-		return nil, fmt.Errorf("fig4: %w", runErr)
-	}
+	}}.run())
 	return res, nil
 }
 

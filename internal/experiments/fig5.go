@@ -5,8 +5,6 @@ import (
 	"time"
 
 	"cloud4home/internal/cluster"
-	"cloud4home/internal/core"
-	"cloud4home/internal/policy"
 )
 
 // Fig5Config parameterises the remote-cloud optimal-object-size sweep.
@@ -55,25 +53,15 @@ type Fig5Result struct {
 }
 
 // RunFig5 executes both methods for every object size.
-func RunFig5(cfg Fig5Config) (*Fig5Result, error) {
+func RunFig5(cfg Fig5Config) (_ *Fig5Result, err error) {
+	defer catch(&err)
 	res := &Fig5Result{}
 	for _, size := range cfg.Sizes {
-		m1Files := int(cfg.Method1Bytes / size)
-		if m1Files < 1 {
-			m1Files = 1
-		}
-		m1, err := runFig5Bucket(cfg, size, m1Files)
-		if err != nil {
-			return nil, err
-		}
-		m2, err := runFig5Bucket(cfg, size, cfg.Method2Files)
-		if err != nil {
-			return nil, err
-		}
+		m1Files := max(int(cfg.Method1Bytes/size), 1)
 		res.Rows = append(res.Rows, Fig5Row{
 			Size:         size,
-			Method1MBps:  m1,
-			Method2MBps:  m2,
+			Method1MBps:  runFig5Bucket(cfg, size, m1Files),
+			Method2MBps:  runFig5Bucket(cfg, size, cfg.Method2Files),
 			Method1Files: m1Files,
 			Method2Files: cfg.Method2Files,
 		})
@@ -84,75 +72,30 @@ func RunFig5(cfg Fig5Config) (*Fig5Result, error) {
 // runFig5Bucket stores count objects of one size in the remote cloud and
 // replays a store/fetch mix against them, returning aggregate throughput
 // over all remote interactions in MB/s.
-func runFig5Bucket(cfg Fig5Config, size int64, count int) (float64, error) {
-	tb, err := cluster.New(cluster.Options{Seed: cfg.Seed + size/MB})
-	if err != nil {
-		return 0, err
-	}
-	var tput float64
-	var runErr error
-	tb.Run(func() {
-		sess, err := tb.Netbooks[0].OpenSession()
-		if err != nil {
-			runErr = err
-			return
-		}
-		defer sess.Close()
-		remote := policy.SizeThreshold{RemoteBytes: 1} // everything remote
-
-		var moved int64
-		var busy time.Duration
-		storeOps := int(float64(count) * cfg.StoreFraction / (1 - cfg.StoreFraction))
-		if storeOps < count {
-			storeOps = count // every object needs its initial store anyway
-		}
-		// Initial stores (and re-stores to reach the 60/40 mix).
+func runFig5Bucket(cfg Fig5Config, size int64, count int) float64 {
+	var moved int64
+	var busy time.Duration
+	check(scenario{name: fmt.Sprintf("fig5 size %d", size/MB), opts: cluster.Options{Seed: cfg.Seed + size/MB}, setup: func(e *env) {
+		sess := e.open(e.Netbooks[0])
+		// Every object needs its initial store; fresh re-stores make up
+		// the rest of the store share.
+		storeOps := max(int(float64(count)*cfg.StoreFraction/(1-cfg.StoreFraction)), count)
 		for i := 0; i < storeOps; i++ {
-			name := fmt.Sprintf("fig5/%d/%d", size/MB, i%count)
-			if i < count {
-				if runErr = sess.CreateObject(name, "blob", nil); runErr != nil {
-					return
-				}
-				sr, err := sess.StoreObject(name, nil, size, core.StoreOptions{Blocking: true, Policy: remote})
-				if err != nil {
-					runErr = err
-					return
-				}
-				moved += size
-				busy += sr.Total
-			} else {
-				// Re-store: the S3 wrapper overwrites in place.
-				rname := fmt.Sprintf("fig5/%d/re-%d", size/MB, i)
-				if runErr = sess.CreateObject(rname, "blob", nil); runErr != nil {
-					return
-				}
-				sr, err := sess.StoreObject(rname, nil, size, core.StoreOptions{Blocking: true, Policy: remote})
-				if err != nil {
-					runErr = err
-					return
-				}
-				moved += size
-				busy += sr.Total
+			name := fmt.Sprintf("fig5/%d/%d", size/MB, i)
+			if i >= count {
+				name = fmt.Sprintf("fig5/%d/re-%d", size/MB, i)
 			}
+			busy += put(sess, name, "blob", nil, size, remote).Total
+			moved += size
 		}
 		// Fetches (the 40 % share).
 		fetchOps := int(float64(storeOps) * (1 - cfg.StoreFraction) / cfg.StoreFraction)
 		for i := 0; i < fetchOps; i++ {
-			name := fmt.Sprintf("fig5/%d/%d", size/MB, i%count)
-			fr, err := sess.FetchObject(name)
-			if err != nil {
-				runErr = err
-				return
-			}
+			busy += must(sess.FetchObject(fmt.Sprintf("fig5/%d/%d", size/MB, i%count))).Breakdown.Total
 			moved += size
-			busy += fr.Breakdown.Total
 		}
-		tput = Throughput(moved, busy)
-	})
-	if runErr != nil {
-		return 0, fmt.Errorf("fig5 size %d: %w", size/MB, runErr)
-	}
-	return tput, nil
+	}}.run())
+	return Throughput(moved, busy)
 }
 
 // Table renders the sweep.

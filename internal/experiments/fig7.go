@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"cloud4home/internal/cloudsim"
 	"cloud4home/internal/cluster"
 	"cloud4home/internal/core"
 	"cloud4home/internal/services"
-	"cloud4home/internal/vclock"
 )
 
 // Fig7Config parameterises the service-placement experiment.
@@ -47,109 +45,52 @@ type Fig7Result struct {
 // RunFig7 builds the three-host deployment and measures every placement
 // of the pipeline for every size. The FRec training data is assumed
 // available at all processing locations, as in the paper.
-func RunFig7(cfg Fig7Config) (*Fig7Result, error) {
+func RunFig7(cfg Fig7Config) (_ *Fig7Result, err error) {
+	defer catch(&err)
 	res := &Fig7Result{}
-	v := vclock.NewVirtual(cluster.Epoch)
-	var runErr error
-	v.Run(func() {
-		home := core.NewHome(v, core.HomeOptions{Seed: cfg.Seed})
-		cloud := cloudsim.New(v, home.Net())
-		home.AttachCloud(cloud)
-
-		s1, err := home.AddNode(core.NodeConfig{
-			Addr: "s1:9000", Machine: cluster.S1Spec(),
-			MandatoryBytes: cluster.GB, VoluntaryBytes: cluster.GB,
-			CloudGateway: true,
-		})
-		if err != nil {
-			runErr = err
-			return
-		}
-		s2, err := home.AddNode(core.NodeConfig{
-			Addr: "s2:9000", Machine: cluster.S2Spec(),
-			MandatoryBytes: cluster.GB, VoluntaryBytes: cluster.GB,
-		})
-		if err != nil {
-			runErr = err
-			return
-		}
-		if _, err := cloud.LaunchInstance("s3", cluster.S3Spec()); err != nil {
-			runErr = err
-			return
-		}
-
-		fdet, frec := services.FaceDetect(), services.FaceRecognize()
-		for _, spec := range []services.Spec{fdet, frec} {
-			if err := s1.DeployService(spec, "performance"); err != nil {
-				runErr = err
-				return
-			}
-			if err := s2.DeployService(spec, "performance"); err != nil {
-				runErr = err
-				return
-			}
-			if err := home.DeployCloudService(spec, "s3"); err != nil {
-				runErr = err
-				return
-			}
-		}
-		for _, n := range home.Nodes() {
-			if runErr = n.Monitor().PublishOnce(); runErr != nil {
-				return
-			}
-		}
-
-		sess, err := s1.OpenSession()
-		if err != nil {
-			runErr = err
-			return
-		}
-		defer sess.Close()
-
-		names := []string{"fdet", "frec"}
-		ids := []uint32{services.FaceDetectID, services.FaceRecognizeID}
-		for _, size := range cfg.Sizes {
-			// The captured image lives on S1 (the camera's node).
-			obj := fmt.Sprintf("fig7/img-%dKB.jpg", size>>10)
-			if err := sess.CreateObject(obj, "image", nil); err != nil {
-				runErr = err
-				return
-			}
-			if _, err := sess.StoreObject(obj, nil, size, core.StoreOptions{Blocking: true}); err != nil {
-				runErr = err
-				return
-			}
-			row := Fig7Row{Size: size}
-			for _, host := range []struct {
-				label  string
-				target string
-				dst    *time.Duration
-			}{
-				{"S1", "s1:9000", &row.S1},
-				{"S2", "s2:9000", &row.S2},
-				{"S3", "cloud:s3", &row.S3},
-			} {
-				pr, err := sess.ProcessPipelineAt(obj, names, ids, host.target)
-				if err != nil {
-					runErr = fmt.Errorf("pipeline at %s: %w", host.label, err)
-					return
+	check(scenario{
+		name: "fig7",
+		opts: cluster.Options{Seed: cfg.Seed},
+		nodes: []core.NodeConfig{
+			{Addr: "s1:9000", Machine: cluster.S1Spec(), MandatoryBytes: cluster.GB, VoluntaryBytes: cluster.GB, CloudGateway: true},
+			{Addr: "s2:9000", Machine: cluster.S2Spec(), MandatoryBytes: cluster.GB, VoluntaryBytes: cluster.GB},
+		},
+		setup: func(e *env) {
+			must(e.Cloud.LaunchInstance("s3", cluster.S3Spec()))
+			for _, spec := range []services.Spec{services.FaceDetect(), services.FaceRecognize()} {
+				for _, n := range e.nodes {
+					check(n.DeployService(spec, "performance"))
 				}
-				*host.dst = pr.Breakdown.Total
+				check(e.Home.DeployCloudService(spec, "s3"))
 			}
-			switch {
-			case row.S1 <= row.S2 && row.S1 <= row.S3:
-				row.Best = "S1"
-			case row.S2 <= row.S3:
-				row.Best = "S2"
-			default:
-				row.Best = "S3"
+			check(e.Home.PublishAll())
+
+			sess := e.open(e.nodes[0])
+			names := []string{"fdet", "frec"}
+			ids := []uint32{services.FaceDetectID, services.FaceRecognizeID}
+			for _, size := range cfg.Sizes {
+				// The captured image lives on S1 (the camera's node).
+				obj := fmt.Sprintf("fig7/img-%dKB.jpg", size>>10)
+				put(sess, obj, "image", nil, size, blocking)
+				row := Fig7Row{Size: size}
+				for _, host := range []struct {
+					target string
+					dst    *time.Duration
+				}{{"s1:9000", &row.S1}, {"s2:9000", &row.S2}, {"cloud:s3", &row.S3}} {
+					*host.dst = must(sess.ProcessPipelineAt(obj, names, ids, host.target)).Breakdown.Total
+				}
+				switch {
+				case row.S1 <= row.S2 && row.S1 <= row.S3:
+					row.Best = "S1"
+				case row.S2 <= row.S3:
+					row.Best = "S2"
+				default:
+					row.Best = "S3"
+				}
+				res.Rows = append(res.Rows, row)
 			}
-			res.Rows = append(res.Rows, row)
-		}
-	})
-	if runErr != nil {
-		return nil, fmt.Errorf("fig7: %w", runErr)
-	}
+		},
+	}.run())
 	return res, nil
 }
 

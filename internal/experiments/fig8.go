@@ -7,7 +7,6 @@ import (
 	"cloud4home/internal/cluster"
 	"cloud4home/internal/core"
 	"cloud4home/internal/services"
-	"cloud4home/internal/vclock"
 )
 
 // Fig8Config parameterises the dynamic-request-routing experiment.
@@ -49,98 +48,38 @@ type Fig8Result struct {
 // RunFig8 builds the scenario: a mobile device requests a video owned by
 // a low-end Atom node; conversion can run at the owner (Town) or wherever
 // the decision process selects (Topt).
-func RunFig8(cfg Fig8Config) (*Fig8Result, error) {
+func RunFig8(cfg Fig8Config) (_ *Fig8Result, err error) {
+	defer catch(&err)
 	res := &Fig8Result{}
-	v := vclock.NewVirtual(cluster.Epoch)
-	var runErr error
-	v.Run(func() {
-		home := core.NewHome(v, core.HomeOptions{Seed: cfg.Seed})
-		owner, err := home.AddNode(core.NodeConfig{
-			Addr: "owner:9000", Machine: cluster.NetbookSpec("owner"),
-			MandatoryBytes: 8 * cluster.GB,
-		})
-		if err != nil {
-			runErr = err
-			return
-		}
-		desktop, err := home.AddNode(core.NodeConfig{
-			Addr: "desktop:9000", Machine: cluster.DesktopSpec(),
-			MandatoryBytes: 8 * cluster.GB, VoluntaryBytes: 8 * cluster.GB,
-		})
-		if err != nil {
-			runErr = err
-			return
-		}
-		mobile, err := home.AddNode(core.NodeConfig{
-			Addr:    "mobile:9000",
-			Machine: cluster.NetbookSpec("mobile"),
-		})
-		if err != nil {
-			runErr = err
-			return
-		}
-		x264 := services.X264Convert()
-		if err := owner.DeployService(x264, "performance"); err != nil {
-			runErr = err
-			return
-		}
-		if err := desktop.DeployService(x264, "performance"); err != nil {
-			runErr = err
-			return
-		}
-		for _, n := range home.Nodes() {
-			if runErr = n.Monitor().PublishOnce(); runErr != nil {
-				return
-			}
-		}
+	check(scenario{
+		name: "fig8",
+		opts: cluster.Options{Seed: cfg.Seed},
+		nodes: []core.NodeConfig{
+			{Addr: "owner:9000", Machine: cluster.NetbookSpec("owner"), MandatoryBytes: 8 * cluster.GB},
+			{Addr: "desktop:9000", Machine: cluster.DesktopSpec(), MandatoryBytes: 8 * cluster.GB, VoluntaryBytes: 8 * cluster.GB},
+			{Addr: "mobile:9000", Machine: cluster.NetbookSpec("mobile")},
+		},
+		setup: func(e *env) {
+			x264 := services.X264Convert()
+			check(e.nodes[0].DeployService(x264, "performance"))
+			check(e.nodes[1].DeployService(x264, "performance"))
+			check(e.Home.PublishAll())
 
-		ownerSess, err := owner.OpenSession()
-		if err != nil {
-			runErr = err
-			return
-		}
-		defer ownerSess.Close()
-		mobileSess, err := mobile.OpenSession()
-		if err != nil {
-			runErr = err
-			return
-		}
-		defer mobileSess.Close()
-
-		for _, size := range cfg.Sizes {
-			name := fmt.Sprintf("fig8/video-%dMB.avi", size/MB)
-			if err := ownerSess.CreateObject(name, "video/avi", nil); err != nil {
-				runErr = err
-				return
+			sess := e.openEach(e.nodes[0], e.nodes[2])
+			owner, mobile := sess[0], sess[1]
+			for _, size := range cfg.Sizes {
+				name := fmt.Sprintf("fig8/video-%dMB.avi", size/MB)
+				put(owner, name, "video/avi", nil, size, blocking)
+				// Town: conversion pinned to the owner node.
+				town := must(mobile.ProcessAt(name, "x264", services.X264ConvertID, "owner:9000"))
+				// Topt: the decision process picks the execution site.
+				opt := must(mobile.Process(name, "x264", services.X264ConvertID))
+				res.Rows = append(res.Rows, Fig8Row{
+					Size: size, Town: town.Breakdown.Total, Topt: opt.Breakdown.Total, Chosen: opt.Target,
+				})
 			}
-			if _, err := ownerSess.StoreObject(name, nil, size, core.StoreOptions{Blocking: true}); err != nil {
-				runErr = err
-				return
-			}
-			row := Fig8Row{Size: size}
-
-			// Town: conversion pinned to the owner node.
-			pr, err := mobileSess.ProcessAt(name, "x264", services.X264ConvertID, "owner:9000")
-			if err != nil {
-				runErr = err
-				return
-			}
-			row.Town = pr.Breakdown.Total
-
-			// Topt: the decision process picks the execution site.
-			pr, err = mobileSess.Process(name, "x264", services.X264ConvertID)
-			if err != nil {
-				runErr = err
-				return
-			}
-			row.Topt = pr.Breakdown.Total
-			row.Chosen = pr.Target
-			res.Rows = append(res.Rows, row)
-		}
-	})
-	if runErr != nil {
-		return nil, fmt.Errorf("fig8: %w", runErr)
-	}
+		},
+	}.run())
 	return res, nil
 }
 

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"cloud4home/internal/cluster"
@@ -53,96 +52,46 @@ type HotPathResult struct {
 // RunHotPath measures the coalescing gate: the same concurrent fetches of
 // one hot object with every reader running its own transfer, then with
 // followers sharing the leader's.
-func RunHotPath(cfg HotPathConfig) (*HotPathResult, error) {
+func RunHotPath(cfg HotPathConfig) (_ *HotPathResult, err error) {
+	defer catch(&err)
 	if cfg.CoalesceClients <= 0 {
 		cfg.CoalesceClients = 4
 	}
 	if cfg.CoalesceSize <= 0 {
 		cfg.CoalesceSize = 8 * MB
 	}
-	res := &HotPathResult{}
-	res.Coalesce.Requests = cfg.CoalesceClients
-	solo, err := runCoalesceCell(cfg, false)
-	if err != nil {
-		return nil, fmt.Errorf("coalesce off: %w", err)
-	}
-	res.Coalesce.SoloWall, res.Coalesce.SoloFetch = solo.wall, solo.fetch
-	shared, err := runCoalesceCell(cfg, true)
-	if err != nil {
-		return nil, fmt.Errorf("coalesce on: %w", err)
-	}
-	res.Coalesce.SharedWall, res.Coalesce.SharedFetch = shared.wall, shared.fetch
-	res.Coalesce.Coalesced = shared.coalesced
-	return res, nil
-}
-
-type coalesceCell struct {
-	wall      time.Duration
-	fetch     Stats
-	coalesced int64
+	c := CoalesceResult{Requests: cfg.CoalesceClients}
+	c.SoloWall, c.SoloFetch, _ = runCoalesceCell(cfg, false)
+	c.SharedWall, c.SharedFetch, c.Coalesced = runCoalesceCell(cfg, true)
+	return &HotPathResult{Coalesce: c}, nil
 }
 
 // runCoalesceCell stores one hot object on the desktop and has
-// CoalesceClients sessions on one netbook fetch it near-simultaneously
-// (staggered 500 µs apart so the run is deterministic).
-func runCoalesceCell(cfg HotPathConfig, coalesce bool) (coalesceCell, error) {
-	tb, err := cluster.New(cluster.Options{Seed: cfg.Seed, CoalesceFetch: coalesce})
-	if err != nil {
-		return coalesceCell{}, err
-	}
+// CoalesceClients sessions on one netbook fetch it near-simultaneously,
+// returning the batch wall time, the fetch latencies and the reader's
+// coalesced-follower count.
+func runCoalesceCell(cfg HotPathConfig, coalesce bool) (wall time.Duration, fetch Stats, coalesced int64) {
 	const name = "hotpath/coalesce.bin"
-	var cell coalesceCell
-	var runErr error
-	tb.Run(func() {
-		writer, err := tb.Desktop.OpenSession()
-		if err != nil {
-			runErr = err
-			return
-		}
-		defer writer.Close()
-		if err := writer.CreateObject(name, "b", nil); err != nil {
-			runErr = err
-			return
-		}
-		if _, err := writer.StoreObject(name, nil, cfg.CoalesceSize, core.StoreOptions{Blocking: true}); err != nil {
-			runErr = err
-			return
-		}
-		reader := tb.Netbooks[1]
-		durs := make([]time.Duration, cfg.CoalesceClients)
-		var ferr firstErr
-		var wg sync.WaitGroup
-		start := tb.V.Now()
-		for w := 0; w < cfg.CoalesceClients; w++ {
-			w := w
-			wg.Add(1)
-			tb.V.Go(func() {
-				defer wg.Done()
-				sess, err := reader.OpenSession()
-				if err != nil {
-					ferr.set(err)
-					return
-				}
-				defer sess.Close()
-				tb.V.Sleep(time.Duration(w) * 500 * time.Microsecond)
-				s0 := tb.V.Now()
-				if _, err := sess.FetchObject(name); err != nil {
-					ferr.set(err)
-					return
-				}
-				durs[w] = tb.V.Now().Sub(s0)
-			})
-		}
-		tb.V.Block(wg.Wait)
-		runErr = ferr.get()
-		cell.wall = tb.V.Now().Sub(start)
-		cell.fetch = Summarize(durs)
-		cell.coalesced = reader.OpStats().CoalescedFetches
-	})
-	if runErr != nil {
-		return coalesceCell{}, runErr
-	}
-	return cell, nil
+	durs := make([]time.Duration, cfg.CoalesceClients)
+	check(scenario{
+		name:  fmt.Sprintf("coalesce %v", coalesce),
+		opts:  cluster.Options{Seed: cfg.Seed, CoalesceFetch: coalesce},
+		setup: func(e *env) { put(e.open(e.Desktop), name, "b", nil, cfg.CoalesceSize, blocking) },
+		// The readers share one netbook and start 500 µs apart.
+		clients: cfg.CoalesceClients,
+		at:      func(e *env, _ int) *core.Node { return e.Netbooks[1] },
+		client: func(e *env, w int, sess *core.Session) {
+			s0 := e.V.Now()
+			must(sess.FetchObject(name))
+			durs[w] = e.V.Now().Sub(s0)
+		},
+		fold: func(e *env) {
+			wall = e.V.Now().Sub(e.start)
+			fetch = Summarize(durs)
+			coalesced = e.Netbooks[1].OpStats().CoalescedFetches
+		},
+	}.run())
+	return wall, fetch, coalesced
 }
 
 // Table renders the comparison.

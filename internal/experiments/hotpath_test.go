@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -36,98 +35,27 @@ func randomFaultSchedule(rng *rand.Rand, victim string) netsim.FaultSchedule {
 // into one string for exact comparison.
 func faultReplayDigest(t *testing.T, seed int64, clients int, tr *trace.Trace, schedule func(victim string) netsim.FaultSchedule) string {
 	t.Helper()
-	tb, err := cluster.New(cluster.Options{
+	var sb strings.Builder
+	err := replay("fault replay", cluster.Options{
 		Seed:      seed,
 		Netbooks:  2 + clients,
 		DataPlane: core.DataPlaneConfig{DataReplicas: 1},
 		Faults:    core.FaultConfig{Fallback: true, Repair: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const victimIdx = 1
-	victim := tb.Netbooks[victimIdx]
-	var sb strings.Builder
-	var runErr error
-	tb.Run(func() {
-		writer, err := victim.OpenSession()
-		if err != nil {
-			runErr = err
-			return
-		}
-		for _, f := range tr.Files {
-			if err := writer.CreateObject(f.Name, f.Type, f.Tags); err != nil {
-				runErr = err
-				return
-			}
-			if _, err := writer.StoreObject(f.Name, nil, f.Size, core.StoreOptions{Blocking: true}); err != nil {
-				runErr = err
-				return
+	}, tr, clients, schedule, func(e *env, samples [][]fetchSample) {
+		for c, cs := range samples {
+			for _, s := range cs {
+				fmt.Fprintf(&sb, "c%d f%d %dns fail=%v\n", c, s.file, s.d, s.failed)
 			}
 		}
-		writer.Close()
-
-		apply := func(e netsim.FaultEvent) error {
-			if e.Kind == netsim.FaultCrash {
-				return tb.Home.RemoveNode(e.Node, false)
-			}
-			_, err := tb.Home.AddNode(tb.NetbookConfig(victimIdx))
-			return err
-		}
-		lines := make([][]string, clients)
-		var ferr firstErr
-		var wg sync.WaitGroup
-		start := tb.V.Now()
-		wg.Add(1)
-		tb.V.Go(func() {
-			defer wg.Done()
-			if err := netsim.RunFaults(tb.V, schedule(victim.Addr()), apply); err != nil {
-				ferr.set(err)
-			}
-		})
-		for c := 0; c < clients; c++ {
-			c := c
-			wg.Add(1)
-			tb.V.Go(func() {
-				defer wg.Done()
-				sess, err := tb.Netbooks[2+c].OpenSession()
-				if err != nil {
-					ferr.set(err)
-					return
-				}
-				defer sess.Close()
-				tb.V.Sleep(time.Duration(c+1) * 500 * time.Microsecond)
-				for _, a := range tr.Accesses {
-					if a.Client != c || a.Kind != trace.OpFetch {
-						continue
-					}
-					if wait := start.Add(a.At).Sub(tb.V.Now()); wait > 0 {
-						tb.V.Sleep(wait)
-					}
-					s0 := tb.V.Now()
-					_, err := sess.FetchObject(tr.Files[a.File].Name)
-					lines[c] = append(lines[c], fmt.Sprintf("c%d f%d %dns fail=%v",
-						c, a.File, tb.V.Now().Sub(s0), err != nil))
-				}
-			})
-		}
-		tb.V.Block(wg.Wait)
-		runErr = ferr.get()
-		for _, cl := range lines {
-			for _, l := range cl {
-				sb.WriteString(l)
-				sb.WriteByte('\n')
-			}
-		}
-		fmt.Fprintf(&sb, "end=%d\n", tb.V.Now().UnixNano())
-		for _, n := range tb.Home.Nodes() {
+		fmt.Fprintf(&sb, "end=%d\n", e.V.Now().UnixNano())
+		for _, n := range e.Home.Nodes() {
 			st := n.OpStats()
 			fmt.Fprintf(&sb, "%s retries=%d repairs=%d restored=%d\n",
 				n.Addr(), st.FetchRetries, st.ObjectsRepaired, st.ReplicasRestored)
 		}
 	})
-	if runErr != nil {
-		t.Fatal(runErr)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return sb.String()
 }

@@ -52,67 +52,39 @@ type ScaleResult struct {
 // RunScale executes the sweep. Keys spread over more owners as the home
 // grows, so lookups take more hops but must stay within the O(log n)
 // behaviour of prefix routing.
-func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
+func RunScale(cfg ScaleConfig) (_ *ScaleResult, err error) {
+	defer catch(&err)
 	res := &ScaleResult{}
 	for _, n := range cfg.Sizes {
-		opts := kv.Options{CacheEnabled: false} // no caching: measure routing
-		tb, err := cluster.New(cluster.Options{Seed: cfg.Seed, Netbooks: n - 1, KV: &opts})
-		if err != nil {
-			return nil, err
-		}
 		row := ScaleRow{Nodes: n}
-		var runErr error
-		tb.Run(func() {
-			writer, err := tb.Netbooks[0].OpenSession()
-			if err != nil {
-				runErr = err
-				return
-			}
-			defer writer.Close()
-			reader, err := tb.Desktop.OpenSession()
-			if err != nil {
-				runErr = err
-				return
-			}
-			defer reader.Close()
+		opts := kv.Options{CacheEnabled: false} // no caching: measure routing
+		check(scenario{
+			name: fmt.Sprintf("scale n=%d", n),
+			opts: cluster.Options{Seed: cfg.Seed, Netbooks: n - 1, KV: &opts},
+			setup: func(e *env) {
+				sess := e.openEach(e.Netbooks[0], e.Desktop)
+				writer, reader := sess[0], sess[1]
+				var lookups, fetches []time.Duration
+				for i := 0; i < cfg.Objects; i++ {
+					name := fmt.Sprintf("scale/%d/%d.bin", n, i)
+					put(writer, name, "b", nil, cfg.ObjectSize, blocking)
+					fb := must(reader.FetchObject(name)).Breakdown
+					lookups = append(lookups, fb.DHTLookup)
+					fetches = append(fetches, fb.Total)
+				}
+				row.Lookup = Summarize(lookups)
+				row.Fetch = Summarize(fetches)
 
-			var lookups, fetches []time.Duration
-			for i := 0; i < cfg.Objects; i++ {
-				name := fmt.Sprintf("scale/%d/%d.bin", n, i)
-				if err := writer.CreateObject(name, "b", nil); err != nil {
-					runErr = err
-					return
-				}
-				if _, err := writer.StoreObject(name, nil, cfg.ObjectSize, core.StoreOptions{Blocking: true}); err != nil {
-					runErr = err
-					return
-				}
-				fr, err := reader.FetchObject(name)
-				if err != nil {
-					runErr = err
-					return
-				}
-				lookups = append(lookups, fr.Breakdown.DHTLookup)
-				fetches = append(fetches, fr.Breakdown.Total)
-			}
-			row.Lookup = Summarize(lookups)
-			row.Fetch = Summarize(fetches)
-
-			// Join cost at this scale: one more device enters the overlay.
-			start := tb.V.Now()
-			if _, err := tb.Home.AddNode(core.NodeConfig{
-				Addr:           "late-joiner:9000",
-				Machine:        cluster.NetbookSpec("late-joiner"),
-				MandatoryBytes: cluster.GB,
-			}); err != nil {
-				runErr = err
-				return
-			}
-			row.JoinCost = tb.V.Now().Sub(start)
-		})
-		if runErr != nil {
-			return nil, fmt.Errorf("scale n=%d: %w", n, runErr)
-		}
+				// Join cost at this scale: one more device enters the overlay.
+				start := e.V.Now()
+				must(e.Home.AddNode(core.NodeConfig{
+					Addr:           "late-joiner:9000",
+					Machine:        cluster.NetbookSpec("late-joiner"),
+					MandatoryBytes: cluster.GB,
+				}))
+				row.JoinCost = e.V.Now().Sub(start)
+			},
+		}.run())
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil

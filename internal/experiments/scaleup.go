@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"cloud4home/internal/cluster"
@@ -24,11 +23,6 @@ type ScaleUpConfig struct {
 	ObjectSize int64
 	// Replicas is the payload replica count in the striped modes.
 	Replicas int
-	// Workers bounds how many (mode, clients) cells run concurrently on
-	// host goroutines (0/1 = sequential). Every cell is its own virtual
-	// clock universe, so results are identical at any worker count; the
-	// cells just overlap on host CPUs.
-	Workers int
 }
 
 // DefaultScaleUp sweeps 1, 2 and 4 client threads over four 8 MB objects.
@@ -60,12 +54,18 @@ type ScaleUpResult struct {
 	Rows []ScaleUpRow
 }
 
-// scaleUpModes are the three compared configurations.
-func scaleUpModes(cfg ScaleUpConfig) []struct {
-	name string
-	dp   core.DataPlaneConfig
-} {
-	return []struct {
+// RunScaleUp executes the sweep. All objects are stored by the desktop
+// (the single primary holder), so sequential fetches serialise on its
+// NIC; striping spreads the load over the replica holders, and the cache
+// turns each reader's second sweep into local hits.
+func RunScaleUp(cfg ScaleUpConfig) (_ *ScaleUpResult, err error) {
+	defer catch(&err)
+	maxClients := 0
+	for _, c := range cfg.Clients {
+		maxClients = max(maxClients, c)
+	}
+	res := &ScaleUpResult{}
+	for _, mode := range []struct {
 		name string
 		dp   core.DataPlaneConfig
 	}{
@@ -74,108 +74,45 @@ func scaleUpModes(cfg ScaleUpConfig) []struct {
 		{"striped+cache", core.DataPlaneConfig{
 			StripedFetch: true, DataReplicas: cfg.Replicas, CacheBytes: 512 * MB,
 		}},
+	} {
+		for _, clients := range cfg.Clients {
+			res.Rows = append(res.Rows, runScaleUpCell(cfg, mode.name, mode.dp, clients, maxClients))
+		}
 	}
+	return res, nil
 }
 
-// RunScaleUp executes the sweep. All objects are stored by the desktop
-// (the single primary holder), so sequential fetches serialise on its
-// NIC; striping spreads the load over the replica holders, and the cache
-// turns each reader's second sweep into local hits. The (mode, clients)
-// cells are independent simulations; Workers > 1 runs them concurrently
-// on host goroutines with results merged by index.
-func RunScaleUp(cfg ScaleUpConfig) (*ScaleUpResult, error) {
-	maxClients := 0
-	for _, c := range cfg.Clients {
-		if c > maxClients {
-			maxClients = c
-		}
-	}
-	type cellSpec struct {
-		mode    string
-		dp      core.DataPlaneConfig
-		clients int
-	}
-	var cells []cellSpec
-	for _, mode := range scaleUpModes(cfg) {
-		for _, clients := range cfg.Clients {
-			cells = append(cells, cellSpec{mode: mode.name, dp: mode.dp, clients: clients})
-		}
-	}
-	rows := make([]ScaleUpRow, len(cells))
-	errs := make([]error, len(cells))
-
-	runCell := func(i int) {
-		mode, clients := cells[i], cells[i].clients
-		// Readers start at netbook index cfg.Replicas so they never hold
-		// a replica themselves (replicateData fills the lowest-address
-		// netbooks first, all voluntary bins being equal).
-		tb, err := cluster.New(cluster.Options{
-			Seed:      cfg.Seed,
-			Netbooks:  cfg.Replicas + maxClients,
-			DataPlane: mode.dp,
-		})
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		row := ScaleUpRow{Mode: mode.mode, Clients: clients}
-		var runErr error
-		tb.Run(func() {
-			writer, err := tb.Desktop.OpenSession()
-			if err != nil {
-				runErr = err
-				return
-			}
-			defer writer.Close()
-			names := make([]string, cfg.Objects)
+// runScaleUpCell has every reader sweep the hot set twice, each from its
+// own netbook. Readers start at netbook index cfg.Replicas so they never
+// hold a replica themselves (replicateData fills the lowest-address
+// netbooks first, all voluntary bins being equal).
+func runScaleUpCell(cfg ScaleUpConfig, mode string, dp core.DataPlaneConfig, clients, maxClients int) ScaleUpRow {
+	row := ScaleUpRow{Mode: mode, Clients: clients}
+	names := make([]string, cfg.Objects)
+	durs := make([][]time.Duration, clients)
+	check(scenario{
+		name: fmt.Sprintf("scale-up %s clients=%d", mode, clients),
+		opts: cluster.Options{Seed: cfg.Seed, Netbooks: cfg.Replicas + maxClients, DataPlane: dp},
+		setup: func(e *env) {
+			writer := e.open(e.Desktop)
 			for j := range names {
-				names[j] = fmt.Sprintf("scaleup/%s/%d.bin", mode.mode, j)
-				if err := writer.CreateObject(names[j], "b", nil); err != nil {
-					runErr = err
-					return
+				names[j] = fmt.Sprintf("scaleup/%s/%d.bin", mode, j)
+				put(writer, names[j], "b", nil, cfg.ObjectSize, blocking)
+			}
+		},
+		clients: clients,
+		at:      func(e *env, w int) *core.Node { return e.Netbooks[cfg.Replicas+w] },
+		client: func(e *env, w int, sess *core.Session) {
+			for pass := 0; pass < 2; pass++ {
+				for _, name := range names {
+					s0 := e.V.Now()
+					must(sess.FetchObject(name))
+					durs[w] = append(durs[w], e.V.Now().Sub(s0))
 				}
-				if _, err := writer.StoreObject(names[j], nil, cfg.ObjectSize, core.StoreOptions{Blocking: true}); err != nil {
-					runErr = err
-					return
-				}
 			}
-
-			// Every reader sweeps the hot set twice, on its own netbook.
-			// Indexed result slots plus a per-worker stagger keep the run
-			// deterministic under the virtual clock.
-			durs := make([][]time.Duration, clients)
-			var ferr firstErr
-			var wg sync.WaitGroup
-			start := tb.V.Now()
-			for w := 0; w < clients; w++ {
-				w := w
-				wg.Add(1)
-				tb.V.Go(func() {
-					defer wg.Done()
-					sess, err := tb.Netbooks[cfg.Replicas+w].OpenSession()
-					if err != nil {
-						ferr.set(err)
-						return
-					}
-					defer sess.Close()
-					tb.V.Sleep(time.Duration(w) * 500 * time.Microsecond)
-					for pass := 0; pass < 2; pass++ {
-						for _, name := range names {
-							s0 := tb.V.Now()
-							if _, err := sess.FetchObject(name); err != nil {
-								ferr.set(fmt.Errorf("fetch %s: %w", name, err))
-								return
-							}
-							durs[w] = append(durs[w], tb.V.Now().Sub(s0))
-						}
-					}
-				})
-			}
-			tb.V.Block(wg.Wait)
-			if runErr == nil {
-				runErr = ferr.get()
-			}
-			row.Wall = tb.V.Now().Sub(start)
+		},
+		fold: func(e *env) {
+			row.Wall = e.V.Now().Sub(e.start)
 			var all []time.Duration
 			for _, d := range durs {
 				all = append(all, d...)
@@ -183,49 +120,9 @@ func RunScaleUp(cfg ScaleUpConfig) (*ScaleUpResult, error) {
 			row.Fetch = Summarize(all)
 			moved := int64(clients) * 2 * int64(cfg.Objects) * cfg.ObjectSize
 			row.AggregateMBps = Throughput(moved, row.Wall)
-		})
-		if runErr != nil {
-			errs[i] = fmt.Errorf("scale-up %s clients=%d: %w", mode.mode, clients, runErr)
-			return
-		}
-		rows[i] = row
-	}
-
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	if workers == 1 {
-		for i := range cells {
-			runCell(i)
-		}
-	} else {
-		q := &jobQueue{limit: len(cells)}
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i, ok := q.take()
-					if !ok {
-						return
-					}
-					runCell(i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return &ScaleUpResult{Rows: rows}, nil
+		},
+	}.run())
+	return row
 }
 
 // Row returns the (mode, clients) measurement, or false.
@@ -276,79 +173,43 @@ type AblationDataCacheResult struct {
 }
 
 // RunAblationDataCache measures the cache against the local-fetch floor.
-func RunAblationDataCache(seed int64) (*AblationDataCacheResult, error) {
+func RunAblationDataCache(seed int64) (_ *AblationDataCacheResult, err error) {
+	defer catch(&err)
 	res := &AblationDataCacheResult{Size: 8 * MB}
-	tb, err := cluster.New(cluster.Options{
-		Seed:      seed,
-		DataPlane: core.DataPlaneConfig{CacheBytes: 512 * MB},
-	})
-	if err != nil {
-		return nil, err
-	}
-	const objects = 6
-	var runErr error
-	tb.Run(func() {
-		writer, err := tb.Desktop.OpenSession()
-		if err != nil {
-			runErr = err
-			return
-		}
-		defer writer.Close()
-		reader, err := tb.Netbooks[1].OpenSession()
-		if err != nil {
-			runErr = err
-			return
-		}
-		defer reader.Close()
-
-		names := make([]string, objects)
-		var miss, hit, local []time.Duration
-		for i := range names {
-			names[i] = fmt.Sprintf("cache-abl/%d.bin", i)
-			if err := writer.CreateObject(names[i], "b", nil); err != nil {
-				runErr = err
-				return
-			}
-			if _, err := writer.StoreObject(names[i], nil, res.Size, core.StoreOptions{Blocking: true}); err != nil {
-				runErr = err
-				return
-			}
-			measure := func(s *core.Session, out *[]time.Duration) bool {
-				start := tb.V.Now()
-				if _, err := s.FetchObject(names[i]); err != nil {
-					runErr = err
-					return false
+	check(scenario{
+		name: "data cache ablation",
+		opts: cluster.Options{Seed: seed, DataPlane: core.DataPlaneConfig{CacheBytes: 512 * MB}},
+		setup: func(e *env) {
+			sess := e.openEach(e.Desktop, e.Netbooks[1])
+			writer, reader := sess[0], sess[1]
+			names := make([]string, 6)
+			var miss, hit, local []time.Duration
+			for i := range names {
+				names[i] = fmt.Sprintf("cache-abl/%d.bin", i)
+				put(writer, names[i], "b", nil, res.Size, blocking)
+				for _, m := range []struct {
+					sess *core.Session
+					out  *[]time.Duration
+				}{{reader, &miss}, {reader, &hit}, {writer, &local}} {
+					start := e.V.Now()
+					must(m.sess.FetchObject(names[i]))
+					*m.out = append(*m.out, e.V.Now().Sub(start))
 				}
-				*out = append(*out, tb.V.Now().Sub(start))
-				return true
 			}
-			if !measure(reader, &miss) || !measure(reader, &hit) || !measure(writer, &local) {
-				return
-			}
-		}
-		res.Miss = Summarize(miss)
-		res.Hit = Summarize(hit)
-		res.Local = Summarize(local)
-		st := tb.Netbooks[1].OpStats()
-		res.Hits, res.Misses = st.CacheHits, st.CacheMisses
+			res.Miss = Summarize(miss)
+			res.Hit = Summarize(hit)
+			res.Local = Summarize(local)
+			st := e.Netbooks[1].OpStats()
+			res.Hits, res.Misses = st.CacheHits, st.CacheMisses
 
-		// Overwrite the first object: the reader's cached copy must die and
-		// the next fetch go back over the wire.
-		if _, err := writer.StoreObjectData(names[0], "b", make([]byte, 64), core.StoreOptions{Blocking: true}); err != nil {
-			runErr = err
-			return
-		}
-		fr, err := reader.FetchObject(names[0])
-		if err != nil {
-			runErr = err
-			return
-		}
-		res.InvalidatedOnOverwrite = fr.Source != "cache:"+tb.Netbooks[1].Addr() &&
-			int64(len(fr.Data)) == 64
-	})
-	if runErr != nil {
-		return nil, fmt.Errorf("data cache ablation: %w", runErr)
-	}
+			// Overwrite the first object: the reader's cached copy must die
+			// and the next fetch go back over the wire.
+			must(writer.StoreObjectData(names[0], "b", make([]byte, 64), blocking))
+			fr := must(reader.FetchObject(names[0]))
+			res.InvalidatedOnOverwrite = fr.Source != "cache:"+e.Netbooks[1].Addr() &&
+				int64(len(fr.Data)) == 64
+		},
+	}.run())
 	return res, nil
 }
 

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"cloud4home/internal/cloudsim"
@@ -47,147 +46,72 @@ type SplitResult struct {
 }
 
 // RunSplit executes all three scenarios.
-func RunSplit(cfg SplitConfig) (*SplitResult, error) {
-	res := &SplitResult{}
-
-	home, err := runSplitScenario(cfg, 1.0)
-	if err != nil {
-		return nil, err
-	}
-	res.Home = home.elapsed
-
-	remote, err := runSplitScenario(cfg, 0.0)
-	if err != nil {
-		return nil, err
-	}
-	res.Remote = remote.elapsed
-
+func RunSplit(cfg SplitConfig) (_ *SplitResult, err error) {
+	defer catch(&err)
+	res := &SplitResult{Home: runSplitScenario(cfg, 1.0), Remote: runSplitScenario(cfg, 0.0)}
 	// Split "roughly proportional to the amount of home vs. remote
 	// resources": proportional to the measured processing rates.
 	hRate := float64(cfg.Images) / res.Home.Seconds()
 	rRate := float64(cfg.Images) / res.Remote.Seconds()
 	res.HomeShare = hRate / (hRate + rRate)
-	split, err := runSplitScenario(cfg, res.HomeShare)
-	if err != nil {
-		return nil, err
-	}
-	res.Split = split.elapsed
+	res.Split = runSplitScenario(cfg, res.HomeShare)
 	return res, nil
-}
-
-type splitRun struct {
-	elapsed time.Duration
 }
 
 // runSplitScenario processes the image sequence with homeShare of the
 // images handled sequentially on a home netbook and the rest pipelined
-// through the EC2 instance, both concurrently.
-func runSplitScenario(cfg SplitConfig, homeShare float64) (*splitRun, error) {
-	tb, err := cluster.New(cluster.Options{Seed: cfg.Seed})
-	if err != nil {
-		return nil, err
-	}
-	out := &splitRun{}
-	var runErr error
-	tb.Run(func() {
-		// Deploy recognition at home (requesting netbook) and the cloud.
-		if runErr = tb.Netbooks[0].DeployService(services.FaceRecognize(), "performance"); runErr != nil {
-			return
-		}
-		if _, err := tb.Cloud.LaunchInstance("xl", cloudsim.ExtraLargeSpec("S3")); err != nil {
-			runErr = err
-			return
-		}
-		if runErr = tb.Home.DeployCloudService(services.FaceRecognize(), "xl"); runErr != nil {
-			return
-		}
-		if runErr = tb.PublishResources(); runErr != nil {
-			return
-		}
-
-		sess, err := tb.Netbooks[0].OpenSession()
-		if err != nil {
-			runErr = err
-			return
-		}
-		defer sess.Close()
-
-		// The image sequence lives in the home cloud, distributed across
-		// devices (it was captured there).
-		names := make([]string, cfg.Images)
-		owners := tb.AllNodes()
-		for i := range names {
-			names[i] = fmt.Sprintf("split/img-%03d.jpg", i)
-			ownSess, err := owners[i%len(owners)].OpenSession()
-			if err != nil {
-				runErr = err
+// through the EC2 instance, both concurrently, and returns the elapsed
+// time.
+func runSplitScenario(cfg SplitConfig, homeShare float64) time.Duration {
+	names := make([]string, cfg.Images)
+	homeCount := int(float64(cfg.Images)*homeShare + 0.5)
+	jobs := &jobQueue{limit: cfg.Images, next: homeCount}
+	var home *core.Session
+	var elapsed time.Duration
+	check(scenario{
+		name: fmt.Sprintf("split scenario (home share %.2f)", homeShare),
+		opts: cluster.Options{Seed: cfg.Seed},
+		setup: func(e *env) {
+			// Deploy recognition at home (requesting netbook) and the cloud.
+			check(e.Netbooks[0].DeployService(services.FaceRecognize(), "performance"))
+			must(e.Cloud.LaunchInstance("xl", cloudsim.ExtraLargeSpec("S3")))
+			check(e.Home.DeployCloudService(services.FaceRecognize(), "xl"))
+			check(e.PublishResources())
+			home = e.open(e.Netbooks[0])
+			// The image sequence lives in the home cloud, distributed across
+			// devices (it was captured there).
+			for i := range names {
+				names[i] = fmt.Sprintf("split/img-%03d.jpg", i)
+				put(e.open(e.nodes[i%len(e.nodes)]), names[i], "image", nil, cfg.ImageSize, blocking)
+			}
+		},
+		// Client 0 is the home half, sequential on the requesting netbook's
+		// session; the others pipeline the remote half through the EC2
+		// instance from sessions of their own. All start at the first
+		// instant: the remote workers are interchangeable, so the order in
+		// which they take jobs cannot show.
+		clients: 1 + cfg.RemoteWorkers,
+		at: func(e *env, w int) *core.Node {
+			if w == 0 {
+				return nil
+			}
+			return e.Netbooks[0]
+		},
+		start: func(int) time.Duration { return 0 },
+		client: func(_ *env, w int, worker *core.Session) {
+			if w == 0 {
+				for i := 0; i < homeCount; i++ {
+					must(home.FetchProcess(names[i], "frec", services.FaceRecognizeID))
+				}
 				return
 			}
-			if err := ownSess.CreateObject(names[i], "image", nil); err != nil {
-				runErr = err
-				ownSess.Close()
-				return
+			for i, ok := jobs.take(); ok; i, ok = jobs.take() {
+				must(worker.ProcessAt(names[i], "frec", services.FaceRecognizeID, "cloud:xl"))
 			}
-			if _, err := ownSess.StoreObject(names[i], nil, cfg.ImageSize, core.StoreOptions{Blocking: true}); err != nil {
-				runErr = err
-				ownSess.Close()
-				return
-			}
-			ownSess.Close()
-		}
-
-		homeCount := int(float64(cfg.Images)*homeShare + 0.5)
-		start := tb.V.Now()
-		var wg sync.WaitGroup
-		var ferr firstErr
-		fail := func(err error) { ferr.set(err) }
-
-		// Home half: sequential on the requesting netbook.
-		wg.Add(1)
-		tb.V.Go(func() {
-			defer wg.Done()
-			for i := 0; i < homeCount; i++ {
-				if _, err := sess.FetchProcess(names[i], "frec", services.FaceRecognizeID); err != nil {
-					fail(err)
-					return
-				}
-			}
-		})
-
-		// Remote half: pipelined through the EC2 instance.
-		jobs := &jobQueue{limit: cfg.Images, next: homeCount}
-		for w := 0; w < cfg.RemoteWorkers; w++ {
-			wg.Add(1)
-			tb.V.Go(func() {
-				defer wg.Done()
-				worker, err := tb.Netbooks[0].OpenSession()
-				if err != nil {
-					fail(err)
-					return
-				}
-				defer worker.Close()
-				for {
-					i, ok := jobs.take()
-					if !ok {
-						return
-					}
-					if _, err := worker.ProcessAt(names[i], "frec", services.FaceRecognizeID, "cloud:xl"); err != nil {
-						fail(err)
-						return
-					}
-				}
-			})
-		}
-		tb.V.Block(wg.Wait)
-		if runErr == nil {
-			runErr = ferr.get()
-		}
-		out.elapsed = tb.V.Now().Sub(start)
-	})
-	if runErr != nil {
-		return nil, fmt.Errorf("split scenario (home share %.2f): %w", homeShare, runErr)
-	}
-	return out, nil
+		},
+		fold: func(e *env) { elapsed = e.V.Now().Sub(e.start) },
+	}.run())
+	return elapsed
 }
 
 // Table renders the three scenario times.

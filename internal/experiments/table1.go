@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"cloud4home/internal/cluster"
-	"cloud4home/internal/core"
 )
 
 // Table1Config parameterises the fetch cost-breakdown experiment.
@@ -42,47 +41,22 @@ type Table1Result struct {
 
 // RunTable1 executes the experiment: objects are stored on one node and
 // fetched from another, so every fetch pays the full inter-node path.
-func RunTable1(cfg Table1Config) (*Table1Result, error) {
-	tb, err := cluster.New(cluster.Options{Seed: cfg.Seed})
-	if err != nil {
-		return nil, err
-	}
+func RunTable1(cfg Table1Config) (_ *Table1Result, err error) {
+	defer catch(&err)
 	res := &Table1Result{}
-	var runErr error
-	tb.Run(func() {
-		producer, err := tb.Netbooks[0].OpenSession()
-		if err != nil {
-			runErr = err
-			return
-		}
-		defer producer.Close()
-		consumer, err := tb.Netbooks[1].OpenSession()
-		if err != nil {
-			runErr = err
-			return
-		}
-		defer consumer.Close()
-
+	check(scenario{name: "table1", opts: cluster.Options{Seed: cfg.Seed}, setup: func(e *env) {
+		sess := e.openEach(e.Netbooks[0], e.Netbooks[1])
+		producer, consumer := sess[0], sess[1]
 		for _, size := range cfg.Sizes {
 			var total, interNode, interDomain, lookup []time.Duration
 			for rep := 0; rep < cfg.Reps; rep++ {
 				name := fmt.Sprintf("table1/%d-%d", size, rep)
-				if runErr = producer.CreateObject(name, "blob", nil); runErr != nil {
-					return
-				}
-				if _, err := producer.StoreObject(name, nil, size, core.StoreOptions{Blocking: true}); err != nil {
-					runErr = err
-					return
-				}
-				fr, err := consumer.FetchObject(name)
-				if err != nil {
-					runErr = err
-					return
-				}
-				total = append(total, fr.Breakdown.Total)
-				interNode = append(interNode, fr.Breakdown.InterNode)
-				interDomain = append(interDomain, fr.Breakdown.InterDomain)
-				lookup = append(lookup, fr.Breakdown.DHTLookup)
+				put(producer, name, "blob", nil, size, blocking)
+				fb := must(consumer.FetchObject(name)).Breakdown
+				total = append(total, fb.Total)
+				interNode = append(interNode, fb.InterNode)
+				interDomain = append(interDomain, fb.InterDomain)
+				lookup = append(lookup, fb.DHTLookup)
 			}
 			res.Rows = append(res.Rows, Table1Row{
 				Size:        size,
@@ -92,10 +66,7 @@ func RunTable1(cfg Table1Config) (*Table1Result, error) {
 				DHTLookup:   Summarize(lookup),
 			})
 		}
-	})
-	if runErr != nil {
-		return nil, fmt.Errorf("table1: %w", runErr)
-	}
+	}}.run())
 	return res, nil
 }
 
