@@ -10,23 +10,16 @@
 // the earliest pending deadline and the corresponding sleepers wake.
 //
 // There is one scheduler engine: a global (deadline, seq) min-heap of
-// sleepers, woken through a condition-variable broadcast, one sleeper per
-// advance. It is the only engine because nothing measured needs another.
-// On c4h-perf's home-trace (six actors) the heap did 36.8k host ops/s
-// against 35.4k for a sharded k-way-merge engine and 31.8k for a calendar
-// queue with targeted wakeups (PR 12 prototype, lazy RNG on all three).
-// The calendar queue's one caller, the 1k/10k/100k-home city sweep, ran
-// in 26/110/1016 ms on the heap against 26/122/1597 ms on the calendar
-// queue with equal metrics (one sample each): a city built by
-// cluster.NewCity starts no periodic monitors, so it has about one
-// sleeper. Both alternatives produced bit-identical schedules, which made
-// them second implementations rather than features; they were deleted in
-// PR 17 and live on in git history for whoever brings a workload with
-// thousands of concurrent sleepers.
+// sleepers, one woken per advance. Each sleeper parks on a sync.Cond of
+// its own, bound to the clock's mutex, and the advance Signals only the
+// sleeper it pops. Waking all waiters of one shared cond instead woke
+// every parked worker on every advance: on c4h-perf's home-trace (2-core
+// box) the targeted wake does 73.5k host ops/s against 44.8k, a 1.50x
+// median over 10 alternating pairs, all won, with bit-equal virtual
+// results (DESIGN.md, "Why there is one clock engine").
 package vclock
 
 import (
-	"container/heap"
 	"sync"
 	"time"
 )
@@ -58,28 +51,25 @@ func (Real) Sleep(d time.Duration) {
 // Virtual is a deterministic discrete-event clock.
 type Virtual struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
-	now     time.Time
-	active  int         // registered workers currently runnable
-	sleeper sleeperHeap // parked workers by (deadline, seq)
-	seq     uint64      // tie-break so equal deadlines wake FIFO
+	epoch   time.Time
+	now     int64      // ns since epoch
+	active  int        // registered workers currently runnable
+	sleeper []*sleeper // parked workers, a min-heap by (deadline, seq)
+	free    []*sleeper // sleeper records not in use, each bound to mu
+	seq     uint64     // tie-break so equal deadlines wake FIFO
 }
 
 var _ Clock = (*Virtual)(nil)
 
 // NewVirtual returns a virtual clock starting at epoch. The experiment
 // harness passes a fixed epoch so every run is bit-identical.
-func NewVirtual(epoch time.Time) *Virtual {
-	v := &Virtual{now: epoch}
-	v.cond = sync.NewCond(&v.mu)
-	return v
-}
+func NewVirtual(epoch time.Time) *Virtual { return &Virtual{epoch: epoch} }
 
 // Now implements Clock.
 func (v *Virtual) Now() time.Time {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return v.now
+	return v.epoch.Add(time.Duration(v.now))
 }
 
 // Add registers n runnable workers. Every goroutine that will call Sleep
@@ -145,21 +135,25 @@ func (v *Virtual) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	s := getSleeper()
 	v.mu.Lock()
-	s.deadline = v.now.Add(d)
-	s.seq = v.seq
-	v.seq++
-	heap.Push(&v.sleeper, s)
+	s := v.getSleeperLocked()
+	v.pushLocked(s, v.now+int64(d))
+	v.parkLocked(s)
+	v.mu.Unlock()
+}
+
+// parkLocked deregisters the caller, advances time if it was the last
+// runnable worker, and waits until s is popped; a caller whose own
+// sleeper is the one popped never parks. Caller holds v.mu.
+func (v *Virtual) parkLocked(s *sleeper) {
 	v.active--
 	if v.active == 0 {
 		v.advanceLocked()
 	}
 	for !s.woken {
-		v.cond.Wait()
+		s.cond.Wait()
 	}
-	v.mu.Unlock()
-	putSleeper(s)
+	v.free = append(v.free, s)
 }
 
 // advanceLocked jumps time to the earliest deadline and wakes exactly
@@ -176,16 +170,16 @@ func (v *Virtual) Sleep(d time.Duration) {
 //
 // c4h:hotpath
 func (v *Virtual) advanceLocked() {
-	if v.sleeper.Len() == 0 {
+	if len(v.sleeper) == 0 {
 		return
 	}
-	s := heap.Pop(&v.sleeper).(*sleeper)
-	if s.deadline.After(v.now) {
+	s := v.popLocked()
+	if s.deadline > v.now {
 		v.now = s.deadline
 	}
 	s.woken = true
 	v.active++
-	v.cond.Broadcast()
+	s.cond.Signal()
 }
 
 // Event is a deterministic one-shot broadcast point for registered
@@ -208,23 +202,13 @@ func (v *Virtual) NewEvent() *Event { return &Event{v: v} }
 // already-fired event returns immediately without yielding the schedule.
 func (e *Event) Wait() {
 	v := e.v
-	s := getSleeper()
 	v.mu.Lock()
-	if e.fired {
-		v.mu.Unlock()
-		putSleeper(s)
-		return
-	}
-	e.waiters = append(e.waiters, s)
-	v.active--
-	if v.active == 0 {
-		v.advanceLocked()
-	}
-	for !s.woken {
-		v.cond.Wait()
+	if !e.fired {
+		s := v.getSleeperLocked()
+		e.waiters = append(e.waiters, s)
+		v.parkLocked(s)
 	}
 	v.mu.Unlock()
-	putSleeper(s)
 }
 
 // Fire releases every waiter, in arrival order, at the current virtual
@@ -238,63 +222,78 @@ func (e *Event) Fire() {
 	if !e.fired {
 		e.fired = true
 		for _, s := range e.waiters {
-			s.deadline = v.now
-			s.seq = v.seq
-			v.seq++
-			heap.Push(&v.sleeper, s)
+			v.pushLocked(s, v.now)
 		}
 		e.waiters = nil
 	}
 	v.mu.Unlock()
 }
 
+// sleeper is one parked worker. Its cond waits on its clock's mu, so a
+// record is reused only on that clock: it belongs to one worker from
+// getSleeperLocked until parkLocked puts it back on the free list.
 type sleeper struct {
-	deadline time.Time
+	deadline int64 // ns since the clock's epoch
 	seq      uint64
 	woken    bool
-	index    int
+	cond     *sync.Cond
 }
 
-// sleeperPool recycles sleeper records: every Sleep used to allocate
-// one, which made the scheduler itself the simulator's largest source of
-// small objects. A sleeper is owned by exactly one goroutine between
-// getSleeper and putSleeper, so pooling is race-free.
-var sleeperPool = sync.Pool{New: func() any { return &sleeper{} }}
-
-// c4h:hotpath
-func getSleeper() *sleeper {
-	s := sleeperPool.Get().(*sleeper)
+// getSleeperLocked takes a record from the free list, making one only
+// when every record is in use, so a clock allocates one per concurrent
+// sleeper. Caller holds v.mu.
+func (v *Virtual) getSleeperLocked() *sleeper {
+	n := len(v.free)
+	if n == 0 {
+		return &sleeper{cond: sync.NewCond(&v.mu)}
+	}
+	s := v.free[n-1]
+	v.free = v.free[:n-1]
 	s.woken = false
 	return s
 }
 
-// c4h:hotpath
-func putSleeper(s *sleeper) { sleeperPool.Put(s) }
+// before orders sleepers by deadline, then arrival.
+func (s *sleeper) before(t *sleeper) bool {
+	return s.deadline < t.deadline || (s.deadline == t.deadline && s.seq < t.seq)
+}
 
-type sleeperHeap []*sleeper
-
-func (h sleeperHeap) Len() int { return len(h) }
-func (h sleeperHeap) Less(i, j int) bool {
-	if !h[i].deadline.Equal(h[j].deadline) {
-		return h[i].deadline.Before(h[j].deadline)
+// pushLocked files s under deadline and the next arrival number,
+// sifting it up the heap. Caller holds v.mu.
+func (v *Virtual) pushLocked(s *sleeper, deadline int64) {
+	s.deadline, s.seq = deadline, v.seq
+	v.seq++
+	h := append(v.sleeper, s)
+	i := len(h) - 1
+	for p := (i - 1) / 2; i > 0 && s.before(h[p]); p = (i - 1) / 2 {
+		h[i], i = h[p], p
 	}
-	return h[i].seq < h[j].seq
+	h[i] = s
+	v.sleeper = h
 }
-func (h sleeperHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *sleeperHeap) Push(x any) {
-	s := x.(*sleeper)
-	s.index = len(*h)
-	*h = append(*h, s)
-}
-func (h *sleeperHeap) Pop() any {
-	old := *h
-	n := len(old)
-	s := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return s
+
+// popLocked removes and returns the earliest sleeper, sifting the last
+// one down from the root. Caller holds v.mu and the heap is not empty.
+//
+// c4h:hotpath
+func (v *Virtual) popLocked() *sleeper {
+	h := v.sleeper
+	top, n := h[0], len(h)-1
+	last := h[n]
+	h[n], h = nil, h[:n]
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(last) {
+			break
+		}
+		h[i], i = h[c], c
+	}
+	if n > 0 {
+		h[i] = last
+	}
+	v.sleeper = h
+	return top
 }

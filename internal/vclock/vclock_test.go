@@ -1,6 +1,7 @@
 package vclock
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -190,37 +191,41 @@ type wake struct {
 	at     time.Duration
 }
 
-// randomWakeWorkload drives W workers through seeded pseudo-random sleep
-// sequences spanning six orders of magnitude (µs to tens of ms) and
-// returns the wake transcript the clock produced next to the one a
-// brute-force oracle predicts: the same sleeps kept in a plain slice and
-// released one at a time by a linear scan for the (deadline, arrival seq)
-// minimum. The driver sleeps 1 ns after starting each worker, and wakes
-// only once that worker is parked, so first sleeps arrive in worker order
-// (all of them before any worker's 1 µs minimum sleep ends); after that a
-// worker's next sleep arrives the moment it wakes, which is exactly what
-// the oracle replays.
-func randomWakeWorkload(v *Virtual, seed int64, workers, rounds int) (got, want []wake) {
-	rng := rand.New(rand.NewSource(seed))
-	durs := make([][]time.Duration, workers)
-	for w := range durs {
-		durs[w] = make([]time.Duration, rounds)
-		for j := range durs[w] {
-			exp := time.Duration(1) << uint(rng.Intn(26)) // 1ns .. ~67ms steps
-			durs[w][j] = time.Microsecond + exp
-		}
-	}
+// step is one operation of a worker's script: sleep for d, or, with
+// d == 0, wait on event ev, or fire it when fire is set.
+type step struct {
+	d    time.Duration
+	ev   int
+	fire bool
+}
 
+// scriptedWakeWorkload runs one worker per script on v and returns the
+// wake transcript the clock produced — a wake after every Sleep and
+// every Event.Wait — next to the one a brute-force oracle predicts: the
+// same parked workers kept in a plain slice and released one at a time
+// by a linear scan for the (deadline, arrival seq) minimum, with Fire
+// enqueuing an event's waiters at the current instant in arrival order.
+// The driver sleeps 1 ns after starting each worker, and wakes only once
+// that worker is parked, so first steps (which must be sleeps of at
+// least 1 µs) arrive in worker order before any of them ends; after that
+// exactly one worker runs at a time, which is what the oracle replays.
+// Every event a script waits on must be fired by some script.
+func scriptedWakeWorkload(v *Virtual, scripts [][]step, events int) (got, want []wake) {
 	type pending struct {
-		worker, round int
-		deadline      time.Duration
-		seq           int
+		worker, pc int
+		deadline   time.Duration
+		seq        int
 	}
 	var parked []pending
 	seq := 0
-	for w := 0; w < workers; w++ {
-		parked = append(parked, pending{w, 0, time.Duration(w) + durs[w][0], seq})
+	park := func(w, pc int, deadline time.Duration) {
+		parked = append(parked, pending{w, pc, deadline, seq})
 		seq++
+	}
+	fired := make([]bool, events)
+	waiting := make([][]pending, events)
+	for w, sc := range scripts {
+		park(w, 1, time.Duration(w)+sc[0].d)
 	}
 	for len(parked) > 0 {
 		min := 0
@@ -231,26 +236,58 @@ func randomWakeWorkload(v *Virtual, seed int64, workers, rounds int) (got, want 
 		}
 		p := parked[min]
 		parked = append(parked[:min], parked[min+1:]...)
-		want = append(want, wake{p.worker, p.deadline})
-		if r := p.round + 1; r < rounds {
-			parked = append(parked, pending{p.worker, r, p.deadline + durs[p.worker][r], seq})
-			seq++
+		now, w := p.deadline, p.worker
+		want = append(want, wake{w, now})
+	run:
+		for pc := p.pc; pc < len(scripts[w]); pc++ {
+			switch st := scripts[w][pc]; {
+			case st.d > 0:
+				park(w, pc+1, now+st.d)
+				break run
+			case st.fire:
+				if !fired[st.ev] {
+					fired[st.ev] = true
+					for _, q := range waiting[st.ev] {
+						park(q.worker, q.pc, now)
+					}
+				}
+			case fired[st.ev]:
+				want = append(want, wake{w, now})
+			default:
+				waiting[st.ev] = append(waiting[st.ev], pending{worker: w, pc: pc + 1})
+				break run
+			}
 		}
 	}
 
 	var mu sync.Mutex
 	start := v.Now()
+	evs := make([]*Event, events)
+	for i := range evs {
+		evs[i] = v.NewEvent()
+	}
+	record := func(w int) {
+		mu.Lock()
+		got = append(got, wake{w, v.Now().Sub(start)})
+		mu.Unlock()
+	}
 	v.Run(func() {
 		done := v.NewEvent()
-		left := workers
-		for w := 0; w < workers; w++ {
-			w := w
+		left := len(scripts)
+		for w, sc := range scripts {
+			w, sc := w, sc
 			v.Go(func() {
-				for _, d := range durs[w] {
-					v.Sleep(d)
-					mu.Lock()
-					got = append(got, wake{w, v.Now().Sub(start)})
-					mu.Unlock()
+				for _, st := range sc {
+					switch {
+					case st.d > 0:
+						v.Sleep(st.d)
+						record(w)
+					case st.fire:
+						evs[st.ev].Fire()
+					default:
+						evs[st.ev].Wait()
+						record(w)
+					}
 				}
 				mu.Lock()
 				left--
@@ -267,24 +304,132 @@ func randomWakeWorkload(v *Virtual, seed int64, workers, rounds int) (got, want 
 	return got, want
 }
 
+// sleepScripts draws workers × rounds sleeps from dur. With align set,
+// worker w's first sleep is lengthened by (workers - w) ns, so every
+// worker starts on the same instant and sleeps drawn from a coarse grid
+// collide.
+func sleepScripts(workers, rounds int, align bool, dur func() time.Duration) [][]step {
+	scripts := make([][]step, workers)
+	for w := range scripts {
+		for j := 0; j < rounds; j++ {
+			scripts[w] = append(scripts[w], step{d: dur()})
+		}
+		if align {
+			scripts[w][0].d += time.Duration(workers - w)
+		}
+	}
+	return scripts
+}
+
+// eventScripts mixes Event waits into tie-heavy sleeps: worker 0 fires
+// events 0..events-1 in order, one per 1 or 2 µs, while every other
+// worker, on the same grid, waits on an event about a third of the time
+// (the next one it has not yet waited on), so waiters released by a
+// Fire share their instant with sleepers due then, and some waits find
+// their event already fired.
+func eventScripts(rng *rand.Rand, workers, rounds, events int) [][]step {
+	grid := func() time.Duration { return time.Duration(1+rng.Intn(2)) * time.Microsecond }
+	scripts := sleepScripts(workers, 1, true, grid)
+	for e := 0; e < events; e++ {
+		scripts[0] = append(scripts[0], step{ev: e, fire: true}, step{d: grid()})
+	}
+	for w := 1; w < workers; w++ {
+		next := 0
+		for j := 0; j < rounds; j++ {
+			if next < events && rng.Intn(3) == 0 {
+				scripts[w] = append(scripts[w], step{ev: next})
+				next++
+			} else {
+				scripts[w] = append(scripts[w], step{d: grid()})
+			}
+		}
+	}
+	return scripts
+}
+
 // TestVirtualWakeOrderMatchesOracle: across random workloads the clock's
 // complete wake transcript — who resumed, at what instant, in what order
 // — equals the brute-force (deadline, arrival seq) oracle's, element for
-// element.
+// element. "octaves" draws sleeps from 26 octaves (1 ns to ~67 ms on top
+// of 1 µs), where ties are rare; "ties" draws every sleep from {1 µs,
+// 2 µs} with all workers aligned; "events" mixes Event waiters with
+// sleepers at the same instants; "alone" is one worker, which after its
+// first sleep always wakes itself.
 func TestVirtualWakeOrderMatchesOracle(t *testing.T) {
 	workers, rounds := 32, 40
 	if testing.Short() {
 		workers = 12
 	}
-	for seed := int64(1); seed <= 5; seed++ {
-		got, want := randomWakeWorkload(NewVirtual(epoch), seed, workers, rounds)
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: %d wakes, want %d", seed, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: wake %d is %+v, oracle says %+v", seed, i, got[i], want[i])
+	cases := []struct {
+		name    string
+		events  int
+		scripts func(rng *rand.Rand) [][]step
+	}{
+		{"octaves", 0, func(rng *rand.Rand) [][]step {
+			return sleepScripts(workers, rounds, false, func() time.Duration {
+				return time.Microsecond + time.Duration(1)<<uint(rng.Intn(26))
+			})
+		}},
+		{"ties", 0, func(rng *rand.Rand) [][]step {
+			return sleepScripts(workers, rounds, true, func() time.Duration {
+				return time.Duration(1+rng.Intn(2)) * time.Microsecond
+			})
+		}},
+		{"events", rounds / 2, func(rng *rand.Rand) [][]step {
+			return eventScripts(rng, workers, rounds, rounds/2)
+		}},
+		{"alone", 0, func(rng *rand.Rand) [][]step {
+			return sleepScripts(1, 20*rounds, false, func() time.Duration {
+				return time.Microsecond + time.Duration(1)<<uint(rng.Intn(26))
+			})
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 5; seed++ {
+				scripts := tc.scripts(rand.New(rand.NewSource(seed)))
+				got, want := scriptedWakeWorkload(NewVirtual(epoch), scripts, tc.events)
+				if len(got) != len(want) {
+					t.Fatalf("seed %d: %d wakes, want %d", seed, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("seed %d: wake %d is %+v, oracle says %+v", seed, i, got[i], want[i])
+					}
+				}
 			}
-		}
+		})
+	}
+}
+
+// BenchmarkSleep is c4h-perf's vclock.sleep probe at 1, 6 and 64 actors:
+// actor a sleeps (a+1) ms in a loop, so a lone actor always wakes itself
+// and with several every sleep hands the processor to another actor.
+// One op is one Sleep.
+func BenchmarkSleep(b *testing.B) {
+	for _, actors := range []int{1, 6, 64} {
+		b.Run(fmt.Sprintf("actors=%d", actors), func(b *testing.B) {
+			per := (b.N + actors - 1) / actors
+			v := NewVirtual(epoch)
+			b.ReportAllocs()
+			b.ResetTimer()
+			v.Run(func() {
+				done := v.NewEvent()
+				var left atomic.Int32
+				left.Store(int32(actors))
+				for a := 0; a < actors; a++ {
+					d := time.Duration(a+1) * time.Millisecond
+					v.Go(func() {
+						for i := 0; i < per; i++ {
+							v.Sleep(d)
+						}
+						if left.Add(-1) == 0 {
+							done.Fire()
+						}
+					})
+				}
+				done.Wait()
+			})
+		})
 	}
 }
