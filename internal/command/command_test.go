@@ -151,3 +151,52 @@ func TestQuickRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// largestRead serves r and records the largest buffer a reader asks it to
+// fill.
+type largestRead struct {
+	r   io.Reader
+	max int
+}
+
+func (l *largestRead) Read(p []byte) (int, error) {
+	l.max = max(l.max, cap(p))
+	return l.r.Read(p)
+}
+
+func FuzzCommandRead(f *testing.F) {
+	for _, p := range []Packet{
+		{Type: TypeStore, ServiceID: 3, DomainID: 1, ShmRef: 12, Data: []byte(`{"name":"cam0/frame.jpg","hasPayload":true}`)},
+		{Type: TypeResourceUpdate, Data: []byte("{}")},
+		{Type: TypeAck},
+		{Type: TypeServiceRegister, Data: make([]byte, MaxData)},
+	} {
+		buf, err := p.MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf)
+	}
+	f.Add([]byte{0xff, 0xff, byte(TypeFetch), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}) // declares 65535 bytes
+	f.Add([]byte{0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 'x'})                // type 0
+	f.Add([]byte{0, 4, byte(TypeStore), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 'a'})  // short body
+	f.Fuzz(func(t *testing.T, in []byte) {
+		r := &largestRead{r: bytes.NewReader(in)}
+		p, err := Read(r)
+		// Read fills the header, then the n data bytes it declares, in
+		// what it allocated: headerSize+n must stay within headerSize+MaxData.
+		if r.max > MaxData {
+			t.Fatalf("Read allocated a %d-byte buffer for %d input bytes", r.max, len(in))
+		}
+		if err != nil {
+			return
+		}
+		out, err := p.MarshalBinary()
+		if err != nil {
+			t.Fatalf("accepted packet does not marshal: %v", err)
+		}
+		if !bytes.Equal(out, in[:len(out)]) {
+			t.Fatalf("round trip changed the packet: %x -> %x", in[:len(out)], out)
+		}
+	})
+}

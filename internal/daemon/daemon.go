@@ -35,19 +35,38 @@ type Server struct {
 	home *core.Home
 
 	mu       sync.Mutex
-	ln       net.Listener             // guarded by mu
-	sessions map[string]*core.Session // guarded by mu; one per home node, lazily opened
+	ln       net.Listener            // guarded by mu
+	sessions map[string]*nodeSession // guarded by mu; one per home node, lazily made
+	open     map[net.Conn]struct{}   // guarded by mu; connections being served
 	conns    sync.WaitGroup
 	closed   bool // guarded by mu
-
-	// opMu serializes operations: sessions are single-threaded, like the
-	// prototype's per-VM command loop.
-	opMu sync.Mutex
 }
+
+// nodeSession is the server's session at one home node and the turn that
+// serialises it. A core.Session is single-threaded, like the prototype's
+// per-VM command loop (its created map and xenchan channel have no lock),
+// so the ops on one node take turns; ops on different nodes run at once.
+type nodeSession struct {
+	node *core.Node
+	// turn has one slot: sending into it takes the turn, receiving from it
+	// gives the turn back. Go queues blocked senders in arrival order, so
+	// a node's ops are served first come, first served.
+	turn chan struct{}
+	// sess is opened by the first op to hold the turn, and read or written
+	// only while holding it.
+	sess *core.Session
+}
+
+// release gives the node's turn to the next op waiting for it.
+func (ns *nodeSession) release() { <-ns.turn }
 
 // NewServer wraps an assembled home cloud.
 func NewServer(home *core.Home) *Server {
-	return &Server{home: home, sessions: make(map[string]*core.Session)}
+	return &Server{
+		home:     home,
+		sessions: make(map[string]*nodeSession),
+		open:     make(map[net.Conn]struct{}),
+	}
 }
 
 // Serve listens on addr until Close. It returns the bound address via
@@ -76,10 +95,23 @@ func (s *Server) Serve(addr string) error {
 			}
 			return fmt.Errorf("daemon: accept: %w", err)
 		}
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			conn.Close()
+			return nil
+		}
+		s.open[conn] = struct{}{}
 		s.conns.Add(1)
+		s.mu.Unlock()
 		go func() {
 			defer s.conns.Done()
-			defer conn.Close()
+			defer func() {
+				conn.Close()
+				s.mu.Lock()
+				delete(s.open, conn)
+				s.mu.Unlock()
+			}()
 			s.serveConn(conn)
 		}()
 	}
@@ -95,11 +127,19 @@ func (s *Server) Addr() string {
 	return s.ln.Addr().String()
 }
 
-// Close stops the listener and waits for in-flight connections.
+// Close stops the listener and waits for the connections to end. Every
+// connection's next read fails at once, so an op in flight still writes
+// its reply and an idle client is dropped.
 func (s *Server) Close() {
 	s.mu.Lock()
 	s.closed = true
 	ln := s.ln
+	for conn := range s.open {
+		// Any deadline in the past fails the next read at once.
+		if err := conn.SetReadDeadline(time.Unix(1, 0)); err != nil {
+			conn.Close()
+		}
+	}
 	s.mu.Unlock()
 	if ln != nil {
 		ln.Close()
@@ -107,36 +147,48 @@ func (s *Server) Close() {
 	s.conns.Wait()
 }
 
-// session returns (opening if needed) the server-side session at the
-// named home node, or any node when nodeAddr is empty.
-func (s *Server) session(nodeAddr string) (*core.Session, error) {
+// take waits for the turn at the named home node (the first by address
+// when nodeAddr is empty), opening the node's session on first use. The
+// caller releases the turn once its reply is written.
+func (s *Server) take(nodeAddr string) (*nodeSession, error) {
+	ns, err := s.lookup(nodeAddr)
+	if err != nil {
+		return nil, err
+	}
+	ns.turn <- struct{}{}
+	if ns.sess == nil {
+		sess, err := ns.node.OpenSession()
+		if err != nil {
+			ns.release()
+			return nil, err
+		}
+		ns.sess = sess
+	}
+	return ns, nil
+}
+
+// lookup returns the entry for the named home node, making it on first
+// use.
+func (s *Server) lookup(nodeAddr string) (*nodeSession, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if nodeAddr == "" {
-		nodes := s.home.Nodes()
+		nodes := s.home.Nodes() // ordered by address
 		if len(nodes) == 0 {
 			return nil, errors.New("daemon: home cloud has no nodes")
 		}
 		nodeAddr = nodes[0].Addr()
-		for _, n := range nodes {
-			if n.Addr() < nodeAddr {
-				nodeAddr = n.Addr()
-			}
-		}
 	}
-	if sess, ok := s.sessions[nodeAddr]; ok {
-		return sess, nil
+	if ns, ok := s.sessions[nodeAddr]; ok {
+		return ns, nil
 	}
 	node, ok := s.home.Node(nodeAddr)
 	if !ok {
 		return nil, fmt.Errorf("daemon: unknown home node %q", nodeAddr)
 	}
-	sess, err := node.OpenSession()
-	if err != nil {
-		return nil, err
-	}
-	s.sessions[nodeAddr] = sess
-	return sess, nil
+	ns := &nodeSession{node: node, turn: make(chan struct{}, 1)}
+	s.sessions[nodeAddr] = ns
+	return ns, nil
 }
 
 // request/response JSON bodies carried in command packet Data.
@@ -230,47 +282,59 @@ type statsResp struct {
 	Nodes []nodeStats `json:"nodes"`
 }
 
+// unframed wraps the error of a request the daemon could not frame: an
+// oversize or short payload frame, or a store request too garbled to say
+// whether a frame follows. Nothing after it on the connection is known to
+// start a command packet, so the connection ends after the error reply.
+type unframed struct{ error }
+
 func (s *Server) serveConn(conn net.Conn) {
 	for {
 		pkt, err := command.Read(conn)
 		if err != nil {
-			return // client went away or sent garbage: drop the conn
+			return // client went away, sent garbage or the server is closing
 		}
 		if err := s.dispatch(conn, pkt); err != nil {
 			s.writeError(conn, err)
+			if errors.As(err, new(unframed)) {
+				return
+			}
 		}
 	}
 }
 
+// dispatch serves one command. Ops that use a session hold their node's
+// turn until the reply is written; Stats and ls take no turn.
 func (s *Server) dispatch(conn net.Conn, pkt *command.Packet) error {
-	s.opMu.Lock()
-	defer s.opMu.Unlock()
 	switch pkt.Type {
 	case command.TypeStore:
 		var req storeReq
 		if err := json.Unmarshal(pkt.Data, &req); err != nil {
-			return fmt.Errorf("bad store request: %w", err)
+			return unframed{fmt.Errorf("bad store request: %w", err)}
 		}
+		// The payload is read before taking the turn, so a slow sender
+		// does not hold its node.
 		var payload []byte
 		if req.HasPayload {
 			var err error
 			payload, err = readFrame(conn)
 			if err != nil {
-				return err
+				return unframed{err}
 			}
 		}
-		sess, err := s.session(req.Node)
+		ns, err := s.take(req.Node)
 		if err != nil {
 			return err
 		}
-		if err := sess.CreateObject(req.Name, req.Type, req.Tags); err != nil {
+		defer ns.release()
+		if err := ns.sess.CreateObject(req.Name, req.Type, req.Tags); err != nil {
 			return err
 		}
 		size := req.Size
 		if payload != nil {
 			size = 0
 		}
-		res, err := sess.StoreObject(req.Name, payload, size, core.StoreOptions{Blocking: true})
+		res, err := ns.sess.StoreObject(req.Name, payload, size, core.StoreOptions{Blocking: true})
 		if err != nil {
 			return err
 		}
@@ -284,11 +348,12 @@ func (s *Server) dispatch(conn net.Conn, pkt *command.Packet) error {
 		if err := json.Unmarshal(pkt.Data, &req); err != nil {
 			return fmt.Errorf("bad fetch request: %w", err)
 		}
-		sess, err := s.session(req.Node)
+		ns, err := s.take(req.Node)
 		if err != nil {
 			return err
 		}
-		res, err := sess.FetchObject(req.Name)
+		defer ns.release()
+		res, err := ns.sess.FetchObject(req.Name)
 		if err != nil {
 			return err
 		}
@@ -304,11 +369,12 @@ func (s *Server) dispatch(conn net.Conn, pkt *command.Packet) error {
 		if err := json.Unmarshal(pkt.Data, &req); err != nil {
 			return fmt.Errorf("bad process request: %w", err)
 		}
-		sess, err := s.session(req.Node)
+		ns, err := s.take(req.Node)
 		if err != nil {
 			return err
 		}
-		res, err := sess.FetchProcess(req.Name, req.Service, req.ID)
+		defer ns.release()
+		res, err := ns.sess.FetchProcess(req.Name, req.Service, req.ID)
 		if err != nil {
 			return err
 		}

@@ -13,13 +13,16 @@ import (
 	"cloud4home/internal/vclock"
 )
 
+// testNodes are the home nodes startServer builds.
+var testNodes = []string{"dev-a:9000", "dev-b:9000"}
+
 // startServer builds a small real-clock home cloud and serves it on an
 // ephemeral port.
 func startServer(t *testing.T) (*Server, string) {
 	t.Helper()
 	home := core.NewHome(vclock.Real{}, core.HomeOptions{Seed: 1})
 	spec := machine.Spec{Name: "dev", Cores: 2, GHz: 2.0, MemMB: 1024, Battery: 1}
-	for _, addr := range []string{"dev-a:9000", "dev-b:9000"} {
+	for _, addr := range testNodes {
 		n, err := home.AddNode(core.NodeConfig{
 			Addr: addr, Machine: spec,
 			MandatoryBytes: 1 << 30, VoluntaryBytes: 1 << 30,
@@ -189,18 +192,23 @@ func TestConcurrentClients(t *testing.T) {
 				return
 			}
 			defer c.Close()
+			node := testNodes[i%len(testNodes)]
 			name := string(rune('a'+i)) + "/conc.bin"
-			if _, err := c.Store(name, "b", []byte{byte(i)}, 0, ""); err != nil {
+			if _, err := c.Store(name, "b", []byte{byte(i)}, 0, node); err != nil {
 				errs <- err
 				return
 			}
-			fr, err := c.Fetch(name, "")
+			fr, err := c.Fetch(name, node)
 			if err != nil {
 				errs <- err
 				return
 			}
 			if len(fr.Data) != 1 || fr.Data[0] != byte(i) {
 				errs <- errors.New("wrong payload under concurrency")
+				return
+			}
+			if _, err := c.Stats(); err != nil {
+				errs <- err
 			}
 		}(i)
 	}
