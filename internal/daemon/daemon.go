@@ -467,7 +467,14 @@ func (s *Server) writeError(conn net.Conn, err error) {
 	}
 }
 
-// readFrame reads one length-prefixed payload frame.
+// frameStep is the first buffer readFrame fills: a declared length is
+// only trusted as far as the bytes that have actually arrived.
+const frameStep = 64 << 10
+
+// readFrame reads one length-prefixed payload frame. The body is read in
+// bounded steps, min(n, 64 KB) first and then doubling, so a header that
+// declares a large frame costs memory only as its bytes arrive; a frame
+// of at most 64 KB is one allocation of exactly n bytes.
 func readFrame(r io.Reader) ([]byte, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -477,11 +484,20 @@ func readFrame(r io.Reader) ([]byte, error) {
 	if n > MaxPayload {
 		return nil, fmt.Errorf("daemon: frame of %d bytes exceeds limit", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, fmt.Errorf("daemon: read frame body: %w", err)
+	buf := make([]byte, min(n, frameStep))
+	for filled := 0; ; {
+		m, err := io.ReadFull(r, buf[filled:])
+		filled += m
+		if err != nil {
+			return nil, fmt.Errorf("daemon: read frame body: %w", err)
+		}
+		if uint64(filled) == n {
+			return buf, nil
+		}
+		grown := make([]byte, min(n, 2*uint64(cap(buf))))
+		copy(grown, buf)
+		buf = grown
 	}
-	return buf, nil
 }
 
 // writeFrame writes one length-prefixed payload frame.

@@ -98,6 +98,34 @@ func (l *largestRead) Read(p []byte) (int, error) {
 	return l.r.Read(p)
 }
 
+// TestStalledFrameHoldsNoDeclaredLength: a header declaring the largest
+// allowed frame, followed by 10 bytes and a stall, must not make the
+// reader allocate the declared length; closing the pipe ends the read
+// with an error.
+func TestStalledFrameHoldsNoDeclaredLength(t *testing.T) {
+	sender, receiver := net.Pipe()
+	defer receiver.Close()
+	r := &largestRead{r: receiver}
+	done := make(chan error, 1)
+	go func() {
+		_, err := readFrame(r)
+		done <- err
+	}()
+	msg := binary.BigEndian.AppendUint64(nil, MaxPayload)
+	if _, err := sender.Write(append(msg, "0123456789"...)); err != nil {
+		t.Fatal(err)
+	}
+	// net.Pipe's Write returns once the reader has taken every byte, so the
+	// reader is now waiting on a stalled sender.
+	sender.Close()
+	if err := <-done; err == nil {
+		t.Fatal("truncated frame accepted")
+	}
+	if r.max > 128<<10 {
+		t.Fatalf("a stalled %d-byte frame was read into a %d-byte buffer", MaxPayload, r.max)
+	}
+}
+
 func FuzzReadFrame(f *testing.F) {
 	frame := func(n uint64, body []byte) []byte {
 		b := binary.BigEndian.AppendUint64(nil, n)
@@ -108,6 +136,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(frame(5, []byte("hel")))
 	f.Add(frame(1<<10, []byte("short")))
 	f.Add(frame(MaxPayload+1, []byte("x")))
+	f.Add(frame(MaxPayload, []byte("0123456789")))
 	f.Add(frame(1<<63, nil))
 	f.Add([]byte{0, 0, 0})
 	f.Fuzz(func(t *testing.T, in []byte) {
@@ -140,6 +169,10 @@ func FuzzReadFrame(f *testing.F) {
 		case uint64(len(in)-8) < n:
 			if err == nil {
 				t.Fatalf("frame of %d bytes accepted from %d", n, len(in)-8)
+			}
+			// The declared length is trusted only as far as bytes arrive.
+			if bound := max(frameStep, 2*(len(in)-8)); r.max > bound {
+				t.Fatalf("truncated %d-byte frame with %d body bytes read into a %d-byte buffer", n, len(in)-8, r.max)
 			}
 		default:
 			if err != nil {

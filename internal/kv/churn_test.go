@@ -47,14 +47,12 @@ func TestRepairRefreshesStaleOverwriteReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs.mu.Lock()
-	rs.entries[key] = []Value{{Data: []byte("v1"), Version: 1}}
+	rs.recs[key].entry = []Value{{Data: []byte("v1"), Version: 1}}
 	rs.mu.Unlock()
 
 	st.repair(pr.Owner)
 
-	rs.mu.Lock()
-	got := cloneChain(rs.entries[key])
-	rs.mu.Unlock()
+	got := rs.entry(key)
 	if len(got) != 1 || got[0].Version != 2 || !bytes.Equal(got[0].Data, []byte("v2")) {
 		t.Fatalf("replica after repair = %+v, want single value v2/Version 2", got)
 	}
@@ -88,8 +86,8 @@ func TestDepartRefreshesStaleOverwriteReplica(t *testing.T) {
 			continue
 		}
 		ms.mu.Lock()
-		if len(ms.entries[key]) > 0 {
-			ms.entries[key] = []Value{{Data: []byte("old"), Version: 1}}
+		if rec := ms.recs[key]; rec != nil && len(rec.entry) > 0 {
+			rec.entry = []Value{{Data: []byte("old"), Version: 1}}
 		}
 		ms.mu.Unlock()
 	}
@@ -138,7 +136,7 @@ func TestDeleteMissingKeyLeavesHolders(t *testing.T) {
 			t.Fatal(err)
 		}
 		os.mu.Lock()
-		before := len(os.holders[key])
+		before := len(os.recs[key].holders)
 		os.mu.Unlock()
 		if before == 0 {
 			continue // topology gave this key no path caches; try another
@@ -146,13 +144,13 @@ func TestDeleteMissingKeyLeavesHolders(t *testing.T) {
 		// Simulate the entry vanishing while caches stay tracked (churn can
 		// leave exactly this state), then issue the failing delete.
 		os.mu.Lock()
-		delete(os.entries, key)
+		os.recs[key].entry = nil
 		os.mu.Unlock()
 		if err := st.Delete(nodes[1], key); !errors.Is(err, ErrNotFound) {
 			t.Fatalf("delete of missing key: %v, want ErrNotFound", err)
 		}
 		os.mu.Lock()
-		after := len(os.holders[key])
+		after := len(os.recs[key].holders)
 		os.mu.Unlock()
 		if after != before {
 			t.Fatalf("failed delete wiped holder bookkeeping: %d -> %d", before, after)
@@ -194,11 +192,9 @@ func TestChurnUnderLoad(t *testing.T) {
 			if err != nil {
 				continue
 			}
-			ns.mu.Lock()
-			if len(ns.entries[key]) > 0 {
+			if len(ns.entry(key)) > 0 {
 				count++
 			}
-			ns.mu.Unlock()
 		}
 		return count
 	}

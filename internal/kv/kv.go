@@ -11,11 +11,18 @@
 // intermediate hops on each request's path"; caches are updated when the
 // entry is modified), and replication with a fixed factor, with key
 // redistribution when nodes depart.
+//
+// Every version is stored once. Put builds a key's chain from a copy of
+// the caller's bytes; the owner, its replicas and every path cache then
+// hold that same slice. A chain is never written after it is built (a
+// Chain-policy append is copy-on-write), and bytes are copied again only
+// where Get and GetAll hand them out.
 package kv
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -119,20 +126,84 @@ type PutResult struct {
 	Owner ids.ID
 }
 
+// record is everything one node keeps for one key. The chains are shared
+// with other nodes and never written in place: a field is only ever
+// replaced whole. A record that holds nothing is deleted.
+type record struct {
+	entry   []Value  // primary or replica copy
+	cache   []Value  // path-cached copy
+	holders []ids.ID // owner side: who caches the key, ascending
+}
+
+// addHolder inserts id into the ascending holder list. The list is copied
+// rather than grown in place, so a Put that took the old list keeps it.
+func (rec *record) addHolder(id ids.ID) {
+	i, found := slices.BinarySearch(rec.holders, id)
+	if found {
+		return
+	}
+	hs := make([]ids.ID, len(rec.holders)+1)
+	copy(hs, rec.holders[:i])
+	hs[i] = id
+	copy(hs[i+1:], rec.holders[i:])
+	rec.holders = hs
+}
+
 // nodeStore is one node's slice of the distributed store.
 type nodeStore struct {
-	mu      sync.Mutex
-	entries map[ids.ID][]Value         // primary + replica copies
-	cache   map[ids.ID][]Value         // path-cached copies
-	holders map[ids.ID]map[ids.ID]bool // owner-side: who caches each key
+	mu   sync.Mutex
+	recs map[ids.ID]*record
 }
 
 func newNodeStore() *nodeStore {
-	return &nodeStore{
-		entries: make(map[ids.ID][]Value),
-		cache:   make(map[ids.ID][]Value),
-		holders: make(map[ids.ID]map[ids.ID]bool),
+	return &nodeStore{recs: make(map[ids.ID]*record)}
+}
+
+// record returns ns's record for key, creating it. ns.mu must be held.
+func (ns *nodeStore) record(key ids.ID) *record {
+	rec := ns.recs[key]
+	if rec == nil {
+		rec = &record{}
+		ns.recs[key] = rec
 	}
+	return rec
+}
+
+// entry returns the authoritative chain ns holds for key, or nil.
+func (ns *nodeStore) entry(key ids.ID) []Value {
+	ns.mu.Lock()
+	defer ns.mu.Unlock()
+	if rec := ns.recs[key]; rec != nil {
+		return rec.entry
+	}
+	return nil
+}
+
+// offer installs the non-empty chain as ns's authoritative copy of key if
+// it is newer than the copy ns holds, and reports whether it did.
+func (ns *nodeStore) offer(key ids.ID, chain []Value) bool {
+	ns.mu.Lock()
+	defer ns.mu.Unlock()
+	rec := ns.record(key)
+	if !chainNewer(chain, rec.entry) {
+		return false
+	}
+	rec.entry = chain
+	return true
+}
+
+// entryKeys returns the keys ns holds an authoritative copy of, ascending.
+func (ns *nodeStore) entryKeys() []ids.ID {
+	ns.mu.Lock()
+	out := make([]ids.ID, 0, len(ns.recs))
+	for k, rec := range ns.recs {
+		if rec.entry != nil {
+			out = append(out, k)
+		}
+	}
+	ns.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
 }
 
 // Store is the distributed key-value store spanning one home cloud.
@@ -334,36 +405,34 @@ func (s *Store) Put(from, key ids.ID, data []byte, policy WritePolicy) (PutResul
 	s.markDirty(ownerID)
 
 	ownerStore.mu.Lock()
-	chain := ownerStore.entries[key]
+	rec := ownerStore.record(key)
+	chain := rec.entry
 	var version int
 	switch policy {
 	case Chain:
+		// Copy-on-write: whoever holds the old chain keeps it unchanged.
 		version = len(chain) + 1
-		ownerStore.entries[key] = append(chain, Value{Data: cloneBytes(data), Version: version})
+		chain = append(chain[:len(chain):len(chain)], Value{Data: cloneBytes(data), Version: version})
 	case ErrorIfExists:
 		if len(chain) > 0 {
 			ownerStore.mu.Unlock()
 			return PutResult{}, fmt.Errorf("kv: put %s: %w", key, ErrExists)
 		}
 		version = 1
-		ownerStore.entries[key] = []Value{{Data: cloneBytes(data), Version: version}}
+		chain = []Value{{Data: cloneBytes(data), Version: version}}
 	default: // Overwrite
 		version = 1
 		if len(chain) > 0 {
 			version = chain[len(chain)-1].Version + 1
 		}
-		ownerStore.entries[key] = []Value{{Data: cloneBytes(data), Version: version}}
+		chain = []Value{{Data: cloneBytes(data), Version: version}}
 	}
-	newChain := cloneChain(ownerStore.entries[key])
-	holders := make([]ids.ID, 0, len(ownerStore.holders[key]))
-	for h := range ownerStore.holders[key] {
-		holders = append(holders, h)
-	}
-	sort.Slice(holders, func(i, j int) bool { return holders[i] < holders[j] })
+	rec.entry = chain
+	holders := rec.holders
 	ownerStore.mu.Unlock()
 
-	s.replicate(ownerID, key, newChain)
-	s.refreshCaches(ownerID, key, newChain, holders)
+	s.replicate(ownerID, key, chain)
+	s.refreshCaches(ownerID, key, chain, holders)
 
 	return PutResult{Version: version, Hops: hops, SuperHops: superHops, Owner: ownerID}, nil
 }
@@ -390,7 +459,7 @@ func (s *Store) replicate(owner, key ids.ID, chain []Value) {
 			continue
 		}
 		rs.mu.Lock()
-		rs.entries[key] = cloneChain(chain)
+		rs.record(key).entry = chain
 		rs.mu.Unlock()
 		s.markDirty(m.ID)
 		targets = append(targets, m.ID)
@@ -416,8 +485,8 @@ func (s *Store) refreshCaches(owner, key ids.ID, chain []Value, holders []ids.ID
 		}
 		s.wire.Send(owner, h)
 		hs.mu.Lock()
-		if _, cached := hs.cache[key]; cached {
-			hs.cache[key] = cloneChain(chain)
+		if rec := hs.recs[key]; rec != nil && rec.cache != nil {
+			rec.cache = chain
 		}
 		hs.mu.Unlock()
 	}
@@ -445,14 +514,18 @@ func (s *Store) GetAll(from, key ids.ID) ([]Value, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	return cloneChain(chain), hops, nil
+	out := make([]Value, len(chain))
+	for i, v := range chain {
+		out[i] = v.clone()
+	}
+	return out, hops, nil
 }
 
 // GetRef is the zero-copy read path for trusted callers such as the
 // metadata layer, which decodes the value and discards it. The returned
-// Value aliases store internals: the caller must treat Data as read-only
-// and must not retain it past its own call frame. Everyone else should
-// use Get, which clones.
+// Value is the store's one copy of that version: the caller must treat
+// Data as read-only. Nothing writes it after Put, so a borrow keeps the
+// bytes it was taken with. Everyone else should use Get, which clones.
 //
 // c4h:hotpath
 func (s *Store) GetRef(from, key ids.ID) (GetResult, error) {
@@ -591,33 +664,29 @@ func (s *Store) populatePathCaches(key ids.ID, chain []Value, path []ids.ID, ser
 			continue
 		}
 		ns.mu.Lock()
-		ns.cache[key] = cloneChain(chain)
+		ns.record(key).cache = chain
 		ns.mu.Unlock()
 		srv.mu.Lock()
-		if srv.holders[key] == nil {
-			srv.holders[key] = make(map[ids.ID]bool)
-		}
-		srv.holders[key][id] = true
+		srv.record(key).addHolder(id)
 		srv.mu.Unlock()
 	}
 }
 
 // lookup returns the chain held locally, preferring authoritative copies
-// over cached ones. The returned slice references the store's copy rather
-// than cloning it: chains are only ever replaced wholesale or appended to
-// (never mutated element-wise), so a reference stays consistent — callers
-// that hand data out clone at the boundary (Get, GetAll,
-// populatePathCaches), which turns the two clones the read path used to
-// pay into at most one.
+// over cached ones. The returned slice is the shared chain itself, which
+// nothing writes after Put builds it; Get and GetAll copy where they hand
+// data out.
 // c4h:hotpath
 func (ns *nodeStore) lookup(key ids.ID) (chain []Value, fromCache, ok bool) {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	if c, ok := ns.entries[key]; ok && len(c) > 0 {
-		return c, false, true
-	}
-	if c, ok := ns.cache[key]; ok && len(c) > 0 {
-		return c, true, true
+	if rec := ns.recs[key]; rec != nil {
+		if len(rec.entry) > 0 {
+			return rec.entry, false, true
+		}
+		if len(rec.cache) > 0 {
+			return rec.cache, true, true
+		}
 	}
 	return nil, false, false
 }
@@ -636,18 +705,18 @@ func (s *Store) Delete(from, key ids.ID) error {
 		return err
 	}
 	ownerStore.mu.Lock()
-	if _, existed := ownerStore.entries[key]; !existed {
+	rec := ownerStore.recs[key]
+	if rec == nil || rec.entry == nil {
 		// Nothing to delete: leave the entry and cache-holder bookkeeping
 		// untouched, so later refreshCaches still reaches live caches.
 		ownerStore.mu.Unlock()
 		return fmt.Errorf("kv: delete %s: %w", key, ErrNotFound)
 	}
-	delete(ownerStore.entries, key)
-	holderSet := make(map[ids.ID]bool, len(ownerStore.holders[key]))
-	for h := range ownerStore.holders[key] {
-		holderSet[h] = true
+	holders := rec.holders
+	rec.entry, rec.holders = nil, nil
+	if rec.cache == nil {
+		delete(ownerStore.recs, key)
 	}
-	delete(ownerStore.holders, key)
 	ownerStore.mu.Unlock()
 	// Purge replicas and caches everywhere (at home scale replica sets may
 	// have shifted since the write, so a sweep is the robust choice).
@@ -666,15 +735,13 @@ func (s *Store) Delete(from, key ids.ID) error {
 			continue
 		}
 		ns.mu.Lock()
-		_, hadEntry := ns.entries[key]
-		_, hadCache := ns.cache[key]
-		delete(ns.entries, key)
-		delete(ns.cache, key)
 		// A replica or cache that served reads indexed its own cache
 		// holders; every one of those caches is purged by this sweep.
-		delete(ns.holders, key)
+		had := ns.recs[key]
+		delete(ns.recs, key)
 		ns.mu.Unlock()
-		if hadEntry || hadCache || holderSet[id] {
+		_, registered := slices.BinarySearch(holders, id)
+		if (had != nil && (had.entry != nil || had.cache != nil)) || registered {
 			s.wire.Send(ownerID, id)
 		}
 	}
@@ -687,14 +754,7 @@ func (s *Store) Keys(node ids.ID) ([]ids.ID, error) {
 	if err != nil {
 		return nil, err
 	}
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	out := make([]ids.ID, 0, len(ns.entries))
-	for k := range ns.entries {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
+	return ns.entryKeys(), nil
 }
 
 // repair runs at a surviving node after a peer departed: every key this
@@ -714,17 +774,8 @@ func (s *Store) repair(node ids.ID) {
 	if err != nil {
 		return
 	}
-	ns.mu.Lock()
-	keys := make([]ids.ID, 0, len(ns.entries))
-	for k := range ns.entries {
-		keys = append(keys, k)
-	}
-	ns.mu.Unlock()
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, key := range keys {
-		ns.mu.Lock()
-		chain := cloneChain(ns.entries[key])
-		ns.mu.Unlock()
+	for _, key := range ns.entryKeys() {
+		chain := ns.entry(key)
 		if len(chain) == 0 {
 			continue
 		}
@@ -736,14 +787,9 @@ func (s *Store) repair(node ids.ID) {
 			if err != nil {
 				continue
 			}
-			ms.mu.Lock()
-			if chainNewer(chain, ms.entries[key]) {
-				ms.entries[key] = cloneChain(chain)
-				ms.mu.Unlock()
+			if ms.offer(key, chain) {
 				s.markDirty(m.ID)
 				s.wire.Send(node, m.ID)
-			} else {
-				ms.mu.Unlock()
 			}
 		}
 	}
@@ -767,14 +813,7 @@ func (s *Store) handOver(node, newcomer ids.ID) {
 	if err != nil {
 		return // newcomer not attached yet; it will sync when attached
 	}
-	ns.mu.Lock()
-	keys := make([]ids.ID, 0, len(ns.entries))
-	for k := range ns.entries {
-		keys = append(keys, k)
-	}
-	ns.mu.Unlock()
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, key := range keys {
+	for _, key := range ns.entryKeys() {
 		inSet := false
 		for _, m := range r.ReplicaSet(key, s.opts.ReplicationFactor+1) {
 			if m.ID == newcomer {
@@ -785,18 +824,12 @@ func (s *Store) handOver(node, newcomer ids.ID) {
 		if !inSet {
 			continue
 		}
-		ns.mu.Lock()
-		chain := cloneChain(ns.entries[key])
-		ns.mu.Unlock()
+		chain := ns.entry(key)
 		if len(chain) == 0 {
 			continue
 		}
 		s.wire.Send(node, newcomer)
-		nsNew.mu.Lock()
-		if chainNewer(chain, nsNew.entries[key]) {
-			nsNew.entries[key] = chain
-		}
-		nsNew.mu.Unlock()
+		nsNew.offer(key, chain)
 		s.markDirty(newcomer)
 	}
 }
@@ -813,17 +846,8 @@ func (s *Store) Depart(node ids.ID) error {
 	if err != nil {
 		return err
 	}
-	ns.mu.Lock()
-	keys := make([]ids.ID, 0, len(ns.entries))
-	for k := range ns.entries {
-		keys = append(keys, k)
-	}
-	ns.mu.Unlock()
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, key := range keys {
-		ns.mu.Lock()
-		chain := cloneChain(ns.entries[key])
-		ns.mu.Unlock()
+	for _, key := range ns.entryKeys() {
+		chain := ns.entry(key)
 		if len(chain) == 0 {
 			continue
 		}
@@ -838,11 +862,7 @@ func (s *Store) Depart(node ids.ID) error {
 				continue
 			}
 			s.wire.Send(node, m.ID)
-			ms.mu.Lock()
-			if chainNewer(chain, ms.entries[key]) {
-				ms.entries[key] = cloneChain(chain)
-			}
-			ms.mu.Unlock()
+			ms.offer(key, chain)
 			s.markDirty(m.ID)
 		}
 	}
@@ -878,13 +898,5 @@ func chainNewer(candidate, existing []Value) bool {
 func cloneBytes(b []byte) []byte {
 	out := make([]byte, len(b))
 	copy(out, b)
-	return out
-}
-
-func cloneChain(chain []Value) []Value {
-	out := make([]Value, len(chain))
-	for i, v := range chain {
-		out[i] = v.clone()
-	}
 	return out
 }

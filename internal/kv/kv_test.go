@@ -568,10 +568,7 @@ func TestGetRefAliasesStoreGetClones(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns.mu.Lock()
-	aliases := &ns.entries[key][0].Data[0] == &ref.Value.Data[0]
-	ns.mu.Unlock()
-	if !aliases {
+	if &ns.entry(key)[0].Data[0] != &ref.Value.Data[0] {
 		t.Fatal("GetRef cloned the value — the zero-copy path copies")
 	}
 	got, err := st.Get(pr.Owner, key)
@@ -613,10 +610,7 @@ func TestHoldersEnumeratesReplicaSet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ns.mu.Lock()
-		has := len(ns.entries[key]) > 0
-		ns.mu.Unlock()
-		if !has {
+		if len(ns.entry(key)) == 0 {
 			t.Fatalf("holder %s has no authoritative copy", h)
 		}
 	}
