@@ -116,9 +116,10 @@ profile:
 
 # Profile the materialised process path — real payload bytes through
 # objstore, core and the services kernels, which the sparse scale-up sweep
-# above never touches: 1 MB image x fdet/frec/x264 x owner/decided.
+# above never touches: two clients on one virtual clock cycling
+# fdet/frec/x264 over a 1 MB image, at the owner and decided.
 profile-process:
-	$(GO) test -run '^$$' -bench BenchmarkFetchProcessMaterialised -benchtime 200x \
+	$(GO) test -run '^$$' -bench BenchmarkFetchProcessTwoSessions -benchtime 600x \
 		-cpuprofile cpu.prof -memprofile mem.prof -o core.test ./internal/core
 	@echo "inspect with:"
 	@echo "  go tool pprof -top core.test cpu.prof"

@@ -306,14 +306,16 @@ func (r *Remote) fits(meta objstore.Object) bool {
 
 // FetchObject downloads an object to a home node, blocking for the full
 // transfer, and returns its metadata, payload (nil for sparse objects),
-// and the elapsed transfer time.
+// and the elapsed transfer time. The payload is a read-only borrow of the
+// bucket's bytes (objstore.Store.GetRef): the caller must not write to it,
+// and copies it where it leaves for code outside VStore++.
 func (r *Remote) FetchObject(dstNIC *netsim.Resource, name string) (objstore.Object, []byte, time.Duration, error) {
 	r.requests.Add(1)
 	if !r.Available(r.clock.Now()) {
 		d := r.net.Message(r.downPath(dstNIC))
 		return objstore.Object{}, nil, d, fmt.Errorf("cloudsim: fetch %q: %w", name, ErrUnavailable)
 	}
-	meta, data, err := r.store.Get(name)
+	meta, data, err := r.store.GetRef(name)
 	if err != nil {
 		return objstore.Object{}, nil, 0, fmt.Errorf("cloudsim: fetch %q: %w", name, err)
 	}

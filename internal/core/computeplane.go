@@ -111,6 +111,15 @@ func (n *Node) moveAndRun(target string, spec services.Spec, meta ObjectMeta) (r
 		return ProcessResult{}, nil, true, err
 	}
 	d := lease.Duration()
+	res = ProcessResult{
+		Service:    spec.Name,
+		Target:     target,
+		OutputSize: spec.OutputSize(meta.Size),
+		MatchID:    -1,
+	}
+	// The kernel runs on the host while the wire and the execution tail
+	// elapse; it is joined before anything reads its result.
+	k := n.startKernel(spec, data, res.OutputSize)
 
 	wireStart := n.clock.Now()
 	// Handler dispatch proceeds while the first bytes are on the wire.
@@ -140,20 +149,17 @@ func (n *Node) moveAndRun(target string, spec services.Spec, meta ObjectMeta) (r
 		OnChunk: onChunk,
 	}})
 	if terr != nil || len(st) == 0 {
-		return ProcessResult{}, nil, true, fmt.Errorf("core: move %q to %s: %v", meta.Name, target, terr)
+		return ProcessResult{}, nil, true, k.join(&res, fmt.Errorf("core: move %q to %s: %v", meta.Name, target, terr))
 	}
 	if rest := meta.Size - delivered; rest > 0 {
 		onChunk(rest)
 	}
 	// Settle the execution tail extending past the wire.
 	lease.Finish(computeDone.Sub(n.clock.Now()))
-
-	res = ProcessResult{
-		Service:    spec.Name,
-		Target:     target,
-		OutputSize: spec.OutputSize(meta.Size),
-		MatchID:    -1,
+	if err := k.join(&res, nil); err != nil {
+		return ProcessResult{}, nil, true, err
 	}
+
 	res.Breakdown.InputMove = wire
 	res.Breakdown.Exec = dispatch + d
 	if strands > 1 {
@@ -161,11 +167,6 @@ func (n *Node) moveAndRun(target string, spec services.Spec, meta ObjectMeta) (r
 	}
 	if saved := wire + dispatch + d - n.clock.Now().Sub(wireStart); saved > 0 {
 		n.ops.overlapSaved.Add(int64(saved))
-	}
-	if len(data) > 0 {
-		if err := n.applyKernel(spec, data, &res); err != nil {
-			return ProcessResult{}, nil, true, err
-		}
 	}
 	return res, data, true, nil
 }

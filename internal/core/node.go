@@ -3,7 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cloud4home/internal/cloudsim"
@@ -107,8 +109,9 @@ type Node struct {
 
 	mu       sync.Mutex
 	deployed map[ids.ID]services.Spec // guarded by mu; services runnable on this node
-	training [][]byte                 // guarded by mu; local face-recognition training set
 	domains  uint16                   // guarded by mu; next guest domain ID
+
+	training atomic.Pointer[trainingSet] // installed face-recognition set; nil until SetTrainingSet
 
 	pathMu sync.Mutex
 	paths  map[*Node]*netsim.Path // guarded by pathMu; memoised LAN paths per peer
@@ -288,24 +291,31 @@ func (n *Node) HasService(name string, id uint32) bool {
 }
 
 // SetTrainingSet installs the face-recognition training images used by
-// the frec kernel when payloads are materialised.
+// the frec kernel when payloads are materialised, replacing any earlier
+// set. The images are counted on the first frec after the call, not here.
+// They are read-only once installed: the caller must not write to them
+// afterwards (installing a changed set is another SetTrainingSet).
 func (n *Node) SetTrainingSet(imgs [][]byte) {
-	cp := make([][]byte, len(imgs))
-	copy(cp, imgs)
-	n.mu.Lock()
-	n.training = cp
-	n.mu.Unlock()
+	n.training.Store(&trainingSet{imgs: slices.Clone(imgs)})
 }
 
-func (n *Node) trainingSet() [][]byte {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	// Copy the outer slice so the returned snapshot stays stable if
-	// SetTrainingSet swaps the field after the lock is released.
-	cp := make([][]byte, len(n.training))
-	copy(cp, n.training)
-	return cp
+// trainingSet is one installed set of training images. Nothing in it
+// changes once installed except the counted form, which the first frec
+// against the set builds, at most once and off n.mu; the next
+// SetTrainingSet drops the whole set, counted form included.
+type trainingSet struct {
+	imgs   [][]byte
+	once   sync.Once
+	scorer *services.TrainingSet // set by once
 }
+
+// counted returns the set's images counted for recognition.
+func (t *trainingSet) counted() *services.TrainingSet {
+	t.once.Do(t.count)
+	return t.scorer
+}
+
+func (t *trainingSet) count() { t.scorer = services.NewTrainingSet(t.imgs) }
 
 // spawn runs fn as a tracked background operation, registering it with
 // the virtual clock when one is in use.

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"cloud4home/internal/policy"
 	"cloud4home/internal/services"
 )
 
@@ -18,9 +19,10 @@ func scribble(b []byte) {
 
 // TestNoSessionExitAliasesAStore is the application-side half of the
 // payload-ownership rule: core passes borrows of the stores' own bytes
-// around, so every slice a Session returns must be a copy. Each exit's
-// result is overwritten in full, and the stored image must read back
-// intact afterwards — from the store itself and through a fresh fetch.
+// around — the cloud bucket's included — so every slice a Session returns
+// must be a copy. Each exit's result is overwritten in full, and the
+// stored image must read back intact afterwards — from the store itself
+// and through a fresh fetch.
 func TestNoSessionExitAliasesAStore(t *testing.T) {
 	tb, names := processBed(t)
 	tb.run(func() {
@@ -57,12 +59,24 @@ func TestNoSessionExitAliasesAStore(t *testing.T) {
 			t.Error(err)
 			return
 		}
+		// A third copy lives in the cloud bucket only.
+		const clouded = "clouded.jpg"
+		if _, err := desktop.StoreObjectData(clouded, "image", want,
+			StoreOptions{Blocking: true, Policy: policy.SizeThreshold{RemoteBytes: 1}}); err != nil {
+			t.Error(err)
+			return
+		}
 		intact := func(exit string) {
 			t.Helper()
 			for name, holder := range map[string]*Node{owned: tb.desktop, elsewhere: tb.netbook} {
 				if _, ref, err := holder.store.GetRef(name); err != nil || !bytes.Equal(ref, want) {
 					t.Errorf("%s: writing the result changed %s in %s's store (err %v)", exit, name, holder.addr, err)
 				}
+			}
+			if _, ref, _, err := tb.cloud.FetchObject(tb.desktop.nic, clouded); err != nil || !bytes.Equal(ref, want) {
+				t.Errorf("%s: writing the result changed %s in the cloud bucket (err %v)", exit, clouded, err)
+			}
+			for _, name := range []string{owned, elsewhere, clouded} {
 				fr, err := desktop.FetchObject(name)
 				if err != nil || !bytes.Equal(fr.Data, want) {
 					t.Errorf("%s: %s no longer fetches as stored (err %v)", exit, name, err)
@@ -92,12 +106,26 @@ func TestNoSessionExitAliasesAStore(t *testing.T) {
 			scribble(fr.Data)
 			intact("FetchObject at " + sess.node.addr)
 		}
+		fr, err := atom.FetchObject(clouded)
+		if err != nil || fr.Source == tb.desktop.addr || fr.Source == tb.netbook.addr {
+			t.Errorf("FetchObject of %s came from %q (err %v), want the cloud", clouded, fr.Source, err)
+			return
+		}
+		scribble(fr.Data)
+		intact("FetchObject from the cloud")
 		for _, spec := range services.Builtin() {
 			if spec.Name == "fdet" {
 				process("FetchProcess fdet requester", ModeRequester, func() (ProcessResult, error) {
 					return atom.FetchProcess(owned, spec.Name, spec.ID)
 				})
+				// fdet's output is its input: here, a borrow of the bucket.
+				process("FetchProcess fdet requester, cloud input", ModeRequester, func() (ProcessResult, error) {
+					return atom.FetchProcess(clouded, spec.Name, spec.ID)
+				})
 			}
+			process("FetchProcess "+spec.Name+" decided, cloud input", ModeDecided, func() (ProcessResult, error) {
+				return netbook.FetchProcess(clouded, spec.Name, spec.ID)
+			})
 			process("FetchProcess "+spec.Name+" owner", ModeOwner, func() (ProcessResult, error) {
 				return netbook.FetchProcess(owned, spec.Name, spec.ID)
 			})

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -229,6 +230,55 @@ func BenchmarkFetchProcessMaterialised(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkFetchProcessTwoSessions is home-process in miniature: two
+// clients on one virtual clock, the atom and the netbook, each cycling
+// fdet, frec and x264 over the 1 MB image (at the owner and decided
+// respectively), b.N operations between them. It is the case kernels run
+// off the clock for: while one client's kernel runs on the host, the other
+// client's simulated work goes on. `make profile-process` profiles it.
+func BenchmarkFetchProcessTwoSessions(b *testing.B) {
+	tb, names := processBed(b)
+	specs := services.Builtin()
+	b.SetBytes(processBedImage)
+	b.ReportAllocs()
+	tb.run(func() {
+		clients := []struct {
+			n    *Node
+			name string
+			ops  int
+		}{{tb.atom, names[ModeOwner], (b.N + 1) / 2}, {tb.netbook, names[ModeDecided], b.N / 2}}
+		// The last client to finish fires the join while still registered
+		// with the clock (never Block(wg.Wait) on a virtual clock).
+		done := tb.v.NewEvent()
+		var left atomic.Int32
+		left.Store(int32(len(clients)))
+		b.ResetTimer()
+		for _, c := range clients {
+			tb.v.Go(func() {
+				defer func() {
+					if left.Add(-1) == 0 {
+						done.Fire()
+					}
+				}()
+				sess, err := c.n.OpenSession()
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				defer sess.Close()
+				for i := 0; i < c.ops; i++ {
+					spec := specs[i%len(specs)]
+					if _, err := sess.FetchProcess(c.name, spec.Name, spec.ID); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+		}
+		done.Wait()
+	})
 }
 
 // TestFetchProcessCopiesNoPayload is the budget that keeps the copies

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -502,7 +503,9 @@ func (n *Node) moveOutput(target string, outputSize int64) time.Duration {
 }
 
 // runService executes the service's task on the target machine and, when
-// a payload is materialised, runs the corresponding kernel.
+// a payload is materialised, runs the corresponding kernel: it starts at
+// dispatch and is joined once the dispatch and exec sleeps are over (see
+// startKernel).
 func (n *Node) runService(target string, spec services.Spec, inputSize int64, data []byte) (ProcessResult, error) {
 	res := ProcessResult{
 		Service:    spec.Name,
@@ -510,6 +513,18 @@ func (n *Node) runService(target string, spec services.Spec, inputSize int64, da
 		OutputSize: spec.OutputSize(inputSize),
 		MatchID:    -1,
 	}
+	k := n.startKernel(spec, data, res.OutputSize)
+	exec, err := n.execService(target, spec, inputSize)
+	if err := k.join(&res, err); err != nil {
+		return ProcessResult{}, err
+	}
+	res.Breakdown.Exec = exec
+	return res, nil
+}
+
+// execService charges the service's invocation on the target machine —
+// dispatch, then the task's execution — and returns their sum.
+func (n *Node) execService(target string, spec services.Spec, inputSize int64) (time.Duration, error) {
 	task := spec.Task(inputSize)
 
 	// Service invocation overhead: VM scheduling + handler instantiation.
@@ -520,11 +535,11 @@ func (n *Node) runService(target string, spec services.Spec, inputSize int64, da
 	if inst, ok := cloudInstanceName(target); ok {
 		cloud := n.home.Cloud()
 		if cloud == nil {
-			return ProcessResult{}, ErrNoCloud
+			return 0, ErrNoCloud
 		}
 		m, err := cloud.Instance(inst)
 		if err != nil {
-			return ProcessResult{}, err
+			return 0, err
 		}
 		strands, shards := n.strandsFor(task, inputSize)
 		if strands > 1 {
@@ -534,12 +549,12 @@ func (n *Node) runService(target string, spec services.Spec, inputSize int64, da
 			execDur, err = m.Exec(task)
 		}
 		if err != nil {
-			return ProcessResult{}, err
+			return 0, err
 		}
 	} else {
 		host, ok := n.home.Node(target)
 		if !ok {
-			return ProcessResult{}, fmt.Errorf("core: run %s: target %q gone", spec.Name, target)
+			return 0, fmt.Errorf("core: run %s: target %q gone", spec.Name, target)
 		}
 		var err error
 		strands, shards := host.strandsFor(task, inputSize)
@@ -550,17 +565,10 @@ func (n *Node) runService(target string, spec services.Spec, inputSize int64, da
 			execDur, err = host.mach.Exec(task)
 		}
 		if err != nil {
-			return ProcessResult{}, err
+			return 0, err
 		}
 	}
-	res.Breakdown.Exec = dispatch + execDur
-
-	if len(data) > 0 {
-		if err := n.applyKernel(spec, data, &res); err != nil {
-			return ProcessResult{}, err
-		}
-	}
-	return res, nil
+	return dispatch + execDur, nil
 }
 
 // runServiceOnLocalObject is the owner-execution path: the object is
@@ -573,10 +581,78 @@ func (n *Node) runServiceOnLocalObject(spec services.Spec, meta ObjectMeta) (Pro
 	return n.runService(n.addr, spec, meta.Size, data)
 }
 
+// kernelRun is one service kernel running on a host goroutine of its own
+// while the actor that started it sleeps through the service's virtual
+// dispatch and exec time. The kernel never touches the clock; res holds
+// only the fields applyKernel sets, until join folds them into the
+// caller's result.
+type kernelRun struct {
+	n    *Node
+	spec services.Spec
+	data []byte
+	res  ProcessResult
+	err  error
+	done chan struct{} // one slot: exec sends once, join receives
+	exec func()        // k.run, bound once so that `go k.exec()` allocates nothing
+}
+
+// kernelRuns recycles kernelRuns: a fresh channel and goroutine closure
+// per op would cost home-process more allocations than the overlap saves.
+var kernelRuns = sync.Pool{New: func() any {
+	k := &kernelRun{done: make(chan struct{}, 1)}
+	k.exec = k.run
+	return k
+}}
+
+// startKernel starts spec's kernel on data, when a payload is
+// materialised, and returns the run to join; nil (no payload) joins at
+// once. outputSize is the result's size until the kernel says otherwise.
+func (n *Node) startKernel(spec services.Spec, data []byte, outputSize int64) *kernelRun {
+	if len(data) == 0 {
+		return nil
+	}
+	k := kernelRuns.Get().(*kernelRun)
+	k.n, k.spec, k.data = n, spec, data
+	k.res = ProcessResult{OutputSize: outputSize, MatchID: -1}
+	n.ops.kernels.Add(1)
+	go k.exec()
+	return k
+}
+
+func (k *kernelRun) run() {
+	k.err = k.n.applyKernel(k.spec, k.data, &k.res)
+	k.done <- struct{}{}
+}
+
+// join waits for the kernel and folds its result into res. It returns
+// opErr, the error the op hit while the kernel ran, if there was one, and
+// the kernel's error otherwise: every exit of an op that started a kernel
+// joins it. The wait is a plain host wait, never vclock.Virtual.Block: the
+// caller stays a runnable worker while it waits, so virtual time cannot
+// move on until the kernel is done, and every virtual result is what it
+// would be had the kernel run inline.
+func (k *kernelRun) join(res *ProcessResult, opErr error) error {
+	if k == nil {
+		return opErr
+	}
+	<-k.done
+	kernelErr := k.err
+	res.Output, res.borrowed, res.OutputSize = k.res.Output, k.res.borrowed, k.res.OutputSize
+	res.Detections, res.MatchID = k.res.Detections, k.res.MatchID
+	k.n.ops.kernels.Add(-1)
+	*k = kernelRun{done: k.done, exec: k.exec} // a pooled run pins no payload
+	kernelRuns.Put(k)
+	if kernelErr != nil && opErr == nil {
+		return kernelErr
+	}
+	return opErr
+}
+
 // applyKernel performs the actual computation for materialised payloads.
 // The training set for recognition is "available on any of the processing
 // locations" (the paper's assumption), so the requester's set is used.
-// data is a read-only borrow; the kernels only read it.
+// data is a read-only borrow; the kernels only read it. It runs on a
+// kernelRun's goroutine, so it reads no state guarded by n.mu.
 func (n *Node) applyKernel(spec services.Spec, data []byte, res *ProcessResult) error {
 	switch spec.Name {
 	case "fdet":
@@ -590,11 +666,11 @@ func (n *Node) applyKernel(spec services.Spec, data []byte, res *ProcessResult) 
 		res.Output, res.borrowed = data, true
 		res.OutputSize = int64(len(data))
 	case "frec":
-		training := n.trainingSet()
-		if len(training) == 0 {
+		training := n.training.Load()
+		if training == nil || len(training.imgs) == 0 {
 			return fmt.Errorf("core: frec: no training set installed on %s", n.addr)
 		}
-		best, err := services.RecognizeFace(data, training)
+		best, err := training.counted().Recognize(data)
 		if err != nil {
 			return err
 		}

@@ -107,6 +107,10 @@ type opCounters struct {
 	coalescedFetches  atomic.Int64
 	kvHops            atomic.Int64
 	superPeerHops     atomic.Int64
+
+	// kernels is a gauge, not in OpStats: service kernels this node has
+	// started and not yet joined (startKernel, kernelRun.join).
+	kernels atomic.Int64
 }
 
 func (c *opCounters) snapshot() OpStats {

@@ -276,3 +276,56 @@ func TestChurnUnderLoad(t *testing.T) {
 		checkAll(round)
 	}
 }
+
+// TestDeleteAtOwnerDropsItsCachedCopy is the regression for Delete keeping
+// the owner's record while it still held a path-cached chain: a node that
+// cached a key and then took the key over through churn kept serving the
+// deleted value from that cache after the Delete.
+func TestDeleteAtOwnerDropsItsCachedCopy(t *testing.T) {
+	for i := 0; i < 50; i++ {
+		st, _, nodes := buildStore(t, 8, Options{CacheEnabled: true})
+		key := ids.HashString(fmt.Sprintf("inherited-%d", i))
+		pr, err := st.Put(nodes[0], key, []byte("doomed"), Overwrite)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range nodes {
+			if _, err := st.Get(n, key); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Depart(pr.Owner); err != nil {
+			t.Fatal(err)
+		}
+		var from ids.ID
+		for _, n := range nodes {
+			if n != pr.Owner {
+				from = n
+				break
+			}
+		}
+		heir, _, _, err := st.locateOwner(from, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs, err := st.node(heir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs.mu.Lock()
+		rec := hs.recs[key]
+		cachedToo := rec != nil && rec.entry != nil && rec.cache != nil
+		hs.mu.Unlock()
+		if !cachedToo {
+			continue // the heir had not cached the key; try another
+		}
+		if err := st.Delete(from, key); err != nil {
+			t.Fatal(err)
+		}
+		if gr, err := st.Get(heir, key); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("Get at the owner after Delete = %q (err %v), want ErrNotFound", gr.Value.Data, err)
+		}
+		return
+	}
+	t.Fatal("no key's heir had a path-cached copy of it")
+}

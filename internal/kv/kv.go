@@ -712,11 +712,10 @@ func (s *Store) Delete(from, key ids.ID) error {
 		ownerStore.mu.Unlock()
 		return fmt.Errorf("kv: delete %s: %w", key, ErrNotFound)
 	}
+	// The whole record goes: a path-cached chain the owner kept from
+	// before it took the key over would otherwise still answer its Gets.
 	holders := rec.holders
-	rec.entry, rec.holders = nil, nil
-	if rec.cache == nil {
-		delete(ownerStore.recs, key)
-	}
+	delete(ownerStore.recs, key)
 	ownerStore.mu.Unlock()
 	// Purge replicas and caches everywhere (at home scale replica sets may
 	// have shifted since the write, so a sweep is the robust choice).

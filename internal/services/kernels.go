@@ -157,7 +157,9 @@ func count(data []byte) (h [256]int) {
 
 // RecognizeFace matches the probe against the training set by L1
 // histogram distance and returns the index of the best match — "output
-// being ID of the best matched image" (§IV).
+// being ID of the best matched image" (§IV). It counts the training set
+// afresh on every call; a site that recognises many probes against one
+// set builds a TrainingSet once instead.
 func RecognizeFace(probe []byte, training [][]byte) (int, error) {
 	return recognizeFace(probe, training, hostParts(len(probe)))
 }
@@ -166,36 +168,71 @@ func recognizeFace(probe []byte, training [][]byte, parts int) (int, error) {
 	if len(probe) == 0 {
 		return 0, ErrEmptyInput
 	}
-	if len(training) == 0 {
+	return newTrainingSet(training, parts).recognize(probe, parts)
+}
+
+// TrainingSet is a face-recognition training set counted once: each
+// image's histogram and length, which is all RecognizeFace reads of it.
+// It is immutable once built, so any number of goroutines may score
+// probes against one set at once.
+type TrainingSet struct {
+	hists [][256]int
+	lens  []int // 0 marks an empty (unusable) image
+}
+
+// NewTrainingSet counts the training images. It keeps no reference to
+// them.
+func NewTrainingSet(training [][]byte) *TrainingSet {
+	total := 0
+	for _, img := range training {
+		total += len(img)
+	}
+	return newTrainingSet(training, hostParts(total))
+}
+
+func newTrainingSet(training [][]byte, parts int) *TrainingSet {
+	ts := &TrainingSet{hists: make([][256]int, len(training)), lens: make([]int, len(training))}
+	// Each image is counted by exactly one part.
+	parallel.Run(parts, len(training), func(i int) {
+		ts.hists[i], ts.lens[i] = count(training[i]), len(training[i])
+	})
+	return ts
+}
+
+// Recognize returns the index of the training image closest to the probe
+// by L1 distance between length-normalised histograms; ties keep the
+// lowest index. It gives what RecognizeFace gives for the images the set
+// was built from.
+func (ts *TrainingSet) Recognize(probe []byte) (int, error) {
+	return ts.recognize(probe, hostParts(len(probe)))
+}
+
+func (ts *TrainingSet) recognize(probe []byte, parts int) (int, error) {
+	if len(probe) == 0 {
+		return 0, ErrEmptyInput
+	}
+	if len(ts.lens) == 0 {
 		return 0, ErrEmptyTrainingSet
 	}
 	ph := histogram(probe, parts)
-	// One distance slot per training image, -1 for an empty (unusable)
-	// one; each is computed by exactly one part.
-	dists := make([]float64, len(training))
-	parallel.Run(parts, len(training), func(i int) {
-		img := training[i]
-		if len(img) == 0 {
-			dists[i] = -1
-			return
+	best, bestDist := -1, 0.0
+	for i, n := range ts.lens {
+		if n == 0 {
+			continue
 		}
-		th := count(img)
 		// Normalise by length so images of different sizes compare fairly.
+		th := &ts.hists[i]
 		var dist float64
 		for b := 0; b < 256; b++ {
-			d := float64(ph[b])/float64(len(probe)) - float64(th[b])/float64(len(img))
+			d := float64(ph[b])/float64(len(probe)) - float64(th[b])/float64(n)
 			if d < 0 {
 				d = -d
 			}
 			dist += d
 		}
-		dists[i] = dist
-	})
-	// Strict less-than in index order: ties keep the lowest index.
-	best := -1
-	for i, d := range dists {
-		if d >= 0 && (best == -1 || d < dists[best]) {
-			best = i
+		// Strict less-than in index order: ties keep the lowest index.
+		if best == -1 || dist < bestDist {
+			best, bestDist = i, dist
 		}
 	}
 	if best == -1 {
@@ -229,14 +266,39 @@ func convertVideo(data []byte, parts int) ([]byte, error) {
 		if lo > 0 {
 			prev = data[2*lo-2]
 		}
-		src, dst := data[2*lo:], out[8+lo:8+hi]
-		for j := range dst {
-			cur := src[2*j]
-			dst[j] = cur - prev
+		j := lo
+		// Eight output bytes per step, from the even bytes of sixteen
+		// input bytes (while those are in bounds).
+		for ; j+8 <= hi && 2*j+16 <= len(data); j += 8 {
+			e := evenBytes(binary.LittleEndian.Uint64(data[2*j:])) |
+				evenBytes(binary.LittleEndian.Uint64(data[2*j+8:]))<<32
+			q := e<<8 | uint64(prev)
+			binary.LittleEndian.PutUint64(out[8+j:], subBytes(e, q))
+			prev = byte(e >> 56)
+		}
+		for ; j < hi; j++ {
+			cur := data[2*j]
+			out[8+j] = cur - prev
 			prev = cur
 		}
 	})
 	return out, nil
+}
+
+// evenBytes packs bytes 0, 2, 4 and 6 of w (little-endian) into the low
+// four bytes of the result, in order.
+func evenBytes(w uint64) uint64 {
+	w &= 0x00FF00FF00FF00FF
+	w = (w | w>>8) & 0x0000FFFF0000FFFF
+	return (w | w>>16) & 0x00000000FFFFFFFF
+}
+
+// subBytes is x - y in each of the eight bytes on its own, mod 256: the
+// high bit of each byte is taken out of the subtraction so that no borrow
+// crosses a byte, and put back by the xor.
+func subBytes(x, y uint64) uint64 {
+	const h = 0x8080808080808080
+	return ((x | h) - (y &^ h)) ^ ((x ^ ^y) & h)
 }
 
 // ConvertedSourceLen reports the original stream length recorded in a

@@ -108,29 +108,36 @@ func refConvertVideo(data []byte) ([]byte, error) {
 // parts than most inputs have grains.
 var partSweep = []int{1, 2, 3, 7, 64}
 
-// kernelResults is what the four kernels make of one input.
+// kernelResults is what the four kernels, and frec against an installed
+// TrainingSet, make of one input.
 type kernelResults struct {
-	hits    []int
-	hist    [256]int
-	best    int
-	out     []byte
-	hitsErr error
-	bestErr error
-	outErr  error
+	hits         []int
+	hist         [256]int
+	best         int
+	installed    int
+	out          []byte
+	hitsErr      error
+	bestErr      error
+	installedErr error
+	outErr       error
 }
 
 func refKernels(data []byte, training [][]byte) (r kernelResults) {
 	r.hits, r.hitsErr = refDetectFaces(data)
 	r.hist = refHistogram(data)
 	r.best, r.bestErr = refRecognizeFace(data, training)
+	r.installed, r.installedErr = r.best, r.bestErr
 	r.out, r.outErr = refConvertVideo(data)
 	return r
 }
 
-func splitKernels(data []byte, training [][]byte, parts int) (r kernelResults) {
+// splitKernels runs the kernels at a part count; ts is the training set
+// installed once from training, which frec also scores the probe against.
+func splitKernels(data []byte, training [][]byte, ts *TrainingSet, parts int) (r kernelResults) {
 	r.hits, r.hitsErr = detectFaces(data, parts)
 	r.hist = histogram(data, parts)
 	r.best, r.bestErr = recognizeFace(data, training, parts)
+	r.installed, r.installedErr = ts.recognize(data, parts)
 	r.out, r.outErr = convertVideo(data, parts)
 	return r
 }
@@ -150,6 +157,10 @@ func (want kernelResults) mustEqual(t *testing.T, got kernelResults, n int, part
 		t.Fatalf("len=%d parts=%s: frec match %d (err %v), reference %d (err %v)",
 			n, parts, got.best, got.bestErr, want.best, want.bestErr)
 	}
+	if got.installed != want.installed || !errors.Is(got.installedErr, want.installedErr) {
+		t.Fatalf("len=%d parts=%s: frec on the installed set matches %d (err %v), reference %d (err %v)",
+			n, parts, got.installed, got.installedErr, want.installed, want.installedErr)
+	}
 	if !bytes.Equal(got.out, want.out) || (got.out == nil) != (want.out == nil) || !errors.Is(got.outErr, want.outErr) {
 		t.Fatalf("len=%d parts=%s: x264 stream differs from the reference (err %v, reference %v)",
 			n, parts, got.outErr, want.outErr)
@@ -161,13 +172,16 @@ func (want kernelResults) mustEqual(t *testing.T, got kernelResults, n int, part
 func checkKernels(t *testing.T, data []byte, training [][]byte) {
 	t.Helper()
 	want := refKernels(data, training)
+	ts := NewTrainingSet(training)
 	for _, p := range partSweep {
-		want.mustEqual(t, splitKernels(data, training, p), len(data), strconv.Itoa(p))
+		want.mustEqual(t, splitKernels(data, training, newTrainingSet(training, p), p), len(data), strconv.Itoa(p))
+		want.mustEqual(t, splitKernels(data, training, ts, p), len(data), strconv.Itoa(p)+"/installed")
 	}
 	var host kernelResults
 	host.hits, host.hitsErr = DetectFaces(data)
 	host.hist = Histogram(data)
 	host.best, host.bestErr = RecognizeFace(data, training)
+	host.installed, host.installedErr = ts.Recognize(data)
 	host.out, host.outErr = ConvertVideo(data)
 	want.mustEqual(t, host, len(data), "host")
 }
@@ -291,14 +305,17 @@ func TestDetectHitOnVarianceEdges(t *testing.T) {
 }
 
 // FuzzKernelsMatchReference feeds arbitrary payloads (and a part count)
-// to all four kernels and their references. The seed corpus under
-// testdata/fuzz holds the window classes and the variance-edge windows.
+// to all four kernels, and to frec against a training set installed once
+// for the whole run, and holds them to their references. The seed corpus
+// under testdata/fuzz holds the window classes, the variance-edge windows
+// and the lengths around x264's eight-byte steps at a few part counts.
 func FuzzKernelsMatchReference(f *testing.F) {
 	f.Add([]byte{}, uint8(1))
 	f.Add(bytes.Repeat([]byte{0, 255}, 200), uint8(3))
 	training := testTraining(rand.New(rand.NewSource(1)))
+	ts := NewTrainingSet(training)
 	f.Fuzz(func(t *testing.T, data []byte, parts uint8) {
 		p := int(parts%64) + 1
-		refKernels(data, training).mustEqual(t, splitKernels(data, training, p), len(data), strconv.Itoa(p))
+		refKernels(data, training).mustEqual(t, splitKernels(data, training, ts, p), len(data), strconv.Itoa(p))
 	})
 }

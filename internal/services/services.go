@@ -12,6 +12,12 @@
 // profiles ... encode the minimum resource requirements for a service for
 // a given SLA"; profiles here are "determined a priori and made available
 // to VStore++ when services are deployed".
+//
+// Face recognition reads its training set only as per-image histograms
+// and lengths. A processing site that recognises many probes against one
+// installed set counts it once into a TrainingSet and scores each probe
+// against that; RecognizeFace, which takes the raw images, counts them on
+// every call and is the reference the installed set must agree with.
 package services
 
 import (
