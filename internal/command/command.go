@@ -40,6 +40,15 @@ const (
 	TypeServiceRegister
 )
 
+// The daemon's own requests reuse two of the paper's command types; the
+// wire values are unchanged, these names say what c4hd does with them.
+const (
+	// TypeStats asks for per-node operation counters and machine state.
+	TypeStats = TypeResourceUpdate
+	// TypeList asks for the home's nodes and stored objects.
+	TypeList = TypeServiceRegister
+)
+
 // String renders the command type name.
 func (t Type) String() string {
 	switch t {

@@ -782,6 +782,15 @@ func TestObjectMetaSerialization(t *testing.T) {
 	if home.InCloud() {
 		t.Fatal("home location classified as cloud")
 	}
+	for _, m := range []ObjectMeta{
+		m,
+		{Name: `cam "0" \ back.jpg`, Size: -1, Tags: []string{"<b>", "a&b", "tab\tnl\n\x00\x1f\x7f"}, Location: "n00:9000"},
+		{Name: "été/カメラ.jpg", Type: "image", Size: 9, Tags: []string{"line\u2028sep\u2029"}, Location: "n01:9000", Owner: "zoë"},
+		{Name: "bad\xffutf8\xc3", Size: 1, Location: "s3://vstore/bad\xff", Replicas: []string{"\xed\xa0\x80"}, Backend: "<b2>"},
+		{Name: "x", Location: "n00:9000", ErasureK: 2, ErasureN: 3, Shards: []ShardRef{{Index: -1, Addr: "\u00e9\"&"}}},
+	} {
+		requireCodecMatchesJSON(t, m)
+	}
 }
 
 func TestBatteryPolicyAvoidsDrainedNetbook(t *testing.T) {

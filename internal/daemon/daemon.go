@@ -387,7 +387,7 @@ func (s *Server) dispatch(conn net.Conn, pkt *command.Packet) error {
 			TotalMS:    res.Breakdown.Total.Milliseconds(),
 		}, nil)
 
-	case command.TypeResourceUpdate:
+	case command.TypeStats:
 		// "stats": per-node operation counters and machine state.
 		var out statsResp
 		for _, n := range s.home.Nodes() {
@@ -419,16 +419,16 @@ func (s *Server) dispatch(conn net.Conn, pkt *command.Packet) error {
 				ArenaBytes:        ops.ArenaBytes,
 			})
 		}
-		return s.writeJSON(conn, command.TypeResourceUpdate, out, nil)
+		return s.writeJSON(conn, command.TypeStats, out, nil)
 
-	case command.TypeServiceRegister:
+	case command.TypeList:
 		// "ls": enumerate nodes and objects.
 		var nodes, objects []string
 		for _, n := range s.home.Nodes() {
 			nodes = append(nodes, n.Addr())
 			objects = append(objects, n.ObjectStore().List()...)
 		}
-		return s.writeJSON(conn, command.TypeServiceRegister, listResp{
+		return s.writeJSON(conn, command.TypeList, listResp{
 			Nodes:   nodes,
 			Objects: objects,
 		}, nil)
@@ -678,7 +678,7 @@ type NodeStats struct {
 
 // Stats returns per-node operation counters and machine state.
 func (c *Client) Stats() ([]NodeStats, error) {
-	resp, err := c.roundTrip(command.TypeResourceUpdate, struct{}{}, nil)
+	resp, err := c.roundTrip(command.TypeStats, struct{}{}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -720,7 +720,7 @@ func (c *Client) Stats() ([]NodeStats, error) {
 
 // List enumerates nodes and stored objects.
 func (c *Client) List() (nodes, objects []string, err error) {
-	resp, err := c.roundTrip(command.TypeServiceRegister, struct{}{}, nil)
+	resp, err := c.roundTrip(command.TypeList, struct{}{}, nil)
 	if err != nil {
 		return nil, nil, err
 	}

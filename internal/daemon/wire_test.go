@@ -61,7 +61,7 @@ func wantErrorThenClose(t *testing.T, conn net.Conn) {
 func TestRefusedFrameDoesNotSmuggleCommands(t *testing.T) {
 	_, addr := startServer(t)
 	conn := rawConn(t, addr)
-	stats := packet(t, command.TypeResourceUpdate, "{}")
+	stats := packet(t, command.TypeStats, "{}")
 	var msg bytes.Buffer
 	msg.Write(packet(t, command.TypeStore, `{"name":"big.bin","size":1,"hasPayload":true}`))
 	var hdr [8]byte
@@ -79,7 +79,7 @@ func TestUndecodableStoreEndsConnection(t *testing.T) {
 	conn := rawConn(t, addr)
 	var msg bytes.Buffer
 	msg.Write(packet(t, command.TypeStore, `{"name":`))
-	msg.Write(packet(t, command.TypeResourceUpdate, "{}"))
+	msg.Write(packet(t, command.TypeStats, "{}"))
 	if _, err := conn.Write(msg.Bytes()); err != nil {
 		t.Fatal(err)
 	}
