@@ -190,9 +190,9 @@ func (n *Node) executeDecided(dec Decision, spec services.Spec, meta ObjectMeta)
 	}
 
 	n.ops.specLaunches.Add(1)
-	// The hedges publish their outcomes while still registered with the
-	// clock, and the parent polls the slot as a registered worker too —
-	// no deregistered wake-ups, so the winner is deterministic.
+	// The hedges publish their outcomes as clock actors, and the parent
+	// polls the slot as an actor too (Sleep, never Block), so the winner
+	// is deterministic.
 	slot := &specSlot{}
 	var cancelPrimary, cancelSecondary atomic.Bool
 	record := func(o specOutcome) {

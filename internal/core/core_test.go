@@ -238,9 +238,9 @@ func TestNonBlockingStoreCompletesInBackground(t *testing.T) {
 }
 
 // TestFlushIdleDoesNotYieldClock: Flush with nothing in flight (every
-// RemoveNode starts with one) returns without deregistering the caller.
-// Yielding there leaves the clock with no runnable worker for an instant,
-// so it jumps to the next sleeper and wakes it beside the caller.
+// RemoveNode starts with one) returns without giving up the caller's
+// turn. Yielding there would let the clock run the next due actor, a
+// sleeper 1 s ahead, before the caller resumes.
 func TestFlushIdleDoesNotYieldClock(t *testing.T) {
 	tb := newTestbed(t, kv.Options{})
 	tb.run(func() {

@@ -121,8 +121,8 @@ type Node struct {
 
 	// In-flight non-blocking operations. On the real clock wg joins them;
 	// on a virtual clock Flush parks on drained, which the last finisher
-	// fires while still a registered worker (see vclock.Virtual.Block for
-	// why a WaitGroup inside Block is not a deterministic join).
+	// fires before it returns (see vclock.Virtual.Block for why a
+	// WaitGroup inside Block is not a deterministic join).
 	wg       sync.WaitGroup
 	bgMu     sync.Mutex
 	inflight int           // guarded by bgMu

@@ -341,10 +341,10 @@ func TestNoActorOutlivesItsExperiment(t *testing.T) {
 	}
 }
 
-// clockActors counts the clock actors still running their work:
-// goroutines under vclock.Virtual.Go's wrapper with a frame of their own
-// above it. One whose work has returned, and which is only deregistering
-// or exiting, is not counted, so the count does not race goroutine
+// clockActors counts the clock actors whose work has not returned:
+// coroutines under vclock's actor wrapper with a frame of their own above
+// it, and coroutines not yet started. An actor's coroutine exits before
+// Run resumes anything else, so the count does not race goroutine
 // teardown the way runtime.NumGoroutine does.
 func clockActors(buf []byte) int {
 	for {
@@ -357,7 +357,11 @@ func clockActors(buf []byte) int {
 	}
 	live := 0
 	for _, g := range strings.Split(string(buf), "\n\n") {
-		if !strings.Contains(g, "vclock.(*Virtual).Go.func1(") {
+		if strings.Contains(g, "[coroutine]:\nruntime.corostart()") {
+			live++
+			continue
+		}
+		if !strings.Contains(g, "vclock.newActor.func1(") {
 			continue
 		}
 		for _, frame := range strings.Split(g, "\n") {

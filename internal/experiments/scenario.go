@@ -267,7 +267,7 @@ type actors struct {
 	err  error         // guarded by mu; the first error an actor ended with
 }
 
-// spawn runs fn as a registered worker on v.
+// spawn runs fn as an actor on v.
 func (a *actors) spawn(v *vclock.Virtual, fn func()) {
 	a.mu.Lock()
 	a.left++

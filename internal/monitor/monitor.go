@@ -247,10 +247,10 @@ func (m *Monitor) Start() {
 		}
 	}
 	if v, ok := m.clock.(*vclock.Virtual); ok {
-		// The loop fires exited while it is still a registered worker, so
-		// a stopper parked on it is re-queued by the clock in (deadline,
-		// seq) order; a channel inside Virtual.Block would let the
-		// stopper's re-registration race the loop's deregistration.
+		// The loop fires exited as the last thing it does as an actor, so
+		// a stopper parked on it is filed again by the clock in (deadline,
+		// seq) order; a channel inside Virtual.Block would file the
+		// stopper whenever Block's helper goroutine saw the channel close.
 		exited := v.NewEvent()
 		m.exited = exited
 		v.Go(func() {

@@ -159,9 +159,10 @@ func TestStartIdempotentStopSafe(t *testing.T) {
 
 // TestStopResumesAtNextTick: a Stop issued at t0 observes the loop's exit
 // at its next tick and resumes at exactly t0+period, even with another
-// worker parked beyond that tick. A stopper that re-registers with the
-// clock only after the loop has deregistered lets time run on to the
-// decoy first, in host-scheduling order — hence the repetitions.
+// worker parked beyond that tick. A stopper filed again only when a
+// helper goroutine sees the loop exit (a channel inside Virtual.Block)
+// can let time run on to the decoy first, in host-scheduling order —
+// hence the repetitions.
 func TestStopResumesAtNextTick(t *testing.T) {
 	const period = 10 * time.Second
 	st, _ := buildKV(t, []string{"s1:1", "s2:1"})

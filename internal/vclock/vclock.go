@@ -4,22 +4,22 @@
 // paper's multi-minute experiments (e.g. the 700 MB trace replay behind
 // Fig 6) reproduce in milliseconds of wall time, with zero flakiness.
 //
-// The virtual clock is a cooperative discrete-event scheduler: goroutines
-// participating in an experiment register as workers (Go or Add/Done);
-// when every registered worker is blocked in Sleep, virtual time jumps to
-// the earliest pending deadline and the corresponding sleepers wake.
-//
-// There is one scheduler engine: a global (deadline, seq) min-heap of
-// sleepers, one woken per advance. Each sleeper parks on a sync.Cond of
-// its own, bound to the clock's mutex, and the advance Signals only the
-// sleeper it pops. Waking all waiters of one shared cond instead woke
-// every parked worker on every advance: on c4h-perf's home-trace (2-core
-// box) the targeted wake does 73.5k host ops/s against 44.8k, a 1.50x
-// median over 10 alternating pairs, all won, with bit-equal virtual
-// results (DESIGN.md, "Why there is one clock engine").
+// The virtual clock is a run-to-block scheduler. Run's fn and every
+// function passed to Go is an actor: a coroutine (iter.Pull) that only
+// the goroutine that called Run ever resumes. Run keeps one (deadline,
+// seq) min-heap of actors due to run; it pops the earliest, jumps time
+// to its deadline and switches into it. The actor runs alone until it
+// sleeps, waits on an Event, calls Block or returns, and then switches
+// back. So exactly one actor runs at a time, actors due at one instant
+// run in arrival order, and a hand-off wakes no goroutine: on c4h-perf's
+// home-trace (2-core box) the coroutine switch does 1.38x the host ops/s
+// of parking each sleeper on a sync.Cond of its own (median of 10
+// alternating pairs, all won), with bit-equal virtual results
+// (DESIGN.md, "Why there is one clock engine").
 package vclock
 
 import (
+	"iter"
 	"sync"
 	"time"
 )
@@ -28,7 +28,7 @@ import (
 type Clock interface {
 	// Now returns the current instant.
 	Now() time.Time
-	// Sleep blocks the calling worker for d. A non-positive d returns
+	// Sleep blocks the calling actor for d. A non-positive d returns
 	// immediately.
 	Sleep(d time.Duration)
 }
@@ -53,17 +53,22 @@ type Virtual struct {
 	mu      sync.Mutex
 	epoch   time.Time
 	now     int64      // ns since epoch
-	active  int        // registered workers currently runnable
-	sleeper []*sleeper // parked workers, a min-heap by (deadline, seq)
-	free    []*sleeper // sleeper records not in use, each bound to mu
-	seq     uint64     // tie-break so equal deadlines wake FIFO
+	due     []*actor   // actors filed to run, a min-heap by (deadline, seq)
+	seq     uint64     // tie-break so equal deadlines run FIFO
+	cur     *actor     // the actor holding the turn, nil between turns
+	blocked int        // actors inside Block
+	idle    *sync.Cond // on mu: a Block returned while nothing was due
 }
 
 var _ Clock = (*Virtual)(nil)
 
 // NewVirtual returns a virtual clock starting at epoch. The experiment
 // harness passes a fixed epoch so every run is bit-identical.
-func NewVirtual(epoch time.Time) *Virtual { return &Virtual{epoch: epoch} }
+func NewVirtual(epoch time.Time) *Virtual {
+	v := &Virtual{epoch: epoch}
+	v.idle = sync.NewCond(&v.mu)
+	return v
+}
 
 // Now implements Clock.
 func (v *Virtual) Now() time.Time {
@@ -72,63 +77,100 @@ func (v *Virtual) Now() time.Time {
 	return v.epoch.Add(time.Duration(v.now))
 }
 
-// Add registers n runnable workers. Every goroutine that will call Sleep
-// must be registered, otherwise time can advance while it still has work
-// to do. Pair with Done.
-func (v *Virtual) Add(n int) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.active += n
+// actor is one coroutine on the clock and its place in the heap.
+type actor struct {
+	deadline int64 // ns since the clock's epoch
+	seq      uint64
+	resume   func() (struct{}, bool) // runs the actor until it yields; false once it returned
+	yield    func(struct{}) bool     // hands the turn back to Run
 }
 
-// Done unregisters a worker. When the last runnable worker finishes or
-// sleeps, time advances.
-func (v *Virtual) Done() {
+// newActor wraps fn in a coroutine that has not started yet.
+func newActor(fn func()) *actor {
+	a := &actor{}
+	a.resume, _ = iter.Pull(func(yield func(struct{}) bool) {
+		a.yield = yield
+		fn()
+	})
+	return a
+}
+
+// Go files fn as a new actor at the current instant, after every actor
+// already due then. The caller keeps the turn.
+func (v *Virtual) Go(fn func()) {
+	a := newActor(fn)
 	v.mu.Lock()
-	v.active--
-	if v.active == 0 {
-		v.advanceLocked()
+	v.pushLocked(a, v.now)
+	v.mu.Unlock()
+}
+
+// Run runs fn as an actor and drives the clock until fn returns: it
+// pops the earliest due actor, advances time to its deadline and
+// switches into it, over and over. Actors still filed when fn returns
+// stay filed and resume in the next Run. A panic in any actor surfaces
+// from Run. Run is not called from an actor.
+func (v *Virtual) Run(fn func()) {
+	root := newActor(fn)
+	v.mu.Lock()
+	v.pushLocked(root, v.now)
+	for {
+		for len(v.due) == 0 && v.blocked > 0 {
+			v.idle.Wait()
+		}
+		if len(v.due) == 0 {
+			v.mu.Unlock()
+			panic("vclock: deadlock: every actor waits on an Event nobody can fire")
+		}
+		a := v.popLocked()
+		if a.deadline > v.now {
+			v.now = a.deadline
+		}
+		v.cur = a
+		v.mu.Unlock()
+		_, running := a.resume()
+		v.mu.Lock()
+		v.cur = nil
+		if a == root && !running {
+			break
+		}
 	}
 	v.mu.Unlock()
 }
 
-// Go runs fn as a registered worker in a new goroutine.
-func (v *Virtual) Go(fn func()) {
-	v.Add(1)
-	go func() {
-		defer v.Done()
-		fn()
-	}()
-}
-
-// Run registers the calling goroutine, runs fn, and unregisters. Use it
-// for the experiment's main driver.
-func (v *Virtual) Run(fn func()) {
-	v.Add(1)
-	defer v.Done()
-	fn()
-}
-
-// Block runs fn with the calling worker deregistered. Use it whenever a
-// registered worker must block on something other than Sleep (a
-// sync.WaitGroup, channel receive, ...): while fn blocks, virtual time is
-// free to advance so the goroutines it waits for can make progress.
-// Blocking on such primitives while registered deadlocks the clock.
-//
-// Hazard: fn must really block, and be released by a worker that is still
-// registered. If fn returns at once, or its releaser has already called
-// Done, the deregistration above can drop the runnable count to zero:
-// time then jumps to the next sleeper and wakes it while the caller is
-// about to run too — two runnable workers, in host-scheduling order. A
-// join on a virtual clock should use an Event, fired by the finisher
-// before it deregisters.
+// Block runs fn on a helper goroutine while the calling actor gives up
+// its turn, and files the caller again at the instant fn returns. Use it
+// when an actor must wait on something other than the clock — a
+// sync.WaitGroup, a channel — that other actors or host goroutines
+// release; the other actors run meanwhile. The instant is the clock's
+// when the helper sees fn return, so it is deterministic only if nothing
+// else is due by then: a join on the last finisher (Block(wg.Wait) at the
+// end of a run) resumes at that finisher's instant, but a join between
+// actors that keep running should park on an Event the finisher fires.
+// The caller must be an actor.
 func (v *Virtual) Block(fn func()) {
-	v.Done()
-	defer v.Add(1)
-	fn()
+	v.mu.Lock()
+	a := v.cur
+	v.blocked++
+	v.mu.Unlock()
+	go func() {
+		fn()
+		v.done(a)
+	}()
+	a.yield(struct{}{})
 }
 
-// Sleep implements Clock. The caller must be a registered worker.
+// done ends a's Block: it files a at the current instant and wakes Run
+// if nothing else was due.
+func (v *Virtual) done(a *actor) {
+	v.mu.Lock()
+	v.blocked--
+	v.pushLocked(a, v.now)
+	v.idle.Signal()
+	v.mu.Unlock()
+}
+
+// Sleep implements Clock. The caller must be an actor. A sleeper that is
+// itself the next due carries on without giving up the turn.
 //
 // c4h:hotpath
 func (v *Virtual) Sleep(d time.Duration) {
@@ -136,84 +178,50 @@ func (v *Virtual) Sleep(d time.Duration) {
 		return
 	}
 	v.mu.Lock()
-	s := v.getSleeperLocked()
-	v.pushLocked(s, v.now+int64(d))
-	v.parkLocked(s)
-	v.mu.Unlock()
-}
-
-// parkLocked deregisters the caller, advances time if it was the last
-// runnable worker, and waits until s is popped; a caller whose own
-// sleeper is the one popped never parks. Caller holds v.mu.
-func (v *Virtual) parkLocked(s *sleeper) {
-	v.active--
-	if v.active == 0 {
-		v.advanceLocked()
-	}
-	for !s.woken {
-		s.cond.Wait()
-	}
-	v.free = append(v.free, s)
-}
-
-// advanceLocked jumps time to the earliest deadline and wakes exactly
-// one sleeper — the earliest, FIFO among equal deadlines. Caller holds
-// v.mu and v.active == 0.
-//
-// Waking one worker at a time (rather than every sleeper due at the
-// instant) keeps concurrent workloads deterministic: at most one worker
-// is runnable after the advance, so shared state (the network's
-// per-operation RNG counter, job queues, resource active counts) is
-// always touched in deadline order, never in Go-scheduler order. When
-// the woken worker sleeps or finishes, the next sleeper due at the same
-// instant wakes; virtual time never regresses.
-//
-// c4h:hotpath
-func (v *Virtual) advanceLocked() {
-	if len(v.sleeper) == 0 {
+	a := v.cur
+	v.pushLocked(a, v.now+int64(d))
+	if v.due[0] == a {
+		v.popLocked()
+		v.now = a.deadline
+		v.mu.Unlock()
 		return
 	}
-	s := v.popLocked()
-	if s.deadline > v.now {
-		v.now = s.deadline
-	}
-	s.woken = true
-	v.active++
-	s.cond.Signal()
+	v.mu.Unlock()
+	a.yield(struct{}{})
 }
 
-// Event is a deterministic one-shot broadcast point for registered
-// workers: waiters park exactly like sleepers, and Fire releases them
-// through the normal advance machinery — each waiter is enqueued at the
-// current instant with a fresh sequence number in arrival order, so they
-// wake one at a time, FIFO, regardless of Go scheduling. The fetch
-// coalescing layer uses it to block follower fetches on the leader's
-// transfer without perturbing the schedule.
+// Event is a deterministic one-shot broadcast point for actors: Fire
+// files every waiter at the current instant, in arrival order, after
+// every actor already due then, so they resume one at a time, FIFO,
+// regardless of Go scheduling. The fetch coalescing layer uses it to
+// block follower fetches on the leader's transfer without perturbing
+// the schedule.
 type Event struct {
 	v       *Virtual
 	fired   bool
-	waiters []*sleeper
+	waiters []*actor
 }
 
 // NewEvent returns an unfired event bound to the clock.
 func (v *Virtual) NewEvent() *Event { return &Event{v: v} }
 
-// Wait parks the calling registered worker until Fire. Waiting on an
+// Wait gives up the calling actor's turn until Fire. Waiting on an
 // already-fired event returns immediately without yielding the schedule.
 func (e *Event) Wait() {
 	v := e.v
 	v.mu.Lock()
-	if !e.fired {
-		s := v.getSleeperLocked()
-		e.waiters = append(e.waiters, s)
-		v.parkLocked(s)
+	if e.fired {
+		v.mu.Unlock()
+		return
 	}
+	a := v.cur
+	e.waiters = append(e.waiters, a)
 	v.mu.Unlock()
+	a.yield(struct{}{})
 }
 
 // Fire releases every waiter, in arrival order, at the current virtual
-// instant. Firing twice is a no-op. The caller must be a runnable
-// registered worker (it does not block).
+// instant. Firing twice is a no-op. The caller keeps the turn.
 //
 // c4h:hotpath
 func (e *Event) Fire() {
@@ -221,63 +229,39 @@ func (e *Event) Fire() {
 	v.mu.Lock()
 	if !e.fired {
 		e.fired = true
-		for _, s := range e.waiters {
-			v.pushLocked(s, v.now)
+		for _, a := range e.waiters {
+			v.pushLocked(a, v.now)
 		}
 		e.waiters = nil
 	}
 	v.mu.Unlock()
 }
 
-// sleeper is one parked worker. Its cond waits on its clock's mu, so a
-// record is reused only on that clock: it belongs to one worker from
-// getSleeperLocked until parkLocked puts it back on the free list.
-type sleeper struct {
-	deadline int64 // ns since the clock's epoch
-	seq      uint64
-	woken    bool
-	cond     *sync.Cond
+// before orders actors by deadline, then arrival.
+func (a *actor) before(b *actor) bool {
+	return a.deadline < b.deadline || (a.deadline == b.deadline && a.seq < b.seq)
 }
 
-// getSleeperLocked takes a record from the free list, making one only
-// when every record is in use, so a clock allocates one per concurrent
-// sleeper. Caller holds v.mu.
-func (v *Virtual) getSleeperLocked() *sleeper {
-	n := len(v.free)
-	if n == 0 {
-		return &sleeper{cond: sync.NewCond(&v.mu)}
-	}
-	s := v.free[n-1]
-	v.free = v.free[:n-1]
-	s.woken = false
-	return s
-}
-
-// before orders sleepers by deadline, then arrival.
-func (s *sleeper) before(t *sleeper) bool {
-	return s.deadline < t.deadline || (s.deadline == t.deadline && s.seq < t.seq)
-}
-
-// pushLocked files s under deadline and the next arrival number,
+// pushLocked files a under deadline and the next arrival number,
 // sifting it up the heap. Caller holds v.mu.
-func (v *Virtual) pushLocked(s *sleeper, deadline int64) {
-	s.deadline, s.seq = deadline, v.seq
+func (v *Virtual) pushLocked(a *actor, deadline int64) {
+	a.deadline, a.seq = deadline, v.seq
 	v.seq++
-	h := append(v.sleeper, s)
+	h := append(v.due, a)
 	i := len(h) - 1
-	for p := (i - 1) / 2; i > 0 && s.before(h[p]); p = (i - 1) / 2 {
+	for p := (i - 1) / 2; i > 0 && a.before(h[p]); p = (i - 1) / 2 {
 		h[i], i = h[p], p
 	}
-	h[i] = s
-	v.sleeper = h
+	h[i] = a
+	v.due = h
 }
 
-// popLocked removes and returns the earliest sleeper, sifting the last
+// popLocked removes and returns the earliest actor, sifting the last
 // one down from the root. Caller holds v.mu and the heap is not empty.
 //
 // c4h:hotpath
-func (v *Virtual) popLocked() *sleeper {
-	h := v.sleeper
+func (v *Virtual) popLocked() *actor {
+	h := v.due
 	top, n := h[0], len(h)-1
 	last := h[n]
 	h[n], h = nil, h[:n]
@@ -294,6 +278,6 @@ func (v *Virtual) popLocked() *sleeper {
 	if n > 0 {
 		h[i] = last
 	}
-	v.sleeper = h
+	v.due = h
 	return top
 }

@@ -402,6 +402,116 @@ func TestVirtualWakeOrderMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestSpawnedActorsRunInSpawnOrder: actors spawned at one instant run one
+// at a time, in spawn order, and keep that order at every later instant
+// they share. They append to a plain slice with no lock, which -race
+// accepts only because no two of them ever run at once.
+func TestSpawnedActorsRunInSpawnOrder(t *testing.T) {
+	const actors, rounds = 16, 4
+	v := NewVirtual(epoch)
+	var order []int
+	v.Run(func() {
+		done := v.NewEvent()
+		left := actors
+		for a := 0; a < actors; a++ {
+			v.Go(func() {
+				for r := 0; r < rounds; r++ {
+					order = append(order, a)
+					v.Sleep(time.Millisecond)
+				}
+				if left--; left == 0 {
+					done.Fire()
+				}
+			})
+		}
+		done.Wait()
+	})
+	if len(order) != actors*rounds {
+		t.Fatalf("%d appends, want %d", len(order), actors*rounds)
+	}
+	for i, a := range order {
+		if a != i%actors {
+			t.Fatalf("append %d by actor %d, want %d: %v", i, a, i%actors, order)
+		}
+	}
+}
+
+// TestBlockFromRunReturnsAtLastFinisher: the end-of-run join in Run's fn,
+// Block(wg.Wait), resumes at the instant the last actor finishes, even
+// though Run's fn blocked long before.
+func TestBlockFromRunReturnsAtLastFinisher(t *testing.T) {
+	v := NewVirtual(epoch)
+	var joined time.Time
+	v.Run(func() {
+		var wg sync.WaitGroup
+		for i := 1; i <= 5; i++ {
+			d := time.Duration(i) * time.Second
+			wg.Add(1)
+			v.Go(func() {
+				defer wg.Done()
+				v.Sleep(d)
+			})
+		}
+		v.Block(wg.Wait)
+		joined = v.Now()
+	})
+	if want := epoch.Add(5 * time.Second); !joined.Equal(want) {
+		t.Fatalf("Block(wg.Wait) returned at %v, want %v", joined, want)
+	}
+}
+
+// TestBlockInActorDoesNotStallOthers: while one actor waits inside Block
+// on a channel, the others keep sleeping through virtual time, and the
+// one that closes the channel releases the blocked actor at its instant.
+func TestBlockInActorDoesNotStallOthers(t *testing.T) {
+	v := NewVirtual(epoch)
+	var released time.Time
+	ticks := 0
+	v.Run(func() {
+		ch := make(chan struct{})
+		blocked, ticker := v.NewEvent(), v.NewEvent()
+		v.Go(func() {
+			v.Block(func() { <-ch })
+			released = v.Now()
+			blocked.Fire()
+		})
+		v.Go(func() {
+			for ; ticks < 10; ticks++ {
+				v.Sleep(time.Second)
+			}
+			close(ch)
+			ticker.Fire()
+		})
+		ticker.Wait()
+		blocked.Wait()
+	})
+	if ticks != 10 {
+		t.Fatalf("ticker slept %d times, want 10", ticks)
+	}
+	if want := epoch.Add(10 * time.Second); !released.Equal(want) {
+		t.Fatalf("blocked actor resumed at %v, want %v", released, want)
+	}
+}
+
+// TestGoPanicSurfacesFromRun: a panic in a spawned actor is re-raised by
+// Run, on the goroutine that called it.
+func TestGoPanicSurfacesFromRun(t *testing.T) {
+	v := NewVirtual(epoch)
+	defer func() {
+		if r := recover(); r != "actor failed" {
+			t.Fatalf("recovered %v, want the actor's panic", r)
+		}
+	}()
+	v.Run(func() {
+		v.Go(func() {
+			v.Sleep(time.Second)
+			panic("actor failed")
+		})
+		v.Sleep(time.Hour)
+	})
+	t.Fatal("Run returned normally")
+}
+
 // BenchmarkSleep is c4h-perf's vclock.sleep probe at 1, 6 and 64 actors:
 // actor a sleeps (a+1) ms in a loop, so a lone actor always wakes itself
 // and with several every sleep hands the processor to another actor.

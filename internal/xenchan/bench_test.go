@@ -10,52 +10,55 @@ import (
 // The channel benches run on a virtual clock so they measure the data
 // path (page-granular copies), not the simulated sleeps.
 
-func benchChannel(b *testing.B, cfg Config) *Channel {
+// benchChannel opens a channel with cfg and runs loop on it as the
+// virtual clock's only actor.
+func benchChannel(b *testing.B, cfg Config, loop func(c *Channel)) {
 	b.Helper()
 	v := vclock.NewVirtual(time.Date(2011, 6, 1, 0, 0, 0, 0, time.UTC))
-	var c *Channel
-	var err error
-	v.Add(1) // the bench goroutine acts as the clock's only worker
-	b.Cleanup(v.Done)
-	c, err = Open(v, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return c
+	v.Run(func() {
+		c, err := Open(v, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		loop(c)
+	})
 }
 
 func BenchmarkTransfer64KB(b *testing.B) {
-	c := benchChannel(b, DefaultConfig())
-	data := make([]byte, 64<<10)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := c.Transfer(data); err != nil {
-			b.Fatal(err)
+	benchChannel(b, DefaultConfig(), func(c *Channel) {
+		data := make([]byte, 64<<10)
+		b.SetBytes(int64(len(data)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := c.Transfer(data); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
 }
 
 func BenchmarkTransfer1MBHugePages(b *testing.B) {
-	c := benchChannel(b, HugePageConfig())
-	data := make([]byte, 1<<20)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := c.Transfer(data); err != nil {
-			b.Fatal(err)
+	benchChannel(b, HugePageConfig(), func(c *Channel) {
+		data := make([]byte, 1<<20)
+		b.SetBytes(int64(len(data)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := c.Transfer(data); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
 }
 
 func BenchmarkTransferSizeCostOnly(b *testing.B) {
-	c := benchChannel(b, DefaultConfig())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.TransferSize(100 << 20); err != nil {
-			b.Fatal(err)
+	benchChannel(b, DefaultConfig(), func(c *Channel) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := c.TransferSize(100 << 20); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
 }
