@@ -25,7 +25,10 @@ type (
 	Clock = vclock.Clock
 	// RealClock is the wall clock.
 	RealClock = vclock.Real
-	// VirtualClock is the deterministic discrete-event clock.
+	// VirtualClock is the deterministic discrete-event clock. It has no
+	// lock: only the goroutine inside its Run and the code Run is
+	// executing may call its methods, so a goroutine of your own must
+	// not read Now while Run drives the clock.
 	VirtualClock = vclock.Virtual
 )
 

@@ -23,7 +23,7 @@ import (
 //     itself, which is the canonical storage) or a package variable;
 //   - sent on a channel — the receiver runs after arbitrary mutations;
 //   - captured by a goroutine, spawned with `go` or through an async
-//     wrapper (vclock's Virtual.Go), which runs after the borrowing
+//     wrapper (vclock's Group.Go), which runs after the borrowing
 //     critical section has been released;
 //   - returned to a caller, who holds no lock by the time it looks.
 //

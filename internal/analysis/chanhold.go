@@ -12,7 +12,7 @@ import (
 // calls — directly or through any chain — into a function that blocks
 // on a channel holds that mutex for an unbounded time, the classic
 // virtual-clock deadlock shape (the blocked goroutine still holds the
-// lock another registered worker needs to make the clock advance).
+// lock another actor needs to make the clock advance).
 //
 // Blocking means: channel send, channel receive, or a select with no
 // default clause. Function literals run via `go` are excluded (they

@@ -14,8 +14,8 @@ import (
 //
 //   - spawn sites: every `go` statement, plus calls to *async wrapper*
 //     functions — module functions that launch a func-typed parameter
-//     on a goroutine and return without joining it (vclock.Virtual.Go,
-//     core.Node spawn helpers). parallel.Run is NOT one: it wg.Waits
+//     on a goroutine and return without joining it (vclock.Group.Go,
+//     core.Node.spawn). parallel.Run is NOT one: it wg.Waits
 //     before returning, so its callbacks are synchronous;
 //   - per-spawn access sets: reads and writes of captured locals,
 //     struct fields, and package-level variables inside the spawned
@@ -23,10 +23,10 @@ import (
 //     set held at the access;
 //   - spawner-side accesses after the spawn point, with held sets;
 //   - synchronization edges the spawner creates: WaitGroup.Wait —
-//     called directly or passed as a method value (the
-//     `v.Block(wg.Wait)` idiom) — vclock.Event.Wait, and channel
-//     receives, matched against the WaitGroup.Done, Event.Fire and
-//     channel sends inside each goroutine;
+//     called directly or passed as a method value — vclock.Event.Wait,
+//     vclock.Group.Wait and channel receives, matched against the
+//     WaitGroup.Done, Event.Fire and channel sends inside each goroutine
+//     and against the Group whose Go spawned it;
 //   - sync.Cond bindings: which locker each NewCond call associates
 //     with which cond variable, joined by condwait against the
 //     cond-operation events the lock-flow walker records;
@@ -45,7 +45,7 @@ type condBinding struct {
 	cond      types.Object // the cond field/var (nil if unresolved)
 	condName  string       // rendered cond target ("v.cond")
 	locker    types.Object // the mutex field/var behind the locker arg
-	lockerCls string       // the mutex's class key ("vclock.Virtual.mu")
+	lockerCls string       // the mutex's class key ("core.Node.mu")
 	lockerStr string       // rendered locker expression ("v.mu")
 	pos       token.Pos
 }
@@ -68,9 +68,9 @@ type spawnSite struct {
 	via string // "go" or the async wrapper's display name
 	// accesses inside the resolved goroutine body (one closure hop).
 	accesses []sharedAccess
-	// dones holds the WaitGroup objects the goroutine calls Done on and
-	// the Events it fires; sends holds the channel objects it sends on.
-	// Both feed join-edge matching.
+	// dones holds the WaitGroup objects the goroutine calls Done on, the
+	// Events it fires and the vclock.Group whose Go spawned it; sends
+	// holds the channel objects it sends on. Both feed join-edge matching.
 	dones map[types.Object]bool
 	sends map[types.Object]bool
 }
@@ -442,22 +442,25 @@ func (cf *concFlow) joinsBeforeReturn(fi *FuncInfo) bool {
 }
 
 // joinMethod classifies a selection of a join primitive's method:
-// sync.WaitGroup.Wait and vclock.Event.Wait are the spawner's half
-// ("wait"), WaitGroup.Done and Event.Fire the goroutine's ("signal").
-// Anything else is "".
-// An Event is a join only when the finisher fires it while still
-// registered with the clock (DESIGN.md, "Joins on the virtual clock");
-// the rule takes that as given, as it takes a Done for granted.
+// sync.WaitGroup.Wait, vclock.Event.Wait and vclock.Group.Wait are the
+// spawner's half ("wait"), WaitGroup.Done and Event.Fire the goroutine's
+// ("signal"), and vclock.Group.Go a spawn its Group's Wait joins
+// ("spawn"). Anything else is "".
+// An Event is a join only when the finisher fires it before it returns
+// (DESIGN.md, "Joins on the virtual clock"); the rule takes that as
+// given, as it takes a Done for granted.
 func (cf *concFlow) joinMethod(sel *ast.SelectorExpr) string {
 	selection, ok := cf.ti.Info.Selections[sel]
 	if !ok || selection.Kind() != types.MethodVal {
 		return ""
 	}
 	switch namedTypeName(cf.m.Path, selection.Recv()) + "." + sel.Sel.Name {
-	case "sync.WaitGroup.Wait", "vclock.Event.Wait":
+	case "sync.WaitGroup.Wait", "vclock.Event.Wait", "vclock.Group.Wait":
 		return "wait"
 	case "sync.WaitGroup.Done", "vclock.Event.Fire":
 		return "signal"
+	case "vclock.Group.Go":
+		return "spawn"
 	}
 	return ""
 }
@@ -813,6 +816,7 @@ func (w *concWalker) scanCall(call *ast.CallExpr, st held) {
 	}
 	if callee := calleeOf(w.cf.ti.Info, call); callee != nil {
 		if async := w.cf.asyncParams[callee]; len(async) > 0 {
+			first := len(w.scope.spawns)
 			for i, a := range call.Args {
 				if async[i] {
 					w.handleSpawn(call, funcDisplayName(w.cf.m.Path, callee), a, nil, st)
@@ -821,6 +825,12 @@ func (w *concWalker) scanCall(call *ast.CallExpr, st held) {
 				}
 			}
 			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+				// What a Group's Go spawns, that Group's Wait joins.
+				if obj := baseIdentObj(w.cf.ti, sel.X); obj != nil && w.cf.joinMethod(sel) == "spawn" {
+					for _, site := range w.scope.spawns[first:] {
+						site.dones[obj] = true
+					}
+				}
 				w.scanExpr(sel.X, st, false)
 			}
 			return
@@ -871,7 +881,7 @@ func (w *concWalker) recordSelector(sel *ast.SelectorExpr, write bool, st held) 
 		return
 	}
 	if selection.Kind() != types.FieldVal {
-		// Method value (wg.Wait passed to v.Block): a join edge.
+		// Method value (wg.Wait passed to a helper): a join edge.
 		if w.cur == nil && w.cf.joinMethod(sel) == "wait" {
 			w.recordJoin("wait", sel.X, sel.Pos())
 			return

@@ -9,8 +9,8 @@ import (
 // GoroLeak enforces goroutine hygiene in non-test code:
 //
 //   - every `go` launch must be supervised — joined through a
-//     sync.WaitGroup-style Add/Done pair (the vclock worker registry
-//     counts), signalled through a context/done/stop channel, or
+//     sync.WaitGroup-style Add/Done pair (vclock.Group's real-clock arm
+//     is one), signalled through a context/done/stop channel, or
 //     communicating its result over a channel. A bare fire-and-forget
 //     goroutine either leaks or races shutdown;
 //   - a `go func` body must not capture an enclosing loop variable
@@ -166,7 +166,7 @@ func (g *goroChecker) report(s *ast.GoStmt, msg string) {
 		RuleID:     "goroleak",
 		Pos:        position(g.m, s.Pos()),
 		Message:    msg,
-		Suggestion: "join it (sync.WaitGroup / vclock worker registration) or give it a context/done channel",
+		Suggestion: "join it (sync.WaitGroup / vclock.Group) or give it a context/done channel",
 	})
 }
 
@@ -295,7 +295,7 @@ func supervisedBody(body *ast.BlockStmt) bool {
 			}
 		case *ast.SelectorExpr:
 			switch n.Sel.Name {
-			case "Done", "Err": // wg.Done / vclock Done / ctx.Done / ctx.Err
+			case "Done", "Err": // wg.Done / ctx.Done / ctx.Err
 				ok = true
 			}
 		case *ast.Ident:

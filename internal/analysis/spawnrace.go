@@ -9,12 +9,13 @@ import (
 // happens-before edge between them: a variable the spawned goroutine
 // writes and the spawner reads after the spawn (or vice versa), with
 // neither a join — a WaitGroup.Wait the goroutine Dones, an Event.Wait
-// on a vclock.Event it fires, or a receive on a channel it sends on —
+// on a vclock.Event it fires, a Wait on the vclock.Group that spawned
+// it, or a receive on a channel it sends on —
 // between the spawn and the spawner's access, nor a mutex both sides hold at their accesses.
 //
 // The facts come from the concflow engine: spawn sites cover plain
-// `go` statements and async-wrapper calls (vclock's Virtual.Go and
-// friends), goroutine access sets follow one same-function closure hop
+// `go` statements and async-wrapper calls (vclock's Group.Go and
+// its callers), goroutine access sets follow one same-function closure hop
 // (the `runCell := func(…)` worker idiom), and field accesses carry
 // their base object so s1.n and s2.n never pair. Method-call receivers
 // are borrows, not accesses: the callee's own lock discipline is
@@ -74,7 +75,7 @@ func checkScopeRaces(m *Module, scope *concScope) []Diagnostic {
 					Message: fmt.Sprintf("%s is %s by the goroutine spawned at %s (via %s) and %s by the spawner here, with no join or common lock between them in %s",
 						sA.name, accessVerb(gA.write), position(m, spawn.pos), spawn.via,
 						accessVerb(sA.write), scope.name),
-					Suggestion: "join the goroutine first (WaitGroup.Wait, Event.Wait on an Event it fires, or receive on a channel it closes/sends on), or guard both accesses with one mutex",
+					Suggestion: "join the goroutine first (WaitGroup.Wait, Event.Wait on an Event it fires, Group.Wait on its Group, or receive on a channel it closes/sends on), or guard both accesses with one mutex",
 				})
 			}
 		}
@@ -105,8 +106,8 @@ func sameSharedObject(a, b sharedAccess) bool {
 
 // joinBetween reports whether the scope joins this spawn's goroutine
 // between the spawn point and the given access position: a Wait on a
-// WaitGroup the goroutine Dones or an Event it fires, or a receive on a
-// channel it sends on.
+// WaitGroup the goroutine Dones, an Event it fires or the Group that
+// spawned it, or a receive on a channel it sends on.
 func joinBetween(scope *concScope, spawn *spawnSite, accessPos token.Pos) bool {
 	for _, j := range scope.joins {
 		if j.pos <= spawn.pos || j.pos >= accessPos {

@@ -196,17 +196,16 @@ func TestConcurrentDownloadsContend(t *testing.T) {
 	start := v.Now()
 	var wallEnd time.Time
 	v.Run(func() {
-		done := make(chan struct{}, 1)
-		v.Go(func() {
+		g := vclock.NewGroup(v)
+		g.Go(func() {
 			if _, _, _, err := c.FetchObject(nicA, "shared"); err != nil {
 				t.Error(err)
 			}
-			done <- struct{}{}
 		})
 		if _, _, _, err := c.FetchObject(nicB, "shared"); err != nil {
 			t.Error(err)
 		}
-		v.Block(func() { <-done })
+		g.Wait()
 		wallEnd = v.Now()
 	})
 	wall := wallEnd.Sub(start)

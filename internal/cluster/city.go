@@ -78,5 +78,5 @@ func NewCity(opts CityOptions) (*City, error) {
 	return city, nil
 }
 
-// Run executes fn as a registered virtual-clock worker.
+// Run executes fn as the root actor of the city's virtual clock.
 func (c *City) Run(fn func()) { c.V.Run(fn) }

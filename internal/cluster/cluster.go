@@ -161,7 +161,7 @@ func (tb *Testbed) NetbookConfig(i int) core.NodeConfig {
 	}
 }
 
-// Run executes fn as a registered virtual-clock worker.
+// Run executes fn as the root actor of the testbed's virtual clock.
 func (tb *Testbed) Run(fn func()) { tb.V.Run(fn) }
 
 // AllNodes returns every node, netbooks first then the desktop.

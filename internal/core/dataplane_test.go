@@ -139,9 +139,8 @@ func TestStripedFetchCrashMidStripeFallsBack(t *testing.T) {
 		// Crash the replica holder while the stripes are in flight: an
 		// 8 MB striped fetch takes ≈1 s of wire time, so 300 ms is
 		// mid-transfer.
-		done := make(chan struct{})
-		tb.v.Go(func() {
-			defer close(done)
+		g := vclock.NewGroup(tb.v)
+		g.Go(func() {
 			tb.v.Sleep(300 * time.Millisecond)
 			if err := tb.home.RemoveNode(tb.desktop.addr, false); err != nil {
 				t.Error(err)
@@ -152,7 +151,7 @@ func TestStripedFetchCrashMidStripeFallsBack(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err := reader.FetchObject("crashy.bin")
-		tb.v.Block(func() { <-done })
+		g.Wait()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -137,9 +137,8 @@ func TestPipelinedFetchCrashMidTransferFallsBack(t *testing.T) {
 		storeWithReplica(t, tb, "midcrash.bin", payload)
 		// Crash the primary mid-transfer: an 8 MB LAN transfer takes ≈1 s
 		// of wire time, so 300 ms is inside the pipelined TransferSet.
-		done := make(chan struct{})
-		tb.v.Go(func() {
-			defer close(done)
+		g := vclock.NewGroup(tb.v)
+		g.Go(func() {
 			tb.v.Sleep(300 * time.Millisecond)
 			if err := tb.home.RemoveNode(tb.atom.addr, false); err != nil {
 				t.Error(err)
@@ -150,7 +149,7 @@ func TestPipelinedFetchCrashMidTransferFallsBack(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err := reader.FetchObject("midcrash.bin")
-		tb.v.Block(func() { <-done })
+		g.Wait()
 		if err != nil {
 			t.Fatalf("pipelined fetch with crash mid-transfer: %v", err)
 		}
@@ -186,9 +185,8 @@ func TestPipelinedFetchErrorSettlesSink(t *testing.T) {
 		}
 		owner.Close()
 
-		done := make(chan struct{})
-		tb.v.Go(func() {
-			defer close(done)
+		g := vclock.NewGroup(tb.v)
+		g.Go(func() {
 			tb.v.Sleep(300 * time.Millisecond)
 			if err := tb.home.RemoveNode(tb.atom.addr, false); err != nil {
 				t.Error(err)
@@ -199,7 +197,7 @@ func TestPipelinedFetchErrorSettlesSink(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, err = reader.FetchObject("lost.bin")
-		tb.v.Block(func() { <-done })
+		g.Wait()
 		if !errors.Is(err, ErrObjectNotFound) {
 			t.Fatalf("fetch with no surviving copy: %v, want ErrObjectNotFound", err)
 		}

@@ -119,14 +119,7 @@ type Node struct {
 	flightMu sync.Mutex
 	flights  map[string]*fetchFlight // guarded by flightMu; joinable in-flight fetches
 
-	// In-flight non-blocking operations. On the real clock wg joins them;
-	// on a virtual clock Flush parks on drained, which the last finisher
-	// fires before it returns (see vclock.Virtual.Block for why a
-	// WaitGroup inside Block is not a deterministic join).
-	wg       sync.WaitGroup
-	bgMu     sync.Mutex
-	inflight int           // guarded by bgMu
-	drained  *vclock.Event // guarded by bgMu; non-nil while a Flush waits
+	bg *vclock.Group // in-flight non-blocking operations, joined by Flush
 
 	ops opCounters // cumulative operation counters
 }
@@ -175,6 +168,7 @@ func (h *Home) AddNode(cfg NodeConfig) (*Node, error) {
 		store:    store,
 		mach:     mach,
 		nic:      netsim.NewResource("nic:"+cfg.Addr, nicBps),
+		bg:       vclock.NewGroup(h.clock),
 		deployed: make(map[ids.ID]services.Spec),
 	}
 	if cb := cfg.DataPlane.CacheBytes; cb > 0 {
@@ -317,56 +311,12 @@ func (t *trainingSet) counted() *services.TrainingSet {
 
 func (t *trainingSet) count() { t.scorer = services.NewTrainingSet(t.imgs) }
 
-// spawn runs fn as a tracked background operation, registering it with
-// the virtual clock when one is in use.
-func (n *Node) spawn(fn func()) {
-	v, ok := n.clock.(*vclock.Virtual)
-	if !ok {
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			fn()
-		}()
-		return
-	}
-	n.bgMu.Lock()
-	n.inflight++
-	n.bgMu.Unlock()
-	v.Go(func() {
-		fn()
-		n.bgMu.Lock()
-		n.inflight--
-		var drained *vclock.Event
-		if n.inflight == 0 {
-			drained, n.drained = n.drained, nil
-		}
-		n.bgMu.Unlock()
-		if drained != nil {
-			drained.Fire()
-		}
-	})
-}
+// spawn runs fn as a background operation that Flush joins.
+func (n *Node) spawn(fn func()) { n.bg.Go(fn) }
 
 // Flush waits for the node's in-flight non-blocking operations. With
 // none in flight it returns without yielding the virtual clock.
-func (n *Node) Flush() {
-	v, ok := n.clock.(*vclock.Virtual)
-	if !ok {
-		n.wg.Wait()
-		return
-	}
-	n.bgMu.Lock()
-	if n.inflight == 0 {
-		n.bgMu.Unlock()
-		return
-	}
-	if n.drained == nil {
-		n.drained = v.NewEvent()
-	}
-	drained := n.drained
-	n.bgMu.Unlock()
-	drained.Wait()
-}
+func (n *Node) Flush() { n.bg.Wait() }
 
 // shutdown departs the overlay. Graceful shutdown first evacuates the
 // node's stored objects to peers (or the cloud) and then redistributes

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math/rand"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -60,12 +59,9 @@ func coalesceRun(t *testing.T, coalesce bool, k int) ([][]byte, []time.Duration,
 
 		payloads = make([][]byte, k)
 		durs = make([]time.Duration, k)
-		var wg sync.WaitGroup
+		g := vclock.NewGroup(v)
 		for w := 0; w < k; w++ {
-			w := w
-			wg.Add(1)
-			v.Go(func() {
-				defer wg.Done()
+			g.Go(func() {
 				sess, err := netbook.OpenSession()
 				if err != nil {
 					t.Error(err)
@@ -83,7 +79,7 @@ func coalesceRun(t *testing.T, coalesce bool, k int) ([][]byte, []time.Duration,
 				durs[w] = v.Now().Sub(start)
 			})
 		}
-		v.Block(wg.Wait)
+		g.Wait()
 		coalesced = netbook.OpStats().CoalescedFetches
 	})
 	if t.Failed() {

@@ -627,10 +627,10 @@ func (k *kernelRun) run() {
 // join waits for the kernel and folds its result into res. It returns
 // opErr, the error the op hit while the kernel ran, if there was one, and
 // the kernel's error otherwise: every exit of an op that started a kernel
-// joins it. The wait is a plain host wait, never vclock.Virtual.Block: the
-// caller stays a runnable worker while it waits, so virtual time cannot
-// move on until the kernel is done, and every virtual result is what it
-// would be had the kernel run inline.
+// joins it. The wait is a plain host wait by the actor holding the turn:
+// no other actor runs and virtual time cannot move on until the kernel is
+// done, so every virtual result is what it would be had the kernel run
+// inline.
 func (k *kernelRun) join(res *ProcessResult, opErr error) error {
 	if k == nil {
 		return opErr

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -191,17 +190,15 @@ func testSurvivingPieces(t *testing.T, cfg NodeConfig, k, pieces int, survivors 
 					netsim.FaultEvent{At: at, Node: p.addr, Kind: netsim.FaultCrash})
 			}
 		}
-		var wg sync.WaitGroup
-		wg.Add(1)
-		tb.v.Go(func() {
-			defer wg.Done()
+		g := vclock.NewGroup(tb.v)
+		g.Go(func() {
 			if err := netsim.RunFaults(tb.v, schedule, func(e netsim.FaultEvent) error {
 				return tb.home.RemoveNode(e.Node, false)
 			}); err != nil {
 				t.Error(err)
 			}
 		})
-		tb.v.Block(wg.Wait)
+		g.Wait()
 
 		reader := tb.nodes[len(tb.nodes)-1]
 		sess, err := reader.OpenSession()

@@ -122,8 +122,8 @@ func runComputeScaleUpCell(cfg ComputeScaleUpConfig, name string, cp core.Comput
 				}
 				return names
 			}
-			// settle waits for the cancelled speculative loser to drain as a
-			// registered clock worker. Node.Flush would park the caller, and
+			// settle waits for the cancelled speculative loser to drain as an
+			// actor. Node.Flush would park the caller, and
 			// with background hogs parked in a long Sleep the clock would
 			// jump to their wake-up the moment the last runnable worker
 			// parks — polling the counters keeps the requester runnable so
@@ -165,7 +165,7 @@ func runComputeScaleUpCell(cfg ComputeScaleUpConfig, name string, cp core.Comput
 			for i := 0; i < 4; i++ {
 				// A hog that fails admission leaves the machine undegraded
 				// and would silently invalidate the degraded phase.
-				e.background.spawn(e.V, func() { must(e.Desktop.Machine().Exec(machine.Task{CPUGHzSec: 2000, Parallelism: 1})) })
+				e.background.spawn(func() { must(e.Desktop.Machine().Exec(machine.Task{CPUGHzSec: 2000, Parallelism: 1})) })
 			}
 			e.V.Sleep(time.Millisecond) // hogs admit themselves
 			row.Degraded, row.DegradedWall = batch(deg)

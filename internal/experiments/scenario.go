@@ -103,13 +103,14 @@ func (s scenario) build() (*env, error) {
 	return &env{Testbed: tb, nodes: tb.AllNodes()}, nil
 }
 
-// drive runs the scenario on e's clock as its one registered driver,
-// then joins the background actors and closes every session.
+// drive runs the scenario as the root actor of e's clock, then joins the
+// background actors and closes every session.
 func (s scenario) drive(e *env) error {
+	e.clients.g, e.background.g = vclock.NewGroup(e.V), vclock.NewGroup(e.V)
 	var err error
 	e.V.Run(func() {
 		err = s.steps(e)
-		if berr := e.background.join(e.V); err == nil {
+		if berr := e.background.join(); err == nil {
 			err = berr
 		}
 		e.mu.Lock()
@@ -144,11 +145,11 @@ func (s scenario) steps(e *env) (err error) {
 	e.start = e.V.Now()
 	if s.faults != nil {
 		schedule := s.faults(e)
-		e.clients.spawn(e.V, func() { check(netsim.RunFaults(e.V, schedule, e.apply)) })
+		e.clients.spawn(func() { check(netsim.RunFaults(e.V, schedule, e.apply)) })
 	}
 	at, start, client := s.at, s.start, s.client
 	for w := 0; w < s.clients; w++ {
-		e.clients.spawn(e.V, func() {
+		e.clients.spawn(func() {
 			var sess *core.Session
 			if at != nil {
 				if n := at(e, w); n != nil {
@@ -163,7 +164,7 @@ func (s scenario) steps(e *env) (err error) {
 			client(e, w, sess)
 		})
 	}
-	check(e.clients.join(e.V))
+	check(e.clients.join())
 	if s.fold != nil {
 		s.fold(e)
 	}
@@ -255,57 +256,27 @@ func caught(fn func()) (err error) {
 	return nil
 }
 
-// actors is a set of registered clock workers that join waits for on an
-// Event, which the last of them fires while it is still registered —
-// the join Node.Flush makes. A join through Virtual.Block and a
-// WaitGroup lets the clock advance between the last Done and the
-// waiter's return, so two workers would run in host-scheduling order.
+// actors is a vclock.Group of actors that remembers the first error one
+// of them ended with.
 type actors struct {
-	mu   sync.Mutex
-	left int           // guarded by mu; actors still running
-	done *vclock.Event // guarded by mu; made by a waiting join
-	err  error         // guarded by mu; the first error an actor ended with
+	g   *vclock.Group
+	err error // the first error an actor ended with
 }
 
-// spawn runs fn as an actor on v.
-func (a *actors) spawn(v *vclock.Virtual, fn func()) {
-	a.mu.Lock()
-	a.left++
-	a.mu.Unlock()
-	v.Go(func() {
-		err := caught(fn)
-		a.mu.Lock()
-		if a.err == nil {
+// spawn runs fn as an actor.
+func (a *actors) spawn(fn func()) {
+	a.g.Go(func() {
+		if err := caught(fn); a.err == nil {
 			a.err = err
-		}
-		a.left--
-		var done *vclock.Event
-		if a.left == 0 {
-			done, a.done = a.done, nil
-		}
-		a.mu.Unlock()
-		if done != nil {
-			done.Fire()
 		}
 	})
 }
 
-// join parks the caller on v until every spawned actor has returned and
+// join parks the caller until every spawned actor has returned and
 // reports the first error. With none running it returns without
 // yielding the clock.
-func (a *actors) join(v *vclock.Virtual) error {
-	a.mu.Lock()
-	var done *vclock.Event
-	if a.left > 0 {
-		a.done = v.NewEvent()
-		done = a.done
-	}
-	a.mu.Unlock()
-	if done != nil {
-		done.Wait()
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
+func (a *actors) join() error {
+	a.g.Wait()
 	return a.err
 }
 

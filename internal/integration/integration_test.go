@@ -7,7 +7,6 @@ package integration
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 
 	"cloud4home/internal/cluster"
@@ -16,6 +15,7 @@ import (
 	"cloud4home/internal/objstore"
 	"cloud4home/internal/policy"
 	"cloud4home/internal/trace"
+	"cloud4home/internal/vclock"
 )
 
 // replayTrace drives a generated trace through the testbed: stores from
@@ -133,13 +133,10 @@ func TestConcurrentClientsNoLostData(t *testing.T) {
 	const perClient = 15
 	tb.Run(func() {
 		nodes := tb.AllNodes()
-		var wg sync.WaitGroup
+		g := vclock.NewGroup(tb.V)
 		errCh := make(chan error, len(nodes)*perClient)
 		for ci, n := range nodes {
-			ci, n := ci, n
-			wg.Add(1)
-			tb.V.Go(func() {
-				defer wg.Done()
+			g.Go(func() {
 				sess, err := n.OpenSession()
 				if err != nil {
 					errCh <- err
@@ -156,7 +153,7 @@ func TestConcurrentClientsNoLostData(t *testing.T) {
 				}
 			})
 		}
-		tb.V.Block(wg.Wait)
+		g.Wait()
 		close(errCh)
 		for err := range errCh {
 			t.Error(err)

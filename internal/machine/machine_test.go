@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -115,17 +114,15 @@ func TestConcurrentTasksShareCores(t *testing.T) {
 	var with2 time.Duration
 	v.Run(func() {
 		solo, _ = m.Exec(task)
-		var wg sync.WaitGroup
-		wg.Add(1)
-		v.Go(func() {
-			defer wg.Done()
+		g := vclock.NewGroup(v)
+		g.Go(func() {
 			if _, err := m.Exec(Task{CPUGHzSec: 13, Parallelism: 1}); err != nil {
 				t.Error(err)
 			}
 		})
 		v.Sleep(time.Millisecond) // let the long task start
 		with2, _ = m.Exec(task)
-		v.Block(wg.Wait)
+		g.Wait()
 	})
 	if with2 < time.Duration(float64(solo)*1.8) {
 		t.Fatalf("contended run %v not ≈2× solo %v on one core", with2, solo)
@@ -139,10 +136,8 @@ func TestLoadAndMemTracking(t *testing.T) {
 		t.Fatalf("idle machine: load=%v free=%v", m.Load(), m.MemFreeMB())
 	}
 	v.Run(func() {
-		var wg sync.WaitGroup
-		wg.Add(1)
-		v.Go(func() {
-			defer wg.Done()
+		g := vclock.NewGroup(v)
+		g.Go(func() {
 			if _, err := m.Exec(Task{CPUGHzSec: 18, MemMB: 100}); err != nil {
 				t.Error(err)
 			}
@@ -154,7 +149,7 @@ func TestLoadAndMemTracking(t *testing.T) {
 		if got := m.MemFreeMB(); got != 28 {
 			t.Errorf("free mem during task = %v, want 28", got)
 		}
-		v.Block(wg.Wait)
+		g.Wait()
 	})
 	if m.Load() != 0 || m.MemFreeMB() != 128 || m.TasksCompleted() != 1 {
 		t.Fatalf("machine not restored after task: load=%v free=%v done=%d",

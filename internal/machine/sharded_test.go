@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -57,12 +56,12 @@ func TestExecShardedLoadAccounting(t *testing.T) {
 	probe := Task{CPUGHzSec: 4, MemMB: 32, Parallelism: 1}
 	long := Task{CPUGHzSec: 160, MemMB: 256, Parallelism: 1}
 
-	measure := func(bg func(m *Machine, wg *sync.WaitGroup, v *vclock.Virtual)) time.Duration {
+	measure := func(bg func(m *Machine, g *vclock.Group)) time.Duration {
 		m, v := shardedTestMachine(t)
 		var probeDur time.Duration
 		v.Run(func() {
-			var wg sync.WaitGroup
-			bg(m, &wg, v)
+			g := vclock.NewGroup(v)
+			bg(m, g)
 			// Let the background load admit before probing.
 			v.Sleep(10 * time.Millisecond)
 			d, err := m.Exec(probe)
@@ -70,26 +69,22 @@ func TestExecShardedLoadAccounting(t *testing.T) {
 				t.Error(err)
 			}
 			probeDur = d
-			v.Block(wg.Wait)
+			g.Wait()
 		})
 		return probeDur
 	}
 
-	sharded := measure(func(m *Machine, wg *sync.WaitGroup, v *vclock.Virtual) {
-		wg.Add(1)
-		v.Go(func() {
-			defer wg.Done()
+	sharded := measure(func(m *Machine, g *vclock.Group) {
+		g.Go(func() {
 			if _, err := m.ExecSharded(long, strands); err != nil {
 				t.Error(err)
 			}
 		})
 	})
-	independent := measure(func(m *Machine, wg *sync.WaitGroup, v *vclock.Virtual) {
+	independent := measure(func(m *Machine, g *vclock.Group) {
 		for i := 0; i < strands; i++ {
 			each := Task{CPUGHzSec: long.CPUGHzSec / strands, MemMB: long.MemMB / strands, Parallelism: 1}
-			wg.Add(1)
-			v.Go(func() {
-				defer wg.Done()
+			g.Go(func() {
 				if _, err := m.Exec(each); err != nil {
 					t.Error(err)
 				}

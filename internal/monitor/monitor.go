@@ -135,8 +135,7 @@ type Monitor struct {
 	lastPub time.Time // guarded by mu; when the record was last published
 	hasPub  bool      // guarded by mu; whether any publish has happened
 	stop    chan struct{}
-	done    chan struct{} // real clock: closed when the loop has exited
-	exited  *vclock.Event // virtual clock: fired when the loop has exited
+	loop    *vclock.Group // the running publisher, joined by Stop
 	lastErr error         // guarded by mu; most recent periodic-publish failure
 }
 
@@ -157,6 +156,7 @@ func New(store *kv.Store, clock vclock.Clock, addr string, sampler Sampler, peri
 		addr:    addr,
 		sampler: sampler,
 		period:  period,
+		loop:    vclock.NewGroup(clock),
 	}, nil
 }
 
@@ -166,7 +166,7 @@ func New(store *kv.Store, clock vclock.Clock, addr string, sampler Sampler, peri
 func (m *Monitor) Key() ids.ID { return m.key }
 
 // PublishOnce samples and writes the record immediately. Simulations call
-// this from their own (registered) workers.
+// this from their own actors.
 func (m *Monitor) PublishOnce() error {
 	r := m.sampler.Sample()
 	if r.Addr == "" {
@@ -217,8 +217,8 @@ func (m *Monitor) EnsureFresh() error {
 	return m.PublishOnce()
 }
 
-// Start launches the periodic publisher. On a virtual clock the loop is
-// registered as a clock worker so time only advances when it is asleep.
+// Start launches the periodic publisher: an actor on a virtual clock, a
+// goroutine on the real one.
 func (m *Monitor) Start() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -228,7 +228,7 @@ func (m *Monitor) Start() {
 	m.started = true
 	stop := make(chan struct{})
 	m.stop = stop
-	loop := func() {
+	m.loop.Go(func() {
 		for {
 			m.clock.Sleep(m.period)
 			select {
@@ -245,26 +245,7 @@ func (m *Monitor) Start() {
 				m.mu.Unlock()
 			}
 		}
-	}
-	if v, ok := m.clock.(*vclock.Virtual); ok {
-		// The loop fires exited as the last thing it does as an actor, so
-		// a stopper parked on it is filed again by the clock in (deadline,
-		// seq) order; a channel inside Virtual.Block would file the
-		// stopper whenever Block's helper goroutine saw the channel close.
-		exited := v.NewEvent()
-		m.exited = exited
-		v.Go(func() {
-			loop()
-			exited.Fire()
-		})
-	} else {
-		done := make(chan struct{})
-		m.done = done
-		go func() {
-			defer close(done)
-			loop()
-		}()
-	}
+	})
 }
 
 // Stop halts the publisher and waits for it to exit.
@@ -274,17 +255,13 @@ func (m *Monitor) Stop() {
 		m.mu.Unlock()
 		return
 	}
-	stop, done, exited := m.stop, m.done, m.exited
+	stop := m.stop
 	m.started = false
 	m.mu.Unlock()
 	close(stop)
 	// The loop only observes stop after its next tick; on a virtual clock
 	// the stopper parks and time advances to that tick.
-	if exited != nil {
-		exited.Wait()
-	} else {
-		<-done
-	}
+	m.loop.Wait()
 }
 
 // LastPublishErr returns the most recent periodic-publish failure, or

@@ -280,13 +280,10 @@ func TestEstimateBoundsTransferUnderBackgroundLoad(t *testing.T) {
 	est := EstimateTransfer(fg, 15*MB)
 	var d time.Duration
 	v.Run(func() {
-		done := make(chan struct{})
-		v.Go(func() {
-			net.Transfer(HomePath(src, dst2, fabric), 40*MB)
-			close(done)
-		})
+		g := vclock.NewGroup(v)
+		g.Go(func() { net.Transfer(HomePath(src, dst2, fabric), 40*MB) })
 		d = net.Transfer(fg, 15*MB)
-		v.Block(func() { <-done })
+		g.Wait()
 	})
 	if d < est {
 		t.Fatalf("contended transfer %v below contention-free estimate %v", d, est)

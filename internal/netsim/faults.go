@@ -85,7 +85,7 @@ func (s FaultSchedule) Ordered() []FaultEvent {
 
 // RunFaults plays the schedule against the clock: it sleeps to each
 // event's virtual time (offsets are relative to the call instant) and
-// applies it. Run it as a registered clock worker alongside the workload
+// applies it. Run it as an actor alongside the workload
 // it disrupts. The first apply error aborts the remaining events.
 func RunFaults(clock vclock.Clock, s FaultSchedule, apply func(FaultEvent) error) error {
 	if err := s.Validate(); err != nil {

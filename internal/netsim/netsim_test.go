@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -81,17 +80,10 @@ func TestProcessorSharingHalvesRate(t *testing.T) {
 	var solo, shared1, shared2 time.Duration
 	v.Run(func() {
 		solo = net.Transfer(HomePath(src, dst1, fabric), 20*MB)
-		var wg sync.WaitGroup
-		wg.Add(2)
-		v.Go(func() {
-			defer wg.Done()
-			shared1 = net.Transfer(HomePath(src, dst1, fabric), 20*MB)
-		})
-		v.Go(func() {
-			defer wg.Done()
-			shared2 = net.Transfer(HomePath(src, dst2, fabric), 20*MB)
-		})
-		v.Block(wg.Wait)
+		g := vclock.NewGroup(v)
+		g.Go(func() { shared1 = net.Transfer(HomePath(src, dst1, fabric), 20*MB) })
+		g.Go(func() { shared2 = net.Transfer(HomePath(src, dst2, fabric), 20*MB) })
+		g.Wait()
 	})
 	for _, d := range []time.Duration{shared1, shared2} {
 		ratio := float64(d) / float64(solo)
@@ -106,20 +98,16 @@ func TestFabricCapsAggregate(t *testing.T) {
 	// Three disjoint node pairs share the LAN fabric; aggregate throughput
 	// must not exceed fabric capacity.
 	fabric := NewResource("lan", LANFabricBps)
-	var wg sync.WaitGroup
 	start := v.Now()
 	var done time.Time
 	v.Run(func() {
+		g := vclock.NewGroup(v)
 		for i := 0; i < 3; i++ {
-			wg.Add(1)
 			src := NewResource("s", NodeNICBps)
 			dst := NewResource("d", NodeNICBps)
-			v.Go(func() {
-				defer wg.Done()
-				net.Transfer(HomePath(src, dst, fabric), 30*MB)
-			})
+			g.Go(func() { net.Transfer(HomePath(src, dst, fabric), 30*MB) })
 		}
-		v.Block(wg.Wait)
+		g.Wait()
 		done = v.Now()
 	})
 	elapsed := done.Sub(start).Seconds()

@@ -16,6 +16,14 @@
 // of parking each sleeper on a sync.Cond of its own (median of 10
 // alternating pairs, all won), with bit-equal virtual results
 // (DESIGN.md, "Why there is one clock engine").
+//
+// A Virtual has no lock. Only the goroutine that called Run and the actor
+// holding the turn may call its methods (and those of its Events); a
+// coroutine switch orders each turn after the last. A host goroutine that
+// needs the clock's time must get it from an actor.
+//
+// Group is the one way to spawn background work and join it on either
+// clock: actors on a Virtual, goroutines on any other Clock.
 package vclock
 
 import (
@@ -48,16 +56,16 @@ func (Real) Sleep(d time.Duration) {
 	}
 }
 
-// Virtual is a deterministic discrete-event clock.
+// Virtual is a deterministic discrete-event clock. Only Run's goroutine
+// and the actor holding the turn call its methods.
 type Virtual struct {
-	mu      sync.Mutex
-	epoch   time.Time
-	now     int64      // ns since epoch
-	due     []*actor   // actors filed to run, a min-heap by (deadline, seq)
-	seq     uint64     // tie-break so equal deadlines run FIFO
-	cur     *actor     // the actor holding the turn, nil between turns
-	blocked int        // actors inside Block
-	idle    *sync.Cond // on mu: a Block returned while nothing was due
+	epoch     time.Time
+	now       int64       // ns since epoch
+	due       []*actor    // actors filed to run, a min-heap by (deadline, seq)
+	seq       uint64      // tie-break so equal deadlines run FIFO
+	cur       *actor      // the actor holding the turn, nil between turns
+	blocked   int         // actors inside Block
+	unblocked chan *actor // Block's helper goroutine sends its caller here
 }
 
 var _ Clock = (*Virtual)(nil)
@@ -65,17 +73,11 @@ var _ Clock = (*Virtual)(nil)
 // NewVirtual returns a virtual clock starting at epoch. The experiment
 // harness passes a fixed epoch so every run is bit-identical.
 func NewVirtual(epoch time.Time) *Virtual {
-	v := &Virtual{epoch: epoch}
-	v.idle = sync.NewCond(&v.mu)
-	return v
+	return &Virtual{epoch: epoch, unblocked: make(chan *actor)}
 }
 
 // Now implements Clock.
-func (v *Virtual) Now() time.Time {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.epoch.Add(time.Duration(v.now))
-}
+func (v *Virtual) Now() time.Time { return v.epoch.Add(time.Duration(v.now)) }
 
 // actor is one coroutine on the clock and its place in the heap.
 type actor struct {
@@ -97,96 +99,91 @@ func newActor(fn func()) *actor {
 
 // Go files fn as a new actor at the current instant, after every actor
 // already due then. The caller keeps the turn.
-func (v *Virtual) Go(fn func()) {
-	a := newActor(fn)
-	v.mu.Lock()
-	v.pushLocked(a, v.now)
-	v.mu.Unlock()
-}
+func (v *Virtual) Go(fn func()) { v.push(newActor(fn), v.now) }
 
 // Run runs fn as an actor and drives the clock until fn returns: it
 // pops the earliest due actor, advances time to its deadline and
-// switches into it, over and over. Actors still filed when fn returns
-// stay filed and resume in the next Run. A panic in any actor surfaces
-// from Run. Run is not called from an actor.
+// switches into it, over and over. Between turns it files again every
+// actor whose Block has returned, waiting for one only when nothing else
+// is due. Actors still filed when fn returns stay filed and resume in
+// the next Run. A panic in any actor surfaces from Run. Run is not
+// called from an actor.
 func (v *Virtual) Run(fn func()) {
 	root := newActor(fn)
-	v.mu.Lock()
-	v.pushLocked(root, v.now)
+	v.push(root, v.now)
 	for {
-		for len(v.due) == 0 && v.blocked > 0 {
-			v.idle.Wait()
-		}
+		v.unblock()
 		if len(v.due) == 0 {
-			v.mu.Unlock()
 			panic("vclock: deadlock: every actor waits on an Event nobody can fire")
 		}
-		a := v.popLocked()
+		a := v.pop()
 		if a.deadline > v.now {
 			v.now = a.deadline
 		}
 		v.cur = a
-		v.mu.Unlock()
 		_, running := a.resume()
-		v.mu.Lock()
 		v.cur = nil
 		if a == root && !running {
-			break
+			return
 		}
 	}
-	v.mu.Unlock()
+}
+
+// unblock files, at the current instant, every actor whose Block helper
+// has reported, and while nothing is due waits for one.
+func (v *Virtual) unblock() {
+	for v.blocked > 0 {
+		var a *actor
+		if len(v.due) == 0 {
+			a = <-v.unblocked
+		} else {
+			select {
+			case a = <-v.unblocked:
+			default:
+				return
+			}
+		}
+		v.blocked--
+		v.push(a, v.now)
+	}
 }
 
 // Block runs fn on a helper goroutine while the calling actor gives up
-// its turn, and files the caller again at the instant fn returns. Use it
-// when an actor must wait on something other than the clock — a
-// sync.WaitGroup, a channel — that other actors or host goroutines
-// release; the other actors run meanwhile. The instant is the clock's
-// when the helper sees fn return, so it is deterministic only if nothing
-// else is due by then: a join on the last finisher (Block(wg.Wait) at the
-// end of a run) resumes at that finisher's instant, but a join between
-// actors that keep running should park on an Event the finisher fires.
+// its turn. Once fn has returned, the next turn boundary or Sleep files
+// the caller again at the current instant. It is for a wait on something
+// other than the clock: its
+// only callers outside this package are the three end-of-run
+// Block(wg.Wait) joins in cmd/c4h-perf, which resume at the last
+// finisher's instant because nothing else is due by then. A join between
+// actors that keep running is a Group (or an Event the finisher fires).
 // The caller must be an actor.
 func (v *Virtual) Block(fn func()) {
-	v.mu.Lock()
 	a := v.cur
 	v.blocked++
-	v.mu.Unlock()
 	go func() {
 		fn()
-		v.done(a)
+		v.unblocked <- a
 	}()
 	a.yield(struct{}{})
 }
 
-// done ends a's Block: it files a at the current instant and wakes Run
-// if nothing else was due.
-func (v *Virtual) done(a *actor) {
-	v.mu.Lock()
-	v.blocked--
-	v.pushLocked(a, v.now)
-	v.idle.Signal()
-	v.mu.Unlock()
-}
-
 // Sleep implements Clock. The caller must be an actor. A sleeper that is
-// itself the next due carries on without giving up the turn.
+// itself the next due, once every returned Block is filed, carries on
+// without giving up the turn.
 //
 // c4h:hotpath
 func (v *Virtual) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	v.mu.Lock()
 	a := v.cur
-	v.pushLocked(a, v.now+int64(d))
+	v.push(a, v.now+int64(d))
+	v.unblock() // a is due, so this never waits
 	if v.due[0] == a {
-		v.popLocked()
+		v.pop()
 		v.now = a.deadline
-		v.mu.Unlock()
 		return
 	}
-	v.mu.Unlock()
 	a.yield(struct{}{})
 }
 
@@ -208,15 +205,11 @@ func (v *Virtual) NewEvent() *Event { return &Event{v: v} }
 // Wait gives up the calling actor's turn until Fire. Waiting on an
 // already-fired event returns immediately without yielding the schedule.
 func (e *Event) Wait() {
-	v := e.v
-	v.mu.Lock()
 	if e.fired {
-		v.mu.Unlock()
 		return
 	}
-	a := v.cur
+	a := e.v.cur
 	e.waiters = append(e.waiters, a)
-	v.mu.Unlock()
 	a.yield(struct{}{})
 }
 
@@ -225,16 +218,72 @@ func (e *Event) Wait() {
 //
 // c4h:hotpath
 func (e *Event) Fire() {
-	v := e.v
-	v.mu.Lock()
-	if !e.fired {
-		e.fired = true
-		for _, a := range e.waiters {
-			v.pushLocked(a, v.now)
-		}
-		e.waiters = nil
+	if e.fired {
+		return
 	}
-	v.mu.Unlock()
+	e.fired = true
+	for _, a := range e.waiters {
+		e.v.push(a, e.v.now)
+	}
+	e.waiters = nil
+}
+
+// Group spawns functions and joins them, on either clock: on a
+// *Virtual each is an actor and Wait parks on an Event the last finisher
+// fires before it returns, so the join is part of the schedule; on any
+// other Clock each is a goroutine and Wait is a sync.WaitGroup's. Wait
+// returns once nothing spawned through the Group is running, counting
+// what members spawn while it waits, and the Group can be used again.
+type Group struct {
+	v       *Virtual       // nil off the virtual clock
+	running int            // virtual: spawned actors that have not returned
+	drained *Event         // virtual: non-nil while a Wait parks
+	wg      sync.WaitGroup // any other clock
+}
+
+// NewGroup returns an empty group spawning on c.
+func NewGroup(c Clock) *Group {
+	v, _ := c.(*Virtual)
+	return &Group{v: v}
+}
+
+// Go runs fn in the background: as an actor filed at the current
+// instant on a virtual clock, else on a new goroutine.
+func (g *Group) Go(fn func()) {
+	if g.v == nil {
+		g.wg.Add(1)
+		go func() {
+			defer g.wg.Done()
+			fn()
+		}()
+		return
+	}
+	g.running++
+	g.v.Go(func() {
+		fn()
+		if g.running--; g.running == 0 && g.drained != nil {
+			g.drained.Fire() // files the waiters; this actor keeps the turn
+			g.drained = nil
+		}
+	})
+}
+
+// Wait returns once every spawned function has returned. On a virtual
+// clock the caller must be an actor; with nothing running it returns
+// without yielding, else it resumes at the last finisher's instant, after
+// every actor already due then.
+func (g *Group) Wait() {
+	if g.v == nil {
+		g.wg.Wait()
+		return
+	}
+	if g.running == 0 {
+		return
+	}
+	if g.drained == nil {
+		g.drained = g.v.NewEvent()
+	}
+	g.drained.Wait()
 }
 
 // before orders actors by deadline, then arrival.
@@ -242,9 +291,9 @@ func (a *actor) before(b *actor) bool {
 	return a.deadline < b.deadline || (a.deadline == b.deadline && a.seq < b.seq)
 }
 
-// pushLocked files a under deadline and the next arrival number,
-// sifting it up the heap. Caller holds v.mu.
-func (v *Virtual) pushLocked(a *actor, deadline int64) {
+// push files a under deadline and the next arrival number, sifting it
+// up the heap.
+func (v *Virtual) push(a *actor, deadline int64) {
 	a.deadline, a.seq = deadline, v.seq
 	v.seq++
 	h := append(v.due, a)
@@ -256,11 +305,11 @@ func (v *Virtual) pushLocked(a *actor, deadline int64) {
 	v.due = h
 }
 
-// popLocked removes and returns the earliest actor, sifting the last
-// one down from the root. Caller holds v.mu and the heap is not empty.
+// pop removes and returns the earliest actor, sifting the last one down
+// from the root. The heap is not empty.
 //
 // c4h:hotpath
-func (v *Virtual) popLocked() *actor {
+func (v *Virtual) pop() *actor {
 	h := v.due
 	top, n := h[0], len(h)-1
 	last := h[n]

@@ -3,6 +3,7 @@ package vclock
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -42,24 +43,21 @@ func TestVirtualConcurrentWorkersInterleave(t *testing.T) {
 		mu.Unlock()
 	}
 	v.Run(func() {
-		var wg sync.WaitGroup
-		wg.Add(2)
-		v.Go(func() {
-			defer wg.Done()
+		g := NewGroup(v)
+		g.Go(func() {
 			v.Sleep(1 * time.Second)
 			record("a1")
 			v.Sleep(3 * time.Second) // wakes at t=4
 			record("a2")
 		})
-		v.Go(func() {
-			defer wg.Done()
+		g.Go(func() {
 			v.Sleep(2 * time.Second)
 			record("b1")
 			v.Sleep(5 * time.Second) // wakes at t=7
 			record("b2")
 		})
 		v.Sleep(10 * time.Second)
-		v.Block(wg.Wait)
+		g.Wait()
 	})
 	want := []string{"a1", "b1", "a2", "b2"}
 	if len(order) != len(want) {
@@ -79,17 +77,15 @@ func TestVirtualEqualDeadlinesAllWake(t *testing.T) {
 	v := NewVirtual(epoch)
 	var n atomic.Int32
 	v.Run(func() {
-		var wg sync.WaitGroup
+		g := NewGroup(v)
 		for i := 0; i < 8; i++ {
-			wg.Add(1)
-			v.Go(func() {
-				defer wg.Done()
+			g.Go(func() {
 				v.Sleep(time.Second)
 				n.Add(1)
 			})
 		}
 		v.Sleep(2 * time.Second)
-		v.Block(wg.Wait)
+		g.Wait()
 	})
 	if n.Load() != 8 {
 		t.Fatalf("woke %d of 8 sleepers", n.Load())
@@ -100,18 +96,16 @@ func TestVirtualDeterministic(t *testing.T) {
 	run := func() time.Time {
 		v := NewVirtual(epoch)
 		v.Run(func() {
-			var wg sync.WaitGroup
+			g := NewGroup(v)
 			for i := 1; i <= 5; i++ {
-				wg.Add(1)
 				d := time.Duration(i) * 100 * time.Millisecond
-				v.Go(func() {
-					defer wg.Done()
+				g.Go(func() {
 					for j := 0; j < 10; j++ {
 						v.Sleep(d)
 					}
 				})
 			}
-			v.Block(wg.Wait)
+			g.Wait()
 		})
 		return v.Now()
 	}
@@ -152,12 +146,10 @@ func eventWorkload(t *testing.T, v *Virtual) []time.Duration {
 	waits := make([]time.Duration, 4)
 	v.Run(func() {
 		ev := v.NewEvent()
-		var wg sync.WaitGroup
+		g := NewGroup(v)
 		for i := 0; i < 4; i++ {
-			wg.Add(1)
 			d := time.Duration(i+1) * 100 * time.Millisecond
-			v.Go(func() {
-				defer wg.Done()
+			g.Go(func() {
 				v.Sleep(d) // arrive staggered
 				start := v.Now()
 				ev.Wait()
@@ -167,7 +159,7 @@ func eventWorkload(t *testing.T, v *Virtual) []time.Duration {
 		v.Sleep(time.Second)
 		ev.Fire()
 		ev.Wait() // fired events do not block
-		v.Block(wg.Wait)
+		g.Wait()
 	})
 	return waits
 }
@@ -510,6 +502,145 @@ func TestGoPanicSurfacesFromRun(t *testing.T) {
 		v.Sleep(time.Hour)
 	})
 	t.Fatal("Run returned normally")
+}
+
+// TestGroupWaitIdleDoesNotYield: Wait on a virtual Group with nothing
+// running keeps the turn, so an actor filed at the same instant has not
+// run yet — before any spawn, and again once the group has drained.
+func TestGroupWaitIdleDoesNotYield(t *testing.T) {
+	v := NewVirtual(epoch)
+	v.Run(func() {
+		g := NewGroup(v)
+		ran := false
+		v.Go(func() { ran = true })
+		g.Wait()
+		if ran {
+			t.Fatal("Wait on an empty group yielded to a same-instant actor")
+		}
+		g.Go(func() { v.Sleep(time.Second) })
+		g.Wait()
+		if !ran {
+			t.Fatal("Wait on a running group did not yield")
+		}
+		ran = false
+		v.Go(func() { ran = true })
+		g.Wait()
+		if ran {
+			t.Fatal("Wait on a drained group yielded to a same-instant actor")
+		}
+	})
+}
+
+// TestGroupWaitResumesAtLastFinisher: the waiter resumes at the instant
+// the last member returns, filed after every actor already due then —
+// here a bystander outside the group that sleeps to the same instant —
+// so the join takes its (deadline, seq) place in the schedule.
+func TestGroupWaitResumesAtLastFinisher(t *testing.T) {
+	v := NewVirtual(epoch)
+	var order []string
+	var joined time.Time
+	v.Run(func() {
+		g := NewGroup(v)
+		for i := 1; i <= 3; i++ {
+			g.Go(func() {
+				v.Sleep(time.Duration(i) * time.Second)
+				order = append(order, fmt.Sprintf("w%d", i))
+			})
+		}
+		v.Go(func() {
+			v.Sleep(3 * time.Second)
+			order = append(order, "bystander")
+		})
+		g.Wait()
+		joined = v.Now()
+		order = append(order, "join")
+	})
+	if want := epoch.Add(3 * time.Second); !joined.Equal(want) {
+		t.Fatalf("Wait returned at %v, want %v", joined, want)
+	}
+	if got, want := fmt.Sprint(order), "[w1 w2 w3 bystander join]"; got != want {
+		t.Fatalf("order = %s, want %s", got, want)
+	}
+}
+
+// TestGroupOnRealJoinsGoroutines: off the virtual clock a Group is
+// goroutines and a WaitGroup; Wait returns only after every one ran.
+func TestGroupOnRealJoinsGoroutines(t *testing.T) {
+	g := NewGroup(Real{})
+	var n atomic.Int32
+	for i := 0; i < 8; i++ {
+		g.Go(func() {
+			Real{}.Sleep(time.Millisecond)
+			n.Add(1)
+		})
+	}
+	g.Wait()
+	if n.Load() != 8 {
+		t.Fatalf("Wait returned after %d of 8 goroutines", n.Load())
+	}
+	g.Wait() // an empty group returns at once
+}
+
+// TestBlockReturnsWhileTickerKeepsHeapBusy: an actor inside Block is
+// filed again although another actor keeps something due at every turn
+// boundary and always wakes itself. A Run that waited for the Block
+// helper only when nothing was due, or a Sleep that kept the turn while
+// an actor is inside Block, would resume the blocked actor only once the
+// ticker gives up after 10 s of wall time.
+func TestBlockReturnsWhileTickerKeepsHeapBusy(t *testing.T) {
+	v := NewVirtual(epoch)
+	gaveUp := false
+	v.Run(func() {
+		ch := make(chan struct{})
+		stop := false
+		g := NewGroup(v)
+		g.Go(func() {
+			start := time.Now()
+			for ticks := 0; !stop; ticks++ {
+				if ticks == 100 {
+					close(ch)
+				}
+				if gaveUp = time.Since(start) > 10*time.Second; gaveUp {
+					return
+				}
+				v.Sleep(time.Second)
+			}
+		})
+		v.Block(func() { <-ch })
+		stop = true
+		g.Wait()
+	})
+	if gaveUp {
+		t.Fatal("the blocked actor resumed only after the ticker stopped")
+	}
+}
+
+// TestDeadlockPanics: Run reports a schedule where every actor waits on
+// an Event nobody can fire, also when the waiter is a Group join.
+func TestDeadlockPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		fn   func(v *Virtual)
+	}{
+		{"event", func(v *Virtual) { v.NewEvent().Wait() }},
+		{"group", func(v *Virtual) {
+			g := NewGroup(v)
+			never := v.NewEvent()
+			g.Go(never.Wait)
+			g.Wait()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			v := NewVirtual(epoch)
+			defer func() {
+				if r, _ := recover().(string); !strings.Contains(r, "vclock: deadlock") {
+					t.Fatalf("recovered %q, want the deadlock panic", r)
+				}
+			}()
+			v.Run(func() { tc.fn(v) })
+			t.Fatal("Run returned normally")
+		})
+	}
 }
 
 // BenchmarkSleep is c4h-perf's vclock.sleep probe at 1, 6 and 64 actors:
