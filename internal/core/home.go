@@ -3,7 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -76,7 +77,12 @@ type Home struct {
 
 	mu    sync.RWMutex
 	nodes map[string]*Node
-	peers []*Home // federated neighbour homes (§VII v)
+	// sorted holds the live nodes in ascending address order. AddNode and
+	// RemoveNode never write an element a reader may hold: a join past
+	// the last address appends, any other change builds a new array. So a
+	// reader may iterate a slice it took under mu after unlocking.
+	sorted []*Node
+	peers  []*Home // federated neighbour homes (§VII v)
 
 	fedMu   sync.Mutex
 	fedHits map[string]*Home       // last neighbour that served each name
@@ -237,16 +243,22 @@ func (h *Home) Node(addr string) (*Node, bool) {
 }
 
 // Nodes returns all live nodes, ordered by address so that callers
-// iterating over the home behave deterministically.
+// iterating over the home behave deterministically. The slice is the
+// caller's own copy.
 func (h *Home) Nodes() []*Node {
+	m := h.members()
+	return append(make([]*Node, 0, len(m)), m...)
+}
+
+// byAddr orders nodes by address, for searches in Home.sorted.
+func byAddr(n *Node, addr string) int { return strings.Compare(n.addr, addr) }
+
+// members returns the address-sorted membership snapshot, read-only: it
+// is shared with every other reader, and no join or leave changes it.
+func (h *Home) members() []*Node {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	out := make([]*Node, 0, len(h.nodes))
-	for _, n := range h.nodes {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].addr < out[j].addr })
-	return out
+	return h.sorted
 }
 
 // PublishAll pushes a fresh resource record for every live node, so the
@@ -255,7 +267,7 @@ func (h *Home) Nodes() []*Node {
 // still publish.
 func (h *Home) PublishAll() error {
 	var errs []error
-	for _, n := range h.Nodes() {
+	for _, n := range h.members() {
 		if err := n.mon.PublishOnce(); err != nil {
 			errs = append(errs, fmt.Errorf("publish %s: %w", n.addr, err))
 		}
@@ -269,7 +281,7 @@ func (h *Home) PublishAll() error {
 func (h *Home) Gateway() (*Node, bool) {
 	// Iterate the sorted snapshot, not the map: with several gateways
 	// configured, every node (and every run) must elect the same one.
-	for _, n := range h.Nodes() {
+	for _, n := range h.members() {
 		if n.cfg.CloudGateway {
 			return n, true
 		}
@@ -287,6 +299,8 @@ func (h *Home) RemoveNode(addr string, graceful bool) error {
 		return fmt.Errorf("core: remove node: unknown addr %q", addr)
 	}
 	delete(h.nodes, addr)
+	i, _ := slices.BinarySearchFunc(h.sorted, addr, byAddr)
+	h.sorted = slices.Concat(h.sorted[:i], h.sorted[i+1:])
 	h.memo.drop(n.mon.Key())
 	h.mu.Unlock()
 	return n.shutdown(graceful)
@@ -316,7 +330,7 @@ func (h *Home) Federate(peer *Home) {
 // served stale. No wire time is charged here: the notification piggybacks
 // on the metadata update the kv layer already pushed for the same event.
 func (h *Home) invalidateDataCaches(name string) {
-	for _, n := range h.Nodes() {
+	for _, n := range h.members() {
 		if n.dataCache != nil {
 			n.dataCache.invalidate(name)
 		}
@@ -352,7 +366,7 @@ func (h *Home) federatedLookup(name string, requester *Node) (*Home, ObjectMeta,
 	h.fedMu.Unlock()
 
 	probe := func(peer *Home) (ObjectMeta, bool) {
-		nodes := peer.Nodes()
+		nodes := peer.members()
 		if len(nodes) == 0 {
 			return ObjectMeta{}, false
 		}

@@ -203,6 +203,11 @@ func (h *Home) AddNode(cfg NodeConfig) (*Node, error) {
 		return nil, fmt.Errorf("core: node %q already present", cfg.Addr)
 	}
 	h.nodes[cfg.Addr] = n
+	if i, _ := slices.BinarySearchFunc(h.sorted, cfg.Addr, byAddr); i == len(h.sorted) {
+		h.sorted = append(h.sorted, n) // past every reader's length: no copy needed
+	} else {
+		h.sorted = slices.Insert(slices.Clip(h.sorted), i, n) // a fresh array: readers keep the old one
+	}
 	h.mu.Unlock()
 	return n, nil
 }
@@ -256,7 +261,7 @@ func (h *Home) DeployCloudService(spec services.Spec, instance string) error {
 	if _, err := cloud.Instance(instance); err != nil {
 		return err
 	}
-	nodes := h.Nodes()
+	nodes := h.members()
 	if len(nodes) == 0 {
 		return errors.New("core: home has no nodes to register through")
 	}

@@ -235,7 +235,7 @@ func (n *Node) placePieces(m ObjectMeta, obj objstore.Object, data []byte, indic
 
 // placeOnPeers pushes the equally sized items, one per peer, into the
 // voluntary bins of peers outside exclude — most free space first, ties
-// by address (a stable re-sort of the address-sorted Nodes() snapshot),
+// by address (a stable re-sort of the address-sorted membership),
 // so store-time placement, repair and evacuation pick targets
 // identically. All wire transfers run concurrently from this node's dom0;
 // an item kept on this node crosses no wire. It returns, per item, the
@@ -252,7 +252,7 @@ func (n *Node) placeOnPeers(items []placement, exclude map[string]bool) []string
 		free int64
 	}
 	var cands []candidate
-	for _, peer := range n.home.Nodes() {
+	for _, peer := range n.home.members() {
 		if exclude[peer.addr] {
 			continue
 		}
@@ -400,10 +400,10 @@ func (n *Node) gather(meta ObjectMeta, sink *domainSink, bd *FetchBreakdown) (da
 // payloadRepairAfterCrash runs payload repair at every surviving
 // repair-enabled node after dead crashed. It is invoked from the crash
 // path once the kv layer's metadata repair has completed, so repairers
-// read post-repair metadata. Nodes() is address-sorted, which keeps the
+// read post-repair metadata. Membership is address-sorted, which keeps the
 // repair order — and therefore placement — deterministic.
 func (h *Home) payloadRepairAfterCrash(dead string) {
-	for _, n := range h.Nodes() {
+	for _, n := range h.members() {
 		if !n.cfg.Faults.Repair {
 			continue
 		}

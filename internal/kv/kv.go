@@ -214,7 +214,8 @@ type Store struct {
 
 	mu          sync.RWMutex
 	nodes       map[ids.ID]*nodeStore
-	coordinator ids.ID // centralized mode: the node holding every key
+	members     []ids.ID // the attached IDs, ascending
+	coordinator ids.ID   // centralized mode: the node holding every key
 
 	// dirty over-approximates the set of nodes holding authoritative
 	// entries: a node is marked at every site that writes entries and only
@@ -318,6 +319,8 @@ func (s *Store) Attach(node ids.ID) {
 		return
 	}
 	s.nodes[node] = newNodeStore()
+	i, _ := slices.BinarySearch(s.members, node)
+	s.members = slices.Insert(s.members, i, node)
 	if s.coordinator == 0 {
 		s.coordinator = node
 	}
@@ -339,7 +342,11 @@ func (s *Store) Attach(node ids.ID) {
 // Detach removes a node's slice (after it has left the mesh).
 func (s *Store) Detach(node ids.ID) {
 	s.mu.Lock()
-	delete(s.nodes, node)
+	if _, ok := s.nodes[node]; ok {
+		delete(s.nodes, node)
+		i, _ := slices.BinarySearch(s.members, node)
+		s.members = slices.Delete(s.members, i, i+1)
+	}
 	s.mu.Unlock()
 	s.dirtyMu.Lock()
 	delete(s.dirty, node)
@@ -719,16 +726,16 @@ func (s *Store) Delete(from, key ids.ID) error {
 	ownerStore.mu.Unlock()
 	// Purge replicas and caches everywhere (at home scale replica sets may
 	// have shifted since the write, so a sweep is the robust choice).
+	// The sweep sends messages, so it walks a copy of the membership: in
+	// a home-sized store the copy lives on the stack.
+	var buf [16]ids.ID
 	s.mu.RLock()
-	otherIDs := make([]ids.ID, 0, len(s.nodes))
-	for id := range s.nodes {
-		if id != ownerID {
-			otherIDs = append(otherIDs, id)
-		}
-	}
+	members := append(buf[:0], s.members...)
 	s.mu.RUnlock()
-	sort.Slice(otherIDs, func(i, j int) bool { return otherIDs[i] < otherIDs[j] })
-	for _, id := range otherIDs {
+	for _, id := range members {
+		if id == ownerID {
+			continue
+		}
 		ns, err := s.node(id)
 		if err != nil {
 			continue

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -38,37 +37,33 @@ import (
 
 // Resource is a processor-sharing capacity (a NIC, a LAN segment, a WAN
 // pipe). Concurrent transfers crossing it divide CapacityBps equally.
+//
+// The two mutable fields are atomics rather than a mutex: every change
+// writes one field, so two loads see only states a lock would also show.
 type Resource struct {
-	name string
+	name    string
+	nominal float64 // bytes/sec as configured
 
-	mu       sync.Mutex
-	capacity float64 // bytes/sec currently available
-	nominal  float64 // bytes/sec as configured
-	active   int
+	capacity atomic.Uint64 // math.Float64bits of the bytes/sec currently available
+	active   atomic.Int64  // transfers currently crossing the resource
 }
 
 // NewResource returns a resource with the given nominal capacity in
 // bytes per second.
 func NewResource(name string, capacityBps float64) *Resource {
-	return &Resource{name: name, capacity: capacityBps, nominal: capacityBps}
+	r := &Resource{name: name, nominal: capacityBps}
+	r.capacity.Store(math.Float64bits(capacityBps))
+	return r
 }
 
 // Name returns the resource's label (used in diagnostics).
 func (r *Resource) Name() string { return r.name }
 
 // Active returns the number of transfers currently crossing the resource.
-func (r *Resource) Active() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.active
-}
+func (r *Resource) Active() int { return int(r.active.Load()) }
 
 // Capacity returns the current capacity in bytes/sec.
-func (r *Resource) Capacity() float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.capacity
-}
+func (r *Resource) Capacity() float64 { return math.Float64frombits(r.capacity.Load()) }
 
 // Degrade scales the resource's capacity to factor × nominal. It models
 // the "changing network conditions" of the paper's future work (§VII iv):
@@ -77,35 +72,24 @@ func (r *Resource) Degrade(factor float64) {
 	if factor < 0 {
 		factor = 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.capacity = r.nominal * factor
+	r.capacity.Store(math.Float64bits(r.nominal * factor))
 }
 
 // Restore returns the resource to its nominal capacity.
 func (r *Resource) Restore() { r.Degrade(1) }
 
-func (r *Resource) acquire() {
-	r.mu.Lock()
-	r.active++
-	r.mu.Unlock()
-}
+func (r *Resource) acquire() { r.active.Add(1) }
 
-func (r *Resource) release() {
-	r.mu.Lock()
-	r.active--
-	r.mu.Unlock()
-}
+func (r *Resource) release() { r.active.Add(-1) }
 
 // share returns the bytes/sec available to one of the transfers currently
 // crossing the resource.
 func (r *Resource) share() float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.active <= 1 {
-		return r.capacity
+	c := r.Capacity()
+	if a := r.active.Load(); a > 1 {
+		return c / float64(a)
 	}
-	return r.capacity / float64(r.active)
+	return c
 }
 
 // SlowStart configures the TCP ramp-up model for a path.

@@ -311,4 +311,65 @@ func TestOperationsDoNotAllocateGenerators(t *testing.T) {
 	if avg := testing.AllocsPerRun(200, func() { n.Transfer(p, oneChunk) }); avg != 0 {
 		t.Errorf("one-chunk Transfer allocates %.1f objects per call, want 0", avg)
 	}
+	r := p.Resources[0]
+	r.acquire()
+	r.acquire()
+	defer r.release()
+	defer r.release()
+	var rate float64
+	if avg := testing.AllocsPerRun(200, func() { rate = r.share() }); avg != 0 {
+		t.Errorf("share allocates %.1f objects per call, want 0", avg)
+	}
+	if want := NodeNICBps / 2; rate != want {
+		t.Errorf("share with two transfers = %v, want %v", rate, want)
+	}
+}
+
+// TestResourceRealClockConcurrentUse: on the real clock, transfers over
+// one shared path run in their own goroutines while another goroutine
+// degrades, reads and restores a resource on it. Run under -race this
+// checks that Resource needs no lock; the degraded share must stay within
+// the degraded capacity, and afterwards the resource must be idle at its
+// nominal capacity.
+func TestResourceRealClockConcurrentUse(t *testing.T) {
+	const nominal = 1e12 // fast enough that a 64 KB transfer sleeps ~65 ns
+	n := New(vclock.Real{}, 3)
+	link := NewResource("link", nominal)
+	p := &Path{Resources: []*Resource{NewResource("nic", nominal), link}}
+
+	faults := vclock.NewGroup(vclock.Real{})
+	stop := make(chan struct{})
+	faults.Go(func() {
+		for {
+			select {
+			case <-stop:
+				link.Restore()
+				return
+			default:
+			}
+			link.Degrade(0.5)
+			if s := link.share(); s <= 0 || s > nominal/2 {
+				t.Errorf("share of a link degraded to %v = %v", nominal/2, s)
+			}
+			link.Restore()
+		}
+	})
+	transfers := vclock.NewGroup(vclock.Real{})
+	for i := 0; i < 4; i++ {
+		transfers.Go(func() {
+			for j := 0; j < 50; j++ {
+				n.Transfer(p, 64<<10)
+			}
+		})
+	}
+	transfers.Wait()
+	close(stop)
+	faults.Wait()
+
+	if a := link.Active(); a != 0 {
+		t.Errorf("Active() = %d after every transfer returned, want 0", a)
+	}
+	if c := link.Capacity(); c != nominal {
+		t.Errorf("Capacity() = %v after Restore, want nominal %v", c, nominal)
+	}
 }

@@ -6,14 +6,18 @@
 // bin contributed "to the aggregate storage pool available to any node in
 // the VStore++ home cloud".
 //
-// Two backends are provided: an in-memory backend for simulations (which
-// can also hold sparse objects — metadata and size without materialised
-// bytes, for multi-megabyte synthetic workloads) and a disk backend that
-// really maps objects to files.
+// Two kinds of store are provided: an in-memory store for simulations,
+// which keeps each payload beside its metadata under the object's name
+// (and can hold sparse objects — metadata and size without materialised
+// bytes, for multi-megabyte synthetic workloads), and a disk store that
+// really maps objects to files, each named by the full SHA-256 digest of
+// the object's name.
 package objstore
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
@@ -83,28 +87,19 @@ type Usage struct {
 // Free returns the remaining capacity.
 func (u Usage) Free() int64 { return u.Capacity - u.Used }
 
-// backend stores and retrieves object payloads.
-type backend interface {
-	put(key string, data []byte, size int64) error
-	get(key string) ([]byte, error)
-	// ref returns the payload without copying when the backend can; the
-	// result must be treated as read-only.
-	ref(key string) ([]byte, error)
-	// replace atomically overwrites an existing payload: on failure the
-	// old payload must remain readable (disk stages into a temp file and
-	// renames over the original).
-	replace(key string, data []byte, size int64) error
-	delete(key string) error
-}
-
+// entry is one stored object: its metadata, its bin and, in a memory
+// store, its payload (nil when sparse). The payload is keyed by the
+// object's name like the metadata, so one lookup under one lock serves
+// both.
 type entry struct {
 	meta Object
 	bin  Bin
+	data []byte
 }
 
 // Store is one node's object store.
 type Store struct {
-	be backend
+	disk *diskBackend // nil: payloads live in memory, in entry.data
 
 	mu      sync.Mutex
 	objects map[string]entry
@@ -114,7 +109,7 @@ type Store struct {
 // NewMem returns an in-memory store with the given bin capacities in
 // bytes.
 func NewMem(mandatoryCap, voluntaryCap int64) *Store {
-	return newStore(&memBackend{data: make(map[string][]byte)}, mandatoryCap, voluntaryCap)
+	return newStore(nil, mandatoryCap, voluntaryCap)
 }
 
 // NewDisk returns a disk-backed store rooted at dir, creating
@@ -128,9 +123,9 @@ func NewDisk(dir string, mandatoryCap, voluntaryCap int64) (*Store, error) {
 	return newStore(&diskBackend{dir: dir}, mandatoryCap, voluntaryCap), nil
 }
 
-func newStore(be backend, mandatoryCap, voluntaryCap int64) *Store {
+func newStore(disk *diskBackend, mandatoryCap, voluntaryCap int64) *Store {
 	return &Store{
-		be:      be,
+		disk:    disk,
 		objects: make(map[string]entry),
 		bins: map[Bin]*Usage{
 			Mandatory: {Capacity: mandatoryCap},
@@ -166,10 +161,15 @@ func (s *Store) Put(bin Bin, meta Object, data []byte) error {
 		return fmt.Errorf("%w: %s bin %d/%d bytes, object %q needs %d",
 			ErrBinFull, bin, u.Used, u.Capacity, meta.Name, meta.Size)
 	}
-	if err := s.be.put(fileKey(meta.Name), data, meta.Size); err != nil {
-		return fmt.Errorf("objstore: put %q: %w", meta.Name, err)
+	e := entry{meta: meta, bin: bin}
+	if s.disk != nil {
+		if err := s.disk.put(meta.Name, data, meta.Size); err != nil {
+			return fmt.Errorf("objstore: put %q: %w", meta.Name, err)
+		}
+	} else {
+		e.data = clonePayload(data)
 	}
-	s.objects[meta.Name] = entry{meta: meta, bin: bin}
+	s.objects[meta.Name] = e
 	u.Used += meta.Size
 	u.Objects++
 	return nil
@@ -203,11 +203,18 @@ func (s *Store) Replace(meta Object, data []byte) error {
 		return fmt.Errorf("%w: %s bin %d/%d bytes, replacing %q needs %d more",
 			ErrBinFull, e.bin, u.Used, u.Capacity, meta.Name, meta.Size-e.meta.Size)
 	}
-	if err := s.be.replace(fileKey(meta.Name), data, meta.Size); err != nil {
-		return fmt.Errorf("objstore: replace %q: %w", meta.Name, err)
+	next := entry{meta: meta, bin: e.bin}
+	if s.disk != nil {
+		if err := s.disk.replace(meta.Name, data, meta.Size); err != nil {
+			return fmt.Errorf("objstore: replace %q: %w", meta.Name, err)
+		}
+	} else {
+		// A fresh slice, never a write into the old one: a borrow taken
+		// by GetRef keeps the bytes it was taken with.
+		next.data = clonePayload(data)
 	}
 	u.Used += meta.Size - e.meta.Size
-	s.objects[meta.Name] = entry{meta: meta, bin: e.bin}
+	s.objects[meta.Name] = next
 	return nil
 }
 
@@ -220,7 +227,10 @@ func (s *Store) Get(name string) (Object, []byte, error) {
 	if !ok {
 		return Object{}, nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	data, err := s.be.get(fileKey(name))
+	if s.disk == nil {
+		return e.meta, bytes.Clone(e.data), nil // nil (sparse) stays nil
+	}
+	data, err := s.disk.get(name)
 	if err != nil {
 		return Object{}, nil, fmt.Errorf("objstore: get %q: %w", name, err)
 	}
@@ -229,9 +239,9 @@ func (s *Store) Get(name string) (Object, []byte, error) {
 
 // GetRef returns an object's metadata and a read-only borrow of its
 // payload, without Get's copy. The borrow stays valid and unchanged for as
-// long as it is held: the memory backend never writes a payload in place
-// (Put and Replace install a fresh slice, Delete only drops the store's
-// reference) and the disk backend returns an owned read. The caller must
+// long as it is held: a memory store never writes a payload in place (Put
+// and Replace install a fresh slice, Delete only drops the store's
+// reference) and a disk store returns an owned read. The caller must
 // never write through it or hand it to code outside VStore++ — Get is for
 // that. Sparse objects return nil.
 func (s *Store) GetRef(name string) (Object, []byte, error) {
@@ -241,7 +251,10 @@ func (s *Store) GetRef(name string) (Object, []byte, error) {
 	if !ok {
 		return Object{}, nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	data, err := s.be.ref(fileKey(name))
+	if s.disk == nil {
+		return e.meta, e.data, nil
+	}
+	data, err := s.disk.get(name)
 	if err != nil {
 		return Object{}, nil, fmt.Errorf("objstore: get %q: %w", name, err)
 	}
@@ -275,8 +288,10 @@ func (s *Store) Delete(name string) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	if err := s.be.delete(fileKey(name)); err != nil {
-		return fmt.Errorf("objstore: delete %q: %w", name, err)
+	if s.disk != nil {
+		if err := s.disk.delete(name); err != nil {
+			return fmt.Errorf("objstore: delete %q: %w", name, err)
+		}
 	}
 	delete(s.objects, name)
 	u := s.bins[e.bin]
@@ -309,76 +324,38 @@ func (s *Store) List() []string {
 	return out
 }
 
-// fileKey maps an object name to a safe backend key (the one-to-one
-// object→file mapping, with the DHT hash as the file name).
-func fileKey(name string) string {
-	return ids.HashString(name).String()
-}
-
-// memBackend keeps payloads in memory; sparse objects store a nil slice.
-type memBackend struct {
-	mu   sync.Mutex
-	data map[string][]byte
-}
-
-func (m *memBackend) put(key string, data []byte, _ int64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// clonePayload is the one copy a memory store makes of an application's
+// payload on the way in; nil (sparse) stays nil.
+func clonePayload(data []byte) []byte {
 	if data == nil {
-		m.data[key] = nil
 		return nil
 	}
 	cp := make([]byte, len(data))
 	copy(cp, data)
-	m.data[key] = cp
-	return nil
+	return cp
 }
 
-func (m *memBackend) get(key string) ([]byte, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	data, ok := m.data[key]
-	if !ok {
-		return nil, ErrNotFound
-	}
-	return bytes.Clone(data), nil // nil (sparse) stays nil
+// fileKey names an object's file on disk: the hex of the SHA-256 digest of
+// its name. The full digest keeps the object→file mapping one-to-one; the
+// 40-bit DHT key (Object.Key) is a routing key, and distinct names share
+// one.
+func fileKey(name string) string {
+	sum := sha256.Sum256([]byte(name))
+	return hex.EncodeToString(sum[:])
 }
 
-func (m *memBackend) ref(key string) ([]byte, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	data, ok := m.data[key]
-	if !ok {
-		return nil, ErrNotFound
-	}
-	return data, nil
-}
-
-// replace in memory is a plain overwrite: the map assignment is atomic
-// under the backend mutex and cannot half-fail.
-func (m *memBackend) replace(key string, data []byte, size int64) error {
-	return m.put(key, data, size)
-}
-
-func (m *memBackend) delete(key string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.data, key)
-	return nil
-}
-
-// diskBackend maps objects one-to-one to files under dir. Sparse objects
-// become sparse files via Truncate.
+// diskBackend maps objects one-to-one to files under dir, each named by
+// fileKey. Sparse objects become sparse files via Truncate.
 type diskBackend struct {
 	dir string
 }
 
-func (d *diskBackend) path(key string) string {
-	return filepath.Join(d.dir, key+".obj")
+func (d *diskBackend) path(name string) string {
+	return filepath.Join(d.dir, fileKey(name)+".obj")
 }
 
-func (d *diskBackend) put(key string, data []byte, size int64) error {
-	path := d.path(key)
+func (d *diskBackend) put(name string, data []byte, size int64) error {
+	path := d.path(name)
 	if data == nil {
 		f, err := os.Create(path)
 		if err != nil {
@@ -393,8 +370,10 @@ func (d *diskBackend) put(key string, data []byte, size int64) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-func (d *diskBackend) get(key string) ([]byte, error) {
-	data, err := os.ReadFile(d.path(key))
+// get reads an owned copy of the payload; there is no resident copy to
+// lend, so GetRef reads the same way.
+func (d *diskBackend) get(name string) ([]byte, error) {
+	data, err := os.ReadFile(d.path(name))
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			return nil, ErrNotFound
@@ -404,13 +383,10 @@ func (d *diskBackend) get(key string) ([]byte, error) {
 	return data, nil
 }
 
-// ref on disk has no resident copy to share, so it reads like get.
-func (d *diskBackend) ref(key string) ([]byte, error) { return d.get(key) }
-
 // replace stages the new payload in a temp file and renames it over the
 // original, so a failed write leaves the old object file intact.
-func (d *diskBackend) replace(key string, data []byte, size int64) error {
-	path := d.path(key)
+func (d *diskBackend) replace(name string, data []byte, size int64) error {
+	path := d.path(name)
 	tmp := path + ".tmp"
 	if data == nil {
 		f, err := os.Create(tmp)
@@ -437,8 +413,8 @@ func (d *diskBackend) replace(key string, data []byte, size int64) error {
 	return nil
 }
 
-func (d *diskBackend) delete(key string) error {
-	err := os.Remove(d.path(key))
+func (d *diskBackend) delete(name string) error {
+	err := os.Remove(d.path(name))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
 	}

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
+
+	"cloud4home/internal/ids"
 )
 
 func TestPutGetRoundTrip(t *testing.T) {
@@ -328,5 +330,117 @@ func TestReplaceOnDiskSurvivesAndIsAtomic(t *testing.T) {
 	meta, _, err := s.Stat("d")
 	if err != nil || meta.Size != 9 {
 		t.Fatalf("sparse disk replace: meta=%+v err=%v", meta, err)
+	}
+}
+
+// TestNamesSharingADHTKeyKeepTheirOwnPayloads: the 40-bit DHT key is a
+// routing key, not an identity — "obj/26629" and "obj/1641634" share one.
+// Each must still read back its own bytes, and replacing or deleting one
+// must leave the other untouched, in memory and on disk.
+func TestNamesSharingADHTKeyKeepTheirOwnPayloads(t *testing.T) {
+	const a, b = "obj/26629", "obj/1641634"
+	if ids.HashString(a) != ids.HashString(b) {
+		t.Fatalf("fixture: %q and %q no longer share a DHT key (%s, %s)",
+			a, b, ids.HashString(a), ids.HashString(b))
+	}
+	disk, err := NewDisk(t.TempDir(), 1<<20, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		s    *Store
+	}{{"mem", NewMem(1<<20, 1<<20)}, {"disk", disk}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.s
+			want := func(name, payload string) {
+				t.Helper()
+				if _, got, err := s.Get(name); err != nil || string(got) != payload {
+					t.Fatalf("Get(%q) = %q, %v; want %q", name, got, err, payload)
+				}
+				if _, got, err := s.GetRef(name); err != nil || string(got) != payload {
+					t.Fatalf("GetRef(%q) = %q, %v; want %q", name, got, err, payload)
+				}
+			}
+			if err := s.Put(Mandatory, Object{Name: a}, []byte("bytes of a")); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Put(Voluntary, Object{Name: b}, []byte("bytes of b")); err != nil {
+				t.Fatal(err)
+			}
+			want(a, "bytes of a")
+			want(b, "bytes of b")
+			if err := s.Replace(Object{Name: b}, []byte("new b")); err != nil {
+				t.Fatal(err)
+			}
+			want(a, "bytes of a")
+			want(b, "new b")
+			if err := s.Delete(b); err != nil {
+				t.Fatal(err)
+			}
+			want(a, "bytes of a")
+			if s.Has(b) {
+				t.Fatalf("%q still present after delete", b)
+			}
+		})
+	}
+}
+
+// TestHotPathAllocations pins what the store allocates per operation: a
+// borrowed read allocates nothing, and a sparse Put+Delete only what the
+// map needs.
+func TestHotPathAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	s := NewMem(1<<40, 1<<40)
+	if err := s.Put(Mandatory, Object{Name: "cam0/frame-1.jpg"}, []byte("frame")); err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(200, func() {
+		if _, _, err := s.GetRef("cam0/frame-1.jpg"); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("GetRef allocates %.1f objects per call, want 0", avg)
+	}
+	obj := Object{Name: "trace/obj-17", Size: 4 << 20}
+	if avg := testing.AllocsPerRun(200, func() {
+		if err := s.Put(Voluntary, obj, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Delete(obj.Name); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != sparseCycleAllocs {
+		t.Errorf("sparse Put+Delete allocates %.1f objects per cycle, want %d", avg, sparseCycleAllocs)
+	}
+}
+
+// sparseCycleAllocs is a sparse Put+Delete's allocation count: an entry
+// (metadata, bin, payload slice) is larger than the 128 bytes a map keeps
+// inline, so inserting one boxes it.
+const sparseCycleAllocs = 1
+
+// BenchmarkSparseCycle is the object store's profiling entry point: the
+// sparse Put, GetRef and Delete every simulated store and fetch makes.
+func BenchmarkSparseCycle(b *testing.B) {
+	s := NewMem(1<<40, 1<<40)
+	names := make([]string, 64)
+	for i := range names {
+		names[i] = fmt.Sprintf("trace/obj-%d", i)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		name := names[i%len(names)]
+		if err := s.Put(Voluntary, Object{Name: name, Size: 1 << 20}, nil); err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := s.GetRef(name); err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Delete(name); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
