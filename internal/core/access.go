@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"cloud4home/internal/kv"
 	"cloud4home/internal/netsim"
@@ -27,29 +28,13 @@ func (s *Session) SetPrincipal(p string) { s.principal = p }
 // Principal returns the session's identity ("" = anonymous).
 func (s *Session) Principal() string { return s.principal }
 
-// allowed reports whether the principal may access the object.
-func (m ObjectMeta) allowed(principal string) bool {
-	if m.Owner == "" {
-		return true // unowned objects are open, as in the base prototype
+// checkAccess enforces the object's ACL on principal. Unowned objects
+// are open, as in the base prototype.
+func (m ObjectMeta) checkAccess(principal string) error {
+	if m.Owner == "" || principal == m.Owner || slices.Contains(m.ACL, principal) || slices.Contains(m.ACL, "*") {
+		return nil
 	}
-	if principal == m.Owner {
-		return true
-	}
-	for _, p := range m.ACL {
-		if p == principal || p == "*" {
-			return true
-		}
-	}
-	return false
-}
-
-// checkAccess resolves the object's metadata and enforces its ACL.
-func (s *Session) checkAccess(meta ObjectMeta) error {
-	if !meta.allowed(s.principal) {
-		return fmt.Errorf("%w: %q may not access %q (owner %q)",
-			ErrAccessDenied, s.principal, meta.Name, meta.Owner)
-	}
-	return nil
+	return fmt.Errorf("%w: %q may not access %q (owner %q)", ErrAccessDenied, principal, m.Name, m.Owner)
 }
 
 // Grant adds principals to an object's access list. Only the owner may

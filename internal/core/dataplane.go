@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"cloud4home/internal/netsim"
 	"cloud4home/internal/vclock"
 	"cloud4home/internal/xenchan"
 )
@@ -33,7 +32,7 @@ type DataPlaneConfig struct {
 // arrive, modelling the pipelined fetch: each chunk's drain is scheduled
 // behind the previous one (the ring is serial), but concurrently with the
 // rest of the wire transfer. After the wire phase the caller settles the
-// drain time extending past it via tail().
+// drain time extending past it.
 type domainSink struct {
 	pl    *xenchan.Pipeline
 	clock vclock.Clock
@@ -75,134 +74,10 @@ func (ds *domainSink) onChunk(b int64) {
 	ds.used = true
 }
 
-// tail is the drain time still owed once the wire phase has completed.
-func (ds *domainSink) tail() time.Duration {
-	return ds.drainDone.Sub(ds.clock.Now())
-}
-
-// cacheGet consults the dom0 cache for a remote object, counting the
-// outcome. The bool reports a hit; a hit's data is nil for sparse objects.
-func (n *Node) cacheGet(meta ObjectMeta) ([]byte, bool) {
-	if n.dataCache == nil {
-		return nil, false
+// settle feeds the sink b bytes the wire did not stream, all at once; a
+// nil sink or no bytes is a no-op.
+func (ds *domainSink) settle(b int64) {
+	if ds != nil && b > 0 {
+		ds.onChunk(b)
 	}
-	data, ok := n.dataCache.get(meta.Name)
-	if ok {
-		n.ops.cacheHits.Add(1)
-	} else {
-		n.ops.cacheMisses.Add(1)
-	}
-	return data, ok
-}
-
-// cacheFill records a remotely fetched payload in the dom0 cache.
-func (n *Node) cacheFill(meta ObjectMeta, data []byte) {
-	if n.dataCache != nil {
-		n.dataCache.put(meta.Name, data, meta.Size)
-	}
-}
-
-// fetchStriped pulls the object from every live payload holder in
-// parallel, one contiguous range per holder, and reassembles the payload
-// in dom0. A holder crashing mid-stripe aborts only its range: the
-// missing bytes are re-fetched from the first surviving holder. Reports
-// ok=false when fewer than two live holders exist — the caller then uses
-// the sequential single-holder path.
-func (n *Node) fetchStriped(meta ObjectMeta, sink *domainSink) (data []byte, source string, interNode time.Duration, ok bool) {
-	var holders []*Node
-	for _, peer := range n.home.wholeCopies(meta) {
-		if peer != n {
-			holders = append(holders, peer)
-		}
-	}
-	if len(holders) < 2 || meta.Size <= 0 {
-		return nil, "", 0, false
-	}
-
-	// One parallel request message to each holder (charged as overlapping
-	// deliveries), then equal contiguous ranges, one per holder.
-	k := len(holders)
-	interNode += n.home.net.MessageAll(n.lanPathTo(holders[0]), k)
-	ranges := make([]int64, k)
-	base := meta.Size / int64(k)
-	for i := range ranges {
-		ranges[i] = base
-	}
-	ranges[k-1] += meta.Size - base*int64(k)
-
-	reqs := make([]netsim.TransferReq, k)
-	for i, h := range holders {
-		reqs[i] = netsim.TransferReq{Path: h.lanPathTo(n), Size: ranges[i], Cancel: n.holderGone(h)}
-		if sink != nil {
-			reqs[i].Chunk = sink.chunk
-			if i == 0 {
-				// Only the first range is an in-order prefix the guest can
-				// drain while the wire still runs; later ranges settle after
-				// the wire below.
-				reqs[i].OnChunk = sink.onChunk
-			}
-		}
-	}
-	statuses, wall, err := n.home.net.TransferSet(reqs)
-	if err != nil {
-		return nil, "", 0, false
-	}
-	interNode += wall
-
-	// Survivors serve the fallback for any aborted range.
-	var survivor *Node
-	for i, st := range statuses {
-		if !st.Aborted {
-			survivor = holders[i]
-			break
-		}
-	}
-	if survivor == nil {
-		return nil, "", 0, false
-	}
-	var refetch int64
-	for i, st := range statuses {
-		if st.Aborted {
-			refetch += ranges[i] - st.Moved
-		}
-	}
-	if refetch > 0 {
-		interNode += n.home.net.Transfer(survivor.lanPathTo(n), refetch)
-		if sink != nil {
-			sink.onChunk(refetch)
-		}
-	}
-	if sink != nil {
-		// Ranges beyond the first drain once the whole prefix is present,
-		// which in practice is when the wire completes. The sink has seen
-		// stripe 0's streamed bytes plus any refetch; settle the rest now.
-		if rest := meta.Size - statuses[0].Moved - refetch; rest > 0 {
-			sink.onChunk(rest)
-		}
-	}
-
-	// Reassemble from the live holders' copies: each range from its own
-	// holder, aborted ranges from the survivor. Every holder has the full
-	// object, so ranges index into its copy directly. Sparse objects (nil
-	// payloads) reassemble to nil.
-	var out []byte
-	off := int64(0)
-	for i, st := range statuses {
-		src := holders[i]
-		if st.Aborted {
-			src = survivor
-		}
-		_, full, err := src.store.GetRef(meta.Name)
-		if err != nil {
-			return nil, "", 0, false
-		}
-		if full != nil {
-			if out == nil {
-				out = make([]byte, meta.Size)
-			}
-			copy(out[off:off+ranges[i]], full[off:off+ranges[i]])
-		}
-		off += ranges[i]
-	}
-	return out, "striped:" + survivor.addr, interNode, true
 }

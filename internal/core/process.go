@@ -108,7 +108,7 @@ func (s *Session) Process(name, svcName string, svcID uint32) (ProcessResult, er
 	if err != nil {
 		return ProcessResult{}, err
 	}
-	if err := s.checkAccess(meta); err != nil {
+	if err := meta.checkAccess(s.principal); err != nil {
 		return ProcessResult{}, err
 	}
 	reg, err := services.Discover(s.node.home.kv, s.node.id, svcName, svcID)
@@ -140,7 +140,7 @@ func (s *Session) FetchProcess(name, svcName string, svcID uint32) (ProcessResul
 	if err != nil {
 		return ProcessResult{}, err
 	}
-	if err := s.checkAccess(meta); err != nil {
+	if err := meta.checkAccess(s.principal); err != nil {
 		return ProcessResult{}, err
 	}
 
@@ -229,7 +229,7 @@ func (s *Session) ProcessPipelineAt(name string, svcNames []string, svcIDs []uin
 	if err != nil {
 		return ProcessResult{}, err
 	}
-	if err := s.checkAccess(meta); err != nil {
+	if err := meta.checkAccess(s.principal); err != nil {
 		return ProcessResult{}, err
 	}
 	specs := make([]services.Spec, len(svcNames))
@@ -422,21 +422,14 @@ func (n *Node) moveInput(meta ObjectMeta, target string) ([]byte, time.Duration,
 		if cloud == nil {
 			return nil, 0, ErrNoCloud
 		}
-		holder, ok := n.home.Node(meta.Location)
-		if n.cfg.Faults.Fallback && (!ok || !holder.store.Has(meta.Name)) {
-			if n.cloudProbe(cloud, meta.Name) {
-				// The cloud already holds a copy: input and target are
-				// co-located, no move needed (the probe's HEAD round trip
-				// was charged on the wire).
-				n.ops.fetchRetries.Add(1)
-				return nil, 0, nil
-			}
-			if whole := n.home.wholeCopies(meta); len(whole) > 0 {
-				n.ops.fetchRetries.Add(1)
-				holder, ok = whole[0], true
-			}
+		holder, inCloud := n.holderFor(n.home, meta, cloud, true)
+		if inCloud {
+			// The cloud already holds a copy: input and target are
+			// co-located, no move needed (the probe's HEAD round trip was
+			// charged on the wire).
+			return nil, 0, nil
 		}
-		if !ok {
+		if holder == nil {
 			return nil, 0, fmt.Errorf("%w: %q (holder gone)", ErrObjectNotFound, meta.Name)
 		}
 		_, data, err := holder.store.GetRef(meta.Name)
@@ -447,21 +440,18 @@ func (n *Node) moveInput(meta ObjectMeta, target string) ([]byte, time.Duration,
 		d := n.home.net.Transfer(wanUpPathFor(holder, cloud), meta.Size)
 		return data, d, nil
 	default:
-		holder, ok1 := n.home.Node(meta.Location)
-		tgt, ok2 := n.home.Node(target)
-		if n.cfg.Faults.Fallback && ok2 && (!ok1 || !holder.store.Has(meta.Name)) {
-			if whole := n.home.wholeCopies(meta); len(whole) > 0 {
-				n.ops.fetchRetries.Add(1)
-				holder, ok1 = whole[0], true
-			} else if cloud != nil && n.cloudProbe(cloud, meta.Name) {
+		tgt, ok := n.home.Node(target)
+		var holder *Node
+		if ok {
+			var inCloud bool
+			if holder, inCloud = n.holderFor(n.home, meta, cloud, false); inCloud {
 				// Last rung: pull the input down from the cloud straight to
 				// the target (after the probe's charged HEAD round trip).
-				n.ops.fetchRetries.Add(1)
 				_, data, d, err := cloud.FetchObject(tgt.nic, meta.Name)
 				return data, d, err
 			}
 		}
-		if !ok1 || !ok2 {
+		if holder == nil {
 			return nil, 0, fmt.Errorf("%w: %q (holder or target gone)", ErrObjectNotFound, meta.Name)
 		}
 		n.home.net.Message(n.lanPathTo(holder)) // request to the owner

@@ -1,0 +1,90 @@
+package core
+
+import (
+	"testing"
+
+	"cloud4home/internal/vclock"
+)
+
+// paperFetchBed is a zero-value home of two netbooks, n00 holding the
+// sparse object "remote.bin" that n01 fetches: every fetch takes the
+// paper's path, one request message and one LAN transfer.
+func paperFetchBed(tb testing.TB, body func(reader *Node, sess *Session, meta ObjectMeta)) {
+	tb.Helper()
+	v := vclock.NewVirtual(epoch)
+	v.Run(func() {
+		home := NewHome(v, HomeOptions{})
+		var nodes []*Node
+		for _, addr := range []string{"n00:9000", "n01:9000"} {
+			n, err := home.AddNode(NodeConfig{Addr: addr, Machine: atomSpec(addr), MandatoryBytes: 2 * GB})
+			if err != nil {
+				tb.Fatal(err)
+			}
+			nodes = append(nodes, n)
+		}
+		owner, err := nodes[0].OpenSession()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		defer owner.Close()
+		if err := owner.CreateObject("remote.bin", "bin", nil); err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := owner.StoreObject("remote.bin", nil, 4<<20, StoreOptions{Blocking: true}); err != nil {
+			tb.Fatal(err)
+		}
+		reader, err := nodes[1].OpenSession()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		defer reader.Close()
+		meta, _, err := nodes[1].getMeta("remote.bin")
+		if err != nil {
+			tb.Fatal(err)
+		}
+		body(nodes[1], reader, meta)
+	})
+}
+
+// TestRemoteFetchAllocations pins the paper path's host allocations: a
+// remote sparse FetchObject allocates twice (the command packet's
+// encoding and the decoded metadata record), and the executor below
+// fetchToDom0 — the request, the holder's read and the transfer — not at
+// all.
+func TestRemoteFetchAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	paperFetchBed(t, func(reader *Node, sess *Session, meta ObjectMeta) {
+		if n := testing.AllocsPerRun(50, func() {
+			if _, err := sess.FetchObject("remote.bin"); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 2 {
+			t.Errorf("remote FetchObject: %v allocations, want 2", n)
+		}
+		var bd FetchBreakdown
+		if n := testing.AllocsPerRun(50, func() {
+			if _, _, err := reader.pull(meta, reader.fetchLadder(), nil, &bd); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("pull of a remote copy: %v allocations, want 0", n)
+		}
+	})
+}
+
+// BenchmarkRemoteFetch is the executor's profiling entry point: the
+// paper path's wire branch, one remote sparse copy per pull.
+func BenchmarkRemoteFetch(b *testing.B) {
+	paperFetchBed(b, func(reader *Node, _ *Session, meta ObjectMeta) {
+		var bd FetchBreakdown
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := reader.pull(meta, reader.fetchLadder(), nil, &bd); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -2,10 +2,10 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"slices"
 	"sort"
 
+	"cloud4home/internal/cloudsim"
 	"cloud4home/internal/erasure"
 	"cloud4home/internal/netsim"
 	"cloud4home/internal/objstore"
@@ -21,8 +21,9 @@ import (
 //   - ObjectMeta.Shards are pieces of an (ErasureK, ErasureN) Reed–Solomon
 //     code stored under shardName (FederationConfig.ErasureK/ErasureN).
 //
-// Placement, gather, repair and evacuation below are written once over
-// that view; the metadata record's wire format is untouched.
+// Placement, repair and evacuation below, and the fetch executor's
+// pieces rung (pull.go), are written once over that view; the metadata
+// record's wire format is untouched.
 
 // piece is one redundant bin object: its index in the code and the
 // address of the node holding it. Whole copies are interchangeable, so at
@@ -131,15 +132,6 @@ func objectName(bin string) string {
 	return bin
 }
 
-// holderGone is a TransferReq.Cancel hook that abandons a pull once its
-// source has left the home.
-func (n *Node) holderGone(h *Node) func() bool {
-	return func() bool {
-		_, alive := n.home.Node(h.addr)
-		return !alive
-	}
-}
-
 // livePieces returns the pieces whose holder is alive and still has its
 // bin object, in metadata order.
 func (h *Home) livePieces(m ObjectMeta) []heldPiece {
@@ -165,15 +157,36 @@ func (h *Home) wholeCopies(m ObjectMeta) []*Node {
 		return whole
 	}
 	for _, p := range h.livePieces(m) {
-		dup := false
-		for _, w := range whole {
-			dup = dup || w == p.node
-		}
-		if !dup {
+		if !slices.Contains(whole, p.node) {
 			whole = append(whole, p.node)
 		}
 	}
 	return whole
+}
+
+// holderFor picks the node of home h that serves meta's whole payload to
+// n: the primary while it is alive and holds the payload, else under
+// FaultConfig.Fallback a stand-in counted as a fetch retry — the first
+// surviving whole copy, or cloud (if non-nil) when a charged probe finds
+// a copy there, asked first when cloudFirst is set and last otherwise.
+// holder is nil when nobody can serve, or when the cloud does (inCloud).
+func (n *Node) holderFor(h *Home, meta ObjectMeta, cloud *cloudsim.Cloud, cloudFirst bool) (holder *Node, inCloud bool) {
+	primary, ok := h.Node(meta.Location)
+	if !n.cfg.Faults.Fallback || ok && primary.store.Has(meta.Name) {
+		return primary, false
+	}
+	probe := func() bool { return cloud != nil && n.cloudProbe(cloud, meta.Name) }
+	if cloudFirst && probe() {
+		inCloud = true
+	} else if whole := h.wholeCopies(meta); len(whole) > 0 {
+		holder = whole[0]
+	} else {
+		inCloud = !cloudFirst && probe()
+	}
+	if holder != nil || inCloud {
+		n.ops.fetchRetries.Add(1)
+	}
+	return holder, inCloud
 }
 
 // addRedundancy gives a freshly placed home-tier object its pieces: n
@@ -283,120 +296,6 @@ func (n *Node) placeOnPeers(items []placement, exclude map[string]bool) []string
 	return addrs
 }
 
-// gather brings the payload into this node's dom0 from the object's live
-// copies: one whole copy if any survives (primary first, then replicas),
-// else any k coded shards pulled concurrently and decoded. A holder dying
-// mid-transfer charges the aborted attempt into bd.Retries, is never
-// asked again, and the gather retries with the survivors; ok is false
-// when too few copies remain. A non-nil sink sees a whole copy stream in
-// as it arrives, and a decoded payload materialise at once (shards are
-// not an in-order byte prefix).
-func (n *Node) gather(meta ObjectMeta, sink *domainSink, bd *FetchBreakdown) (data []byte, source string, ok bool) {
-	gone := map[string]bool{}
-	for {
-		// Pick what to read: one whole copy (no index in the code), else
-		// k shards.
-		var srcs []heldPiece
-		for _, w := range n.home.wholeCopies(meta) {
-			if !gone[w.addr] {
-				srcs = []heldPiece{{piece{-1, w.addr}, w, meta.Name}}
-				break
-			}
-		}
-		whole := srcs != nil
-		size := meta.Size
-		if !whole {
-			if !meta.coded() {
-				return nil, "", false
-			}
-			for _, p := range n.home.livePieces(meta) {
-				if !gone[p.addr] && len(srcs) < meta.ErasureK {
-					srcs = append(srcs, p)
-				}
-			}
-			if len(srcs) < meta.ErasureK {
-				return nil, "", false
-			}
-			size = meta.pieceSize()
-		}
-
-		attempt := n.clock.Now()
-		var reqs []netsim.TransferReq
-		var remote []*Node
-		for _, s := range srcs {
-			if s.node == n {
-				continue // a piece already in this dom0 crosses no wire
-			}
-			h := s.node
-			req := netsim.TransferReq{Path: h.lanPathTo(n), Size: size}
-			// The one place the two schemes simulate differently, kept as
-			// each always did: a whole-copy pull polls for its holder's
-			// death only when a pipeline sink is present (the plain pull
-			// runs its modeled wire to completion, like the direct
-			// fetchRemote transfer it retries); shard pulls always poll.
-			if !whole || sink != nil {
-				req.Cancel = n.holderGone(h)
-			}
-			if whole && sink != nil {
-				req.Chunk, req.OnChunk = sink.chunk, sink.onChunk
-			}
-			reqs = append(reqs, req)
-			remote = append(remote, h)
-		}
-		if len(remote) > 0 {
-			// One request message per remote holder (overlapping
-			// deliveries), then the transfers run concurrently.
-			n.home.net.MessageAll(n.lanPathTo(remote[0]), len(remote))
-			statuses, wall, err := n.home.net.TransferSet(reqs)
-			if err != nil {
-				return nil, "", false
-			}
-			aborted := false
-			for i, st := range statuses {
-				if st.Aborted {
-					aborted = true
-					gone[remote[i].addr] = true
-				}
-			}
-			if aborted {
-				bd.Retries += n.clock.Now().Sub(attempt)
-				continue
-			}
-			bd.InterNode += wall
-		}
-
-		idxs := make([]int, len(srcs))
-		payloads := make([][]byte, len(srcs))
-		sparse, lost := false, false
-		for i, s := range srcs {
-			var err error
-			if _, payloads[i], err = s.node.store.GetRef(s.bin); err != nil {
-				bd.Retries += n.clock.Now().Sub(attempt)
-				gone[s.addr], lost = true, true
-				break
-			}
-			idxs[i], sparse = s.index, sparse || payloads[i] == nil
-		}
-		if lost {
-			continue
-		}
-		if whole {
-			return payloads[0], srcs[0].addr, true // a borrow, like every payload in core
-		}
-		if !sparse {
-			var err error
-			if data, err = erasure.Reconstruct(idxs, payloads, meta.ErasureK, meta.ErasureN, meta.Size); err != nil {
-				return nil, "", false
-			}
-		}
-		if sink != nil && meta.Size > 0 {
-			sink.onChunk(meta.Size)
-		}
-		n.ops.shardReconstructs.Add(1)
-		return data, fmt.Sprintf("erasure:%d-of-%d", meta.ErasureK, meta.ErasureN), true
-	}
-}
-
 // payloadRepairAfterCrash runs payload repair at every surviving
 // repair-enabled node after dead crashed. It is invoked from the crash
 // path once the kv layer's metadata repair has completed, so repairers
@@ -459,8 +358,7 @@ func (n *Node) repair(name, dead string) {
 			return
 		}
 	} else {
-		var ok bool
-		if data, _, ok = n.gather(meta, nil, &FetchBreakdown{}); !ok {
+		if data, _, err = n.pull(meta, rungPieces, nil, &FetchBreakdown{}); err != nil {
 			return // fewer than k pieces left; the payload is lost
 		}
 		obj = objstore.Object{Name: meta.Name, Type: meta.Type, Size: meta.Size, Tags: meta.Tags, Owner: meta.Owner}
