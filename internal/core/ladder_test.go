@@ -473,6 +473,22 @@ func ladderScenarios() []ladderScenario {
 			b.fetch("whole-copy", 4, "f.bin")
 		}})
 
+	// Zero-byte objects skip the striped rung, so the pipelined primary
+	// pull, and with Fallback the whole-copy pull, move them as a bare
+	// message.
+	for _, fallback := range []bool{false, true} {
+		scs = append(scs, ladderScenario{name: fmt.Sprintf("zero-byte/fallback=%v", fallback), voluntaryGB: stripes,
+			cfg: NodeConfig{DataPlane: DataPlaneConfig{Pipelined: true, StripedFetch: true, DataReplicas: 2}, Faults: FaultConfig{Fallback: fallback}},
+			run: func(b *ladderBed) {
+				b.store("empty.bin", 0, false)
+				b.store("empty2.bin", 0, true)
+				b.fetch("striped-empty", 3, "empty.bin")
+				b.fetch("striped-empty-sparse", 3, "empty2.bin")
+				b.crash(0)
+				b.fetch("after-primary-crash", 3, "empty.bin")
+			}})
+	}
+
 	return scs
 }
 
