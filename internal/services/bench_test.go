@@ -70,3 +70,30 @@ func BenchmarkHistogram(b *testing.B) {
 		_ = Histogram(data)
 	}
 }
+
+// BenchmarkKernelsOnWindows runs each kernel on one part over 1 MB of the
+// flat, textured and noisy 64-byte windows home-process's images are
+// made of; frec scores the probe against a training set installed once.
+func BenchmarkKernelsOnWindows(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	data := windowImage(rng, 1<<20, -1)
+	ts := newTrainingSet(testTraining(rng), 1)
+	kernels := []struct {
+		name string
+		run  func() error
+	}{
+		{"fdet", func() error { _, err := detectFaces(data, 1); return err }},
+		{"frec", func() error { _, err := ts.recognize(data, 1); return err }},
+		{"x264", func() error { _, err := convertVideo(data, 1); return err }},
+	}
+	for _, k := range kernels {
+		b.Run(k.name, func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			for i := 0; i < b.N; i++ {
+				if err := k.run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -36,7 +36,8 @@ var ErrEmptyTrainingSet = errors.New("services: empty training set")
 // errNoUsableTraining is returned when every training image is empty.
 var errNoUsableTraining = errors.New("services: training set had no usable images")
 
-// detectWindow is the sliding-window size used by DetectFaces.
+// detectWindow is the size of the windows DetectFaces tiles the payload
+// with.
 const detectWindow = 64
 
 // splitGrain is the least input worth a host goroutine of its own.
@@ -47,31 +48,59 @@ func hostParts(n int) int {
 	return max(1, min(runtime.GOMAXPROCS(0), n/splitGrain))
 }
 
-// detectHit reports whether the detectWindow bytes of w have the
-// "face-like" local-variance signature. The sums are integers: Σb ≤
-// 64·255 = 16 320 and Σb² ≤ 64·255² = 4 161 600 are exact in uint32 and
-// in float64 alike, and dividing by 64 only changes the exponent, so mean
-// and variance are bit for bit what a float64 accumulation over the
-// bytes gives.
-func detectHit(w []byte) bool {
-	var sum, sumSq uint32
-	for i := 0; i < detectWindow; i += 8 {
-		b := w[i : i+8 : i+8]
-		b0, b1, b2, b3 := uint32(b[0]), uint32(b[1]), uint32(b[2]), uint32(b[3])
-		b4, b5, b6, b7 := uint32(b[4]), uint32(b[5]), uint32(b[6]), uint32(b[7])
-		sum += b0 + b1 + b2 + b3 + b4 + b5 + b6 + b7
-		sumSq += b0*b0 + b1*b1 + b2*b2 + b3*b3 + b4*b4 + b5*b5 + b6*b6 + b7*b7
+// pairSumBits is the width of the Σb² field in a pairTab entry and in
+// detectHit's accumulator: one window's Σb² is at most 64·255² =
+// 4 161 600 < 2²², so the field never carries into Σb above it.
+const pairSumBits = 22
+
+// pairTab holds, for the two bytes a and b of a little-endian uint16,
+// a²+b² in the low pairSumBits bits and a+b above them: 256 KiB, filled
+// at package init so that no DetectFaces call pays for it.
+var pairTab [1 << 16]uint32
+
+func init() {
+	for i := range pairTab {
+		a, b := uint32(i&0xFF), uint32(i>>8)
+		pairTab[i] = a*a + b*b | (a+b)<<pairSumBits
 	}
-	mean := float64(sum) / detectWindow
-	variance := float64(sumSq)/detectWindow - mean*mean
-	// Mid-band variance: neither flat background nor pure noise.
-	return variance >= 1000 && variance <= 4200
 }
 
-// DetectFaces scans the payload with a sliding window and reports the
-// offsets whose local byte variance falls in the "face-like" band. The
-// result is deterministic in the input bytes. A payload shorter than one
-// window has no scannable window and yields no hits (not an error).
+// The variance band, times detectWindow²: 4096·1000 and 4096·4200.
+const (
+	bandLo = detectWindow * detectWindow * 1000
+	bandHi = detectWindow * detectWindow * 4200
+)
+
+// detectHit reports whether the detectWindow bytes of w have the
+// "face-like" signature: a local variance in [1000, 4200], neither flat
+// background nor pure noise. 64·Σb² − (Σb)² is 4096 times the variance
+// exactly, so the test is on integers. It is bit for bit the float64 chain
+// mean = Σb/64, variance = Σb²/64 − mean² as well: Σb ≤ 16 320 and Σb² ≤
+// 4 161 600 are exact in float64, dividing by 64 only changes the
+// exponent, and the difference of two multiples of 1/4096 below 2¹⁶ is
+// exact too.
+func detectHit(w []byte) bool {
+	p, le := (*[detectWindow]byte)(w), binary.LittleEndian
+	acc := pairSums(le.Uint64(p[0:])) + pairSums(le.Uint64(p[8:])) +
+		pairSums(le.Uint64(p[16:])) + pairSums(le.Uint64(p[24:])) +
+		pairSums(le.Uint64(p[32:])) + pairSums(le.Uint64(p[40:])) +
+		pairSums(le.Uint64(p[48:])) + pairSums(le.Uint64(p[56:]))
+	sumSq, sum := acc&(1<<pairSumBits-1), acc>>pairSumBits
+	d := detectWindow*sumSq - sum*sum
+	return d >= bandLo && d <= bandHi
+}
+
+// pairSums adds the pairTab entries of the four byte pairs of x.
+func pairSums(x uint64) uint64 {
+	return uint64(pairTab[uint16(x)]) + uint64(pairTab[uint16(x>>16)]) +
+		uint64(pairTab[uint16(x>>32)]) + uint64(pairTab[x>>48])
+}
+
+// DetectFaces tiles the payload with detectWindow-byte windows and
+// reports the offsets of those whose local byte variance falls in the
+// "face-like" band. The result is deterministic in the input bytes. A
+// payload shorter than one window has no scannable window and yields no
+// hits (not an error); a tail shorter than one window is not scanned.
 func DetectFaces(data []byte) ([]int, error) {
 	return detectFaces(data, hostParts(len(data)))
 }
@@ -87,9 +116,12 @@ func detectFaces(data []byte, parts int) ([]int, error) {
 	parallel.Run(parts, parts, func(p int) {
 		lo, hi := parallel.Range(len(marks), parts, p)
 		for wi := lo; wi < hi; wi++ {
+			// The word's 64 windows; the last word's block may end in a
+			// tail shorter than a window, which the loop leaves unscanned.
+			blk := data[wi*64*detectWindow : min((wi+1)*64*detectWindow, len(data))]
 			var m uint64
-			for k, win := 0, wi*64; k < 64 && win < nWin; k, win = k+1, win+1 {
-				if detectHit(data[win*detectWindow : (win+1)*detectWindow]) {
+			for k := 0; len(blk) >= detectWindow; k, blk = k+1, blk[detectWindow:] {
+				if detectHit(blk) {
 					m |= 1 << k
 				}
 			}

@@ -304,6 +304,37 @@ func TestDetectHitOnVarianceEdges(t *testing.T) {
 	checkKernels(t, img, testTraining(rng))
 }
 
+// TestPairTabPacking checks every entry of detectHit's byte-pair table
+// and the headroom its packing relies on: a window's Σb² stays below the
+// sum field, so the accumulator's two fields never mix, and the band
+// constants are the variance bounds times 4096.
+func TestPairTabPacking(t *testing.T) {
+	const sqMask = 1<<pairSumBits - 1
+	for a := 0; a < 256; a++ {
+		for b := 0; b < 256; b++ {
+			e := pairTab[a|b<<8]
+			if sq, sum := int(e&sqMask), int(e>>pairSumBits); sq != a*a+b*b || sum != a+b {
+				t.Fatalf("pairTab[%d,%d] decodes to (%d, %d), want (%d, %d)", a, b, sq, sum, a*a+b*b, a+b)
+			}
+		}
+	}
+	// The largest window, 64 bytes of 255, has Σb² = 4 161 600 < 2²².
+	const maxSq, maxSum = detectWindow * 255 * 255, detectWindow * 255
+	if maxSq >= 1<<pairSumBits {
+		t.Fatalf("the largest Σb², %d, does not fit the %d-bit field", maxSq, pairSumBits)
+	}
+	var acc uint64
+	for i := 0; i < detectWindow/2; i++ {
+		acc += uint64(pairTab[0xFFFF])
+	}
+	if sq, sum := acc&sqMask, acc>>pairSumBits; sq != maxSq || sum != maxSum {
+		t.Fatalf("a window of 255s accumulates Σb² = %d, Σb = %d, want %d and %d", sq, sum, maxSq, maxSum)
+	}
+	if bandLo != 4096*1000 || bandHi != 4096*4200 {
+		t.Fatalf("band constants %d and %d, want %d and %d", bandLo, bandHi, 4096*1000, 4096*4200)
+	}
+}
+
 // FuzzKernelsMatchReference feeds arbitrary payloads (and a part count)
 // to all four kernels, and to frec against a training set installed once
 // for the whole run, and holds them to their references. The seed corpus
