@@ -139,7 +139,10 @@ func (w *hotWalker) flag(pos token.Pos, msg, suggestion string) {
 }
 
 // collectCold records every block (or case body) whose last statement
-// panics or returns a non-nil error — the failure path.
+// panics or returns a non-nil error — the failure path. The function's
+// own body is not such a block: a function that ends by returning an
+// error (`return res, err`, or a give-up error after a loop) is hot up
+// to that statement, and only the statement itself is cold.
 func (w *hotWalker) collectCold(body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		var list []ast.Stmt
@@ -147,6 +150,12 @@ func (w *hotWalker) collectCold(body *ast.BlockStmt) {
 		case *ast.FuncLit:
 			return false
 		case *ast.BlockStmt:
+			if n == body {
+				if k := len(n.List); k > 0 && w.stmtIsFailure(n.List[k-1]) {
+					w.cold = append(w.cold, [2]token.Pos{n.List[k-1].Pos(), n.List[k-1].End()})
+				}
+				return true
+			}
 			list = n.List
 		case *ast.CaseClause:
 			list = n.Body

@@ -3,12 +3,16 @@
 // interface boxing.
 package fixture
 
+import "errors"
+
 type record struct {
 	id   int
 	name string
 }
 
 var global any
+
+var errNegative = errors.New("negative")
 
 // c4h:hotpath
 func BadLiterals(n int) []int {
@@ -41,4 +45,16 @@ func BadConcat(a, b string) string {
 // c4h:hotpath
 func BadBox(v int64) {
 	global = v // want "interface boxing"
+}
+
+// A body that ends by returning an error is still hot up to that
+// return.
+//
+// c4h:hotpath
+func BadBeforeErrorReturn(n int) ([]int, error) {
+	xs := []int{n} // want "slice literal"
+	if n > 0 {
+		return xs, nil
+	}
+	return nil, errNegative
 }

@@ -45,6 +45,16 @@ func GoodValue(a, b int) point {
 	return point{x: a, y: b}
 }
 
+// c4h:hotpath
+func GoodGiveUpError(n int) (int, error) {
+	for i := 0; i < n; i++ {
+		if i*i == n {
+			return i, nil
+		}
+	}
+	return 0, fmt.Errorf("%d is not a square", n)
+}
+
 func Unannotated(n int) []int {
 	return []int{n, n + 1}
 }

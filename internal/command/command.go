@@ -106,22 +106,27 @@ type Packet struct {
 // WireSize returns the encoded size in bytes.
 func (p *Packet) WireSize() int { return headerSize + len(p.Data) }
 
-// MarshalBinary encodes the packet.
+// MarshalBinary encodes the packet into a buffer of its own.
 func (p *Packet) MarshalBinary() ([]byte, error) {
+	return p.AppendBinary(make([]byte, 0, p.WireSize()))
+}
+
+// AppendBinary appends the packet's encoding to dst and returns the
+// extended buffer, so a sender can encode into a buffer it reuses or
+// keeps on its stack. On error dst is returned unchanged.
+func (p *Packet) AppendBinary(dst []byte) ([]byte, error) {
 	if len(p.Data) > MaxData {
-		return nil, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(p.Data))
+		return dst, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(p.Data))
 	}
 	if !p.Type.valid() {
-		return nil, fmt.Errorf("%w: %d", ErrBadType, uint8(p.Type))
+		return dst, fmt.Errorf("%w: %d", ErrBadType, uint8(p.Type))
 	}
-	buf := make([]byte, headerSize+len(p.Data))
-	binary.BigEndian.PutUint16(buf[0:2], uint16(len(p.Data)))
-	buf[2] = uint8(p.Type)
-	binary.BigEndian.PutUint32(buf[3:7], p.ServiceID)
-	binary.BigEndian.PutUint16(buf[7:9], p.DomainID)
-	binary.BigEndian.PutUint32(buf[9:13], p.ShmRef)
-	copy(buf[headerSize:], p.Data)
-	return buf, nil
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(p.Data)))
+	dst = append(dst, uint8(p.Type))
+	dst = binary.BigEndian.AppendUint32(dst, p.ServiceID)
+	dst = binary.BigEndian.AppendUint16(dst, p.DomainID)
+	dst = binary.BigEndian.AppendUint32(dst, p.ShmRef)
+	return append(dst, p.Data...), nil
 }
 
 // UnmarshalBinary decodes a packet from buf, which must contain exactly

@@ -198,5 +198,35 @@ func FuzzCommandRead(f *testing.F) {
 		if !bytes.Equal(out, in[:len(out)]) {
 			t.Fatalf("round trip changed the packet: %x -> %x", in[:len(out)], out)
 		}
+		// AppendBinary writes MarshalBinary's bytes after whatever the
+		// buffer holds, and leaves that prefix alone.
+		for _, k := range []int{0, 1, len(in) / 2, len(in)} {
+			prefix := in[:k:k]
+			got, err := p.AppendBinary(prefix)
+			if err != nil {
+				t.Fatalf("accepted packet does not append: %v", err)
+			}
+			if !bytes.Equal(got[:k], in[:k]) || !bytes.Equal(got[k:], out) {
+				t.Fatalf("AppendBinary(in[:%d]) = %x, want %x followed by %x", k, got, in[:k], out)
+			}
+		}
 	})
+}
+
+// TestAppendBinaryAllocations: encoding into a buffer with room for the
+// packet allocates nothing.
+func TestAppendBinaryAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	p := Packet{Type: TypeFetch, ServiceID: 7, DomainID: 2, ShmRef: 2, Data: []byte("obj/12345")}
+	buf := make([]byte, 0, p.WireSize())
+	if n := testing.AllocsPerRun(100, func() {
+		out, err := p.AppendBinary(buf[:0])
+		if err != nil || len(out) != p.WireSize() {
+			t.Fatalf("AppendBinary: %d bytes, %v", len(out), err)
+		}
+	}); n != 0 {
+		t.Errorf("AppendBinary into a sized buffer: %v allocations, want 0", n)
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"cloud4home/internal/ids"
 	"cloud4home/internal/kv"
 	"cloud4home/internal/netsim"
 	"cloud4home/internal/objstore"
@@ -95,7 +96,8 @@ func (s *Session) Revoke(name string, principals ...string) error {
 // cloud bucket) and the metadata layer. Only the owner may delete an
 // owned object.
 func (s *Session) DeleteObject(name string) error {
-	meta, _, err := s.node.getMeta(name)
+	key := ids.HashString(name)
+	meta, _, err := s.node.getMetaAt(name, key)
 	if err != nil {
 		return err
 	}
@@ -137,7 +139,7 @@ func (s *Session) DeleteObject(name string) error {
 		}
 	}
 	s.node.home.invalidateDataCaches(meta.Name)
-	if err := s.node.home.kv.Delete(s.node.id, meta.Key()); err != nil && !errors.Is(err, kv.ErrNotFound) {
+	if err := s.node.home.kv.Delete(s.node.id, key); err != nil && !errors.Is(err, kv.ErrNotFound) {
 		return err
 	}
 	s.node.ops.deletes.Add(1)

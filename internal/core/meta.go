@@ -69,7 +69,12 @@ func (m ObjectMeta) InCloud() bool { return strings.HasPrefix(m.Location, "s3://
 // written without reflection into one buffer sized up front. The error
 // is always nil.
 func (m ObjectMeta) Marshal() ([]byte, error) {
-	b := make([]byte, 0, m.encodedLen())
+	return m.appendTo(make([]byte, 0, m.encodedLen())), nil
+}
+
+// appendTo appends Marshal's bytes to b and returns the extended buffer,
+// so a writer whose store copies the record can encode it on its stack.
+func (m *ObjectMeta) appendTo(b []byte) []byte {
 	b = append(b, `{"name":`...)
 	b = appendJSONString(b, m.Name)
 	if m.Type != "" {
@@ -126,7 +131,7 @@ func (m ObjectMeta) Marshal() ([]byte, error) {
 		}
 		b = append(b, ']')
 	}
-	return append(b, '}'), nil
+	return append(b, '}')
 }
 
 // encodedLen is Marshal's output length when no string needs escaping;

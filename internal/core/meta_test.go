@@ -217,5 +217,13 @@ func FuzzObjectMetaCodec(f *testing.F) {
 			m.Shards = append(m.Shards, ShardRef{Index: idx + int(i), Addr: strs[i]})
 		}
 		requireCodecMatchesJSON(t, m)
+
+		// appendTo writes Marshal's bytes after a prefix it leaves alone.
+		want, _ := m.Marshal()
+		k := len(record) / 2
+		prefix := record[:k:k]
+		if got := m.appendTo(prefix); !bytes.Equal(got[:k], record[:k]) || !bytes.Equal(got[k:], want) {
+			t.Fatalf("appendTo(%q) = %q, want the prefix followed by %q", record[:k], got, want)
+		}
 	})
 }

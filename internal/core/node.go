@@ -410,12 +410,14 @@ func (n *Node) resources(addr string) (monitor.Resources, error) {
 // per-hop wire cost it yields Table I's ≈12–16 ms constant DHT lookup.
 const chimeraIPC = 8 * time.Millisecond
 
-// putMeta writes an object's metadata record to the key-value store.
+// putMeta writes an object's metadata record to the key-value store. The
+// record is encoded on the stack: kv.Put copies it, and that copy is the
+// record's one allocation.
+//
+// c4h:hotpath
 func (n *Node) putMeta(meta ObjectMeta) error {
-	data, err := meta.Marshal()
-	if err != nil {
-		return err
-	}
+	var buf [256]byte
+	data := meta.appendTo(buf[:0])
 	n.clock.Sleep(chimeraIPC)
 	pr, err := n.home.kv.Put(n.id, meta.Key(), data, kv.Overwrite)
 	if pr.Hops > 0 {
@@ -431,9 +433,15 @@ func (n *Node) putMeta(meta ObjectMeta) error {
 // It reads through kv's zero-copy path: the record is decoded immediately
 // and the raw bytes are never retained.
 func (n *Node) getMeta(name string) (ObjectMeta, time.Duration, error) {
+	return n.getMetaAt(name, ids.HashString(name))
+}
+
+// getMetaAt is getMeta for a caller that has hashed the name to its DHT
+// key and needs the key again.
+func (n *Node) getMetaAt(name string, key ids.ID) (ObjectMeta, time.Duration, error) {
 	start := n.clock.Now()
 	n.clock.Sleep(chimeraIPC)
-	gr, err := n.home.kv.GetRef(n.id, ids.HashString(name))
+	gr, err := n.home.kv.GetRef(n.id, key)
 	lookup := n.clock.Now().Sub(start)
 	if gr.Hops > 0 {
 		n.ops.kvHops.Add(int64(gr.Hops))

@@ -47,10 +47,10 @@ func paperFetchBed(tb testing.TB, body func(reader *Node, sess *Session, meta Ob
 }
 
 // TestRemoteFetchAllocations pins the paper path's host allocations: a
-// remote sparse FetchObject allocates twice (the command packet's
-// encoding and the decoded metadata record), and the executor below
-// fetchToDom0 — the request, the holder's read and the transfer — not at
-// all.
+// remote sparse FetchObject allocates once (the decoded metadata
+// record; the command packet is encoded on the stack), and the executor
+// below fetchToDom0 — the request, the holder's read and the transfer —
+// not at all.
 func TestRemoteFetchAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -60,8 +60,8 @@ func TestRemoteFetchAllocations(t *testing.T) {
 			if _, err := sess.FetchObject("remote.bin"); err != nil {
 				t.Fatal(err)
 			}
-		}); n != 2 {
-			t.Errorf("remote FetchObject: %v allocations, want 2", n)
+		}); n != 1 {
+			t.Errorf("remote FetchObject: %v allocations, want 1", n)
 		}
 		var bd FetchBreakdown
 		if n := testing.AllocsPerRun(50, func() {

@@ -7,6 +7,7 @@ import (
 
 	"cloud4home/internal/command"
 	"cloud4home/internal/objstore"
+	"cloud4home/internal/overlay"
 	"cloud4home/internal/policy"
 )
 
@@ -216,7 +217,11 @@ func (n *Node) placeAt(obj objstore.Object, data []byte, d policy.StoreDecision)
 }
 
 // storeContext assembles the policy inputs: the local bin watcher plus
-// the peers' monitored voluntary space from the key-value store.
+// the peers' monitored voluntary space from the key-value store. The
+// membership is read into a stack buffer and Peers is sized once; Peers
+// is the context's one allocation, since the policy keeps it.
+//
+// c4h:hotpath
 func (n *Node) storeContext(obj objstore.Object) policy.StoreContext {
 	ctx := policy.StoreContext{
 		Object:         obj,
@@ -225,7 +230,10 @@ func (n *Node) storeContext(obj objstore.Object) policy.StoreContext {
 	if u, err := n.store.Usage(objstore.Mandatory); err == nil {
 		ctx.LocalMandatoryFree = u.Free()
 	}
-	for _, m := range n.router.Members() {
+	var buf [16]overlay.Member
+	members := n.router.AppendMembers(buf[:0])
+	peers := make([]policy.PeerSpace, 0, max(len(members)-1, 0))
+	for _, m := range members {
 		if m.ID == n.id {
 			continue
 		}
@@ -233,10 +241,11 @@ func (n *Node) storeContext(obj objstore.Object) policy.StoreContext {
 		if err != nil {
 			continue // peer has not published yet; skip it
 		}
-		ctx.Peers = append(ctx.Peers, policy.PeerSpace{
+		peers = append(peers, policy.PeerSpace{
 			Addr:          m.Addr,
 			VoluntaryFree: res.VoluntaryFree,
 		})
 	}
+	ctx.Peers = peers
 	return ctx
 }

@@ -25,6 +25,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"cloud4home/internal/ids"
 	"cloud4home/internal/overlay"
@@ -129,6 +130,12 @@ type PutResult struct {
 // record is everything one node keeps for one key. The chains are shared
 // with other nodes and never written in place: a field is only ever
 // replaced whole. A record that holds nothing is deleted.
+//
+// Records are recycled: Delete zeroes the records it drops and keeps
+// them on the node's free list, and a later key takes one over. So no
+// *record may outlive the ns.mu critical section that looked it up; what
+// a caller keeps past the unlock is a field's value (a chain or a holder
+// list, both immutable), never the record.
 type record struct {
 	entry   []Value  // primary or replica copy
 	cache   []Value  // path-cached copy
@@ -153,20 +160,40 @@ func (rec *record) addHolder(id ids.ID) {
 type nodeStore struct {
 	mu   sync.Mutex
 	recs map[ids.ID]*record
+	free []*record // zeroed records Delete dropped, reused by record
 }
 
 func newNodeStore() *nodeStore {
 	return &nodeStore{recs: make(map[ids.ID]*record)}
 }
 
-// record returns ns's record for key, creating it. ns.mu must be held.
+// record returns ns's record for key, creating it from the free list
+// when it can. ns.mu must be held.
 func (ns *nodeStore) record(key ids.ID) *record {
 	rec := ns.recs[key]
 	if rec == nil {
-		rec = &record{}
+		if n := len(ns.free); n > 0 {
+			rec, ns.free = ns.free[n-1], ns.free[:n-1]
+		} else {
+			rec = &record{}
+		}
 		ns.recs[key] = rec
 	}
 	return rec
+}
+
+// drop deletes key's record, zeroes it and keeps it for reuse, and
+// reports whether it held a chain. ns.mu must be held.
+func (ns *nodeStore) drop(key ids.ID) (held bool) {
+	rec := ns.recs[key]
+	if rec == nil {
+		return false
+	}
+	held = rec.entry != nil || rec.cache != nil
+	delete(ns.recs, key)
+	*rec = record{}
+	ns.free = append(ns.free, rec)
+	return held
 }
 
 // entry returns the authoritative chain ns holds for key, or nil.
@@ -255,17 +282,14 @@ func (s *Store) dirtySorted() []ids.ID {
 
 // Stats counts store activity (used by the caching/replication ablations).
 type Stats struct {
-	mu        sync.Mutex
-	Lookups   int
-	CacheHits int
-	PutOps    int
+	Lookups   atomic.Int64
+	CacheHits atomic.Int64
+	PutOps    atomic.Int64
 }
 
 // Snapshot returns a copy of the counters.
 func (s *Stats) Snapshot() (lookups, cacheHits, puts int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.Lookups, s.CacheHits, s.PutOps
+	return int(s.Lookups.Load()), int(s.CacheHits.Load()), int(s.PutOps.Load())
 }
 
 // New returns a store over the mesh and registers the churn handlers
@@ -397,9 +421,7 @@ func (s *Store) Put(from, key ids.ID, data []byte, policy WritePolicy) (PutResul
 	if _, err := s.node(from); err != nil {
 		return PutResult{}, err
 	}
-	s.stats.mu.Lock()
-	s.stats.PutOps++
-	s.stats.mu.Unlock()
+	s.stats.PutOps.Add(1)
 
 	ownerID, hops, superHops, err := s.locateOwner(from, key)
 	if err != nil {
@@ -456,8 +478,12 @@ func (s *Store) replicate(owner, key ids.ID, chain []Value) {
 	if err != nil {
 		return
 	}
+	// The set fits the stack buffer at any replication factor a home
+	// runs. The targets escape through the Broadcaster call, so they are
+	// made.
+	var buf [8]overlay.Member
 	targets := make([]ids.ID, 0, s.opts.ReplicationFactor)
-	for _, m := range r.ReplicaSet(key, s.opts.ReplicationFactor+1) {
+	for _, m := range r.AppendReplicaSet(buf[:0], key, s.opts.ReplicationFactor+1) {
 		if m.ID == owner {
 			continue
 		}
@@ -576,21 +602,22 @@ func (s *Store) Holders(from, key ids.ID) ([]ids.ID, error) {
 	return out, nil
 }
 
+// getChain walks from the requester toward key's owner and returns the
+// first chain it meets: the requester's own, a path cache's on the way,
+// or the owner's.
+//
+// c4h:hotpath
 func (s *Store) getChain(from, key ids.ID) (chain []Value, hops, superHops int, cached bool, err error) {
 	fromStore, err := s.node(from)
 	if err != nil {
 		return nil, 0, 0, false, err
 	}
-	s.stats.mu.Lock()
-	s.stats.Lookups++
-	s.stats.mu.Unlock()
+	s.stats.Lookups.Add(1)
 
 	// Local copy (primary, replica, or cache) short-circuits the lookup.
 	if c, fromCache, ok := fromStore.lookup(key); ok {
 		if fromCache {
-			s.stats.mu.Lock()
-			s.stats.CacheHits++
-			s.stats.mu.Unlock()
+			s.stats.CacheHits.Add(1)
 		}
 		return c, 0, 0, true, nil
 	}
@@ -605,7 +632,8 @@ func (s *Store) getChain(from, key ids.ID) (chain []Value, hops, superHops int, 
 			return nil, h, sh, false, nerr
 		}
 		if c, _, ok := ownerStore.lookup(key); ok {
-			s.populatePathCaches(key, c, []ids.ID{from}, ownerID)
+			path := [1]ids.ID{from}
+			s.populatePathCaches(key, c, path[:], ownerID)
 			return c, h, sh, false, nil
 		}
 		return nil, h, sh, false, fmt.Errorf("kv: get %s: %w", key, ErrNotFound)
@@ -618,8 +646,10 @@ func (s *Store) getChain(from, key ids.ID) (chain []Value, hops, superHops int, 
 	// Walk hop-by-hop so intermediate caches can answer. NextHopFrom is
 	// exactly Router.NextHop with the super-peer tier disabled, and routes
 	// through the regional aggregators when it is enabled.
+	// The visited hops live on the stack: a walk is a few hops long.
 	cur := r
-	visited := []ids.ID{from}
+	visited := make([]ids.ID, 1, 8)
+	visited[0] = from
 	for {
 		next, forward, super := s.mesh.NextHopFrom(cur, key)
 		if !forward {
@@ -636,9 +666,7 @@ func (s *Store) getChain(from, key ids.ID) (chain []Value, hops, superHops int, 
 		}
 		if c, fromCache, ok := nextStore.lookup(key); ok {
 			if fromCache {
-				s.stats.mu.Lock()
-				s.stats.CacheHits++
-				s.stats.mu.Unlock()
+				s.stats.CacheHits.Add(1)
 			}
 			s.populatePathCaches(key, c, visited, next.ID)
 			return c, hops, superHops, true, nil
@@ -722,7 +750,7 @@ func (s *Store) Delete(from, key ids.ID) error {
 	// The whole record goes: a path-cached chain the owner kept from
 	// before it took the key over would otherwise still answer its Gets.
 	holders := rec.holders
-	delete(ownerStore.recs, key)
+	ownerStore.drop(key)
 	ownerStore.mu.Unlock()
 	// Purge replicas and caches everywhere (at home scale replica sets may
 	// have shifted since the write, so a sweep is the robust choice).
@@ -743,11 +771,10 @@ func (s *Store) Delete(from, key ids.ID) error {
 		ns.mu.Lock()
 		// A replica or cache that served reads indexed its own cache
 		// holders; every one of those caches is purged by this sweep.
-		had := ns.recs[key]
-		delete(ns.recs, key)
+		had := ns.drop(key)
 		ns.mu.Unlock()
 		_, registered := slices.BinarySearch(holders, id)
-		if (had != nil && (had.entry != nil || had.cache != nil)) || registered {
+		if had || registered {
 			s.wire.Send(ownerID, id)
 		}
 	}

@@ -189,19 +189,21 @@ func TestCompactMeshMatchesFlat(t *testing.T) {
 			t.Fatalf("Neighbors of %s differ: mesh (%v,%v,%v) oracle (%v,%v,%v)", from, gl, gr, gok, wl, wr, wok)
 		}
 
+		w.log = w.log[:0]
 		res, err := mesh.Route(from, key)
 		if err != nil {
 			t.Fatalf("route: %v", err)
 		}
 		wantOwner, wantPath := ref.route(from, key)
-		if res.Owner != wantOwner || res.Hops != len(wantPath)-1 || len(res.Path) != len(wantPath) {
+		if res.Owner != wantOwner || res.Hops != len(wantPath)-1 {
 			t.Fatalf("Route(%s) from %s: mesh %+v, oracle owner %v path %v", key, from, res, wantOwner, wantPath)
 		}
-		for i, m := range res.Path {
-			if m.ID != wantPath[i] {
-				t.Fatalf("Route(%s) from %s hop %d: mesh %s, oracle %s", key, from, i, m.ID, wantPath[i])
-			}
+		// The route's sends are the oracle path's consecutive pairs.
+		wantLog := make([][2]ids.ID, 0, len(wantPath))
+		for i := 1; i < len(wantPath); i++ {
+			wantLog = append(wantLog, [2]ids.ID{wantPath[i-1], wantPath[i]})
 		}
+		sameWireLog(t, fmt.Sprintf("Route(%s) from %s", key, from), w.log, wantLog)
 	}
 }
 

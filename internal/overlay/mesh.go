@@ -292,7 +292,7 @@ func (m *Mesh) NextHopFrom(cur *Router, key ids.ID) (next Member, forward, super
 	}
 	m.mu.RUnlock()
 	if regions <= 0 {
-		n, fwd := cur.NextHop(key)
+		n, fwd := cur.nextHop(owner, key)
 		return n, fwd, false
 	}
 	switch {
@@ -324,13 +324,14 @@ type RouteResult struct {
 	// SuperHops counts the hops whose destination was a regional
 	// super-peer (always 0 with the tier disabled).
 	SuperHops int
-	// Path lists every node visited, origin first, owner last.
-	Path []Member
 }
 
 // Route walks the overlay hop-by-hop from the origin node toward the
 // owner of key, charging one wire message per hop, and returns the
-// result. This is the primitive beneath every DHT put/get.
+// result. This is the primitive beneath every DHT put/get. The nodes it
+// visits are the wire's sends; the result keeps only their count.
+//
+// c4h:hotpath
 func (m *Mesh) Route(from ids.ID, key ids.ID) (RouteResult, error) {
 	m.mu.RLock()
 	cur, ok := m.nodes[from]
@@ -342,7 +343,7 @@ func (m *Mesh) Route(from ids.ID, key ids.ID) (RouteResult, error) {
 	if n == 0 {
 		return RouteResult{}, ErrEmptyMesh
 	}
-	res := RouteResult{Path: []Member{cur.Self()}}
+	var res RouteResult
 	for attempt := 0; attempt <= 2*n+4; attempt++ {
 		next, forward, super := m.NextHopFrom(cur, key)
 		if !forward {
@@ -354,20 +355,18 @@ func (m *Mesh) Route(from ids.ID, key ids.ID) (RouteResult, error) {
 		if super {
 			res.SuperHops++
 		}
-		res.Path = append(res.Path, next)
 		m.mu.RLock()
 		nr, live := m.nodes[next.ID]
 		m.mu.RUnlock()
 		if !live {
 			// The next hop left the mesh but is still interned (its
 			// departure is mid-flight): drop the record and retry from
-			// the same position.
+			// the same position. Its message was sent; it is no hop.
 			m.arena.Remove(next.ID)
 			res.Hops--
 			if super {
 				res.SuperHops--
 			}
-			res.Path = res.Path[:len(res.Path)-1]
 			continue
 		}
 		cur = nr

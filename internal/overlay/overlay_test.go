@@ -85,13 +85,26 @@ func TestAllNodesAgreeOnOwner(t *testing.T) {
 	}
 }
 
+// TestRouteReachesOwnerFromEveryOrigin: from every node the route ends
+// at the key's owner, and every hop it reports is one wire message: the
+// sends chain from the origin to the owner.
 func TestRouteReachesOwnerFromEveryOrigin(t *testing.T) {
-	m, nodeIDs := buildMesh(t, 8)
+	w := &recordWire{}
+	m := NewMesh(w)
+	var nodeIDs []ids.ID
+	for i := 0; i < 8; i++ {
+		r, err := m.Join(fmt.Sprintf("10.0.0.%d:9000", i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodeIDs = append(nodeIDs, r.Self().ID)
+	}
 	for i := 0; i < 50; i++ {
 		key := ids.HashString(fmt.Sprintf("k-%d", i))
 		r0, _ := m.Router(nodeIDs[0])
 		want := r0.Owner(key).ID
 		for _, from := range nodeIDs {
+			w.log = w.log[:0]
 			res, err := m.Route(from, key)
 			if err != nil {
 				t.Fatalf("Route(%s, %s): %v", from, key, err)
@@ -99,8 +112,18 @@ func TestRouteReachesOwnerFromEveryOrigin(t *testing.T) {
 			if res.Owner.ID != want {
 				t.Fatalf("Route from %s found owner %s, want %s", from, res.Owner.ID, want)
 			}
-			if res.Hops != len(res.Path)-1 {
-				t.Fatalf("Hops=%d but Path has %d entries", res.Hops, len(res.Path))
+			if res.Hops != len(w.log) {
+				t.Fatalf("Hops=%d but the route sent %d messages", res.Hops, len(w.log))
+			}
+			at := from
+			for _, msg := range w.log {
+				if msg[0] != at {
+					t.Fatalf("route from %s: message %v does not leave the current node %s", from, msg, at)
+				}
+				at = msg[1]
+			}
+			if at != want {
+				t.Fatalf("route from %s: last message reached %s, not the owner %s", from, at, want)
 			}
 			if from == want && res.Hops != 0 {
 				t.Fatalf("owner routing to itself took %d hops", res.Hops)
@@ -424,5 +447,27 @@ func TestRoutingScalesWithMembership(t *testing.T) {
 			t.Errorf("n=%d: mean hops %.2f too high", n, mean)
 		}
 		t.Logf("n=%d: mean hops %.2f", n, mean)
+	}
+}
+
+// TestRouteAllocations pins the route's host cost at zero allocations:
+// a lookup keeps its hop counts, not the nodes it visited.
+func TestRouteAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	m, nodeIDs := buildMesh(t, 6)
+	keys := make([]ids.ID, 64)
+	for i := range keys {
+		keys[i] = ids.HashString(fmt.Sprintf("alloc-%d", i))
+	}
+	i := 0
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := m.Route(nodeIDs[i%len(nodeIDs)], keys[i%len(keys)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); n != 0 {
+		t.Errorf("Mesh.Route: %v allocations, want 0", n)
 	}
 }

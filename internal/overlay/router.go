@@ -122,7 +122,14 @@ func (r *Router) IsOwner(key ids.ID) bool {
 //
 // c4h:hotpath
 func (r *Router) NextHop(key ids.ID) (Member, bool) {
-	owner := r.Owner(key)
+	return r.nextHop(r.Owner(key), key)
+}
+
+// nextHop is NextHop for a caller that has already resolved the key's
+// owner, so one routing step costs one owner probe.
+//
+// c4h:hotpath
+func (r *Router) nextHop(owner Member, key ids.ID) (Member, bool) {
 	if owner.ID == r.self.ID {
 		return r.self, false
 	}
@@ -141,12 +148,15 @@ func (r *Router) NextHop(key ids.ID) (Member, bool) {
 // order (the owner first). Used by the key-value store's replication and
 // by departure-time key redistribution.
 func (r *Router) ReplicaSet(key ids.ID, n int) []Member {
+	return r.AppendReplicaSet(make([]Member, 0, min(max(n, 0), r.Len())), key, n)
+}
+
+// AppendReplicaSet appends ReplicaSet(key, n) to dst and returns it, so a
+// hot caller can collect the set into a buffer of its own.
+func (r *Router) AppendReplicaSet(dst []Member, key ids.ID, n int) []Member {
 	r.arena.mu.RLock()
 	defer r.arena.mu.RUnlock()
-	if n > r.arena.members.Len() {
-		n = r.arena.members.Len()
-	}
-	return appendReplicaSet(make([]Member, 0, n), r.arena.members, key, n)
+	return appendReplicaSet(dst, r.arena.members, key, n)
 }
 
 // String renders a short diagnostic form.
