@@ -111,12 +111,7 @@ func (n *Node) moveAndRun(target string, spec services.Spec, meta ObjectMeta) (r
 		return ProcessResult{}, nil, true, err
 	}
 	d := lease.Duration()
-	res = ProcessResult{
-		Service:    spec.Name,
-		Target:     target,
-		OutputSize: spec.OutputSize(meta.Size),
-		MatchID:    -1,
-	}
+	res = stepResult(spec, target, meta.Size)
 	// The kernel runs on the host while the wire and the execution tail
 	// elapse; it is joined before anything reads its result.
 	k := n.startKernel(spec, data, res.OutputSize)
@@ -171,118 +166,96 @@ func (n *Node) moveAndRun(target string, spec services.Spec, meta ObjectMeta) (r
 	return res, data, true, nil
 }
 
-// executeDecided runs a decided process operation, hedging it onto the
-// decision's top two candidates when speculation is enabled and their
-// estimates are within the margin. The first hedge to finish wins; the
-// loser is cancelled at its next phase boundary. Under the simulated
-// clock the winner is deterministic.
-func (n *Node) executeDecided(dec Decision, spec services.Spec, meta ObjectMeta) (ProcessResult, error) {
-	cp := n.cfg.ComputePlane
-	if !cp.Speculation || len(dec.Candidates) < 2 {
-		return n.executeAt(dec.Chosen.Addr, spec, meta)
+// executeDecided runs a decided plan, hedging it onto the decision's top
+// two candidates when speculation is enabled and their estimates are
+// within the margin. The first hedge to finish wins; the loser is
+// cancelled at its next phase boundary. Under the simulated clock the
+// winner is deterministic.
+func (n *Node) executeDecided(dec Decision, p *plan) (ProcessResult, error) {
+	if !n.cfg.ComputePlane.Speculation || len(dec.Candidates) < 2 {
+		return n.execute(p, nil)
 	}
 	second, ok := runnerUp(n.cfg.DecisionPolicy, dec)
-	if !ok {
-		return n.executeAt(dec.Chosen.Addr, spec, meta)
-	}
-	if float64(second.Total()) > float64(dec.Chosen.Total())*(1+defaultSpeculationMargin) {
-		return n.executeAt(dec.Chosen.Addr, spec, meta)
+	if !ok || float64(second.Total()) > float64(dec.Chosen.Total())*(1+defaultSpeculationMargin) {
+		return n.execute(p, nil)
 	}
 
 	n.ops.specLaunches.Add(1)
-	// The hedges publish their outcomes as clock actors, and the parent
-	// polls the slot as an actor too (Sleep, never Block), so the winner
-	// is deterministic.
+	// The hedges, primary (0) then secondary (1), publish their outcomes
+	// as clock actors, and the parent polls the slot as an actor too
+	// (Sleep, never Block), so the winner is deterministic. Each hedge runs
+	// a plan of its own.
 	slot := &specSlot{}
-	var cancelPrimary, cancelSecondary atomic.Bool
-	record := func(o specOutcome) {
-		o.at = n.clock.Now()
-		slot.publish(o)
+	var cancel [2]atomic.Bool
+	meta, spec := p.meta, p.spec
+	for i, target := range [2]string{dec.Chosen.Addr, second.Addr} {
+		n.spawn(func() {
+			if i == 1 {
+				// The stagger is this hedge's first event, so the hedges
+				// serialise through the clock before touching shared state.
+				n.clock.Sleep(defaultSpeculationDelay)
+			}
+			hp := plan{meta: meta, target: target, runner: n, spec: spec, mode: ModeDecided}
+			res, err := n.execute(&hp, &cancel[i])
+			slot.publish(i, specOutcome{res: res, err: err, at: n.clock.Now()})
+		})
 	}
-	n.spawn(func() {
-		res, err := n.executeAtCancellable(dec.Chosen.Addr, spec, meta, &cancelPrimary)
-		record(specOutcome{secondary: false, res: res, err: err})
-	})
-	n.spawn(func() {
-		// The stagger is this goroutine's first event, so the hedges
-		// serialise through the clock before touching shared state.
-		n.clock.Sleep(defaultSpeculationDelay)
-		if cancelSecondary.Load() {
-			n.ops.specCancels.Add(1)
-			record(specOutcome{secondary: true, err: errSpeculationCancelled})
-			return
-		}
-		res, err := n.executeAtCancellable(second.Addr, spec, meta, &cancelSecondary)
-		record(specOutcome{secondary: true, res: res, err: err})
-	})
 
 	// Poll until a hedge succeeds or both have settled. The tick bounds
 	// the extra latency added to the winner's observed total.
 	const specPollTick = time.Millisecond
 	for {
-		snap := slot.snapshot()
-		var win *specOutcome
-		for i := range snap {
-			o := &snap[i]
-			if o.err != nil {
-				continue
-			}
-			// Earliest completion wins; a same-tick tie goes to the
-			// decision's first choice.
-			if win == nil || o.at.Before(win.at) || (o.at.Equal(win.at) && !o.secondary) {
-				win = o
+		outs, done := slot.snapshot()
+		// Earliest completion wins; a same-tick tie goes to the decision's
+		// first choice.
+		win := -1
+		for i, o := range outs {
+			if done[i] && o.err == nil && (win < 0 || o.at.Before(outs[win].at)) {
+				win = i
 			}
 		}
-		if win != nil {
+		if win >= 0 {
 			// Cancel the loser; it aborts at its next phase boundary and
 			// its in-flight phase settles via Node.Flush.
-			if win.secondary {
+			if win == 1 {
 				n.ops.specWins.Add(1)
-				cancelPrimary.Store(true)
-			} else {
-				cancelSecondary.Store(true)
 			}
-			return win.res, nil
+			cancel[1-win].Store(true)
+			return outs[win].res, nil
 		}
-		if len(snap) == 2 {
-			// Both hedges failed: report the primary's error.
-			for _, o := range snap {
-				if !o.secondary {
-					return ProcessResult{}, o.err
-				}
-			}
-			return ProcessResult{}, snap[0].err
+		if done[0] && done[1] {
+			return ProcessResult{}, outs[0].err // both failed: the primary's error
 		}
 		n.clock.Sleep(specPollTick)
 	}
 }
 
-// specOutcome is one hedge's published result, stamped with the virtual
-// time it settled.
+// specOutcome is one hedge's result, stamped with the virtual time it
+// settled.
 type specOutcome struct {
-	secondary bool
-	res       ProcessResult
-	err       error
-	at        time.Time
+	res ProcessResult
+	err error
+	at  time.Time
 }
 
-// specSlot is the outcome slot both hedges publish into and the parent
-// polls; see executeDecided.
+// specSlot is where the two hedges publish their outcomes, by index, and
+// the parent polls them; see executeDecided.
 type specSlot struct {
 	mu   sync.Mutex
-	outs []specOutcome // guarded by mu
+	outs [2]specOutcome // guarded by mu
+	done [2]bool        // guarded by mu
 }
 
-func (s *specSlot) publish(o specOutcome) {
+func (s *specSlot) publish(i int, o specOutcome) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.outs = append(s.outs, o)
+	s.outs[i], s.done[i] = o, true
 }
 
-func (s *specSlot) snapshot() []specOutcome {
+func (s *specSlot) snapshot() ([2]specOutcome, [2]bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]specOutcome(nil), s.outs...)
+	return s.outs, s.done
 }
 
 // runnerUp applies the decision policy to the non-chosen candidates.
@@ -293,12 +266,10 @@ func runnerUp(pol policy.DecisionPolicy, dec Decision) (policy.ProcCandidate, bo
 			rest = append(rest, c)
 		}
 	}
-	if len(rest) == 0 {
-		return policy.ProcCandidate{}, false
+	if len(rest) > 0 {
+		if i, err := pol.Choose(rest); err == nil {
+			return rest[i], true
+		}
 	}
-	i, err := pol.Choose(rest)
-	if err != nil {
-		return policy.ProcCandidate{}, false
-	}
-	return rest[i], true
+	return policy.ProcCandidate{}, false
 }

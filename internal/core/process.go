@@ -3,12 +3,15 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"cloud4home/internal/command"
+	"cloud4home/internal/machine"
+	"cloud4home/internal/netsim"
 	"cloud4home/internal/services"
 )
 
@@ -31,16 +34,10 @@ const (
 
 // String renders the mode name.
 func (m ProcessMode) String() string {
-	switch m {
-	case ModeRequester:
-		return "requester"
-	case ModeOwner:
-		return "owner"
-	case ModeDecided:
-		return "decided"
-	default:
+	if m < ModeRequester || m > ModeDecided {
 		return fmt.Sprintf("ProcessMode(%d)", int(m))
 	}
+	return [...]string{"requester", "owner", "decided"}[m-ModeRequester]
 }
 
 // ProcessBreakdown is the per-phase cost profile of a process operation.
@@ -83,11 +80,61 @@ type ProcessResult struct {
 	borrowed bool
 }
 
+// plan is one process operation as plain data: the object, where its
+// service steps run and whose node runs them, how the input arrives there
+// and how the output returns. The Session's plan builders (Process,
+// FetchProcess's three cases, ProcessPipelineAt) fill one on the stack;
+// Node.execute runs it.
+type plan struct {
+	meta   ObjectMeta
+	target string // where every step runs: a node address or "cloud:<instance>"
+	// runner charges the dispatch and counts the shards and kernels, and
+	// its training set is frec's: the owner in case 2, else the requester.
+	runner *Node
+	spec   services.Spec   // the first (or only) step
+	more   []services.Spec // the steps after it, each on the previous output
+	input  inputPath
+	reply  bool // case 2: the owner replies with the output over the LAN
+	mode   ProcessMode
+	guest  *Session // the requester's guest, for case 1's fetch and case 2's reply
+}
+
+// inputPath says how a plan's input reaches its target.
+type inputPath uint8
+
+const (
+	// inputMove moves the object from its location to the target
+	// (moveInput), fused with the first step when overlap applies.
+	inputMove inputPath = iota
+	// inputFetch is §III-B case 1: a regular fetch into this dom0 and on
+	// into the guest, after which the requester runs the service.
+	inputFetch
+	// inputLocal is case 2: the owner runs the service on its own copy,
+	// invoked from here at the remote-dispatch premium.
+	inputLocal
+)
+
+// begin is every process operation's preamble: the command packet, the
+// object's metadata, and the session's access to it.
+func (s *Session) begin(t command.Type, svcID uint32, name string) (ObjectMeta, error) {
+	if err := s.sendCommand(t, svcID, name); err != nil {
+		return ObjectMeta{}, err
+	}
+	meta, _, err := s.node.getMeta(name)
+	if err != nil {
+		return ObjectMeta{}, err
+	}
+	return meta, meta.checkAccess(s.principal)
+}
+
 // finishProcess is every process operation's exit to the application: it
 // stamps the observed total and counts the operation. Ownership: an Output
 // that is still a borrow (fdet's annotated image) is copied here, so no
 // slice the application can write aliases a stored payload.
-func (s *Session) finishProcess(res ProcessResult, start time.Time) (ProcessResult, error) {
+func (s *Session) finishProcess(res ProcessResult, err error, start time.Time) (ProcessResult, error) {
+	if err != nil {
+		return ProcessResult{}, err
+	}
 	if res.borrowed {
 		res.Output, res.borrowed = bytes.Clone(res.Output), false
 	}
@@ -101,31 +148,11 @@ func (s *Session) finishProcess(res ProcessResult, start time.Time) (ProcessResu
 // process among all hosts supporting the service.
 func (s *Session) Process(name, svcName string, svcID uint32) (ProcessResult, error) {
 	start := s.node.clock.Now()
-	if err := s.sendCommand(command.TypeProcess, svcID, name); err != nil {
-		return ProcessResult{}, err
-	}
-	meta, _, err := s.node.getMeta(name)
+	meta, err := s.begin(command.TypeProcess, svcID, name)
 	if err != nil {
 		return ProcessResult{}, err
 	}
-	if err := meta.checkAccess(s.principal); err != nil {
-		return ProcessResult{}, err
-	}
-	reg, err := services.Discover(s.node.home.kv, s.node.id, svcName, svcID)
-	if err != nil {
-		return ProcessResult{}, fmt.Errorf("%w: %s", ErrServiceNotFound, svcName)
-	}
-	dec, err := s.node.decideTarget(reg, meta.Size, meta.Location)
-	if err != nil {
-		return ProcessResult{}, err
-	}
-	res, err := s.node.executeDecided(dec, reg.Spec, meta)
-	if err != nil {
-		return ProcessResult{}, err
-	}
-	res.Mode = ModeDecided
-	res.Breakdown.Decision = dec.Elapsed
-	return s.finishProcess(res, start)
+	return s.decided(meta, svcName, svcID, start)
 }
 
 // FetchProcess is the fetch-and-process operation of §III-B: the request
@@ -133,76 +160,54 @@ func (s *Session) Process(name, svcName string, svcID uint32) (ProcessResult, er
 // runs the full decision over the service's registered hosts.
 func (s *Session) FetchProcess(name, svcName string, svcID uint32) (ProcessResult, error) {
 	start := s.node.clock.Now()
-	if err := s.sendCommand(command.TypeFetchProcess, svcID, name); err != nil {
-		return ProcessResult{}, err
-	}
-	meta, _, err := s.node.getMeta(name)
+	meta, err := s.begin(command.TypeFetchProcess, svcID, name)
 	if err != nil {
 		return ProcessResult{}, err
 	}
-	if err := meta.checkAccess(s.principal); err != nil {
-		return ProcessResult{}, err
-	}
+	p := plan{meta: meta, guest: s}
 
 	// Case 1: "the requesting node is capable of executing the service
 	// itself. In that case, the object is simply returned as in the
 	// regular fetch operation, and the service processing is performed at
 	// the requesting node."
-	if s.node.HasService(svcName, svcID) {
-		spec, _ := s.node.serviceSpec(svcName, svcID)
-		_, data, _, bd, err := s.node.fetchToDom0(name, s.principal, nil)
-		if err != nil {
-			return ProcessResult{}, err
-		}
-		if _, err := s.interDomain(meta.Size); err != nil {
-			return ProcessResult{}, err
-		}
-		res, err := s.node.runService(s.node.addr, spec, meta.Size, data)
-		if err != nil {
-			return ProcessResult{}, err
-		}
-		res.Mode = ModeRequester
-		res.Breakdown.InputMove = bd.InterNode
-		return s.finishProcess(res, start)
+	if spec, ok := s.node.serviceSpec(svcName, svcID); ok {
+		p.spec, p.target, p.runner, p.input, p.mode = spec, s.node.addr, s.node, inputFetch, ModeRequester
+		res, err := s.node.execute(&p, nil)
+		return s.finishProcess(res, err, start)
 	}
 
 	// Case 2: "the object owner checks whether it is capable of
 	// performing the required service, and if so, returns the output of
 	// the operation."
-	if owner, ok := s.node.home.Node(meta.Location); ok && owner.HasService(svcName, svcID) {
-		spec, _ := owner.serviceSpec(svcName, svcID)
-		// Invoking the owner's service from here costs the remote
-		// dispatch; the owner-local part is charged inside runService.
-		s.node.clock.Sleep(RemoteDispatch - LocalDispatch)
-		res, err := owner.runServiceOnLocalObject(spec, meta)
-		if err != nil {
-			return ProcessResult{}, err
+	if owner, ok := s.node.home.Node(meta.Location); ok {
+		if spec, ok := owner.serviceSpec(svcName, svcID); ok {
+			p.spec, p.target, p.runner, p.input, p.reply, p.mode = spec, owner.addr, owner, inputLocal, true, ModeOwner
+			res, err := s.node.execute(&p, nil)
+			return s.finishProcess(res, err, start)
 		}
-		// Only the (small) output travels back to the requester.
-		res.Breakdown.OutputMove = s.node.home.net.Transfer(owner.lanPathTo(s.node), res.OutputSize)
-		if _, err := s.interDomain(res.OutputSize); err != nil {
-			return ProcessResult{}, err
-		}
-		res.Mode = ModeOwner
-		return s.finishProcess(res, start)
 	}
 
 	// Case 3: full decision over the service's registered hosts.
-	reg, err := services.Discover(s.node.home.kv, s.node.id, svcName, svcID)
+	return s.decided(meta, svcName, svcID, start)
+}
+
+// decided is Process and FetchProcess's case 3: discover the service's
+// hosts, decide among them, and run there, hedged when speculation
+// applies.
+func (s *Session) decided(meta ObjectMeta, svcName string, svcID uint32, start time.Time) (ProcessResult, error) {
+	n := s.node
+	reg, err := services.Discover(n.home.kv, n.id, svcName, svcID)
 	if err != nil {
 		return ProcessResult{}, fmt.Errorf("%w: %s", ErrServiceNotFound, svcName)
 	}
-	dec, err := s.node.decideTarget(reg, meta.Size, meta.Location)
+	dec, err := n.decideTarget(reg, meta.Size, meta.Location)
 	if err != nil {
 		return ProcessResult{}, err
 	}
-	res, err := s.node.executeDecided(dec, reg.Spec, meta)
-	if err != nil {
-		return ProcessResult{}, err
-	}
-	res.Mode = ModeDecided
+	p := plan{meta: meta, target: dec.Chosen.Addr, runner: n, spec: reg.Spec, mode: ModeDecided}
+	res, err := n.executeDecided(dec, &p)
 	res.Breakdown.Decision = dec.Elapsed
-	return s.finishProcess(res, start)
+	return s.finishProcess(res, err, start)
 }
 
 // ProcessAt invokes a service on a stored object at an explicit target
@@ -222,14 +227,8 @@ func (s *Session) ProcessPipelineAt(name string, svcNames []string, svcIDs []uin
 		return ProcessResult{}, fmt.Errorf("core: pipeline needs matching service name/id lists")
 	}
 	start := s.node.clock.Now()
-	if err := s.sendCommand(command.TypeProcess, svcIDs[0], name); err != nil {
-		return ProcessResult{}, err
-	}
-	meta, _, err := s.node.getMeta(name)
+	meta, err := s.begin(command.TypeProcess, svcIDs[0], name)
 	if err != nil {
-		return ProcessResult{}, err
-	}
-	if err := meta.checkAccess(s.principal); err != nil {
 		return ProcessResult{}, err
 	}
 	specs := make([]services.Spec, len(svcNames))
@@ -238,75 +237,14 @@ func (s *Session) ProcessPipelineAt(name string, svcNames []string, svcIDs []uin
 		if err != nil {
 			return ProcessResult{}, fmt.Errorf("%w: %s", ErrServiceNotFound, svcNames[i])
 		}
-		hosted := false
-		for _, h := range reg.Nodes {
-			if h == target {
-				hosted = true
-				break
-			}
-		}
-		if !hosted {
+		if !slices.Contains(reg.Nodes, target) {
 			return ProcessResult{}, fmt.Errorf("%w: %s not deployed at %s", ErrServiceNotFound, svcNames[i], target)
 		}
 		specs[i] = reg.Spec
 	}
-
-	combined := ProcessResult{Target: target, Mode: ModeDecided, MatchID: -1}
-	var data []byte
-	inputSize := meta.Size
-	fold := func(step ProcessResult) {
-		combined.Service = step.Service
-		combined.Breakdown.Exec += step.Breakdown.Exec
-		combined.OutputSize = step.OutputSize
-		if step.Output != nil {
-			data = step.Output
-		}
-		if step.Detections > 0 {
-			combined.Detections = step.Detections
-		}
-		if step.MatchID >= 0 {
-			combined.MatchID = step.MatchID
-		}
-		combined.Output, combined.borrowed = step.Output, step.borrowed
-		inputSize = step.OutputSize
-	}
-
-	// The first step can overlap with the input move; later steps consume
-	// the previous step's output, which is already at the target.
-	next := 0
-	if s.node.cfg.ComputePlane.Overlap {
-		step, raw, ok, err := s.node.moveAndRun(target, specs[0], meta)
-		if err != nil {
-			// ok=false implies err==nil (ineligible path), so a non-nil
-			// error always came from an attempted overlapped run.
-			return ProcessResult{}, err
-		}
-		if ok {
-			combined.Breakdown.InputMove = step.Breakdown.InputMove
-			data = raw
-			fold(step)
-			next = 1
-		}
-	}
-	if next == 0 {
-		raw, moveIn, err := s.node.moveInput(meta, target)
-		if err != nil {
-			return ProcessResult{}, err
-		}
-		data = raw
-		combined.Breakdown.InputMove = moveIn
-	}
-	for _, spec := range specs[next:] {
-		step, err := s.node.runService(target, spec, inputSize, data)
-		if err != nil {
-			return ProcessResult{}, err
-		}
-		fold(step)
-	}
-	if target != s.node.addr {
-		combined.Breakdown.OutputMove = s.node.moveOutput(target, combined.OutputSize)
-	}
-	return s.finishProcess(combined, start)
+	p := plan{meta: meta, target: target, runner: s.node, spec: specs[0], more: specs[1:], mode: ModeDecided}
+	res, err := s.node.execute(&p, nil)
+	return s.finishProcess(res, err, start)
 }
 
 // serviceSpec returns a locally deployed service's profile.
@@ -317,72 +255,119 @@ func (n *Node) serviceSpec(name string, id uint32) (services.Spec, bool) {
 	return spec, ok
 }
 
-// executeAt moves the argument object to the target (if needed), runs the
-// service there, and moves the result back to this node.
-func (n *Node) executeAt(target string, spec services.Spec, meta ObjectMeta) (ProcessResult, error) {
-	return n.executeAtCancellable(target, spec, meta, nil)
-}
-
-// executeAtCancellable is executeAt with an optional cancellation flag
-// polled at phase boundaries — the losing hedge of a speculative launch
-// aborts before starting its next phase (a phase already in flight runs
-// to completion; the simulated clock cannot interrupt a charged sleep).
-func (n *Node) executeAtCancellable(target string, spec services.Spec, meta ObjectMeta, cancelled *atomic.Bool) (ProcessResult, error) {
-	abort := func() (ProcessResult, error) {
-		n.ops.specCancels.Add(1)
+// execute runs a plan from this node, the requester: the input arrives at
+// the target, every step runs there in order, and the output returns. A
+// non-nil cancelled flag is polled at each phase boundary, so the losing
+// hedge of a speculative launch aborts before its next phase (a phase in
+// flight runs to completion; the clock cannot interrupt a charged sleep).
+//
+// c4h:hotpath
+func (n *Node) execute(p *plan, cancelled *atomic.Bool) (ProcessResult, error) {
+	if n.cancelled(cancelled) {
 		return ProcessResult{}, errSpeculationCancelled
 	}
-	if cancelled != nil && cancelled.Load() {
-		return abort()
-	}
-
-	// Process-as-pages-arrive: the move and the first execution fuse
-	// into one overlapped window when the path is eligible.
-	if n.cfg.ComputePlane.Overlap {
-		res, _, ok, err := n.moveAndRun(target, spec, meta)
+	res := ProcessResult{Target: p.target, Mode: p.mode, MatchID: -1}
+	var data []byte
+	size, next := p.meta.Size, 0
+	switch p.input {
+	case inputFetch:
+		_, raw, _, bd, err := n.fetchToDom0(p.meta.Name, p.guest.principal, nil)
 		if err != nil {
-			// ok=false implies err==nil (ineligible path), so a non-nil
-			// error always came from an attempted overlapped run.
 			return ProcessResult{}, err
 		}
-		if ok {
-			if cancelled != nil && cancelled.Load() {
-				return abort()
+		if _, err := p.guest.interDomain(size); err != nil {
+			return ProcessResult{}, err
+		}
+		data, res.Breakdown.InputMove = raw, bd.InterNode
+	case inputLocal:
+		// The owner-local part of the dispatch is charged with its run.
+		n.clock.Sleep(RemoteDispatch - LocalDispatch)
+		_, raw, err := p.runner.store.GetRef(p.meta.Name)
+		if err != nil {
+			return ProcessResult{}, err
+		}
+		data = raw
+	default:
+		// Process-as-pages-arrive: the move and the first step fuse into
+		// one overlapped window when the path is eligible.
+		if n.cfg.ComputePlane.Overlap {
+			step, raw, ok, err := n.moveAndRun(p.target, p.spec, p.meta)
+			if err != nil {
+				// ok=false implies err==nil (ineligible path), so a non-nil
+				// error always came from an attempted overlapped run.
+				return ProcessResult{}, err
 			}
-			if target != n.addr {
-				res.Breakdown.OutputMove = n.moveOutput(target, res.OutputSize)
+			if ok {
+				res.Breakdown.InputMove = step.Breakdown.InputMove
+				data, size, next = res.fold(step, raw), res.OutputSize, 1
 			}
-			return res, nil
+		}
+		if next == 0 {
+			raw, d, err := n.moveInput(p.meta, p.target)
+			if err != nil {
+				return ProcessResult{}, err
+			}
+			data, res.Breakdown.InputMove = raw, d
 		}
 	}
-
-	var bd ProcessBreakdown
-	data, moveIn, err := n.moveInput(meta, target)
-	if err != nil {
-		return ProcessResult{}, err
+	if n.cancelled(cancelled) {
+		return ProcessResult{}, errSpeculationCancelled
 	}
-	bd.InputMove = moveIn
-	if cancelled != nil && cancelled.Load() {
-		return abort()
+	for i := next; i <= len(p.more); i++ {
+		spec := p.spec
+		if i > 0 {
+			spec = p.more[i-1]
+		}
+		step, err := p.runner.runService(p.target, spec, size, data)
+		if err != nil {
+			return ProcessResult{}, err
+		}
+		data, size = res.fold(step, data), res.OutputSize
+		if n.cancelled(cancelled) {
+			return ProcessResult{}, errSpeculationCancelled
+		}
 	}
-
-	res, err := n.runService(target, spec, meta.Size, data)
-	if err != nil {
-		return ProcessResult{}, err
+	switch {
+	case p.reply:
+		res.Breakdown.OutputMove = n.home.net.Transfer(p.runner.lanPathTo(n), res.OutputSize)
+		if _, err := p.guest.interDomain(res.OutputSize); err != nil {
+			return ProcessResult{}, err
+		}
+	case p.target != n.addr:
+		res.Breakdown.OutputMove = n.moveOutput(p.target, res.OutputSize)
 	}
-	res.Breakdown.InputMove = bd.InputMove
-	if cancelled != nil && cancelled.Load() {
-		return abort()
-	}
-
-	// Result moves back to the requester unless it was produced here.
-	if target != n.addr {
-		res.Breakdown.OutputMove = n.moveOutput(target, res.OutputSize)
-	}
-	if cancelled != nil && cancelled.Load() {
-		return abort()
+	// An overlapped run is not polled again after its output move.
+	if next == 0 && n.cancelled(cancelled) {
+		return ProcessResult{}, errSpeculationCancelled
 	}
 	return res, nil
+}
+
+// cancelled polls a hedge's cancellation flag, counting the abort.
+func (n *Node) cancelled(flag *atomic.Bool) bool {
+	if flag == nil || !flag.Load() {
+		return false
+	}
+	n.ops.specCancels.Add(1)
+	return true
+}
+
+// fold takes one step's result into the plan's and returns the next
+// step's input: the step's output when it has one, else its own input.
+func (r *ProcessResult) fold(step ProcessResult, input []byte) []byte {
+	r.Service, r.OutputSize = step.Service, step.OutputSize
+	r.Output, r.borrowed = step.Output, step.borrowed
+	r.Breakdown.Exec += step.Breakdown.Exec
+	if step.Detections > 0 {
+		r.Detections = step.Detections
+	}
+	if step.MatchID >= 0 {
+		r.MatchID = step.MatchID
+	}
+	if step.Output != nil {
+		return step.Output
+	}
+	return input
 }
 
 // moveInput brings the argument object from its location to the target,
@@ -471,104 +456,72 @@ const smallResult = 64 << 10
 
 // moveOutput charges the result object's trip back to this node.
 func (n *Node) moveOutput(target string, outputSize int64) time.Duration {
+	var path *netsim.Path
 	if _, isCloud := cloudInstanceName(target); isCloud {
 		cloud := n.home.Cloud()
 		if cloud == nil {
 			return 0
 		}
-		path := wanDownPathFor(n, cloud)
-		if outputSize < smallResult {
-			return n.home.net.Message(path)
-		}
-		return n.home.net.Transfer(path, outputSize)
+		path = wanDownPathFor(n, cloud)
+	} else if peer, ok := n.home.Node(target); ok {
+		path = peer.lanPathTo(n)
+	} else {
+		return 0
 	}
-	if peer, ok := n.home.Node(target); ok {
-		path := peer.lanPathTo(n)
-		if outputSize < smallResult {
-			return n.home.net.Message(path)
-		}
-		return n.home.net.Transfer(path, outputSize)
+	if outputSize < smallResult {
+		return n.home.net.Message(path)
 	}
-	return 0
+	return n.home.net.Transfer(path, outputSize)
 }
 
-// runService executes the service's task on the target machine and, when
-// a payload is materialised, runs the corresponding kernel: it starts at
-// dispatch and is joined once the dispatch and exec sleeps are over (see
-// startKernel).
+// runService charges the service's invocation on the target machine —
+// dispatch, then the task's execution — and, when a payload is
+// materialised, runs the corresponding kernel: it starts at dispatch and
+// is joined once the dispatch and exec sleeps are over (see startKernel).
+// A node target's own compute-plane config sizes its strands; a cloud
+// instance takes this node's.
 func (n *Node) runService(target string, spec services.Spec, inputSize int64, data []byte) (ProcessResult, error) {
-	res := ProcessResult{
-		Service:    spec.Name,
-		Target:     target,
-		OutputSize: spec.OutputSize(inputSize),
-		MatchID:    -1,
-	}
+	res := stepResult(spec, target, inputSize)
 	k := n.startKernel(spec, data, res.OutputSize)
-	exec, err := n.execService(target, spec, inputSize)
-	if err := k.join(&res, err); err != nil {
-		return ProcessResult{}, err
-	}
-	res.Breakdown.Exec = exec
-	return res, nil
-}
-
-// execService charges the service's invocation on the target machine —
-// dispatch, then the task's execution — and returns their sum.
-func (n *Node) execService(target string, spec services.Spec, inputSize int64) (time.Duration, error) {
 	task := spec.Task(inputSize)
 
 	// Service invocation overhead: VM scheduling + handler instantiation.
 	dispatch := n.dispatchFor(target)
 	n.clock.Sleep(dispatch)
 
-	var execDur time.Duration
+	var m *machine.Machine
+	var err error
+	sizer := n
 	if inst, ok := cloudInstanceName(target); ok {
-		cloud := n.home.Cloud()
-		if cloud == nil {
-			return 0, ErrNoCloud
+		if cloud := n.home.Cloud(); cloud == nil {
+			err = ErrNoCloud
+		} else {
+			m, err = cloud.Instance(inst)
 		}
-		m, err := cloud.Instance(inst)
-		if err != nil {
-			return 0, err
-		}
-		strands, shards := n.strandsFor(task, inputSize)
-		if strands > 1 {
+	} else if host, ok := n.home.Node(target); ok {
+		m, sizer = host.mach, host
+	} else {
+		err = fmt.Errorf("core: run %s: target %q gone", spec.Name, target)
+	}
+	var execDur time.Duration
+	if err == nil {
+		if strands, shards := sizer.strandsFor(task, inputSize); strands > 1 {
 			execDur, err = m.ExecSharded(task, strands)
 			n.ops.shardsExecuted.Add(int64(shards))
 		} else {
 			execDur, err = m.Exec(task)
 		}
-		if err != nil {
-			return 0, err
-		}
-	} else {
-		host, ok := n.home.Node(target)
-		if !ok {
-			return 0, fmt.Errorf("core: run %s: target %q gone", spec.Name, target)
-		}
-		var err error
-		strands, shards := host.strandsFor(task, inputSize)
-		if strands > 1 {
-			execDur, err = host.mach.ExecSharded(task, strands)
-			n.ops.shardsExecuted.Add(int64(shards))
-		} else {
-			execDur, err = host.mach.Exec(task)
-		}
-		if err != nil {
-			return 0, err
-		}
 	}
-	return dispatch + execDur, nil
-}
-
-// runServiceOnLocalObject is the owner-execution path: the object is
-// already local, so only execution (plus kernel) happens here.
-func (n *Node) runServiceOnLocalObject(spec services.Spec, meta ObjectMeta) (ProcessResult, error) {
-	_, data, err := n.store.GetRef(meta.Name)
-	if err != nil {
+	if err := k.join(&res, err); err != nil {
 		return ProcessResult{}, err
 	}
-	return n.runService(n.addr, spec, meta.Size, data)
+	res.Breakdown.Exec = dispatch + execDur
+	return res, nil
+}
+
+// stepResult is one step's result before its kernel has run.
+func stepResult(spec services.Spec, target string, inputSize int64) ProcessResult {
+	return ProcessResult{Service: spec.Name, Target: target, OutputSize: spec.OutputSize(inputSize), MatchID: -1}
 }
 
 // kernelRun is one service kernel running on a host goroutine of its own
