@@ -279,7 +279,9 @@ func BenchmarkFetchProcessTwoSessions(b *testing.B) {
 
 // TestFetchProcessCopiesNoPayload is the budget that keeps the copies
 // out: frec returns a few digits, so a FetchProcess of a 1 MB image that
-// allocates anywhere near the image's size has copied it on the way.
+// allocates anywhere near the image's size has copied it on the way. It
+// also pins the heap objects per op, so a plan or closure that moves to
+// the heap shows up here: at most 12 at the owner and 26 decided.
 func TestFetchProcessCopiesNoPayload(t *testing.T) {
 	tb, names := processBed(t)
 	tb.run(func() {
@@ -289,9 +291,14 @@ func TestFetchProcessCopiesNoPayload(t *testing.T) {
 			return
 		}
 		defer sess.Close()
-		for _, mode := range []ProcessMode{ModeOwner, ModeDecided} {
-			const runs = 8
+		for mode, maxAllocs := range map[ProcessMode]uint64{ModeOwner: 12, ModeDecided: 26} {
+			const runs = 16
 			var before, after runtime.MemStats
+			// The first frec on a node counts its training set.
+			if _, err := sess.FetchProcess(names[mode], "frec", services.FaceRecognizeID); err != nil {
+				t.Error(err)
+				return
+			}
 			runtime.ReadMemStats(&before)
 			for i := 0; i < runs; i++ {
 				res, err := sess.FetchProcess(names[mode], "frec", services.FaceRecognizeID)
@@ -303,6 +310,9 @@ func TestFetchProcessCopiesNoPayload(t *testing.T) {
 			runtime.ReadMemStats(&after)
 			if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp >= 64<<10 {
 				t.Errorf("%v: frec FetchProcess of a 1 MB image allocates %d B/op, budget 64 KB", mode, perOp)
+			}
+			if perOp := (after.Mallocs - before.Mallocs) / runs; !raceEnabled && perOp > maxAllocs {
+				t.Errorf("%v: frec FetchProcess allocates %d objects/op, budget %d", mode, perOp, maxAllocs)
 			}
 		}
 	})
