@@ -205,12 +205,12 @@ func (n *Node) executeDecided(dec Decision, p *plan) (ProcessResult, error) {
 	// the extra latency added to the winner's observed total.
 	const specPollTick = time.Millisecond
 	for {
-		outs, done := slot.snapshot()
+		outs := slot.snapshot()
 		// Earliest completion wins; a same-tick tie goes to the decision's
 		// first choice.
 		win := -1
 		for i, o := range outs {
-			if done[i] && o.err == nil && (win < 0 || o.at.Before(outs[win].at)) {
+			if !o.at.IsZero() && o.err == nil && (win < 0 || o.at.Before(outs[win].at)) {
 				win = i
 			}
 		}
@@ -223,7 +223,7 @@ func (n *Node) executeDecided(dec Decision, p *plan) (ProcessResult, error) {
 			cancel[1-win].Store(true)
 			return outs[win].res, nil
 		}
-		if done[0] && done[1] {
+		if !outs[0].at.IsZero() && !outs[1].at.IsZero() {
 			return ProcessResult{}, outs[0].err // both failed: the primary's error
 		}
 		n.clock.Sleep(specPollTick)
@@ -231,7 +231,7 @@ func (n *Node) executeDecided(dec Decision, p *plan) (ProcessResult, error) {
 }
 
 // specOutcome is one hedge's result, stamped with the virtual time it
-// settled.
+// settled; a zero stamp means it has not.
 type specOutcome struct {
 	res ProcessResult
 	err error
@@ -243,19 +243,18 @@ type specOutcome struct {
 type specSlot struct {
 	mu   sync.Mutex
 	outs [2]specOutcome // guarded by mu
-	done [2]bool        // guarded by mu
 }
 
 func (s *specSlot) publish(i int, o specOutcome) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.outs[i], s.done[i] = o, true
+	s.outs[i] = o
 }
 
-func (s *specSlot) snapshot() ([2]specOutcome, [2]bool) {
+func (s *specSlot) snapshot() [2]specOutcome {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.outs, s.done
+	return s.outs
 }
 
 // runnerUp applies the decision policy to the non-chosen candidates.
@@ -266,10 +265,12 @@ func runnerUp(pol policy.DecisionPolicy, dec Decision) (policy.ProcCandidate, bo
 			rest = append(rest, c)
 		}
 	}
-	if len(rest) > 0 {
-		if i, err := pol.Choose(rest); err == nil {
-			return rest[i], true
-		}
+	if len(rest) == 0 {
+		return policy.ProcCandidate{}, false
 	}
-	return policy.ProcCandidate{}, false
+	i, err := pol.Choose(rest)
+	if err != nil {
+		return policy.ProcCandidate{}, false
+	}
+	return rest[i], true
 }

@@ -283,9 +283,7 @@ func (n *Node) UndeployService(spec services.Spec) error {
 
 // HasService reports whether this node can run the service locally.
 func (n *Node) HasService(name string, id uint32) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	_, ok := n.deployed[services.Key(name, id)]
+	_, ok := n.serviceSpec(name, id)
 	return ok
 }
 

@@ -34,10 +34,16 @@ const (
 
 // String renders the mode name.
 func (m ProcessMode) String() string {
-	if m < ModeRequester || m > ModeDecided {
+	switch m {
+	case ModeRequester:
+		return "requester"
+	case ModeOwner:
+		return "owner"
+	case ModeDecided:
+		return "decided"
+	default:
 		return fmt.Sprintf("ProcessMode(%d)", int(m))
 	}
-	return [...]string{"requester", "owner", "decided"}[m-ModeRequester]
 }
 
 // ProcessBreakdown is the per-phase cost profile of a process operation.
@@ -81,10 +87,10 @@ type ProcessResult struct {
 }
 
 // plan is one process operation as plain data: the object, where its
-// service steps run and whose node runs them, how the input arrives there
-// and how the output returns. The Session's plan builders (Process,
-// FetchProcess's three cases, ProcessPipelineAt) fill one on the stack;
-// Node.execute runs it.
+// service steps run and whose node runs them, and the §III-B case, which
+// says how the input arrives there and how the output returns. The
+// Session's plan builders (Process, FetchProcess's three cases,
+// ProcessPipelineAt) fill one on the stack; Node.execute runs it.
 type plan struct {
 	meta   ObjectMeta
 	target string // where every step runs: a node address or "cloud:<instance>"
@@ -93,26 +99,15 @@ type plan struct {
 	runner *Node
 	spec   services.Spec   // the first (or only) step
 	more   []services.Spec // the steps after it, each on the previous output
-	input  inputPath
-	reply  bool // case 2: the owner replies with the output over the LAN
-	mode   ProcessMode
-	guest  *Session // the requester's guest, for case 1's fetch and case 2's reply
+	// mode is the case. ModeRequester: a regular fetch into this dom0 and
+	// on into the guest, then the requester runs the service. ModeOwner:
+	// the owner runs it on its own copy, invoked from here at the
+	// remote-dispatch premium, and replies over the LAN into the guest.
+	// ModeDecided: the input moves to the target, fused with the first
+	// step when overlap applies, and the output moves back.
+	mode  ProcessMode
+	guest *Session // the requester's guest, for case 1's fetch and case 2's reply
 }
-
-// inputPath says how a plan's input reaches its target.
-type inputPath uint8
-
-const (
-	// inputMove moves the object from its location to the target
-	// (moveInput), fused with the first step when overlap applies.
-	inputMove inputPath = iota
-	// inputFetch is §III-B case 1: a regular fetch into this dom0 and on
-	// into the guest, after which the requester runs the service.
-	inputFetch
-	// inputLocal is case 2: the owner runs the service on its own copy,
-	// invoked from here at the remote-dispatch premium.
-	inputLocal
-)
 
 // begin is every process operation's preamble: the command packet, the
 // object's metadata, and the session's access to it.
@@ -165,30 +160,24 @@ func (s *Session) FetchProcess(name, svcName string, svcID uint32) (ProcessResul
 		return ProcessResult{}, err
 	}
 	p := plan{meta: meta, guest: s}
-
-	// Case 1: "the requesting node is capable of executing the service
-	// itself. In that case, the object is simply returned as in the
-	// regular fetch operation, and the service processing is performed at
-	// the requesting node."
 	if spec, ok := s.node.serviceSpec(svcName, svcID); ok {
-		p.spec, p.target, p.runner, p.input, p.mode = spec, s.node.addr, s.node, inputFetch, ModeRequester
-		res, err := s.node.execute(&p, nil)
-		return s.finishProcess(res, err, start)
+		// Case 1: "the requesting node is capable of executing the service
+		// itself. In that case, the object is simply returned as in the
+		// regular fetch operation, and the service processing is performed
+		// at the requesting node."
+		p.spec, p.target, p.runner, p.mode = spec, s.node.addr, s.node, ModeRequester
+	} else if owner, ok := s.node.home.Node(meta.Location); ok && owner.HasService(svcName, svcID) {
+		// Case 2: "the object owner checks whether it is capable of
+		// performing the required service, and if so, returns the output
+		// of the operation."
+		p.spec, _ = owner.serviceSpec(svcName, svcID)
+		p.target, p.runner, p.mode = owner.addr, owner, ModeOwner
+	} else {
+		// Case 3: full decision over the service's registered hosts.
+		return s.decided(meta, svcName, svcID, start)
 	}
-
-	// Case 2: "the object owner checks whether it is capable of
-	// performing the required service, and if so, returns the output of
-	// the operation."
-	if owner, ok := s.node.home.Node(meta.Location); ok {
-		if spec, ok := owner.serviceSpec(svcName, svcID); ok {
-			p.spec, p.target, p.runner, p.input, p.reply, p.mode = spec, owner.addr, owner, inputLocal, true, ModeOwner
-			res, err := s.node.execute(&p, nil)
-			return s.finishProcess(res, err, start)
-		}
-	}
-
-	// Case 3: full decision over the service's registered hosts.
-	return s.decided(meta, svcName, svcID, start)
+	res, err := s.node.execute(&p, nil)
+	return s.finishProcess(res, err, start)
 }
 
 // decided is Process and FetchProcess's case 3: discover the service's
@@ -269,8 +258,8 @@ func (n *Node) execute(p *plan, cancelled *atomic.Bool) (ProcessResult, error) {
 	res := ProcessResult{Target: p.target, Mode: p.mode, MatchID: -1}
 	var data []byte
 	size, next := p.meta.Size, 0
-	switch p.input {
-	case inputFetch:
+	switch p.mode {
+	case ModeRequester:
 		_, raw, _, bd, err := n.fetchToDom0(p.meta.Name, p.guest.principal, nil)
 		if err != nil {
 			return ProcessResult{}, err
@@ -279,8 +268,9 @@ func (n *Node) execute(p *plan, cancelled *atomic.Bool) (ProcessResult, error) {
 			return ProcessResult{}, err
 		}
 		data, res.Breakdown.InputMove = raw, bd.InterNode
-	case inputLocal:
-		// The owner-local part of the dispatch is charged with its run.
+	case ModeOwner:
+		// Invoking the owner's service from here costs the remote
+		// dispatch; the owner-local part is charged with its run.
 		n.clock.Sleep(RemoteDispatch - LocalDispatch)
 		_, raw, err := p.runner.store.GetRef(p.meta.Name)
 		if err != nil {
@@ -328,7 +318,7 @@ func (n *Node) execute(p *plan, cancelled *atomic.Bool) (ProcessResult, error) {
 		}
 	}
 	switch {
-	case p.reply:
+	case p.mode == ModeOwner:
 		res.Breakdown.OutputMove = n.home.net.Transfer(p.runner.lanPathTo(n), res.OutputSize)
 		if _, err := p.guest.interDomain(res.OutputSize); err != nil {
 			return ProcessResult{}, err
@@ -457,12 +447,8 @@ const smallResult = 64 << 10
 // moveOutput charges the result object's trip back to this node.
 func (n *Node) moveOutput(target string, outputSize int64) time.Duration {
 	var path *netsim.Path
-	if _, isCloud := cloudInstanceName(target); isCloud {
-		cloud := n.home.Cloud()
-		if cloud == nil {
-			return 0
-		}
-		path = wanDownPathFor(n, cloud)
+	if _, isCloud := cloudInstanceName(target); isCloud && n.home.Cloud() != nil {
+		path = wanDownPathFor(n, n.home.Cloud())
 	} else if peer, ok := n.home.Node(target); ok {
 		path = peer.lanPathTo(n)
 	} else {
