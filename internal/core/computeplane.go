@@ -27,9 +27,9 @@ type ComputePlaneConfig struct {
 	// only: how the host runs a kernel is the services package's business.
 	Workers int
 	// Overlap starts execution on delivered pages while the rest of the
-	// input move is still in flight (process-as-pages-arrive), so
-	// ProcessBreakdown.Total < Decision + InputMove + Exec + OutputMove
-	// at large inputs while each phase still reports its full cost.
+	// input move is still in flight (process-as-pages-arrive): each phase
+	// still reports its full cost, and ProcessBreakdown.Overlap the time
+	// the fused window saved.
 	Overlap bool
 	// Speculation hedges a decided process operation onto the top two
 	// candidates when their estimates are within defaultSpeculationMargin,
@@ -83,8 +83,8 @@ func (n *Node) strandsFor(task machine.Task, inputSize int64) (strands, shards i
 // work sees the honest load), the dispatch overhead overlaps the
 // transfer, and each delivered chunk's share of the execution is
 // scheduled behind its arrival — process-as-pages-arrive. The reported
-// InputMove and Exec phases carry their full serial costs; only the
-// observed wall window shrinks.
+// InputMove (request and wire) and Exec (dispatch and run) carry their
+// full serial costs; only the observed wall window shrinks.
 //
 // ok=false means the path is ineligible (co-located input, cloud on
 // either side, sparse-size object, or a dead holder/target) and the
@@ -97,7 +97,7 @@ func (n *Node) moveAndRun(target string, spec services.Spec, meta ObjectMeta) (r
 	}
 
 	// Request message to the owner, exactly as the sequential path.
-	n.home.net.Message(n.lanPathTo(holder))
+	msg := n.home.net.Message(n.lanPathTo(holder))
 	_, data, err = holder.store.GetRef(meta.Name)
 	if err != nil {
 		return ProcessResult{}, nil, true, err
@@ -155,7 +155,7 @@ func (n *Node) moveAndRun(target string, spec services.Spec, meta ObjectMeta) (r
 		return ProcessResult{}, nil, true, err
 	}
 
-	res.Breakdown.InputMove = wire
+	res.Breakdown.InputMove = msg + wire
 	res.Breakdown.Exec = dispatch + d
 	if strands > 1 {
 		n.ops.shardsExecuted.Add(int64(shards))
@@ -187,7 +187,7 @@ func (n *Node) executeDecided(dec Decision, p *plan) (ProcessResult, error) {
 	// a plan of its own.
 	slot := &specSlot{}
 	var cancel [2]atomic.Bool
-	meta, spec := p.meta, p.spec
+	start, meta, spec := p.start, p.meta, p.spec
 	for i, target := range [2]string{dec.Chosen.Addr, second.Addr} {
 		n.spawn(func() {
 			if i == 1 {
@@ -195,7 +195,7 @@ func (n *Node) executeDecided(dec Decision, p *plan) (ProcessResult, error) {
 				// serialise through the clock before touching shared state.
 				n.clock.Sleep(defaultSpeculationDelay)
 			}
-			hp := plan{meta: meta, target: target, runner: n, spec: spec, mode: ModeDecided}
+			hp := plan{start: start, meta: meta, target: target, runner: n, spec: spec, mode: ModeDecided}
 			res, err := n.execute(&hp, &cancel[i])
 			slot.publish(i, specOutcome{res: res, err: err, at: n.clock.Now()})
 		})
@@ -221,7 +221,9 @@ func (n *Node) executeDecided(dec Decision, p *plan) (ProcessResult, error) {
 				n.ops.specWins.Add(1)
 			}
 			cancel[1-win].Store(true)
-			return outs[win].res, nil
+			res := outs[win].res
+			res.Breakdown.Decision += n.clock.Now().Sub(outs[win].at) // the poll's wait
+			return res, nil
 		}
 		if !outs[0].at.IsZero() && !outs[1].at.IsZero() {
 			return ProcessResult{}, outs[0].err // both failed: the primary's error

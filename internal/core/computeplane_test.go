@@ -78,8 +78,10 @@ func (tb *cpTestbed) deployFdet(t *testing.T, size int64, on ...*Node) {
 	}
 }
 
+// phaseSum is what a breakdown's phases add up to net of the overlap:
+// Total, when every nanosecond is charged to exactly one phase.
 func phaseSum(b ProcessBreakdown) time.Duration {
-	return b.Decision + b.InputMove + b.Exec + b.OutputMove
+	return b.Decision + b.InputMove + b.Exec + b.OutputMove - b.Overlap
 }
 
 // processAtD1 runs the 8 MB fdet object at desk1 from the atom.
@@ -104,10 +106,10 @@ func TestComputePlaneZeroValueIsSequential(t *testing.T) {
 	tb := newCPTestbed(t, ComputePlaneConfig{})
 	tb.run(func() { tb.deployFdet(t, 8<<20, tb.d1) })
 	res := processAtD1(t, tb)
-	// Sequential phases run back to back: the observed total carries the
-	// full phase sum plus the metadata and command overheads.
-	if res.Breakdown.Total < phaseSum(res.Breakdown) {
-		t.Errorf("sequential total %v < phase sum %v", res.Breakdown.Total, phaseSum(res.Breakdown))
+	// Sequential phases run back to back, and the command packet and
+	// metadata lookup are Decision's: the phases add up to the total.
+	if bd := res.Breakdown; bd.Overlap != 0 || bd.Total != phaseSum(bd) {
+		t.Errorf("sequential breakdown %+v: phases sum to %v", bd, phaseSum(bd))
 	}
 	st := tb.atom.OpStats()
 	if st.ShardsExecuted != 0 || st.OverlapSaved != 0 || st.SpecLaunches != 0 {
@@ -135,14 +137,14 @@ func TestOverlapShortensTotalKeepsPhaseCosts(t *testing.T) {
 	if ov.Breakdown.OutputMove != seq.Breakdown.OutputMove {
 		t.Errorf("OutputMove changed under overlap: %v vs %v", ov.Breakdown.OutputMove, seq.Breakdown.OutputMove)
 	}
-	if ov.Breakdown.Total >= phaseSum(ov.Breakdown) {
-		t.Errorf("overlapped total %v not below phase sum %v", ov.Breakdown.Total, phaseSum(ov.Breakdown))
+	if bd := ov.Breakdown; bd.Overlap <= 0 || bd.Total != phaseSum(bd) {
+		t.Errorf("overlapped breakdown %+v: phases net of the overlap sum to %v", bd, phaseSum(bd))
 	}
 	if ov.Breakdown.Total >= seq.Breakdown.Total {
 		t.Errorf("overlapped total %v not below sequential %v", ov.Breakdown.Total, seq.Breakdown.Total)
 	}
-	if st := ovTB.atom.OpStats(); st.OverlapSaved <= 0 {
-		t.Errorf("OverlapSaved = %v, want > 0", st.OverlapSaved)
+	if st := ovTB.atom.OpStats(); st.OverlapSaved != ov.Breakdown.Overlap {
+		t.Errorf("OverlapSaved = %v, want the breakdown's %v", st.OverlapSaved, ov.Breakdown.Overlap)
 	}
 	if res := processAtD1(t, ovTB); res.Detections != ov.Detections {
 		t.Errorf("repeat run diverged: %d vs %d detections", res.Detections, ov.Detections)

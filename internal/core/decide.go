@@ -36,15 +36,13 @@ func (n *Node) dispatchFor(target string) time.Duration {
 
 // Decision reports one completed chimeraGetDecision() run. "All results
 // shown in Section V include the time for performing this decision
-// process" — Elapsed is that cost, and it is charged to the clock.
+// process": its cost, the per-candidate resource lookups in the key-value
+// store included, is charged to the clock and to ProcessBreakdown.Decision.
 type Decision struct {
 	// Chosen is the selected execution site.
 	Chosen policy.ProcCandidate
 	// Candidates lists every evaluated site (diagnostics).
 	Candidates []policy.ProcCandidate
-	// Elapsed is the decision process cost, including the per-candidate
-	// resource lookups in the key-value store.
-	Elapsed time.Duration
 }
 
 // decideTarget evaluates the service's registered hosts (and, when the
@@ -53,7 +51,6 @@ type Decision struct {
 // with the given size; movement costs are estimated for the argument
 // object only, as in the paper.
 func (n *Node) decideTarget(reg services.Registration, objSize int64, objLocation string) (Decision, error) {
-	start := n.clock.Now()
 	n.clock.Sleep(LocateTime)
 
 	cands := make([]policy.ProcCandidate, 0, len(reg.Nodes))
@@ -72,11 +69,7 @@ func (n *Node) decideTarget(reg services.Registration, objSize int64, objLocatio
 	if err != nil {
 		return Decision{Candidates: cands}, err
 	}
-	return Decision{
-		Chosen:     cands[i],
-		Candidates: cands,
-		Elapsed:    n.clock.Now().Sub(start),
-	}, nil
+	return Decision{Chosen: cands[i], Candidates: cands}, nil
 }
 
 // evaluate builds the decision inputs for one candidate: its monitored

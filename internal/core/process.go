@@ -47,16 +47,28 @@ func (m ProcessMode) String() string {
 }
 
 // ProcessBreakdown is the per-phase cost profile of a process operation.
+// Every virtual nanosecond of the operation is charged to exactly one
+// phase: Decision + InputMove + Exec + OutputMove − Overlap == Total.
 type ProcessBreakdown struct {
-	// Decision is the chimeraGetDecision cost (locate + resource
-	// lookups); zero when no decision was needed.
+	// Decision is everything before the input moves: the command packet,
+	// the metadata lookup, service discovery and the chimeraGetDecision
+	// cost (locate + resource lookups), plus a hedged launch's stagger
+	// and the wait for its outcome.
 	Decision time.Duration
-	// InputMove is the argument object's movement cost.
+	// InputMove is the argument object's movement to the target: the
+	// request to its holder and the move, or in §III-B case 1 the fetch
+	// into this dom0 and on into the guest.
 	InputMove time.Duration
-	// Exec is the service execution time.
+	// Exec is the service's dispatch and execution over every step,
+	// with case 2's remote-dispatch premium.
 	Exec time.Duration
-	// OutputMove is the result's movement back to the requester.
+	// OutputMove is the result's movement back to the requester; in
+	// case 2, the owner's reply and its move into the guest.
 	OutputMove time.Duration
+	// Overlap is the time the overlapped first step saved: InputMove and
+	// Exec carry their full serial costs, and the fused window took
+	// Overlap less. Zero unless ComputePlaneConfig.Overlap applied.
+	Overlap time.Duration
 	// Total is the caller-observed latency.
 	Total time.Duration
 }
@@ -92,6 +104,7 @@ type ProcessResult struct {
 // Session's plan builders (Process, FetchProcess's three cases,
 // ProcessPipelineAt) fill one on the stack; Node.execute runs it.
 type plan struct {
+	start  time.Time // when the operation began; Decision runs from here
 	meta   ObjectMeta
 	target string // where every step runs: a node address or "cloud:<instance>"
 	// runner charges the dispatch and counts the shards and kernels, and
@@ -159,7 +172,7 @@ func (s *Session) FetchProcess(name, svcName string, svcID uint32) (ProcessResul
 	if err != nil {
 		return ProcessResult{}, err
 	}
-	p := plan{meta: meta, guest: s}
+	p := plan{start: start, meta: meta, guest: s}
 	if spec, ok := s.node.serviceSpec(svcName, svcID); ok {
 		// Case 1: "the requesting node is capable of executing the service
 		// itself. In that case, the object is simply returned as in the
@@ -193,9 +206,8 @@ func (s *Session) decided(meta ObjectMeta, svcName string, svcID uint32, start t
 	if err != nil {
 		return ProcessResult{}, err
 	}
-	p := plan{meta: meta, target: dec.Chosen.Addr, runner: n, spec: reg.Spec, mode: ModeDecided}
+	p := plan{start: start, meta: meta, target: dec.Chosen.Addr, runner: n, spec: reg.Spec, mode: ModeDecided}
 	res, err := n.executeDecided(dec, &p)
-	res.Breakdown.Decision = dec.Elapsed
 	return s.finishProcess(res, err, start)
 }
 
@@ -231,7 +243,7 @@ func (s *Session) ProcessPipelineAt(name string, svcNames []string, svcIDs []uin
 		}
 		specs[i] = reg.Spec
 	}
-	p := plan{meta: meta, target: target, runner: s.node, spec: specs[0], more: specs[1:], mode: ModeDecided}
+	p := plan{start: start, meta: meta, target: target, runner: s.node, spec: specs[0], more: specs[1:], mode: ModeDecided}
 	res, err := s.node.execute(&p, nil)
 	return s.finishProcess(res, err, start)
 }
@@ -245,29 +257,34 @@ func (n *Node) serviceSpec(name string, id uint32) (services.Spec, bool) {
 }
 
 // execute runs a plan from this node, the requester: the input arrives at
-// the target, every step runs there in order, and the output returns. A
-// non-nil cancelled flag is polled at each phase boundary, so the losing
-// hedge of a speculative launch aborts before its next phase (a phase in
-// flight runs to completion; the clock cannot interrupt a charged sleep).
+// the target, every step runs there in order, and the output returns.
+// Each phase is charged the virtual time it took, from the plan's start
+// on (see ProcessBreakdown). A non-nil cancelled flag is polled at each
+// phase boundary, so the losing hedge of a speculative launch aborts
+// before its next phase (a phase in flight runs to completion; the clock
+// cannot interrupt a charged sleep).
 //
 // c4h:hotpath
 func (n *Node) execute(p *plan, cancelled *atomic.Bool) (ProcessResult, error) {
 	if n.cancelled(cancelled) {
 		return ProcessResult{}, errSpeculationCancelled
 	}
+	mark := n.clock.Now()
 	res := ProcessResult{Target: p.target, Mode: p.mode, MatchID: -1}
+	bd := &res.Breakdown
+	bd.Decision = mark.Sub(p.start)
 	var data []byte
 	size, next := p.meta.Size, 0
 	switch p.mode {
 	case ModeRequester:
-		_, raw, _, bd, err := n.fetchToDom0(p.meta.Name, p.guest.principal, nil)
+		_, raw, _, _, err := n.fetchToDom0(p.meta.Name, p.guest.principal, nil)
 		if err != nil {
 			return ProcessResult{}, err
 		}
 		if _, err := p.guest.interDomain(size); err != nil {
 			return ProcessResult{}, err
 		}
-		data, res.Breakdown.InputMove = raw, bd.InterNode
+		data, bd.InputMove = raw, n.lap(&mark)
 	case ModeOwner:
 		// Invoking the owner's service from here costs the remote
 		// dispatch; the owner-local part is charged with its run.
@@ -276,7 +293,7 @@ func (n *Node) execute(p *plan, cancelled *atomic.Bool) (ProcessResult, error) {
 		if err != nil {
 			return ProcessResult{}, err
 		}
-		data = raw
+		data, bd.Exec = raw, n.lap(&mark)
 	default:
 		// Process-as-pages-arrive: the move and the first step fuse into
 		// one overlapped window when the path is eligible.
@@ -288,16 +305,17 @@ func (n *Node) execute(p *plan, cancelled *atomic.Bool) (ProcessResult, error) {
 				return ProcessResult{}, err
 			}
 			if ok {
-				res.Breakdown.InputMove = step.Breakdown.InputMove
 				data, size, next = res.fold(step, raw), res.OutputSize, 1
+				bd.InputMove, bd.Exec = step.Breakdown.InputMove, step.Breakdown.Exec
+				bd.Overlap = bd.InputMove + bd.Exec - n.lap(&mark)
 			}
 		}
 		if next == 0 {
-			raw, d, err := n.moveInput(p.meta, p.target)
+			raw, _, err := n.moveInput(p.meta, p.target)
 			if err != nil {
 				return ProcessResult{}, err
 			}
-			data, res.Breakdown.InputMove = raw, d
+			data, bd.InputMove = raw, n.lap(&mark)
 		}
 	}
 	if n.cancelled(cancelled) {
@@ -313,20 +331,23 @@ func (n *Node) execute(p *plan, cancelled *atomic.Bool) (ProcessResult, error) {
 			return ProcessResult{}, err
 		}
 		data, size = res.fold(step, data), res.OutputSize
+		bd.Exec += n.lap(&mark)
 		if n.cancelled(cancelled) {
 			return ProcessResult{}, errSpeculationCancelled
 		}
 	}
 	switch {
 	case p.mode == ModeOwner:
-		res.Breakdown.OutputMove = n.home.net.Transfer(p.runner.lanPathTo(n), res.OutputSize)
+		n.home.net.Transfer(p.runner.lanPathTo(n), res.OutputSize)
 		if _, err := p.guest.interDomain(res.OutputSize); err != nil {
 			return ProcessResult{}, err
 		}
 	case p.target != n.addr:
-		res.Breakdown.OutputMove = n.moveOutput(p.target, res.OutputSize)
+		n.moveOutput(p.target, res.OutputSize)
 	}
-	// An overlapped run is not polled again after its output move.
+	bd.OutputMove = n.lap(&mark)
+	// An overlapped run is not polled after its output move: a hedge
+	// cancelled during that move still settles as an uncounted success.
 	if next == 0 && n.cancelled(cancelled) {
 		return ProcessResult{}, errSpeculationCancelled
 	}
@@ -342,12 +363,19 @@ func (n *Node) cancelled(flag *atomic.Bool) bool {
 	return true
 }
 
+// lap returns the virtual time since *mark and moves the mark to now.
+func (n *Node) lap(mark *time.Time) time.Duration {
+	now := n.clock.Now()
+	d := now.Sub(*mark)
+	*mark = now
+	return d
+}
+
 // fold takes one step's result into the plan's and returns the next
 // step's input: the step's output when it has one, else its own input.
 func (r *ProcessResult) fold(step ProcessResult, input []byte) []byte {
 	r.Service, r.OutputSize = step.Service, step.OutputSize
 	r.Output, r.borrowed = step.Output, step.borrowed
-	r.Breakdown.Exec += step.Breakdown.Exec
 	if step.Detections > 0 {
 		r.Detections = step.Detections
 	}
@@ -445,19 +473,20 @@ func (n *Node) moveInput(meta ObjectMeta, target string) ([]byte, time.Duration,
 const smallResult = 64 << 10
 
 // moveOutput charges the result object's trip back to this node.
-func (n *Node) moveOutput(target string, outputSize int64) time.Duration {
+func (n *Node) moveOutput(target string, outputSize int64) {
 	var path *netsim.Path
 	if _, isCloud := cloudInstanceName(target); isCloud && n.home.Cloud() != nil {
 		path = wanDownPathFor(n, n.home.Cloud())
 	} else if peer, ok := n.home.Node(target); ok {
 		path = peer.lanPathTo(n)
 	} else {
-		return 0
+		return
 	}
 	if outputSize < smallResult {
-		return n.home.net.Message(path)
+		n.home.net.Message(path)
+	} else {
+		n.home.net.Transfer(path, outputSize)
 	}
-	return n.home.net.Transfer(path, outputSize)
 }
 
 // runService charges the service's invocation on the target machine —
@@ -472,8 +501,7 @@ func (n *Node) runService(target string, spec services.Spec, inputSize int64, da
 	task := spec.Task(inputSize)
 
 	// Service invocation overhead: VM scheduling + handler instantiation.
-	dispatch := n.dispatchFor(target)
-	n.clock.Sleep(dispatch)
+	n.clock.Sleep(n.dispatchFor(target))
 
 	var m *machine.Machine
 	var err error
@@ -489,19 +517,17 @@ func (n *Node) runService(target string, spec services.Spec, inputSize int64, da
 	} else {
 		err = fmt.Errorf("core: run %s: target %q gone", spec.Name, target)
 	}
-	var execDur time.Duration
 	if err == nil {
 		if strands, shards := sizer.strandsFor(task, inputSize); strands > 1 {
-			execDur, err = m.ExecSharded(task, strands)
+			_, err = m.ExecSharded(task, strands)
 			n.ops.shardsExecuted.Add(int64(shards))
 		} else {
-			execDur, err = m.Exec(task)
+			_, err = m.Exec(task)
 		}
 	}
 	if err := k.join(&res, err); err != nil {
 		return ProcessResult{}, err
 	}
-	res.Breakdown.Exec = dispatch + execDur
 	return res, nil
 }
 

@@ -40,7 +40,8 @@ func (c procCounters) since(before procCounters) string {
 // process runs one process operation from node from and writes its line:
 // the caller-observed elapsed virtual time, the mode and target, every
 // breakdown field, the counter and traffic changes, the kernel's answers,
-// a hash of the output and the error.
+// a hash of the output and the error. The phases net of the overlap must
+// add up to the total.
 func (b *ladderBed) process(label string, from int, op func(*Session) (ProcessResult, error)) ProcessResult {
 	b.t.Helper()
 	sess, err := b.nodes[from].OpenSession()
@@ -53,8 +54,11 @@ func (b *ladderBed) process(label string, from int, op func(*Session) (ProcessRe
 	elapsed := b.v.Now().Sub(start)
 	b.nodes[from].Flush() // settle a cancelled hedge before counting
 	bd := res.Breakdown
-	fmt.Fprintf(b.out, "%s/%s mode=%s target=%q elapsed=%d decision=%d input_move=%d exec=%d output_move=%d total=%d %s detections=%d match=%d size=%d sha=%s err=%q\n",
-		b.name, label, res.Mode, res.Target, elapsed, bd.Decision, bd.InputMove, bd.Exec, bd.OutputMove, bd.Total,
+	if bd.Total != phaseSum(bd) {
+		b.t.Errorf("%s/%s: phases %+v sum to %v", b.name, label, bd, phaseSum(bd))
+	}
+	fmt.Fprintf(b.out, "%s/%s mode=%s target=%q elapsed=%d decision=%d input_move=%d exec=%d output_move=%d overlap=%d total=%d %s detections=%d match=%d size=%d sha=%s err=%q\n",
+		b.name, label, res.Mode, res.Target, elapsed, bd.Decision, bd.InputMove, bd.Exec, bd.OutputMove, bd.Overlap, bd.Total,
 		b.procCounters().since(before), res.Detections, res.MatchID, res.OutputSize, digest(res.Output), errText(err))
 	return res
 }
