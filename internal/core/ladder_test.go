@@ -450,15 +450,44 @@ func ladderScenarios() []ladderScenario {
 			b.moveInput("peer-none", 2, "m1.bin", target)
 		}})
 
-	// A neighbour home whose primary crashed: the federated fetch
-	// substitutes the replica only with Fallback on.
+	// The input move of a coded object whose primary crashed; with
+	// Fallback, of an object whose live primary lost its copy; without
+	// Fallback, of an object whose holder is gone or lost its copy.
+	scs = append(scs, ladderScenario{name: "moveinput/coded", voluntaryGB: shards,
+		cfg: NodeConfig{Faults: FaultConfig{Fallback: true}, Federation: coded},
+		run: func(b *ladderBed) {
+			b.store("c.bin", 6*mb, false)
+			b.crash(0)
+			b.moveInput("primary-gone", 5, "c.bin", b.nodes[4].addr)
+		}})
+	scs = append(scs, ladderScenario{name: "moveinput/stale", voluntaryGB: replica,
+		cfg: NodeConfig{DataPlane: DataPlaneConfig{DataReplicas: 1}, Faults: FaultConfig{Fallback: true}},
+		run: func(b *ladderBed) {
+			b.store("s.bin", 2*mb, false)
+			b.dropPrimaryCopy("s.bin")
+			b.moveInput("primary-lacks-copy", 2, "s.bin", b.nodes[2].addr)
+		}})
+	scs = append(scs, ladderScenario{name: "moveinput/no-fallback", voluntaryGB: replica,
+		cfg: NodeConfig{DataPlane: DataPlaneConfig{DataReplicas: 1}},
+		run: func(b *ladderBed) {
+			b.store("s.bin", 2*mb, false)
+			b.store("g.bin", 2*mb, false)
+			b.dropPrimaryCopy("s.bin")
+			b.moveInput("primary-lacks-copy", 2, "s.bin", b.nodes[2].addr)
+			b.crash(0)
+			b.moveInput("holder-gone", 2, "g.bin", b.nodes[2].addr)
+		}})
+
+	// Neighbour homes, one per Fallback value, reading from a home whose
+	// primary crashed: the federated fetch substitutes the replica only
+	// with Fallback on.
 	scs = append(scs, ladderScenario{name: "federated", voluntaryGB: replica,
 		cfg: NodeConfig{DataPlane: DataPlaneConfig{DataReplicas: 1}},
 		run: func(b *ladderBed) {
 			b.store("f.bin", 2*mb, false)
 			b.crash(0)
-			home := NewHome(b.v, HomeOptions{Seed: 5})
 			for i, fallback := range []bool{false, true} {
+				home := NewHome(b.v, HomeOptions{Seed: 5})
 				n, err := home.AddNode(NodeConfig{
 					Addr: fmt.Sprintf("a%d:9000", i), Machine: atomSpec("a"), MandatoryBytes: GB,
 					Faults: FaultConfig{Fallback: fallback},
@@ -467,8 +496,8 @@ func ladderScenarios() []ladderScenario {
 					b.t.Fatal(err)
 				}
 				b.nodes = append(b.nodes, n)
+				home.Federate(b.home)
 			}
-			home.Federate(b.home)
 			b.fetch("no-fallback", 3, "f.bin")
 			b.fetch("whole-copy", 4, "f.bin")
 		}})
