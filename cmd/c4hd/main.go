@@ -53,9 +53,8 @@ func run() error {
 		return fmt.Errorf("need at least one netbook, got %d", *netbooks)
 	}
 
-	cp := core.ComputePlaneConfig{Workers: *workers, Overlap: *overlap, Speculation: *spec}
-
-	home := core.NewHome(vclock.Real{}, core.HomeOptions{Seed: *seed})
+	home := core.NewHome(vclock.Real{}, core.HomeOptions{Seed: *seed,
+		Config: core.Config{Workers: *workers, Overlap: *overlap, Speculation: *spec}})
 	if *cloud {
 		c := cloudsim.New(vclock.Real{}, home.Net())
 		home.AttachCloud(c)
@@ -80,7 +79,6 @@ func run() error {
 			VoluntaryBytes: 2 * cluster.GB,
 			CloudGateway:   i == 0,
 			DataDir:        nodeDir(fmt.Sprintf("netbook-%d", i+1)),
-			ComputePlane:   cp,
 		})
 		if err != nil {
 			return err
@@ -94,7 +92,6 @@ func run() error {
 			MandatoryBytes: 16 * cluster.GB,
 			VoluntaryBytes: 16 * cluster.GB,
 			DataDir:        nodeDir("desktop"),
-			ComputePlane:   cp,
 		})
 		if err != nil {
 			return err

@@ -13,7 +13,8 @@ import (
 // "multiple Cloud4Home systems interact" direction pushed to municipal
 // scale, where the simulator core itself — membership storage, monitor
 // scheduling, flat routing — becomes the bottleneck; the shared membership
-// arena is always on, LazyMonitors and SuperPeerRegions address the rest.
+// arena is always on, Config.LazyMonitors and Config.SuperPeerRegions
+// address the rest.
 type CityOptions struct {
 	// Seed drives all simulated randomness.
 	Seed int64
@@ -21,11 +22,9 @@ type CityOptions struct {
 	Homes int
 	// KV configures the metadata store (default: replication 1, caching).
 	KV *kv.Options
-	// LazyMonitors and SuperPeerRegions pass through to the fields of the
-	// same name on core.HomeOptions: on-demand resource records, and the
-	// regional aggregation tier (≤ 1 keeps flat routing).
-	LazyMonitors     bool
-	SuperPeerRegions int
+	// Config is the home's modeled behaviour (core.HomeOptions.Config):
+	// LazyMonitors and SuperPeerRegions are the knobs a city needs.
+	Config core.Config
 }
 
 // City is the assembled city-scale deployment.
@@ -38,7 +37,7 @@ type City struct {
 // NewCity builds a city-scale overlay of opts.Homes nodes. Construction
 // runs inside the virtual clock so join traffic is charged; periodic
 // monitors are not started (city runs publish on demand via the
-// LazyMonitors option, or explicitly). Node 0 is the cloud gateway.
+// Config.LazyMonitors, or explicitly). Node 0 is the cloud gateway.
 func NewCity(opts CityOptions) (*City, error) {
 	if opts.Homes == 0 {
 		opts.Homes = 1000
@@ -50,12 +49,7 @@ func NewCity(opts CityOptions) (*City, error) {
 	city := &City{V: vclock.NewVirtual(Epoch)}
 	var err error
 	city.V.Run(func() {
-		city.Home = core.NewHome(city.V, core.HomeOptions{
-			Seed:             opts.Seed,
-			KV:               kvOpts,
-			LazyMonitors:     opts.LazyMonitors,
-			SuperPeerRegions: opts.SuperPeerRegions,
-		})
+		city.Home = core.NewHome(city.V, core.HomeOptions{Seed: opts.Seed, KV: kvOpts, Config: opts.Config})
 		city.Nodes = make([]*core.Node, 0, opts.Homes)
 		for i := 0; i < opts.Homes; i++ {
 			var n *core.Node

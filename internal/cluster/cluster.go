@@ -60,8 +60,6 @@ type Testbed struct {
 	Cloud    *cloudsim.Cloud
 	Netbooks []*core.Node
 	Desktop  *core.Node
-
-	opts Options // construction options, kept so crashed nodes can rejoin
 }
 
 // Options configures testbed construction.
@@ -73,26 +71,12 @@ type Options struct {
 	KV *kv.Options
 	// Netbooks overrides the netbook count (default 5).
 	Netbooks int
-	// DataPlane configures the concurrent data-plane features on every
-	// node; the zero value keeps the paper's sequential behaviour.
-	DataPlane core.DataPlaneConfig
-	// ComputePlane configures the concurrent compute-plane features on
-	// every node; the zero value keeps the paper's sequential behaviour.
-	ComputePlane core.ComputePlaneConfig
-	// Faults configures the fault-tolerance layer on every node; the zero
-	// value keeps the paper's fail-on-loss behaviour.
-	Faults core.FaultConfig
-	// Federation configures policy-driven cloud placement and erasure-
-	// coded home-tier redundancy on every node; the zero value keeps the
-	// single-backend, whole-copy behaviour.
-	Federation core.FederationConfig
+	// Config is the home's modeled behaviour (core.HomeOptions.Config);
+	// the zero value is the paper's.
+	Config core.Config
 	// Backends attaches extra federated storage backends (beyond the
 	// default S3 clone) built from these profiles, in order.
 	Backends []cloudsim.BackendProfile
-	// CoalesceFetch is core.HomeOptions.CoalesceFetch: concurrent remote
-	// fetches of one object share a single wire transfer. Off keeps the
-	// paper's one-transfer-per-fetch behaviour.
-	CoalesceFetch bool
 }
 
 // New builds the paper testbed. All construction runs inside the virtual
@@ -105,10 +89,10 @@ func New(opts Options) (*Testbed, error) {
 	if opts.KV != nil {
 		kvOpts = *opts.KV
 	}
-	tb := &Testbed{V: vclock.NewVirtual(Epoch), opts: opts}
+	tb := &Testbed{V: vclock.NewVirtual(Epoch)}
 	var err error
 	tb.V.Run(func() {
-		tb.Home = core.NewHome(tb.V, core.HomeOptions{Seed: opts.Seed, KV: kvOpts, CoalesceFetch: opts.CoalesceFetch})
+		tb.Home = core.NewHome(tb.V, core.HomeOptions{Seed: opts.Seed, KV: kvOpts, Config: opts.Config})
 		tb.Cloud = cloudsim.New(tb.V, tb.Home.Net())
 		tb.Home.AttachCloud(tb.Cloud)
 		for _, prof := range opts.Backends {
@@ -127,10 +111,6 @@ func New(opts Options) (*Testbed, error) {
 			Machine:        DesktopSpec(),
 			MandatoryBytes: 16 * GB,
 			VoluntaryBytes: 16 * GB,
-			DataPlane:      opts.DataPlane,
-			ComputePlane:   opts.ComputePlane,
-			Faults:         opts.Faults,
-			Federation:     opts.Federation,
 		})
 		if err != nil {
 			return
@@ -154,10 +134,6 @@ func (tb *Testbed) NetbookConfig(i int) core.NodeConfig {
 		MandatoryBytes: 4 * GB,
 		VoluntaryBytes: 2 * GB,
 		CloudGateway:   i == 0,
-		DataPlane:      tb.opts.DataPlane,
-		ComputePlane:   tb.opts.ComputePlane,
-		Faults:         tb.opts.Faults,
-		Federation:     tb.opts.Federation,
 	}
 }
 

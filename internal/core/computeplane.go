@@ -14,29 +14,6 @@ import (
 	"cloud4home/internal/services"
 )
 
-// ComputePlaneConfig enables the concurrent compute-plane features. The
-// zero value reproduces the paper's behaviour exactly: one machine strand
-// per task, input movement and execution charged back-to-back, and one
-// execution site per process operation.
-type ComputePlaneConfig struct {
-	// Workers is the per-node width of simulated sharded execution
-	// (machine.ExecSharded strands). Values ≤ 1 keep the paper's intrinsic
-	// Task.Parallelism execution model. Sharded execution engages only
-	// when it strictly beats that model (the effective strand count
-	// exceeds the service's intrinsic parallelism). It sizes virtual time
-	// only: how the host runs a kernel is the services package's business.
-	Workers int
-	// Overlap starts execution on delivered pages while the rest of the
-	// input move is still in flight (process-as-pages-arrive): each phase
-	// still reports its full cost, and ProcessBreakdown.Overlap the time
-	// the fused window saved.
-	Overlap bool
-	// Speculation hedges a decided process operation onto the top two
-	// candidates when their estimates are within defaultSpeculationMargin,
-	// cancelling the loser on first completion.
-	Speculation bool
-}
-
 const (
 	// defaultSpeculationMargin is the relative estimate gap under which
 	// the runner-up is launched too.
@@ -60,7 +37,7 @@ var errSpeculationCancelled = errors.New("core: speculative execution cancelled"
 func (n *Node) strandsFor(task machine.Task, inputSize int64) (strands, shards int) {
 	strands = 1
 	shards = parallel.ShardsFor(inputSize)
-	w := n.cfg.ComputePlane.Workers
+	w := n.home.cfg.Workers
 	if w <= 1 || shards <= 1 {
 		return strands, shards
 	}
@@ -104,7 +81,7 @@ func (n *Node) moveAndRun(target string, spec services.Spec, meta ObjectMeta) (r
 	}
 
 	task := spec.Task(meta.Size)
-	strands, shards := tgt.strandsFor(task, meta.Size)
+	strands, shards := n.strandsFor(task, meta.Size)
 	dispatch := n.dispatchFor(target)
 	lease, err := tgt.mach.Begin(task, strands)
 	if err != nil {
@@ -172,7 +149,7 @@ func (n *Node) moveAndRun(target string, spec services.Spec, meta ObjectMeta) (r
 // cancelled at its next phase boundary. Under the simulated clock the
 // winner is deterministic.
 func (n *Node) executeDecided(dec Decision, p *plan) (ProcessResult, error) {
-	if !n.cfg.ComputePlane.Speculation || len(dec.Candidates) < 2 {
+	if !n.home.cfg.Speculation || len(dec.Candidates) < 2 {
 		return n.execute(p, nil)
 	}
 	second, ok := runnerUp(n.cfg.DecisionPolicy, dec)

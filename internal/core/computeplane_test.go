@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"cloud4home/internal/kv"
 	"cloud4home/internal/machine"
 	"cloud4home/internal/services"
 	"cloud4home/internal/vclock"
@@ -21,16 +20,15 @@ type cpTestbed struct {
 	netbook *Node // object owner
 }
 
-func newCPTestbed(t *testing.T, cp ComputePlaneConfig) *cpTestbed {
+func newCPTestbed(t *testing.T, cfg Config) *cpTestbed {
 	t.Helper()
 	tb := &cpTestbed{v: vclock.NewVirtual(epoch)}
 	tb.v.Run(func() {
-		tb.home = NewHome(tb.v, HomeOptions{Seed: 31, KV: kv.Options{}})
+		tb.home = NewHome(tb.v, HomeOptions{Seed: 31, Config: cfg})
 		add := func(addr string, spec machine.Spec, mand int64) *Node {
 			n, err := tb.home.AddNode(NodeConfig{
 				Addr: addr, Machine: spec,
 				MandatoryBytes: mand, VoluntaryBytes: GB,
-				ComputePlane: cp,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -103,7 +101,7 @@ func processAtD1(t *testing.T, tb *cpTestbed) ProcessResult {
 }
 
 func TestComputePlaneZeroValueIsSequential(t *testing.T) {
-	tb := newCPTestbed(t, ComputePlaneConfig{})
+	tb := newCPTestbed(t, Config{})
 	tb.run(func() { tb.deployFdet(t, 8<<20, tb.d1) })
 	res := processAtD1(t, tb)
 	// Sequential phases run back to back, and the command packet and
@@ -120,11 +118,11 @@ func TestComputePlaneZeroValueIsSequential(t *testing.T) {
 func TestOverlapShortensTotalKeepsPhaseCosts(t *testing.T) {
 	// Overlap alone (no sharding): every phase reports the same cost as
 	// the sequential run, but the wall-clock total shrinks below the sum.
-	seqTB := newCPTestbed(t, ComputePlaneConfig{})
+	seqTB := newCPTestbed(t, Config{})
 	seqTB.run(func() { seqTB.deployFdet(t, 8<<20, seqTB.d1) })
 	seq := processAtD1(t, seqTB)
 
-	ovTB := newCPTestbed(t, ComputePlaneConfig{Overlap: true})
+	ovTB := newCPTestbed(t, Config{Overlap: true})
 	ovTB.run(func() { ovTB.deployFdet(t, 8<<20, ovTB.d1) })
 	ov := processAtD1(t, ovTB)
 
@@ -184,9 +182,9 @@ func TestShardedExecutionSpeedsUpProcess(t *testing.T) {
 		})
 		return res
 	}
-	seq := runFrec(newCPTestbed(t, ComputePlaneConfig{}))
+	seq := runFrec(newCPTestbed(t, Config{}))
 
-	shTB := newCPTestbed(t, ComputePlaneConfig{Workers: 8})
+	shTB := newCPTestbed(t, Config{Workers: 8})
 	sh := runFrec(shTB)
 
 	if sh.Breakdown.InputMove != seq.Breakdown.InputMove {
@@ -206,11 +204,11 @@ func TestShardedExecutionSpeedsUpProcess(t *testing.T) {
 func TestShardingDoesNotEngageBelowIntrinsicParallelism(t *testing.T) {
 	// Two workers cannot beat fdet's intrinsic parallelism of 4: the
 	// plane must keep the sequential model rather than regress.
-	seqTB := newCPTestbed(t, ComputePlaneConfig{})
+	seqTB := newCPTestbed(t, Config{})
 	seqTB.run(func() { seqTB.deployFdet(t, 12<<20, seqTB.d1) })
 	seq := processAtD1(t, seqTB)
 
-	w2TB := newCPTestbed(t, ComputePlaneConfig{Workers: 2})
+	w2TB := newCPTestbed(t, Config{Workers: 2})
 	w2TB.run(func() { w2TB.deployFdet(t, 12<<20, w2TB.d1) })
 	w2 := processAtD1(t, w2TB)
 
@@ -227,7 +225,7 @@ func TestShardingDoesNotEngageBelowIntrinsicParallelism(t *testing.T) {
 // result and the requester's counters.
 func specScenario(t *testing.T, hogged bool) (ProcessResult, OpStats) {
 	t.Helper()
-	cp := ComputePlaneConfig{Workers: 8, Speculation: true}
+	cp := Config{Workers: 8, Speculation: true}
 	tb := newCPTestbed(t, cp)
 	tb.run(func() { tb.deployFdet(t, 12<<20, tb.d1, tb.d2) })
 	if hogged {
@@ -307,7 +305,7 @@ func TestSpeculationIsDeterministic(t *testing.T) {
 func TestSpeculationSkippedOutsideMargin(t *testing.T) {
 	// Only one desktop hosts the service besides the atom: the atom's
 	// estimate is far outside the 25% margin, so no hedge launches.
-	tb := newCPTestbed(t, ComputePlaneConfig{Speculation: true})
+	tb := newCPTestbed(t, Config{Speculation: true})
 	tb.run(func() { tb.deployFdet(t, 12<<20, tb.d1, tb.atom) })
 	tb.run(func() {
 		sess, err := tb.atom.OpenSession()

@@ -7,27 +7,6 @@ import (
 	"cloud4home/internal/xenchan"
 )
 
-// DataPlaneConfig enables the concurrent data-plane features. The zero
-// value reproduces the paper's sequential behaviour exactly: one holder,
-// whole-object transfers, inter-node and inter-domain phases charged
-// back-to-back, no dom0 cache.
-type DataPlaneConfig struct {
-	// StripedFetch splits large fetches into contiguous ranges pulled from
-	// every live payload holder in parallel, reassembling in dom0. Needs
-	// DataReplicas > 0 to have more than one holder to stripe across.
-	StripedFetch bool
-	// Pipelined overlaps the inter-node wire phase with the dom0→guest
-	// channel drain at page-ring granularity, so large fetches observe
-	// Total < DHTLookup + InterNode + InterDomain.
-	Pipelined bool
-	// DataReplicas is how many extra best-effort payload copies a store
-	// places in peers' voluntary bins beside the primary copy.
-	DataReplicas int
-	// CacheBytes bounds the dom0 payload cache; it is further capped by
-	// the node's voluntary bin. 0 disables the cache.
-	CacheBytes int64
-}
-
 // domainSink streams wire chunks into the guest-facing channel as they
 // arrive, modelling the pipelined fetch: each chunk's drain is scheduled
 // behind the previous one (the ring is serial), but concurrently with the

@@ -12,18 +12,17 @@ import (
 	"cloud4home/internal/vclock"
 )
 
-// newDataPlaneTestbed is the standard three-node testbed with the
-// concurrent data-plane features configured on every node.
-func newDataPlaneTestbed(t *testing.T, dp DataPlaneConfig) *testbed {
+// newDataPlaneTestbed is the standard three-node testbed on a home with
+// the given config.
+func newDataPlaneTestbed(t *testing.T, cfg Config) *testbed {
 	t.Helper()
 	tb := &testbed{v: vclock.NewVirtual(epoch)}
 	tb.v.Run(func() {
-		tb.home = NewHome(tb.v, HomeOptions{Seed: 31, KV: kv.Options{CacheEnabled: true}})
+		tb.home = NewHome(tb.v, HomeOptions{Seed: 31, KV: kv.Options{CacheEnabled: true}, Config: cfg})
 		var err error
 		tb.atom, err = tb.home.AddNode(NodeConfig{
 			Addr: "atom:9000", Machine: atomSpec("atom"),
 			MandatoryBytes: 2 * GB, VoluntaryBytes: 1 * GB,
-			DataPlane: dp,
 		})
 		if err != nil {
 			t.Error(err)
@@ -32,7 +31,6 @@ func newDataPlaneTestbed(t *testing.T, dp DataPlaneConfig) *testbed {
 		tb.desktop, err = tb.home.AddNode(NodeConfig{
 			Addr: "desktop:9000", Machine: desktopSpec(),
 			MandatoryBytes: 8 * GB, VoluntaryBytes: 8 * GB,
-			DataPlane: dp,
 		})
 		if err != nil {
 			t.Error(err)
@@ -41,7 +39,6 @@ func newDataPlaneTestbed(t *testing.T, dp DataPlaneConfig) *testbed {
 		tb.netbook, err = tb.home.AddNode(NodeConfig{
 			Addr: "netbook:9000", Machine: atomSpec("netbook"),
 			MandatoryBytes: 2 * GB, VoluntaryBytes: 1 * GB,
-			DataPlane: dp,
 		})
 		if err != nil {
 			t.Error(err)
@@ -56,7 +53,7 @@ func newDataPlaneTestbed(t *testing.T, dp DataPlaneConfig) *testbed {
 }
 
 func TestStoreWithDataReplicasPlacesCopies(t *testing.T) {
-	tb := newDataPlaneTestbed(t, DataPlaneConfig{DataReplicas: 2})
+	tb := newDataPlaneTestbed(t, Config{DataReplicas: 2})
 	tb.run(func() {
 		sess, err := tb.atom.OpenSession()
 		if err != nil {
@@ -85,7 +82,7 @@ func TestStoreWithDataReplicasPlacesCopies(t *testing.T) {
 }
 
 func TestStripedFetchReturnsCorrectBytes(t *testing.T) {
-	tb := newDataPlaneTestbed(t, DataPlaneConfig{StripedFetch: true, DataReplicas: 1})
+	tb := newDataPlaneTestbed(t, Config{StripedFetch: true, DataReplicas: 1})
 	payload := make([]byte, 3<<20)
 	rand.New(rand.NewSource(7)).Read(payload)
 	tb.run(func() {
@@ -117,7 +114,7 @@ func TestStripedFetchReturnsCorrectBytes(t *testing.T) {
 }
 
 func TestStripedFetchCrashMidStripeFallsBack(t *testing.T) {
-	tb := newDataPlaneTestbed(t, DataPlaneConfig{StripedFetch: true, DataReplicas: 1})
+	tb := newDataPlaneTestbed(t, Config{StripedFetch: true, DataReplicas: 1})
 	payload := make([]byte, 8<<20)
 	rand.New(rand.NewSource(11)).Read(payload)
 	tb.run(func() {
@@ -166,8 +163,8 @@ func TestStripedFetchCrashMidStripeFallsBack(t *testing.T) {
 
 func TestPipelinedFetchBeatsSerialPhaseSum(t *testing.T) {
 	const size = 20 << 20
-	fetch := func(dp DataPlaneConfig) FetchBreakdown {
-		tb := newDataPlaneTestbed(t, dp)
+	fetch := func(cfg Config) FetchBreakdown {
+		tb := newDataPlaneTestbed(t, cfg)
 		var bd FetchBreakdown
 		tb.run(func() {
 			owner, err := tb.desktop.OpenSession()
@@ -193,13 +190,13 @@ func TestPipelinedFetchBeatsSerialPhaseSum(t *testing.T) {
 		return bd
 	}
 
-	serial := fetch(DataPlaneConfig{})
+	serial := fetch(Config{})
 	sum := serial.DHTLookup + serial.InterNode + serial.InterDomain
 	if serial.Total < sum {
 		t.Fatalf("serial fetch total %v below its phase sum %v", serial.Total, sum)
 	}
 
-	piped := fetch(DataPlaneConfig{Pipelined: true})
+	piped := fetch(Config{Pipelined: true})
 	pipedSum := piped.DHTLookup + piped.InterNode + piped.InterDomain
 	if piped.Total >= pipedSum {
 		t.Fatalf("pipelined fetch total %v not below phase sum %v", piped.Total, pipedSum)
@@ -217,7 +214,7 @@ func TestPipelinedFetchBeatsSerialPhaseSum(t *testing.T) {
 }
 
 func TestCacheHitServesAtNearLocalLatency(t *testing.T) {
-	tb := newDataPlaneTestbed(t, DataPlaneConfig{CacheBytes: 256 << 20})
+	tb := newDataPlaneTestbed(t, Config{CacheBytes: 256 << 20})
 	tb.run(func() {
 		owner, err := tb.desktop.OpenSession()
 		if err != nil {
@@ -258,7 +255,7 @@ func TestCacheHitServesAtNearLocalLatency(t *testing.T) {
 }
 
 func TestCacheInvalidatedOnOverwriteAndDelete(t *testing.T) {
-	tb := newDataPlaneTestbed(t, DataPlaneConfig{CacheBytes: 256 << 20})
+	tb := newDataPlaneTestbed(t, Config{CacheBytes: 256 << 20})
 	tb.run(func() {
 		owner, err := tb.desktop.OpenSession()
 		if err != nil {
@@ -304,7 +301,7 @@ func TestCacheInvalidatedOnOverwriteAndDelete(t *testing.T) {
 }
 
 func TestDeleteRemovesReplicaCopies(t *testing.T) {
-	tb := newDataPlaneTestbed(t, DataPlaneConfig{DataReplicas: 2})
+	tb := newDataPlaneTestbed(t, Config{DataReplicas: 2})
 	tb.run(func() {
 		sess, err := tb.atom.OpenSession()
 		if err != nil {
@@ -332,7 +329,7 @@ func TestDeleteRemovesReplicaCopies(t *testing.T) {
 }
 
 func TestFetchServedByLocalReplica(t *testing.T) {
-	tb := newDataPlaneTestbed(t, DataPlaneConfig{StripedFetch: true, DataReplicas: 2})
+	tb := newDataPlaneTestbed(t, Config{StripedFetch: true, DataReplicas: 2})
 	tb.run(func() {
 		owner, err := tb.atom.OpenSession()
 		if err != nil {

@@ -88,9 +88,8 @@ func (n *Node) evaluate(addr string, spec services.Spec, task machine.Task, objS
 		}
 		move := n.estimateMove(objSize, objLocation, addr)
 		exec := m.Estimate(task)
-		// The decision must predict what execution will do: the requester's
-		// compute-plane config selects sharded execution on the candidate
-		// (the plane is deployed home-wide in the experiments).
+		// The decision must predict what execution will do: the home's
+		// Workers selects sharded execution on the candidate.
 		if strands, _ := n.strandsFor(task, objSize); strands > 1 {
 			exec = m.EstimateSharded(task, strands)
 		}

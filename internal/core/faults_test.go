@@ -11,19 +11,18 @@ import (
 	"cloud4home/internal/vclock"
 )
 
-// newFaultTestbed is newDataPlaneTestbed with the fault layer enabled and
-// metadata replication on, so a crash loses payloads but never metadata
-// (the paper's §III-A redistribution guarantee).
-func newFaultTestbed(t *testing.T, dp DataPlaneConfig, fc FaultConfig) *testbed {
+// newFaultTestbed is newDataPlaneTestbed with metadata replication on,
+// so a crash loses payloads but never metadata (the paper's §III-A
+// redistribution guarantee).
+func newFaultTestbed(t *testing.T, cfg Config) *testbed {
 	t.Helper()
 	tb := &testbed{v: vclock.NewVirtual(epoch)}
 	tb.v.Run(func() {
-		tb.home = NewHome(tb.v, HomeOptions{Seed: 31, KV: kv.Options{ReplicationFactor: 2}})
+		tb.home = NewHome(tb.v, HomeOptions{Seed: 31, KV: kv.Options{ReplicationFactor: 2}, Config: cfg})
 		var err error
 		tb.atom, err = tb.home.AddNode(NodeConfig{
 			Addr: "atom:9000", Machine: atomSpec("atom"),
 			MandatoryBytes: 2 * GB, VoluntaryBytes: 1 * GB,
-			DataPlane: dp, Faults: fc,
 		})
 		if err != nil {
 			t.Error(err)
@@ -32,7 +31,6 @@ func newFaultTestbed(t *testing.T, dp DataPlaneConfig, fc FaultConfig) *testbed 
 		tb.desktop, err = tb.home.AddNode(NodeConfig{
 			Addr: "desktop:9000", Machine: desktopSpec(),
 			MandatoryBytes: 8 * GB, VoluntaryBytes: 8 * GB,
-			DataPlane: dp, Faults: fc,
 		})
 		if err != nil {
 			t.Error(err)
@@ -41,7 +39,6 @@ func newFaultTestbed(t *testing.T, dp DataPlaneConfig, fc FaultConfig) *testbed 
 		tb.netbook, err = tb.home.AddNode(NodeConfig{
 			Addr: "netbook:9000", Machine: atomSpec("netbook"),
 			MandatoryBytes: 2 * GB, VoluntaryBytes: 1 * GB,
-			DataPlane: dp, Faults: fc,
 		})
 		if err != nil {
 			t.Error(err)
@@ -79,7 +76,7 @@ func storeWithReplica(t *testing.T, tb *testbed, name string, payload []byte) Ob
 }
 
 func TestFallbackFetchSurvivesHolderCrash(t *testing.T) {
-	tb := newFaultTestbed(t, DataPlaneConfig{DataReplicas: 1}, FaultConfig{Fallback: true})
+	tb := newFaultTestbed(t, Config{DataReplicas: 1, Fallback: true})
 	payload := make([]byte, 1<<20)
 	rand.New(rand.NewSource(7)).Read(payload)
 	tb.run(func() {
@@ -110,7 +107,7 @@ func TestFallbackFetchSurvivesHolderCrash(t *testing.T) {
 }
 
 func TestFallbackOffPreservesPaperFailure(t *testing.T) {
-	tb := newFaultTestbed(t, DataPlaneConfig{DataReplicas: 1}, FaultConfig{})
+	tb := newFaultTestbed(t, Config{DataReplicas: 1})
 	tb.run(func() {
 		storeWithReplica(t, tb, "doomed.bin", []byte("paper behaviour"))
 		if err := tb.home.RemoveNode(tb.atom.addr, false); err != nil {
@@ -121,7 +118,7 @@ func TestFallbackOffPreservesPaperFailure(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, err := reader.FetchObject("doomed.bin"); !errors.Is(err, ErrObjectNotFound) {
-			t.Fatalf("zero-value FaultConfig fetch: %v, want ErrObjectNotFound", err)
+			t.Fatalf("zero-value Config fetch: %v, want ErrObjectNotFound", err)
 		}
 		if got := tb.netbook.OpStats().FetchRetries; got != 0 {
 			t.Fatalf("FetchRetries = %d with faults off, want 0", got)
@@ -130,7 +127,7 @@ func TestFallbackOffPreservesPaperFailure(t *testing.T) {
 }
 
 func TestPipelinedFetchCrashMidTransferFallsBack(t *testing.T) {
-	tb := newFaultTestbed(t, DataPlaneConfig{Pipelined: true, DataReplicas: 1}, FaultConfig{Fallback: true})
+	tb := newFaultTestbed(t, Config{Pipelined: true, DataReplicas: 1, Fallback: true})
 	payload := make([]byte, 8<<20)
 	rand.New(rand.NewSource(11)).Read(payload)
 	tb.run(func() {
@@ -172,7 +169,7 @@ func TestPipelinedFetchErrorSettlesSink(t *testing.T) {
 	// No payload replicas and no cloud: the ladder is exhausted after the
 	// crash, so the fetch fails — but the half-delivered sink must be
 	// settled so the channel's accounting still matches what moved.
-	tb := newFaultTestbed(t, DataPlaneConfig{Pipelined: true}, FaultConfig{Fallback: true})
+	tb := newFaultTestbed(t, Config{Pipelined: true, Fallback: true})
 	payload := make([]byte, 8<<20)
 	rand.New(rand.NewSource(13)).Read(payload)
 	tb.run(func() {
@@ -235,7 +232,7 @@ func TestPipelinedFetchErrorSettlesSink(t *testing.T) {
 }
 
 func TestCrashTriggersPayloadRepair(t *testing.T) {
-	tb := newFaultTestbed(t, DataPlaneConfig{DataReplicas: 1}, FaultConfig{Fallback: true, Repair: true})
+	tb := newFaultTestbed(t, Config{DataReplicas: 1, Fallback: true, Repair: true})
 	payload := []byte("repair me")
 	tb.run(func() {
 		storeWithReplica(t, tb, "heal.bin", payload)
@@ -266,7 +263,7 @@ func TestCrashTriggersPayloadRepair(t *testing.T) {
 }
 
 func TestCrashOfPrimaryPromotesReplica(t *testing.T) {
-	tb := newFaultTestbed(t, DataPlaneConfig{DataReplicas: 1}, FaultConfig{Fallback: true, Repair: true})
+	tb := newFaultTestbed(t, Config{DataReplicas: 1, Fallback: true, Repair: true})
 	payload := make([]byte, 1<<20)
 	rand.New(rand.NewSource(17)).Read(payload)
 	tb.run(func() {
@@ -303,7 +300,7 @@ func TestCrashOfPrimaryPromotesReplica(t *testing.T) {
 }
 
 func TestRepairOffLosesReplicaCount(t *testing.T) {
-	tb := newFaultTestbed(t, DataPlaneConfig{DataReplicas: 1}, FaultConfig{Fallback: true})
+	tb := newFaultTestbed(t, Config{DataReplicas: 1, Fallback: true})
 	tb.run(func() {
 		storeWithReplica(t, tb, "unrepaired.bin", []byte("x"))
 		if err := tb.home.RemoveNode(tb.desktop.addr, false); err != nil {
@@ -328,7 +325,7 @@ func TestRepairOffLosesReplicaCount(t *testing.T) {
 }
 
 func TestMoveInputFallsBackToSurvivingReplica(t *testing.T) {
-	tb := newFaultTestbed(t, DataPlaneConfig{DataReplicas: 1}, FaultConfig{Fallback: true})
+	tb := newFaultTestbed(t, Config{DataReplicas: 1, Fallback: true})
 	tb.run(func() {
 		storeWithReplica(t, tb, "input.bin", []byte("process me"))
 		if err := tb.home.RemoveNode(tb.atom.addr, false); err != nil {

@@ -6,50 +6,9 @@ import (
 	"strings"
 
 	"cloud4home/internal/cloudsim"
-	"cloud4home/internal/erasure"
 	"cloud4home/internal/objstore"
 	"cloud4home/internal/policy"
 )
-
-// FederationConfig enables the federated-cloud and erasure-coding layer.
-// The zero value reproduces the single-backend, whole-object-replication
-// behaviour bit-for-bit: every TargetCloud placement goes to the default
-// attached cloud and home-tier redundancy is DataPlaneConfig.DataReplicas
-// whole copies.
-type FederationConfig struct {
-	// Backend picks the cloud backend for each TargetCloud placement from
-	// the home's attached roster (default cloud first, then attachment
-	// order). Nil routes everything to the default cloud, exactly as
-	// before federation existed.
-	Backend policy.BackendPolicy
-	// ErasureK/ErasureN switch the home tier's redundancy from whole
-	// DataReplicas copies to k-of-n Reed–Solomon shards: stores spread n
-	// coded shards (each 1/k of the object) over peers' voluntary bins,
-	// and any k of them — or the primary copy — serve a fetch. Both zero
-	// disables coding; otherwise 1 ≤ K < N ≤ erasure.MaxShards.
-	ErasureK int
-	ErasureN int
-}
-
-// erasureOn reports whether home-tier redundancy is coded shards.
-func (c FederationConfig) erasureOn() bool {
-	return c.ErasureK > 0 && c.ErasureN > c.ErasureK
-}
-
-// validate rejects half-configured erasure parameters at AddNode time.
-func (c FederationConfig) validate() error {
-	k, n := c.ErasureK, c.ErasureN
-	if k == 0 && n == 0 {
-		return nil
-	}
-	if k < 1 || n <= k {
-		return fmt.Errorf("core: federation: need 1 <= ErasureK < ErasureN, got k=%d n=%d", k, n)
-	}
-	if n > erasure.MaxShards {
-		return fmt.Errorf("core: federation: ErasureN %d exceeds GF(2^8) limit %d", n, erasure.MaxShards)
-	}
-	return nil
-}
 
 // cloudBackend resolves the backend for one TargetCloud placement. With
 // no policy configured it is the default cloud and the metadata Backend
@@ -57,7 +16,7 @@ func (c FederationConfig) validate() error {
 // snapshots the roster into deterministic BackendInfo rows (attachment
 // order, pure estimates) and records the chosen backend's name.
 func (n *Node) cloudBackend(obj objstore.Object) (cloudsim.Backend, string, error) {
-	pol := n.cfg.Federation.Backend
+	pol := n.home.cfg.Backend
 	if pol == nil {
 		cloud := n.home.Cloud()
 		if cloud == nil {

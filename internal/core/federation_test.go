@@ -26,19 +26,17 @@ type federationTestbed struct {
 	peers []*Node // desktop then netbooks, in address order
 }
 
-func newFederationTestbed(t *testing.T, fc FaultConfig, fed FederationConfig, backends []cloudsim.BackendProfile) *federationTestbed {
+func newFederationTestbed(t *testing.T, cfg Config, backends []cloudsim.BackendProfile) *federationTestbed {
 	t.Helper()
 	tb := &federationTestbed{v: vclock.NewVirtual(epoch)}
 	tb.v.Run(func() {
-		tb.home = NewHome(tb.v, HomeOptions{Seed: 31, KV: kv.Options{ReplicationFactor: 2}})
+		tb.home = NewHome(tb.v, HomeOptions{Seed: 31, KV: kv.Options{ReplicationFactor: 2}, Config: cfg})
 		tb.cloud = cloudsim.New(tb.v, tb.home.Net())
 		tb.home.AttachCloud(tb.cloud)
 		for _, prof := range backends {
 			tb.home.AttachBackend(cloudsim.NewRemote(tb.v, tb.home.Net(), prof))
 		}
 		add := func(cfg NodeConfig) *Node {
-			cfg.Faults = fc
-			cfg.Federation = fed
 			n, err := tb.home.AddNode(cfg)
 			if err != nil {
 				t.Error(err)
@@ -96,8 +94,7 @@ func storeErasure(t *testing.T, tb *federationTestbed, name string, payload []by
 }
 
 func TestErasureStorePlacesShardsNotReplicas(t *testing.T) {
-	tb := newFederationTestbed(t, FaultConfig{Fallback: true},
-		FederationConfig{ErasureK: 2, ErasureN: 3}, nil)
+	tb := newFederationTestbed(t, Config{Fallback: true, ErasureK: 2, ErasureN: 3}, nil)
 	payload := make([]byte, 1<<20)
 	rand.New(rand.NewSource(17)).Read(payload)
 	tb.run(func() {
@@ -134,8 +131,7 @@ func TestErasureStorePlacesShardsNotReplicas(t *testing.T) {
 }
 
 func TestErasureRepairPromotesNewPrimaryAndRestoresShards(t *testing.T) {
-	tb := newFederationTestbed(t, FaultConfig{Fallback: true, Repair: true},
-		FederationConfig{ErasureK: 2, ErasureN: 3}, nil)
+	tb := newFederationTestbed(t, Config{Fallback: true, Repair: true, ErasureK: 2, ErasureN: 3}, nil)
 	payload := make([]byte, 1<<20)
 	rand.New(rand.NewSource(23)).Read(payload)
 	tb.run(func() {
@@ -194,7 +190,7 @@ func TestErasureRepairPromotesNewPrimaryAndRestoresShards(t *testing.T) {
 // existence probe (a HEAD-style Stat) instead of consulting the
 // simulator's free oracle — even when the probe misses.
 func TestFallbackCloudProbeIsCharged(t *testing.T) {
-	tb := newFederationTestbed(t, FaultConfig{Fallback: true}, FederationConfig{}, nil)
+	tb := newFederationTestbed(t, Config{Fallback: true}, nil)
 	tb.run(func() {
 		owner, err := tb.peers[1].OpenSession() // netbook-1 holds the only copy
 		if err != nil {
@@ -236,12 +232,12 @@ func TestFallbackCloudProbeIsCharged(t *testing.T) {
 }
 
 // TestFederationZeroValueIdentity replays one store+fetch sequence on a
-// plain testbed and on one with extra backends attached under a zero
-// FederationConfig: every operation must take exactly the same virtual
+// plain testbed and on one with extra backends attached but no
+// Config.Backend: every operation must take exactly the same virtual
 // time.
 func TestFederationZeroValueIdentity(t *testing.T) {
 	arm := func(backends []cloudsim.BackendProfile) []time.Duration {
-		tb := newFederationTestbed(t, FaultConfig{Fallback: true}, FederationConfig{}, backends)
+		tb := newFederationTestbed(t, Config{Fallback: true}, backends)
 		var samples []time.Duration
 		tb.run(func() {
 			owner, err := tb.atom.OpenSession()
@@ -289,8 +285,7 @@ func TestFederationZeroValueIdentity(t *testing.T) {
 }
 
 func TestPinnedPolicyRoutesStoreToNamedBackend(t *testing.T) {
-	tb := newFederationTestbed(t, FaultConfig{},
-		FederationConfig{Backend: policy.PinnedBackend{Backend: "metro"}},
+	tb := newFederationTestbed(t, Config{Backend: policy.PinnedBackend{Backend: "metro"}},
 		[]cloudsim.BackendProfile{cloudsim.ArchiveProfile(), cloudsim.MetroProfile()})
 	tb.run(func() {
 		sess, err := tb.atom.OpenSession()

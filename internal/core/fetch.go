@@ -24,7 +24,7 @@ type FetchBreakdown struct {
 	// Retries is the modeled cost of the attempts that failed before the
 	// one that delivered: a transfer cut short by its holder's death, a
 	// pull of pieces tried again without a dead holder, and the cloud's
-	// existence probe. Zero unless FaultConfig.Fallback is on and a holder
+	// existence probe. Zero unless Config.Fallback is on and a holder
 	// was lost.
 	Retries time.Duration
 	// Total is the caller-observed latency.
@@ -54,7 +54,7 @@ func (s *Session) FetchObject(name string) (FetchResult, error) {
 	// With the pipelined data plane, wire chunks stream into the guest
 	// channel as they arrive instead of the two phases running serially.
 	var sink *domainSink
-	if s.node.cfg.DataPlane.Pipelined {
+	if s.node.home.cfg.Pipelined {
 		sink = newDomainSink(s.chn, s.node.clock)
 	}
 	meta, data, source, breakdown, err := s.node.fetchToDom0(name, s.principal, sink)
@@ -167,7 +167,7 @@ func (n *Node) fetchToDom0(name, principal string, sink *domainSink) (ObjectMeta
 			}
 			n.ops.cacheMisses.Add(1)
 		}
-		if v, ok := n.clock.(*vclock.Virtual); ok && n.home.coalesceFetch {
+		if v, ok := n.clock.(*vclock.Virtual); ok && n.home.cfg.CoalesceFetch {
 			return n.fetchCoalesced(v, meta, sink, bd)
 		}
 		data, src, err := n.pull(meta, n.fetchLadder(), sink, &bd)
@@ -185,7 +185,7 @@ type fetchFlight struct {
 }
 
 // fetchCoalesced merges concurrent remote fetches of one object
-// (HomeOptions.CoalesceFetch): the first requester becomes the leader and
+// (Config.CoalesceFetch): the first requester becomes the leader and
 // runs the real wire transfer; followers park on the flight's event until
 // the leader's bytes arrive — so each follower's inter-node time is
 // exactly the remaining duration of the shared transfer — then share the

@@ -9,10 +9,12 @@ import (
 	"time"
 
 	"cloud4home/internal/cloudsim"
+	"cloud4home/internal/erasure"
 	"cloud4home/internal/ids"
 	"cloud4home/internal/kv"
 	"cloud4home/internal/netsim"
 	"cloud4home/internal/overlay"
+	"cloud4home/internal/policy"
 	"cloud4home/internal/vclock"
 )
 
@@ -88,9 +90,8 @@ type Home struct {
 	fedHits map[string]*Home       // last neighbour that served each name
 	fedMiss map[string]fedMissMark // names no neighbour had, with put marks
 
-	coalesceFetch bool       // HomeOptions.CoalesceFetch
-	lazyMonitors  bool       // HomeOptions.LazyMonitors
-	memo          decodeMemo // one decoded resource record per live node
+	cfg  Config     // HomeOptions.Config
+	memo decodeMemo // one decoded resource record per live node
 }
 
 // HomeOptions configures a Home.
@@ -99,28 +100,106 @@ type HomeOptions struct {
 	Seed int64
 	// KV configures the metadata store (replication, caching).
 	KV kv.Options
-	// The three knobs below are modeled behaviour changes; their zero
-	// values reproduce the paper's behaviour bit-for-bit.
+	// Config is the modeled behaviour every node of the home reads.
+	Config Config
+}
 
-	// CoalesceFetch merges concurrent remote fetches of the same object:
-	// the first requester runs the wire transfer, followers park on a
-	// deterministic event and are charged exactly the virtual time until
-	// the leader's bytes arrive, then copy the payload locally.
+// Config is one home's modeled behaviour: the knobs of its one VStore++
+// service and decision layer (§III), read by every node of the home. The
+// zero value reproduces the paper's behaviour bit-for-bit.
+type Config struct {
+	// Data plane. StripedFetch splits large fetches into contiguous ranges
+	// pulled from every live payload holder in parallel, reassembling in
+	// dom0; it needs DataReplicas > 0 to have more than one holder.
+	StripedFetch bool
+	// Pipelined overlaps the inter-node wire phase with the dom0→guest
+	// channel drain at page-ring granularity, so large fetches observe
+	// Total < DHTLookup + InterNode + InterDomain.
+	Pipelined bool
+	// DataReplicas is how many extra best-effort payload copies a store
+	// places in peers' voluntary bins beside the primary copy.
+	DataReplicas int
+	// CacheBytes bounds each node's dom0 payload cache; it is further
+	// capped by the node's voluntary bin. 0 disables the cache.
+	CacheBytes int64
+
+	// Compute plane. Workers is the width of simulated sharded execution
+	// (machine.ExecSharded strands). Values ≤ 1 keep the paper's intrinsic
+	// Task.Parallelism model; sharding engages only when it strictly beats
+	// that model. It sizes virtual time only: how the host runs a kernel
+	// is the services package's business.
+	Workers int
+	// Overlap starts execution on delivered pages while the rest of the
+	// input move is still in flight (process-as-pages-arrive): each phase
+	// still reports its full cost, and ProcessBreakdown.Overlap the time
+	// the fused window saved.
+	Overlap bool
+	// Speculation hedges a decided process operation onto the top two
+	// candidates when their estimates are within defaultSpeculationMargin,
+	// cancelling the loser on first completion.
+	Speculation bool
+
+	// Faults. Fallback turns holder loss from an error into a retry
+	// ladder: a fetch or input move whose primary is gone or lacks the
+	// payload — or, streaming into a pipeline, dies mid-transfer — reads a
+	// surviving whole copy, else k coded shards, then asks the remote cloud
+	// with a charged probe, charging each failed attempt's modeled cost
+	// into FetchBreakdown.Retries. A fetch from a neighbour home
+	// substitutes a surviving whole copy for a lost primary.
+	Fallback bool
+	// Repair restores redundancy after a crash: one elected holder of each
+	// affected object (see Node.repair) takes over as primary if needed,
+	// re-places the missing replicas or shards and rewrites the object's
+	// metadata, mirroring the kv layer's metadata repair.
+	Repair bool
+
+	// Federation. Backend picks the cloud backend for each TargetCloud
+	// placement from the home's attached roster (default cloud first, then
+	// attachment order); nil routes everything to the default cloud.
+	Backend policy.BackendPolicy
+	// ErasureK/ErasureN switch the home tier's redundancy from whole
+	// DataReplicas copies to k-of-n Reed–Solomon shards: stores spread n
+	// coded shards (each 1/k of the object) over peers' voluntary bins,
+	// and any k of them — or the primary copy — serve a fetch. Both zero
+	// disables coding; otherwise 1 ≤ K < N ≤ erasure.MaxShards.
+	ErasureK, ErasureN int
+
+	// Home. CoalesceFetch merges concurrent remote fetches of the same
+	// object: the first requester runs the wire transfer, followers park
+	// on a deterministic event and are charged exactly the virtual time
+	// until the leader's bytes arrive, then copy the payload locally.
 	CoalesceFetch bool
 	// LazyMonitors materialises resource records on demand instead of
-	// running one periodic publisher goroutine per node: a node's record
-	// is published when a decision path first reads it and refreshed only
-	// once its validity window (the monitor period) has lapsed. At city
-	// scale this removes N always-on sleepers and N puts per period for
-	// records nobody reads.
+	// running one periodic publisher per node: a node's record is
+	// published when a decision path first reads it and refreshed only
+	// once its validity window (the monitor period) has lapsed.
 	LazyMonitors bool
 	// SuperPeerRegions, when > 1, partitions the ID space into that many
 	// contiguous regions and routes inter-region traffic through each
-	// region's super-peer (its lowest-addressed member), giving the
-	// home → regional aggregator → owner hierarchy a city of homes needs
-	// instead of a flat hop sequence. Lookup results (owners, values) are
-	// unchanged — only the hop structure differs; ≤ 1 keeps flat routing.
+	// region's super-peer (its lowest-addressed member). Lookup results
+	// are unchanged, only the hop structure differs; ≤ 1 keeps flat
+	// routing.
 	SuperPeerRegions int
+}
+
+// erasureOn reports whether home-tier redundancy is coded shards.
+func (c Config) erasureOn() bool {
+	return c.ErasureK > 0 && c.ErasureN > c.ErasureK
+}
+
+// validate rejects half-configured erasure parameters at AddNode time.
+func (c Config) validate() error {
+	k, n := c.ErasureK, c.ErasureN
+	if k == 0 && n == 0 {
+		return nil
+	}
+	if k < 1 || n <= k {
+		return fmt.Errorf("core: federation: need 1 <= ErasureK < ErasureN, got k=%d n=%d", k, n)
+	}
+	if n > erasure.MaxShards {
+		return fmt.Errorf("core: federation: ErasureN %d exceeds GF(2^8) limit %d", n, erasure.MaxShards)
+	}
+	return nil
 }
 
 // NewHome builds an empty home cloud on the given clock.
@@ -129,8 +208,8 @@ func NewHome(clock vclock.Clock, opts HomeOptions) *Home {
 	fabric := netsim.NewResource("home-lan", netsim.LANFabricBps)
 	wire := newLANWire(net, fabric)
 	mesh := overlay.NewMesh(wire)
-	if opts.SuperPeerRegions > 1 {
-		mesh.EnableSuperPeers(opts.SuperPeerRegions)
+	if opts.Config.SuperPeerRegions > 1 {
+		mesh.EnableSuperPeers(opts.Config.SuperPeerRegions)
 	}
 	return &Home{
 		clock:  clock,
@@ -140,9 +219,7 @@ func NewHome(clock vclock.Clock, opts HomeOptions) *Home {
 		kv:     kv.New(mesh, wire, opts.KV),
 		fabric: fabric,
 		nodes:  make(map[string]*Node),
-
-		coalesceFetch: opts.CoalesceFetch,
-		lazyMonitors:  opts.LazyMonitors,
+		cfg:    opts.Config,
 	}
 }
 
@@ -216,8 +293,8 @@ func (h *Home) Backends() []cloudsim.Backend {
 }
 
 // backendFor resolves a metadata Backend field to a roster entry. The
-// empty name is the default cloud — every record written under a zero
-// FederationConfig resolves there, preserving pre-federation behaviour.
+// empty name is the default cloud — every record written with a nil
+// Config.Backend resolves there, preserving pre-federation behaviour.
 func (h *Home) backendFor(name string) (cloudsim.Backend, error) {
 	if name == "" {
 		c := h.Cloud()

@@ -66,7 +66,7 @@ func TestKernelJoinedOnEveryExit(t *testing.T) {
 // boundary, and by the time the requester has flushed it, its kernel has
 // been joined too.
 func TestCancelledHedgeJoinsItsKernel(t *testing.T) {
-	tb := newCPTestbed(t, ComputePlaneConfig{Workers: 8, Speculation: true})
+	tb := newCPTestbed(t, Config{Workers: 8, Speculation: true})
 	tb.run(func() {
 		for _, n := range []*Node{tb.d1, tb.d2} {
 			if err := n.DeployService(services.FaceDetect(), "performance"); err != nil {

@@ -24,7 +24,7 @@ const mb = 1 << 20
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden/*.txt from this tree's transcripts")
 
 // ladderBed is one fetch-ladder scenario: a home of netbooks "n00:9000",
-// "n01:9000", … with the given voluntary bins, all configured alike. n00
+// "n01:9000", … with the given voluntary bins. n00
 // is the cloud gateway and stores every object, keeping the primary in
 // its mandatory bin; redundant pieces go to the peers with the most
 // voluntary space.
@@ -42,8 +42,7 @@ type ladderBed struct {
 type ladderScenario struct {
 	name        string
 	voluntaryGB []int64
-	cfg         NodeConfig
-	opts        HomeOptions
+	cfg         Config
 	noCloud     bool
 	run         func(b *ladderBed)
 }
@@ -52,20 +51,18 @@ func runLadderScenario(t *testing.T, sc ladderScenario, out *strings.Builder) {
 	t.Helper()
 	b := &ladderBed{t: t, name: sc.name, v: vclock.NewVirtual(epoch), out: out}
 	b.v.Run(func() {
-		opts := sc.opts
-		opts.Seed, opts.KV = 31, kv.Options{ReplicationFactor: 2}
-		b.home = NewHome(b.v, opts)
+		b.home = NewHome(b.v, HomeOptions{Seed: 31, KV: kv.Options{ReplicationFactor: 2}, Config: sc.cfg})
 		if !sc.noCloud {
 			b.cloud = cloudsim.New(b.v, b.home.Net())
 			b.home.AttachCloud(b.cloud)
 		}
 		for i, vol := range sc.voluntaryGB {
-			c := sc.cfg
 			name := fmt.Sprintf("n%02d", i)
-			c.Addr, c.Machine = name+":9000", atomSpec(name)
-			c.MandatoryBytes, c.VoluntaryBytes = 2*GB, vol*GB
-			c.CloudGateway = i == 0
-			n, err := b.home.AddNode(c)
+			n, err := b.home.AddNode(NodeConfig{
+				Addr: name + ":9000", Machine: atomSpec(name),
+				MandatoryBytes: 2 * GB, VoluntaryBytes: vol * GB,
+				CloudGateway: i == 0,
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -238,9 +235,8 @@ func ladderScenarios() []ladderScenario {
 	replica := []int64{1, 4, 1}         // replica on n01; n02 reads
 	stripes := []int64{1, 4, 3, 1}      // replicas on n01, n02; n03 reads
 	shards := []int64{1, 5, 4, 3, 1, 1} // shards on n01, n02, n03; n05 reads
-	coded := FederationConfig{ErasureK: 2, ErasureN: 3}
-	pipelined := func(replicas int, fallback bool) NodeConfig {
-		return NodeConfig{DataPlane: DataPlaneConfig{Pipelined: true, DataReplicas: replicas}, Faults: FaultConfig{Fallback: fallback}}
+	pipelined := func(replicas int, fallback bool) Config {
+		return Config{Pipelined: true, DataReplicas: replicas, Fallback: fallback}
 	}
 	var scs []ladderScenario
 
@@ -283,7 +279,7 @@ func ladderScenarios() []ladderScenario {
 	}
 
 	scs = append(scs, ladderScenario{name: "fallback", voluntaryGB: replica,
-		cfg: NodeConfig{DataPlane: DataPlaneConfig{DataReplicas: 1}, Faults: FaultConfig{Fallback: true}},
+		cfg: Config{DataReplicas: 1, Fallback: true},
 		run: func(b *ladderBed) {
 			b.store("a.bin", 8*mb, false)
 			b.store("b.bin", 8*mb, false)
@@ -303,7 +299,7 @@ func ladderScenarios() []ladderScenario {
 		if pipe {
 			name += "+pipelined"
 		}
-		cfg := NodeConfig{DataPlane: DataPlaneConfig{StripedFetch: true, Pipelined: pipe, DataReplicas: 2}}
+		cfg := Config{StripedFetch: true, Pipelined: pipe, DataReplicas: 2}
 		scs = append(scs, ladderScenario{name: name, voluntaryGB: stripes, cfg: cfg, run: func(b *ladderBed) {
 			b.store("s.bin", 8*mb, false)
 			b.store("sparse.bin", 8*mb, true)
@@ -322,7 +318,7 @@ func ladderScenarios() []ladderScenario {
 			b.fetch("one-holder", 3, "s.bin")
 		}})
 		fb := cfg
-		fb.Faults.Fallback = true
+		fb.Fallback = true
 		scs = append(scs, ladderScenario{name: name + "+fallback/all", voluntaryGB: stripes, cfg: fb, run: func(b *ladderBed) {
 			b.store("s.bin", 8*mb, false)
 			b.seedCloud("s.bin")
@@ -337,7 +333,7 @@ func ladderScenarios() []ladderScenario {
 		if pipe {
 			name += "+pipelined"
 		}
-		cfg := NodeConfig{DataPlane: DataPlaneConfig{Pipelined: pipe}, Faults: FaultConfig{Fallback: true}, Federation: coded}
+		cfg := Config{Pipelined: pipe, Fallback: true, ErasureK: 2, ErasureN: 3}
 		scs = append(scs, ladderScenario{name: name, voluntaryGB: shards, cfg: cfg, run: func(b *ladderBed) {
 			b.store("g1.bin", 6*mb, false)
 			b.store("g2.bin", 6*mb, false)
@@ -360,7 +356,7 @@ func ladderScenarios() []ladderScenario {
 		if pipe {
 			name += "+pipelined"
 		}
-		cfg := NodeConfig{DataPlane: DataPlaneConfig{Pipelined: pipe}, Faults: FaultConfig{Fallback: true}}
+		cfg := Config{Pipelined: pipe, Fallback: true}
 		scs = append(scs, ladderScenario{name: name, voluntaryGB: []int64{1, 1, 1}, cfg: cfg, run: func(b *ladderBed) {
 			b.store("hit.bin", 2*mb, false)
 			b.store("miss.bin", 2*mb, false)
@@ -372,7 +368,7 @@ func ladderScenarios() []ladderScenario {
 	}
 
 	scs = append(scs, ladderScenario{name: "local", voluntaryGB: replica,
-		cfg: NodeConfig{DataPlane: DataPlaneConfig{DataReplicas: 1, CacheBytes: 64 * mb}},
+		cfg: Config{DataReplicas: 1, CacheBytes: 64 * mb},
 		run: func(b *ladderBed) {
 			b.store("r.bin", 2*mb, false)
 			b.fetch("replica", 1, "r.bin")
@@ -386,7 +382,7 @@ func ladderScenarios() []ladderScenario {
 			name += "+pipelined"
 		}
 		scs = append(scs, ladderScenario{name: name, voluntaryGB: []int64{1, 1},
-			cfg: NodeConfig{DataPlane: DataPlaneConfig{Pipelined: pipe}}, opts: HomeOptions{CoalesceFetch: true},
+			cfg: Config{Pipelined: pipe, CoalesceFetch: true},
 			run: func(b *ladderBed) {
 				b.store("hot.bin", 704<<10, false)
 				const k = 4
@@ -418,7 +414,7 @@ func ladderScenarios() []ladderScenario {
 	}
 
 	scs = append(scs, ladderScenario{name: "repair", voluntaryGB: shards,
-		cfg: NodeConfig{Faults: FaultConfig{Fallback: true, Repair: true}, Federation: coded},
+		cfg: Config{Fallback: true, Repair: true, ErasureK: 2, ErasureN: 3},
 		run: func(b *ladderBed) {
 			b.store("r.bin", 6*mb, false)
 			before := b.counters()
@@ -435,7 +431,7 @@ func ladderScenarios() []ladderScenario {
 		}})
 
 	scs = append(scs, ladderScenario{name: "moveinput", voluntaryGB: replica,
-		cfg: NodeConfig{DataPlane: DataPlaneConfig{DataReplicas: 1}, Faults: FaultConfig{Fallback: true}},
+		cfg: Config{DataReplicas: 1, Fallback: true},
 		run: func(b *ladderBed) {
 			b.store("m1.bin", 2*mb, false)
 			b.store("m2.bin", 2*mb, false)
@@ -454,21 +450,21 @@ func ladderScenarios() []ladderScenario {
 	// Fallback, of an object whose live primary lost its copy; without
 	// Fallback, of an object whose holder is gone or lost its copy.
 	scs = append(scs, ladderScenario{name: "moveinput/coded", voluntaryGB: shards,
-		cfg: NodeConfig{Faults: FaultConfig{Fallback: true}, Federation: coded},
+		cfg: Config{Fallback: true, ErasureK: 2, ErasureN: 3},
 		run: func(b *ladderBed) {
 			b.store("c.bin", 6*mb, false)
 			b.crash(0)
 			b.moveInput("primary-gone", 5, "c.bin", b.nodes[4].addr)
 		}})
 	scs = append(scs, ladderScenario{name: "moveinput/stale", voluntaryGB: replica,
-		cfg: NodeConfig{DataPlane: DataPlaneConfig{DataReplicas: 1}, Faults: FaultConfig{Fallback: true}},
+		cfg: Config{DataReplicas: 1, Fallback: true},
 		run: func(b *ladderBed) {
 			b.store("s.bin", 2*mb, false)
 			b.dropPrimaryCopy("s.bin")
 			b.moveInput("primary-lacks-copy", 2, "s.bin", b.nodes[2].addr)
 		}})
 	scs = append(scs, ladderScenario{name: "moveinput/no-fallback", voluntaryGB: replica,
-		cfg: NodeConfig{DataPlane: DataPlaneConfig{DataReplicas: 1}},
+		cfg: Config{DataReplicas: 1},
 		run: func(b *ladderBed) {
 			b.store("s.bin", 2*mb, false)
 			b.store("g.bin", 2*mb, false)
@@ -482,16 +478,13 @@ func ladderScenarios() []ladderScenario {
 	// primary crashed: the federated fetch substitutes the replica only
 	// with Fallback on.
 	scs = append(scs, ladderScenario{name: "federated", voluntaryGB: replica,
-		cfg: NodeConfig{DataPlane: DataPlaneConfig{DataReplicas: 1}},
+		cfg: Config{DataReplicas: 1},
 		run: func(b *ladderBed) {
 			b.store("f.bin", 2*mb, false)
 			b.crash(0)
 			for i, fallback := range []bool{false, true} {
-				home := NewHome(b.v, HomeOptions{Seed: 5})
-				n, err := home.AddNode(NodeConfig{
-					Addr: fmt.Sprintf("a%d:9000", i), Machine: atomSpec("a"), MandatoryBytes: GB,
-					Faults: FaultConfig{Fallback: fallback},
-				})
+				home := NewHome(b.v, HomeOptions{Seed: 5, Config: Config{Fallback: fallback}})
+				n, err := home.AddNode(NodeConfig{Addr: fmt.Sprintf("a%d:9000", i), Machine: atomSpec("a"), MandatoryBytes: GB})
 				if err != nil {
 					b.t.Fatal(err)
 				}
@@ -507,7 +500,7 @@ func ladderScenarios() []ladderScenario {
 	// message.
 	for _, fallback := range []bool{false, true} {
 		scs = append(scs, ladderScenario{name: fmt.Sprintf("zero-byte/fallback=%v", fallback), voluntaryGB: stripes,
-			cfg: NodeConfig{DataPlane: DataPlaneConfig{Pipelined: true, StripedFetch: true, DataReplicas: 2}, Faults: FaultConfig{Fallback: fallback}},
+			cfg: Config{Pipelined: true, StripedFetch: true, DataReplicas: 2, Fallback: fallback},
 			run: func(b *ladderBed) {
 				b.store("empty.bin", 0, false)
 				b.store("empty2.bin", 0, true)

@@ -37,7 +37,7 @@ type ObjectMeta struct {
 	ACL []string `json:"acl,omitempty"`
 	// Backend names the cloud backend holding a remote object when the
 	// home federates several; empty means the default attached cloud
-	// (and is always empty under a zero FederationConfig).
+	// (and is always empty with a nil Config.Backend).
 	Backend string `json:"backend,omitempty"`
 	// ErasureK/ErasureN record k-of-n shard coding when the home tier's
 	// redundancy is coded shards instead of whole-object Replicas; both

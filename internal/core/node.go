@@ -58,22 +58,6 @@ type NodeConfig struct {
 	DataDir string
 	// MonitorPeriod is the resource publication interval (default 5 s).
 	MonitorPeriod time.Duration
-	// DataPlane enables the concurrent data-plane features (striped
-	// replica fetch, pipelined transfers, dom0 cache); the zero value is
-	// the paper's sequential behaviour.
-	DataPlane DataPlaneConfig
-	// ComputePlane enables the concurrent compute-plane features (sharded
-	// kernels, move/execute overlap, speculative placement); the zero
-	// value is the paper's sequential behaviour.
-	ComputePlane ComputePlaneConfig
-	// Faults enables the fault-tolerance layer (retry/fallback ladder,
-	// post-crash payload re-replication); the zero value is the paper's
-	// fail-on-holder-loss behaviour.
-	Faults FaultConfig
-	// Federation enables policy-driven placement across several cloud
-	// backends and erasure-coded home-tier redundancy; the zero value is
-	// the single-backend, whole-copy behaviour.
-	Federation FederationConfig
 }
 
 func (c *NodeConfig) applyDefaults() {
@@ -135,7 +119,7 @@ func (h *Home) AddNode(cfg NodeConfig) (*Node, error) {
 	if err := cfg.Channel.Validate(); err != nil {
 		return nil, err
 	}
-	if err := cfg.Federation.validate(); err != nil {
+	if err := h.cfg.validate(); err != nil {
 		return nil, err
 	}
 	mach, err := machine.New(cfg.Machine, h.clock)
@@ -171,7 +155,7 @@ func (h *Home) AddNode(cfg NodeConfig) (*Node, error) {
 		bg:       vclock.NewGroup(h.clock),
 		deployed: make(map[ids.ID]services.Spec),
 	}
-	if cb := cfg.DataPlane.CacheBytes; cb > 0 {
+	if cb := h.cfg.CacheBytes; cb > 0 {
 		// The cache lives in space the device already volunteered to the
 		// pool, so it can never exceed the voluntary bin.
 		if cfg.VoluntaryBytes > 0 && cb > cfg.VoluntaryBytes {
@@ -192,7 +176,7 @@ func (h *Home) AddNode(cfg NodeConfig) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	if h.lazyMonitors {
+	if h.cfg.LazyMonitors {
 		mon.SetLazy(true)
 	}
 	n.mon = mon
@@ -389,7 +373,7 @@ func (n *Node) resources(addr string) (monitor.Resources, error) {
 		// Not (or no longer) a member; replicas may still hold its record.
 		return monitor.Lookup(n.home.kv, n.id, addr)
 	}
-	if n.home.lazyMonitors {
+	if n.home.cfg.LazyMonitors {
 		// On-demand materialisation: the candidate publishes (or memoises,
 		// within its validity window) before we read its record.
 		if err := peer.mon.EnsureFresh(); err != nil {

@@ -24,7 +24,7 @@ func coalesceRun(t *testing.T, coalesce bool, k int) ([][]byte, []time.Duration,
 	var durs []time.Duration
 	var coalesced int64
 	v.Run(func() {
-		home := NewHome(v, HomeOptions{Seed: 7, CoalesceFetch: coalesce})
+		home := NewHome(v, HomeOptions{Seed: 7, Config: Config{CoalesceFetch: coalesce}})
 		desktop, err := home.AddNode(NodeConfig{
 			Addr: "desktop:9000", Machine: desktopSpec(),
 			MandatoryBytes: 8 * GB, VoluntaryBytes: 8 * GB,

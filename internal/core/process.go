@@ -67,7 +67,7 @@ type ProcessBreakdown struct {
 	OutputMove time.Duration
 	// Overlap is the time the overlapped first step saved: InputMove and
 	// Exec carry their full serial costs, and the fused window took
-	// Overlap less. Zero unless ComputePlaneConfig.Overlap applied.
+	// Overlap less. Zero unless Config.Overlap applied.
 	Overlap time.Duration
 	// Total is the caller-observed latency.
 	Total time.Duration
@@ -297,7 +297,7 @@ func (n *Node) execute(p *plan, cancelled *atomic.Bool) (ProcessResult, error) {
 	default:
 		// Process-as-pages-arrive: the move and the first step fuse into
 		// one overlapped window when the path is eligible.
-		if n.cfg.ComputePlane.Overlap {
+		if n.home.cfg.Overlap {
 			step, raw, ok, err := n.moveAndRun(p.target, p.spec, p.meta)
 			if err != nil {
 				// ok=false implies err==nil (ineligible path), so a non-nil
@@ -493,8 +493,8 @@ func (n *Node) moveOutput(target string, outputSize int64) {
 // dispatch, then the task's execution — and, when a payload is
 // materialised, runs the corresponding kernel: it starts at dispatch and
 // is joined once the dispatch and exec sleeps are over (see startKernel).
-// A node target's own compute-plane config sizes its strands; a cloud
-// instance takes this node's.
+// The home's Workers sizes its strands, on a node and a cloud instance
+// alike.
 func (n *Node) runService(target string, spec services.Spec, inputSize int64, data []byte) (ProcessResult, error) {
 	res := stepResult(spec, target, inputSize)
 	k := n.startKernel(spec, data, res.OutputSize)
@@ -505,7 +505,6 @@ func (n *Node) runService(target string, spec services.Spec, inputSize int64, da
 
 	var m *machine.Machine
 	var err error
-	sizer := n
 	if inst, ok := cloudInstanceName(target); ok {
 		if cloud := n.home.Cloud(); cloud == nil {
 			err = ErrNoCloud
@@ -513,12 +512,12 @@ func (n *Node) runService(target string, spec services.Spec, inputSize int64, da
 			m, err = cloud.Instance(inst)
 		}
 	} else if host, ok := n.home.Node(target); ok {
-		m, sizer = host.mach, host
+		m = host.mach
 	} else {
 		err = fmt.Errorf("core: run %s: target %q gone", spec.Name, target)
 	}
 	if err == nil {
-		if strands, shards := sizer.strandsFor(task, inputSize); strands > 1 {
+		if strands, shards := n.strandsFor(task, inputSize); strands > 1 {
 			_, err = m.ExecSharded(task, strands)
 			n.ops.shardsExecuted.Add(int64(shards))
 		} else {

@@ -159,7 +159,7 @@ func processScenarios() []ladderScenario {
 	// step, alone and in a pipeline, with sharding on; a co-located or
 	// cloud-bound input is ineligible and runs the phases back to back.
 	scs = append(scs, ladderScenario{name: "overlap", voluntaryGB: four,
-		cfg: NodeConfig{ComputePlane: ComputePlaneConfig{Workers: 8, Overlap: true}},
+		cfg: Config{Workers: 8, Overlap: true},
 		run: func(b *ladderBed) {
 			b.train()
 			b.deploy(fdet, 0, 1)
@@ -184,7 +184,7 @@ func processScenarios() []ladderScenario {
 	// Speculation over two equal netbooks: one hedge wins, then, once the
 	// winner's machine is hogged behind its published record, the other.
 	scs = append(scs, ladderScenario{name: "speculation", voluntaryGB: four,
-		cfg: NodeConfig{ComputePlane: ComputePlaneConfig{Speculation: true}},
+		cfg: Config{Speculation: true},
 		run: func(b *ladderBed) {
 			b.deploy(fdet, 1, 2)
 			b.store("s.bin", 2*mb, false)
@@ -204,7 +204,7 @@ func processScenarios() []ladderScenario {
 	// The input move's substitutes once the owner is gone: a whole copy
 	// on a peer, and the cloud's copy pulled down to the target.
 	scs = append(scs, ladderScenario{name: "fallback", voluntaryGB: []int64{1, 4, 1, 1},
-		cfg: NodeConfig{DataPlane: DataPlaneConfig{DataReplicas: 1}, Faults: FaultConfig{Fallback: true}},
+		cfg: Config{DataReplicas: 1, Fallback: true},
 		run: func(b *ladderBed) {
 			b.deploy(fdet, 2)
 			b.store("r.bin", mb, false)

@@ -13,7 +13,7 @@ import (
 // This file is the fetch path's one executor. A pull climbs a ladder of
 // rungs, always in this order: ranges striped over every remote whole
 // copy (StripedFetch), the primary copy (the paper's one path, §III-B),
-// then under FaultConfig.Fallback a surviving whole copy or k shards —
+// then under Config.Fallback a surviving whole copy or k shards —
 // tried again without any holder that dies mid-pull — and the cloud. A
 // rung builds attempts, plain data; only the executor sends the request
 // round, runs the transfer, feeds the domainSink, charges the
@@ -33,10 +33,10 @@ const (
 // fetchLadder is the ladder this node's fetches climb.
 func (n *Node) fetchLadder() ladder {
 	l := rungPrimary
-	if n.cfg.DataPlane.StripedFetch {
+	if n.home.cfg.StripedFetch {
 		l |= rungStriped
 	}
-	if n.cfg.Faults.Fallback {
+	if n.home.cfg.Fallback {
 		l |= rungPieces | rungCloud
 	}
 	return l
@@ -145,7 +145,7 @@ func (n *Node) attemptAt(r ladder, meta ObjectMeta, gone []string, sink *domainS
 	whole := func(h *Node, abort onAbort, readOnRequest bool) attempt {
 		return attempt{
 			srcs: append(buf, source{holder: h, bin: meta.Name, size: meta.Size}),
-			join: borrowWhole, poll: sink != nil && n.cfg.Faults.Fallback, stream: true,
+			join: borrowWhole, poll: sink != nil && n.home.cfg.Fallback, stream: true,
 			readOnRequest: readOnRequest, onAbort: abort,
 		}
 	}

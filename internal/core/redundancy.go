@@ -17,9 +17,9 @@ import (
 // k of which rebuild the payload:
 //
 //   - ObjectMeta.Replicas are pieces of a k = 1 code: whole copies stored
-//     under the object's own name (DataPlaneConfig.DataReplicas of them);
+//     under the object's own name (Config.DataReplicas of them);
 //   - ObjectMeta.Shards are pieces of an (ErasureK, ErasureN) Reed–Solomon
-//     code stored under shardName (FederationConfig.ErasureK/ErasureN).
+//     code stored under shardName (Config.ErasureK/ErasureN).
 //
 // Placement, repair and evacuation below, and the fetch executor's
 // pieces rung (pull.go), are written once over that view; the metadata
@@ -100,7 +100,7 @@ func (n *Node) wantPieces(m ObjectMeta) int {
 	if m.coded() {
 		return m.ErasureN
 	}
-	return n.cfg.DataPlane.DataReplicas
+	return n.home.cfg.DataReplicas
 }
 
 // missingIndices returns the indices in [0, total) that have lacks.
@@ -166,13 +166,13 @@ func (h *Home) wholeCopies(m ObjectMeta) []*Node {
 
 // holderFor picks the node of home h that serves meta's whole payload to
 // n: the primary while it is alive and holds the payload, else under
-// FaultConfig.Fallback a stand-in counted as a fetch retry — the first
+// Config.Fallback a stand-in counted as a fetch retry — the first
 // surviving whole copy, or cloud (if non-nil) when a charged probe finds
 // a copy there, asked first when cloudFirst is set and last otherwise.
 // holder is nil when nobody can serve, or when the cloud does (inCloud).
 func (n *Node) holderFor(h *Home, meta ObjectMeta, cloud *cloudsim.Cloud, cloudFirst bool) (holder *Node, inCloud bool) {
 	primary, ok := h.Node(meta.Location)
-	if !n.cfg.Faults.Fallback || ok && primary.store.Has(meta.Name) {
+	if !n.home.cfg.Fallback || ok && primary.store.Has(meta.Name) {
 		return primary, false
 	}
 	probe := func() bool { return cloud != nil && n.cloudProbe(cloud, meta.Name) }
@@ -193,9 +193,9 @@ func (n *Node) holderFor(h *Home, meta ObjectMeta, cloud *cloudsim.Cloud, cloudF
 // coded shards when erasure is configured, DataReplicas whole copies
 // otherwise. With neither configured it returns before building anything.
 func (n *Node) addRedundancy(meta *ObjectMeta, obj objstore.Object, data []byte, primaryAddr string) {
-	if fed := n.cfg.Federation; fed.erasureOn() {
+	if fed := n.home.cfg; fed.erasureOn() {
 		meta.ErasureK, meta.ErasureN = fed.ErasureK, fed.ErasureN
-	} else if n.cfg.DataPlane.DataReplicas <= 0 {
+	} else if n.home.cfg.DataReplicas <= 0 {
 		return
 	}
 	meta.setPieces(n.placePieces(*meta, obj, data,
@@ -303,7 +303,7 @@ func (n *Node) placeOnPeers(items []placement, exclude map[string]bool) []string
 // repair order — and therefore placement — deterministic.
 func (h *Home) payloadRepairAfterCrash(dead string) {
 	for _, n := range h.members() {
-		if !n.cfg.Faults.Repair {
+		if !n.home.cfg.Repair {
 			continue
 		}
 		for _, bin := range n.store.List() {

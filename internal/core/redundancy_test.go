@@ -25,20 +25,20 @@ type pieceTestbed struct {
 	nodes []*Node
 }
 
-func newPieceTestbed(t *testing.T, voluntaryGB []int64, cfg NodeConfig) *pieceTestbed {
+func newPieceTestbed(t *testing.T, voluntaryGB []int64, cfg Config) *pieceTestbed {
 	t.Helper()
 	tb := &pieceTestbed{v: vclock.NewVirtual(epoch)}
 	tb.v.Run(func() {
-		tb.home = NewHome(tb.v, HomeOptions{Seed: 31, KV: kv.Options{ReplicationFactor: 2}})
+		tb.home = NewHome(tb.v, HomeOptions{Seed: 31, KV: kv.Options{ReplicationFactor: 2}, Config: cfg})
 		tb.cloud = cloudsim.New(tb.v, tb.home.Net())
 		tb.home.AttachCloud(tb.cloud)
 		for i, vol := range voluntaryGB {
-			c := cfg
 			name := fmt.Sprintf("n%02d", i)
-			c.Addr, c.Machine = name+":9000", atomSpec(name)
-			c.MandatoryBytes, c.VoluntaryBytes = 2*GB, vol*GB
-			c.CloudGateway = i == 0
-			n, err := tb.home.AddNode(c)
+			n, err := tb.home.AddNode(NodeConfig{
+				Addr: name + ":9000", Machine: atomSpec(name),
+				MandatoryBytes: 2 * GB, VoluntaryBytes: vol * GB,
+				CloudGateway: i == 0,
+			})
 			if err != nil {
 				t.Error(err)
 				return
@@ -138,10 +138,10 @@ func TestErasureFetchSurvivesAnyHolderCrash(t *testing.T) {
 	for _, code := range []struct{ k, n int }{{1, 2}, {1, 3}, {2, 3}, {3, 5}} {
 		code := code
 		t.Run(fmt.Sprintf("%d-of-%d", code.k, code.n), func(t *testing.T) {
-			cfg := NodeConfig{Federation: FederationConfig{ErasureK: code.k, ErasureN: code.n}}
+			cfg := Config{ErasureK: code.k, ErasureN: code.n}
 			pieces := code.n
 			if code.k == 1 {
-				cfg = NodeConfig{DataPlane: DataPlaneConfig{DataReplicas: code.n - 1}}
+				cfg = Config{DataReplicas: code.n - 1}
 				pieces = code.n - 1
 			}
 			for _, survivors := range combinations(pieces, code.k) {
@@ -149,7 +149,7 @@ func TestErasureFetchSurvivesAnyHolderCrash(t *testing.T) {
 				keep := strings.Trim(strings.ReplaceAll(fmt.Sprint(survivors), " ", "+"), "[]")
 				for _, repair := range []bool{false, true} {
 					cfg := cfg
-					cfg.Faults = FaultConfig{Fallback: true, Repair: repair}
+					cfg.Fallback, cfg.Repair = true, repair
 					t.Run(fmt.Sprintf("keep-%s/repair-%v", keep, repair), func(t *testing.T) {
 						testSurvivingPieces(t, cfg, code.k, pieces, survivors, payload)
 					})
@@ -163,7 +163,7 @@ func TestErasureFetchSurvivesAnyHolderCrash(t *testing.T) {
 // the primary and then every piece holder outside survivors (indices into
 // the stored piece list, k of them), and checks the fetch, the repair and
 // the delete.
-func testSurvivingPieces(t *testing.T, cfg NodeConfig, k, pieces int, survivors []int, payload []byte) {
+func testSurvivingPieces(t *testing.T, cfg Config, k, pieces int, survivors []int, payload []byte) {
 	// The primary, the piece holders, one spare per crash for repair to
 	// re-place onto, and a reader that holds nothing.
 	crashes := 1 + pieces - k
@@ -213,7 +213,7 @@ func testSurvivingPieces(t *testing.T, cfg NodeConfig, k, pieces int, survivors 
 		if !bytes.Equal(res.Data, payload) {
 			t.Fatal("fetched payload differs from the original")
 		}
-		if !cfg.Faults.Repair {
+		if !cfg.Repair {
 			// Nothing healed: the bytes can only have come through the
 			// gather, from exactly the surviving pieces.
 			source := meta.pieces()[survivors[0]].addr
@@ -249,7 +249,7 @@ func testSurvivingPieces(t *testing.T, cfg NodeConfig, k, pieces int, survivors 
 // and stays the best voluntary fit afterwards; node 2 is next.
 func TestGracefulDepartureKeepsPieces(t *testing.T) {
 	payload := []byte("frame 0042, motion in the driveway")
-	replicated := NodeConfig{DataPlane: DataPlaneConfig{DataReplicas: 1}}
+	replicated := Config{DataReplicas: 1}
 	fetchFrom := func(t *testing.T, n *Node) FetchResult {
 		t.Helper()
 		sess, err := n.OpenSession()
@@ -341,7 +341,7 @@ func TestGracefulDepartureKeepsPieces(t *testing.T) {
 
 	t.Run("shard holder departs", func(t *testing.T) {
 		tb := newPieceTestbed(t, []int64{1, 8, 4, 2, 1},
-			NodeConfig{Federation: FederationConfig{ErasureK: 2, ErasureN: 3}})
+			Config{ErasureK: 2, ErasureN: 3})
 		tb.v.Run(func() {
 			before := tb.store(t, "cam.jpg", payload)
 			if err := tb.home.RemoveNode(tb.nodes[1].addr, true); err != nil {
@@ -363,7 +363,7 @@ func TestGracefulDepartureKeepsPieces(t *testing.T) {
 	})
 
 	t.Run("shard-looking name rejected", func(t *testing.T) {
-		tb := newPieceTestbed(t, []int64{1, 1}, NodeConfig{})
+		tb := newPieceTestbed(t, []int64{1, 1}, Config{})
 		tb.v.Run(func() {
 			sess, err := tb.nodes[0].OpenSession()
 			if err != nil {

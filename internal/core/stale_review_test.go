@@ -12,12 +12,11 @@ import (
 // since overwritten from another node) serves that stale copy via the
 // replica short-circuit in fetchToDom0.
 func TestReviewStaleLocalCopyServed(t *testing.T) {
-	dp := DataPlaneConfig{DataReplicas: 1}
 	v := vclock.NewVirtual(epoch)
 	var home *Home
 	var n1, n2, n3, n4 *Node
 	v.Run(func() {
-		home = NewHome(v, HomeOptions{Seed: 31, KV: kv.Options{CacheEnabled: true}})
+		home = NewHome(v, HomeOptions{Seed: 31, KV: kv.Options{CacheEnabled: true}, Config: Config{DataReplicas: 1}})
 		add := func(addr string, spec NodeConfig) *Node {
 			spec.Addr = addr
 			n, err := home.AddNode(spec)
@@ -26,10 +25,10 @@ func TestReviewStaleLocalCopyServed(t *testing.T) {
 			}
 			return n
 		}
-		n1 = add("n1:9000", NodeConfig{Machine: desktopSpec(), MandatoryBytes: 8 * GB, VoluntaryBytes: 1 * GB, DataPlane: dp})
-		n2 = add("n2:9000", NodeConfig{Machine: desktopSpec(), MandatoryBytes: 8 * GB, VoluntaryBytes: 2 * GB, DataPlane: dp})
-		n3 = add("n3:9000", NodeConfig{Machine: desktopSpec(), MandatoryBytes: 8 * GB, VoluntaryBytes: 3 * GB, DataPlane: dp})
-		n4 = add("n4:9000", NodeConfig{Machine: desktopSpec(), MandatoryBytes: 8 * GB, VoluntaryBytes: 8 * GB, DataPlane: dp})
+		n1 = add("n1:9000", NodeConfig{Machine: desktopSpec(), MandatoryBytes: 8 * GB, VoluntaryBytes: 1 * GB})
+		n2 = add("n2:9000", NodeConfig{Machine: desktopSpec(), MandatoryBytes: 8 * GB, VoluntaryBytes: 2 * GB})
+		n3 = add("n3:9000", NodeConfig{Machine: desktopSpec(), MandatoryBytes: 8 * GB, VoluntaryBytes: 3 * GB})
+		n4 = add("n4:9000", NodeConfig{Machine: desktopSpec(), MandatoryBytes: 8 * GB, VoluntaryBytes: 8 * GB})
 		home.PublishAll()
 	})
 	if t.Failed() {

@@ -19,7 +19,7 @@ type OpStats struct {
 	CacheHits   int64
 	CacheMisses int64
 	// ShardsExecuted counts the shards of simulated sharded executions;
-	// zero while ComputePlaneConfig.Workers ≤ 1.
+	// zero while Config.Workers ≤ 1.
 	ShardsExecuted int64
 	// OverlapSaved accumulates the latency recovered by overlapping
 	// input movement with execution, versus running the phases serially.
@@ -32,12 +32,12 @@ type OpStats struct {
 	SpecCancels  int64
 	// FetchRetries counts fetches (and process input moves) that entered
 	// the fault-tolerance fallback ladder after losing a holder; zero
-	// while FaultConfig.Fallback is off.
+	// while Config.Fallback is off.
 	FetchRetries int64
 	// ObjectsRepaired counts objects whose metadata this node rewrote
 	// during post-crash payload repair; ReplicasRestored counts the fresh
 	// payload copies it placed doing so. Both stay zero while
-	// FaultConfig.Repair is off.
+	// Config.Repair is off.
 	ObjectsRepaired  int64
 	ReplicasRestored int64
 	// CloudProbes counts charged HEAD round trips (Cloud.Stat) this node
@@ -49,8 +49,8 @@ type OpStats struct {
 	// ShardsPlaced counts erasure-coded shards this node pushed at store
 	// time; ShardsRestored counts shards re-placed during post-crash
 	// repair; ShardReconstructs counts payload rebuilds from k shards on
-	// the fetch/repair path. All stay zero unless FederationConfig
-	// enables erasure coding.
+	// the fetch/repair path. All stay zero unless Config.ErasureK/N
+	// enable erasure coding.
 	ShardsPlaced      int64
 	ShardsRestored    int64
 	ShardReconstructs int64
@@ -64,11 +64,11 @@ type OpStats struct {
 	FederatedProbes int64
 	// CoalescedFetches counts remote fetches that joined another in-flight
 	// fetch of the same object instead of running their own wire transfer;
-	// zero unless HomeOptions.CoalesceFetch is on.
+	// zero unless Config.CoalesceFetch is on.
 	CoalescedFetches int64
 	// KVHops counts every routing hop this node's metadata operations
 	// took; SuperPeerHops the subset that landed on a regional super-peer
-	// (zero unless HomeOptions.SuperPeerRegions > 1), so KVHops −
+	// (zero unless Config.SuperPeerRegions > 1), so KVHops −
 	// SuperPeerHops is the home-tier remainder.
 	KVHops        int64
 	SuperPeerHops int64

@@ -252,26 +252,26 @@ type nodeStats struct {
 	BytesFetched int64   `json:"bytesFetched"`
 	CPULoad      float64 `json:"cpuLoad"`
 	MemFreeMB    int64   `json:"memFreeMb"`
-	// Compute-plane counters (zero unless ComputePlaneConfig enables the
+	// Compute-plane counters (zero unless core.Config enables the
 	// concurrent features).
 	ShardsExecuted int64 `json:"shardsExecuted,omitempty"`
 	OverlapSavedMS int64 `json:"overlapSavedMs,omitempty"`
 	SpecLaunches   int64 `json:"specLaunches,omitempty"`
 	SpecWins       int64 `json:"specWins,omitempty"`
 	SpecCancels    int64 `json:"specCancels,omitempty"`
-	// Fault-tolerance counters (zero unless FaultConfig enables the
+	// Fault-tolerance counters (zero unless core.Config enables the
 	// fallback ladder / post-crash repair).
 	FetchRetries     int64 `json:"fetchRetries,omitempty"`
 	ObjectsRepaired  int64 `json:"objectsRepaired,omitempty"`
 	ReplicasRestored int64 `json:"replicasRestored,omitempty"`
-	// Federation counters (zero unless FederationConfig enables charged
+	// Federation counters (zero unless core.Config enables charged
 	// cloud probes and erasure-coded redundancy).
 	CloudProbes       int64 `json:"cloudProbes,omitempty"`
 	ShardsPlaced      int64 `json:"shardsPlaced,omitempty"`
 	ShardsRestored    int64 `json:"shardsRestored,omitempty"`
 	ShardReconstructs int64 `json:"shardReconstructs,omitempty"`
 	// City-scale counters: total metadata-routing hops, the super-peer
-	// subset (zero unless HomeOptions.SuperPeerRegions > 1), and
+	// subset (zero unless core.Config.SuperPeerRegions > 1), and
 	// the shared membership arena gauge.
 	KVHops        int64 `json:"kvHops,omitempty"`
 	SuperPeerHops int64 `json:"superPeerHops,omitempty"`
@@ -659,11 +659,11 @@ type NodeStats struct {
 	SpecLaunches   int64
 	SpecWins       int64
 	SpecCancels    int64
-	// Fault-tolerance counters; zero while FaultConfig is the zero value.
+	// Fault-tolerance counters; zero while Fallback and Repair are off.
 	FetchRetries     int64
 	ObjectsRepaired  int64
 	ReplicasRestored int64
-	// Federation counters; zero while FederationConfig is the zero value.
+	// Federation counters; zero while Fallback is off and erasure coding unset.
 	CloudProbes       int64
 	ShardsPlaced      int64
 	ShardsRestored    int64

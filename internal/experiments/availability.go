@@ -27,7 +27,7 @@ type AvailabilityConfig struct {
 	Accesses int
 	// MinSize/MaxSize bound the uniform file-size band.
 	MinSize, MaxSize int64
-	// Replicas is the payload replica count (DataPlaneConfig.DataReplicas).
+	// Replicas is the payload replica count (core.Config.DataReplicas).
 	Replicas int
 	// MeanGap is the mean inter-arrival time per client.
 	MeanGap time.Duration
@@ -104,18 +104,17 @@ func RunAvailability(cfg AvailabilityConfig) (_ *AvailabilityResult, err error) 
 	res := &AvailabilityResult{}
 	for _, mode := range []struct {
 		name string
-		fc   core.FaultConfig
+		cfg  core.Config
 	}{
-		{"faults-off", core.FaultConfig{}},
-		{"fallback", core.FaultConfig{Fallback: true}},
-		{"fallback+repair", core.FaultConfig{Fallback: true, Repair: true}},
+		{"faults-off", core.Config{DataReplicas: cfg.Replicas}},
+		{"fallback", core.Config{DataReplicas: cfg.Replicas, Fallback: true}},
+		{"fallback+repair", core.Config{DataReplicas: cfg.Replicas, Fallback: true, Repair: true}},
 	} {
 		row := AvailabilityRow{Mode: mode.name}
 		check(replay("availability "+mode.name, cluster.Options{
-			Seed:      cfg.Seed,
-			Netbooks:  2 + cfg.Clients,
-			DataPlane: core.DataPlaneConfig{DataReplicas: cfg.Replicas},
-			Faults:    mode.fc,
+			Seed:     cfg.Seed,
+			Netbooks: 2 + cfg.Clients,
+			Config:   mode.cfg,
 		}, tr, cfg.Clients, crashRejoin(cfg.KillAt, cfg.RejoinAt), func(e *env, samples [][]fetchSample) {
 			row.Attempts, row.Failures, row.SuccessRate, row.Fetch, row.RetryCost = tally(samples)
 			for _, n := range e.Home.Nodes() {

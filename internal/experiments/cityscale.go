@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"cloud4home/internal/cluster"
+	"cloud4home/internal/core"
 	"cloud4home/internal/ids"
 	"cloud4home/internal/kv"
 	"cloud4home/internal/trace"
@@ -109,7 +110,7 @@ func cityArm(cfg CityScaleConfig, opts cluster.CityOptions) (_ cityRun, err erro
 	}))
 	r := cityRun{CityScaleMetrics: CityScaleMetrics{Nodes: opts.Homes}}
 	m := &r.CityScaleMetrics
-	s := scenario{name: fmt.Sprintf("city scale n=%d regions=%d", opts.Homes, opts.SuperPeerRegions), city: &opts, setup: func(e *env) {
+	s := scenario{name: fmt.Sprintf("city scale n=%d regions=%d", opts.Homes, opts.Config.SuperPeerRegions), city: &opts, setup: func(e *env) {
 		kvs := e.Home.KV()
 		var hopSum, storeHopSum int
 		fetchDurs := make([]time.Duration, 0, len(ops))
@@ -208,7 +209,7 @@ func RunCityScale(cfg CityScaleConfig) (_ *CityScaleResult, err error) {
 	res := &CityScaleResult{}
 	for _, n := range cfg.Nodes {
 		t0 := host.Now()
-		r := must(cityArm(cfg, cluster.CityOptions{Seed: cfg.Seed, Homes: n, LazyMonitors: true}))
+		r := must(cityArm(cfg, cluster.CityOptions{Seed: cfg.Seed, Homes: n, Config: core.Config{LazyMonitors: true}}))
 		res.Rows = append(res.Rows, CityScaleRow{Metrics: r.CityScaleMetrics, BytesPerNode: r.bytesPerNode, Wall: host.Now().Sub(t0)})
 	}
 
@@ -216,7 +217,7 @@ func RunCityScale(cfg CityScaleConfig) (_ *CityScaleResult, err error) {
 	// tier is a modeled change (hop structure differs), so it is measured
 	// beside the sweep, not inside it.
 	n := cfg.Nodes[0]
-	r := must(cityArm(cfg, cluster.CityOptions{Seed: cfg.Seed, Homes: n, LazyMonitors: true, SuperPeerRegions: cfg.Regions}))
+	r := must(cityArm(cfg, cluster.CityOptions{Seed: cfg.Seed, Homes: n, Config: core.Config{LazyMonitors: true, SuperPeerRegions: cfg.Regions}}))
 	res.SuperPeer = CitySuperPeerCell{
 		Nodes: n, Regions: cfg.Regions,
 		MeanHops: r.MeanLookupHops, MaxHops: r.MaxLookupHops,

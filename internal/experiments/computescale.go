@@ -69,15 +69,15 @@ func RunComputeScaleUp(cfg ComputeScaleUpConfig) (_ *ComputeScaleUpResult, err e
 	defer catch(&err)
 	// The sequential baseline is the zero config, so it runs once.
 	res := &ComputeScaleUpResult{Rows: []ComputeScaleUpRow{
-		runComputeScaleUpCell(cfg, "sequential", core.ComputePlaneConfig{}, cfg.Workers[0]),
+		runComputeScaleUpCell(cfg, "sequential", core.Config{}, cfg.Workers[0]),
 	}}
 	for _, mode := range []struct {
 		name string
-		cp   core.ComputePlaneConfig
+		cp   core.Config
 	}{
-		{"sharded", core.ComputePlaneConfig{}},
-		{"sharded+overlap", core.ComputePlaneConfig{Overlap: true}},
-		{"sharded+overlap+spec", core.ComputePlaneConfig{Overlap: true, Speculation: true}},
+		{"sharded", core.Config{}},
+		{"sharded+overlap", core.Config{Overlap: true}},
+		{"sharded+overlap+spec", core.Config{Overlap: true, Speculation: true}},
 	} {
 		for _, w := range cfg.Workers {
 			cp := mode.cp
@@ -88,11 +88,11 @@ func RunComputeScaleUp(cfg ComputeScaleUpConfig) (_ *ComputeScaleUpResult, err e
 	return res, nil
 }
 
-func runComputeScaleUpCell(cfg ComputeScaleUpConfig, name string, cp core.ComputePlaneConfig, w int) ComputeScaleUpRow {
+func runComputeScaleUpCell(cfg ComputeScaleUpConfig, name string, cp core.Config, w int) ComputeScaleUpRow {
 	row := ComputeScaleUpRow{Mode: name, Workers: w}
 	check(scenario{
 		name: fmt.Sprintf("compute scale-up %s workers=%d", name, w),
-		opts: cluster.Options{Seed: cfg.Seed, ComputePlane: cp},
+		opts: cluster.Options{Seed: cfg.Seed, Config: cp},
 		setup: func(e *env) {
 			// A second, equal desktop: the decision's runner-up and the
 			// speculative hedge's refuge when the first degrades.
@@ -101,7 +101,6 @@ func runComputeScaleUpCell(cfg ComputeScaleUpConfig, name string, cp core.Comput
 				Machine:        cluster.DesktopSpec(),
 				MandatoryBytes: 16 * cluster.GB,
 				VoluntaryBytes: 16 * cluster.GB,
-				ComputePlane:   cp,
 			}))
 			check(e.Desktop.DeployService(services.FaceRecognize(), "performance"))
 			check(desk2.DeployService(services.FaceRecognize(), "performance"))

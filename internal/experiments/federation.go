@@ -15,7 +15,7 @@ import (
 
 // FederationConfig parameterises the federation study, which answers
 // three questions in one run. Identity: does attaching extra backends
-// under a zero-value core.FederationConfig leave the data path
+// with a nil core.Config.Backend leave the data path
 // bit-identical? Frontier: where do the placement policies land objects
 // across three heterogeneous backends, and what does each choice cost in
 // latency and dollars? Redundancy: does erasure coding match whole-copy
@@ -152,19 +152,17 @@ func RunFederation(cfg FederationConfig) (_ *FederationResult, err error) {
 		{
 			name: fmt.Sprintf("replicas=%d", cfg.Replicas),
 			opts: cluster.Options{
-				Seed:      cfg.Seed,
-				Netbooks:  2 + cfg.Clients + 2,
-				DataPlane: core.DataPlaneConfig{DataReplicas: cfg.Replicas},
-				Faults:    core.FaultConfig{Fallback: true, Repair: true},
+				Seed:     cfg.Seed,
+				Netbooks: 2 + cfg.Clients + 2,
+				Config:   core.Config{DataReplicas: cfg.Replicas, Fallback: true, Repair: true},
 			},
 		},
 		{
 			name: fmt.Sprintf("erasure %d-of-%d", cfg.ErasureK, cfg.ErasureN),
 			opts: cluster.Options{
-				Seed:       cfg.Seed,
-				Netbooks:   2 + cfg.Clients + 2,
-				Faults:     core.FaultConfig{Fallback: true, Repair: true},
-				Federation: core.FederationConfig{ErasureK: cfg.ErasureK, ErasureN: cfg.ErasureN},
+				Seed:     cfg.Seed,
+				Netbooks: 2 + cfg.Clients + 2,
+				Config:   core.Config{Fallback: true, Repair: true, ErasureK: cfg.ErasureK, ErasureN: cfg.ErasureN},
 			},
 		},
 	}
@@ -175,7 +173,7 @@ func RunFederation(cfg FederationConfig) (_ *FederationResult, err error) {
 }
 
 // federationIdentity replays one store+fetch workload on a plain testbed
-// and on one with archive+metro attached under a zero FederationConfig,
+// and on one with archive+metro attached with a nil core.Config.Backend,
 // and compares the virtual-time samples exactly.
 func federationIdentity(cfg FederationConfig) (bool, string) {
 	plain := federationIdentityArm(cfg, nil)
@@ -224,10 +222,10 @@ func runFrontierPolicy(cfg FederationConfig, pol policy.BackendPolicy) (_ Fronti
 	check(scenario{
 		name: "federation frontier " + pol.Name(),
 		opts: cluster.Options{
-			Seed:       cfg.Seed,
-			Netbooks:   2,
-			Backends:   extraBackends(),
-			Federation: core.FederationConfig{Backend: pol},
+			Seed:     cfg.Seed,
+			Netbooks: 2,
+			Backends: extraBackends(),
+			Config:   core.Config{Backend: pol},
 		},
 		setup: func(e *env) {
 			sess := e.open(e.Desktop)
@@ -282,7 +280,7 @@ func runRedundancyArm(cfg FederationConfig, tr *trace.Trace, name string, opts c
 	row := RedundancyRow{Mode: name}
 	for _, f := range tr.Files {
 		row.DataBytes += f.Size
-		if opts.Federation.ErasureK > 0 {
+		if opts.Config.ErasureK > 0 {
 			shard := (f.Size + int64(cfg.ErasureK) - 1) / int64(cfg.ErasureK)
 			row.RedundantBytes += int64(cfg.ErasureN) * shard
 		} else {

@@ -75,7 +75,7 @@ func runCoalesceCell(cfg HotPathConfig, coalesce bool) (wall time.Duration, fetc
 	durs := make([]time.Duration, cfg.CoalesceClients)
 	check(scenario{
 		name:  fmt.Sprintf("coalesce %v", coalesce),
-		opts:  cluster.Options{Seed: cfg.Seed, CoalesceFetch: coalesce},
+		opts:  cluster.Options{Seed: cfg.Seed, Config: core.Config{CoalesceFetch: coalesce}},
 		setup: func(e *env) { put(e.open(e.Desktop), name, "b", nil, cfg.CoalesceSize, blocking) },
 		// The readers share one netbook and start 500 µs apart.
 		clients: cfg.CoalesceClients,

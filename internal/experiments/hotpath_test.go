@@ -37,10 +37,9 @@ func faultReplayDigest(t *testing.T, seed int64, clients int, tr *trace.Trace, s
 	t.Helper()
 	var sb strings.Builder
 	err := replay("fault replay", cluster.Options{
-		Seed:      seed,
-		Netbooks:  2 + clients,
-		DataPlane: core.DataPlaneConfig{DataReplicas: 1},
-		Faults:    core.FaultConfig{Fallback: true, Repair: true},
+		Seed:     seed,
+		Netbooks: 2 + clients,
+		Config:   core.Config{DataReplicas: 1, Fallback: true, Repair: true},
 	}, tr, clients, schedule, func(e *env, samples [][]fetchSample) {
 		for c, cs := range samples {
 			for _, s := range cs {

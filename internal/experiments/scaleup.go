@@ -67,16 +67,16 @@ func RunScaleUp(cfg ScaleUpConfig) (_ *ScaleUpResult, err error) {
 	res := &ScaleUpResult{}
 	for _, mode := range []struct {
 		name string
-		dp   core.DataPlaneConfig
+		cfg  core.Config
 	}{
-		{"sequential", core.DataPlaneConfig{}},
-		{"striped", core.DataPlaneConfig{StripedFetch: true, DataReplicas: cfg.Replicas}},
-		{"striped+cache", core.DataPlaneConfig{
+		{"sequential", core.Config{}},
+		{"striped", core.Config{StripedFetch: true, DataReplicas: cfg.Replicas}},
+		{"striped+cache", core.Config{
 			StripedFetch: true, DataReplicas: cfg.Replicas, CacheBytes: 512 * MB,
 		}},
 	} {
 		for _, clients := range cfg.Clients {
-			res.Rows = append(res.Rows, runScaleUpCell(cfg, mode.name, mode.dp, clients, maxClients))
+			res.Rows = append(res.Rows, runScaleUpCell(cfg, mode.name, mode.cfg, clients, maxClients))
 		}
 	}
 	return res, nil
@@ -86,13 +86,13 @@ func RunScaleUp(cfg ScaleUpConfig) (_ *ScaleUpResult, err error) {
 // own netbook. Readers start at netbook index cfg.Replicas so they never
 // hold a replica themselves (replicateData fills the lowest-address
 // netbooks first, all voluntary bins being equal).
-func runScaleUpCell(cfg ScaleUpConfig, mode string, dp core.DataPlaneConfig, clients, maxClients int) ScaleUpRow {
+func runScaleUpCell(cfg ScaleUpConfig, mode string, home core.Config, clients, maxClients int) ScaleUpRow {
 	row := ScaleUpRow{Mode: mode, Clients: clients}
 	names := make([]string, cfg.Objects)
 	durs := make([][]time.Duration, clients)
 	check(scenario{
 		name: fmt.Sprintf("scale-up %s clients=%d", mode, clients),
-		opts: cluster.Options{Seed: cfg.Seed, Netbooks: cfg.Replicas + maxClients, DataPlane: dp},
+		opts: cluster.Options{Seed: cfg.Seed, Netbooks: cfg.Replicas + maxClients, Config: home},
 		setup: func(e *env) {
 			writer := e.open(e.Desktop)
 			for j := range names {
@@ -178,7 +178,7 @@ func RunAblationDataCache(seed int64) (_ *AblationDataCacheResult, err error) {
 	res := &AblationDataCacheResult{Size: 8 * MB}
 	check(scenario{
 		name: "data cache ablation",
-		opts: cluster.Options{Seed: seed, DataPlane: core.DataPlaneConfig{CacheBytes: 512 * MB}},
+		opts: cluster.Options{Seed: seed, Config: core.Config{CacheBytes: 512 * MB}},
 		setup: func(e *env) {
 			sess := e.openEach(e.Desktop, e.Netbooks[1])
 			writer, reader := sess[0], sess[1]

@@ -24,7 +24,7 @@ import (
 // disjoint, index-addressed ranges and merge in part order, so the output
 // is byte-identical for every part count. The count comes from the host
 // (hostParts) and is unrelated to the simulated strand count of
-// core.ComputePlaneConfig.Workers, which only sizes machine.ExecSharded.
+// core.Config.Workers, which only sizes machine.ExecSharded.
 
 // ErrEmptyInput is returned when a kernel is given no data.
 var ErrEmptyInput = errors.New("services: empty input")
