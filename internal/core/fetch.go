@@ -126,7 +126,7 @@ func (n *Node) fetchToDom0(name, principal string, sink *domainSink) (ObjectMeta
 		return meta, data, meta.Location, bd, err
 
 	case home != n.home:
-		holder, _ := n.holderFor(home, meta, nil, false)
+		holder, _ := n.holderFor(home, meta, nil)
 		if holder == nil {
 			return meta, nil, "", bd, fmt.Errorf("%w: %q (federated holder gone)", ErrObjectNotFound, name)
 		}
@@ -170,7 +170,7 @@ func (n *Node) fetchToDom0(name, principal string, sink *domainSink) (ObjectMeta
 		if v, ok := n.clock.(*vclock.Virtual); ok && n.home.cfg.CoalesceFetch {
 			return n.fetchCoalesced(v, meta, sink, bd)
 		}
-		data, src, err := n.pull(meta, n.fetchLadder(), sink, &bd)
+		data, src, err := n.pull(n, meta, n.fetchLadder(), sink, &bd)
 		return meta, data, src, bd, err
 	}
 }
@@ -210,7 +210,7 @@ func (n *Node) fetchCoalesced(v *vclock.Virtual, meta ObjectMeta, sink *domainSi
 		bd.InterNode = n.clock.Now().Sub(start)
 		return f.meta, f.data, f.src, bd, f.err
 	}
-	f.data, f.src, f.err = n.pull(meta, n.fetchLadder(), sink, &bd)
+	f.data, f.src, f.err = n.pull(n, meta, n.fetchLadder(), sink, &bd)
 	// Unregister before firing: requests arriving after completion start a
 	// fresh flight instead of reading a finished one.
 	n.flightMu.Lock()

@@ -403,7 +403,6 @@ func (n *Node) moveInput(meta ObjectMeta, target string) ([]byte, time.Duration,
 		return nil, 0, nil // co-located in the cloud: payload stays there
 	}
 
-	cloud := n.home.Cloud()
 	_, targetCloud := cloudInstanceName(target)
 
 	// Fetch the payload (and charge the move) along the right path.
@@ -422,10 +421,11 @@ func (n *Node) moveInput(meta ObjectMeta, target string) ([]byte, time.Duration,
 		_, data, d, err := backend.FetchObject(dst, meta.Name)
 		return data, d, err
 	case targetCloud:
+		cloud := n.home.Cloud()
 		if cloud == nil {
 			return nil, 0, ErrNoCloud
 		}
-		holder, inCloud := n.holderFor(n.home, meta, cloud, true)
+		holder, inCloud := n.holderFor(n.home, meta, cloud)
 		if inCloud {
 			// The cloud already holds a copy: input and target are
 			// co-located, no move needed (the probe's HEAD round trip was
@@ -443,27 +443,15 @@ func (n *Node) moveInput(meta ObjectMeta, target string) ([]byte, time.Duration,
 		d := n.home.net.Transfer(wanUpPathFor(holder, cloud), meta.Size)
 		return data, d, nil
 	default:
+		// A pull toward the target: the primary, then under Fallback a
+		// surviving whole copy or k shards, then the cloud.
 		tgt, ok := n.home.Node(target)
-		var holder *Node
-		if ok {
-			var inCloud bool
-			if holder, inCloud = n.holderFor(n.home, meta, cloud, false); inCloud {
-				// Last rung: pull the input down from the cloud straight to
-				// the target (after the probe's charged HEAD round trip).
-				_, data, d, err := cloud.FetchObject(tgt.nic, meta.Name)
-				return data, d, err
-			}
+		if !ok {
+			return nil, 0, fmt.Errorf("%w: %q (target %q gone)", ErrObjectNotFound, meta.Name, target)
 		}
-		if holder == nil {
-			return nil, 0, fmt.Errorf("%w: %q (holder or target gone)", ErrObjectNotFound, meta.Name)
-		}
-		n.home.net.Message(n.lanPathTo(holder)) // request to the owner
-		_, data, err := holder.store.GetRef(meta.Name)
-		if err != nil {
-			return nil, 0, err
-		}
-		d := n.home.net.Transfer(holder.lanPathTo(tgt), meta.Size)
-		return data, d, nil
+		var bd FetchBreakdown
+		data, _, err := n.pull(tgt, meta, n.fetchLadder()&^rungStriped, nil, &bd)
+		return data, bd.InterNode, err
 	}
 }
 

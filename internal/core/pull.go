@@ -91,12 +91,14 @@ type attempt struct {
 	chargeRound, poll, stream, readOnRequest bool
 }
 
-// pull brings meta's payload into this dom0, climbing the rungs of l in
-// order until one delivers; a non-nil sink sees the payload stream in.
-// The payload is a read-only borrow, as everywhere in core. A fetch — a
-// ladder with the primary rung — counts climbing past the primary in
-// FetchRetries and leaves the payload in the dom0 cache.
-func (n *Node) pull(meta ObjectMeta, l ladder, sink *domainSink, bd *FetchBreakdown) ([]byte, string, error) {
+// pull brings meta's payload into dst's dom0 — this node's for a fetch
+// or a repair, the target's for the process path's input move — climbing
+// the rungs of l in order until one delivers; this node sends the
+// requests, and a non-nil sink sees the payload stream in. The payload is
+// a read-only borrow, as everywhere in core. A ladder with the primary
+// rung counts climbing past the primary in FetchRetries and, pulled into
+// this dom0, leaves the payload in the dom0 cache.
+func (n *Node) pull(dst *Node, meta ObjectMeta, l ladder, sink *domainSink, bd *FetchBreakdown) ([]byte, string, error) {
 	var gone []string // holders that died mid-pull: never asked again
 	for r := rungStriped; r <= rungCloud; r <<= 1 {
 		if l&r == 0 {
@@ -112,7 +114,7 @@ func (n *Node) pull(meta ObjectMeta, l ladder, sink *domainSink, bd *FetchBreakd
 			var data []byte
 			var src string
 			if r == rungCloud {
-				data, src = n.pullCloud(meta, sink, bd)
+				data, src = n.pullCloud(dst, meta, sink, bd)
 			} else {
 				var one [1]source
 				a, err := n.attemptAt(r, meta, gone, sink, one[:0])
@@ -122,12 +124,12 @@ func (n *Node) pull(meta ObjectMeta, l ladder, sink *domainSink, bd *FetchBreakd
 				if len(a.srcs) == 0 {
 					break
 				}
-				if data, src, err = n.run(meta, &a, sink, bd, &gone); err != nil && last {
+				if data, src, err = n.run(dst, meta, &a, sink, bd, &gone); err != nil && last {
 					return nil, "", err
 				}
 			}
 			if src != "" {
-				if l&rungPrimary != 0 && n.dataCache != nil {
+				if l&rungPrimary != 0 && dst == n && n.dataCache != nil {
 					n.dataCache.put(meta.Name, data, meta.Size)
 				}
 				return data, src, nil
@@ -196,16 +198,16 @@ func (n *Node) attemptAt(r ladder, meta ObjectMeta, gone []string, sink *domainS
 	return a, nil
 }
 
-// run makes one attempt and reports its source, "" when it did not
-// deliver; holders not to be asked again are added to gone.
-func (n *Node) run(meta ObjectMeta, a *attempt, sink *domainSink, bd *FetchBreakdown, gone *[]string) ([]byte, string, error) {
+// run makes one attempt into dst and reports its source, "" when it did
+// not deliver; holders not to be asked again are added to gone.
+func (n *Node) run(dst *Node, meta ObjectMeta, a *attempt, sink *domainSink, bd *FetchBreakdown, gone *[]string) ([]byte, string, error) {
 	start := n.clock.Now()
 	var interNode time.Duration
 	// One request per remote member, delivered concurrently.
 	var to *Node
 	k := 0
 	for _, s := range a.srcs {
-		if s.holder != n {
+		if s.holder != dst {
 			to, k = cmp.Or(to, s.holder), k+1
 		}
 	}
@@ -230,7 +232,7 @@ func (n *Node) run(meta ObjectMeta, a *attempt, sink *domainSink, bd *FetchBreak
 		read()
 	}
 	streaming := a.stream && sink != nil
-	wall := n.transfer(a, sink, streaming)
+	wall := n.transfer(dst, a, sink, streaming)
 	if !a.readOnRequest {
 		read()
 	}
@@ -259,7 +261,7 @@ func (n *Node) run(meta ObjectMeta, a *attempt, sink *domainSink, bd *FetchBreak
 	case lost != nil || survivor < 0: // a range's copy is gone, or every holder
 		return nil, "", nil
 	default: // refetch
-		interNode += n.home.net.Transfer(a.srcs[survivor].holder.lanPathTo(n), missing)
+		interNode += n.home.net.Transfer(a.srcs[survivor].holder.lanPathTo(dst), missing)
 		sink.settle(missing)
 	}
 
@@ -310,7 +312,7 @@ func (n *Node) run(meta ObjectMeta, a *attempt, sink *domainSink, bd *FetchBreak
 	return data, src, nil
 }
 
-// transfer runs an attempt's wire phase for its live remote members,
+// transfer runs an attempt's wire phase into dst for its live remote members,
 // recording how each fared. A single member that nothing cancels and no
 // sink watches goes through netsim's Transfer, which allocates nothing;
 // any other set runs as one TransferSet. That rejects only malformed
@@ -318,21 +320,21 @@ func (n *Node) run(meta ObjectMeta, a *attempt, sink *domainSink, bd *FetchBreak
 // count as aborted.
 //
 // c4h:hotpath
-func (n *Node) transfer(a *attempt, sink *domainSink, streaming bool) time.Duration {
-	if s := &a.srcs[0]; len(a.srcs) == 1 && s.holder != n && !s.aborted && !a.poll && !streaming {
+func (n *Node) transfer(dst *Node, a *attempt, sink *domainSink, streaming bool) time.Duration {
+	if s := &a.srcs[0]; len(a.srcs) == 1 && s.holder != dst && !s.aborted && !a.poll && !streaming {
 		s.moved = s.size
-		return n.home.net.Transfer(s.holder.lanPathTo(n), s.size)
+		return n.home.net.Transfer(s.holder.lanPathTo(dst), s.size)
 	}
 	reqs := make([]netsim.TransferReq, 0, len(a.srcs))
 	for i := range a.srcs {
 		s := &a.srcs[i]
-		if s.holder == n {
-			s.moved = s.size // already in this dom0
+		if s.holder == dst {
+			s.moved = s.size // already in dst's dom0
 		}
-		if s.holder == n || s.aborted {
+		if s.holder == dst || s.aborted {
 			continue
 		}
-		req := netsim.TransferReq{Path: s.holder.lanPathTo(n), Size: s.size}
+		req := netsim.TransferReq{Path: s.holder.lanPathTo(dst), Size: s.size}
 		if h := s.holder; a.poll {
 			req.Cancel = func() bool { _, alive := n.home.Node(h.addr); return !alive }
 		}
@@ -352,7 +354,7 @@ func (n *Node) transfer(a *attempt, sink *domainSink, streaming bool) time.Durat
 		}
 	}
 	for i := range a.srcs {
-		if s := &a.srcs[i]; s.holder != n && !s.aborted {
+		if s := &a.srcs[i]; s.holder != dst && !s.aborted {
 			s.moved, s.aborted, statuses = statuses[0].Moved, statuses[0].Aborted, statuses[1:]
 		}
 	}
@@ -364,7 +366,7 @@ func (n *Node) transfer(a *attempt, sink *domainSink, streaming bool) time.Durat
 // real S3 endpoint answers nothing without a round trip — so it asks with
 // a charged Stat, never the free Has oracle, and the probe is retry time
 // whatever it answers.
-func (n *Node) pullCloud(meta ObjectMeta, sink *domainSink, bd *FetchBreakdown) ([]byte, string) {
+func (n *Node) pullCloud(dst *Node, meta ObjectMeta, sink *domainSink, bd *FetchBreakdown) ([]byte, string) {
 	cloud, err := n.home.backendFor(meta.Backend)
 	if err != nil {
 		return nil, ""
@@ -376,7 +378,7 @@ func (n *Node) pullCloud(meta ObjectMeta, sink *domainSink, bd *FetchBreakdown) 
 		return nil, ""
 	}
 	start = n.clock.Now()
-	if _, data, d, err := cloud.FetchObject(n.nic, meta.Name); err == nil {
+	if _, data, d, err := cloud.FetchObject(dst.nic, meta.Name); err == nil {
 		sink.settle(meta.Size)
 		bd.InterNode += d
 		return data, cloud.URL(meta.Name)

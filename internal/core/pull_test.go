@@ -65,7 +65,7 @@ func TestRemoteFetchAllocations(t *testing.T) {
 		}
 		var bd FetchBreakdown
 		if n := testing.AllocsPerRun(50, func() {
-			if _, _, err := reader.pull(meta, reader.fetchLadder(), nil, &bd); err != nil {
+			if _, _, err := reader.pull(reader, meta, reader.fetchLadder(), nil, &bd); err != nil {
 				t.Fatal(err)
 			}
 		}); n != 0 {
@@ -82,7 +82,7 @@ func BenchmarkRemoteFetch(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := reader.pull(meta, reader.fetchLadder(), nil, &bd); err != nil {
+			if _, _, err := reader.pull(reader, meta, reader.fetchLadder(), nil, &bd); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -166,22 +166,19 @@ func (h *Home) wholeCopies(m ObjectMeta) []*Node {
 
 // holderFor picks the node of home h that serves meta's whole payload to
 // n: the primary while it is alive and holds the payload, else under
-// Config.Fallback a stand-in counted as a fetch retry — the first
-// surviving whole copy, or cloud (if non-nil) when a charged probe finds
-// a copy there, asked first when cloudFirst is set and last otherwise.
-// holder is nil when nobody can serve, or when the cloud does (inCloud).
-func (n *Node) holderFor(h *Home, meta ObjectMeta, cloud *cloudsim.Cloud, cloudFirst bool) (holder *Node, inCloud bool) {
+// Config.Fallback a stand-in counted as a fetch retry — cloud (if
+// non-nil) when a charged probe finds a copy there, else the first
+// surviving whole copy. holder is nil when nobody can serve, or when the
+// cloud does (inCloud).
+func (n *Node) holderFor(h *Home, meta ObjectMeta, cloud *cloudsim.Cloud) (holder *Node, inCloud bool) {
 	primary, ok := h.Node(meta.Location)
 	if !n.home.cfg.Fallback || ok && primary.store.Has(meta.Name) {
 		return primary, false
 	}
-	probe := func() bool { return cloud != nil && n.cloudProbe(cloud, meta.Name) }
-	if cloudFirst && probe() {
+	if cloud != nil && n.cloudProbe(cloud, meta.Name) {
 		inCloud = true
 	} else if whole := h.wholeCopies(meta); len(whole) > 0 {
 		holder = whole[0]
-	} else {
-		inCloud = !cloudFirst && probe()
 	}
 	if holder != nil || inCloud {
 		n.ops.fetchRetries.Add(1)
@@ -358,7 +355,7 @@ func (n *Node) repair(name, dead string) {
 			return
 		}
 	} else {
-		if data, _, err = n.pull(meta, rungPieces, nil, &FetchBreakdown{}); err != nil {
+		if data, _, err = n.pull(n, meta, rungPieces, nil, &FetchBreakdown{}); err != nil {
 			return // fewer than k pieces left; the payload is lost
 		}
 		obj = objstore.Object{Name: meta.Name, Type: meta.Type, Size: meta.Size, Tags: meta.Tags, Owner: meta.Owner}
