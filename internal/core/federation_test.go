@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"cloud4home/internal/cloudsim"
+	"cloud4home/internal/erasure"
 	"cloud4home/internal/kv"
 	"cloud4home/internal/policy"
 	"cloud4home/internal/vclock"
@@ -331,4 +332,29 @@ func TestPinnedPolicyRoutesStoreToNamedBackend(t *testing.T) {
 			t.Fatal("pinned fetch returned wrong bytes")
 		}
 	})
+}
+
+// TestAddNodeValidatesErasurePair: a half-configured or over-limit
+// erasure pair is input from outside the program, so AddNode rejects it
+// with a message naming the pair; no code and a valid code are accepted.
+func TestAddNodeValidatesErasurePair(t *testing.T) {
+	for _, c := range []struct {
+		k, n int
+		want string // errText's "-" = accepted
+	}{
+		{0, 0, "-"},
+		{2, 3, "-"},
+		{0, 3, "core: federation: need 1 <= ErasureK < ErasureN, got k=0 n=3"},
+		{3, 2, "core: federation: need 1 <= ErasureK < ErasureN, got k=3 n=2"},
+		{2, erasure.MaxShards + 1, fmt.Sprintf("core: federation: ErasureN %d exceeds GF(2^8) limit %d", erasure.MaxShards+1, erasure.MaxShards)},
+	} {
+		v := vclock.NewVirtual(epoch)
+		v.Run(func() {
+			home := NewHome(v, HomeOptions{Config: Config{ErasureK: c.k, ErasureN: c.n}})
+			_, err := home.AddNode(NodeConfig{Addr: "n00:9000", Machine: atomSpec("n00"), MandatoryBytes: GB})
+			if got := errText(err); got != c.want {
+				t.Errorf("k=%d n=%d: AddNode error %q, want %q", c.k, c.n, got, c.want)
+			}
+		})
+	}
 }

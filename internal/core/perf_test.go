@@ -284,6 +284,9 @@ func BenchmarkFetchProcessTwoSessions(b *testing.B) {
 // the heap shows up here: at most 12 at the owner and 26 decided.
 func TestFetchProcessCopiesNoPayload(t *testing.T) {
 	tb, names := processBed(t)
+	// One P, as testing.AllocsPerRun measures: with more, the runtime's
+	// own background work on another P lands in the window now and then.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	tb.run(func() {
 		sess, err := tb.atom.OpenSession()
 		if err != nil {

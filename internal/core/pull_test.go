@@ -6,16 +6,16 @@ import (
 	"cloud4home/internal/vclock"
 )
 
-// paperFetchBed is a zero-value home of two netbooks, n00 holding the
-// sparse object "remote.bin" that n01 fetches: every fetch takes the
-// paper's path, one request message and one LAN transfer.
+// paperFetchBed is a zero-value home of three netbooks, n00 holding the
+// sparse object "remote.bin" that n01 fetches or moves to n02: every pull
+// takes the paper's path, one request message and one LAN transfer.
 func paperFetchBed(tb testing.TB, body func(reader *Node, sess *Session, meta ObjectMeta)) {
 	tb.Helper()
 	v := vclock.NewVirtual(epoch)
 	v.Run(func() {
 		home := NewHome(v, HomeOptions{})
 		var nodes []*Node
-		for _, addr := range []string{"n00:9000", "n01:9000"} {
+		for _, addr := range []string{"n00:9000", "n01:9000", "n02:9000"} {
 			n, err := home.AddNode(NodeConfig{Addr: addr, Machine: atomSpec(addr), MandatoryBytes: 2 * GB})
 			if err != nil {
 				tb.Fatal(err)
@@ -50,7 +50,8 @@ func paperFetchBed(tb testing.TB, body func(reader *Node, sess *Session, meta Ob
 // remote sparse FetchObject allocates once (the decoded metadata
 // record; the command packet is encoded on the stack), and the executor
 // below fetchToDom0 — the request, the holder's read and the transfer —
-// not at all.
+// not at all, nor does the process path's input move of the object into
+// a third node's dom0.
 func TestRemoteFetchAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -70,6 +71,13 @@ func TestRemoteFetchAllocations(t *testing.T) {
 			}
 		}); n != 0 {
 			t.Errorf("pull of a remote copy: %v allocations, want 0", n)
+		}
+		if n := testing.AllocsPerRun(50, func() {
+			if _, _, err := reader.moveInput(meta, "n02:9000"); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("input move to a third node: %v allocations, want 0", n)
 		}
 	})
 }

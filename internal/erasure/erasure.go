@@ -19,10 +19,10 @@ const MaxShards = 255
 
 // Errors returned by coding operations.
 var (
-	ErrBadParams    = errors.New("erasure: invalid k-of-n parameters")
-	ErrShortShards  = errors.New("erasure: fewer than k shards")
-	ErrShardShape   = errors.New("erasure: shard index/length mismatch")
-	ErrSingular     = errors.New("erasure: decode matrix is singular")
+	ErrBadParams   = errors.New("erasure: invalid k-of-n parameters")
+	ErrShortShards = errors.New("erasure: fewer than k shards")
+	ErrShardShape  = errors.New("erasure: shard index/length mismatch")
+	ErrSingular    = errors.New("erasure: decode matrix is singular")
 )
 
 // gfTables holds the GF(2⁸) exp/log tables for the field generated by

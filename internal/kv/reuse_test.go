@@ -209,8 +209,11 @@ func TestGetRefAllocations(t *testing.T) {
 	}
 }
 
-// mallocsOf counts the heap allocations f makes.
+// mallocsOf counts the heap allocations f makes. It measures on one P,
+// as testing.AllocsPerRun does: with more, the runtime's own background
+// work on another P lands in the window now and then.
 func mallocsOf(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	f()
