@@ -53,8 +53,10 @@ func run() error {
 		return fmt.Errorf("need at least one netbook, got %d", *netbooks)
 	}
 
-	home := core.NewHome(vclock.Real{}, core.HomeOptions{Seed: *seed,
-		Config: core.Config{Workers: *workers, Overlap: *overlap, Speculation: *spec}})
+	home := core.NewHome(vclock.Real{}, core.HomeOptions{
+		Seed:   *seed,
+		Config: core.Config{Workers: *workers, Overlap: *overlap, Speculation: *spec},
+	})
 	if *cloud {
 		c := cloudsim.New(vclock.Real{}, home.Net())
 		home.AttachCloud(c)

@@ -29,7 +29,7 @@ const (
 var errSpeculationCancelled = errors.New("core: speculative execution cancelled")
 
 // strandsFor decides how many machine strands (and counted shards) a task
-// of the given input size uses on this node. One strand — the paper's
+// of the given input size uses in this home. One strand — the paper's
 // sequential model, which already grants Task.Parallelism speedup for
 // free — is kept whenever sharding would not strictly beat it, so the
 // concurrent compute plane never regresses the paper path and the

@@ -312,12 +312,12 @@ func (n *Node) run(dst *Node, meta ObjectMeta, a *attempt, sink *domainSink, bd 
 	return data, src, nil
 }
 
-// transfer runs an attempt's wire phase into dst for its live remote members,
-// recording how each fared. A single member that nothing cancels and no
-// sink watches goes through netsim's Transfer, which allocates nothing;
-// any other set runs as one TransferSet. That rejects only malformed
-// paths, which lanPathTo never builds; were it to, every member would
-// count as aborted.
+// transfer runs an attempt's wire phase into dst for its live remote
+// members, recording how each fared. A single member that nothing
+// cancels and no sink watches goes through netsim's Transfer, which
+// allocates nothing; any other set runs as one TransferSet. That rejects
+// only malformed paths, which lanPathTo never builds; were it to, every
+// member would count as aborted.
 //
 // c4h:hotpath
 func (n *Node) transfer(dst *Node, a *attempt, sink *domainSink, streaming bool) time.Duration {
