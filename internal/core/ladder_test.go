@@ -511,6 +511,32 @@ func ladderScenarios() []ladderScenario {
 			}})
 	}
 
+	// A fetch from a node whose own primary lost its copy, with Fallback
+	// off and on; an input move to a target that holds a listed replica;
+	// an input move to the object's location once that node has departed.
+	for _, fallback := range []bool{false, true} {
+		scs = append(scs, ladderScenario{name: fmt.Sprintf("local-stale/fallback=%v", fallback), voluntaryGB: replica,
+			cfg: Config{DataReplicas: 1, Fallback: fallback},
+			run: func(b *ladderBed) {
+				b.store("s.bin", 2*mb, false)
+				b.dropPrimaryCopy("s.bin")
+				b.fetch("local-primary-lacks-copy", 0, "s.bin")
+			}})
+	}
+	scs = append(scs, ladderScenario{name: "moveinput/replica-target", voluntaryGB: replica,
+		cfg: Config{DataReplicas: 1},
+		run: func(b *ladderBed) {
+			b.store("m.bin", 2*mb, false)
+			b.moveInput("replica-at-target", 2, "m.bin", b.nodes[1].addr)
+		}})
+	scs = append(scs, ladderScenario{name: "moveinput/location-departed", voluntaryGB: replica,
+		cfg: Config{DataReplicas: 1},
+		run: func(b *ladderBed) {
+			b.store("m.bin", 2*mb, false)
+			b.crash(0)
+			b.moveInput("target-is-location", 2, "m.bin", b.nodes[0].addr)
+		}})
+
 	return scs
 }
 

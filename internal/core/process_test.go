@@ -217,6 +217,58 @@ func processScenarios() []ladderScenario {
 			b.process("processat-cloud-copy", 3, processAt("c.bin", fdet, b.nodes[2].addr))
 			b.process("processat-none", 3, processAt("r.bin", fdet, b.nodes[2].addr))
 		}})
+
+	// The overlapped move once the primary is gone under Fallback, from a
+	// whole copy and from k shards, and the overlapped move whose only
+	// holder dies mid-wire, with Fallback off and on.
+	scs = append(scs, ladderScenario{name: "overlap/whole-copy", voluntaryGB: []int64{1, 4, 1, 1},
+		cfg: Config{Overlap: true, DataReplicas: 1, Fallback: true},
+		run: func(b *ladderBed) {
+			b.deploy(fdet, 2)
+			b.store("r.bin", 4*mb, false)
+			b.crash(0)
+			b.process("processat-primary-gone", 3, processAt("r.bin", fdet, b.nodes[2].addr))
+		}})
+	scs = append(scs, ladderScenario{name: "overlap/shards", voluntaryGB: []int64{1, 5, 4, 3, 1, 1},
+		cfg: Config{Overlap: true, Fallback: true, ErasureK: 2, ErasureN: 3},
+		run: func(b *ladderBed) {
+			b.deploy(fdet, 4)
+			b.store("c.bin", 6*mb, false)
+			b.crash(0)
+			b.process("processat-primary-gone", 5, processAt("c.bin", fdet, b.nodes[4].addr))
+		}})
+	for _, fallback := range []bool{false, true} {
+		scs = append(scs, ladderScenario{name: fmt.Sprintf("overlap/holder-dies/fallback=%v", fallback), voluntaryGB: four,
+			cfg: Config{Overlap: true, Fallback: fallback},
+			run: func(b *ladderBed) {
+				b.deploy(fdet, 1)
+				b.store("big.bin", 4*mb, false)
+				wait := b.crashAfter(200*time.Millisecond, 0)
+				b.process("processat-holder-dies", 2, processAt("big.bin", fdet, b.nodes[1].addr))
+				wait()
+			}})
+	}
+	// The overlapped move whose only surviving copy is the cloud's, and
+	// the one whose live primary lost its copy, with Fallback off and on.
+	scs = append(scs, ladderScenario{name: "overlap/cloud-copy", voluntaryGB: four,
+		cfg: Config{Overlap: true, Fallback: true},
+		run: func(b *ladderBed) {
+			b.deploy(fdet, 1)
+			b.store("c.bin", 2*mb, false)
+			b.seedCloud("c.bin")
+			b.crash(0)
+			b.process("processat-primary-gone", 2, processAt("c.bin", fdet, b.nodes[1].addr))
+		}})
+	for _, fallback := range []bool{false, true} {
+		scs = append(scs, ladderScenario{name: fmt.Sprintf("overlap/stale/fallback=%v", fallback), voluntaryGB: []int64{1, 4, 1, 1},
+			cfg: Config{Overlap: true, DataReplicas: 1, Fallback: fallback},
+			run: func(b *ladderBed) {
+				b.deploy(fdet, 2)
+				b.store("s.bin", 4*mb, false)
+				b.dropPrimaryCopy("s.bin")
+				b.process("processat-primary-lacks-copy", 3, processAt("s.bin", fdet, b.nodes[2].addr))
+			}})
+	}
 	return scs
 }
 
