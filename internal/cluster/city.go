@@ -13,8 +13,8 @@ import (
 // "multiple Cloud4Home systems interact" direction pushed to municipal
 // scale, where the simulator core itself — membership storage, monitor
 // scheduling, flat routing — becomes the bottleneck; the shared membership
-// arena is always on, Config.LazyMonitors and Config.SuperPeerRegions
-// address the rest.
+// arena is always on, no node's monitor is started, and
+// Config.SuperPeerRegions addresses the routing.
 type CityOptions struct {
 	// Seed drives all simulated randomness.
 	Seed int64
@@ -23,7 +23,7 @@ type CityOptions struct {
 	// KV configures the metadata store (default: replication 1, caching).
 	KV *kv.Options
 	// Config is the home's modeled behaviour (core.HomeOptions.Config):
-	// LazyMonitors and SuperPeerRegions are the knobs a city needs.
+	// SuperPeerRegions is the knob a city needs.
 	Config core.Config
 }
 
@@ -36,8 +36,8 @@ type City struct {
 
 // NewCity builds a city-scale overlay of opts.Homes nodes. Construction
 // runs inside the virtual clock so join traffic is charged; periodic
-// monitors are not started (city runs publish on demand via the
-// Config.LazyMonitors, or explicitly). Node 0 is the cloud gateway.
+// monitors are not started (a city run that needs a resource record
+// publishes it explicitly). Node 0 is the cloud gateway.
 func NewCity(opts CityOptions) (*City, error) {
 	if opts.Homes == 0 {
 		opts.Homes = 1000

@@ -169,11 +169,6 @@ type Config struct {
 	// on a deterministic event and are charged exactly the virtual time
 	// until the leader's bytes arrive, then copy the payload locally.
 	CoalesceFetch bool
-	// LazyMonitors materialises resource records on demand instead of
-	// running one periodic publisher per node: a node's record is
-	// published when a decision path first reads it and refreshed only
-	// once its validity window (the monitor period) has lapsed.
-	LazyMonitors bool
 	// SuperPeerRegions, when > 1, partitions the ID space into that many
 	// contiguous regions and routes inter-region traffic through each
 	// region's super-peer (its lowest-addressed member). Lookup results

@@ -176,9 +176,6 @@ func (h *Home) AddNode(cfg NodeConfig) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	if h.cfg.LazyMonitors {
-		mon.SetLazy(true)
-	}
 	n.mon = mon
 
 	h.mu.Lock()
@@ -372,13 +369,6 @@ func (n *Node) resources(addr string) (monitor.Resources, error) {
 	if !ok {
 		// Not (or no longer) a member; replicas may still hold its record.
 		return monitor.Lookup(n.home.kv, n.id, addr)
-	}
-	if n.home.cfg.LazyMonitors {
-		// On-demand materialisation: the candidate publishes (or memoises,
-		// within its validity window) before we read its record.
-		if err := peer.mon.EnsureFresh(); err != nil {
-			return monitor.Resources{}, fmt.Errorf("monitor: refresh %s: %w", addr, err)
-		}
 	}
 	gr, err := n.home.kv.GetRef(n.id, peer.mon.Key())
 	if err != nil {

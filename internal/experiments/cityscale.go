@@ -96,9 +96,9 @@ type CityScaleResult struct {
 // kv layer, then injects churn and measures repair traffic. All ops run
 // sequentially inside the virtual clock, so the schedule — and every
 // metric — is a pure function of the seed and opts. It is the one city
-// loop: the sweep runs it with lazy monitors, the super-peer cell with the
-// aggregation tier on, and the golden test with the eager default, which
-// must land on the same numbers as the sweep.
+// loop: the sweep and the golden test run it with the zero Config, the
+// super-peer cell with the aggregation tier on. The city starts no
+// monitor and reads no resource record.
 func cityArm(cfg CityScaleConfig, opts cluster.CityOptions) (_ cityRun, err error) {
 	defer catch(&err)
 	ops := must(trace.GeneratePopulation(trace.PopulationConfig{
@@ -209,7 +209,7 @@ func RunCityScale(cfg CityScaleConfig) (_ *CityScaleResult, err error) {
 	res := &CityScaleResult{}
 	for _, n := range cfg.Nodes {
 		t0 := host.Now()
-		r := must(cityArm(cfg, cluster.CityOptions{Seed: cfg.Seed, Homes: n, Config: core.Config{LazyMonitors: true}}))
+		r := must(cityArm(cfg, cluster.CityOptions{Seed: cfg.Seed, Homes: n}))
 		res.Rows = append(res.Rows, CityScaleRow{Metrics: r.CityScaleMetrics, BytesPerNode: r.bytesPerNode, Wall: host.Now().Sub(t0)})
 	}
 
@@ -217,7 +217,7 @@ func RunCityScale(cfg CityScaleConfig) (_ *CityScaleResult, err error) {
 	// tier is a modeled change (hop structure differs), so it is measured
 	// beside the sweep, not inside it.
 	n := cfg.Nodes[0]
-	r := must(cityArm(cfg, cluster.CityOptions{Seed: cfg.Seed, Homes: n, Config: core.Config{LazyMonitors: true, SuperPeerRegions: cfg.Regions}}))
+	r := must(cityArm(cfg, cluster.CityOptions{Seed: cfg.Seed, Homes: n, Config: core.Config{SuperPeerRegions: cfg.Regions}}))
 	res.SuperPeer = CitySuperPeerCell{
 		Nodes: n, Regions: cfg.Regions,
 		MeanHops: r.MeanLookupHops, MaxHops: r.MaxLookupHops,

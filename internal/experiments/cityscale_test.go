@@ -8,9 +8,9 @@ import (
 )
 
 // TestCityScaleIdentity runs a scaled-down city sweep as RunCityScale
-// runs it (lazy monitors) and asserts the result-preserving property: its
-// virtual-time metrics equal, field for field, the ones frozen in
-// testdata/golden/city_identity.json from the eager-monitor flat core
+// runs it and asserts the result-preserving property: its virtual-time
+// metrics equal, field for field, the ones frozen in
+// testdata/golden/city_identity.json from the flat core
 // (TestGoldenOutputs holds today's default run to the same file).
 func TestCityScaleIdentity(t *testing.T) {
 	sizes := []int{64, 200}
@@ -34,7 +34,7 @@ func TestCityScaleIdentity(t *testing.T) {
 	var repairTotal int64
 	for i, row := range res.Rows {
 		if row.Metrics != golden[i] {
-			t.Fatalf("n=%d: lazy-monitor sweep diverged from the frozen eager-monitor core:\n got  %+v\n want %+v",
+			t.Fatalf("n=%d: city sweep diverged from the frozen flat core:\n got  %+v\n want %+v",
 				sizes[i], row.Metrics, golden[i])
 		}
 		if row.Metrics.Fetches == 0 || row.Metrics.Stores == 0 {

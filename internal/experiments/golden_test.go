@@ -53,7 +53,7 @@ func checkGolden(t *testing.T, name string, v any) {
 	}
 }
 
-// cityMetrics runs cityArm at each size with the default eager monitors.
+// cityMetrics runs cityArm at each size with the zero Config.
 func cityMetrics(t *testing.T, cfg CityScaleConfig, sizes ...int) []CityScaleMetrics {
 	t.Helper()
 	out := make([]CityScaleMetrics, 0, len(sizes))

@@ -131,9 +131,6 @@ type Monitor struct {
 
 	mu      sync.Mutex
 	started bool
-	lazy    bool      // guarded by mu; on-demand mode, Start is a no-op
-	lastPub time.Time // guarded by mu; when the record was last published
-	hasPub  bool      // guarded by mu; whether any publish has happened
 	stop    chan struct{}
 	loop    *vclock.Group // the running publisher, joined by Stop
 	lastErr error         // guarded by mu; most recent periodic-publish failure
@@ -179,42 +176,8 @@ func (m *Monitor) PublishOnce() error {
 	if err != nil {
 		return err
 	}
-	if _, err = m.store.Put(m.node, m.key, data, kv.Overwrite); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	m.lastPub = m.clock.Now()
-	m.hasPub = true
-	m.mu.Unlock()
-	return nil
-}
-
-// SetLazy switches the monitor to on-demand publication: Start becomes a
-// no-op and readers call EnsureFresh before consulting the record. City-
-// scale runs use it so N nodes do not each keep a periodic publisher
-// sleeping on the clock for records nobody reads.
-func (m *Monitor) SetLazy(on bool) {
-	m.mu.Lock()
-	m.lazy = on
-	m.mu.Unlock()
-}
-
-// EnsureFresh materialises the resource record on demand: in lazy mode
-// it publishes if the record has never been published or its validity
-// window (one monitor period) has lapsed, and is a memoised no-op in
-// between. Outside lazy mode it does nothing — the periodic loop owns
-// freshness.
-func (m *Monitor) EnsureFresh() error {
-	m.mu.Lock()
-	lazy, hasPub, lastPub := m.lazy, m.hasPub, m.lastPub
-	m.mu.Unlock()
-	if !lazy {
-		return nil
-	}
-	if hasPub && m.clock.Now().Sub(lastPub) < m.period {
-		return nil
-	}
-	return m.PublishOnce()
+	_, err = m.store.Put(m.node, m.key, data, kv.Overwrite)
+	return err
 }
 
 // Start launches the periodic publisher: an actor on a virtual clock, a
@@ -222,7 +185,7 @@ func (m *Monitor) EnsureFresh() error {
 func (m *Monitor) Start() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.started || m.lazy {
+	if m.started {
 		return
 	}
 	m.started = true
