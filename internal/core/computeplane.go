@@ -2,13 +2,11 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"cloud4home/internal/machine"
-	"cloud4home/internal/netsim"
 	"cloud4home/internal/parallel"
 	"cloud4home/internal/policy"
 	"cloud4home/internal/services"
@@ -55,92 +53,57 @@ func (n *Node) strandsFor(task machine.Task, inputSize int64) (strands, shards i
 	return strands, shards
 }
 
-// moveAndRun fuses the input move with the first service execution:
-// the task is admitted on the target when the wire starts (so concurrent
-// work sees the honest load), the dispatch overhead overlaps the
-// transfer, and each delivered chunk's share of the execution is
-// scheduled behind its arrival — process-as-pages-arrive. The reported
-// InputMove (request and wire) and Exec (dispatch and run) carry their
-// full serial costs; only the observed wall window shrinks.
-//
-// ok=false means the path is ineligible (co-located input, cloud on
-// either side, sparse-size object, or a dead holder/target) and the
-// caller must use the sequential moveInput+runService path.
-func (n *Node) moveAndRun(target string, spec services.Spec, meta ObjectMeta) (res ProcessResult, data []byte, ok bool, err error) {
-	holder, okH := n.home.Node(meta.Location)
-	tgt, okT := n.home.Node(target)
-	if !okH || !okT || meta.Location == target || meta.Size <= 0 {
-		return ProcessResult{}, nil, false, nil
-	}
+// firstStep is an overlapped plan's first service step (Config.Overlap)
+// as the stage its input move's pull feeds: each delivered chunk's share
+// of the execution runs behind its arrival — process-as-pages-arrive. The
+// begin hook admits the task on the target as the first wire into it
+// starts, after the request round and the holder's read, so concurrent
+// work sees the honest load; the dispatch runs while the first bytes are
+// on the wire.
+type firstStep struct {
+	domainSink
+	lease           *machine.Lease // admitted by the begin hook
+	strands, shards int
+}
 
-	// Request message to the owner, exactly as the sequential path.
-	msg := n.home.net.Message(n.lanPathTo(holder))
-	_, data, err = holder.store.GetRef(meta.Name)
-	if err != nil {
-		return ProcessResult{}, nil, true, err
-	}
-
-	task := spec.Task(meta.Size)
-	strands, shards := n.strandsFor(task, meta.Size)
-	dispatch := n.dispatchFor(target)
-	lease, err := tgt.mach.Begin(task, strands)
-	if err != nil {
-		return ProcessResult{}, nil, true, err
-	}
-	d := lease.Duration()
-	res = stepResult(spec, target, meta.Size)
-	// The kernel runs on the host while the wire and the execution tail
-	// elapse; it is joined before anything reads its result.
-	k := n.startKernel(spec, data, res.OutputSize)
-
-	wireStart := n.clock.Now()
-	// Handler dispatch proceeds while the first bytes are on the wire.
-	ready := wireStart.Add(dispatch)
-	var computeDone time.Time
-	var delivered int64
-	perByte := float64(d) / float64(meta.Size)
-	onChunk := func(b int64) {
-		delivered += b
-		// A chunk's share of the execution runs after (a) the bytes are
-		// here, (b) the handler is dispatched, (c) earlier chunks are done.
-		base := computeDone
-		if now := n.clock.Now(); base.Before(now) {
-			base = now
+// overlapFirst builds spec's step on tgt for a size-byte input.
+func (n *Node) overlapFirst(tgt *Node, spec services.Spec, size int64) *firstStep {
+	task := spec.Task(size)
+	f := &firstStep{domainSink: domainSink{clock: n.clock}}
+	f.strands, f.shards = n.strandsFor(task, size)
+	f.begin = func() {
+		// A task Begin refuses leaves the step to run after the move, and
+		// to fail there.
+		if lease, err := tgt.mach.Begin(task, f.strands); err == nil {
+			perByte := float64(lease.Duration()) / float64(size)
+			f.lease, f.ready = lease, n.clock.Now().Add(n.dispatchFor(tgt.addr))
+			f.price = func(b int64) time.Duration { return time.Duration(float64(b) * perByte) }
 		}
-		if base.Before(ready) {
-			base = ready
-		}
-		computeDone = base.Add(time.Duration(float64(b) * perByte))
 	}
-	// Chunk stays 0 (the wire's own granularity): a single-member set
-	// then draws the same jitter sequence as the sequential Transfer, so
-	// the reported InputMove is unchanged from the sequential run.
-	st, wire, terr := n.home.net.TransferSet([]netsim.TransferReq{{
-		Path:    holder.lanPathTo(tgt),
-		Size:    meta.Size,
-		OnChunk: onChunk,
-	}})
-	if terr != nil || len(st) == 0 {
-		return ProcessResult{}, nil, true, k.join(&res, fmt.Errorf("core: move %q to %s: %v", meta.Name, target, terr))
+	return f
+}
+
+// runFirst ends p's begun first step once the input move has returned:
+// on a delivered payload the kernel runs while the execution tail past
+// the wire elapses. Every exit releases the lease, a failed move's at
+// once. The reported Exec (dispatch and run) carries its full serial
+// cost; only the observed window shrinks.
+func (n *Node) runFirst(p *plan, f *firstStep, data []byte, moveErr error) (ProcessResult, error) {
+	if moveErr != nil {
+		f.lease.Finish(0)
+		return ProcessResult{}, moveErr
 	}
-	if rest := meta.Size - delivered; rest > 0 {
-		onChunk(rest)
-	}
-	// Settle the execution tail extending past the wire.
-	lease.Finish(computeDone.Sub(n.clock.Now()))
+	res := stepResult(p.spec, p.target, p.meta.Size)
+	k := n.startKernel(p.spec, data, res.OutputSize)
+	f.lease.Finish(f.done.Sub(n.clock.Now()))
 	if err := k.join(&res, nil); err != nil {
-		return ProcessResult{}, nil, true, err
+		return ProcessResult{}, err
 	}
-
-	res.Breakdown.InputMove = msg + wire
-	res.Breakdown.Exec = dispatch + d
-	if strands > 1 {
-		n.ops.shardsExecuted.Add(int64(shards))
+	res.Breakdown.Exec = n.dispatchFor(p.target) + f.lease.Duration()
+	if f.strands > 1 {
+		n.ops.shardsExecuted.Add(int64(f.shards))
 	}
-	if saved := wire + dispatch + d - n.clock.Now().Sub(wireStart); saved > 0 {
-		n.ops.overlapSaved.Add(int64(saved))
-	}
-	return res, data, true, nil
+	return res, nil
 }
 
 // executeDecided runs a decided plan, hedging it onto the decision's top

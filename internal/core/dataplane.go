@@ -7,49 +7,52 @@ import (
 	"cloud4home/internal/xenchan"
 )
 
-// domainSink streams wire chunks into the guest-facing channel as they
-// arrive, modelling the pipelined fetch: each chunk's drain is scheduled
-// behind the previous one (the ring is serial), but concurrently with the
-// rest of the wire transfer. After the wire phase the caller settles the
-// drain time extending past it.
+// domainSink is the one chunk-fed serial stage in a pull's destination
+// dom0: each wire chunk's work starts once the chunk is there, the stage
+// is ready and the chunks before it are done, concurrently with the rest
+// of the wire. Its two users are the guest drain of a pipelined fetch
+// (Config.Pipelined), and an overlapped process's first service step
+// (Config.Overlap, firstStep). After the pull the caller settles the work
+// extending past the wire.
 type domainSink struct {
-	pl    *xenchan.Pipeline
 	clock vclock.Clock
-	// chunk is the page-ring capacity — the granularity the wire phase is
-	// asked to deliver at.
-	chunk int64
-	// drainDone is when the serial dom0→guest drain finishes the bytes
-	// delivered so far.
-	drainDone time.Time
-	// cost accumulates the full modeled drain cost, reported as the
-	// breakdown's InterDomain figure.
-	cost time.Duration
-	used bool
+	chunk int64                       // the wire granularity it asks for; 0 is the wire's own
+	price func(b int64) time.Duration // one chunk's work; without one the stage takes none
+	begin func()                      // run once as the first wire into dst starts
+	ready time.Time                   // when the first chunk's work can start
+	done  time.Time                   // when the work on the bytes delivered so far ends
+	cost  time.Duration               // the full modeled work: the drain's InterDomain
+	used  bool
 }
 
-func newDomainSink(chn *xenchan.Channel, clock vclock.Clock) *domainSink {
+// guestDrain is the pipelined fetch's stage, the serial dom0→guest drain
+// through chn's page ring, whose Pipeline the caller settles; nil when chn
+// is closed.
+func guestDrain(chn *xenchan.Channel, clock vclock.Clock) (*domainSink, *xenchan.Pipeline) {
 	pl, err := chn.StartPipeline()
 	if err != nil {
-		return nil
+		return nil, nil
 	}
 	cfg := chn.Config()
-	return &domainSink{
-		pl:    pl,
-		clock: clock,
-		chunk: int64(cfg.PageSize) * int64(cfg.NumPages),
-	}
+	return &domainSink{clock: clock, chunk: int64(cfg.PageSize) * int64(cfg.NumPages), price: pl.ChunkCost}, pl
 }
 
 // onChunk is called from the wire's event loop with the clock standing at
 // the instant b more bytes arrived in dom0.
 func (ds *domainSink) onChunk(b int64) {
-	now := ds.clock.Now()
-	if ds.drainDone.Before(now) {
-		ds.drainDone = now
+	if ds.price == nil {
+		return
 	}
-	c := ds.pl.ChunkCost(b)
+	at := ds.clock.Now()
+	if at.Before(ds.done) {
+		at = ds.done
+	}
+	if at.Before(ds.ready) {
+		at = ds.ready
+	}
+	c := ds.price(b)
 	ds.cost += c
-	ds.drainDone = ds.drainDone.Add(c)
+	ds.done = at.Add(c)
 	ds.used = true
 }
 

@@ -337,7 +337,7 @@ func TestMoveInputFallsBackToSurvivingReplica(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		data, moveIn, err := tb.netbook.moveInput(meta, tb.netbook.addr)
+		data, moveIn, err := tb.netbook.moveInput(meta, tb.netbook.addr, nil)
 		if err != nil {
 			t.Fatalf("moveInput after holder crash: %v", err)
 		}

@@ -7,7 +7,7 @@ import (
 
 	"cloud4home/internal/command"
 	"cloud4home/internal/netsim"
-	"cloud4home/internal/vclock"
+	"cloud4home/internal/xenchan"
 )
 
 // FetchBreakdown is the per-phase cost profile of a fetch — the columns
@@ -54,8 +54,9 @@ func (s *Session) FetchObject(name string) (FetchResult, error) {
 	// With the pipelined data plane, wire chunks stream into the guest
 	// channel as they arrive instead of the two phases running serially.
 	var sink *domainSink
+	var pl *xenchan.Pipeline
 	if s.node.home.cfg.Pipelined {
-		sink = newDomainSink(s.chn, s.node.clock)
+		sink, pl = guestDrain(s.chn, s.node.clock)
 	}
 	meta, data, source, breakdown, err := s.node.fetchToDom0(name, s.principal, sink)
 	if sink != nil && sink.used {
@@ -63,7 +64,7 @@ func (s *Session) FetchObject(name string) (FetchResult, error) {
 		// the tail extending past it, also after a failure, so that a
 		// half-delivered sink cannot corrupt the next fetch's accounting
 		// on this channel.
-		sink.pl.Finish(sink.drainDone.Sub(s.node.clock.Now()))
+		pl.Finish(sink.done.Sub(s.node.clock.Now()))
 	}
 	if err != nil {
 		return FetchResult{}, err
@@ -92,9 +93,11 @@ func (s *Session) FetchObject(name string) (FetchResult, error) {
 // fetchToDom0 brings the object into this node's control domain,
 // returning the metadata, payload, source, and the partial cost
 // breakdown (lookup + inter-node phases). Access is enforced at metadata
-// resolution, before any payload moves. A non-nil sink streams LAN wire
-// chunks into the guest channel as they arrive (the pipelined data
-// plane); local, cached, cloud, and federated paths leave it untouched.
+// resolution, before any payload moves. Only a cloud-resident object and
+// a neighbour home's take an arm of their own; the rest is one pull. A
+// non-nil sink streams LAN wire chunks into the guest channel as they
+// arrive (the pipelined data plane); local, cached, cloud, and federated
+// paths leave it untouched.
 //
 // Ownership: the payload is a read-only borrow (objstore.Store.GetRef) —
 // core may read it and pass it on, never write it, and copies it only
@@ -142,80 +145,7 @@ func (n *Node) fetchToDom0(name, principal string, sink *domainSink) (ObjectMeta
 			Jitter:    netsim.LANJitter,
 		}, meta.Size)
 		return meta, data, holder.addr, bd, nil
-
-	case meta.Location == n.addr:
-		_, data, err := n.store.GetRef(name)
-		if err != nil {
-			return meta, nil, "", bd, fmt.Errorf("core: fetch %q: metadata points here but: %w", name, err)
-		}
-		return meta, data, n.addr, bd, nil
-
-	default:
-		// A best-effort replica on this very node short-circuits the wire.
-		if len(meta.Replicas) > 0 && n.store.Has(name) {
-			if _, data, err := n.store.GetRef(name); err == nil {
-				return meta, data, n.addr, bd, nil
-			}
-		}
-		// The dom0 cache answers repeat fetches at local latency; a hit's
-		// data is nil for sparse objects.
-		if n.dataCache != nil {
-			data, hit := n.dataCache.get(name)
-			if hit {
-				n.ops.cacheHits.Add(1)
-				return meta, data, "cache:" + n.addr, bd, nil
-			}
-			n.ops.cacheMisses.Add(1)
-		}
-		if v, ok := n.clock.(*vclock.Virtual); ok && n.home.cfg.CoalesceFetch {
-			return n.fetchCoalesced(v, meta, sink, bd)
-		}
-		data, src, err := n.pull(n, meta, n.fetchLadder(), sink, &bd)
-		return meta, data, src, bd, err
 	}
-}
-
-// fetchFlight is one in-flight remote fetch other requests may join.
-type fetchFlight struct {
-	ev   *vclock.Event
-	meta ObjectMeta
-	data []byte
-	src  string
-	err  error
-}
-
-// fetchCoalesced merges concurrent remote fetches of one object
-// (Config.CoalesceFetch): the first requester becomes the leader and
-// runs the real wire transfer; followers park on the flight's event until
-// the leader's bytes arrive — so each follower's inter-node time is
-// exactly the remaining duration of the shared transfer — then share the
-// leader's borrowed payload. Followers leave their pipeline sink untouched
-// (their session falls back to the serial dom0→guest drain); the flight's
-// fields are written by the leader before Fire and read-only afterwards.
-func (n *Node) fetchCoalesced(v *vclock.Virtual, meta ObjectMeta, sink *domainSink, bd FetchBreakdown) (ObjectMeta, []byte, string, FetchBreakdown, error) {
-	n.flightMu.Lock()
-	f, follower := n.flights[meta.Name]
-	if !follower {
-		f = &fetchFlight{ev: v.NewEvent(), meta: meta}
-		if n.flights == nil {
-			n.flights = make(map[string]*fetchFlight)
-		}
-		n.flights[meta.Name] = f
-	}
-	n.flightMu.Unlock()
-	if follower {
-		start := n.clock.Now()
-		f.ev.Wait()
-		n.ops.coalescedFetches.Add(1)
-		bd.InterNode = n.clock.Now().Sub(start)
-		return f.meta, f.data, f.src, bd, f.err
-	}
-	f.data, f.src, f.err = n.pull(n, meta, n.fetchLadder(), sink, &bd)
-	// Unregister before firing: requests arriving after completion start a
-	// fresh flight instead of reading a finished one.
-	n.flightMu.Lock()
-	delete(n.flights, meta.Name)
-	n.flightMu.Unlock()
-	f.ev.Fire()
-	return meta, f.data, f.src, bd, f.err
+	data, src, err := n.pull(n, meta, n.fetchLadder(), sink, &bd)
+	return meta, data, src, bd, err
 }

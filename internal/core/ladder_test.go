@@ -224,7 +224,7 @@ func (b *ladderBed) moveInput(label string, from int, name, target string) {
 		b.t.Fatal(err)
 	}
 	before := b.counters()
-	data, d, err := n.moveInput(meta, target)
+	data, d, err := n.moveInput(meta, target, nil)
 	fmt.Fprintf(b.out, "%s/%s move=%d %s sha=%s err=%q\n",
 		b.name, label, d, b.counters().since(before), digest(data), errText(err))
 }

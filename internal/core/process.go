@@ -295,27 +295,28 @@ func (n *Node) execute(p *plan, cancelled *atomic.Bool) (ProcessResult, error) {
 		}
 		data, bd.Exec = raw, n.lap(&mark)
 	default:
-		// Process-as-pages-arrive: the move and the first step fuse into
-		// one overlapped window when the path is eligible.
-		if n.home.cfg.Overlap {
-			step, raw, ok, err := n.moveAndRun(p.target, p.spec, p.meta)
-			if err != nil {
-				// ok=false implies err==nil (ineligible path), so a non-nil
-				// error always came from an attempted overlapped run.
-				return ProcessResult{}, err
-			}
-			if ok {
+		// Process-as-pages-arrive: with Overlap the first step is the
+		// stage the input move feeds; a move that crosses no LAN wire into
+		// the target never begins it, and the step runs after the move.
+		var first *firstStep
+		var sink *domainSink
+		if tgt, ok := n.home.Node(p.target); ok && n.home.cfg.Overlap && size > 0 {
+			first = n.overlapFirst(tgt, p.spec, size)
+			sink = &first.domainSink
+		}
+		raw, _, err := n.moveInput(p.meta, p.target, sink)
+		data, bd.InputMove = raw, n.lap(&mark)
+		if first != nil && first.lease != nil {
+			var step ProcessResult
+			if step, err = n.runFirst(p, first, raw, err); err == nil {
 				data, size, next = res.fold(step, raw), res.OutputSize, 1
-				bd.InputMove, bd.Exec = step.Breakdown.InputMove, step.Breakdown.Exec
-				bd.Overlap = bd.InputMove + bd.Exec - n.lap(&mark)
+				bd.Exec = step.Breakdown.Exec
+				bd.Overlap = bd.Exec - n.lap(&mark)
+				n.ops.overlapSaved.Add(int64(max(bd.Overlap, 0)))
 			}
 		}
-		if next == 0 {
-			raw, _, err := n.moveInput(p.meta, p.target)
-			if err != nil {
-				return ProcessResult{}, err
-			}
-			data, bd.InputMove = raw, n.lap(&mark)
+		if err != nil {
+			return ProcessResult{}, err
 		}
 	}
 	if n.cancelled(cancelled) {
@@ -390,19 +391,9 @@ func (r *ProcessResult) fold(step ProcessResult, input []byte) []byte {
 
 // moveInput brings the argument object from its location to the target,
 // returning any materialised payload — a read-only borrow, see
-// fetchToDom0 — and the movement cost.
-func (n *Node) moveInput(meta ObjectMeta, target string) ([]byte, time.Duration, error) {
-	if meta.Location == target {
-		if holder, ok := n.home.Node(target); ok {
-			_, data, err := holder.store.GetRef(meta.Name)
-			if err != nil {
-				return nil, 0, err
-			}
-			return data, 0, nil
-		}
-		return nil, 0, nil // co-located in the cloud: payload stays there
-	}
-
+// fetchToDom0 — and the movement cost. Into a home node it is one pull
+// feeding a non-nil sink; a cloud on either side leaves the sink alone.
+func (n *Node) moveInput(meta ObjectMeta, target string, sink *domainSink) ([]byte, time.Duration, error) {
 	_, targetCloud := cloudInstanceName(target)
 
 	// Fetch the payload (and charge the move) along the right path.
@@ -443,14 +434,15 @@ func (n *Node) moveInput(meta ObjectMeta, target string) ([]byte, time.Duration,
 		d := n.home.net.Transfer(wanUpPathFor(holder, cloud), meta.Size)
 		return data, d, nil
 	default:
-		// A pull toward the target: the primary, then under Fallback a
-		// surviving whole copy or k shards, then the cloud.
+		// A pull into the target's dom0: a copy already there, the
+		// primary, then under Fallback a surviving whole copy or k
+		// shards, then the cloud.
 		tgt, ok := n.home.Node(target)
 		if !ok {
 			return nil, 0, fmt.Errorf("%w: %q (target %q gone)", ErrObjectNotFound, meta.Name, target)
 		}
 		var bd FetchBreakdown
-		data, _, err := n.pull(tgt, meta, n.fetchLadder()&^rungStriped, nil, &bd)
+		data, _, err := n.pull(tgt, meta, n.fetchLadder()&^(rungCache|rungStriped), sink, &bd)
 		return data, bd.InterNode, err
 	}
 }

@@ -8,31 +8,40 @@ import (
 
 	"cloud4home/internal/erasure"
 	"cloud4home/internal/netsim"
+	"cloud4home/internal/vclock"
 )
 
-// This file is the fetch path's one executor. A pull climbs a ladder of
-// rungs, always in this order: ranges striped over every remote whole
-// copy (StripedFetch), the primary copy (the paper's one path, §III-B),
-// then under Config.Fallback a surviving whole copy or k shards —
-// tried again without any holder that dies mid-pull — and the cloud. A
-// rung builds attempts, plain data; only the executor sends the request
-// round, runs the transfer, feeds the domainSink, charges the
-// FetchBreakdown, counts retries and reconstructions and fills the dom0
-// cache.
+// This file is the one way a payload stored in this home reaches a dom0
+// over the LAN: a fetch, the process path's input move and a repair's
+// gather are each one pull. A pull climbs a ladder of rungs, always in
+// this order: a whole copy already in the destination's dom0 (the
+// primary, or a listed replica it holds), the dom0 cache and then the
+// coalesced flight (CacheBytes, CoalesceFetch), ranges striped over every
+// remote whole copy (StripedFetch), the primary copy (the paper's one
+// path, §III-B), then under Config.Fallback a surviving whole copy or k
+// shards — tried again without any holder that dies mid-pull — and the
+// cloud. A rung builds attempts, plain data; only the executor sends the
+// request round, runs the transfer, begins and feeds the domainSink,
+// charges the FetchBreakdown, counts retries and reconstructions and
+// fills the dom0 cache.
 
 // ladder is the set of rungs a pull may climb.
 type ladder uint8
 
 const (
-	rungStriped ladder = 1 << iota
+	rungHere ladder = 1 << iota
+	rungCache
+	rungStriped
 	rungPrimary
 	rungPieces
 	rungCloud
 )
 
-// fetchLadder is the ladder this node's fetches climb.
+// fetchLadder is the ladder this node's fetches climb. The input move
+// climbs it without the striped rung and the cache rung, which is this
+// node's own dom0 cache and flight.
 func (n *Node) fetchLadder() ladder {
-	l := rungPrimary
+	l := rungHere | rungCache | rungPrimary
 	if n.home.cfg.StripedFetch {
 		l |= rungStriped
 	}
@@ -96,13 +105,16 @@ type attempt struct {
 // the rungs of l in order until one delivers; this node sends the
 // requests, and a non-nil sink sees the payload stream in. The payload is
 // a read-only borrow, as everywhere in core. A ladder with the primary
-// rung counts climbing past the primary in FetchRetries and, pulled into
-// this dom0, leaves the payload in the dom0 cache.
+// rung counts climbing past the primary in FetchRetries and, pulled over
+// a wire into this dom0, leaves the payload in the dom0 cache.
 func (n *Node) pull(dst *Node, meta ObjectMeta, l ladder, sink *domainSink, bd *FetchBreakdown) ([]byte, string, error) {
 	var gone []string // holders that died mid-pull: never asked again
-	for r := rungStriped; r <= rungCloud; r <<= 1 {
+	for r := rungHere; r <= rungCloud; r <<= 1 {
 		if l&r == 0 {
 			continue
+		}
+		if r == rungCache {
+			return n.cached(meta, l&^(rungHere|rungCache), sink, bd)
 		}
 		if r == rungPieces && l&rungPrimary != 0 {
 			n.ops.fetchRetries.Add(1)
@@ -117,7 +129,7 @@ func (n *Node) pull(dst *Node, meta ObjectMeta, l ladder, sink *domainSink, bd *
 				data, src = n.pullCloud(dst, meta, sink, bd)
 			} else {
 				var one [1]source
-				a, err := n.attemptAt(r, meta, gone, sink, one[:0])
+				a, err := n.attemptAt(r, dst, meta, gone, sink, one[:0])
 				if err != nil && last {
 					return nil, "", err
 				}
@@ -129,7 +141,7 @@ func (n *Node) pull(dst *Node, meta ObjectMeta, l ladder, sink *domainSink, bd *
 				}
 			}
 			if src != "" {
-				if l&rungPrimary != 0 && dst == n && n.dataCache != nil {
+				if r > rungHere && l&rungPrimary != 0 && dst == n && n.dataCache != nil {
 					n.dataCache.put(meta.Name, data, meta.Size)
 				}
 				return data, src, nil
@@ -139,9 +151,66 @@ func (n *Node) pull(dst *Node, meta ObjectMeta, l ladder, sink *domainSink, bd *
 	return nil, "", fmt.Errorf("%w: %q (no surviving copy)", ErrObjectNotFound, meta.Name)
 }
 
-// attemptAt builds rung r's next attempt on buf. No members means the
-// rung has nothing (left) to try; err then says why, for the primary.
-func (n *Node) attemptAt(r ladder, meta ObjectMeta, gone []string, sink *domainSink, buf []source) (attempt, error) {
+// fetchFlight is one in-flight pull other fetches of the object may join;
+// its fields are written by the leader before Fire and read-only
+// afterwards.
+type fetchFlight struct {
+	ev   *vclock.Event
+	data []byte
+	src  string
+	err  error
+}
+
+// cached is the cache rung of a fetch into n's dom0: a hit in the dom0
+// cache, else, with CoalesceFetch on the virtual clock, the object's
+// flight. The first fetch leads a new flight and climbs the rest of the
+// ladder, l; a later one parks on the flight until the leader's bytes
+// arrive — so its inter-node time is exactly the remaining duration of
+// the shared transfer — then shares the leader's borrowed payload and
+// leaves its sink untouched.
+func (n *Node) cached(meta ObjectMeta, l ladder, sink *domainSink, bd *FetchBreakdown) ([]byte, string, error) {
+	if n.dataCache != nil {
+		if data, hit := n.dataCache.get(meta.Name); hit { // nil for sparse objects
+			n.ops.cacheHits.Add(1)
+			return data, "cache:" + n.addr, nil
+		}
+		n.ops.cacheMisses.Add(1)
+	}
+	v, ok := n.clock.(*vclock.Virtual)
+	if !ok || !n.home.cfg.CoalesceFetch {
+		return n.pull(n, meta, l, sink, bd)
+	}
+	n.flightMu.Lock()
+	f, follower := n.flights[meta.Name]
+	if !follower {
+		f = &fetchFlight{ev: v.NewEvent()}
+		if n.flights == nil {
+			n.flights = make(map[string]*fetchFlight)
+		}
+		n.flights[meta.Name] = f
+	}
+	n.flightMu.Unlock()
+	if follower {
+		start := n.clock.Now()
+		f.ev.Wait()
+		n.ops.coalescedFetches.Add(1)
+		bd.InterNode += n.clock.Now().Sub(start)
+		return f.data, f.src, f.err
+	}
+	f.data, f.src, f.err = n.pull(n, meta, l, sink, bd)
+	// Unregister before firing: fetches arriving after completion start a
+	// fresh flight instead of reading a finished one.
+	n.flightMu.Lock()
+	delete(n.flights, meta.Name)
+	n.flightMu.Unlock()
+	f.ev.Fire()
+	return f.data, f.src, f.err
+}
+
+// attemptAt builds rung r's next attempt into dst on buf. No members
+// means the rung has nothing (left) to try; err then says why, for the
+// primary.
+func (n *Node) attemptAt(r ladder, dst *Node, meta ObjectMeta, gone []string, sink *domainSink, buf []source) (attempt, error) {
 	// A whole copy polls for its holder's death only when it streams into
 	// a sink with Fallback on; otherwise its modeled wire runs to the end.
 	whole := func(h *Node, abort onAbort, readOnRequest bool) attempt {
@@ -152,10 +221,15 @@ func (n *Node) attemptAt(r ladder, meta ObjectMeta, gone []string, sink *domainS
 		}
 	}
 	switch r {
+	case rungHere:
+		if meta.Location != dst.addr && (len(meta.Replicas) == 0 || !dst.store.Has(meta.Name)) {
+			return attempt{}, nil
+		}
+		return whole(dst, climb, true), nil
 	case rungStriped:
 		a := attempt{join: copyRanges, chargeRound: true, poll: true, stream: true, onAbort: refetch}
 		for _, h := range n.home.wholeCopies(meta) {
-			if h != n {
+			if h != dst {
 				a.srcs = append(a.srcs, source{holder: h, bin: meta.Name})
 			}
 		}
@@ -313,16 +387,20 @@ func (n *Node) run(dst *Node, meta ObjectMeta, a *attempt, sink *domainSink, bd 
 }
 
 // transfer runs an attempt's wire phase into dst for its live remote
-// members, recording how each fared. A single member that nothing
-// cancels and no sink watches goes through netsim's Transfer, which
-// allocates nothing; any other set runs as one TransferSet. That rejects
-// only malformed paths, which lanPathTo never builds; were it to, every
-// member would count as aborted.
+// members, recording how each fared. A single member already in dst
+// crosses no wire; one that nothing cancels and no sink watches goes
+// through netsim's Transfer. Neither allocates. Any other set runs as one
+// TransferSet, which first runs the sink's begin hook; it rejects only
+// malformed paths, which lanPathTo never builds; were it to, every member
+// would count as aborted.
 //
 // c4h:hotpath
 func (n *Node) transfer(dst *Node, a *attempt, sink *domainSink, streaming bool) time.Duration {
-	if s := &a.srcs[0]; len(a.srcs) == 1 && s.holder != dst && !s.aborted && !a.poll && !streaming {
+	if s := &a.srcs[0]; len(a.srcs) == 1 && (s.holder == dst || !s.aborted && !a.poll && !streaming) {
 		s.moved = s.size
+		if s.holder == dst {
+			return 0 // already in dst's dom0
+		}
 		return n.home.net.Transfer(s.holder.lanPathTo(dst), s.size)
 	}
 	reqs := make([]netsim.TransferReq, 0, len(a.srcs))
@@ -345,6 +423,10 @@ func (n *Node) transfer(dst *Node, a *attempt, sink *domainSink, streaming bool)
 			}
 		}
 		reqs = append(reqs, req)
+	}
+	if len(reqs) > 0 && sink != nil && sink.begin != nil {
+		sink.begin()
+		sink.begin = nil
 	}
 	statuses, wall, err := n.home.net.TransferSet(reqs)
 	if err != nil {

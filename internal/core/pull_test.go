@@ -73,7 +73,7 @@ func TestRemoteFetchAllocations(t *testing.T) {
 			t.Errorf("pull of a remote copy: %v allocations, want 0", n)
 		}
 		if n := testing.AllocsPerRun(50, func() {
-			if _, _, err := reader.moveInput(meta, "n02:9000"); err != nil {
+			if _, _, err := reader.moveInput(meta, "n02:9000", nil); err != nil {
 				t.Fatal(err)
 			}
 		}); n != 0 {
