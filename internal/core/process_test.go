@@ -352,3 +352,44 @@ func TestProcessTranscript(t *testing.T) {
 		t.Fatalf("transcript length diverged: got %d lines, want %d", len(gl), len(wl))
 	}
 }
+
+// TestOverlappedStepReleasesLease holds the overlapped first step's lease
+// to every exit: the step is admitted on the target as the wire starts,
+// and whether the move then delivers (Fallback off: the dying holder's
+// modeled wire runs to the end) or fails (Fallback on: the holder's death
+// aborts it, and no other copy exists), the target is idle again with all
+// its memory free, the one admitted task settled.
+func TestOverlappedStepReleasesLease(t *testing.T) {
+	fdet := services.FaceDetect()
+	for _, fallback := range []bool{false, true} {
+		var sb strings.Builder
+		runLadderScenario(t, ladderScenario{name: "lease", voluntaryGB: []int64{1, 1, 1, 1},
+			cfg: Config{Overlap: true, Fallback: fallback},
+			run: func(b *ladderBed) {
+				b.deploy(fdet, 1)
+				b.store("big.bin", 4*mb, false)
+				sess, err := b.nodes[2].OpenSession()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sess.Close()
+				m := b.nodes[1].Machine()
+				free, done := m.MemFreeMB(), m.TasksCompleted()
+				wait := b.crashAfter(200*time.Millisecond, 0)
+				_, err = sess.ProcessAt("big.bin", fdet.Name, fdet.ID, b.nodes[1].addr)
+				wait()
+				if failed := err != nil; failed != fallback {
+					t.Fatalf("fallback=%v: ProcessAt err = %v", fallback, err)
+				}
+				if load := m.Load(); load != 0 {
+					t.Errorf("fallback=%v: target load %v after the op, want 0", fallback, load)
+				}
+				if got := m.MemFreeMB(); got != free {
+					t.Errorf("fallback=%v: target has %d MB free after the op, want %d", fallback, got, free)
+				}
+				if got := m.TasksCompleted() - done; got != 1 {
+					t.Errorf("fallback=%v: %d tasks settled on the target, want the admitted step's 1", fallback, got)
+				}
+			}}, &sb)
+	}
+}

@@ -51,7 +51,8 @@ func paperFetchBed(tb testing.TB, body func(reader *Node, sess *Session, meta Ob
 // record; the command packet is encoded on the stack), and the executor
 // below fetchToDom0 — the request, the holder's read and the transfer —
 // not at all, nor does the process path's input move of the object into
-// a third node's dom0.
+// a third node's dom0. A pull the here rung serves — the owner's own
+// fetch, an input move into the owner — allocates nothing either.
 func TestRemoteFetchAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -78,6 +79,21 @@ func TestRemoteFetchAllocations(t *testing.T) {
 			}
 		}); n != 0 {
 			t.Errorf("input move to a third node: %v allocations, want 0", n)
+		}
+		owner, _ := reader.home.Node(meta.Location)
+		if n := testing.AllocsPerRun(50, func() {
+			if _, src, err := owner.pull(owner, meta, owner.fetchLadder(), nil, &bd); err != nil || src != owner.addr {
+				t.Fatal(src, err)
+			}
+		}); n != 0 {
+			t.Errorf("pull of a local copy: %v allocations, want 0", n)
+		}
+		if n := testing.AllocsPerRun(50, func() {
+			if _, d, err := reader.moveInput(meta, owner.addr, nil); err != nil || d != 0 {
+				t.Fatal(d, err)
+			}
+		}); n != 0 {
+			t.Errorf("input move into the owner: %v allocations, want 0", n)
 		}
 	})
 }
