@@ -18,22 +18,26 @@ import (
 	"cloud4home/internal/vclock"
 )
 
-// Clocks. Experiments run on a deterministic virtual clock; daemons run
-// on the real clock.
+// Clocks. There is one clock engine, the discrete-event VirtualClock.
+// Experiments run it unpaced, deterministic and instant; a daemon runs it
+// paced to the wall clock, so modeled costs take real time.
 type (
 	// Clock is the time source every component charges costs to.
 	Clock = vclock.Clock
-	// RealClock is the wall clock.
-	RealClock = vclock.Real
-	// VirtualClock is the deterministic discrete-event clock. It has no
-	// lock: only the goroutine inside its Run and the code Run is
-	// executing may call its methods, so a goroutine of your own must
-	// not read Now while Run drives the clock.
+	// VirtualClock is the discrete-event clock. It has no lock: only the
+	// goroutine inside its Run and the code Run is executing may call its
+	// methods, so a goroutine of your own must not read Now while Run
+	// drives the clock; on a paced clock it hands work in with Post.
 	VirtualClock = vclock.Virtual
 )
 
-// NewVirtualClock returns a virtual clock starting at the given epoch.
+// NewVirtualClock returns an unpaced virtual clock starting at the given
+// epoch.
 var NewVirtualClock = vclock.NewVirtual
+
+// NewPacedClock returns a virtual clock paced to the wall clock, starting
+// now.
+var NewPacedClock = vclock.NewPaced
 
 // The home cloud and its nodes.
 type (

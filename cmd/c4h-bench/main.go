@@ -29,6 +29,7 @@ import (
 	"runtime/trace"
 	"strconv"
 	"strings"
+	"time"
 
 	"cloud4home/internal/experiments"
 )
@@ -102,7 +103,7 @@ func selectors() []string {
 }
 
 func run(exp string, seed int64, nodes string, regions int) error {
-	city := experiments.CityScaleConfig{Regions: regions}
+	city := experiments.CityScaleConfig{Regions: regions, Host: time.Now}
 	if nodes != "" {
 		for _, part := range strings.Split(nodes, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(part))

@@ -132,16 +132,26 @@ func run(args []string) error {
 			fmt.Printf("%-20s %8d %8d %8d %8d %12d %12d %6.2f %7dM",
 				s.Addr, s.Stores, s.Fetches, s.Processes, s.Deletes,
 				s.BytesStored, s.BytesFetched, s.CPULoad, s.MemFreeMB)
-			if s.ShardsExecuted > 0 || s.OverlapSaved > 0 || s.SpecLaunches > 0 {
-				fmt.Printf("  shards=%d overlapSaved=%v spec=%d/%d/%d",
-					s.ShardsExecuted, s.OverlapSaved.Round(time.Millisecond),
-					s.SpecLaunches, s.SpecWins, s.SpecCancels)
+			if s.OverlapSaved > 0 {
+				fmt.Printf("  overlapSaved=%v", s.OverlapSaved.Round(time.Millisecond))
 			}
-			if s.KVHops > 0 || s.SuperPeerHops > 0 {
-				fmt.Printf("  kvHops=%d superHops=%d", s.KVHops, s.SuperPeerHops)
-			}
-			if s.ArenaBytes > 0 {
-				fmt.Printf("  arenaBytes=%d", s.ArenaBytes)
+			// The remaining counters stay off the wire while zero.
+			for _, c := range []struct {
+				name string
+				n    int64
+			}{
+				{"cacheHits", s.CacheHits}, {"cacheMisses", s.CacheMisses},
+				{"coalesced", s.CoalescedFetches}, {"asyncDrops", s.AsyncPlaceDrops},
+				{"shards", s.ShardsExecuted},
+				{"specLaunches", s.SpecLaunches}, {"specWins", s.SpecWins}, {"specCancels", s.SpecCancels},
+				{"fetchRetries", s.FetchRetries}, {"repaired", s.ObjectsRepaired}, {"replicasRestored", s.ReplicasRestored},
+				{"cloudProbes", s.CloudProbes}, {"federatedProbes", s.FederatedProbes},
+				{"shardsPlaced", s.ShardsPlaced}, {"shardsRestored", s.ShardsRestored}, {"shardReconstructs", s.ShardReconstructs},
+				{"kvHops", s.KVHops}, {"superHops", s.SuperPeerHops}, {"arenaBytes", s.ArenaBytes},
+			} {
+				if c.n != 0 {
+					fmt.Printf("  %s=%d", c.name, c.n)
+				}
 			}
 			fmt.Println()
 		}

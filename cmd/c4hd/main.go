@@ -1,9 +1,11 @@
 // Command c4hd hosts a Cloud4Home home cloud and serves the VStore++
-// command protocol over TCP. The home devices run in-process on the real
-// clock — as in the paper's prototype, where every VM ran on one testbed
-// — with calibrated machine specs for netbooks and a desktop, built-in
-// services (face detection/recognition, x264 conversion) deployed, and an
-// optional simulated remote cloud attached.
+// command protocol over TCP. The home devices run in-process on a virtual
+// clock paced to the wall clock — as in the paper's prototype, where
+// every VM ran on one testbed — with calibrated machine specs for
+// netbooks and a desktop, built-in services (face detection/recognition,
+// x264 conversion) deployed, and an optional simulated remote cloud
+// attached. Set-up, the monitors and every client op run as actors on
+// that clock; SIGINT or SIGTERM closes the server and ends the clock.
 //
 // Usage:
 //
@@ -36,29 +38,40 @@ func main() {
 	}
 }
 
+var (
+	listen    = flag.String("listen", ":7070", "TCP address to serve the command protocol on")
+	netbooks  = flag.Int("netbooks", 3, "number of netbook-class home devices")
+	desktop   = flag.Bool("desktop", true, "include the quad-core desktop")
+	cloud     = flag.Bool("cloud", true, "attach the simulated remote public cloud")
+	seed      = flag.Int64("seed", 1, "seed for simulated network jitter")
+	dataDir   = flag.String("data", "", "back object bins with files under this directory (empty = in-memory)")
+	workers   = flag.Int("workers", 0, "compute-plane simulated strand width (0/1 = paper's intrinsic Task.Parallelism model)")
+	overlap   = flag.Bool("overlap", false, "overlap input movement with execution (process-as-pages-arrive)")
+	speculate = flag.Bool("speculate", false, "hedge process operations onto the top two candidates")
+)
+
 func run() error {
-	var (
-		listen   = flag.String("listen", ":7070", "TCP address to serve the command protocol on")
-		netbooks = flag.Int("netbooks", 3, "number of netbook-class home devices")
-		desktop  = flag.Bool("desktop", true, "include the quad-core desktop")
-		cloud    = flag.Bool("cloud", true, "attach the simulated remote public cloud")
-		seed     = flag.Int64("seed", 1, "seed for simulated network jitter")
-		dataDir  = flag.String("data", "", "back object bins with files under this directory (empty = in-memory)")
-		workers  = flag.Int("workers", 0, "compute-plane simulated strand width (0/1 = paper's intrinsic Task.Parallelism model)")
-		overlap  = flag.Bool("overlap", false, "overlap input movement with execution (process-as-pages-arrive)")
-		spec     = flag.Bool("speculate", false, "hedge process operations onto the top two candidates")
-	)
 	flag.Parse()
 	if *netbooks < 1 {
 		return fmt.Errorf("need at least one netbook, got %d", *netbooks)
 	}
+	clock := vclock.NewPaced()
+	var err error
+	clock.Run(func() { err = serve(clock) })
+	return err
+}
 
-	home := core.NewHome(vclock.Real{}, core.HomeOptions{
+// serve builds the home cloud on clock and serves it until a signal or a
+// listener error. It runs as Run's actor; the wait for the end runs in a
+// Block, so the clock serves the connections' ops meanwhile, and
+// returning ends the clock without waiting for a monitor's next tick.
+func serve(clock *vclock.Virtual) error {
+	home := core.NewHome(clock, core.HomeOptions{
 		Seed:   *seed,
-		Config: core.Config{Workers: *workers, Overlap: *overlap, Speculation: *spec},
+		Config: core.Config{Workers: *workers, Overlap: *overlap, Speculation: *speculate},
 	})
 	if *cloud {
-		c := cloudsim.New(vclock.Real{}, home.Net())
+		c := cloudsim.New(clock, home.Net())
 		home.AttachCloud(c)
 		if _, err := c.LaunchInstance("xl-1", cloudsim.ExtraLargeSpec("ec2-xl")); err != nil {
 			return err
@@ -136,15 +149,16 @@ func run() error {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	log.Printf("c4hd: home cloud up with %d nodes on %s (cloud=%v)", len(nodes), *listen, *cloud)
-	select {
-	case err := <-errCh:
-		return err
-	case <-sig:
-		log.Print("c4hd: shutting down")
-		srv.Close()
-		for _, n := range nodes {
-			n.Monitor().Stop()
+	ended := make(chan error, 1)
+	clock.Block(func() {
+		select {
+		case err := <-errCh:
+			ended <- err
+		case <-sig:
+			log.Print("c4hd: shutting down")
+			srv.Close()
+			ended <- nil
 		}
-		return nil
-	}
+	})
+	return <-ended
 }

@@ -22,7 +22,7 @@ func main() {
 
 func run() error {
 	// The virtual clock makes the demo deterministic and instant; swap in
-	// c4h.RealClock{} for wall-clock behaviour.
+	// c4h.NewPacedClock() to let every modeled cost take wall time.
 	clock := c4h.NewVirtualClock(time.Date(2011, 6, 1, 0, 0, 0, 0, time.UTC))
 	var runErr error
 	clock.Run(func() { runErr = demo(clock) })

@@ -14,9 +14,10 @@ import (
 //
 //   - spawn sites: every `go` statement, plus calls to *async wrapper*
 //     functions — module functions that launch a func-typed parameter
-//     on a goroutine and return without joining it (vclock.Group.Go,
-//     core.Node.spawn). parallel.Run is NOT one: it wg.Waits
-//     before returning, so its callbacks are synchronous;
+//     on a goroutine and return without joining it, or file it as an
+//     actor on the clock (vclock.Group.Go, core.Node.spawn). parallel.Run
+//     is NOT one: it wg.Waits before returning, so its callbacks are
+//     synchronous;
 //   - per-spawn access sets: reads and writes of captured locals,
 //     struct fields, and package-level variables inside the spawned
 //     body (one same-function closure hop deep), each with the lock
@@ -313,7 +314,16 @@ func baseIdentObj(ti *TypeInfo, e ast.Expr) types.Object {
 // A body "joins" when it calls WaitGroup.Wait or blocks on a channel
 // receive outside any spawned literal — then its callbacks finish
 // before it returns and its callers see synchronous execution.
+//
+// vclock.Group.Go is seeded first: it files fn as an actor that runs
+// once the caller gives up its turn, so to the caller fn runs later, as
+// if launched on a goroutine, though no go statement launches it.
 func (cf *concFlow) collectAsyncParams() {
+	for _, fi := range cf.cg.Funcs {
+		if funcDisplayName(cf.m.Path, fi.Obj) == "(*vclock.Group).Go" {
+			cf.asyncParams[fi.Obj] = map[int]bool{0: true}
+		}
+	}
 	for changed := true; changed; {
 		changed = false
 		for _, fi := range cf.cg.Funcs {

@@ -41,7 +41,7 @@ func (DetFlow) Doc() string {
 
 // detflowScope mirrors wallClockScope: every clock-injected runtime
 // package is in scope; vclock (the injection boundary) and the analyzer
-// itself are not, and neither are cmd/examples (real-clock territory).
+// itself are not, and neither are cmd/examples (host-time territory).
 func detflowScope(rel string) bool {
 	return wallClockScope(rel)
 }

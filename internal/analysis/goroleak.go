@@ -9,8 +9,8 @@ import (
 // GoroLeak enforces goroutine hygiene in non-test code:
 //
 //   - every `go` launch must be supervised — joined through a
-//     sync.WaitGroup-style Add/Done pair (vclock.Group's real-clock arm
-//     is one), signalled through a context/done/stop channel, or
+//     sync.WaitGroup-style Add/Done pair, signalled through a
+//     context/done/stop channel, or
 //     communicating its result over a channel. A bare fire-and-forget
 //     goroutine either leaks or races shutdown;
 //   - a `go func` body must not capture an enclosing loop variable

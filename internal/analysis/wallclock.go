@@ -20,8 +20,8 @@ var simPackages = map[string]bool{
 }
 
 // wallClockExempt lists internal packages allowed to touch the wall
-// clock: vclock is the injection boundary (vclock.Real wraps the real
-// clock), and the analyzer itself is tooling, not runtime code.
+// clock: vclock is the injection boundary (its paced clock waits on the
+// wall clock), and the analyzer itself is tooling, not runtime code.
 var wallClockExempt = map[string]bool{
 	"internal/vclock":   true,
 	"internal/analysis": true,
@@ -30,9 +30,9 @@ var wallClockExempt = map[string]bool{
 // wallClockScope reports whether the rule applies to a package. The
 // whole internal tree is in scope — not just the simulation packages —
 // because every runtime layer charges time to an injected vclock.Clock
-// (that is how the same code runs deterministically under experiments
-// and in real time under cmd/c4hd). cmd and examples run on the real
-// clock and are exempt.
+// (that is how the same code runs deterministically under experiments,
+// unpaced, and in real time under cmd/c4hd, paced). cmd and examples
+// measure host time and are exempt.
 func wallClockScope(rel string) bool {
 	if wallClockExempt[rel] {
 		return false

@@ -65,7 +65,7 @@ func (w *lanWire) Broadcast(_ ids.ID, to []ids.ID) {
 // key-value store, the shared LAN fabric, the participating nodes, and
 // (optionally) the remote public cloud.
 type Home struct {
-	clock  vclock.Clock
+	clock  *vclock.Virtual
 	net    *netsim.Network
 	mesh   *overlay.Mesh
 	wire   overlay.Wire
@@ -198,7 +198,7 @@ func (c Config) validate() error {
 }
 
 // NewHome builds an empty home cloud on the given clock.
-func NewHome(clock vclock.Clock, opts HomeOptions) *Home {
+func NewHome(clock *vclock.Virtual, opts HomeOptions) *Home {
 	net := netsim.New(clock, opts.Seed)
 	fabric := netsim.NewResource("home-lan", netsim.LANFabricBps)
 	wire := newLANWire(net, fabric)
@@ -219,7 +219,7 @@ func NewHome(clock vclock.Clock, opts HomeOptions) *Home {
 }
 
 // Clock returns the home's clock.
-func (h *Home) Clock() vclock.Clock { return h.clock }
+func (h *Home) Clock() *vclock.Virtual { return h.clock }
 
 // Net returns the home's network simulator.
 func (h *Home) Net() *netsim.Network { return h.net }

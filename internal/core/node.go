@@ -82,7 +82,7 @@ type Node struct {
 	cfg   NodeConfig
 	addr  string
 	id    ids.ID
-	clock vclock.Clock
+	clock *vclock.Virtual
 
 	router    *overlay.Router
 	store     *objstore.Store

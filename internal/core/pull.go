@@ -162,12 +162,12 @@ type fetchFlight struct {
 }
 
 // cached is the cache rung of a fetch into n's dom0: a hit in the dom0
-// cache, else, with CoalesceFetch on the virtual clock, the object's
-// flight. The first fetch leads a new flight and climbs the rest of the
-// ladder, l; a later one parks on the flight until the leader's bytes
-// arrive — so its inter-node time is exactly the remaining duration of
-// the shared transfer — then shares the leader's borrowed payload and
-// leaves its sink untouched.
+// cache, else, with CoalesceFetch on, the object's flight. The first
+// fetch leads a new flight and climbs the rest of the ladder, l; a later
+// one parks on the flight until the leader's bytes arrive — so its
+// inter-node time is exactly the remaining duration of the shared
+// transfer — then shares the leader's borrowed payload and leaves its
+// sink untouched.
 func (n *Node) cached(meta ObjectMeta, l ladder, sink *domainSink, bd *FetchBreakdown) ([]byte, string, error) {
 	if n.dataCache != nil {
 		if data, hit := n.dataCache.get(meta.Name); hit { // nil for sparse objects
@@ -176,14 +176,13 @@ func (n *Node) cached(meta ObjectMeta, l ladder, sink *domainSink, bd *FetchBrea
 		}
 		n.ops.cacheMisses.Add(1)
 	}
-	v, ok := n.clock.(*vclock.Virtual)
-	if !ok || !n.home.cfg.CoalesceFetch {
+	if !n.home.cfg.CoalesceFetch {
 		return n.pull(n, meta, l, sink, bd)
 	}
 	n.flightMu.Lock()
 	f, follower := n.flights[meta.Name]
 	if !follower {
-		f = &fetchFlight{ev: v.NewEvent()}
+		f = &fetchFlight{ev: n.clock.NewEvent()}
 		if n.flights == nil {
 			n.flights = make(map[string]*fetchFlight)
 		}

@@ -1,11 +1,17 @@
 // Package daemon exposes a VStore++ home cloud over real TCP sockets
 // using the command-packet protocol of §IV. The c4hd binary hosts the
-// home cloud (its devices run in-process on the real clock, exactly as
-// the paper's prototype ran every VM on one testbed); c4h is the CLI
-// client. Control messages are command packets ("usually less than 50
-// bytes ... use TCP/IP sockets"); object payloads follow as
+// home cloud (its devices run in-process on a virtual clock paced to the
+// wall clock, as the paper's prototype ran every VM on one testbed); c4h
+// is the CLI client. Control messages are command packets ("usually less
+// than 50 bytes ... use TCP/IP sockets"); object payloads follow as
 // length-prefixed frames, mirroring the prototype's separation of command
 // and data channels.
+//
+// A connection's goroutine reads and frames each request and writes its
+// reply; the op body between (session open, create + store, fetch,
+// FetchProcess) runs as an actor posted to the home's clock, which the
+// goroutine waits for. Stats and ls stay off the clock: they read only
+// atomics and locked state.
 package daemon
 
 import (
@@ -45,7 +51,9 @@ type Server struct {
 // nodeSession is the server's session at one home node and the turn that
 // serialises it. A core.Session is single-threaded, like the prototype's
 // per-VM command loop (its created map and xenchan channel have no lock),
-// so the ops on one node take turns; ops on different nodes run at once.
+// so the ops on one node take turns, from before their body is posted to
+// the clock until their reply is written; ops on different nodes
+// interleave on the clock.
 type nodeSession struct {
 	node *core.Node
 	// turn has one slot: sending into it takes the turn, receiving from it
@@ -60,7 +68,8 @@ type nodeSession struct {
 // release gives the node's turn to the next op waiting for it.
 func (ns *nodeSession) release() { <-ns.turn }
 
-// NewServer wraps an assembled home cloud.
+// NewServer wraps an assembled home cloud on a paced clock. The clock's
+// Run must be driving it while the server serves.
 func NewServer(home *core.Home) *Server {
 	return &Server{
 		home:     home,
@@ -157,7 +166,8 @@ func (s *Server) take(nodeAddr string) (*nodeSession, error) {
 	}
 	ns.turn <- struct{}{}
 	if ns.sess == nil {
-		sess, err := ns.node.OpenSession()
+		var sess *core.Session
+		s.onClock(func() { sess, err = ns.node.OpenSession() })
 		if err != nil {
 			ns.release()
 			return nil, err
@@ -165,6 +175,17 @@ func (s *Server) take(nodeAddr string) (*nodeSession, error) {
 		ns.sess = sess
 	}
 	return ns, nil
+}
+
+// onClock runs fn as an actor posted to the home's clock and waits for it
+// to return.
+func (s *Server) onClock(fn func()) {
+	done := make(chan struct{})
+	s.home.Clock().Post(func() {
+		fn()
+		close(done)
+	})
+	<-done
 }
 
 // lookup returns the entry for the named home node, making it on first
@@ -252,6 +273,12 @@ type nodeStats struct {
 	BytesFetched int64   `json:"bytesFetched"`
 	CPULoad      float64 `json:"cpuLoad"`
 	MemFreeMB    int64   `json:"memFreeMb"`
+	// Data-plane counters (zero unless core.Config enables the dom0
+	// cache, fetch coalescing or a non-blocking store that drops).
+	CacheHits        int64 `json:"cacheHits,omitempty"`
+	CacheMisses      int64 `json:"cacheMisses,omitempty"`
+	CoalescedFetches int64 `json:"coalescedFetches,omitempty"`
+	AsyncPlaceDrops  int64 `json:"asyncPlaceDrops,omitempty"`
 	// Compute-plane counters (zero unless core.Config enables the
 	// concurrent features).
 	ShardsExecuted int64 `json:"shardsExecuted,omitempty"`
@@ -267,6 +294,7 @@ type nodeStats struct {
 	// Federation counters (zero unless core.Config enables charged
 	// cloud probes and erasure-coded redundancy).
 	CloudProbes       int64 `json:"cloudProbes,omitempty"`
+	FederatedProbes   int64 `json:"federatedProbes,omitempty"`
 	ShardsPlaced      int64 `json:"shardsPlaced,omitempty"`
 	ShardsRestored    int64 `json:"shardsRestored,omitempty"`
 	ShardReconstructs int64 `json:"shardReconstructs,omitempty"`
@@ -327,14 +355,16 @@ func (s *Server) dispatch(conn net.Conn, pkt *command.Packet) error {
 			return err
 		}
 		defer ns.release()
-		if err := ns.sess.CreateObject(req.Name, req.Type, req.Tags); err != nil {
-			return err
-		}
 		size := req.Size
 		if payload != nil {
 			size = 0
 		}
-		res, err := ns.sess.StoreObject(req.Name, payload, size, core.StoreOptions{Blocking: true})
+		var res core.StoreResult
+		s.onClock(func() {
+			if err = ns.sess.CreateObject(req.Name, req.Type, req.Tags); err == nil {
+				res, err = ns.sess.StoreObject(req.Name, payload, size, core.StoreOptions{Blocking: true})
+			}
+		})
 		if err != nil {
 			return err
 		}
@@ -353,7 +383,8 @@ func (s *Server) dispatch(conn net.Conn, pkt *command.Packet) error {
 			return err
 		}
 		defer ns.release()
-		res, err := ns.sess.FetchObject(req.Name)
+		var res core.FetchResult
+		s.onClock(func() { res, err = ns.sess.FetchObject(req.Name) })
 		if err != nil {
 			return err
 		}
@@ -374,7 +405,8 @@ func (s *Server) dispatch(conn net.Conn, pkt *command.Packet) error {
 			return err
 		}
 		defer ns.release()
-		res, err := ns.sess.FetchProcess(req.Name, req.Service, req.ID)
+		var res core.ProcessResult
+		s.onClock(func() { res, err = ns.sess.FetchProcess(req.Name, req.Service, req.ID) })
 		if err != nil {
 			return err
 		}
@@ -402,6 +434,10 @@ func (s *Server) dispatch(conn net.Conn, pkt *command.Packet) error {
 				BytesFetched:      ops.BytesFetched,
 				CPULoad:           n.Machine().Load(),
 				MemFreeMB:         n.Machine().MemFreeMB(),
+				CacheHits:         ops.CacheHits,
+				CacheMisses:       ops.CacheMisses,
+				CoalescedFetches:  ops.CoalescedFetches,
+				AsyncPlaceDrops:   ops.AsyncPlaceDrops,
 				ShardsExecuted:    ops.ShardsExecuted,
 				OverlapSavedMS:    ops.OverlapSaved.Milliseconds(),
 				SpecLaunches:      ops.SpecLaunches,
@@ -411,6 +447,7 @@ func (s *Server) dispatch(conn net.Conn, pkt *command.Packet) error {
 				ObjectsRepaired:   ops.ObjectsRepaired,
 				ReplicasRestored:  ops.ReplicasRestored,
 				CloudProbes:       ops.CloudProbes,
+				FederatedProbes:   ops.FederatedProbes,
 				ShardsPlaced:      ops.ShardsPlaced,
 				ShardsRestored:    ops.ShardsRestored,
 				ShardReconstructs: ops.ShardReconstructs,
@@ -653,6 +690,12 @@ type NodeStats struct {
 	BytesFetched int64
 	CPULoad      float64
 	MemFreeMB    int64
+	// Data-plane counters; zero while the dom0 cache and fetch
+	// coalescing are off and every non-blocking store is placed.
+	CacheHits        int64
+	CacheMisses      int64
+	CoalescedFetches int64
+	AsyncPlaceDrops  int64
 	// Compute-plane counters; zero on the paper's sequential path.
 	ShardsExecuted int64
 	OverlapSaved   time.Duration
@@ -663,8 +706,10 @@ type NodeStats struct {
 	FetchRetries     int64
 	ObjectsRepaired  int64
 	ReplicasRestored int64
-	// Federation counters; zero while Fallback is off and erasure coding unset.
+	// Federation counters; zero while Fallback is off, erasure coding
+	// unset and no neighbour home is federated.
 	CloudProbes       int64
+	FederatedProbes   int64
 	ShardsPlaced      int64
 	ShardsRestored    int64
 	ShardReconstructs int64
@@ -698,6 +743,10 @@ func (c *Client) Stats() ([]NodeStats, error) {
 			BytesFetched:      n.BytesFetched,
 			CPULoad:           n.CPULoad,
 			MemFreeMB:         n.MemFreeMB,
+			CacheHits:         n.CacheHits,
+			CacheMisses:       n.CacheMisses,
+			CoalescedFetches:  n.CoalescedFetches,
+			AsyncPlaceDrops:   n.AsyncPlaceDrops,
 			ShardsExecuted:    n.ShardsExecuted,
 			OverlapSaved:      time.Duration(n.OverlapSavedMS) * time.Millisecond,
 			SpecLaunches:      n.SpecLaunches,
@@ -707,6 +756,7 @@ func (c *Client) Stats() ([]NodeStats, error) {
 			ObjectsRepaired:   n.ObjectsRepaired,
 			ReplicasRestored:  n.ReplicasRestored,
 			CloudProbes:       n.CloudProbes,
+			FederatedProbes:   n.FederatedProbes,
 			ShardsPlaced:      n.ShardsPlaced,
 			ShardsRestored:    n.ShardsRestored,
 			ShardReconstructs: n.ShardReconstructs,

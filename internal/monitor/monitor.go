@@ -7,8 +7,7 @@
 //
 // The paper's prototype samples via Linux glibtop; here a Sampler
 // abstracts the source — the simulation samples the machine model and the
-// object store's bin watcher, and a trivial static sampler serves tests
-// and the real-clock daemon.
+// object store's bin watcher, and a trivial static sampler serves tests.
 package monitor
 
 import (
@@ -122,7 +121,7 @@ func (s *MachineSampler) Sample() Resources {
 // Monitor periodically publishes a node's resource record.
 type Monitor struct {
 	store   *kv.Store
-	clock   vclock.Clock
+	clock   *vclock.Virtual
 	node    ids.ID
 	key     ids.ID // Key(addr), hashed once
 	addr    string
@@ -138,7 +137,7 @@ type Monitor struct {
 
 // New returns a monitor for the node identified by addr (already joined
 // and attached). period is the configurable update interval.
-func New(store *kv.Store, clock vclock.Clock, addr string, sampler Sampler, period time.Duration) (*Monitor, error) {
+func New(store *kv.Store, clock *vclock.Virtual, addr string, sampler Sampler, period time.Duration) (*Monitor, error) {
 	if period <= 0 {
 		return nil, errors.New("monitor: period must be positive")
 	}
@@ -180,17 +179,17 @@ func (m *Monitor) PublishOnce() error {
 	return err
 }
 
-// Start launches the periodic publisher: an actor on a virtual clock, a
-// goroutine on the real one.
+// Start launches the periodic publisher, an actor on the clock.
 func (m *Monitor) Start() {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.started {
+		m.mu.Unlock()
 		return
 	}
 	m.started = true
 	stop := make(chan struct{})
 	m.stop = stop
+	m.mu.Unlock()
 	m.loop.Go(func() {
 		for {
 			m.clock.Sleep(m.period)
@@ -222,8 +221,8 @@ func (m *Monitor) Stop() {
 	m.started = false
 	m.mu.Unlock()
 	close(stop)
-	// The loop only observes stop after its next tick; on a virtual clock
-	// the stopper parks and time advances to that tick.
+	// The loop only observes stop after its next tick; the stopper parks
+	// and time advances to that tick.
 	m.loop.Wait()
 }
 

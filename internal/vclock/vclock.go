@@ -1,34 +1,43 @@
-// Package vclock provides the clock abstraction the whole repository is
-// written against. Production binaries use the real clock; the experiment
-// harness uses a deterministic discrete-event virtual clock so that the
-// paper's multi-minute experiments (e.g. the 700 MB trace replay behind
-// Fig 6) reproduce in milliseconds of wall time, with zero flakiness.
+// Package vclock provides the clock the whole repository is written
+// against: one discrete-event engine, Virtual, run two ways. The
+// experiment harness runs it unpaced from a fixed epoch, so the paper's
+// multi-minute experiments (e.g. the 700 MB trace replay behind Fig 6)
+// reproduce in milliseconds of wall time, with zero flakiness. c4hd runs
+// it paced to the wall clock (NewPaced), so the same modeled costs take
+// real time while clients wait on them.
 //
-// The virtual clock is a run-to-block scheduler. Run's fn and every
-// function passed to Go is an actor: a coroutine (iter.Pull) that only
-// the goroutine that called Run ever resumes. Run keeps one (deadline,
-// seq) min-heap of actors due to run; it pops the earliest, jumps time
-// to its deadline and switches into it. The actor runs alone until it
-// sleeps, waits on an Event, calls Block or returns, and then switches
-// back. So exactly one actor runs at a time, actors due at one instant
-// run in arrival order, and a hand-off wakes no goroutine: on c4h-perf's
+// The clock is a run-to-block scheduler. Run's fn and every function
+// passed to Go or Post is an actor: a coroutine (iter.Pull) that only the
+// goroutine that called Run ever resumes. Run keeps one (deadline, seq)
+// min-heap of actors due to run; it pops the earliest, moves time to its
+// deadline and switches into it. The actor runs alone until it sleeps,
+// waits on an Event, calls Block or returns, and then switches back. So
+// exactly one actor runs at a time, actors due at one instant run in
+// arrival order, and a hand-off wakes no goroutine: on c4h-perf's
 // home-trace (2-core box) the coroutine switch does 1.38x the host ops/s
 // of parking each sleeper on a sync.Cond of its own (median of 10
-// alternating pairs, all won), with bit-equal virtual results
-// (DESIGN.md, "Why there is one clock engine").
+// alternating pairs, all won), with bit-equal virtual results (DESIGN.md,
+// "Why there is one clock engine").
+//
+// A paced clock's Run keeps virtual time equal to wall time minus a fixed
+// offset (the wall instant NewPaced was called). It waits on the wall
+// clock until the earliest deadline is due, so no actor runs early, and
+// moves time to that deadline, not to the instant it woke, so a late wake
+// only brings later deadlines nearer: an actor's sleeps end at absolute
+// deadlines and one timer's lateness does not add up across them. With
+// nothing due, Run waits for a Post, which files a new actor at
+// max(now, wall − offset).
 //
 // A Virtual has no lock. Only the goroutine that called Run and the actor
 // holding the turn may call its methods (and those of its Events); a
-// coroutine switch orders each turn after the last. A host goroutine that
-// needs the clock's time must get it from an actor.
+// coroutine switch orders each turn after the last. The one way in from
+// any other goroutine is Post, on a paced clock.
 //
-// Group is the one way to spawn background work and join it on either
-// clock: actors on a Virtual, goroutines on any other Clock.
+// Group is the one way to spawn background work and join it.
 package vclock
 
 import (
 	"iter"
-	"sync"
 	"time"
 )
 
@@ -41,39 +50,37 @@ type Clock interface {
 	Sleep(d time.Duration)
 }
 
-// Real is the wall clock.
-type Real struct{}
-
-var _ Clock = Real{}
-
-// Now implements Clock.
-func (Real) Now() time.Time { return time.Now() }
-
-// Sleep implements Clock.
-func (Real) Sleep(d time.Duration) {
-	if d > 0 {
-		time.Sleep(d)
-	}
-}
-
-// Virtual is a deterministic discrete-event clock. Only Run's goroutine
-// and the actor holding the turn call its methods.
+// Virtual is a discrete-event clock. Only Run's goroutine and the actor
+// holding the turn call its methods, except Post.
 type Virtual struct {
-	epoch     time.Time
-	now       int64       // ns since epoch
-	due       []*actor    // actors filed to run, a min-heap by (deadline, seq)
-	seq       uint64      // tie-break so equal deadlines run FIFO
-	cur       *actor      // the actor holding the turn, nil between turns
-	blocked   int         // actors inside Block
-	unblocked chan *actor // Block's helper goroutine sends its caller here
+	epoch   time.Time
+	now     int64       // ns since epoch
+	due     []*actor    // actors filed to run, a min-heap by (deadline, seq)
+	seq     uint64      // tie-break so equal deadlines run FIFO
+	cur     *actor      // the actor holding the turn, nil between turns
+	blocked int         // actors inside Block, counted until they resume
+	in      chan *actor // Block's helpers and Post hand actors to Run here
+	paced   bool        // Run waits on the wall clock for each deadline
+	timer   *time.Timer // paced: Run's wait for the earliest deadline
 }
 
 var _ Clock = (*Virtual)(nil)
 
-// NewVirtual returns a virtual clock starting at epoch. The experiment
-// harness passes a fixed epoch so every run is bit-identical.
+// NewVirtual returns an unpaced virtual clock starting at epoch. The
+// experiment harness passes a fixed epoch so every run is bit-identical.
 func NewVirtual(epoch time.Time) *Virtual {
-	return &Virtual{epoch: epoch, unblocked: make(chan *actor)}
+	return &Virtual{epoch: epoch, in: make(chan *actor)}
+}
+
+// NewPaced returns a virtual clock paced to the wall clock, starting at
+// the current wall instant: Now reads the wall time at which the actor
+// holding the turn was due.
+func NewPaced() *Virtual {
+	v := NewVirtual(time.Now())
+	v.paced = true
+	v.timer = time.NewTimer(time.Hour)
+	v.timer.Stop()
+	return v
 }
 
 // Now implements Clock.
@@ -101,20 +108,38 @@ func newActor(fn func()) *actor {
 // already due then. The caller keeps the turn.
 func (v *Virtual) Go(fn func()) { v.push(newActor(fn), v.now) }
 
+// Post files fn as a new actor on a paced clock, at max(now, wall −
+// offset): an op that arrives after an idle spell starts at its arrival
+// instant, so none of its sleeps is skipped. Any goroutine but the
+// clock's own may call it; it returns once Run has filed the actor, so
+// posts made one after another run in that order. An actor spawns with
+// Go instead.
+func (v *Virtual) Post(fn func()) {
+	if !v.paced {
+		panic("vclock: Post on an unpaced clock")
+	}
+	v.in <- newActor(fn)
+}
+
 // Run runs fn as an actor and drives the clock until fn returns: it
 // pops the earliest due actor, advances time to its deadline and
-// switches into it, over and over. Between turns it files again every
-// actor whose Block has returned, waiting for one only when nothing else
-// is due. Actors still filed when fn returns stay filed and resume in
-// the next Run. A panic in any actor surfaces from Run. Run is not
-// called from an actor.
+// switches into it, over and over. Between turns it files every actor
+// handed in by a returned Block or a Post. Unpaced, it waits for one only
+// when nothing else is due; paced, it waits on the wall clock until the
+// earliest actor is due, taking hand-ins meanwhile. Actors still filed
+// when fn returns stay filed and resume in the next Run. A panic in any
+// actor surfaces from Run. Run is not called from an actor.
 func (v *Virtual) Run(fn func()) {
 	root := newActor(fn)
-	v.push(root, v.now)
+	v.push(root, v.arrival())
 	for {
-		v.unblock()
-		if len(v.due) == 0 {
-			panic("vclock: deadlock: every actor waits on an Event nobody can fire")
+		if v.paced {
+			v.pace()
+		} else {
+			v.unblock()
+			if len(v.due) == 0 {
+				panic("vclock: deadlock: every actor waits on an Event nobody can fire")
+			}
 		}
 		a := v.pop()
 		if a.deadline > v.now {
@@ -129,47 +154,93 @@ func (v *Virtual) Run(fn func()) {
 	}
 }
 
-// unblock files, at the current instant, every actor whose Block helper
-// has reported, and while nothing is due waits for one.
+// wall is the wall time since the epoch, which a paced clock's virtual
+// time never passes.
+func (v *Virtual) wall() int64 { return int64(time.Since(v.epoch)) }
+
+// arrival is the instant an actor handed in from outside the schedule is
+// filed at: now, or on a paced clock the wall instant if that is later.
+func (v *Virtual) arrival() int64 {
+	if v.paced {
+		return max(v.now, v.wall())
+	}
+	return v.now
+}
+
+// unblock files, at its arrival instant, every actor whose Block helper
+// has reported (or, paced, that was posted meanwhile), and while nothing
+// is due waits for one.
 func (v *Virtual) unblock() {
 	for v.blocked > 0 {
 		var a *actor
 		if len(v.due) == 0 {
-			a = <-v.unblocked
+			a = <-v.in
 		} else {
 			select {
-			case a = <-v.unblocked:
+			case a = <-v.in:
 			default:
 				return
 			}
 		}
-		v.blocked--
-		v.push(a, v.now)
+		v.push(a, v.arrival())
+	}
+}
+
+// pace files every actor handed in at its arrival instant and waits on
+// the wall clock until the earliest filed actor is due; with nothing
+// filed it waits for a hand-in.
+func (v *Virtual) pace() {
+	for {
+		var due <-chan time.Time // nil: nothing filed, wait for a hand-in
+		if len(v.due) > 0 {
+			wait := time.Duration(v.due[0].deadline - v.wall())
+			if wait <= 0 {
+				select {
+				case a := <-v.in:
+					v.push(a, v.arrival())
+					continue
+				default:
+					return
+				}
+			}
+			v.timer.Reset(wait)
+			due = v.timer.C
+		}
+		select {
+		case a := <-v.in:
+			v.timer.Stop()
+			v.push(a, v.arrival())
+		case <-due:
+		}
 	}
 }
 
 // Block runs fn on a helper goroutine while the calling actor gives up
-// its turn. Once fn has returned, the next turn boundary or Sleep files
-// the caller again at the current instant. It is for a wait on something
-// other than the clock: its
-// only callers outside this package are the three end-of-run
-// Block(wg.Wait) joins in cmd/c4h-perf, which resume at the last
-// finisher's instant because nothing else is due by then. A join between
-// actors that keep running is a Group (or an Event the finisher fires).
-// The caller must be an actor.
+// its turn. Once fn has returned, the next turn boundary (or, unpaced,
+// Sleep) files the caller again at its arrival instant: the current one,
+// or on a paced clock the wall instant fn returned at if that is later.
+// It is for a wait on something other than the clock: c4hd's wait for
+// shutdown and the three end-of-run Block(wg.Wait) joins in
+// cmd/c4h-perf, which resume at the last finisher's instant because
+// nothing else is due by then. A join between actors that keep running
+// is a Group (or an Event the finisher fires). The caller must be an
+// actor.
 func (v *Virtual) Block(fn func()) {
 	a := v.cur
 	v.blocked++
 	go func() {
 		fn()
-		v.unblocked <- a
+		v.in <- a
 	}()
 	a.yield(struct{}{})
+	v.blocked--
 }
 
 // Sleep implements Clock. The caller must be an actor. A sleeper that is
 // itself the next due, once every returned Block is filed, carries on
-// without giving up the turn.
+// without giving up the turn; on a paced clock only once its deadline has
+// passed on the wall clock, when a post arriving now would be filed after
+// it anyway.
 //
 // c4h:hotpath
 func (v *Virtual) Sleep(d time.Duration) {
@@ -179,7 +250,7 @@ func (v *Virtual) Sleep(d time.Duration) {
 	a := v.cur
 	v.push(a, v.now+int64(d))
 	v.unblock() // a is due, so this never waits
-	if v.due[0] == a {
+	if v.due[0] == a && (!v.paced || a.deadline <= v.wall()) {
 		v.pop()
 		v.now = a.deadline
 		return
@@ -228,36 +299,22 @@ func (e *Event) Fire() {
 	e.waiters = nil
 }
 
-// Group spawns functions and joins them, on either clock: on a
-// *Virtual each is an actor and Wait parks on an Event the last finisher
-// fires before it returns, so the join is part of the schedule; on any
-// other Clock each is a goroutine and Wait is a sync.WaitGroup's. Wait
-// returns once nothing spawned through the Group is running, counting
-// what members spawn while it waits, and the Group can be used again.
+// Group spawns actors and joins them: Wait parks on an Event the last
+// finisher fires before it returns, so the join is part of the schedule.
+// Wait returns once nothing spawned through the Group is running,
+// counting what members spawn while it waits, and the Group can be used
+// again.
 type Group struct {
-	v       *Virtual       // nil off the virtual clock
-	running int            // virtual: spawned actors that have not returned
-	drained *Event         // virtual: non-nil while a Wait parks
-	wg      sync.WaitGroup // any other clock
+	v       *Virtual
+	running int    // spawned actors that have not returned
+	drained *Event // non-nil while a Wait parks
 }
 
-// NewGroup returns an empty group spawning on c.
-func NewGroup(c Clock) *Group {
-	v, _ := c.(*Virtual)
-	return &Group{v: v}
-}
+// NewGroup returns an empty group spawning on v.
+func NewGroup(v *Virtual) *Group { return &Group{v: v} }
 
-// Go runs fn in the background: as an actor filed at the current
-// instant on a virtual clock, else on a new goroutine.
+// Go files fn as an actor at the current instant.
 func (g *Group) Go(fn func()) {
-	if g.v == nil {
-		g.wg.Add(1)
-		go func() {
-			defer g.wg.Done()
-			fn()
-		}()
-		return
-	}
 	g.running++
 	g.v.Go(func() {
 		fn()
@@ -268,15 +325,11 @@ func (g *Group) Go(fn func()) {
 	})
 }
 
-// Wait returns once every spawned function has returned. On a virtual
-// clock the caller must be an actor; with nothing running it returns
-// without yielding, else it resumes at the last finisher's instant, after
-// every actor already due then.
+// Wait returns once every spawned function has returned. The caller must
+// be an actor; with nothing running it returns without yielding, else it
+// resumes at the last finisher's instant, after every actor already due
+// then.
 func (g *Group) Wait() {
-	if g.v == nil {
-		g.wg.Wait()
-		return
-	}
 	if g.running == 0 {
 		return
 	}
