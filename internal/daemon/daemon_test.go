@@ -16,26 +16,52 @@ import (
 // testNodes are the home nodes startServer builds.
 var testNodes = []string{"dev-a:9000", "dev-b:9000"}
 
-// startServer builds a small real-clock home cloud and serves it on an
-// ephemeral port.
+// startServer builds a small home cloud on a paced clock and serves it
+// on an ephemeral port.
 func startServer(t *testing.T) (*Server, string) {
+	return startServerWith(t, core.Config{})
+}
+
+// startServerWith is startServer with the home's modeled behaviour set.
+func startServerWith(t *testing.T, cfg core.Config) (*Server, string) {
 	t.Helper()
-	home := core.NewHome(vclock.Real{}, core.HomeOptions{Seed: 1})
-	spec := machine.Spec{Name: "dev", Cores: 2, GHz: 2.0, MemMB: 1024, Battery: 1}
-	for _, addr := range testNodes {
-		n, err := home.AddNode(core.NodeConfig{
-			Addr: addr, Machine: spec,
-			MandatoryBytes: 1 << 30, VoluntaryBytes: 1 << 30,
-		})
-		if err != nil {
-			t.Fatal(err)
+	clock := vclock.NewPaced()
+	quit, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		clock.Run(func() { clock.Block(func() { <-quit }) })
+	}()
+	stopClock := func() {
+		close(quit)
+		<-stopped
+	}
+	var home *core.Home
+	var err error
+	setUp := make(chan struct{})
+	clock.Post(func() {
+		defer close(setUp)
+		home = core.NewHome(clock, core.HomeOptions{Seed: 1, Config: cfg})
+		spec := machine.Spec{Name: "dev", Cores: 2, GHz: 2.0, MemMB: 1024, Battery: 1}
+		for _, addr := range testNodes {
+			var n *core.Node
+			if n, err = home.AddNode(core.NodeConfig{
+				Addr: addr, Machine: spec,
+				MandatoryBytes: 1 << 30, VoluntaryBytes: 1 << 30,
+			}); err != nil {
+				return
+			}
+			if err = n.DeployService(services.FaceDetect(), "performance"); err != nil {
+				return
+			}
+			if err = n.Monitor().PublishOnce(); err != nil {
+				return
+			}
 		}
-		if err := n.DeployService(services.FaceDetect(), "performance"); err != nil {
-			t.Fatal(err)
-		}
-		if err := n.Monitor().PublishOnce(); err != nil {
-			t.Fatal(err)
-		}
+	})
+	<-setUp
+	if err != nil {
+		stopClock()
+		t.Fatal(err)
 	}
 	srv := NewServer(home)
 	done := make(chan error, 1)
@@ -53,6 +79,7 @@ func startServer(t *testing.T) (*Server, string) {
 		if err := <-done; err != nil {
 			t.Errorf("serve: %v", err)
 		}
+		stopClock()
 	})
 	return srv, srv.Addr()
 }
@@ -243,5 +270,40 @@ func TestStatsOverTCP(t *testing.T) {
 	}
 	if a.Stores != 1 || a.Fetches != 1 || a.BytesStored != 3 {
 		t.Fatalf("dev-a stats = %+v", a)
+	}
+}
+
+// TestStatsCarryCacheCounters: with the dom0 cache and fetch coalescing
+// on, a second fetch of a remote object is a cache hit, and the hit
+// reaches the client through the Stats RPC.
+func TestStatsCarryCacheCounters(t *testing.T) {
+	_, addr := startServerWith(t, core.Config{CacheBytes: 1 << 20, CoalesceFetch: true})
+	c := dial(t, addr)
+	payload := bytes.Repeat([]byte("c"), 4096)
+	if _, err := c.Store("cached.bin", "b", payload, 0, testNodes[0]); err != nil {
+		t.Fatal(err)
+	}
+	for _, node := range testNodes {
+		for i := 0; i < 2; i++ {
+			fr, err := c.Fetch("cached.bin", node)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(fr.Data, payload) {
+				t.Fatalf("fetch %d over %s: payload differs", i, node)
+			}
+		}
+	}
+	stats, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hits, misses int64
+	for _, s := range stats {
+		hits += s.CacheHits
+		misses += s.CacheMisses
+	}
+	if hits == 0 || misses == 0 {
+		t.Fatalf("cache hits %d, misses %d over Stats, want both > 0: %+v", hits, misses, stats)
 	}
 }

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -325,21 +326,35 @@ func TestOperationsDoNotAllocateGenerators(t *testing.T) {
 	}
 }
 
-// TestResourceRealClockConcurrentUse: on the real clock, transfers over
-// one shared path run in their own goroutines while another goroutine
+// wallClock is a test-local clock on the host's wall time, whose Sleep
+// any number of goroutines may call at once.
+type wallClock struct{}
+
+func (wallClock) Now() time.Time { return time.Now() }
+
+func (wallClock) Sleep(d time.Duration) {
+	if d > 0 {
+		time.Sleep(d)
+	}
+}
+
+// TestResourceRealClockConcurrentUse: on a wall clock, transfers over one
+// shared path run in their own goroutines while another goroutine
 // degrades, reads and restores a resource on it. Run under -race this
 // checks that Resource needs no lock; the degraded share must stay within
 // the degraded capacity, and afterwards the resource must be idle at its
 // nominal capacity.
 func TestResourceRealClockConcurrentUse(t *testing.T) {
 	const nominal = 1e12 // fast enough that a 64 KB transfer sleeps ~65 ns
-	n := New(vclock.Real{}, 3)
+	n := New(wallClock{}, 3)
 	link := NewResource("link", nominal)
 	p := &Path{Resources: []*Resource{NewResource("nic", nominal), link}}
 
-	faults := vclock.NewGroup(vclock.Real{})
+	var faults sync.WaitGroup
 	stop := make(chan struct{})
-	faults.Go(func() {
+	faults.Add(1)
+	go func() {
+		defer faults.Done()
 		for {
 			select {
 			case <-stop:
@@ -353,14 +368,16 @@ func TestResourceRealClockConcurrentUse(t *testing.T) {
 			}
 			link.Restore()
 		}
-	})
-	transfers := vclock.NewGroup(vclock.Real{})
+	}()
+	var transfers sync.WaitGroup
 	for i := 0; i < 4; i++ {
-		transfers.Go(func() {
+		transfers.Add(1)
+		go func() {
+			defer transfers.Done()
 			for j := 0; j < 50; j++ {
 				n.Transfer(p, 64<<10)
 			}
-		})
+		}()
 	}
 	transfers.Wait()
 	close(stop)

@@ -131,14 +131,179 @@ func TestVirtualTimeSkipsIdleGaps(t *testing.T) {
 	}
 }
 
+// TestRealClockMonotone: the paced clock's Now never goes back, across
+// sleeps that wake late and posts that arrive between them.
 func TestRealClockMonotone(t *testing.T) {
-	var c Real
-	a := c.Now()
-	c.Sleep(time.Millisecond)
-	if !c.Now().After(a) {
-		t.Fatal("real clock did not advance across Sleep")
+	v := NewPaced()
+	var last time.Time
+	check := func() {
+		if now := v.Now(); now.Before(last) {
+			t.Fatalf("Now went back from %v to %v", last, now)
+		} else {
+			last = now
+		}
 	}
-	c.Sleep(-time.Hour) // must not block
+	var stop chan struct{}
+	stopped := make(chan struct{})
+	go func() {
+		defer close(stopped)
+		v.Run(func() {
+			check()
+			stop = make(chan struct{})
+			v.Go(func() {
+				for i := 0; i < 20; i++ {
+					v.Sleep(time.Duration(i%3) * 100 * time.Microsecond)
+					check()
+				}
+			})
+			v.Block(func() { <-stop })
+			check()
+		})
+	}()
+	for i := 0; i < 20; i++ {
+		v.Post(check)
+		time.Sleep(50 * time.Microsecond)
+	}
+	v.Post(func() { close(stop) })
+	<-stopped
+	v.Sleep(-time.Hour) // must not block
+}
+
+// servePaced drives v from a goroutine of its own, with a root that waits
+// for the returned stop function, so the test can post to it.
+func servePaced(t *testing.T, v *Virtual) (stop func()) {
+	t.Helper()
+	quit, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		v.Run(func() { v.Block(func() { <-quit }) })
+	}()
+	return func() {
+		close(quit)
+		<-stopped
+	}
+}
+
+// TestPacedNeverEarly: on a paced clock every wake, of sleepers of
+// several lengths, comes no sooner on the wall clock than the virtual
+// time that has passed.
+func TestPacedNeverEarly(t *testing.T) {
+	v := NewPaced()
+	start := v.Now()
+	var early []string
+	v.Run(func() {
+		g := NewGroup(v)
+		for a := 1; a <= 4; a++ {
+			g.Go(func() {
+				for i := 0; i < 25; i++ {
+					v.Sleep(time.Duration(a*(i%4+1)) * 50 * time.Microsecond)
+					if wall, virt := time.Since(start), v.Now().Sub(start); wall < virt && len(early) < 5 {
+						early = append(early, fmt.Sprintf("actor %d woke at wall %v, virtual %v", a, wall, virt))
+					}
+				}
+			})
+		}
+		g.Wait()
+	})
+	for _, e := range early {
+		t.Error(e)
+	}
+}
+
+// TestPacedLatenessDoesNotAddUp: 200 sleeps of 100 µs end at absolute
+// deadlines, so they take their 20 ms sum plus one wake's lateness,
+// where 200 idle time.Sleeps of 100 µs take about 200 ms on a 2-core box.
+func TestPacedLatenessDoesNotAddUp(t *testing.T) {
+	const n, d = 200, 100 * time.Microsecond
+	v := NewPaced()
+	t0 := time.Now()
+	v.Run(func() {
+		for i := 0; i < n; i++ {
+			v.Sleep(d)
+		}
+	})
+	if took, bound := time.Since(t0), n*d+50*time.Millisecond; took > bound {
+		t.Fatalf("%d sleeps of %v took %v of wall time, want <= %v", n, d, took, bound)
+	}
+	if got := v.Now().Sub(v.epoch); got < n*d {
+		t.Fatalf("virtual time advanced %v, want >= %v", got, n*d)
+	}
+}
+
+// TestPacedPostAfterIdleStartsAtArrival: a post made after 20 ms with
+// nothing due starts at the wall instant it arrived, not at the instant
+// the clock last ran, so its own sleep is served in full.
+func TestPacedPostAfterIdleStartsAtArrival(t *testing.T) {
+	v := NewPaced()
+	stop := servePaced(t, v)
+	defer stop()
+	time.Sleep(20 * time.Millisecond)
+	posted := time.Now()
+	type seen struct{ start, woke, wokeWall time.Time }
+	got := make(chan seen, 1)
+	v.Post(func() {
+		var s seen
+		s.start = v.Now()
+		v.Sleep(5 * time.Millisecond)
+		s.woke, s.wokeWall = v.Now(), time.Now()
+		got <- s
+	})
+	s := <-got
+	if s.start.Before(posted) {
+		t.Fatalf("posted actor started at %v, %v before it was posted", s.start, posted.Sub(s.start))
+	}
+	if s.start.Sub(posted) > 10*time.Millisecond {
+		t.Fatalf("posted actor started %v after it was posted", s.start.Sub(posted))
+	}
+	if s.woke.Sub(s.start) != 5*time.Millisecond || s.wokeWall.Sub(posted) < 5*time.Millisecond {
+		t.Fatalf("5 ms sleep: virtual %v, wall %v since the post", s.woke.Sub(s.start), s.wokeWall.Sub(posted))
+	}
+}
+
+// TestPacedConcurrentPosts: 8 goroutines post 100 actors each. Every one
+// runs; they bump a plain counter with no lock, which -race accepts only
+// because no two actors run at once; and each goroutine's posts run in
+// the order it made them.
+func TestPacedConcurrentPosts(t *testing.T) {
+	const posters, posts = 8, 100
+	v := NewPaced()
+	stop := servePaced(t, v)
+	ran := 0
+	var last [posters]int
+	var wg sync.WaitGroup
+	for p := 0; p < posters; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 1; i <= posts; i++ {
+				v.Post(func() {
+					if last[p] != i-1 {
+						panic(fmt.Sprintf("poster %d: post %d ran after post %d", p, i, last[p]))
+					}
+					last[p] = i
+					ran++
+				})
+			}
+		}()
+	}
+	wg.Wait()
+	var total int
+	v.Post(func() { total = ran })
+	stop()
+	if total != posters*posts {
+		t.Fatalf("%d posts ran, want %d", total, posters*posts)
+	}
+}
+
+// TestPostOnUnpacedPanics: the unpaced clock takes no posts; its schedule
+// is only what its actors make.
+func TestPostOnUnpacedPanics(t *testing.T) {
+	defer func() {
+		if r, _ := recover().(string); !strings.Contains(r, "unpaced") {
+			t.Fatalf("recovered %q, want the unpaced panic", r)
+		}
+	}()
+	NewVirtual(epoch).Post(func() {})
 }
 
 func eventWorkload(t *testing.T, v *Virtual) []time.Duration {
@@ -561,24 +726,6 @@ func TestGroupWaitResumesAtLastFinisher(t *testing.T) {
 	if got, want := fmt.Sprint(order), "[w1 w2 w3 bystander join]"; got != want {
 		t.Fatalf("order = %s, want %s", got, want)
 	}
-}
-
-// TestGroupOnRealJoinsGoroutines: off the virtual clock a Group is
-// goroutines and a WaitGroup; Wait returns only after every one ran.
-func TestGroupOnRealJoinsGoroutines(t *testing.T) {
-	g := NewGroup(Real{})
-	var n atomic.Int32
-	for i := 0; i < 8; i++ {
-		g.Go(func() {
-			Real{}.Sleep(time.Millisecond)
-			n.Add(1)
-		})
-	}
-	g.Wait()
-	if n.Load() != 8 {
-		t.Fatalf("Wait returned after %d of 8 goroutines", n.Load())
-	}
-	g.Wait() // an empty group returns at once
 }
 
 // TestBlockReturnsWhileTickerKeepsHeapBusy: an actor inside Block is
