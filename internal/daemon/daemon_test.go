@@ -31,10 +31,11 @@ func startServerWith(t *testing.T, cfg core.Config) (*Server, string) {
 		defer close(stopped)
 		clock.Run(func() { clock.Block(func() { <-quit }) })
 	}()
-	stopClock := func() {
+	// Cleanups run last first: this one after the server's below.
+	t.Cleanup(func() {
 		close(quit)
 		<-stopped
-	}
+	})
 	var home *core.Home
 	var err error
 	setUp := make(chan struct{})
@@ -60,7 +61,6 @@ func startServerWith(t *testing.T, cfg core.Config) (*Server, string) {
 	})
 	<-setUp
 	if err != nil {
-		stopClock()
 		t.Fatal(err)
 	}
 	srv := NewServer(home)
@@ -79,7 +79,6 @@ func startServerWith(t *testing.T, cfg core.Config) (*Server, string) {
 		if err := <-done; err != nil {
 			t.Errorf("serve: %v", err)
 		}
-		stopClock()
 	})
 	return srv, srv.Addr()
 }
