@@ -107,7 +107,8 @@ type concFlow struct {
 
 	// asyncParams maps a module function to the indices of func-typed
 	// parameters it launches on a goroutine without joining before
-	// return.
+	// return. It is the lock-flow walk's (lockFlow.async), which needs it
+	// first.
 	asyncParams map[*types.Func]map[int]bool
 	// conds holds every NewCond binding in declaration order;
 	// condByObj indexes them by the cond's own object.
@@ -142,13 +143,12 @@ func buildConcFlow(m *Module) (*concFlow, error) {
 	}
 	cf := &concFlow{
 		m: m, ti: lf.ti, cg: lf.cg, lf: lf,
-		asyncParams: map[*types.Func]map[int]bool{},
+		asyncParams: lf.async,
 		condByObj:   map[types.Object]*condBinding{},
 		arenaFields: map[*types.Var]bool{},
 	}
 	cf.collectArenaFields()
 	cf.collectCondBindings()
-	cf.collectAsyncParams()
 	for _, fi := range cf.cg.Funcs {
 		cf.scopes = append(cf.scopes, cf.buildScope(fi))
 	}
@@ -307,6 +307,15 @@ func baseIdentObj(ti *TypeInfo, e ast.Expr) types.Object {
 			return nil
 		}
 	}
+}
+
+// asyncWrappers computes the module's asyncParams. It needs only the
+// call graph, not the lock flow, so the lock-flow walk can run it before
+// it walks.
+func asyncWrappers(m *Module, ti *TypeInfo, cg *CallGraph) map[*types.Func]map[int]bool {
+	cf := &concFlow{m: m, ti: ti, cg: cg, asyncParams: map[*types.Func]map[int]bool{}}
+	cf.collectAsyncParams()
+	return cf.asyncParams
 }
 
 // collectAsyncParams computes, to a fixpoint, which functions launch a

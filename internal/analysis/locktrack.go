@@ -158,6 +158,9 @@ type lockFlow struct {
 	// owners maps an annotated field to its owning type's class prefix
 	// ("core.dataCache"), so guardedfield can form the guard's class.
 	owners map[*types.Var]string
+	// async is concFlow's asyncParams: the func-typed parameters a
+	// callee runs later, on a goroutine or as a clock actor of its own.
+	async map[*types.Func]map[int]bool
 }
 
 // lockFlowResult caches buildLockFlow's outcome on the Module.
@@ -188,6 +191,7 @@ func buildLockFlow(m *Module) (*lockFlow, error) {
 		byObj:   map[*types.Func]*fnSummary{},
 		guarded: map[*types.Var]string{},
 		owners:  map[*types.Var]string{},
+		async:   asyncWrappers(m, ti, cg),
 	}
 	lf.collectGuarded()
 	for _, fi := range cg.Funcs {
@@ -636,6 +640,20 @@ func (w *flowWalker) scanExpr(e ast.Expr, st held) {
 				w.sum.condOps = append(w.sum.condOps, condOpEvent{
 					kind: kind, obj: obj, inst: inst, pos: n.Pos(), held: st.snapshot(),
 				})
+				return false
+			}
+			if async := w.lf.async[calleeOf(w.lf.ti.Info, n)]; len(async) > 0 {
+				// A literal the callee runs later is a go statement's:
+				// nothing the caller holds is held while it runs.
+				w.recordCall(n, st)
+				w.scanExpr(n.Fun, st)
+				for i, a := range n.Args {
+					if fl, ok := ast.Unparen(a).(*ast.FuncLit); ok && async[i] {
+						w.walkAnon(fl, nil)
+					} else {
+						w.scanExpr(a, st)
+					}
+				}
 				return false
 			}
 			w.recordCall(n, st)
