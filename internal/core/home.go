@@ -91,7 +91,7 @@ type Home struct {
 	fedMiss map[string]fedMissMark // names no neighbour had, with put marks
 
 	cfg  Config     // HomeOptions.Config
-	memo decodeMemo // one decoded resource record per live node
+	memo decodeMemo // one decoded resource record per live node, one registration per service
 }
 
 // HomeOptions configures a Home.

@@ -2,64 +2,71 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 
 	"cloud4home/internal/ids"
 	"cloud4home/internal/kv"
 	"cloud4home/internal/monitor"
+	"cloud4home/internal/services"
 )
 
-// decodeMemo caches the most recent decode of each live node's monitor
-// resource record. The decision layer reads every candidate's record on
-// each store and process, but a record only changes once per monitor
-// period, so most reads skip the JSON pass. A hit is detected by
-// comparing raw bytes, never by version — a key's version counter resets
-// after delete/re-create, and different readers may see different path
-// caches — and the stored copy is private, so later kv writes can never
-// corrupt a cached decode.
+// decodeMemo caches the most recent decode of the two kv records the
+// decision layer reads on every operation but that rarely change: each
+// live node's monitor resource record, read for every candidate of each
+// store and process and changed once per monitor period, and each
+// service's registration, read by every decided process and changed only
+// when a host deploys or undeploys the service. So most reads skip the
+// JSON pass. A hit is detected by comparing raw bytes, never by version —
+// a key's version counter resets after delete/re-create, and different
+// readers may see different path caches — and the stored copy is
+// private, so later kv writes can never corrupt a cached decode.
 //
-// Size bound: entries are keyed by a member node's monitor key, inserted
-// only while that node is in Home.nodes and dropped under the same lock
-// that removes it (see Home.RemoveNode), so len(res) never exceeds the
-// number of addresses currently in the home.
+// Size bound: a resource record's entry is keyed by a member node's
+// monitor key, inserted only while that node is in Home.nodes and dropped
+// under the same lock that removes it (see Home.RemoveNode); a
+// registration's entry is keyed by its service key and stored only once
+// the record decoded, and registrations are never deleted from kv. So
+// len(entries) never exceeds the number of addresses currently in the
+// home plus the number of services ever registered in it.
 type decodeMemo struct {
-	mu  sync.Mutex
-	res map[ids.ID]resMemoEntry // guarded by mu
+	mu      sync.Mutex
+	entries map[ids.ID]memoEntry // guarded by mu
 }
 
-type resMemoEntry struct {
+type memoEntry struct {
 	raw []byte
-	res monitor.Resources
+	val any // a monitor.Resources or a services.Registration
 }
 
 // lookup returns the cached decode of key if its raw bytes equal data.
 //
 // c4h:hotpath
-func (m *decodeMemo) lookup(key ids.ID, data []byte) (monitor.Resources, bool) {
+func (m *decodeMemo) lookup(key ids.ID, data []byte) (any, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if e, ok := m.res[key]; ok && bytes.Equal(e.raw, data) {
-		return e.res, true
+	if e, ok := m.entries[key]; ok && bytes.Equal(e.raw, data) {
+		return e.val, true
 	}
-	return monitor.Resources{}, false
+	return nil, false
 }
 
-// store records res as the decode of data, copying the bytes.
-func (m *decodeMemo) store(key ids.ID, data []byte, res monitor.Resources) {
+// store records val as the decode of data, copying the bytes.
+func (m *decodeMemo) store(key ids.ID, data []byte, val any) {
 	raw := make([]byte, len(data))
 	copy(raw, data)
 	m.mu.Lock()
-	if m.res == nil {
-		m.res = make(map[ids.ID]resMemoEntry)
+	if m.entries == nil {
+		m.entries = make(map[ids.ID]memoEntry)
 	}
-	m.res[key] = resMemoEntry{raw: raw, res: res}
+	m.entries[key] = memoEntry{raw: raw, val: val}
 	m.mu.Unlock()
 }
 
 // drop forgets key's entry.
 func (m *decodeMemo) drop(key ids.ID) {
 	m.mu.Lock()
-	delete(m.res, key)
+	delete(m.entries, key)
 	m.mu.Unlock()
 }
 
@@ -68,8 +75,10 @@ func (m *decodeMemo) drop(key ids.ID) {
 // together with RemoveNode's drop keeps the memo bounded by membership
 // even when a lookup races a crash.
 func (h *Home) decodeResources(peer *Node, v kv.Value) (monitor.Resources, error) {
-	if r, ok := h.memo.lookup(peer.mon.Key(), v.Data); ok {
-		return r, nil
+	if cached, ok := h.memo.lookup(peer.mon.Key(), v.Data); ok {
+		if r, ok := cached.(monitor.Resources); ok {
+			return r, nil
+		}
 	}
 	r, err := monitor.UnmarshalResources(v.Data)
 	if err != nil {
@@ -81,4 +90,38 @@ func (h *Home) decodeResources(peer *Node, v kv.Value) (monitor.Resources, error
 	}
 	h.mu.RUnlock()
 	return r, nil
+}
+
+// registration reads a service's registration, the "'value' field for
+// the service [that] is used to determine other possible targets"
+// (§III-B). The kv walk is services.Discover's — the same getChain, so
+// hops, path caches and counters are too — but the record is read
+// zero-copy and decoded through the home's memo: it is decoded again only
+// when its bytes differ from the last decode's. The returned Nodes is
+// shared with the memo and every other reader: read-only.
+//
+// c4h:hotpath
+func (n *Node) registration(name string, id uint32) (services.Registration, error) {
+	key := services.Key(name, id)
+	gr, err := n.home.kv.GetRef(n.id, key)
+	if err != nil {
+		return services.Registration{}, fmt.Errorf("services: discover %s: %w", name, err)
+	}
+	if cached, ok := n.home.memo.lookup(key, gr.Value.Data); ok {
+		if reg, ok := cached.(services.Registration); ok {
+			return reg, nil
+		}
+	}
+	return n.home.decodeRegistration(key, gr.Value.Data)
+}
+
+// decodeRegistration is registration's miss: decode data, a new version
+// of key's record, and keep the decode.
+func (h *Home) decodeRegistration(key ids.ID, data []byte) (services.Registration, error) {
+	reg, err := services.UnmarshalRegistration(data)
+	if err != nil {
+		return services.Registration{}, err
+	}
+	h.memo.store(key, data, reg)
+	return reg, nil
 }

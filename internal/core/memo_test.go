@@ -1,22 +1,26 @@
 package core
 
 import (
+	"errors"
+	"slices"
 	"testing"
 
+	"cloud4home/internal/cloudsim"
 	"cloud4home/internal/ids"
 	"cloud4home/internal/kv"
+	"cloud4home/internal/services"
 )
 
 func (m *decodeMemo) len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.res)
+	return len(m.entries)
 }
 
 func (m *decodeMemo) has(key ids.ID) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	_, ok := m.res[key]
+	_, ok := m.entries[key]
 	return ok
 }
 
@@ -110,6 +114,76 @@ func TestCrashEvictsResourceMemo(t *testing.T) {
 		}
 		if n := tb.home.memo.len(); n != 1 {
 			t.Errorf("memo holds %d entries for 1 member, want 1", n)
+		}
+	})
+}
+
+// TestDecidedSeesNewHostList: a registration is decoded once per version,
+// so a deploy, an undeploy or a DeployCloudService between two decided
+// FetchProcess calls reaches the second one — it decides over the new
+// host list, never the memo's copy of the old one.
+func TestDecidedSeesNewHostList(t *testing.T) {
+	tb := newTestbed(t, kv.Options{})
+	spec := services.FaceDetect()
+	tb.run(func() {
+		if _, err := tb.cloud.LaunchInstance("xl-1", cloudsim.ExtraLargeSpec("S3")); err != nil {
+			t.Error(err)
+			return
+		}
+		// The object lives on the netbook and the atom asks: neither hosts
+		// fdet, so every FetchProcess below is decided.
+		w, err := tb.netbook.OpenSession()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer w.Close()
+		if err := w.CreateObject("cam.jpg", "image", nil); err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := w.StoreObject("cam.jpg", nil, 1<<20, StoreOptions{Blocking: true}); err != nil {
+			t.Error(err)
+			return
+		}
+		sess, err := tb.atom.OpenSession()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer sess.Close()
+
+		const cloud = CloudServiceAddr + "xl-1"
+		for _, step := range []struct {
+			name   string
+			change func() error
+			hosts  []string
+		}{
+			{"deploy on the desktop", func() error { return tb.desktop.DeployService(spec, "performance") }, []string{tb.desktop.Addr()}},
+			{"undeploy from the desktop", func() error { return tb.desktop.UndeployService(spec) }, nil},
+			{"deploy on the cloud", func() error { return tb.home.DeployCloudService(spec, "xl-1") }, []string{cloud}},
+			{"deploy on the desktop again", func() error { return tb.desktop.DeployService(spec, "performance") }, []string{cloud, tb.desktop.Addr()}},
+		} {
+			if err := step.change(); err != nil {
+				t.Errorf("%s: %v", step.name, err)
+				return
+			}
+			// Twice: the first read after the change decodes it, the
+			// second is served by the memo.
+			for range 2 {
+				res, err := sess.FetchProcess("cam.jpg", spec.Name, spec.ID)
+				if len(step.hosts) == 0 {
+					if !errors.Is(err, ErrServiceNotFound) {
+						t.Errorf("%s: FetchProcess with no host returned %+v, %v", step.name, res, err)
+					}
+				} else if err != nil || res.Mode != ModeDecided || !slices.Contains(step.hosts, res.Target) {
+					t.Errorf("%s: FetchProcess ran %v at %q (err %v), want decided on one of %q", step.name, res.Mode, res.Target, err, step.hosts)
+				}
+				reg, err := tb.atom.registration(spec.Name, spec.ID)
+				if err != nil || !slices.Equal(reg.Nodes, step.hosts) {
+					t.Errorf("%s: registration lists %q (err %v), want %q", step.name, reg.Nodes, err, step.hosts)
+				}
+			}
 		}
 	})
 }

@@ -92,8 +92,8 @@ type Node struct {
 	dataCache *dataCache // dom0 payload cache; nil when disabled
 
 	mu       sync.Mutex
-	deployed map[ids.ID]services.Spec // guarded by mu; services runnable on this node
-	domains  uint16                   // guarded by mu; next guest domain ID
+	deployed map[serviceRef]services.Spec // guarded by mu; services runnable on this node
+	domains  uint16                       // guarded by mu; next guest domain ID
 
 	training atomic.Pointer[trainingSet] // installed face-recognition set; nil until SetTrainingSet
 
@@ -153,7 +153,7 @@ func (h *Home) AddNode(cfg NodeConfig) (*Node, error) {
 		mach:     mach,
 		nic:      netsim.NewResource("nic:"+cfg.Addr, nicBps),
 		bg:       vclock.NewGroup(h.clock),
-		deployed: make(map[ids.ID]services.Spec),
+		deployed: make(map[serviceRef]services.Spec),
 	}
 	if cb := h.cfg.CacheBytes; cb > 0 {
 		// The cache lives in space the device already volunteered to the
@@ -227,7 +227,7 @@ func (n *Node) DeployService(spec services.Spec, policyName string) error {
 		return err
 	}
 	n.mu.Lock()
-	n.deployed[spec.Key()] = spec
+	n.deployed[serviceRef{spec.Name, spec.ID}] = spec
 	n.mu.Unlock()
 	return nil
 }
@@ -253,13 +253,21 @@ func (h *Home) DeployCloudService(spec services.Spec, instance string) error {
 // key-value store registration.
 func (n *Node) UndeployService(spec services.Spec) error {
 	n.mu.Lock()
-	_, had := n.deployed[spec.Key()]
-	delete(n.deployed, spec.Key())
+	ref := serviceRef{spec.Name, spec.ID}
+	_, had := n.deployed[ref]
+	delete(n.deployed, ref)
 	n.mu.Unlock()
 	if !had {
 		return fmt.Errorf("core: %s not deployed on %s", spec.Name, n.addr)
 	}
 	return services.Deregister(n.home.kv, n.id, spec, n.addr)
+}
+
+// serviceRef names a service by what a request carries, its name and id:
+// a node's deployed services are looked up by it without hashing.
+type serviceRef struct {
+	name string
+	id   uint32
 }
 
 // HasService reports whether this node can run the service locally.

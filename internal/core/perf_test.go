@@ -320,3 +320,98 @@ func TestFetchProcessCopiesNoPayload(t *testing.T) {
 		}
 	})
 }
+
+// sparseDecided stores a 1 MB object without a payload on the netbook of a
+// processBed, which hosts no service, so that a FetchProcess of it from
+// the atom is decided and runs no kernel. It returns the object's name.
+func sparseDecided(tb *testbed) (string, error) {
+	const name = "sparse.bin"
+	sess, err := tb.netbook.OpenSession()
+	if err != nil {
+		return "", err
+	}
+	defer sess.Close()
+	if err := sess.CreateObject(name, "bin", nil); err != nil {
+		return "", err
+	}
+	_, err = sess.StoreObject(name, nil, processBedImage, StoreOptions{Blocking: true})
+	return name, err
+}
+
+// TestDecidedProcessAllocations pins case 3's heap objects. A decided
+// FetchProcess of a sparse object — the command, the metadata read, the
+// registration read, the decision over the hosts' resource records, the
+// input move and the output's return — allocates 2: the decoded metadata
+// record and the decision's candidate list. The registration and the
+// resource records are decoded once per version, the service lookups
+// hash nothing, and a deployed service is found by name. On the
+// materialised image fdet and frec stay within 6: a kernel's split
+// closure, frec's match digits and the copy of fdet's borrowed output that
+// finishProcess hands the application make 4, and the kernel pool re-pins
+// after a collection, which the 1 MB copy brings every few ops in this
+// small heap.
+func TestDecidedProcessAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	tb, names := processBed(t)
+	tb.run(func() {
+		sparse, err := sparseDecided(tb)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		sess, err := tb.atom.OpenSession()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer sess.Close()
+		fetchProcess := func(name string, spec services.Spec) {
+			res, err := sess.FetchProcess(name, spec.Name, spec.ID)
+			if err != nil || res.Mode != ModeDecided {
+				t.Errorf("%s of %s: mode %v, err %v", spec.Name, name, res.Mode, err)
+			}
+		}
+		for _, spec := range services.Builtin() {
+			if n := testing.AllocsPerRun(50, func() { fetchProcess(sparse, spec) }); n != 2 {
+				t.Errorf("decided %s of a sparse object: %v allocations, want 2", spec.Name, n)
+			}
+		}
+		for _, spec := range []services.Spec{services.FaceDetect(), services.FaceRecognize()} {
+			if n := testing.AllocsPerRun(50, func() { fetchProcess(names[ModeDecided], spec) }); n > 6 {
+				t.Errorf("decided %s of a 1 MB image: %v allocations, budget 6", spec.Name, n)
+			}
+		}
+	})
+}
+
+// BenchmarkFetchProcessDecided is the decision's profiling entry point:
+// a FetchProcess of a sparse object that neither the requester nor the
+// owner can process, so every op reads the registration and the hosts'
+// resource records and decides, and no kernel runs.
+func BenchmarkFetchProcessDecided(b *testing.B) {
+	tb, _ := processBed(b)
+	spec := services.FaceDetect()
+	b.ReportAllocs()
+	tb.run(func() {
+		sparse, err := sparseDecided(tb)
+		if err != nil {
+			b.Error(err)
+			return
+		}
+		sess, err := tb.atom.OpenSession()
+		if err != nil {
+			b.Error(err)
+			return
+		}
+		defer sess.Close()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := sess.FetchProcess(sparse, spec.Name, spec.ID); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+}

@@ -198,7 +198,7 @@ func (s *Session) FetchProcess(name, svcName string, svcID uint32) (ProcessResul
 // applies.
 func (s *Session) decided(meta ObjectMeta, svcName string, svcID uint32, start time.Time) (ProcessResult, error) {
 	n := s.node
-	reg, err := services.Discover(n.home.kv, n.id, svcName, svcID)
+	reg, err := n.registration(svcName, svcID)
 	if err != nil {
 		return ProcessResult{}, fmt.Errorf("%w: %s", ErrServiceNotFound, svcName)
 	}
@@ -234,7 +234,7 @@ func (s *Session) ProcessPipelineAt(name string, svcNames []string, svcIDs []uin
 	}
 	specs := make([]services.Spec, len(svcNames))
 	for i := range svcNames {
-		reg, err := services.Discover(s.node.home.kv, s.node.id, svcNames[i], svcIDs[i])
+		reg, err := s.node.registration(svcNames[i], svcIDs[i])
 		if err != nil {
 			return ProcessResult{}, fmt.Errorf("%w: %s", ErrServiceNotFound, svcNames[i])
 		}
@@ -249,10 +249,12 @@ func (s *Session) ProcessPipelineAt(name string, svcNames []string, svcIDs []uin
 }
 
 // serviceSpec returns a locally deployed service's profile.
+//
+// c4h:hotpath
 func (n *Node) serviceSpec(name string, id uint32) (services.Spec, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	spec, ok := n.deployed[services.Key(name, id)]
+	spec, ok := n.deployed[serviceRef{name, id}]
 	return spec, ok
 }
 
@@ -590,11 +592,11 @@ func (k *kernelRun) join(res *ProcessResult, opErr error) error {
 func (n *Node) applyKernel(spec services.Spec, data []byte, res *ProcessResult) error {
 	switch spec.Name {
 	case "fdet":
-		hits, err := services.DetectFaces(data)
+		faces, err := services.CountFaces(data)
 		if err != nil {
 			return err
 		}
-		res.Detections = len(hits)
+		res.Detections = faces
 		// The annotated image continues down the pipeline as the borrow
 		// it came in as.
 		res.Output, res.borrowed = data, true

@@ -37,38 +37,86 @@ func ShardsFor(size int64) int {
 // goroutines, the caller's being one of them. workers ≤ 1 (or n ≤ 1)
 // degrades to a plain sequential loop. fn must confine its writes to
 // per-shard state (indexed result slots); Run returns only after every
-// shard completed.
+// shard completed. Run itself allocates nothing: its fan-out state is
+// pooled.
 func Run(workers, n int, fn func(shard int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
+	if workers = min(workers, n); workers <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
 		return
 	}
-	// Workers pull the next undispatched shard until none remain. Which
-	// worker runs which shard is irrelevant to the result (indexed slots),
-	// so a shared counter is all the coordination needed. Counter and wait
-	// group are one struct so that the closure's capture is one heap object:
-	// Run sits on the per-operation path of every kernel call.
-	var st struct {
-		next atomic.Int64
-		wg   sync.WaitGroup
+	f := fans.Get().(*fan)
+	f.fn = fn
+	f.run(workers, n)
+}
+
+// Sum is Run for shards that each return a count, and returns the counts'
+// sum. Integer addition does not depend on the order the shards finish
+// in, so the sum is the same at every worker count.
+func Sum(workers, n int, fn func(shard int) int) int {
+	if workers = min(workers, n); workers <= 1 {
+		sum := 0
+		for i := 0; i < n; i++ {
+			sum += fn(i)
+		}
+		return sum
 	}
-	work := func() {
-		defer st.wg.Done()
-		for i := int(st.next.Add(1)) - 1; i < n; i = int(st.next.Add(1)) - 1 {
-			fn(i)
+	f := fans.Get().(*fan)
+	f.count = fn
+	return f.run(workers, n)
+}
+
+// fan is one fan-out's shared state: workers pull the next undispatched
+// shard until none remain. Which worker runs which shard is irrelevant to
+// the result (indexed slots, or a sum), so a shared counter is all the
+// coordination needed. Exactly one of fn and count is set.
+type fan struct {
+	next  atomic.Int64
+	sum   atomic.Int64
+	wg    sync.WaitGroup
+	n     int
+	fn    func(shard int)
+	count func(shard int) int
+	work  func() // f.loop, bound once so that `go f.work()` allocates nothing
+}
+
+// fans recycles fan-outs: Run sits on the per-operation path of every
+// kernel call.
+var fans = sync.Pool{New: func() any {
+	f := new(fan)
+	f.work = f.loop
+	return f
+}}
+
+// run runs shards [0, n) on workers goroutines, the caller's being one,
+// returns the fan to the pool and the shards' sum.
+func (f *fan) run(workers, n int) int {
+	f.n = n
+	f.wg.Add(1) // the caller's own share
+	for w := 1; w < workers; w++ {
+		f.wg.Add(1)
+		go f.work()
+	}
+	f.work()
+	f.wg.Wait()
+	sum := int(f.sum.Load())
+	f.next.Store(0)
+	f.sum.Store(0)
+	f.fn, f.count = nil, nil // a pooled fan pins no caller state
+	fans.Put(f)
+	return sum
+}
+
+func (f *fan) loop() {
+	defer f.wg.Done()
+	for i := int(f.next.Add(1)) - 1; i < f.n; i = int(f.next.Add(1)) - 1 {
+		if f.count != nil {
+			f.sum.Add(int64(f.count(i)))
+		} else {
+			f.fn(i)
 		}
 	}
-	st.wg.Add(workers)
-	for w := 1; w < workers; w++ {
-		go work()
-	}
-	work()
-	st.wg.Wait()
 }
 
 // Range returns the half-open slice [lo, hi) of total items owned by

@@ -62,6 +62,53 @@ func TestRunMergeIsOrderIndependent(t *testing.T) {
 	}
 }
 
+func TestSumAddsEveryShardOnce(t *testing.T) {
+	const n = 37
+	for _, workers := range []int{0, 1, 2, 4, 8, 100} {
+		var counts [n]atomic.Int64
+		got := Sum(workers, n, func(i int) int {
+			counts[i].Add(1)
+			return i + 1
+		})
+		if want := n * (n + 1) / 2; got != want {
+			t.Fatalf("workers=%d: sum %d, want %d", workers, got, want)
+		}
+		for i := range counts {
+			if c := counts[i].Load(); c != 1 {
+				t.Fatalf("workers=%d: shard %d ran %d times", workers, i, c)
+			}
+		}
+	}
+	if got := Sum(4, 0, func(int) int { return 1 }); got != 0 {
+		t.Fatalf("Sum over no shards = %d", got)
+	}
+}
+
+// slots is what TestFanOutsDoNotAllocate's shards write: a package
+// variable, so their literals capture nothing and cost nothing either.
+var slots [16]int
+
+// TestFanOutsDoNotAllocate: a fan-out's shared state is pooled, so Run
+// and Sum allocate nothing of their own at any worker count (a caller's
+// literal that captures variables is the caller's allocation).
+func TestFanOutsDoNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	for _, workers := range []int{1, 2, 4, 16} {
+		if n := testing.AllocsPerRun(100, func() {
+			Run(workers, len(slots), func(i int) { slots[i] = i })
+		}); n != 0 {
+			t.Errorf("Run on %d workers: %v allocations, want 0", workers, n)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			slots[0] = Sum(workers, len(slots), func(i int) int { return slots[i] })
+		}); n != 0 {
+			t.Errorf("Sum on %d workers: %v allocations, want 0", workers, n)
+		}
+	}
+}
+
 func TestRangePartitionsExactly(t *testing.T) {
 	for _, total := range []int{0, 1, 5, 64, 97} {
 		for _, n := range []int{1, 2, 3, 7, 64} {

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
+	"sync"
 
 	"cloud4home/internal/parallel"
 )
@@ -109,23 +111,13 @@ func detectFaces(data []byte, parts int) ([]int, error) {
 	if len(data) == 0 {
 		return nil, ErrEmptyInput
 	}
-	nWin := len(data) / detectWindow
 	// One verdict bit per window. A part owns whole words of the bitmap,
 	// so no two parts write the same word and no window is split.
-	marks := make([]uint64, (nWin+63)/64)
+	marks := make([]uint64, blocks(data))
 	parallel.Run(parts, parts, func(p int) {
 		lo, hi := parallel.Range(len(marks), parts, p)
 		for wi := lo; wi < hi; wi++ {
-			// The word's 64 windows; the last word's block may end in a
-			// tail shorter than a window, which the loop leaves unscanned.
-			blk := data[wi*64*detectWindow : min((wi+1)*64*detectWindow, len(data))]
-			var m uint64
-			for k := 0; len(blk) >= detectWindow; k, blk = k+1, blk[detectWindow:] {
-				if detectHit(blk) {
-					m |= 1 << k
-				}
-			}
-			marks[wi] = m
+			marks[wi] = blockMarks(data, wi)
 		}
 	})
 	total := 0
@@ -144,26 +136,74 @@ func detectFaces(data []byte, parts int) ([]int, error) {
 	return hits, nil
 }
 
+// CountFaces is len(DetectFaces(data)) without the hit list: each part
+// counts the hits of the blocks it owns, and the counts add up. A caller
+// that reads only how many faces there are (the fdet service) allocates
+// no bitmap and no list.
+func CountFaces(data []byte) (int, error) {
+	return countFaces(data, hostParts(len(data)))
+}
+
+func countFaces(data []byte, parts int) (int, error) {
+	if len(data) == 0 {
+		return 0, ErrEmptyInput
+	}
+	nBlk := blocks(data)
+	return parallel.Sum(parts, parts, func(p int) int {
+		lo, hi := parallel.Range(nBlk, parts, p)
+		n := 0
+		for wi := lo; wi < hi; wi++ {
+			n += bits.OnesCount64(blockMarks(data, wi))
+		}
+		return n
+	}), nil
+}
+
+// blocks is the number of 64-window blocks the detector splits data into.
+func blocks(data []byte) int { return (len(data)/detectWindow + 63) / 64 }
+
+// blockMarks scans block wi of data, its 64 windows, and returns their
+// verdicts, bit k for window k. The last block may end in a tail shorter
+// than a window, which the scan leaves out.
+func blockMarks(data []byte, wi int) uint64 {
+	blk := data[wi*64*detectWindow : min((wi+1)*64*detectWindow, len(data))]
+	var m uint64
+	for k := 0; len(blk) >= detectWindow; k, blk = k+1, blk[detectWindow:] {
+		if detectHit(blk) {
+			m |= 1 << k
+		}
+	}
+	return m
+}
+
 // Histogram returns the 256-bin byte histogram of data.
 func Histogram(data []byte) [256]int {
 	return histogram(data, hostParts(len(data)))
 }
 
-func histogram(data []byte, parts int) [256]int {
+// histTabs recycles histogram's per-part tables. The parts run on other
+// goroutines, so the tables cannot live on the caller's stack; a pooled
+// set costs a histogram no allocation once it has grown to the part count.
+var histTabs = sync.Pool{New: func() any { return new([][256]int) }}
+
+func histogram(data []byte, parts int) (h [256]int) {
 	if parts <= 1 {
 		return count(data)
 	}
-	tabs := make([][256]int, parts)
+	pooled := histTabs.Get().(*[][256]int)
+	tabs := slices.Grow((*pooled)[:0], parts)[:parts]
 	parallel.Run(parts, parts, func(p int) {
 		lo, hi := parallel.Range(len(data), parts, p)
 		tabs[p] = count(data[lo:hi])
 	})
-	for _, t := range tabs[1:] {
+	for _, t := range tabs {
 		for b, c := range t {
-			tabs[0][b] += c
+			h[b] += c
 		}
 	}
-	return tabs[0]
+	*pooled = tabs
+	histTabs.Put(pooled)
+	return h
 }
 
 // count is one part's histogram. Consecutive bytes go to four different

@@ -45,9 +45,9 @@ func TestKernelOutputsAllocatedOnce(t *testing.T) {
 
 	// Byte budgets, at the part count the host would pick and at 1: the
 	// result, an eighth more for the allocator's size-class rounding, and
-	// 4 KB for the split's bookkeeping (a closure and a wait group per
-	// fan-out) on top of the detector's one-bit-per-window map. The bugs
-	// above cost 1.6× and 4× the result.
+	// 4 KB for the split's bookkeeping (a closure per fan-out) on top of
+	// the detector's one-bit-per-window map. The bugs above cost 1.6× and
+	// 4× the result.
 	const slack = 4 << 10
 	data := testPayload(9, 1<<20+1)
 	for _, parts := range []int{1, hostParts(len(data))} {
@@ -63,3 +63,27 @@ func TestKernelOutputsAllocatedOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestCountingKernelsAllocateOnlyTheirClosure: fdet's count keeps no
+// bitmap and no hit list, and the histogram that recognition scores a
+// probe by merges pooled per-part tables, so at any part count each
+// allocates at most one object, the literal its fan-out runs.
+func TestCountingKernelsAllocateOnlyTheirClosure(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	data := testPayload(11, 1<<20)
+	for _, parts := range []int{1, 2, 3, 8} {
+		if n := testing.AllocsPerRun(20, func() { sinkCount, _ = countFaces(data, parts) }); n > 1 {
+			t.Errorf("CountFaces parts=%d: %v allocations, want at most 1", parts, n)
+		}
+		if n := testing.AllocsPerRun(20, func() { sinkHist = histogram(data, parts) }); n > 1 {
+			t.Errorf("histogram parts=%d: %v allocations, want at most 1", parts, n)
+		}
+	}
+}
+
+var (
+	sinkCount int
+	sinkHist  [256]int
+)

@@ -112,11 +112,13 @@ var partSweep = []int{1, 2, 3, 7, 64}
 // TrainingSet, make of one input.
 type kernelResults struct {
 	hits         []int
+	faces        int
 	hist         [256]int
 	best         int
 	installed    int
 	out          []byte
 	hitsErr      error
+	facesErr     error
 	bestErr      error
 	installedErr error
 	outErr       error
@@ -124,6 +126,7 @@ type kernelResults struct {
 
 func refKernels(data []byte, training [][]byte) (r kernelResults) {
 	r.hits, r.hitsErr = refDetectFaces(data)
+	r.faces, r.facesErr = len(r.hits), r.hitsErr
 	r.hist = refHistogram(data)
 	r.best, r.bestErr = refRecognizeFace(data, training)
 	r.installed, r.installedErr = r.best, r.bestErr
@@ -135,6 +138,7 @@ func refKernels(data []byte, training [][]byte) (r kernelResults) {
 // installed once from training, which frec also scores the probe against.
 func splitKernels(data []byte, training [][]byte, ts *TrainingSet, parts int) (r kernelResults) {
 	r.hits, r.hitsErr = detectFaces(data, parts)
+	r.faces, r.facesErr = countFaces(data, parts)
 	r.hist = histogram(data, parts)
 	r.best, r.bestErr = recognizeFace(data, training, parts)
 	r.installed, r.installedErr = ts.recognize(data, parts)
@@ -149,6 +153,10 @@ func (want kernelResults) mustEqual(t *testing.T, got kernelResults, n int, part
 	if !reflect.DeepEqual(got.hits, want.hits) || !errors.Is(got.hitsErr, want.hitsErr) {
 		t.Fatalf("len=%d parts=%s: fdet %d hits (err %v), reference %d (err %v)",
 			n, parts, len(got.hits), got.hitsErr, len(want.hits), want.hitsErr)
+	}
+	if got.faces != want.faces || !errors.Is(got.facesErr, want.facesErr) {
+		t.Fatalf("len=%d parts=%s: fdet counts %d faces (err %v), reference %d (err %v)",
+			n, parts, got.faces, got.facesErr, want.faces, want.facesErr)
 	}
 	if got.hist != want.hist {
 		t.Fatalf("len=%d parts=%s: histogram differs from the reference", n, parts)
@@ -179,6 +187,7 @@ func checkKernels(t *testing.T, data []byte, training [][]byte) {
 	}
 	var host kernelResults
 	host.hits, host.hitsErr = DetectFaces(data)
+	host.faces, host.facesErr = CountFaces(data)
 	host.hist = Histogram(data)
 	host.best, host.bestErr = RecognizeFace(data, training)
 	host.installed, host.installedErr = ts.Recognize(data)
@@ -337,7 +346,8 @@ func TestPairTabPacking(t *testing.T) {
 
 // FuzzKernelsMatchReference feeds arbitrary payloads (and a part count)
 // to all four kernels, and to frec against a training set installed once
-// for the whole run, and holds them to their references. The seed corpus
+// for the whole run, and holds them to their references; fdet's count is
+// held to its hit list's length at every swept part count too. The seed corpus
 // under testdata/fuzz holds the window classes, the variance-edge windows
 // and the lengths around x264's eight-byte steps at a few part counts.
 func FuzzKernelsMatchReference(f *testing.F) {
@@ -347,6 +357,14 @@ func FuzzKernelsMatchReference(f *testing.F) {
 	ts := NewTrainingSet(training)
 	f.Fuzz(func(t *testing.T, data []byte, parts uint8) {
 		p := int(parts%64) + 1
-		refKernels(data, training).mustEqual(t, splitKernels(data, training, ts, p), len(data), strconv.Itoa(p))
+		want := refKernels(data, training)
+		want.mustEqual(t, splitKernels(data, training, ts, p), len(data), strconv.Itoa(p))
+		// fdet's count is the length of its hit list at every part count.
+		for _, q := range partSweep {
+			if n, err := countFaces(data, q); n != want.faces || !errors.Is(err, want.facesErr) {
+				t.Fatalf("len=%d parts=%d: CountFaces %d (err %v), len(DetectFaces) %d (err %v)",
+					len(data), q, n, err, want.faces, want.facesErr)
+			}
+		}
 	})
 }

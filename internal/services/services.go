@@ -23,6 +23,7 @@ package services
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"cloud4home/internal/ids"
 	"cloud4home/internal/kv"
@@ -95,9 +96,18 @@ func (s Spec) OutputSize(inputSize int64) int64 {
 // from the service name and identifier" (§III-A).
 func (s Spec) Key() ids.ID { return Key(s.Name, s.ID) }
 
-// Key derives a service registry key from name and id.
+// Key derives a service registry key from name and id: the ID of the
+// string "service:<name>#<id>". The string is built in a buffer on the
+// stack, so a name of up to 45 bytes costs one SHA-1 and no allocation; a
+// longer one grows the buffer onto the heap.
+//
+// c4h:hotpath
 func Key(name string, id uint32) ids.ID {
-	return ids.HashString(fmt.Sprintf("service:%s#%d", name, id))
+	b := make([]byte, 0, 64)
+	b = append(b, "service:"...)
+	b = append(b, name...)
+	b = append(b, '#')
+	return ids.HashBytes(strconv.AppendUint(b, uint64(id), 10))
 }
 
 // FaceDetect is the CPU-intensive face detection step (FDet in Fig 7).
@@ -153,6 +163,10 @@ func Builtin() []Spec {
 // Registration is the value stored in the key-value store for a service:
 // "a value that is a list of nodes supporting a service along with a
 // service policy" (§IV).
+//
+// A reader that keeps a decoded Registration for later reads (core's
+// decision layer does, one per version of the record) hands the same
+// Nodes to every caller: a caller must treat Nodes as read-only.
 type Registration struct {
 	Spec   Spec     `json:"spec"`
 	Nodes  []string `json:"nodes"`  // addrs currently hosting the service

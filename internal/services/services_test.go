@@ -2,7 +2,9 @@ package services
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"cloud4home/internal/ids"
@@ -102,6 +104,32 @@ func TestServiceKeysDistinct(t *testing.T) {
 		t.Fatal("same name, different ID must produce different keys")
 	}
 }
+
+// formattedKey is Key as it was first written, through fmt and a string:
+// Key must give the same ID bits for every name and id.
+func formattedKey(name string, id uint32) ids.ID {
+	return ids.HashString(fmt.Sprintf("service:%s#%d", name, id))
+}
+
+func TestKeyMatchesFormattedKey(t *testing.T) {
+	long := strings.Repeat("a-service-name-longer-than-the-stack-buffer/", 3)
+	for _, name := range []string{"", "fdet", "frec", "x264", "n\u00e4me#with:marks", long} {
+		for _, id := range []uint32{0, 1, FaceDetectID, FaceRecognizeID, X264ConvertID, 1 << 31, math.MaxUint32} {
+			if got, want := Key(name, id), formattedKey(name, id); got != want {
+				t.Errorf("Key(%q, %d) = %v, formatted %v", name, id, got, want)
+			}
+		}
+	}
+}
+
+// TestKeyAllocatesNothing: a key is built on the stack and hashed there.
+func TestKeyAllocatesNothing(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { sinkKey = Key("fdet", math.MaxUint32) }); n != 0 {
+		t.Errorf("Key: %v allocations, want 0", n)
+	}
+}
+
+var sinkKey ids.ID
 
 func TestRegisterDiscoverRoundTrip(t *testing.T) {
 	st, nodes := buildKV(t, 4)
