@@ -39,16 +39,17 @@ type memoEntry struct {
 	val any // a monitor.Resources or a services.Registration
 }
 
-// lookup returns the cached decode of key if its raw bytes equal data.
+// lookup returns the cached decode of key if its raw bytes equal data,
+// and nil otherwise.
 //
 // c4h:hotpath
-func (m *decodeMemo) lookup(key ids.ID, data []byte) (any, bool) {
+func (m *decodeMemo) lookup(key ids.ID, data []byte) any {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if e, ok := m.entries[key]; ok && bytes.Equal(e.raw, data) {
-		return e.val, true
+		return e.val
 	}
-	return nil, false
+	return nil
 }
 
 // store records val as the decode of data, copying the bytes.
@@ -75,10 +76,8 @@ func (m *decodeMemo) drop(key ids.ID) {
 // together with RemoveNode's drop keeps the memo bounded by membership
 // even when a lookup races a crash.
 func (h *Home) decodeResources(peer *Node, v kv.Value) (monitor.Resources, error) {
-	if cached, ok := h.memo.lookup(peer.mon.Key(), v.Data); ok {
-		if r, ok := cached.(monitor.Resources); ok {
-			return r, nil
-		}
+	if r, ok := h.memo.lookup(peer.mon.Key(), v.Data).(monitor.Resources); ok {
+		return r, nil
 	}
 	r, err := monitor.UnmarshalResources(v.Data)
 	if err != nil {
@@ -107,10 +106,8 @@ func (n *Node) registration(name string, id uint32) (services.Registration, erro
 	if err != nil {
 		return services.Registration{}, fmt.Errorf("services: discover %s: %w", name, err)
 	}
-	if cached, ok := n.home.memo.lookup(key, gr.Value.Data); ok {
-		if reg, ok := cached.(services.Registration); ok {
-			return reg, nil
-		}
+	if reg, ok := n.home.memo.lookup(key, gr.Value.Data).(services.Registration); ok {
+		return reg, nil
 	}
 	return n.home.decodeRegistration(key, gr.Value.Data)
 }
