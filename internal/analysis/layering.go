@@ -30,13 +30,14 @@ var layerDAG = map[string][]string{
 	},
 
 	// Leaf packages: no sibling imports at all.
-	"internal/ids":      {},
-	"internal/vclock":   {},
-	"internal/command":  {},
-	"internal/trace":    {},
-	"internal/parallel": {},
-	"internal/detrand":  {},
-	"internal/erasure":  {},
+	"internal/ids":       {},
+	"internal/vclock":    {},
+	"internal/command":   {},
+	"internal/trace":     {},
+	"internal/parallel":  {},
+	"internal/detrand":   {},
+	"internal/erasure":   {},
+	"internal/canonjson": {},
 
 	// Self-contained subsystems over the leaves.
 	"internal/rbtree":   {"internal/ids"},
@@ -64,13 +65,13 @@ var layerDAG = map[string][]string{
 	// only daemon/cluster/experiments (and cmd) may see core. In
 	// particular overlay, kv, and xenchan must never import core.
 	"internal/core": {
-		"internal/cloudsim", "internal/command", "internal/erasure",
-		"internal/ids", "internal/kv", "internal/machine",
+		"internal/canonjson", "internal/cloudsim", "internal/command",
+		"internal/erasure", "internal/ids", "internal/kv", "internal/machine",
 		"internal/monitor", "internal/netsim", "internal/objstore",
 		"internal/overlay", "internal/parallel", "internal/policy",
 		"internal/services", "internal/vclock", "internal/xenchan",
 	},
-	"internal/daemon": {"internal/command", "internal/core"},
+	"internal/daemon": {"internal/canonjson", "internal/command", "internal/core"},
 	"internal/cluster": {
 		"internal/cloudsim", "internal/core", "internal/kv",
 		"internal/machine", "internal/vclock",

@@ -85,6 +85,8 @@ const (
 	// arguments, never object contents (those flow over xenchan or data
 	// sockets), so the bound is deliberately tight.
 	MaxData = 4096
+	// MaxPacket is the largest encoded packet: ReadInto's buffer.
+	MaxPacket = headerSize + MaxData
 )
 
 // Errors returned by the codec.
@@ -142,6 +144,16 @@ func (p *Packet) UnmarshalBinary(buf []byte) error {
 	if len(buf) != headerSize+n {
 		return fmt.Errorf("%w: declared %d data bytes, have %d", ErrShortPacket, n, len(buf)-headerSize)
 	}
+	if err := p.header(buf); err != nil {
+		return err
+	}
+	p.Data = make([]byte, n)
+	copy(p.Data, buf[headerSize:])
+	return nil
+}
+
+// header decodes the fixed fields of the packet that buf starts with.
+func (p *Packet) header(buf []byte) error {
 	t := Type(buf[2])
 	if !t.valid() {
 		return fmt.Errorf("%w: %d", ErrBadType, buf[2])
@@ -150,8 +162,6 @@ func (p *Packet) UnmarshalBinary(buf []byte) error {
 	p.ServiceID = binary.BigEndian.Uint32(buf[3:7])
 	p.DomainID = binary.BigEndian.Uint16(buf[7:9])
 	p.ShmRef = binary.BigEndian.Uint32(buf[9:13])
-	p.Data = make([]byte, n)
-	copy(p.Data, buf[headerSize:])
 	return nil
 }
 
@@ -185,4 +195,28 @@ func Read(r io.Reader) (*Packet, error) {
 		return nil, err
 	}
 	return &p, nil
+}
+
+// ReadInto decodes one packet from r like Read, into buf instead of
+// buffers of its own: p.Data aliases buf until buf is next written. A
+// connection that reads through one buffer for its lifetime so frames
+// its packets without allocating.
+//
+// c4h:hotpath
+func ReadInto(r io.Reader, p *Packet, buf *[MaxPacket]byte) error {
+	if _, err := io.ReadFull(r, buf[:headerSize]); err != nil {
+		return fmt.Errorf("command: read header: %w", err)
+	}
+	n := int(binary.BigEndian.Uint16(buf[0:2]))
+	if n > MaxData {
+		return fmt.Errorf("%w: declared %d bytes", ErrTooLarge, n)
+	}
+	if _, err := io.ReadFull(r, buf[headerSize:headerSize+n]); err != nil {
+		return fmt.Errorf("command: read payload: %w", err)
+	}
+	if err := p.header(buf[:]); err != nil {
+		return err
+	}
+	p.Data = buf[headerSize : headerSize+n]
+	return nil
 }

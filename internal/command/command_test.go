@@ -188,6 +188,15 @@ func FuzzCommandRead(f *testing.F) {
 		if r.max > MaxData {
 			t.Fatalf("Read allocated a %d-byte buffer for %d input bytes", r.max, len(in))
 		}
+		// ReadInto accepts what Read accepts, with the same packet.
+		var buf [MaxPacket]byte
+		var q Packet
+		if errInto := ReadInto(bytes.NewReader(in), &q, &buf); (errInto == nil) != (err == nil) {
+			t.Fatalf("Read: %v, ReadInto: %v", err, errInto)
+		} else if err == nil && (q.Type != p.Type || q.ServiceID != p.ServiceID ||
+			q.DomainID != p.DomainID || q.ShmRef != p.ShmRef || !bytes.Equal(q.Data, p.Data)) {
+			t.Fatalf("ReadInto read %+v, Read %+v", q, *p)
+		}
 		if err != nil {
 			return
 		}
@@ -228,5 +237,28 @@ func TestAppendBinaryAllocations(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("AppendBinary into a sized buffer: %v allocations, want 0", n)
+	}
+}
+
+// TestReadIntoAllocations: reading a stream of packets through one buffer
+// allocates nothing.
+func TestReadIntoAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	pkt, err := (&Packet{Type: TypeFetch, ServiceID: 7, Data: []byte(`{"name":"obj/12345"}`)}).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := bytes.Repeat(pkt, 101)
+	r := bytes.NewReader(stream)
+	buf := new([MaxPacket]byte)
+	var p Packet
+	if n := testing.AllocsPerRun(100, func() {
+		if err := ReadInto(r, &p, buf); err != nil || string(p.Data) != `{"name":"obj/12345"}` {
+			t.Fatalf("ReadInto: %q, %v", p.Data, err)
+		}
+	}); n != 0 {
+		t.Errorf("ReadInto: %v allocations, want 0", n)
 	}
 }

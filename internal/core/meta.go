@@ -1,11 +1,11 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
 
+	"cloud4home/internal/canonjson"
 	"cloud4home/internal/ids"
 	"cloud4home/internal/objstore"
 )
@@ -76,38 +76,38 @@ func (m ObjectMeta) Marshal() ([]byte, error) {
 // so a writer whose store copies the record can encode it on its stack.
 func (m *ObjectMeta) appendTo(b []byte) []byte {
 	b = append(b, `{"name":`...)
-	b = appendJSONString(b, m.Name)
+	b = canonjson.AppendString(b, m.Name)
 	if m.Type != "" {
 		b = append(b, `,"type":`...)
-		b = appendJSONString(b, m.Type)
+		b = canonjson.AppendString(b, m.Type)
 	}
 	b = append(b, `,"size":`...)
 	b = strconv.AppendInt(b, m.Size, 10)
 	if len(m.Tags) > 0 {
 		b = append(b, `,"tags":`...)
-		b = appendJSONStrings(b, m.Tags)
+		b = canonjson.AppendStrings(b, m.Tags)
 	}
 	b = append(b, `,"location":`...)
-	b = appendJSONString(b, m.Location)
+	b = canonjson.AppendString(b, m.Location)
 	if m.Bin != "" {
 		b = append(b, `,"bin":`...)
-		b = appendJSONString(b, m.Bin)
+		b = canonjson.AppendString(b, m.Bin)
 	}
 	if len(m.Replicas) > 0 {
 		b = append(b, `,"replicas":`...)
-		b = appendJSONStrings(b, m.Replicas)
+		b = canonjson.AppendStrings(b, m.Replicas)
 	}
 	if m.Owner != "" {
 		b = append(b, `,"owner":`...)
-		b = appendJSONString(b, m.Owner)
+		b = canonjson.AppendString(b, m.Owner)
 	}
 	if len(m.ACL) > 0 {
 		b = append(b, `,"acl":`...)
-		b = appendJSONStrings(b, m.ACL)
+		b = canonjson.AppendStrings(b, m.ACL)
 	}
 	if m.Backend != "" {
 		b = append(b, `,"backend":`...)
-		b = appendJSONString(b, m.Backend)
+		b = canonjson.AppendString(b, m.Backend)
 	}
 	if m.ErasureK != 0 {
 		b = append(b, `,"erasure_k":`...)
@@ -126,7 +126,7 @@ func (m *ObjectMeta) appendTo(b []byte) []byte {
 			b = append(b, `{"i":`...)
 			b = strconv.AppendInt(b, int64(s.Index), 10)
 			b = append(b, `,"addr":`...)
-			b = appendJSONString(b, s.Addr)
+			b = canonjson.AppendString(b, s.Addr)
 			b = append(b, '}')
 		}
 		b = append(b, ']')
@@ -197,37 +197,6 @@ func intLen(v int64) int {
 	return n
 }
 
-// appendJSONString appends s as a JSON string literal. A plain string is
-// copied between quotes; one json.Marshal would escape (a control byte,
-// a quote, a backslash, '<', '>', '&', or any non-ASCII byte, which
-// covers U+2028, U+2029 and invalid UTF-8) is left to encoding/json, so
-// the bytes match json.Marshal's in every case.
-func appendJSONString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' || c >= 0x80 {
-			q, err := json.Marshal(s)
-			if err != nil {
-				panic("core: json.Marshal of a string: " + err.Error()) // encoding/json never fails on a string
-			}
-			return append(b, q...)
-		}
-	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
-}
-
-func appendJSONStrings(b []byte, list []string) []byte {
-	b = append(b, '[')
-	for i, s := range list {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = appendJSONString(b, s)
-	}
-	return append(b, ']')
-}
-
 // UnmarshalObjectMeta parses a stored record. It accepts only the shape
 // Marshal writes: keys in declaration order, each at most once, the
 // non-omitempty ones present; no whitespace, null, empty list, fraction,
@@ -239,231 +208,69 @@ func appendJSONStrings(b []byte, list []string) []byte {
 // literal with an escape, a control byte or a non-ASCII byte is decoded
 // on its own by encoding/json.
 func UnmarshalObjectMeta(data []byte) (ObjectMeta, error) {
-	d := metaDecoder{s: string(data)}
+	d := canonjson.NewDecoder(string(data))
 	var m ObjectMeta
-	d.lit(`{"name":`)
-	m.Name = d.str()
-	if d.opt(`,"type":`) {
-		m.Type = d.str()
+	d.Lit(`{"name":`)
+	m.Name = d.Str()
+	if d.Opt(`,"type":`) {
+		m.Type = d.Str()
 	}
-	d.lit(`,"size":`)
-	m.Size = d.integer(64)
-	if d.opt(`,"tags":`) {
-		m.Tags = d.strs()
+	d.Lit(`,"size":`)
+	m.Size = d.Int(64)
+	if d.Opt(`,"tags":`) {
+		m.Tags = d.Strs()
 	}
-	d.lit(`,"location":`)
-	m.Location = d.str()
-	if d.opt(`,"bin":`) {
-		m.Bin = d.str()
+	d.Lit(`,"location":`)
+	m.Location = d.Str()
+	if d.Opt(`,"bin":`) {
+		m.Bin = d.Str()
 	}
-	if d.opt(`,"replicas":`) {
-		m.Replicas = d.strs()
+	if d.Opt(`,"replicas":`) {
+		m.Replicas = d.Strs()
 	}
-	if d.opt(`,"owner":`) {
-		m.Owner = d.str()
+	if d.Opt(`,"owner":`) {
+		m.Owner = d.Str()
 	}
-	if d.opt(`,"acl":`) {
-		m.ACL = d.strs()
+	if d.Opt(`,"acl":`) {
+		m.ACL = d.Strs()
 	}
-	if d.opt(`,"backend":`) {
-		m.Backend = d.str()
+	if d.Opt(`,"backend":`) {
+		m.Backend = d.Str()
 	}
-	if d.opt(`,"erasure_k":`) {
-		m.ErasureK = int(d.integer(strconv.IntSize))
+	if d.Opt(`,"erasure_k":`) {
+		m.ErasureK = int(d.Int(strconv.IntSize))
 	}
-	if d.opt(`,"erasure_n":`) {
-		m.ErasureN = int(d.integer(strconv.IntSize))
+	if d.Opt(`,"erasure_n":`) {
+		m.ErasureN = int(d.Int(strconv.IntSize))
 	}
-	if d.opt(`,"shards":`) {
-		m.Shards = d.shards()
+	if d.Opt(`,"shards":`) {
+		m.Shards = shards(&d)
 	}
-	d.lit(`}`)
-	if d.err == nil && d.pos != len(d.s) {
-		d.fail("end of record")
-	}
-	if d.err != nil {
-		return ObjectMeta{}, fmt.Errorf("core: decode object meta: %w", d.err)
+	d.Lit(`}`)
+	if err := d.End(); err != nil {
+		return ObjectMeta{}, fmt.Errorf("core: decode object meta: %w", err)
 	}
 	return m, nil
 }
 
-// metaDecoder reads a record left to right. The first failure sticks:
-// every later read is a no-op, and UnmarshalObjectMeta reports it.
-type metaDecoder struct {
-	s   string
-	pos int
-	err error
-}
-
-func (d *metaDecoder) fail(want string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("at byte %d: want %s", d.pos, want)
-	}
-}
-
-// opt consumes tok if the record continues with it.
-func (d *metaDecoder) opt(tok string) bool {
-	if d.err != nil || !strings.HasPrefix(d.s[d.pos:], tok) {
-		return false
-	}
-	d.pos += len(tok)
-	return true
-}
-
-// lit consumes tok, which the record must continue with.
-func (d *metaDecoder) lit(tok string) {
-	if d.err == nil && !d.opt(tok) {
-		d.fail(strconv.Quote(tok))
-	}
-}
-
-func (d *metaDecoder) str() string {
-	if d.err != nil {
-		return ""
-	}
-	end, plain := stringEnd(d.s, d.pos)
-	if end < 0 {
-		d.fail("a string")
-		return ""
-	}
-	lit := d.s[d.pos:end]
-	if plain {
-		d.pos = end
-		return lit[1 : len(lit)-1]
-	}
-	var s string
-	if err := json.Unmarshal([]byte(lit), &s); err != nil {
-		d.err = fmt.Errorf("at byte %d: %w", d.pos, err)
-		return ""
-	}
-	d.pos = end
-	return s
-}
-
-// stringEnd returns the index just past the string literal opening at
-// s[i], or -1 if none does, and whether the literal is plain: no escape,
-// control byte or non-ASCII byte, so its contents are its value.
-func stringEnd(s string, i int) (end int, plain bool) {
-	if i >= len(s) || s[i] != '"' {
-		return -1, false
-	}
-	plain = true
-	for i++; i < len(s); i++ {
-		switch c := s[i]; {
-		case c == '"':
-			return i + 1, plain
-		case c == '\\':
-			plain = false
-			i++
-		case c < 0x20 || c >= 0x80:
-			plain = false
-		}
-	}
-	return -1, false
-}
-
-// integer reads a JSON integer (an optional minus, then 0 or digits
-// without a leading zero) that fits in bits.
-func (d *metaDecoder) integer(bits int) int64 {
-	if d.err != nil {
-		return 0
-	}
-	i := d.pos
-	if i < len(d.s) && d.s[i] == '-' {
-		i++
-	}
-	digits := i
-	for i < len(d.s) && '0' <= d.s[i] && d.s[i] <= '9' {
-		i++
-	}
-	if i == digits || (d.s[digits] == '0' && i > digits+1) {
-		d.fail("an integer without leading zeros")
-		return 0
-	}
-	v, err := strconv.ParseInt(d.s[d.pos:i], 10, bits)
-	if err != nil {
-		d.err = fmt.Errorf("at byte %d: %w", d.pos, err)
-		return 0
-	}
-	d.pos = i
-	return v
-}
-
-func (d *metaDecoder) shard() ShardRef {
+// shard reads one shard placement.
+func shard(d *canonjson.Decoder) ShardRef {
 	var s ShardRef
-	d.lit(`{"i":`)
-	s.Index = int(d.integer(strconv.IntSize))
-	d.lit(`,"addr":`)
-	s.Addr = d.str()
-	d.lit(`}`)
+	d.Lit(`{"i":`)
+	s.Index = int(d.Int(strconv.IntSize))
+	d.Lit(`,"addr":`)
+	s.Addr = d.Str()
+	d.Lit(`}`)
 	return s
-}
-
-// strs reads a non-empty array of strings.
-func (d *metaDecoder) strs() []string {
-	list := make([]string, 0, d.open())
-	for i := 0; d.next(i); i++ {
-		list = append(list, d.str())
-	}
-	return list
 }
 
 // shards reads a non-empty array of shard placements.
-func (d *metaDecoder) shards() []ShardRef {
-	list := make([]ShardRef, 0, d.open())
-	for i := 0; d.next(i); i++ {
-		list = append(list, d.shard())
+func shards(d *canonjson.Decoder) []ShardRef {
+	list := make([]ShardRef, 0, d.Open())
+	for i := 0; d.Next(i); i++ {
+		list = append(list, shard(d))
 	}
 	return list
-}
-
-// open consumes the '[' of an array and returns its element count, so
-// the caller's slice is allocated once.
-func (d *metaDecoder) open() int {
-	n := d.arrayLen()
-	d.lit(`[`)
-	return n
-}
-
-// next reports whether element i follows: the first always must, later
-// ones after a ','. Otherwise it consumes the closing ']'.
-func (d *metaDecoder) next(i int) bool {
-	if d.err != nil {
-		return false
-	}
-	if i == 0 || d.opt(`,`) {
-		return true
-	}
-	d.lit(`]`)
-	return false
-}
-
-// arrayLen counts the elements of the array opening at d.pos: the commas
-// outside string literals and nested objects, plus one. It only sizes a
-// slice, so a malformed array needs no care here; the parse rejects it.
-func (d *metaDecoder) arrayLen() int {
-	n, depth := 1, 0
-	for i := d.pos + 1; i < len(d.s); i++ {
-		switch d.s[i] {
-		case '"':
-			end, _ := stringEnd(d.s, i)
-			if end < 0 {
-				return n
-			}
-			i = end - 1
-		case '{':
-			depth++
-		case '}':
-			depth--
-		case ',':
-			if depth == 0 {
-				n++
-			}
-		case ']':
-			return n
-		}
-	}
-	return n
 }
 
 // metaFromObject builds the KV record for an object placed at location.

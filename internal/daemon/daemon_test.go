@@ -3,12 +3,14 @@ package daemon
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"cloud4home/internal/core"
 	"cloud4home/internal/machine"
+	"cloud4home/internal/objstore"
 	"cloud4home/internal/services"
 	"cloud4home/internal/vclock"
 )
@@ -36,6 +38,25 @@ func startServerWith(t *testing.T, cfg core.Config) (*Server, string) {
 		close(quit)
 		<-stopped
 	})
+	home, err := newTestHome(clock, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, done, err := serveTestHome(home)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		srv.Close()
+		if err := <-done; err != nil {
+			t.Errorf("serve: %v", err)
+		}
+	})
+	return srv, srv.Addr()
+}
+
+// newTestHome builds the test home on a running paced clock.
+func newTestHome(clock *vclock.Virtual, cfg core.Config) (*core.Home, error) {
 	var home *core.Home
 	var err error
 	setUp := make(chan struct{})
@@ -60,27 +81,24 @@ func startServerWith(t *testing.T, cfg core.Config) (*Server, string) {
 		}
 	})
 	<-setUp
-	if err != nil {
-		t.Fatal(err)
-	}
+	return home, err
+}
+
+// serveTestHome serves home on an ephemeral port and returns once the
+// listener is bound; done receives Serve's result.
+func serveTestHome(home *core.Home) (*Server, <-chan error, error) {
 	srv := NewServer(home)
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve("127.0.0.1:0") }()
-	// Wait for the listener to bind.
 	deadline := time.Now().Add(5 * time.Second)
 	for srv.Addr() == "" {
 		if time.Now().After(deadline) {
-			t.Fatal("server did not bind")
+			srv.Close()
+			return nil, nil, errors.New("server did not bind")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Cleanup(func() {
-		srv.Close()
-		if err := <-done; err != nil {
-			t.Errorf("serve: %v", err)
-		}
-	})
-	return srv, srv.Addr()
+	return srv, done, nil
 }
 
 func dial(t *testing.T, addr string) *Client {
@@ -190,6 +208,36 @@ func TestList(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("a.bin not listed in %v", objects)
+	}
+}
+
+// TestListOfManyObjects: an ls reply grows with the home's objects, past
+// what a command packet carries (command.MaxData), so it travels in a
+// frame. The objects go straight into the nodes' stores; ls reads only
+// those.
+func TestListOfManyObjects(t *testing.T) {
+	srv, addr := startServer(t)
+	nodes := srv.home.Nodes()
+	const n = 400
+	want := map[string]bool{}
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("cam%d/frame-%06d.jpg", i%4, i)
+		want[name] = true
+		if err := nodes[i%len(nodes)].ObjectStore().Put(objstore.Mandatory, objstore.Object{Name: name, Size: 1}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, objects, err := dial(t, addr).List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(objects) != n {
+		t.Fatalf("ls listed %d objects, want %d", len(objects), n)
+	}
+	for _, o := range objects {
+		if !want[o] {
+			t.Fatalf("ls listed %q, which was not stored", o)
+		}
 	}
 }
 

@@ -3,10 +3,13 @@ package daemon
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"cloud4home/internal/command"
 )
 
 // waitForGoroutines returns once n goroutines have a stack dump holding
@@ -250,6 +253,96 @@ func TestCloseLetsInFlightOpReply(t *testing.T) {
 	ns.release()
 	if err := <-done; err != nil {
 		t.Fatalf("op in flight at Close: %v", err)
+	}
+	select {
+	case <-closed:
+	case <-time.After(time.Second):
+		t.Fatal("Close still blocked 1 s after the op in flight replied")
+	}
+}
+
+// TestUnreadReplyHoldsNoTurn: a client that fetches a large object and
+// never reads the reply stalls its own connection, not its node. The
+// reply is written after the fetch gives its turn back, so a store on the
+// same node is served while that write is blocked.
+func TestUnreadReplyHoldsNoTurn(t *testing.T) {
+	_, addr := startServer(t)
+	// Larger than what the kernel buffers between the two ends of a
+	// loopback connection, so the reply's write blocks.
+	const size = 16 << 20
+	c := dial(t, addr)
+	if _, err := c.Store("big.bin", "b", make([]byte, size), 0, testNodes[0]); err != nil {
+		t.Fatal(err)
+	}
+	stalled := rawConn(t, addr)
+	if tcp, ok := stalled.(*net.TCPConn); ok {
+		if err := tcp.SetReadBuffer(4 << 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	req := packet(t, command.TypeFetch, string(appendFetchReq(nil, fetchReq{Name: "big.bin", Node: testNodes[0]})))
+	if _, err := stalled.Write(req); err != nil {
+		t.Fatal(err)
+	}
+	// The fetch has run once its reply's write is blocked.
+	waitForGoroutines(t, 1, "daemon.(*wire).send(")
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Store("small.bin", "b", []byte("x"), 0, testNodes[0])
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a store on the node was still waiting 5 s behind a fetch whose reply nobody reads")
+	}
+}
+
+// TestCloseDropsBufferedRequest: Close ends a connection at its next
+// request even when that request already sits in the connection's read
+// buffer, where no read deadline reaches it.
+func TestCloseDropsBufferedRequest(t *testing.T) {
+	srv, addr := startServer(t)
+	ns, err := srv.take(testNodes[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := true
+	defer func() {
+		if held {
+			ns.release()
+		}
+	}()
+	conn := rawConn(t, addr)
+	// Two stores in one write: the first waits for the held turn, the
+	// second is read into the buffer with it.
+	var msg []byte
+	for _, name := range []string{"first.bin", "second.bin"} {
+		msg = append(msg, packet(t, command.TypeStore, string(appendStoreReq(nil, storeReq{Name: name, Size: 1, Node: testNodes[0]})))...)
+	}
+	if _, err := conn.Write(msg); err != nil {
+		t.Fatal(err)
+	}
+	waitForTurnWaiters(t, 1)
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	waitForGoroutines(t, 1, "sync.(*WaitGroup).Wait", "daemon.(*Server).Close(")
+	held = false
+	ns.release()
+
+	resp, err := command.Read(conn)
+	if err != nil || resp.Type != command.TypeStore {
+		t.Fatalf("the store in flight at Close: %v, %v", resp, err)
+	}
+	if resp, err := command.Read(conn); err == nil {
+		t.Fatalf("the buffered store was served after Close: %s %s", resp.Type, resp.Data)
 	}
 	select {
 	case <-closed:
