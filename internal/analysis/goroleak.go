@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 )
 
 // GoroLeak enforces goroutine hygiene in non-test code:
@@ -19,7 +20,11 @@ import (
 //
 // Supervision is detected syntactically in the goroutine body (and, for
 // `go name()` / `go recv.Method()` launches, in the resolved closure or
-// same-package method body).
+// same-package method body; `go x.field()` resolves through a
+// same-package `x.field = y.method` binding). A WaitGroup-style
+// `X.Add(…)` right before the launch counts only when X's Done is in the
+// goroutine body or X's Wait in the launching function: an atomic
+// counter's Add joins nothing.
 type GoroLeak struct{}
 
 // ID implements Rule.
@@ -232,9 +237,63 @@ func (g *goroChecker) resolveBody(call *ast.CallExpr) *ast.BlockStmt {
 		return g.findFuncDecl(fun.Name, "")
 	case *ast.SelectorExpr:
 		// `go recv.Method()`: best effort within the same package.
-		return g.findFuncDecl(fun.Sel.Name, "method")
+		if body := g.findFuncDecl(fun.Sel.Name, "method"); body != nil {
+			return body
+		}
+		// `go recv.field()`, a func field bound once to a method (so the
+		// launch allocates no method value).
+		return g.findBoundMethod(fun.Sel.Name)
 	}
 	return nil
+}
+
+// findBoundMethod resolves a func-typed field to the method a
+// same-package assignment `x.field = y.method` binds it to, on the
+// struct type that declares the field.
+func (g *goroChecker) findBoundMethod(field string) *ast.BlockStmt {
+	var typeName, method string
+	for _, f := range g.pkg.Files {
+		ast.Inspect(f.AST, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				if st, ok := n.Type.(*ast.StructType); ok {
+					for _, fl := range st.Fields.List {
+						for _, name := range fl.Names {
+							if name.Name == field {
+								typeName = n.Name.Name
+							}
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for i, lhs := range n.Lhs {
+					l, lok := lhs.(*ast.SelectorExpr)
+					if i < len(n.Rhs) && lok && l.Sel.Name == field {
+						if r, ok := n.Rhs[i].(*ast.SelectorExpr); ok {
+							method = r.Sel.Name
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+	if typeName == "" || method == "" {
+		return nil
+	}
+	return g.findFuncDecl(method, typeName)
+}
+
+// recvTypeName is the name of a method's receiver type, pointer or not.
+func recvTypeName(fn *ast.FuncDecl) string {
+	t := fn.Recv.List[0].Type
+	if star, ok := t.(*ast.StarExpr); ok {
+		t = star.X
+	}
+	if id, ok := t.(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
 }
 
 // findClosure locates `name := func(...) {...}` (or `name = func…`) in
@@ -261,7 +320,8 @@ func findClosure(body *ast.BlockStmt, name string) *ast.BlockStmt {
 }
 
 // findFuncDecl locates a function or method declaration by name in the
-// same package ("" kind matches plain functions, "method" methods).
+// same package ("" kind matches plain functions, "method" any method, and
+// a type name the methods on that type).
 func (g *goroChecker) findFuncDecl(name, kind string) *ast.BlockStmt {
 	for _, f := range g.pkg.Files {
 		for _, decl := range f.AST.Decls {
@@ -269,7 +329,7 @@ func (g *goroChecker) findFuncDecl(name, kind string) *ast.BlockStmt {
 			if !ok || fn.Name.Name != name || fn.Body == nil {
 				continue
 			}
-			if (kind == "method") != (fn.Recv != nil) {
+			if (kind == "") != (fn.Recv == nil) || kind != "" && kind != "method" && recvTypeName(fn) != kind {
 				continue
 			}
 			return fn.Body
@@ -313,12 +373,14 @@ func supervisedBody(body *ast.BlockStmt) bool {
 	return ok
 }
 
-// launchSupervised checks the launch site: a `X.Add(1)` immediately
-// before the go statement, or a channel-typed argument passed in.
+// launchSupervised checks the launch site: a `X.Add(…)` immediately
+// before the go statement whose X the launching function Waits on, or a
+// channel-typed argument passed in. (An X.Done in the goroutine body is
+// supervisedBody's.)
 func (g *goroChecker) launchSupervised(s *ast.GoStmt) bool {
 	prev := precedingStmt(g.enclosing, s)
 	if call, ok := exprCall(prev); ok {
-		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Add" || sel.Sel.Name == "Go") {
+		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Add" && waitsOn(g.enclosing, types.ExprString(sel.X)) {
 			return true
 		}
 	}
@@ -331,6 +393,21 @@ func (g *goroChecker) launchSupervised(s *ast.GoStmt) bool {
 		}
 	}
 	return false
+}
+
+// waitsOn reports whether body holds a call `X.Wait(…)` whose X reads
+// as recv.
+func waitsOn(body *ast.BlockStmt, recv string) bool {
+	found := false
+	ast.Inspect(body, func(c ast.Node) bool {
+		if call, ok := c.(*ast.CallExpr); ok {
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Wait" && types.ExprString(sel.X) == recv {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
 }
 
 // precedingStmt finds the statement immediately before target in any

@@ -1,7 +1,10 @@
 //c4hvet:pkg cloud4home/internal/core
 package fixture
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Fire-and-forget: nothing can join or cancel this goroutine.
 func fireAndForget() {
@@ -31,5 +34,21 @@ func (spinner) spin() {
 // A resolvable same-package method with no supervision signals.
 func launchMethod() {
 	var s spinner
+	go s.spin() // want "neither a WaitGroup-style join nor a context/done-channel"
+}
+
+type gauge struct{ n atomic.Int64 }
+
+// An atomic counter's Add right before the launch joins nothing: only a
+// WaitGroup-style Add whose Done or Wait is visible counts.
+func countedLaunch(g *gauge, work func()) {
+	g.n.Add(1)
+	go work() // want "no visible join or cancellation"
+}
+
+// The same for a resolvable body: the Add's receiver is never joined.
+func countedMethodLaunch(g *gauge) {
+	var s spinner
+	g.n.Add(1)
 	go s.spin() // want "neither a WaitGroup-style join nor a context/done-channel"
 }

@@ -56,3 +56,33 @@ func resultChannel(f func() error) error {
 	go func() { errCh <- f() }()
 	return <-errCh
 }
+
+// An Add whose Wait is in the launching function joins a launch the
+// checker cannot resolve.
+func addThenWait(work func(*sync.WaitGroup)) {
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go work(&wg)
+	wg.Wait()
+}
+
+// A func field bound once to a method resolves to that method's body,
+// here a send its joiner receives (core's kernelRun).
+type run struct {
+	done chan struct{}
+	exec func()
+}
+
+func newRun() *run {
+	r := &run{done: make(chan struct{}, 1)}
+	r.exec = r.work
+	return r
+}
+
+func (r *run) work() { r.done <- struct{}{} }
+
+func boundMethod() {
+	r := newRun()
+	go r.exec()
+	<-r.done
+}

@@ -19,8 +19,6 @@ package cloudsim
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"cloud4home/internal/machine"
@@ -138,10 +136,10 @@ type Remote struct {
 
 	store *objstore.Store
 
-	bytesUp, bytesDown, requests atomic.Int64
-
-	mu      sync.Mutex
-	outages []outage // guarded by mu
+	// The bill and the outage script have no lock: the clock's turn is
+	// their one owner, and only the actor holding the turn calls a Remote.
+	bytesUp, bytesDown, requests int64
+	outages                      []outage
 }
 
 // outage is one scripted availability gap [from, to).
@@ -232,16 +230,12 @@ func (r *Remote) upPath(src *netsim.Resource) *netsim.Path {
 // a deterministic stand-in for provider downtime, aligned with the
 // netsim fault schedules' virtual timestamps.
 func (r *Remote) SetOutage(from, to time.Time) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.outages = append(r.outages, outage{from: from, to: to})
 }
 
 // Available reports whether the backend is outside every scripted
 // outage window at the given instant.
 func (r *Remote) Available(at time.Time) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	for _, o := range r.outages {
 		if !at.Before(o.from) && at.Before(o.to) {
 			return false
@@ -264,7 +258,7 @@ func (r *Remote) StoreObject(srcNIC *netsim.Resource, meta objstore.Object, data
 	if data != nil {
 		meta.Size = int64(len(data))
 	}
-	r.requests.Add(1)
+	r.requests++
 	if !r.Available(r.clock.Now()) {
 		d := r.net.Message(r.upPath(srcNIC))
 		return "", d, fmt.Errorf("cloudsim: store %q: %w", meta.Name, ErrUnavailable)
@@ -277,7 +271,7 @@ func (r *Remote) StoreObject(srcNIC *netsim.Resource, meta objstore.Object, data
 		return "", d, fmt.Errorf("cloudsim: store %q: %w", meta.Name, ErrOverQuota)
 	}
 	d := r.net.Transfer(r.upPath(srcNIC), meta.Size)
-	r.bytesUp.Add(meta.Size)
+	r.bytesUp += meta.Size
 	err := r.store.Put(objstore.Mandatory, meta, data)
 	if errors.Is(err, objstore.ErrExists) {
 		// Overwrite semantics: S3 puts replace existing keys, atomically —
@@ -310,7 +304,7 @@ func (r *Remote) fits(meta objstore.Object) bool {
 // bucket's bytes (objstore.Store.GetRef): the caller must not write to it,
 // and copies it where it leaves for code outside VStore++.
 func (r *Remote) FetchObject(dstNIC *netsim.Resource, name string) (objstore.Object, []byte, time.Duration, error) {
-	r.requests.Add(1)
+	r.requests++
 	if !r.Available(r.clock.Now()) {
 		d := r.net.Message(r.downPath(dstNIC))
 		return objstore.Object{}, nil, d, fmt.Errorf("cloudsim: fetch %q: %w", name, ErrUnavailable)
@@ -320,7 +314,7 @@ func (r *Remote) FetchObject(dstNIC *netsim.Resource, name string) (objstore.Obj
 		return objstore.Object{}, nil, 0, fmt.Errorf("cloudsim: fetch %q: %w", name, err)
 	}
 	d := r.net.Transfer(r.downPath(dstNIC), meta.Size)
-	r.bytesDown.Add(meta.Size)
+	r.bytesDown += meta.Size
 	return meta, data, d, nil
 }
 
@@ -331,7 +325,7 @@ func (r *Remote) Has(name string) bool { return r.store.Has(name) }
 
 // Delete removes an object from the bucket.
 func (r *Remote) Delete(name string) error {
-	r.requests.Add(1)
+	r.requests++
 	return r.store.Delete(name)
 }
 
@@ -339,7 +333,7 @@ func (r *Remote) Delete(name string) error {
 // HEAD request: one WAN round trip, charged whether or not the object
 // exists).
 func (r *Remote) Stat(dstNIC *netsim.Resource, name string) (objstore.Object, error) {
-	r.requests.Add(1)
+	r.requests++
 	path := r.downPath(dstNIC)
 	r.net.Message(path)
 	if !r.Available(r.clock.Now()) {
@@ -375,9 +369,9 @@ func (r *Remote) EstimateFetch(dstNIC *netsim.Resource, size int64) time.Duratio
 // the current occupancy.
 func (r *Remote) Spend() Spend {
 	s := Spend{
-		BytesUp:   r.bytesUp.Load(),
-		BytesDown: r.bytesDown.Load(),
-		Requests:  r.requests.Load(),
+		BytesUp:   r.bytesUp,
+		BytesDown: r.bytesDown,
+		Requests:  r.requests,
 	}
 	if u, err := r.store.Usage(objstore.Mandatory); err == nil {
 		s.BytesStored = u.Used
@@ -395,7 +389,6 @@ func (r *Remote) Spend() Spend {
 type Cloud struct {
 	*Remote
 
-	mu        sync.Mutex
 	instances map[string]*machine.Machine
 }
 
@@ -418,8 +411,6 @@ func (c *Cloud) LaunchInstance(name string, spec machine.Spec) (*machine.Machine
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if _, dup := c.instances[name]; dup {
 		return nil, fmt.Errorf("cloudsim: instance %q already running", name)
 	}
@@ -434,8 +425,6 @@ func ExtraLargeSpec(name string) machine.Spec {
 
 // Instance returns a running instance's machine.
 func (c *Cloud) Instance(name string) (*machine.Machine, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	m, ok := c.instances[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoInstance, name)
@@ -445,8 +434,6 @@ func (c *Cloud) Instance(name string) (*machine.Machine, error) {
 
 // TerminateInstance stops an instance.
 func (c *Cloud) TerminateInstance(name string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if _, ok := c.instances[name]; !ok {
 		return fmt.Errorf("%w: %q", ErrNoInstance, name)
 	}

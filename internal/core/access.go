@@ -142,6 +142,6 @@ func (s *Session) DeleteObject(name string) error {
 	if err := s.node.home.kv.Delete(s.node.id, key); err != nil && !errors.Is(err, kv.ErrNotFound) {
 		return err
 	}
-	s.node.ops.deletes.Add(1)
+	s.node.ops.Deletes++
 	return nil
 }

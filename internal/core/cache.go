@@ -1,9 +1,6 @@
 package core
 
-import (
-	"container/list"
-	"sync"
-)
+import "container/list"
 
 // dataCache is the dom0 read-through payload cache of the concurrent data
 // plane: objects fetched over the wire are kept in the control domain, so
@@ -16,13 +13,13 @@ import (
 // Sparse objects — the experiment harness's cost-model-only payloads —
 // cache as a nil byte slice whose recorded size still counts against the
 // capacity, so cache behaviour is identical whether bytes are
-// materialised or not.
+// materialised or not. Like the rest of a node, it has no lock: only the
+// actor holding the clock's turn calls it.
 type dataCache struct {
-	mu    sync.Mutex
 	cap   int64
-	used  int64                    // guarded by mu
-	order *list.List               // guarded by mu; front = most recently used
-	items map[string]*list.Element // guarded by mu
+	used  int64
+	order *list.List // front = most recently used
+	items map[string]*list.Element
 }
 
 type cacheEntry struct {
@@ -45,8 +42,6 @@ func newDataCache(capBytes int64) *dataCache {
 // get returns a read-only borrow of the cached payload (nil for a sparse
 // hit) and whether the object was cached at all.
 func (c *dataCache) get(name string) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	el, ok := c.items[name]
 	if !ok {
 		return nil, false
@@ -62,8 +57,6 @@ func (c *dataCache) put(name string, data []byte, size int64) {
 	if size < 0 || size > c.cap {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if el, ok := c.items[name]; ok {
 		old := el.Value.(*cacheEntry)
 		c.used -= old.size
@@ -86,8 +79,6 @@ func (c *dataCache) put(name string, data []byte, size int64) {
 
 // invalidate drops the entry for name, if cached.
 func (c *dataCache) invalidate(name string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if el, ok := c.items[name]; ok {
 		c.used -= el.Value.(*cacheEntry).size
 		c.order.Remove(el)

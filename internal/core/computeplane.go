@@ -2,8 +2,6 @@ package core
 
 import (
 	"errors"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"cloud4home/internal/machine"
@@ -101,7 +99,7 @@ func (n *Node) runFirst(p *plan, f *firstStep, data []byte, moveErr error) (Proc
 	}
 	res.Breakdown.Exec = n.dispatchFor(p.target) + f.lease.Duration()
 	if f.strands > 1 {
-		n.ops.shardsExecuted.Add(int64(f.shards))
+		n.ops.ShardsExecuted += int64(f.shards)
 	}
 	return res, nil
 }
@@ -120,13 +118,12 @@ func (n *Node) executeDecided(dec Decision, p *plan) (ProcessResult, error) {
 		return n.execute(p, nil)
 	}
 
-	n.ops.specLaunches.Add(1)
+	n.ops.SpecLaunches++
 	// The hedges, primary (0) then secondary (1), publish their outcomes
 	// as clock actors, and the parent polls the slot as an actor too
 	// (Sleep, never Block), so the winner is deterministic. Each hedge runs
 	// a plan of its own.
 	slot := &specSlot{}
-	var cancel [2]atomic.Bool
 	start, meta, spec := p.start, p.meta, p.spec
 	for i, target := range [2]string{dec.Chosen.Addr, second.Addr} {
 		n.spawn(func() {
@@ -136,7 +133,7 @@ func (n *Node) executeDecided(dec Decision, p *plan) (ProcessResult, error) {
 				n.clock.Sleep(defaultSpeculationDelay)
 			}
 			hp := plan{start: start, meta: meta, target: target, runner: n, spec: spec, mode: ModeDecided}
-			res, err := n.execute(&hp, &cancel[i])
+			res, err := n.execute(&hp, &slot.cancel[i])
 			slot.publish(i, specOutcome{res: res, err: err, at: n.clock.Now()})
 		})
 	}
@@ -145,7 +142,7 @@ func (n *Node) executeDecided(dec Decision, p *plan) (ProcessResult, error) {
 	// the extra latency added to the winner's observed total.
 	const specPollTick = time.Millisecond
 	for {
-		outs := slot.snapshot()
+		outs := slot.outs
 		// Earliest completion wins; a same-tick tie goes to the decision's
 		// first choice.
 		win := -1
@@ -158,9 +155,9 @@ func (n *Node) executeDecided(dec Decision, p *plan) (ProcessResult, error) {
 			// Cancel the loser; it aborts at its next phase boundary and
 			// its in-flight phase settles via Node.Flush.
 			if win == 1 {
-				n.ops.specWins.Add(1)
+				n.ops.SpecWins++
 			}
-			cancel[1-win].Store(true)
+			slot.stop(1 - win)
 			res := outs[win].res
 			res.Breakdown.Decision += n.clock.Now().Sub(outs[win].at) // the poll's wait
 			return res, nil
@@ -181,23 +178,17 @@ type specOutcome struct {
 }
 
 // specSlot is where the two hedges publish their outcomes, by index, and
-// the parent polls them; see executeDecided.
+// where the parent stops the loser; see executeDecided. It has no lock:
+// the hedges and the parent are actors, so the clock's turn orders every
+// access.
 type specSlot struct {
-	mu   sync.Mutex
-	outs [2]specOutcome // guarded by mu
+	outs   [2]specOutcome
+	cancel [2]bool // polled by hedge i at each phase boundary (execute)
 }
 
-func (s *specSlot) publish(i int, o specOutcome) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.outs[i] = o
-}
+func (s *specSlot) publish(i int, o specOutcome) { s.outs[i] = o }
 
-func (s *specSlot) snapshot() [2]specOutcome {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.outs
-}
+func (s *specSlot) stop(i int) { s.cancel[i] = true }
 
 // runnerUp applies the decision policy to the non-chosen candidates.
 func runnerUp(pol policy.DecisionPolicy, dec Decision) (policy.ProcCandidate, bool) {

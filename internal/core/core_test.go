@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -244,11 +243,11 @@ func TestNonBlockingStoreCompletesInBackground(t *testing.T) {
 func TestFlushIdleDoesNotYieldClock(t *testing.T) {
 	tb := newTestbed(t, kv.Options{})
 	tb.run(func() {
-		var ran atomic.Bool
+		var ran bool
 		woke := tb.v.NewEvent()
 		tb.v.Go(func() {
 			tb.v.Sleep(time.Second + time.Millisecond)
-			ran.Store(true)
+			ran = true
 			woke.Fire()
 		})
 		tb.v.Sleep(time.Millisecond) // resumes only once the sleeper is parked, 1 s ahead
@@ -257,7 +256,7 @@ func TestFlushIdleDoesNotYieldClock(t *testing.T) {
 		if now := tb.v.Now(); !now.Equal(t0) {
 			t.Errorf("idle Flush moved virtual time by %v", now.Sub(t0))
 		}
-		if ran.Load() {
+		if ran {
 			t.Error("idle Flush let a sleeper parked 1 s ahead run")
 		}
 		woke.Wait()

@@ -60,7 +60,7 @@ func (n *Node) cloudBackend(obj objstore.Object) (cloudsim.Backend, string, erro
 // Has oracle stays reserved for tests and seeding checks; a real
 // deployment cannot ask S3 anything without burning a WAN round trip.
 func (n *Node) cloudProbe(b cloudsim.Backend, name string) bool {
-	n.ops.cloudProbes.Add(1)
+	n.ops.CloudProbes++
 	_, err := b.Stat(n.nic, name)
 	return err == nil
 }

@@ -78,8 +78,8 @@ func (s *Session) FetchObject(name string) (FetchResult, error) {
 		return FetchResult{}, err
 	}
 	breakdown.Total = s.node.clock.Now().Sub(start)
-	s.node.ops.fetches.Add(1)
-	s.node.ops.bytesFetched.Add(meta.Size)
+	s.node.ops.Fetches++
+	s.node.ops.BytesFetched += meta.Size
 	// Ownership: data is a borrow of a store's (or the cache's) own bytes;
 	// the copy made here is the application's to write.
 	return FetchResult{

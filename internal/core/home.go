@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"cloud4home/internal/cloudsim"
@@ -75,18 +74,19 @@ type Home struct {
 	// backends is the federated backend roster in attachment order; the
 	// default cloud is always entry 0 once attached. Policies index into
 	// this order, so it must be stable for a run.
-	backends []cloudsim.Backend // guarded by mu
+	backends []cloudsim.Backend
 
-	mu    sync.RWMutex
+	// A home has no lock: the clock's turn is the one owner of its state,
+	// and only the actor holding the turn calls it.
 	nodes map[string]*Node
 	// sorted holds the live nodes in ascending address order. AddNode and
 	// RemoveNode never write an element a reader may hold: a join past
 	// the last address appends, any other change builds a new array. So a
-	// reader may iterate a slice it took under mu after unlocking.
+	// reader may sleep in the middle of iterating a slice it took, while
+	// nodes join and leave.
 	sorted []*Node
-	peers  []*Home // federated neighbour homes (§VII v)
+	peers  []*Home // federated neighbour homes (§VII v); append-only
 
-	fedMu   sync.Mutex
 	fedHits map[string]*Home       // last neighbour that served each name
 	fedMiss map[string]fedMissMark // names no neighbour had, with put marks
 
@@ -235,8 +235,6 @@ func (h *Home) Fabric() *netsim.Resource { return h.fabric }
 
 // Cloud returns the attached public cloud, or nil.
 func (h *Home) Cloud() *cloudsim.Cloud {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
 	return h.cloud
 }
 
@@ -244,8 +242,6 @@ func (h *Home) Cloud() *cloudsim.Cloud {
 // as gateways route all remote interactions (§III-C). The cloud becomes
 // the first entry of the federated backend roster.
 func (h *Home) AttachCloud(c *cloudsim.Cloud) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	h.cloud = c
 	if c == nil {
 		return
@@ -268,8 +264,6 @@ func (h *Home) AttachBackend(b cloudsim.Backend) {
 	if b == nil {
 		return
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	for i, old := range h.backends {
 		if old.Name() == b.Name() {
 			h.backends[i] = b
@@ -282,8 +276,6 @@ func (h *Home) AttachBackend(b cloudsim.Backend) {
 // Backends returns the federated backend roster in attachment order
 // (default cloud first).
 func (h *Home) Backends() []cloudsim.Backend {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
 	return append([]cloudsim.Backend(nil), h.backends...)
 }
 
@@ -308,8 +300,6 @@ func (h *Home) backendFor(name string) (cloudsim.Backend, error) {
 
 // Node returns a live node by address.
 func (h *Home) Node(addr string) (*Node, bool) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
 	n, ok := h.nodes[addr]
 	return n, ok
 }
@@ -328,8 +318,6 @@ func byAddr(n *Node, addr string) int { return strings.Compare(n.addr, addr) }
 // members returns the address-sorted membership snapshot, read-only: it
 // is shared with every other reader, and no join or leave changes it.
 func (h *Home) members() []*Node {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
 	return h.sorted
 }
 
@@ -364,17 +352,14 @@ func (h *Home) Gateway() (*Node, bool) {
 // RemoveNode departs a node gracefully (its keys and voluntary-bin
 // objects are handed over) or crashes it.
 func (h *Home) RemoveNode(addr string, graceful bool) error {
-	h.mu.Lock()
 	n, ok := h.nodes[addr]
 	if !ok {
-		h.mu.Unlock()
 		return fmt.Errorf("core: remove node: unknown addr %q", addr)
 	}
 	delete(h.nodes, addr)
 	i, _ := slices.BinarySearchFunc(h.sorted, addr, byAddr)
 	h.sorted = slices.Concat(h.sorted[:i], h.sorted[i+1:])
 	h.memo.drop(n.mon.Key())
-	h.mu.Unlock()
 	return n.shutdown(graceful)
 }
 
@@ -385,15 +370,12 @@ func (h *Home) Federate(peer *Home) {
 	if peer == nil || peer == h {
 		return
 	}
-	h.mu.Lock()
 	for _, p := range h.peers {
 		if p == peer {
-			h.mu.Unlock()
 			return
 		}
 	}
 	h.peers = append(h.peers, peer)
-	h.mu.Unlock()
 	peer.Federate(h)
 }
 
@@ -424,18 +406,15 @@ type fedMissMark struct {
 // Each neighbour actually queried counts as one federated probe in the
 // requester's OpStats.
 func (h *Home) federatedLookup(name string, requester *Node) (*Home, ObjectMeta, bool) {
-	h.mu.RLock()
-	peers := make([]*Home, len(h.peers))
-	copy(peers, h.peers)
-	h.mu.RUnlock()
+	// The probes sleep, so a Federate may land meanwhile; it only appends,
+	// which leaves the elements this snapshot holds as they are.
+	peers := h.peers
 	if len(peers) == 0 {
 		return nil, ObjectMeta{}, false
 	}
 
-	h.fedMu.Lock()
 	hit := h.fedHits[name]
 	miss, hasMiss := h.fedMiss[name]
-	h.fedMu.Unlock()
 
 	probe := func(peer *Home) (ObjectMeta, bool) {
 		nodes := peer.members()
@@ -443,7 +422,7 @@ func (h *Home) federatedLookup(name string, requester *Node) (*Home, ObjectMeta,
 			return ObjectMeta{}, false
 		}
 		if requester != nil {
-			requester.ops.federatedProbes.Add(1)
+			requester.ops.FederatedProbes++
 		}
 		gr, err := peer.kv.GetRef(nodes[0].id, ids.HashString(name))
 		if err != nil {
@@ -478,13 +457,11 @@ func (h *Home) federatedLookup(name string, requester *Node) (*Home, ObjectMeta,
 			continue // already probed above
 		}
 		if meta, ok := probe(peer); ok {
-			h.fedMu.Lock()
 			if h.fedHits == nil {
 				h.fedHits = make(map[string]*Home)
 			}
 			h.fedHits[name] = peer
 			delete(h.fedMiss, name)
-			h.fedMu.Unlock()
 			return peer, meta, true
 		}
 	}
@@ -492,12 +469,10 @@ func (h *Home) federatedLookup(name string, requester *Node) (*Home, ObjectMeta,
 	for i, peer := range peers {
 		_, _, marks[i] = peer.kv.Stats().Snapshot()
 	}
-	h.fedMu.Lock()
 	if h.fedMiss == nil {
 		h.fedMiss = make(map[string]fedMissMark)
 	}
 	h.fedMiss[name] = fedMissMark{puts: marks}
 	delete(h.fedHits, name)
-	h.fedMu.Unlock()
 	return nil, ObjectMeta{}, false
 }

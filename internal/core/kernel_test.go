@@ -12,7 +12,7 @@ import (
 func openKernels(h *Home) int64 {
 	var open int64
 	for _, n := range h.Nodes() {
-		open += n.ops.kernels.Load()
+		open += int64(n.kernels)
 	}
 	return open
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"sync"
 
 	"cloud4home/internal/ids"
 	"cloud4home/internal/kv"
@@ -24,14 +23,16 @@ import (
 //
 // Size bound: a resource record's entry is keyed by a member node's
 // monitor key, inserted only while that node is in Home.nodes and dropped
-// under the same lock that removes it (see Home.RemoveNode); a
+// with no yield after RemoveNode takes it out of Home.nodes; a
 // registration's entry is keyed by its service key and stored only once
 // the record decoded, and registrations are never deleted from kv. So
 // len(entries) never exceeds the number of addresses currently in the
 // home plus the number of services ever registered in it.
+//
+// The memo has no lock: only the actor holding the clock's turn reads or
+// writes it, and no kernel goroutine reaches it.
 type decodeMemo struct {
-	mu      sync.Mutex
-	entries map[ids.ID]memoEntry // guarded by mu
+	entries map[ids.ID]memoEntry
 }
 
 type memoEntry struct {
@@ -44,8 +45,6 @@ type memoEntry struct {
 //
 // c4h:hotpath
 func (m *decodeMemo) lookup(key ids.ID, data []byte) any {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if e, ok := m.entries[key]; ok && bytes.Equal(e.raw, data) {
 		return e.val
 	}
@@ -56,25 +55,19 @@ func (m *decodeMemo) lookup(key ids.ID, data []byte) any {
 func (m *decodeMemo) store(key ids.ID, data []byte, val any) {
 	raw := make([]byte, len(data))
 	copy(raw, data)
-	m.mu.Lock()
 	if m.entries == nil {
 		m.entries = make(map[ids.ID]memoEntry)
 	}
 	m.entries[key] = memoEntry{raw: raw, val: val}
-	m.mu.Unlock()
 }
 
 // drop forgets key's entry.
-func (m *decodeMemo) drop(key ids.ID) {
-	m.mu.Lock()
-	delete(m.entries, key)
-	m.mu.Unlock()
-}
+func (m *decodeMemo) drop(key ids.ID) { delete(m.entries, key) }
 
 // decodeResources decodes peer's monitor record through the memo. The
-// entry is stored under h.mu only while peer is still a member, which
-// together with RemoveNode's drop keeps the memo bounded by membership
-// even when a lookup races a crash.
+// entry is stored only while peer is still a member, which together with
+// RemoveNode's drop keeps the memo bounded by membership even when the
+// kv read that fetched v slept across a crash.
 func (h *Home) decodeResources(peer *Node, v kv.Value) (monitor.Resources, error) {
 	if r, ok := h.memo.lookup(peer.mon.Key(), v.Data).(monitor.Resources); ok {
 		return r, nil
@@ -83,11 +76,9 @@ func (h *Home) decodeResources(peer *Node, v kv.Value) (monitor.Resources, error
 	if err != nil {
 		return monitor.Resources{}, err
 	}
-	h.mu.RLock()
 	if h.nodes[peer.addr] == peer {
 		h.memo.store(peer.mon.Key(), v.Data, r)
 	}
-	h.mu.RUnlock()
 	return r, nil
 }
 

@@ -12,14 +12,10 @@ import (
 )
 
 func (m *decodeMemo) len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return len(m.entries)
 }
 
 func (m *decodeMemo) has(key ids.ID) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	_, ok := m.entries[key]
 	return ok
 }

@@ -91,21 +91,24 @@ type Node struct {
 	mon       *monitor.Monitor
 	dataCache *dataCache // dom0 payload cache; nil when disabled
 
-	mu       sync.Mutex
-	deployed map[serviceRef]services.Spec // guarded by mu; services runnable on this node
-	domains  uint16                       // guarded by mu; next guest domain ID
+	// A node has no lock: the clock's turn is the one owner of its state,
+	// and only the actor holding the turn calls it. The exception is
+	// training, below.
+	deployed map[serviceRef]services.Spec // services runnable on this node
+	domains  uint16                       // next guest domain ID
+	paths    map[*Node]*netsim.Path       // memoised LAN paths per peer
+	flights  map[string]*fetchFlight      // joinable in-flight fetches
 
-	training atomic.Pointer[trainingSet] // installed face-recognition set; nil until SetTrainingSet
-
-	pathMu sync.Mutex
-	paths  map[*Node]*netsim.Path // guarded by pathMu; memoised LAN paths per peer
-
-	flightMu sync.Mutex
-	flights  map[string]*fetchFlight // guarded by flightMu; joinable in-flight fetches
+	// training is the installed face-recognition set, nil until
+	// SetTrainingSet. It is atomic because a frec kernel reads it on the
+	// kernelRun goroutine (applyKernel) while an actor may install a new
+	// set.
+	training atomic.Pointer[trainingSet]
 
 	bg *vclock.Group // in-flight non-blocking operations, joined by Flush
 
-	ops opCounters // cumulative operation counters
+	ops     OpStats // cumulative operation counters; OpStats adds ArenaBytes
+	kernels int     // service kernels started and not yet joined (startKernel, kernelRun.join)
 }
 
 // AddNode joins a new device to the home cloud. The node joins the
@@ -178,9 +181,7 @@ func (h *Home) AddNode(cfg NodeConfig) (*Node, error) {
 	}
 	n.mon = mon
 
-	h.mu.Lock()
 	if _, dup := h.nodes[cfg.Addr]; dup {
-		h.mu.Unlock()
 		return nil, fmt.Errorf("core: node %q already present", cfg.Addr)
 	}
 	h.nodes[cfg.Addr] = n
@@ -189,7 +190,6 @@ func (h *Home) AddNode(cfg NodeConfig) (*Node, error) {
 	} else {
 		h.sorted = slices.Insert(slices.Clip(h.sorted), i, n) // a fresh array: readers keep the old one
 	}
-	h.mu.Unlock()
 	return n, nil
 }
 
@@ -226,9 +226,7 @@ func (n *Node) DeployService(spec services.Spec, policyName string) error {
 	if err := services.Register(n.home.kv, n.id, spec, n.addr, policyName); err != nil {
 		return err
 	}
-	n.mu.Lock()
 	n.deployed[serviceRef{spec.Name, spec.ID}] = spec
-	n.mu.Unlock()
 	return nil
 }
 
@@ -252,11 +250,9 @@ func (h *Home) DeployCloudService(spec services.Spec, instance string) error {
 // UndeployService removes a service from this node and from its
 // key-value store registration.
 func (n *Node) UndeployService(spec services.Spec) error {
-	n.mu.Lock()
 	ref := serviceRef{spec.Name, spec.ID}
 	_, had := n.deployed[ref]
 	delete(n.deployed, ref)
-	n.mu.Unlock()
 	if !had {
 		return fmt.Errorf("core: %s not deployed on %s", spec.Name, n.addr)
 	}
@@ -287,8 +283,10 @@ func (n *Node) SetTrainingSet(imgs [][]byte) {
 
 // trainingSet is one installed set of training images. Nothing in it
 // changes once installed except the counted form, which the first frec
-// against the set builds, at most once and off n.mu; the next
-// SetTrainingSet drops the whole set, counted form included.
+// against the set builds, at most once; the next SetTrainingSet drops the
+// whole set, counted form included. once is a sync.Once because frec
+// kernels of different ops may reach it at the same time, each on its
+// own kernelRun goroutine.
 type trainingSet struct {
 	imgs   [][]byte
 	once   sync.Once
@@ -339,20 +337,15 @@ func (n *Node) shutdown(graceful bool) error {
 //
 // c4h:hotpath
 func (n *Node) lanPathTo(peer *Node) *netsim.Path {
-	n.pathMu.Lock()
 	if p, ok := n.paths[peer]; ok {
-		n.pathMu.Unlock()
 		return p
 	}
-	n.pathMu.Unlock()
 	p := netsim.HomePathMixed(n.nic, peer.nic, n.home.fabric,
 		n.cfg.Wireless, peer.cfg.Wireless)
-	n.pathMu.Lock()
 	if n.paths == nil {
 		n.paths = make(map[*Node]*netsim.Path)
 	}
 	n.paths[peer] = p
-	n.pathMu.Unlock()
 	return p
 }
 
@@ -400,12 +393,8 @@ func (n *Node) putMeta(meta ObjectMeta) error {
 	data := meta.appendTo(buf[:0])
 	n.clock.Sleep(chimeraIPC)
 	pr, err := n.home.kv.Put(n.id, meta.Key(), data, kv.Overwrite)
-	if pr.Hops > 0 {
-		n.ops.kvHops.Add(int64(pr.Hops))
-	}
-	if pr.SuperHops > 0 {
-		n.ops.superPeerHops.Add(int64(pr.SuperHops))
-	}
+	n.ops.KVHops += int64(pr.Hops)
+	n.ops.SuperPeerHops += int64(pr.SuperHops)
 	return err
 }
 
@@ -423,12 +412,8 @@ func (n *Node) getMetaAt(name string, key ids.ID) (ObjectMeta, time.Duration, er
 	n.clock.Sleep(chimeraIPC)
 	gr, err := n.home.kv.GetRef(n.id, key)
 	lookup := n.clock.Now().Sub(start)
-	if gr.Hops > 0 {
-		n.ops.kvHops.Add(int64(gr.Hops))
-	}
-	if gr.SuperHops > 0 {
-		n.ops.superPeerHops.Add(int64(gr.SuperHops))
-	}
+	n.ops.KVHops += int64(gr.Hops)
+	n.ops.SuperPeerHops += int64(gr.SuperHops)
 	if err != nil {
 		if errors.Is(err, kv.ErrNotFound) {
 			return ObjectMeta{}, lookup, fmt.Errorf("%w: %q", ErrObjectNotFound, name)

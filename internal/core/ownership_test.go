@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"sync/atomic"
 	"testing"
 
 	"cloud4home/internal/policy"
@@ -206,12 +205,11 @@ func TestConcurrentFetchProcessSharesOneBorrow(t *testing.T) {
 		// with the clock (never Block(wg.Wait) on a virtual clock).
 		done := tb.v.NewEvent()
 		clients := []*Node{tb.atom, tb.netbook}
-		var left atomic.Int32
-		left.Store(int32(len(clients)))
+		left := len(clients)
 		for _, n := range clients {
 			tb.v.Go(func() {
 				defer func() {
-					if left.Add(-1) == 0 {
+					if left--; left == 0 {
 						done.Fire()
 					}
 				}()

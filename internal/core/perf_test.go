@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math/rand"
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -248,13 +247,12 @@ func BenchmarkFetchProcessTwoSessions(b *testing.B) {
 		// The last client to finish fires the join while still registered
 		// with the clock (never Block(wg.Wait) on a virtual clock).
 		done := tb.v.NewEvent()
-		var left atomic.Int32
-		left.Store(int32(len(clients)))
+		left := len(clients)
 		b.ResetTimer()
 		for _, c := range clients {
 			tb.v.Go(func() {
 				defer func() {
-					if left.Add(-1) == 0 {
+					if left--; left == 0 {
 						done.Fire()
 					}
 				}()

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cloud4home/internal/command"
@@ -147,7 +146,7 @@ func (s *Session) finishProcess(res ProcessResult, err error, start time.Time) (
 		res.Output, res.borrowed = bytes.Clone(res.Output), false
 	}
 	res.Breakdown.Total = s.node.clock.Now().Sub(start)
-	s.node.ops.processes.Add(1)
+	s.node.ops.Processes++
 	return res, nil
 }
 
@@ -252,8 +251,6 @@ func (s *Session) ProcessPipelineAt(name string, svcNames []string, svcIDs []uin
 //
 // c4h:hotpath
 func (n *Node) serviceSpec(name string, id uint32) (services.Spec, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	spec, ok := n.deployed[serviceRef{name, id}]
 	return spec, ok
 }
@@ -267,7 +264,7 @@ func (n *Node) serviceSpec(name string, id uint32) (services.Spec, bool) {
 // cannot interrupt a charged sleep).
 //
 // c4h:hotpath
-func (n *Node) execute(p *plan, cancelled *atomic.Bool) (ProcessResult, error) {
+func (n *Node) execute(p *plan, cancelled *bool) (ProcessResult, error) {
 	if n.cancelled(cancelled) {
 		return ProcessResult{}, errSpeculationCancelled
 	}
@@ -314,7 +311,7 @@ func (n *Node) execute(p *plan, cancelled *atomic.Bool) (ProcessResult, error) {
 				data, size, next = res.fold(step, raw), res.OutputSize, 1
 				bd.Exec = step.Breakdown.Exec
 				bd.Overlap = bd.Exec - n.lap(&mark)
-				n.ops.overlapSaved.Add(int64(max(bd.Overlap, 0)))
+				n.ops.OverlapSaved += max(bd.Overlap, 0)
 			}
 		}
 		if err != nil {
@@ -358,11 +355,11 @@ func (n *Node) execute(p *plan, cancelled *atomic.Bool) (ProcessResult, error) {
 }
 
 // cancelled polls a hedge's cancellation flag, counting the abort.
-func (n *Node) cancelled(flag *atomic.Bool) bool {
-	if flag == nil || !flag.Load() {
+func (n *Node) cancelled(flag *bool) bool {
+	if flag == nil || !*flag {
 		return false
 	}
-	n.ops.specCancels.Add(1)
+	n.ops.SpecCancels++
 	return true
 }
 
@@ -501,7 +498,7 @@ func (n *Node) runService(target string, spec services.Spec, inputSize int64, da
 	if err == nil {
 		if strands, shards := n.strandsFor(task, inputSize); strands > 1 {
 			_, err = m.ExecSharded(task, strands)
-			n.ops.shardsExecuted.Add(int64(shards))
+			n.ops.ShardsExecuted += int64(shards)
 		} else {
 			_, err = m.Exec(task)
 		}
@@ -534,6 +531,9 @@ type kernelRun struct {
 
 // kernelRuns recycles kernelRuns: a fresh channel and goroutine closure
 // per op would cost home-process more allocations than the overlap saves.
+// Actors take and return the runs; a run crosses to its kernel goroutine
+// at `go k.exec()` and back at join's receive on done, so the pool never
+// holds a run a kernel goroutine still uses.
 var kernelRuns = sync.Pool{New: func() any {
 	k := &kernelRun{done: make(chan struct{}, 1)}
 	k.exec = k.run
@@ -550,8 +550,8 @@ func (n *Node) startKernel(spec services.Spec, data []byte, outputSize int64) *k
 	k := kernelRuns.Get().(*kernelRun)
 	k.n, k.spec, k.data = n, spec, data
 	k.res = ProcessResult{OutputSize: outputSize, MatchID: -1}
-	n.ops.kernels.Add(1)
-	go k.exec()
+	n.kernels++
+	go k.exec() // joined by join, which receives on k.done
 	return k
 }
 
@@ -575,7 +575,7 @@ func (k *kernelRun) join(res *ProcessResult, opErr error) error {
 	kernelErr := k.err
 	res.Output, res.borrowed, res.OutputSize = k.res.Output, k.res.borrowed, k.res.OutputSize
 	res.Detections, res.MatchID = k.res.Detections, k.res.MatchID
-	k.n.ops.kernels.Add(-1)
+	k.n.kernels--
 	*k = kernelRun{done: k.done, exec: k.exec} // a pooled run pins no payload
 	kernelRuns.Put(k)
 	if kernelErr != nil && opErr == nil {
@@ -588,7 +588,9 @@ func (k *kernelRun) join(res *ProcessResult, opErr error) error {
 // The training set for recognition is "available on any of the processing
 // locations" (the paper's assumption), so the requester's set is used.
 // data is a read-only borrow; the kernels only read it. It runs on a
-// kernelRun's goroutine, so it reads no state guarded by n.mu.
+// kernelRun's goroutine, off the clock, while other actors hold the turn:
+// so of the node's state it reads only n.addr, fixed at AddNode, and the
+// training set through its atomic pointer.
 func (n *Node) applyKernel(spec services.Spec, data []byte, res *ProcessResult) error {
 	switch spec.Name {
 	case "fdet":

@@ -117,7 +117,7 @@ func (n *Node) pull(dst *Node, meta ObjectMeta, l ladder, sink *domainSink, bd *
 			return n.cached(meta, l&^(rungHere|rungCache), sink, bd)
 		}
 		if r == rungPieces && l&rungPrimary != 0 {
-			n.ops.fetchRetries.Add(1)
+			n.ops.FetchRetries++
 		}
 		last := l < r<<1 // a failure here is the pull's
 		// A rung is tried again while its last attempt lost holders.
@@ -171,15 +171,14 @@ type fetchFlight struct {
 func (n *Node) cached(meta ObjectMeta, l ladder, sink *domainSink, bd *FetchBreakdown) ([]byte, string, error) {
 	if n.dataCache != nil {
 		if data, hit := n.dataCache.get(meta.Name); hit { // nil for sparse objects
-			n.ops.cacheHits.Add(1)
+			n.ops.CacheHits++
 			return data, "cache:" + n.addr, nil
 		}
-		n.ops.cacheMisses.Add(1)
+		n.ops.CacheMisses++
 	}
 	if !n.home.cfg.CoalesceFetch {
 		return n.pull(n, meta, l, sink, bd)
 	}
-	n.flightMu.Lock()
 	f, follower := n.flights[meta.Name]
 	if !follower {
 		f = &fetchFlight{ev: n.clock.NewEvent()}
@@ -188,20 +187,17 @@ func (n *Node) cached(meta ObjectMeta, l ladder, sink *domainSink, bd *FetchBrea
 		}
 		n.flights[meta.Name] = f
 	}
-	n.flightMu.Unlock()
 	if follower {
 		start := n.clock.Now()
 		f.ev.Wait()
-		n.ops.coalescedFetches.Add(1)
+		n.ops.CoalescedFetches++
 		bd.InterNode += n.clock.Now().Sub(start)
 		return f.data, f.src, f.err
 	}
 	f.data, f.src, f.err = n.pull(n, meta, l, sink, bd)
 	// Unregister before firing: fetches arriving after completion start a
 	// fresh flight instead of reading a finished one.
-	n.flightMu.Lock()
 	delete(n.flights, meta.Name)
-	n.flightMu.Unlock()
 	f.ev.Fire()
 	return f.data, f.src, f.err
 }
@@ -371,7 +367,7 @@ func (n *Node) run(dst *Node, meta ObjectMeta, a *attempt, sink *domainSink, bd 
 				return nil, "", err
 			}
 		}
-		n.ops.shardReconstructs.Add(1)
+		n.ops.ShardReconstructs++
 		src = fmt.Sprintf("erasure:%d-of-%d", meta.ErasureK, meta.ErasureN)
 	}
 	// What the first member did not stream (all of a decoded payload)

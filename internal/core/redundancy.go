@@ -181,7 +181,7 @@ func (n *Node) holderFor(h *Home, meta ObjectMeta, cloud *cloudsim.Cloud) (holde
 		holder = whole[0]
 	}
 	if holder != nil || inCloud {
-		n.ops.fetchRetries.Add(1)
+		n.ops.FetchRetries++
 	}
 	return holder, inCloud
 }
@@ -237,7 +237,7 @@ func (n *Node) placePieces(m ObjectMeta, obj objstore.Object, data []byte, indic
 		}
 		placed = append(placed, piece{indices[i], addr})
 		if m.coded() {
-			n.ops.shardsPlaced.Add(1)
+			n.ops.ShardsPlaced++
 		}
 	}
 	return placed
@@ -395,11 +395,11 @@ func (n *Node) repair(name, dead string) {
 	if err := n.putMeta(meta); err != nil {
 		return
 	}
-	n.ops.objectsRepaired.Add(1)
+	n.ops.ObjectsRepaired++
 	if meta.coded() {
-		n.ops.shardsRestored.Add(int64(len(placed)))
+		n.ops.ShardsRestored += int64(len(placed))
 	} else {
-		n.ops.replicasRestored.Add(int64(len(placed)))
+		n.ops.ReplicasRestored += int64(len(placed))
 	}
 }
 

@@ -30,13 +30,10 @@ func (n *Node) OpenSession() (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	n.mu.Lock()
 	n.domains++
-	dom := n.domains
-	n.mu.Unlock()
 	return &Session{
 		node:     n,
-		domainID: dom,
+		domainID: n.domains,
 		chn:      chn,
 		created:  make(map[string]objstore.Object),
 	}, nil

@@ -1,12 +1,11 @@
 package core
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // OpStats counts a node's VStore++ activity. All fields are cumulative
-// since the node joined; snapshots are safe to read concurrently.
+// since the node joined. A node keeps its counters in an OpStats of its
+// own, bumped in place by the actor holding the clock's turn; OpStats
+// returns a copy.
 type OpStats struct {
 	Stores       int64
 	Fetches      int64
@@ -77,77 +76,10 @@ type OpStats struct {
 	ArenaBytes int64
 }
 
-// opCounters is the node-internal atomic representation. The counters
-// are lock-free by design — hot paths bump them without a mutex — so
-// the `// guarded by` convention does not apply here; atomicity is the
-// whole discipline.
-type opCounters struct {
-	stores            atomic.Int64
-	fetches           atomic.Int64
-	processes         atomic.Int64
-	deletes           atomic.Int64
-	bytesStored       atomic.Int64
-	bytesFetched      atomic.Int64
-	cacheHits         atomic.Int64
-	cacheMisses       atomic.Int64
-	shardsExecuted    atomic.Int64
-	overlapSaved      atomic.Int64 // nanoseconds
-	specLaunches      atomic.Int64
-	specWins          atomic.Int64
-	specCancels       atomic.Int64
-	fetchRetries      atomic.Int64
-	objectsRepaired   atomic.Int64
-	replicasRestored  atomic.Int64
-	cloudProbes       atomic.Int64
-	shardsPlaced      atomic.Int64
-	shardsRestored    atomic.Int64
-	shardReconstructs atomic.Int64
-	asyncPlaceDrops   atomic.Int64
-	federatedProbes   atomic.Int64
-	coalescedFetches  atomic.Int64
-	kvHops            atomic.Int64
-	superPeerHops     atomic.Int64
-
-	// kernels is a gauge, not in OpStats: service kernels this node has
-	// started and not yet joined (startKernel, kernelRun.join).
-	kernels atomic.Int64
-}
-
-func (c *opCounters) snapshot() OpStats {
-	return OpStats{
-		Stores:         c.stores.Load(),
-		Fetches:        c.fetches.Load(),
-		Processes:      c.processes.Load(),
-		Deletes:        c.deletes.Load(),
-		BytesStored:    c.bytesStored.Load(),
-		BytesFetched:   c.bytesFetched.Load(),
-		CacheHits:      c.cacheHits.Load(),
-		CacheMisses:    c.cacheMisses.Load(),
-		ShardsExecuted: c.shardsExecuted.Load(),
-		OverlapSaved:   time.Duration(c.overlapSaved.Load()),
-		SpecLaunches:   c.specLaunches.Load(),
-		SpecWins:       c.specWins.Load(),
-		SpecCancels:    c.specCancels.Load(),
-
-		FetchRetries:      c.fetchRetries.Load(),
-		ObjectsRepaired:   c.objectsRepaired.Load(),
-		ReplicasRestored:  c.replicasRestored.Load(),
-		CloudProbes:       c.cloudProbes.Load(),
-		ShardsPlaced:      c.shardsPlaced.Load(),
-		ShardsRestored:    c.shardsRestored.Load(),
-		ShardReconstructs: c.shardReconstructs.Load(),
-		AsyncPlaceDrops:   c.asyncPlaceDrops.Load(),
-		FederatedProbes:   c.federatedProbes.Load(),
-		CoalescedFetches:  c.coalescedFetches.Load(),
-		KVHops:            c.kvHops.Load(),
-		SuperPeerHops:     c.superPeerHops.Load(),
-	}
-}
-
 // OpStats returns the node's cumulative operation counters, plus the
 // snapshot-time arena gauge.
 func (n *Node) OpStats() OpStats {
-	st := n.ops.snapshot()
+	st := n.ops
 	st.ArenaBytes = n.home.mesh.ArenaBytes()
 	return st
 }

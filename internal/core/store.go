@@ -65,8 +65,8 @@ func (s *Session) StoreObject(name string, data []byte, size int64, opts StoreOp
 		return StoreResult{}, err
 	}
 	delete(s.created, name)
-	s.node.ops.stores.Add(1)
-	s.node.ops.bytesStored.Add(obj.Size)
+	s.node.ops.Stores++
+	s.node.ops.BytesStored += obj.Size
 
 	if !opts.Blocking {
 		// Non-blocking: placement continues in the control domain while
@@ -75,7 +75,7 @@ func (s *Session) StoreObject(name string, data []byte, size int64, opts StoreOp
 		// tests use Flush + metadata lookups to verify.
 		s.node.spawn(func() {
 			if _, _, err := s.node.place(obj, data, opts.Policy); err != nil {
-				s.node.ops.asyncPlaceDrops.Add(1)
+				s.node.ops.AsyncPlaceDrops++
 			}
 		})
 		return StoreResult{

@@ -10,9 +10,11 @@
 // A connection's goroutine reads and frames each request and writes its
 // reply; the op body between (session open, create + store, fetch,
 // FetchProcess) runs as an actor posted to the home's clock, which the
-// goroutine waits for. Stats and ls stay off the clock: they read only
-// atomics and locked state, and their replies travel in a frame, since a
-// home's object list outgrows a command packet.
+// goroutine waits for. Stats and ls read the home on the clock too, as
+// actors that take no node turn, and their replies travel in a frame,
+// since a home's object list outgrows a command packet. The server's own
+// lock guards only its maps of sessions and connections, which the
+// connection goroutines share.
 //
 // Both ends read through one buffered reader per connection into buffers
 // the connection reuses, and send each message, packet and frame
@@ -133,17 +135,27 @@ func (s *Server) Addr() string {
 	return s.ln.Addr().String()
 }
 
+// closeGrace is how long Close lets a reply write take: an op in flight
+// at Close still replies, and a peer that never reads its reply holds
+// Close no longer than this.
+const closeGrace = time.Second
+
 // Close stops the listener and waits for the connections to end. Every
 // connection's next request fails at once, read from the socket or
 // already in its buffer, so an op in flight still writes its reply and an
-// idle client is dropped.
+// idle client is dropped. A reply write fails once closeGrace has passed.
+// The home's clock must still be running.
 func (s *Server) Close() {
+	// The home's clock is paced, so its Now is a wall instant, the kind a
+	// connection's deadline takes.
+	var grace time.Time
+	s.onClock(func() { grace = s.home.Clock().Now().Add(closeGrace) })
 	s.mu.Lock()
 	s.closed = true
 	ln := s.ln
 	for conn := range s.open {
 		// Any deadline in the past fails the next read at once.
-		if err := conn.SetReadDeadline(time.Unix(1, 0)); err != nil {
+		if conn.SetReadDeadline(time.Unix(1, 0)) != nil || conn.SetWriteDeadline(grace) != nil {
 			conn.Close()
 		}
 	}
@@ -186,26 +198,39 @@ func (s *Server) onClock(fn func()) {
 	<-done
 }
 
-// lookup returns the entry for the named home node, making it on first
-// use.
+// lookup returns the entry for the named home node (the first by
+// address when nodeAddr is empty), making it on first use. Only a miss
+// asks the home, on the clock, which node the address names.
 func (s *Server) lookup(nodeAddr string) (*nodeSession, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if nodeAddr == "" {
-		nodes := s.home.Nodes() // ordered by address
-		if len(nodes) == 0 {
-			return nil, errors.New("daemon: home cloud has no nodes")
-		}
-		nodeAddr = nodes[0].Addr()
-	}
-	if ns, ok := s.sessions[nodeAddr]; ok {
+	ns, ok := s.sessions[nodeAddr]
+	s.mu.Unlock()
+	if ok {
 		return ns, nil
 	}
-	node, ok := s.home.Node(nodeAddr)
-	if !ok {
+	var node *core.Node
+	s.onClock(func() {
+		if nodeAddr != "" {
+			node, _ = s.home.Node(nodeAddr)
+		} else if nodes := s.home.Nodes(); len(nodes) > 0 { // ordered by address
+			node = nodes[0]
+		}
+	})
+	if node == nil && nodeAddr == "" {
+		return nil, errors.New("daemon: home cloud has no nodes")
+	}
+	if node == nil {
 		return nil, fmt.Errorf("daemon: unknown home node %q", nodeAddr)
 	}
-	ns := &nodeSession{node: node, turn: make(chan struct{}, 1)}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// Another connection may have made the node's entry meanwhile, and the
+	// empty address shares the first node's.
+	ns, ok = s.sessions[node.Addr()]
+	if !ok {
+		ns = &nodeSession{node: node, turn: make(chan struct{}, 1)}
+		s.sessions[node.Addr()] = ns
+	}
 	s.sessions[nodeAddr] = ns
 	return ns, nil
 }
@@ -253,7 +278,8 @@ func (s *Server) isClosed() bool {
 // string copy, which holds every name the op hands to core. Ops that use
 // a session hold their node's turn while their body runs and give it
 // back before the reply is written, so a client that does not read its
-// reply holds only its own connection; Stats and ls take no turn.
+// reply holds only its own connection. Stats and ls read the home in an
+// actor of their own and take no turn.
 func (s *Server) dispatch(c *serverConn, pkt *command.Packet) error {
 	switch pkt.Type {
 	case command.TypeStore:
@@ -345,14 +371,16 @@ func (s *Server) dispatch(c *serverConn, pkt *command.Packet) error {
 		// "stats": per-node operation counters and machine state, in a
 		// frame after an empty reply packet.
 		c.stats = c.stats[:0]
-		for _, n := range s.home.Nodes() {
-			c.stats = append(c.stats, NodeStats{
-				Addr:      n.Addr(),
-				CPULoad:   n.Machine().Load(),
-				MemFreeMB: n.Machine().MemFreeMB(),
-				OpStats:   n.OpStats(),
-			})
-		}
+		s.onClock(func() {
+			for _, n := range s.home.Nodes() {
+				c.stats = append(c.stats, NodeStats{
+					Addr:      n.Addr(),
+					CPULoad:   n.Machine().Load(),
+					MemFreeMB: n.Machine().MemFreeMB(),
+					OpStats:   n.OpStats(),
+				})
+			}
+		})
 		nodes := c.stats
 		if len(nodes) == 0 {
 			nodes = nil // no node: "nodes":null, as a nil slice marshals
@@ -368,10 +396,12 @@ func (s *Server) dispatch(c *serverConn, pkt *command.Packet) error {
 		// "ls": enumerate nodes and objects, in a frame after an empty
 		// reply packet.
 		var r listResp
-		for _, n := range s.home.Nodes() {
-			r.Nodes = append(r.Nodes, n.Addr())
-			r.Objects = append(r.Objects, n.ObjectStore().List()...)
-		}
+		s.onClock(func() {
+			for _, n := range s.home.Nodes() {
+				r.Nodes = append(r.Nodes, n.Addr())
+				r.Objects = append(r.Objects, n.ObjectStore().List()...)
+			}
+		})
 		c.body = appendList(c.body[:0], r)
 		return c.send(command.TypeList, nil, c.body)
 

@@ -350,3 +350,125 @@ func TestCloseDropsBufferedRequest(t *testing.T) {
 		t.Fatal("Close still blocked 1 s after the op in flight replied")
 	}
 }
+
+// TestCloseWithUnreadReplyReturns: a peer that asks for a large object
+// and never reads the reply holds Close for at most closeGrace, the write
+// deadline Close gives every open connection.
+func TestCloseWithUnreadReplyReturns(t *testing.T) {
+	srv, addr := startServer(t)
+	const size = 16 << 20 // more than a loopback connection buffers
+	c := dial(t, addr)
+	if _, err := c.Store("big.bin", "b", make([]byte, size), 0, testNodes[0]); err != nil {
+		t.Fatal(err)
+	}
+	stalled := rawConn(t, addr)
+	if tcp, ok := stalled.(*net.TCPConn); ok {
+		if err := tcp.SetReadBuffer(4 << 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	req := packet(t, command.TypeFetch, string(appendFetchReq(nil, fetchReq{Name: "big.bin", Node: testNodes[0]})))
+	if _, err := stalled.Write(req); err != nil {
+		t.Fatal(err)
+	}
+	waitForGoroutines(t, 1, "daemon.(*wire).send(")
+
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(closeGrace + 3*time.Second):
+		t.Fatalf("Close still blocked %v after it began, behind a reply nobody reads", closeGrace+3*time.Second)
+	}
+}
+
+// TestStatsAndListWhileOpsRun: Stats and ls read the home on the clock
+// while stores and fetches run on two nodes. A Stats reply counts every
+// store acknowledged before it was asked for, and an ls lists every name
+// acknowledged before it was asked for.
+func TestStatsAndListWhileOpsRun(t *testing.T) {
+	_, addr := startServer(t)
+	var (
+		mu    sync.Mutex
+		acked []string // names whose store was acknowledged, in order
+	)
+	ackedSoFar := func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		return acked[:len(acked):len(acked)]
+	}
+	const perNode = 15
+	errs := make(chan error, len(testNodes))
+	var wg sync.WaitGroup
+	for i, node := range testNodes {
+		c := dial(t, addr)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < perNode; j++ {
+				name := fmt.Sprintf("n%d/%d.bin", i, j)
+				if _, err := c.Store(name, "b", []byte(name), 0, node); err != nil {
+					errs <- err
+					return
+				}
+				mu.Lock()
+				acked = append(acked, name)
+				mu.Unlock()
+				if _, err := c.Fetch(name, node); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	finished := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(finished)
+	}()
+
+	reader := dial(t, addr)
+	for done := false; !done; {
+		select {
+		case <-finished:
+			done = true // one more round after the last ack
+		default:
+		}
+		before := ackedSoFar()
+		st, err := reader.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stores int64
+		for _, n := range st {
+			stores += n.Stores
+		}
+		if stores < int64(len(before)) {
+			t.Fatalf("Stats counts %d stores, %d were acknowledged before it was asked for", stores, len(before))
+		}
+		before = ackedSoFar()
+		_, objects, err := reader.List()
+		if err != nil {
+			t.Fatal(err)
+		}
+		listed := make(map[string]bool, len(objects))
+		for _, o := range objects {
+			listed[o] = true
+		}
+		for _, name := range before {
+			if !listed[name] {
+				t.Fatalf("ls lacks %s, acknowledged before it was asked for", name)
+			}
+		}
+	}
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if got := len(ackedSoFar()); got != perNode*len(testNodes) {
+		t.Fatalf("%d stores acknowledged, want %d", got, perNode*len(testNodes))
+	}
+}

@@ -46,9 +46,7 @@ func TestRepairRefreshesStaleOverwriteReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs.mu.Lock()
 	rs.recs[key].entry = []Value{{Data: []byte("v1"), Version: 1}}
-	rs.mu.Unlock()
 
 	st.repair(pr.Owner)
 
@@ -85,11 +83,9 @@ func TestDepartRefreshesStaleOverwriteReplica(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		ms.mu.Lock()
 		if rec := ms.recs[key]; rec != nil && len(rec.entry) > 0 {
 			rec.entry = []Value{{Data: []byte("old"), Version: 1}}
 		}
-		ms.mu.Unlock()
 	}
 	if err := st.Depart(pr.Owner); err != nil {
 		t.Fatal(err)
@@ -135,23 +131,17 @@ func TestDeleteMissingKeyLeavesHolders(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		os.mu.Lock()
 		before := len(os.recs[key].holders)
-		os.mu.Unlock()
 		if before == 0 {
 			continue // topology gave this key no path caches; try another
 		}
 		// Simulate the entry vanishing while caches stay tracked (churn can
 		// leave exactly this state), then issue the failing delete.
-		os.mu.Lock()
 		os.recs[key].entry = nil
-		os.mu.Unlock()
 		if err := st.Delete(nodes[1], key); !errors.Is(err, ErrNotFound) {
 			t.Fatalf("delete of missing key: %v, want ErrNotFound", err)
 		}
-		os.mu.Lock()
 		after := len(os.recs[key].holders)
-		os.mu.Unlock()
 		if after != before {
 			t.Fatalf("failed delete wiped holder bookkeeping: %d -> %d", before, after)
 		}
@@ -312,10 +302,8 @@ func TestDeleteAtOwnerDropsItsCachedCopy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hs.mu.Lock()
 		rec := hs.recs[key]
 		cachedToo := rec != nil && rec.entry != nil && rec.cache != nil
-		hs.mu.Unlock()
 		if !cachedToo {
 			continue // the heir had not cached the key; try another
 		}

@@ -24,8 +24,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"cloud4home/internal/ids"
 	"cloud4home/internal/overlay"
@@ -133,8 +131,8 @@ type PutResult struct {
 //
 // Records are recycled: Delete zeroes the records it drops and keeps
 // them on the node's free list, and a later key takes one over. So no
-// *record may outlive the ns.mu critical section that looked it up; what
-// a caller keeps past the unlock is a field's value (a chain or a holder
+// *record may outlive the stretch with no yield that looked it up: what a
+// caller keeps across a wire send is a field's value (a chain or a holder
 // list, both immutable), never the record.
 type record struct {
 	entry   []Value  // primary or replica copy
@@ -158,7 +156,6 @@ func (rec *record) addHolder(id ids.ID) {
 
 // nodeStore is one node's slice of the distributed store.
 type nodeStore struct {
-	mu   sync.Mutex
 	recs map[ids.ID]*record
 	free []*record // zeroed records Delete dropped, reused by record
 }
@@ -168,7 +165,7 @@ func newNodeStore() *nodeStore {
 }
 
 // record returns ns's record for key, creating it from the free list
-// when it can. ns.mu must be held.
+// when it can.
 func (ns *nodeStore) record(key ids.ID) *record {
 	rec := ns.recs[key]
 	if rec == nil {
@@ -183,7 +180,7 @@ func (ns *nodeStore) record(key ids.ID) *record {
 }
 
 // drop deletes key's record, zeroes it and keeps it for reuse, and
-// reports whether it held a chain. ns.mu must be held.
+// reports whether it held a chain.
 func (ns *nodeStore) drop(key ids.ID) (held bool) {
 	rec := ns.recs[key]
 	if rec == nil {
@@ -198,8 +195,6 @@ func (ns *nodeStore) drop(key ids.ID) (held bool) {
 
 // entry returns the authoritative chain ns holds for key, or nil.
 func (ns *nodeStore) entry(key ids.ID) []Value {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
 	if rec := ns.recs[key]; rec != nil {
 		return rec.entry
 	}
@@ -209,8 +204,6 @@ func (ns *nodeStore) entry(key ids.ID) []Value {
 // offer installs the non-empty chain as ns's authoritative copy of key if
 // it is newer than the copy ns holds, and reports whether it did.
 func (ns *nodeStore) offer(key ids.ID, chain []Value) bool {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
 	rec := ns.record(key)
 	if !chainNewer(chain, rec.entry) {
 		return false
@@ -221,25 +214,29 @@ func (ns *nodeStore) offer(key ids.ID, chain []Value) bool {
 
 // entryKeys returns the keys ns holds an authoritative copy of, ascending.
 func (ns *nodeStore) entryKeys() []ids.ID {
-	ns.mu.Lock()
 	out := make([]ids.ID, 0, len(ns.recs))
 	for k, rec := range ns.recs {
 		if rec.entry != nil {
 			out = append(out, k)
 		}
 	}
-	ns.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // Store is the distributed key-value store spanning one home cloud.
+//
+// A Store has no lock: the clock's turn is its one owner, and only the
+// actor holding the turn calls it. A wire send sleeps, so any other actor
+// may run across one. Every *record is therefore read and written with no
+// wire send between, and no *record is kept across one (Delete drops and
+// reuses them); a chain or holder list is copy-on-write, so one taken
+// before a send stays what it was.
 type Store struct {
 	mesh *overlay.Mesh
 	wire overlay.Wire
 	opts Options
 
-	mu          sync.RWMutex
 	nodes       map[ids.ID]*nodeStore
 	members     []ids.ID // the attached IDs, ascending
 	coordinator ids.ID   // centralized mode: the node holding every key
@@ -250,46 +247,41 @@ type Store struct {
 	// nodes without entries, so walking the dirty set instead of the full
 	// membership produces byte-identical wire traffic while a churn event
 	// costs O(dirty) instead of O(N).
-	dirtyMu sync.Mutex
-	dirty   map[ids.ID]bool
+	dirty map[ids.ID]bool
 
 	stats Stats
 }
 
 // markDirty records that node may now hold authoritative entries.
 func (s *Store) markDirty(node ids.ID) {
-	s.dirtyMu.Lock()
 	if s.dirty == nil {
 		s.dirty = make(map[ids.ID]bool)
 	}
 	s.dirty[node] = true
-	s.dirtyMu.Unlock()
 }
 
 // dirtySorted snapshots the dirty set in ascending ID order, so churn
 // reactions — and the wire traffic they drive — happen in one
 // deterministic order.
 func (s *Store) dirtySorted() []ids.ID {
-	s.dirtyMu.Lock()
 	out := make([]ids.ID, 0, len(s.dirty))
 	for id := range s.dirty {
 		out = append(out, id)
 	}
-	s.dirtyMu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // Stats counts store activity (used by the caching/replication ablations).
 type Stats struct {
-	Lookups   atomic.Int64
-	CacheHits atomic.Int64
-	PutOps    atomic.Int64
+	Lookups   int64
+	CacheHits int64
+	PutOps    int64
 }
 
 // Snapshot returns a copy of the counters.
 func (s *Stats) Snapshot() (lookups, cacheHits, puts int) {
-	return int(s.Lookups.Load()), int(s.CacheHits.Load()), int(s.PutOps.Load())
+	return int(s.Lookups), int(s.CacheHits), int(s.PutOps)
 }
 
 // New returns a store over the mesh and registers the churn handlers
@@ -337,9 +329,7 @@ func (s *Store) Stats() *Stats { return &s.stats }
 // Attach registers node as a participant and pulls the keys it is now
 // responsible for.
 func (s *Store) Attach(node ids.ID) {
-	s.mu.Lock()
 	if _, ok := s.nodes[node]; ok {
-		s.mu.Unlock()
 		return
 	}
 	s.nodes[node] = newNodeStore()
@@ -348,7 +338,6 @@ func (s *Store) Attach(node ids.ID) {
 	if s.coordinator == 0 {
 		s.coordinator = node
 	}
-	s.mu.Unlock()
 
 	// Nodes attach after joining the mesh, so the join handler ran before
 	// this slice existed. Pull the keys this node is now responsible for
@@ -365,21 +354,15 @@ func (s *Store) Attach(node ids.ID) {
 
 // Detach removes a node's slice (after it has left the mesh).
 func (s *Store) Detach(node ids.ID) {
-	s.mu.Lock()
 	if _, ok := s.nodes[node]; ok {
 		delete(s.nodes, node)
 		i, _ := slices.BinarySearch(s.members, node)
 		s.members = slices.Delete(s.members, i, i+1)
 	}
-	s.mu.Unlock()
-	s.dirtyMu.Lock()
 	delete(s.dirty, node)
-	s.dirtyMu.Unlock()
 }
 
 func (s *Store) node(id ids.ID) (*nodeStore, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	ns, ok := s.nodes[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrDetached, id)
@@ -393,10 +376,8 @@ func (s *Store) node(id ids.ID) (*nodeStore, error) {
 // that landed on regional super-peers (0 with the tier disabled).
 func (s *Store) locateOwner(from, key ids.ID) (owner ids.ID, hops, superHops int, err error) {
 	if s.opts.Centralized {
-		s.mu.RLock()
 		coord := s.coordinator
 		_, alive := s.nodes[coord]
-		s.mu.RUnlock()
 		if coord == 0 || !alive {
 			return 0, 0, 0, fmt.Errorf("kv: %w (coordinator down)", ErrNotFound)
 		}
@@ -421,7 +402,7 @@ func (s *Store) Put(from, key ids.ID, data []byte, policy WritePolicy) (PutResul
 	if _, err := s.node(from); err != nil {
 		return PutResult{}, err
 	}
-	s.stats.PutOps.Add(1)
+	s.stats.PutOps++
 
 	ownerID, hops, superHops, err := s.locateOwner(from, key)
 	if err != nil {
@@ -433,7 +414,6 @@ func (s *Store) Put(from, key ids.ID, data []byte, policy WritePolicy) (PutResul
 	}
 	s.markDirty(ownerID)
 
-	ownerStore.mu.Lock()
 	rec := ownerStore.record(key)
 	chain := rec.entry
 	var version int
@@ -444,7 +424,6 @@ func (s *Store) Put(from, key ids.ID, data []byte, policy WritePolicy) (PutResul
 		chain = append(chain[:len(chain):len(chain)], Value{Data: cloneBytes(data), Version: version})
 	case ErrorIfExists:
 		if len(chain) > 0 {
-			ownerStore.mu.Unlock()
 			return PutResult{}, fmt.Errorf("kv: put %s: %w", key, ErrExists)
 		}
 		version = 1
@@ -458,7 +437,6 @@ func (s *Store) Put(from, key ids.ID, data []byte, policy WritePolicy) (PutResul
 	}
 	rec.entry = chain
 	holders := rec.holders
-	ownerStore.mu.Unlock()
 
 	s.replicate(ownerID, key, chain)
 	s.refreshCaches(ownerID, key, chain, holders)
@@ -491,9 +469,7 @@ func (s *Store) replicate(owner, key ids.ID, chain []Value) {
 		if err != nil {
 			continue
 		}
-		rs.mu.Lock()
 		rs.record(key).entry = chain
-		rs.mu.Unlock()
 		s.markDirty(m.ID)
 		targets = append(targets, m.ID)
 	}
@@ -517,11 +493,9 @@ func (s *Store) refreshCaches(owner, key ids.ID, chain []Value, holders []ids.ID
 			continue
 		}
 		s.wire.Send(owner, h)
-		hs.mu.Lock()
 		if rec := hs.recs[key]; rec != nil && rec.cache != nil {
 			rec.cache = chain
 		}
-		hs.mu.Unlock()
 	}
 }
 
@@ -612,12 +586,12 @@ func (s *Store) getChain(from, key ids.ID) (chain []Value, hops, superHops int, 
 	if err != nil {
 		return nil, 0, 0, false, err
 	}
-	s.stats.Lookups.Add(1)
+	s.stats.Lookups++
 
 	// Local copy (primary, replica, or cache) short-circuits the lookup.
 	if c, fromCache, ok := fromStore.lookup(key); ok {
 		if fromCache {
-			s.stats.CacheHits.Add(1)
+			s.stats.CacheHits++
 		}
 		return c, 0, 0, true, nil
 	}
@@ -666,7 +640,7 @@ func (s *Store) getChain(from, key ids.ID) (chain []Value, hops, superHops int, 
 		}
 		if c, fromCache, ok := nextStore.lookup(key); ok {
 			if fromCache {
-				s.stats.CacheHits.Add(1)
+				s.stats.CacheHits++
 			}
 			s.populatePathCaches(key, c, visited, next.ID)
 			return c, hops, superHops, true, nil
@@ -698,12 +672,8 @@ func (s *Store) populatePathCaches(key ids.ID, chain []Value, path []ids.ID, ser
 		if err != nil {
 			continue
 		}
-		ns.mu.Lock()
 		ns.record(key).cache = chain
-		ns.mu.Unlock()
-		srv.mu.Lock()
 		srv.record(key).addHolder(id)
-		srv.mu.Unlock()
 	}
 }
 
@@ -713,8 +683,6 @@ func (s *Store) populatePathCaches(key ids.ID, chain []Value, path []ids.ID, ser
 // data out.
 // c4h:hotpath
 func (ns *nodeStore) lookup(key ids.ID) (chain []Value, fromCache, ok bool) {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
 	if rec := ns.recs[key]; rec != nil {
 		if len(rec.entry) > 0 {
 			return rec.entry, false, true
@@ -739,27 +707,23 @@ func (s *Store) Delete(from, key ids.ID) error {
 	if err != nil {
 		return err
 	}
-	ownerStore.mu.Lock()
 	rec := ownerStore.recs[key]
 	if rec == nil || rec.entry == nil {
 		// Nothing to delete: leave the entry and cache-holder bookkeeping
 		// untouched, so later refreshCaches still reaches live caches.
-		ownerStore.mu.Unlock()
 		return fmt.Errorf("kv: delete %s: %w", key, ErrNotFound)
 	}
 	// The whole record goes: a path-cached chain the owner kept from
 	// before it took the key over would otherwise still answer its Gets.
 	holders := rec.holders
 	ownerStore.drop(key)
-	ownerStore.mu.Unlock()
 	// Purge replicas and caches everywhere (at home scale replica sets may
 	// have shifted since the write, so a sweep is the robust choice).
 	// The sweep sends messages, so it walks a copy of the membership: in
-	// a home-sized store the copy lives on the stack.
+	// a home-sized store the copy lives on the stack. (Attach and Detach
+	// edit s.members in place.)
 	var buf [16]ids.ID
-	s.mu.RLock()
 	members := append(buf[:0], s.members...)
-	s.mu.RUnlock()
 	for _, id := range members {
 		if id == ownerID {
 			continue
@@ -768,11 +732,9 @@ func (s *Store) Delete(from, key ids.ID) error {
 		if err != nil {
 			continue
 		}
-		ns.mu.Lock()
 		// A replica or cache that served reads indexed its own cache
 		// holders; every one of those caches is purged by this sweep.
 		had := ns.drop(key)
-		ns.mu.Unlock()
 		_, registered := slices.BinarySearch(holders, id)
 		if had || registered {
 			s.wire.Send(ownerID, id)

@@ -17,8 +17,6 @@ func recordAt(t *testing.T, st *Store, node, key ids.ID) (record, bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
 	if rec := ns.recs[key]; rec != nil {
 		return *rec, true
 	}
@@ -69,20 +67,16 @@ func TestDeletedRecordReusedClean(t *testing.T) {
 	freed := make(map[*record]bool)
 	for _, n := range nodes {
 		ns, _ := st.node(n)
-		ns.mu.Lock()
 		if len(ns.free) == 0 {
 			t.Fatalf("%s kept no dropped record", n)
 		}
 		for _, rec := range ns.free {
 			freed[rec] = true
 		}
-		ns.mu.Unlock()
 	}
 	reused := func(node ids.ID) record {
 		t.Helper()
 		ns, _ := st.node(node)
-		ns.mu.Lock()
-		defer ns.mu.Unlock()
 		rec := ns.recs[key]
 		if rec == nil {
 			t.Fatalf("%s holds no record for the new key", node)

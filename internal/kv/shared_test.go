@@ -72,9 +72,7 @@ func TestPutAllocationsIndependentOfCaches(t *testing.T) {
 			}
 		}
 		st.populatePathCaches(key, os.entry(key), path, pr.Owner)
-		os.mu.Lock()
 		got := len(os.recs[key].holders)
-		os.mu.Unlock()
 		if got != k {
 			t.Fatalf("owner registered %d cache holders, want %d", got, k)
 		}
@@ -214,9 +212,7 @@ func TestDeleteLeavesNoRecord(t *testing.T) {
 			if err != nil {
 				continue // departed
 			}
-			ns.mu.Lock()
 			rec := ns.recs[key]
-			ns.mu.Unlock()
 			if rec != nil {
 				t.Fatalf("%s: %s still holds a record for the key: %+v", when, n, *rec)
 			}

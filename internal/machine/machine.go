@@ -9,7 +9,6 @@ package machine
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"cloud4home/internal/vclock"
@@ -76,10 +75,11 @@ type Machine struct {
 	spec  Spec
 	clock vclock.Clock
 
-	mu      sync.Mutex
-	running int   // guarded by mu
-	memUsed int64 // guarded by mu
-	done    int64 // guarded by mu; tasks completed
+	// The load accounting has no lock: the clock's turn is its one
+	// owner, and only the actor holding the turn calls a Machine.
+	running int
+	memUsed int64
+	done    int64 // tasks completed
 }
 
 // New returns a machine. It panics only on an invalid spec, which is a
@@ -97,15 +97,11 @@ func (m *Machine) Spec() Spec { return m.spec }
 // Load returns the current utilisation: running tasks per core (may
 // exceed 1 when oversubscribed). Published by the resource monitor.
 func (m *Machine) Load() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return float64(m.running) / float64(m.spec.Cores)
 }
 
 // MemFreeMB returns currently unreserved memory.
 func (m *Machine) MemFreeMB() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	free := m.spec.MemMB - m.memUsed
 	if free < 0 {
 		free = 0
@@ -115,8 +111,6 @@ func (m *Machine) MemFreeMB() int64 {
 
 // TasksCompleted returns the number of finished tasks.
 func (m *Machine) TasksCompleted() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.done
 }
 
@@ -125,8 +119,6 @@ func (m *Machine) TasksCompleted() int64 {
 // profiles ("the service processing requirements and execution time ...
 // maintained for each node as part of the service profile").
 func (m *Machine) Estimate(t Task) time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.duration(t, m.running, m.memUsed)
 }
 
@@ -137,24 +129,20 @@ func (m *Machine) Exec(t Task) (time.Duration, error) {
 	if t.CPUGHzSec < 0 || t.MemMB < 0 {
 		return 0, fmt.Errorf("machine %q: negative task demand", m.spec.Name)
 	}
-	m.mu.Lock()
 	d := m.duration(t, m.running, m.memUsed)
 	m.running++
 	m.memUsed += t.MemMB
-	m.mu.Unlock()
 
 	m.clock.Sleep(d)
 
-	m.mu.Lock()
 	m.running--
 	m.memUsed -= t.MemMB
 	m.done++
-	m.mu.Unlock()
 	return d, nil
 }
 
 // duration computes the task's runtime given the load present at
-// admission. Caller holds m.mu.
+// admission.
 func (m *Machine) duration(t Task, running int, memUsed int64) time.Duration {
 	par := t.Parallelism
 	if par < 1 {

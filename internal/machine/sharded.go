@@ -20,7 +20,7 @@ import (
 // durationSharded computes the runtime of a task split across strands
 // runnable shard workers, given the load present at admission. Each
 // strand carries CPUGHzSec/strands of the work and is processor-shared
-// against every other runnable strand on the machine. Caller holds m.mu.
+// against every other runnable strand on the machine.
 func (m *Machine) durationSharded(t Task, strands int, running int, memUsed int64) time.Duration {
 	if strands <= 1 {
 		return m.duration(t, running, memUsed)
@@ -49,8 +49,6 @@ func (m *Machine) durationSharded(t Task, strands int, running int, memUsed int6
 // load without running it — the decision layer's honest counterpart of
 // Estimate when the executing node will run the task split into strands.
 func (m *Machine) EstimateSharded(t Task, strands int) time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.durationSharded(t, strands, m.running, m.memUsed)
 }
 
@@ -89,11 +87,9 @@ func (m *Machine) Begin(t Task, strands int) (*Lease, error) {
 	if strands < 1 {
 		strands = 1
 	}
-	m.mu.Lock()
 	d := m.durationSharded(t, strands, m.running, m.memUsed)
 	m.running += strands
 	m.memUsed += t.MemMB
-	m.mu.Unlock()
 	return &Lease{m: m, t: t, strands: strands, d: d}, nil
 }
 
@@ -111,9 +107,7 @@ func (l *Lease) Finish(tail time.Duration) {
 	if tail > 0 {
 		l.m.clock.Sleep(tail)
 	}
-	l.m.mu.Lock()
 	l.m.running -= l.strands
 	l.m.memUsed -= l.t.MemMB
 	l.m.done++
-	l.m.mu.Unlock()
 }

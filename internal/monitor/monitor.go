@@ -14,7 +14,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"cloud4home/internal/ids"
@@ -128,11 +127,12 @@ type Monitor struct {
 	sampler Sampler
 	period  time.Duration
 
-	mu      sync.Mutex
+	// The publisher's state has no lock: the clock's turn is its one
+	// owner, and Start, Stop and the loop are all actors.
 	started bool
 	stop    chan struct{}
 	loop    *vclock.Group // the running publisher, joined by Stop
-	lastErr error         // guarded by mu; most recent periodic-publish failure
+	lastErr error         // most recent periodic-publish failure
 }
 
 // New returns a monitor for the node identified by addr (already joined
@@ -181,15 +181,12 @@ func (m *Monitor) PublishOnce() error {
 
 // Start launches the periodic publisher, an actor on the clock.
 func (m *Monitor) Start() {
-	m.mu.Lock()
 	if m.started {
-		m.mu.Unlock()
 		return
 	}
 	m.started = true
 	stop := make(chan struct{})
 	m.stop = stop
-	m.mu.Unlock()
 	m.loop.Go(func() {
 		for {
 			m.clock.Sleep(m.period)
@@ -202,9 +199,7 @@ func (m *Monitor) Start() {
 			// the next period retries with fresh membership. The latest
 			// failure stays observable via LastPublishErr.
 			if err := m.PublishOnce(); err != nil {
-				m.mu.Lock()
 				m.lastErr = err
-				m.mu.Unlock()
 			}
 		}
 	})
@@ -212,14 +207,11 @@ func (m *Monitor) Start() {
 
 // Stop halts the publisher and waits for it to exit.
 func (m *Monitor) Stop() {
-	m.mu.Lock()
 	if !m.started {
-		m.mu.Unlock()
 		return
 	}
 	stop := m.stop
 	m.started = false
-	m.mu.Unlock()
 	close(stop)
 	// The loop only observes stop after its next tick; the stopper parks
 	// and time advances to that tick.
@@ -230,8 +222,6 @@ func (m *Monitor) Stop() {
 // nil if every period so far succeeded. Churn tests use it to confirm
 // the publisher degraded (and recovered) rather than silently stalling.
 func (m *Monitor) LastPublishErr() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.lastErr
 }
 

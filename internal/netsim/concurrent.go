@@ -209,10 +209,10 @@ func (n *Network) TransferSet(reqs []TransferReq) ([]TransferStatus, time.Durati
 		// Traffic() sees each member as Transfer would: the bytes that
 		// crossed the wire, or a bare message for a zero-byte member.
 		if st.req.Size <= 0 {
-			n.msgCount.Add(1)
+			n.msgCount++
 		} else {
-			n.xferCount.Add(1)
-			n.xferBytes.Add(st.moved)
+			n.xferCount++
+			n.xferBytes += st.moved
 		}
 		if st.finish.After(last) {
 			last = st.finish
@@ -230,7 +230,7 @@ func (n *Network) MessageAll(p *Path, k int) time.Duration {
 	if k <= 0 {
 		return 0
 	}
-	n.msgCount.Add(int64(k))
+	n.msgCount += int64(k)
 	rng := n.rng()
 	var max time.Duration
 	for i := 0; i < k; i++ {

@@ -21,14 +21,19 @@
 //     error bars).
 //
 // All waiting is charged to a vclock.Clock, so the same code runs in
-// deterministic virtual time for experiments and real time in daemons.
+// deterministic virtual time, unpaced for experiments and paced to the
+// wall clock in c4hd.
+//
+// Nothing here has a lock or an atomic: the clock's turn is the one owner
+// of every Resource and Network, and only the actor holding the turn
+// calls them. A transfer's sleeps let other actors run between two of its
+// chunks, so each chunk reads the shares as they are then.
 package netsim
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync/atomic"
 	"time"
 
 	"cloud4home/internal/detrand"
@@ -37,33 +42,28 @@ import (
 
 // Resource is a processor-sharing capacity (a NIC, a LAN segment, a WAN
 // pipe). Concurrent transfers crossing it divide CapacityBps equally.
-//
-// The two mutable fields are atomics rather than a mutex: every change
-// writes one field, so two loads see only states a lock would also show.
 type Resource struct {
 	name    string
 	nominal float64 // bytes/sec as configured
 
-	capacity atomic.Uint64 // math.Float64bits of the bytes/sec currently available
-	active   atomic.Int64  // transfers currently crossing the resource
+	capacity float64 // bytes/sec currently available
+	active   int     // transfers currently crossing the resource
 }
 
 // NewResource returns a resource with the given nominal capacity in
 // bytes per second.
 func NewResource(name string, capacityBps float64) *Resource {
-	r := &Resource{name: name, nominal: capacityBps}
-	r.capacity.Store(math.Float64bits(capacityBps))
-	return r
+	return &Resource{name: name, nominal: capacityBps, capacity: capacityBps}
 }
 
 // Name returns the resource's label (used in diagnostics).
 func (r *Resource) Name() string { return r.name }
 
 // Active returns the number of transfers currently crossing the resource.
-func (r *Resource) Active() int { return int(r.active.Load()) }
+func (r *Resource) Active() int { return r.active }
 
 // Capacity returns the current capacity in bytes/sec.
-func (r *Resource) Capacity() float64 { return math.Float64frombits(r.capacity.Load()) }
+func (r *Resource) Capacity() float64 { return r.capacity }
 
 // Degrade scales the resource's capacity to factor × nominal. It models
 // the "changing network conditions" of the paper's future work (§VII iv):
@@ -72,24 +72,23 @@ func (r *Resource) Degrade(factor float64) {
 	if factor < 0 {
 		factor = 0
 	}
-	r.capacity.Store(math.Float64bits(r.nominal * factor))
+	r.capacity = r.nominal * factor
 }
 
 // Restore returns the resource to its nominal capacity.
 func (r *Resource) Restore() { r.Degrade(1) }
 
-func (r *Resource) acquire() { r.active.Add(1) }
+func (r *Resource) acquire() { r.active++ }
 
-func (r *Resource) release() { r.active.Add(-1) }
+func (r *Resource) release() { r.active-- }
 
 // share returns the bytes/sec available to one of the transfers currently
 // crossing the resource.
 func (r *Resource) share() float64 {
-	c := r.Capacity()
-	if a := r.active.Load(); a > 1 {
-		return c / float64(a)
+	if r.active > 1 {
+		return r.capacity / float64(r.active)
 	}
-	return c
+	return r.capacity
 }
 
 // SlowStart configures the TCP ramp-up model for a path.
@@ -152,14 +151,13 @@ func (p *Path) Validate() error {
 type Network struct {
 	clock vclock.Clock
 	seed  int64
-	ctr   atomic.Uint64
+	ctr   uint64 // operations so far; the next one draws stream ctr+1
 
-	// Traffic accounting: constant-cost atomic bumps on the charge paths,
-	// read only at experiment quiesce points, so they never perturb the
-	// deterministic schedule.
-	msgCount  atomic.Int64
-	xferCount atomic.Int64
-	xferBytes atomic.Int64
+	// Traffic accounting: constant-cost bumps on the charge paths, which
+	// never perturb the deterministic schedule.
+	msgCount  int64
+	xferCount int64
+	xferBytes int64
 }
 
 // New returns a network charging time to clock. All jitter derives from
@@ -176,19 +174,19 @@ func (n *Network) Clock() vclock.Clock { return n.clock }
 // payload bytes charged so far. City-scale experiments diff it around a
 // churn window to measure repair traffic.
 func (n *Network) Traffic() (messages, transfers, bytes int64) {
-	return n.msgCount.Load(), n.xferCount.Load(), n.xferBytes.Load()
+	return n.msgCount, n.xferCount, n.xferBytes
 }
 
 // rng returns a pooled deterministic source for one operation. Each
-// operation gets its own stream so concurrent goroutines cannot perturb
+// operation gets its own stream so concurrent actors cannot perturb
 // each other's randomness; detrand materialises only the state words the
 // operation draws, so the stream costs neither a reseed nor an
 // allocation. Pair with putRNG when the operation's draws are done.
 //
 // c4h:hotpath
 func (n *Network) rng() *detrand.Rand {
-	k := n.ctr.Add(1)
-	return detrand.Get(n.seed*1_000_003 + int64(k))
+	n.ctr++
+	return detrand.Get(n.seed*1_000_003 + int64(n.ctr))
 }
 
 // putRNG recycles an operation's generator.
@@ -211,7 +209,7 @@ func jitter(rng *rand.Rand, j float64) float64 {
 // elapsed duration.
 // c4h:hotpath
 func (n *Network) Message(p *Path) time.Duration {
-	n.msgCount.Add(1)
+	n.msgCount++
 	rng := n.rng()
 	d := time.Duration(float64(p.RTT/2) * jitter(rng.Rand, p.Jitter))
 	putRNG(rng)
@@ -246,8 +244,8 @@ func (n *Network) Transfer(p *Path, size int64) time.Duration {
 	if size <= 0 {
 		return n.Message(p)
 	}
-	n.xferCount.Add(1)
-	n.xferBytes.Add(size)
+	n.xferCount++
+	n.xferBytes += size
 	prng := n.rng()
 	rng := prng.Rand
 	for _, r := range p.Resources {

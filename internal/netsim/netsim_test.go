@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -326,63 +325,52 @@ func TestOperationsDoNotAllocateGenerators(t *testing.T) {
 	}
 }
 
-// wallClock is a test-local clock on the host's wall time, whose Sleep
-// any number of goroutines may call at once.
-type wallClock struct{}
-
-func (wallClock) Now() time.Time { return time.Now() }
-
-func (wallClock) Sleep(d time.Duration) {
-	if d > 0 {
-		time.Sleep(d)
-	}
-}
-
-// TestResourceRealClockConcurrentUse: on a wall clock, transfers over one
-// shared path run in their own goroutines while another goroutine
-// degrades, reads and restores a resource on it. Run under -race this
-// checks that Resource needs no lock; the degraded share must stay within
-// the degraded capacity, and afterwards the resource must be idle at its
-// nominal capacity.
-func TestResourceRealClockConcurrentUse(t *testing.T) {
+// TestResourceSharedByActors: transfers over one shared path run as
+// actors of their own while another actor degrades, reads and restores a
+// resource on it, between their chunks. Under -race this checks that the
+// actors share the Resource through the clock's turn alone; the degraded
+// share must stay within the degraded capacity, and afterwards the
+// resource must be idle at its nominal capacity.
+func TestResourceSharedByActors(t *testing.T) {
 	const nominal = 1e12 // fast enough that a 64 KB transfer sleeps ~65 ns
-	n := New(wallClock{}, 3)
+	v := vclock.NewVirtual(epoch)
+	n := New(v, 3)
 	link := NewResource("link", nominal)
 	p := &Path{Resources: []*Resource{NewResource("nic", nominal), link}}
 
-	var faults sync.WaitGroup
-	stop := make(chan struct{})
-	faults.Add(1)
-	go func() {
-		defer faults.Done()
-		for {
-			select {
-			case <-stop:
-				link.Restore()
-				return
-			default:
-			}
-			link.Degrade(0.5)
-			if s := link.share(); s <= 0 || s > nominal/2 {
-				t.Errorf("share of a link degraded to %v = %v", nominal/2, s)
-			}
-			link.Restore()
+	degraded := 0
+	v.Run(func() {
+		transfers, faults := vclock.NewGroup(v), vclock.NewGroup(v)
+		running := 4
+		for i := 0; i < running; i++ {
+			transfers.Go(func() {
+				for j := 0; j < 50; j++ {
+					n.Transfer(p, 64<<10)
+				}
+				running--
+			})
 		}
-	}()
-	var transfers sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		transfers.Add(1)
-		go func() {
-			defer transfers.Done()
-			for j := 0; j < 50; j++ {
-				n.Transfer(p, 64<<10)
+		faults.Go(func() {
+			for running > 0 {
+				link.Degrade(0.5)
+				if s := link.share(); s <= 0 || s > nominal/2 {
+					t.Errorf("share of a link degraded to %v = %v", nominal/2, s)
+				}
+				if link.Active() > 0 {
+					degraded++
+				}
+				v.Sleep(20 * time.Nanosecond)
+				link.Restore()
+				v.Sleep(20 * time.Nanosecond)
 			}
-		}()
-	}
-	transfers.Wait()
-	close(stop)
-	faults.Wait()
+		})
+		transfers.Wait()
+		faults.Wait()
+	})
 
+	if degraded == 0 {
+		t.Error("no degradation landed while a transfer crossed the link")
+	}
 	if a := link.Active(); a != 0 {
 		t.Errorf("Active() = %d after every transfer returned, want 0", a)
 	}

@@ -23,7 +23,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
 	"time"
 
 	"cloud4home/internal/ids"
@@ -89,19 +88,20 @@ func (u Usage) Free() int64 { return u.Capacity - u.Used }
 
 // entry is one stored object: its metadata, its bin and, in a memory
 // store, its payload (nil when sparse). The payload is keyed by the
-// object's name like the metadata, so one lookup under one lock serves
-// both.
+// object's name like the metadata, so one lookup serves both.
 type entry struct {
 	meta Object
 	bin  Bin
 	data []byte
 }
 
-// Store is one node's object store.
+// Store is one node's object store. It has no lock: the clock's turn is
+// its one owner, and only the actor holding the turn calls it. A payload
+// borrowed through GetRef may be read anywhere (a kernel's goroutine
+// reads one), since the store never writes a payload in place.
 type Store struct {
 	disk *diskBackend // nil: payloads live in memory, in entry.data
 
-	mu      sync.Mutex
 	objects map[string]entry
 	bins    map[Bin]*Usage
 }
@@ -148,8 +148,6 @@ func (s *Store) Put(bin Bin, meta Object, data []byte) error {
 	if meta.Size < 0 {
 		return fmt.Errorf("objstore: negative size %d for %q", meta.Size, meta.Name)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	u, ok := s.bins[bin]
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrBadBin, int(bin))
@@ -192,8 +190,6 @@ func (s *Store) Replace(meta Object, data []byte) error {
 	if meta.Size < 0 {
 		return fmt.Errorf("objstore: negative size %d for %q", meta.Size, meta.Name)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	e, ok := s.objects[meta.Name]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNotFound, meta.Name)
@@ -221,9 +217,7 @@ func (s *Store) Replace(meta Object, data []byte) error {
 // Get returns an object's metadata and payload. Sparse objects return a
 // nil payload with the recorded size in the metadata.
 func (s *Store) Get(name string) (Object, []byte, error) {
-	s.mu.Lock()
 	e, ok := s.objects[name]
-	s.mu.Unlock()
 	if !ok {
 		return Object{}, nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
@@ -245,9 +239,7 @@ func (s *Store) Get(name string) (Object, []byte, error) {
 // never write through it or hand it to code outside VStore++ — Get is for
 // that. Sparse objects return nil.
 func (s *Store) GetRef(name string) (Object, []byte, error) {
-	s.mu.Lock()
 	e, ok := s.objects[name]
-	s.mu.Unlock()
 	if !ok {
 		return Object{}, nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
@@ -263,8 +255,6 @@ func (s *Store) GetRef(name string) (Object, []byte, error) {
 
 // Stat returns an object's metadata and bin without touching the payload.
 func (s *Store) Stat(name string) (Object, Bin, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	e, ok := s.objects[name]
 	if !ok {
 		return Object{}, 0, fmt.Errorf("%w: %q", ErrNotFound, name)
@@ -274,16 +264,12 @@ func (s *Store) Stat(name string) (Object, Bin, error) {
 
 // Has reports whether the store holds the object.
 func (s *Store) Has(name string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	_, ok := s.objects[name]
 	return ok
 }
 
 // Delete removes an object and reclaims its bin space.
 func (s *Store) Delete(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	e, ok := s.objects[name]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
@@ -303,8 +289,6 @@ func (s *Store) Delete(name string) error {
 // Usage returns the current occupancy of a bin — the numbers the file
 // system watcher publishes to the resource monitor.
 func (s *Store) Usage(bin Bin) (Usage, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	u, ok := s.bins[bin]
 	if !ok {
 		return Usage{}, fmt.Errorf("%w: %d", ErrBadBin, int(bin))
@@ -314,8 +298,6 @@ func (s *Store) Usage(bin Bin) (Usage, error) {
 
 // List returns the names of all stored objects in sorted order.
 func (s *Store) List() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]string, 0, len(s.objects))
 	for name := range s.objects {
 		out = append(out, name)

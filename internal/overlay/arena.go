@@ -1,8 +1,6 @@
 package overlay
 
 import (
-	"sync"
-
 	"cloud4home/internal/ids"
 	"cloud4home/internal/rbtree"
 )
@@ -17,7 +15,8 @@ import (
 //
 //   - The arena owns the membership tree. Routers never mutate it, and
 //     never retain node pointers across calls — they look members up
-//     under the arena lock each time.
+//     each time, within one turn of the clock, so no join or leave
+//     lands between a probe and its answer.
 //   - Every derived routing quantity (owner, prefix slot, replica set,
 //     ring neighbours) is recomputed from the tree on demand. This is
 //     safe because ids.Closer is a strict total order: each of those
@@ -25,10 +24,9 @@ import (
 //     key range, so lazy recomputation returns bit-identical answers to
 //     an eagerly maintained per-router copy (see closestInRange).
 type Arena struct {
-	mu sync.RWMutex
 	// members is the interned membership store. References into it (the
-	// tree or its nodes) are borrows: read under mu, pass down a call
-	// chain, never retain across a mutation point — c4h-vet's arenaowner
+	// tree or its nodes) are borrows: read with no yield between, pass
+	// down a call chain, never retain across a mutation point — c4h-vet's arenaowner
 	// rule enforces this annotation mechanically.
 	members   *rbtree.Tree[Member] // c4h:arena
 	addrBytes int64
@@ -41,8 +39,6 @@ func NewArena() *Arena {
 
 // Insert interns a member. Inserting an existing ID refreshes its record.
 func (a *Arena) Insert(m Member) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	if old, ok := a.members.Get(m.ID); ok {
 		a.addrBytes -= int64(len(old.Addr))
 	}
@@ -52,8 +48,6 @@ func (a *Arena) Insert(m Member) {
 
 // Remove forgets a member.
 func (a *Arena) Remove(id ids.ID) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	if old, ok := a.members.Get(id); ok {
 		a.addrBytes -= int64(len(old.Addr))
 	}
@@ -62,8 +56,6 @@ func (a *Arena) Remove(id ids.ID) {
 
 // Len returns the current membership size.
 func (a *Arena) Len() int {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
 	return a.members.Len()
 }
 
@@ -77,8 +69,6 @@ const arenaNodeBytes = 72
 // OpStats.ArenaBytes counter and the city-scale bytes/node metric, not an
 // exact accounting.
 func (a *Arena) Bytes() int64 {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
 	return int64(a.members.Len())*arenaNodeBytes + a.addrBytes
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"cloud4home/internal/ids"
 	"cloud4home/internal/rbtree"
@@ -52,11 +51,15 @@ type JoinHandler func(joined Member)
 // replicated into every router, so a join or leave costs O(log N); higher
 // layers register one handler per event kind, not one per node, so churn
 // costs O(1) handler dispatch.
+//
+// A Mesh, its Arena and its Routers have no lock: the clock's turn is
+// their one owner. Only the actor holding the turn calls them, and a
+// caller that sleeps (a wire send) sees every join and leave that landed
+// meanwhile.
 type Mesh struct {
 	wire  Wire
 	arena *Arena
 
-	mu          sync.RWMutex
 	nodes       map[ids.ID]*Router
 	onJoin      []JoinHandler
 	onDeparture []DepartureHandler
@@ -66,7 +69,7 @@ type Mesh struct {
 	// each domain acts as its aggregation super-peer and inter-domain
 	// traffic travels home → super-peer → super-peer → owner.
 	regions     int
-	regionTrees []*rbtree.Tree[Member] // guarded by mu
+	regionTrees []*rbtree.Tree[Member]
 }
 
 // NewMesh returns an empty mesh over the given wire.
@@ -83,18 +86,14 @@ func (m *Mesh) ArenaBytes() int64 { return m.arena.Bytes() }
 // messaged, as in the paper's protocol.
 func (m *Mesh) Join(addr string) (*Router, error) {
 	id := ids.HashString(addr)
-	m.mu.Lock()
 	if _, dup := m.nodes[id]; dup {
-		m.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s (addr %q)", ErrDuplicateID, id, addr)
 	}
 	self := Member{ID: id, Addr: addr}
 	r := &Router{self: self, arena: m.arena}
 	m.nodes[id] = r
 	handlers := m.onJoin
-	m.regionInsertLocked(self)
-	m.mu.Unlock()
-
+	m.regionInsert(self)
 	m.arena.Insert(self)
 	m.messageNeighbors(r)
 	for _, h := range handlers {
@@ -117,17 +116,14 @@ func (m *Mesh) messageNeighbors(r *Router) {
 
 // remove implements Leave (farewell = true) and Fail (farewell = false).
 func (m *Mesh) remove(id ids.ID, farewell bool) error {
-	m.mu.Lock()
 	r, ok := m.nodes[id]
 	if !ok {
-		m.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrUnknownNode, id)
 	}
 	delete(m.nodes, id)
 	handlers := m.onDeparture
 	departed := r.Self()
-	m.regionRemoveLocked(departed)
-	m.mu.Unlock()
+	m.regionRemove(departed)
 
 	if farewell {
 		// Before the membership is updated, so the departing node still
@@ -154,22 +150,16 @@ func (m *Mesh) Fail(id ids.ID) error { return m.remove(id, false) }
 // OnJoin registers a handler run once per join, in registration order,
 // regardless of mesh size.
 func (m *Mesh) OnJoin(h JoinHandler) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.onJoin = append(m.onJoin, h)
 }
 
 // OnDeparture registers a handler run once per leave or fail.
 func (m *Mesh) OnDeparture(h DepartureHandler) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.onDeparture = append(m.onDeparture, h)
 }
 
 // Router returns the router of a live node.
 func (m *Mesh) Router(id ids.ID) (*Router, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	r, ok := m.nodes[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownNode, id)
@@ -180,8 +170,6 @@ func (m *Mesh) Router(id ids.ID) (*Router, error) {
 // Nodes returns the IDs of all live nodes in ring order, so callers
 // iterate deterministically.
 func (m *Mesh) Nodes() []ids.ID {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	out := make([]ids.ID, 0, len(m.nodes))
 	for id := range m.nodes {
 		out = append(out, id)
@@ -192,8 +180,6 @@ func (m *Mesh) Nodes() []ids.ID {
 
 // Len returns the number of live nodes.
 func (m *Mesh) Len() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	return len(m.nodes)
 }
 
@@ -208,8 +194,6 @@ func (m *Mesh) Len() int {
 // growing with population. n <= 1 disables the tier. Enabling is allowed
 // at any time; current members are re-indexed.
 func (m *Mesh) EnableSuperPeers(n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if n <= 1 {
 		m.regions = 0
 		m.regionTrees = nil
@@ -228,33 +212,30 @@ func (m *Mesh) EnableSuperPeers(n int) {
 
 // SuperPeerRegions returns the configured region count (0 = tier off).
 func (m *Mesh) SuperPeerRegions() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	return m.regions
 }
 
-// regionOf maps an identifier to its regional domain. Caller holds mu
-// (any mode) and m.regions > 0.
+// regionOf maps an identifier to its regional domain; m.regions > 0.
 func (m *Mesh) regionOf(id ids.ID) int {
 	span := (uint64(1)<<ids.Bits + uint64(m.regions) - 1) / uint64(m.regions)
 	return int(uint64(id) / span)
 }
 
-func (m *Mesh) regionInsertLocked(mem Member) {
+func (m *Mesh) regionInsert(mem Member) {
 	if m.regions > 0 {
 		m.regionTrees[m.regionOf(mem.ID)].Insert(mem.ID, mem)
 	}
 }
 
-func (m *Mesh) regionRemoveLocked(mem Member) {
+func (m *Mesh) regionRemove(mem Member) {
 	if m.regions > 0 {
 		m.regionTrees[m.regionOf(mem.ID)].Delete(mem.ID)
 	}
 }
 
-// superPeerLocked returns region's super-peer: its lowest-addressed live
-// member. Caller holds mu and m.regions > 0.
-func (m *Mesh) superPeerLocked(region int) (Member, bool) {
+// superPeer returns region's super-peer: its lowest-addressed live
+// member; m.regions > 0.
+func (m *Mesh) superPeer(region int) (Member, bool) {
 	_, mem, ok := m.regionTrees[region].Min()
 	return mem, ok
 }
@@ -262,12 +243,10 @@ func (m *Mesh) superPeerLocked(region int) (Member, bool) {
 // SuperPeer returns the super-peer of id's regional domain, if the tier
 // is enabled and the domain has members.
 func (m *Mesh) SuperPeer(id ids.ID) (Member, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	if m.regions <= 0 {
 		return Member{}, false
 	}
-	return m.superPeerLocked(m.regionOf(id))
+	return m.superPeer(m.regionOf(id))
 }
 
 // NextHopFrom performs one routing step from cur toward key's owner,
@@ -282,19 +261,12 @@ func (m *Mesh) NextHopFrom(cur *Router, key ids.ID) (next Member, forward, super
 	if owner.ID == self.ID {
 		return self, false, false
 	}
-	m.mu.RLock()
-	regions := m.regions
-	var spKey, spCur Member
-	var okKey, okCur bool
-	if regions > 0 {
-		spKey, okKey = m.superPeerLocked(m.regionOf(key))
-		spCur, okCur = m.superPeerLocked(m.regionOf(self.ID))
-	}
-	m.mu.RUnlock()
-	if regions <= 0 {
+	if m.regions <= 0 {
 		n, fwd := cur.nextHop(owner, key)
 		return n, fwd, false
 	}
+	spKey, okKey := m.superPeer(m.regionOf(key))
+	spCur, okCur := m.superPeer(m.regionOf(self.ID))
 	switch {
 	case !okKey || spKey.ID == self.ID:
 		// We aggregate the key's region (or it is empty): deliver to the
@@ -333,10 +305,8 @@ type RouteResult struct {
 //
 // c4h:hotpath
 func (m *Mesh) Route(from ids.ID, key ids.ID) (RouteResult, error) {
-	m.mu.RLock()
 	cur, ok := m.nodes[from]
 	n := len(m.nodes)
-	m.mu.RUnlock()
 	if !ok {
 		return RouteResult{}, fmt.Errorf("%w: %s", ErrUnknownNode, from)
 	}
@@ -355,9 +325,7 @@ func (m *Mesh) Route(from ids.ID, key ids.ID) (RouteResult, error) {
 		if super {
 			res.SuperHops++
 		}
-		m.mu.RLock()
 		nr, live := m.nodes[next.ID]
-		m.mu.RUnlock()
 		if !live {
 			// The next hop left the mesh but is still interned (its
 			// departure is mid-flight): drop the record and retry from

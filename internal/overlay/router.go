@@ -49,8 +49,6 @@ func (r *Router) Self() Member { return r.self }
 // c4h:hotpath
 func (r *Router) slot(l, d int) (Member, bool) {
 	lo, hi := classRange(r.self.ID, l, d)
-	r.arena.mu.RLock()
-	defer r.arena.mu.RUnlock()
 	return closestInRange(r.arena.members, lo, hi, r.self.ID)
 }
 
@@ -64,8 +62,6 @@ func (r *Router) Members() []Member {
 // letting hot callers reuse one buffer across snapshots instead of
 // allocating per call.
 func (r *Router) AppendMembers(dst []Member) []Member {
-	r.arena.mu.RLock()
-	defer r.arena.mu.RUnlock()
 	return appendMembers(dst, r.arena.members)
 }
 
@@ -74,8 +70,6 @@ func (r *Router) Len() int { return r.arena.Len() }
 
 // Knows reports whether the router has a record for id.
 func (r *Router) Knows(id ids.ID) bool {
-	r.arena.mu.RLock()
-	defer r.arena.mu.RUnlock()
 	_, ok := r.arena.members.Get(id)
 	return ok
 }
@@ -84,8 +78,6 @@ func (r *Router) Knows(id ids.ID) bool {
 // tree: the nodes notified on join and departure (§III-A). With fewer
 // than two peers, both neighbours may be the same node or absent.
 func (r *Router) Neighbors() (left, right Member, ok bool) {
-	r.arena.mu.RLock()
-	defer r.arena.mu.RUnlock()
 	t := r.arena.members
 	if t.Len() < 2 {
 		return Member{}, Member{}, false
@@ -101,8 +93,6 @@ func (r *Router) Neighbors() (left, right Member, ok bool) {
 //
 // c4h:hotpath
 func (r *Router) Owner(key ids.ID) Member {
-	r.arena.mu.RLock()
-	defer r.arena.mu.RUnlock()
 	if m, ok := closestToKey(r.arena.members, key); ok {
 		return m
 	}
@@ -154,8 +144,6 @@ func (r *Router) ReplicaSet(key ids.ID, n int) []Member {
 // AppendReplicaSet appends ReplicaSet(key, n) to dst and returns it, so a
 // hot caller can collect the set into a buffer of its own.
 func (r *Router) AppendReplicaSet(dst []Member, key ids.ID, n int) []Member {
-	r.arena.mu.RLock()
-	defer r.arena.mu.RUnlock()
 	return appendReplicaSet(dst, r.arena.members, key, n)
 }
 
