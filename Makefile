@@ -23,13 +23,14 @@ lint:
 # Each is a separate process, so running several re-loads the module;
 # prefer plain `lint` for the full gate.
 
-# Parse-only rules (wallclock, globalrand, lockdiscipline, layering,
-# goroleak): no type information, fastest tier.
+# Parse-only rules (wallclock, globalrand, lockdiscipline, layering): no
+# type information, fastest tier.
 lint-syntactic:
 	$(GO) run ./cmd/c4h-vet -rule syntactic ./...
 
 # Type-checks the module and runs the interprocedural rules
-# (lockorder, guardedfield, mapiter, chanhold) over the call graph.
+# (lockorder, guardedfield, mapiter, chanhold) over the call graph, and
+# goroleak, which resolves launched methods through the type checker.
 lint-typed:
 	$(GO) run ./cmd/c4h-vet -rule typed ./...
 
@@ -146,7 +147,7 @@ loc:
 # clock's turn owns: per package, the sync.Mutex/RWMutex fields, the
 # .Lock()/.RLock() calls and the atomic. uses in its non-test files,
 # counted with exactly these greps. A report, not a gate.
-SIM_PKGS ?= core netsim kv monitor objstore machine cloudsim overlay
+SIM_PKGS := core netsim kv monitor objstore machine cloudsim overlay
 census:
 	@printf '%-10s %7s %10s %7s\n' package mutexes lock-calls atomics
 	@for p in $(SIM_PKGS); do \

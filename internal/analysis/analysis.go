@@ -58,7 +58,6 @@ func SyntacticRules() []Rule {
 		GlobalRand{},
 		LockDiscipline{},
 		Layering{},
-		GoroLeak{},
 	}
 }
 
@@ -71,6 +70,7 @@ func TypedRules() []Rule {
 		GuardedField{},
 		MapIter{},
 		ChanHold{},
+		GoroLeak{},
 	}
 }
 

@@ -347,13 +347,13 @@ func TestSelectRules(t *testing.T) {
 		selector string
 		want     []string
 	}{
-		{"syntactic", []string{"wallclock", "globalrand", "lockdiscipline", "layering", "goroleak"}},
-		{"typed", []string{"lockorder", "guardedfield", "mapiter", "chanhold"}},
+		{"syntactic", []string{"wallclock", "globalrand", "lockdiscipline", "layering"}},
+		{"typed", []string{"lockorder", "guardedfield", "mapiter", "chanhold", "goroleak"}},
 		{"dataflow", []string{"detflow", "guardescape", "errsink", "hotalloc"}},
 		{"concurrency", []string{"atomicmix", "spawnrace", "condwait", "arenaowner"}},
 		{"lockorder", []string{"lockorder"}},
 		{"spawnrace,condwait", []string{"spawnrace", "condwait"}},
-		{"syntactic,wallclock", []string{"wallclock", "globalrand", "lockdiscipline", "layering", "goroleak"}},
+		{"syntactic,wallclock", []string{"wallclock", "globalrand", "lockdiscipline", "layering"}},
 		{"errsink, hotalloc", []string{"errsink", "hotalloc"}},
 	}
 	for _, c := range cases {

@@ -20,8 +20,10 @@ import (
 //
 // Supervision is detected syntactically in the goroutine body (and, for
 // `go name()` / `go recv.Method()` launches, in the resolved closure or
-// same-package method body; `go x.field()` resolves through a
-// same-package `x.field = y.method` binding). A WaitGroup-style
+// same-package function or method body; `go x.field()` resolves through
+// a same-package `x.field = y.method` binding). Methods and fields are
+// resolved by the type checker, so a launch never borrows the body of
+// another type's method with the same name. A WaitGroup-style
 // `X.Add(…)` right before the launch counts only when X's Done is in the
 // goroutine body or X's Wait in the launching function: an atomic
 // counter's Add joins nothing.
@@ -37,6 +39,10 @@ func (GoroLeak) Doc() string {
 
 // Check implements Rule.
 func (GoroLeak) Check(m *Module) []Diagnostic {
+	ti, err := m.Types()
+	if err != nil {
+		return []Diagnostic{typeErrorDiag("goroleak", err)}
+	}
 	var ds []Diagnostic
 	for _, pkg := range m.Packages {
 		for _, f := range pkg.Files {
@@ -48,7 +54,7 @@ func (GoroLeak) Check(m *Module) []Diagnostic {
 				if !ok || fn.Body == nil {
 					continue
 				}
-				g := &goroChecker{m: m, pkg: pkg, enclosing: fn.Body}
+				g := &goroChecker{m: m, ti: ti, pkg: pkg, enclosing: fn.Body}
 				g.walk(fn.Body, nil)
 				ds = append(ds, g.diags...)
 			}
@@ -59,6 +65,7 @@ func (GoroLeak) Check(m *Module) []Diagnostic {
 
 type goroChecker struct {
 	m         *Module
+	ti        *TypeInfo
 	pkg       *Package
 	enclosing *ast.BlockStmt // current function body, for closure resolution
 	diags     []Diagnostic
@@ -234,66 +241,87 @@ func (g *goroChecker) resolveBody(call *ast.CallExpr) *ast.BlockStmt {
 		if body := findClosure(g.enclosing, fun.Name); body != nil {
 			return body
 		}
-		return g.findFuncDecl(fun.Name, "")
+		return g.findFuncDecl(fun.Name)
 	case *ast.SelectorExpr:
-		// `go recv.Method()`: best effort within the same package.
-		if body := g.findFuncDecl(fun.Sel.Name, "method"); body != nil {
-			return body
-		}
-		// `go recv.field()`, a func field bound once to a method (so the
-		// launch allocates no method value).
-		return g.findBoundMethod(fun.Sel.Name)
+		return g.resolveSelector(fun)
 	}
 	return nil
 }
 
-// findBoundMethod resolves a func-typed field to the method a
-// same-package assignment `x.field = y.method` binds it to, on the
-// struct type that declares the field.
-func (g *goroChecker) findBoundMethod(field string) *ast.BlockStmt {
-	var typeName, method string
-	for _, f := range g.pkg.Files {
+// resolveSelector resolves `go recv.Method()` to that method's body and
+// `go recv.field()` to the method every same-package `x.field = y.method`
+// assignment binds this struct's field to (a field bound once, so the
+// launch allocates no method value). Both go through the type checker's
+// selections; a launch it cannot resolve is judged at its site.
+func (g *goroChecker) resolveSelector(sel *ast.SelectorExpr) *ast.BlockStmt {
+	selection, ok := g.ti.Info.Selections[sel]
+	if !ok {
+		return nil
+	}
+	switch selection.Kind() {
+	case types.MethodVal:
+		m, _ := selection.Obj().(*types.Func)
+		return g.declBody(m)
+	case types.FieldVal:
+		return g.declBody(boundMethod(g.ti, g.pkg, selection.Obj()))
+	}
+	return nil
+}
+
+// boundMethod is the one method the package's assignments bind field
+// to, or nil when there is none or more than one.
+func boundMethod(ti *TypeInfo, pkg *Package, field types.Object) *types.Func {
+	var method *types.Func
+	ambiguous := false
+	for _, f := range pkg.Files {
 		ast.Inspect(f.AST, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.TypeSpec:
-				if st, ok := n.Type.(*ast.StructType); ok {
-					for _, fl := range st.Fields.List {
-						for _, name := range fl.Names {
-							if name.Name == field {
-								typeName = n.Name.Name
-							}
-						}
+			a, ok := n.(*ast.AssignStmt)
+			if !ok || len(a.Lhs) != len(a.Rhs) {
+				return true
+			}
+			for i, lhs := range a.Lhs {
+				l, ok := lhs.(*ast.SelectorExpr)
+				if !ok {
+					continue
+				}
+				if ls, ok := ti.Info.Selections[l]; !ok || ls.Obj() != field {
+					continue
+				}
+				var m *types.Func
+				if r, ok := a.Rhs[i].(*ast.SelectorExpr); ok {
+					if rs, ok := ti.Info.Selections[r]; ok && rs.Kind() == types.MethodVal {
+						m, _ = rs.Obj().(*types.Func)
 					}
 				}
-			case *ast.AssignStmt:
-				for i, lhs := range n.Lhs {
-					l, lok := lhs.(*ast.SelectorExpr)
-					if i < len(n.Rhs) && lok && l.Sel.Name == field {
-						if r, ok := n.Rhs[i].(*ast.SelectorExpr); ok {
-							method = r.Sel.Name
-						}
-					}
+				if m == nil || method != nil && method != m {
+					ambiguous = true
 				}
+				method = m
 			}
 			return true
 		})
 	}
-	if typeName == "" || method == "" {
+	if ambiguous {
 		return nil
 	}
-	return g.findFuncDecl(method, typeName)
+	return method
 }
 
-// recvTypeName is the name of a method's receiver type, pointer or not.
-func recvTypeName(fn *ast.FuncDecl) string {
-	t := fn.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
+// declBody is the body of fn's declaration in the checked package, or
+// nil when fn is nil or declared elsewhere (an interface method, another
+// package).
+func (g *goroChecker) declBody(fn *types.Func) *ast.BlockStmt {
+	if fn == nil {
+		return nil
 	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name
+	for _, f := range g.pkg.Files {
+		for _, decl := range f.AST.Decls {
+			if d, ok := decl.(*ast.FuncDecl); ok && d.Body != nil && g.ti.Info.Defs[d.Name] == fn {
+				return d.Body
+			}
+		}
 	}
-	return ""
+	return nil
 }
 
 // findClosure locates `name := func(...) {...}` (or `name = func…`) in
@@ -319,20 +347,15 @@ func findClosure(body *ast.BlockStmt, name string) *ast.BlockStmt {
 	return found
 }
 
-// findFuncDecl locates a function or method declaration by name in the
-// same package ("" kind matches plain functions, "method" any method, and
-// a type name the methods on that type).
-func (g *goroChecker) findFuncDecl(name, kind string) *ast.BlockStmt {
+// findFuncDecl locates a plain function declaration by name in the
+// same package.
+func (g *goroChecker) findFuncDecl(name string) *ast.BlockStmt {
 	for _, f := range g.pkg.Files {
 		for _, decl := range f.AST.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Name.Name != name || fn.Body == nil {
-				continue
+			if ok && fn.Recv == nil && fn.Name.Name == name && fn.Body != nil {
+				return fn.Body
 			}
-			if (kind == "") != (fn.Recv == nil) || kind != "" && kind != "method" && recvTypeName(fn) != kind {
-				continue
-			}
-			return fn.Body
 		}
 	}
 	return nil

@@ -61,8 +61,8 @@ func BenchmarkVet(b *testing.B) {
 // them) and requires every rule to document itself.
 func TestRuleMetadata(t *testing.T) {
 	want := []string{
-		"wallclock", "globalrand", "lockdiscipline", "layering", "goroleak",
-		"lockorder", "guardedfield", "mapiter", "chanhold",
+		"wallclock", "globalrand", "lockdiscipline", "layering",
+		"lockorder", "guardedfield", "mapiter", "chanhold", "goroleak",
 		"detflow", "guardescape", "errsink", "hotalloc",
 		"atomicmix", "spawnrace", "condwait", "arenaowner",
 	}

@@ -52,3 +52,50 @@ func countedMethodLaunch(g *gauge) {
 	g.n.Add(1)
 	go s.spin() // want "neither a WaitGroup-style join nor a context/done-channel"
 }
+
+// Two structs share an exec field. The launch of loop's, bound to a
+// method nothing joins, must not borrow the supervision of the later
+// replier's binding (a send its joiner receives).
+type loop struct {
+	exec func()
+}
+
+func newLoop() *loop {
+	l := &loop{}
+	l.exec = l.spin
+	return l
+}
+
+func (l *loop) spin() {
+	for {
+	}
+}
+
+func boundToUnjoined() {
+	l := newLoop()
+	go l.exec() // want "neither a WaitGroup-style join nor a context/done-channel"
+}
+
+type replier struct {
+	done chan struct{}
+	exec func()
+}
+
+func newReplier() *replier {
+	r := &replier{done: make(chan struct{}, 1)}
+	r.exec = r.reply
+	return r
+}
+
+func (r *replier) reply() { r.done <- struct{}{} }
+
+// A method named like replier's supervised reply, on another type: the
+// launch runs this body, which nothing joins.
+type echo struct{}
+
+func (echo) reply() {}
+
+func launchSameName() {
+	var e echo
+	go e.reply() // want "neither a WaitGroup-style join nor a context/done-channel"
+}

@@ -86,3 +86,17 @@ func boundMethod() {
 	go r.exec()
 	<-r.done
 }
+
+// The same field name on a later struct, bound to a method with no
+// supervision, does not make run's launch above unsupervised.
+type idler struct {
+	exec func()
+}
+
+func newIdler() *idler {
+	i := &idler{}
+	i.exec = i.idle
+	return i
+}
+
+func (i *idler) idle() {}
