@@ -1,15 +1,19 @@
 // Command c4hd hosts a Cloud4Home home cloud and serves the VStore++
 // command protocol over TCP. The home devices run in-process on a virtual
-// clock paced to the wall clock — as in the paper's prototype, where
-// every VM ran on one testbed — with calibrated machine specs for
-// netbooks and a desktop, built-in services (face detection/recognition,
-// x264 conversion) deployed, and an optional simulated remote cloud
-// attached. Set-up, the monitors and every client op run as actors on
-// that clock; SIGINT or SIGTERM closes the server and ends the clock.
+// clock — as in the paper's prototype, where every VM ran on one testbed
+// — with calibrated machine specs for netbooks and a desktop, built-in
+// services (face detection/recognition, x264 conversion) deployed, and an
+// optional simulated remote cloud attached. Set-up, the monitors and
+// every client op run as actors on that clock. Set-up runs unpaced, at
+// host speed, since no client can observe it; the clock is paced to the
+// wall clock from the instant the listener opens, so every client op
+// takes its modeled time. SIGINT or SIGTERM closes the server and ends
+// the clock.
 //
 // Usage:
 //
 //	c4hd [-listen :7070] [-netbooks 3] [-desktop] [-cloud] [-seed 1]
+//	     [-data dir] [-workers 0] [-overlap] [-speculate]
 //
 // Interact with it using the c4h CLI.
 package main
@@ -23,6 +27,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"syscall"
+	"time"
 
 	"cloud4home/internal/cloudsim"
 	"cloud4home/internal/cluster"
@@ -55,17 +60,56 @@ func run() error {
 	if *netbooks < 1 {
 		return fmt.Errorf("need at least one netbook, got %d", *netbooks)
 	}
-	clock := vclock.NewPaced()
+	clock := vclock.NewVirtual(time.Now())
 	var err error
 	clock.Run(func() { err = serve(clock) })
 	return err
 }
 
-// serve builds the home cloud on clock and serves it until a signal or a
-// listener error. It runs as Run's actor; the wait for the end runs in a
-// Block, so the clock serves the connections' ops meanwhile, and
-// returning ends the clock without waiting for a monitor's next tick.
+// serve builds the home cloud on the unpaced clock, paces the clock and
+// serves the home until a signal or a listener error. It runs as Run's
+// actor; the wait for the end runs in a Block, so the clock serves the
+// connections' ops meanwhile, and returning ends the clock without
+// waiting for a monitor's next tick.
 func serve(clock *vclock.Virtual) error {
+	start, hostStart := clock.Now(), time.Now()
+	home, err := buildHome(clock)
+	if err != nil {
+		return err
+	}
+	setUp, hostSetUp := clock.Now().Sub(start), time.Since(hostStart)
+	// Pacing starts here, before the first op can arrive; unpaced, the
+	// monitors alone would push virtual time ahead without end.
+	clock.Pace()
+
+	srv := daemon.NewServer(home)
+	errCh := make(chan error, 1)
+	go func() { errCh <- srv.Serve(*listen) }()
+
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	log.Printf("c4hd: home cloud up with %d nodes on %s (cloud=%v); set-up took %v modeled, %v on the host",
+		len(home.Nodes()), *listen, *cloud, setUp, hostSetUp.Round(time.Microsecond))
+	ended := make(chan error, 1)
+	clock.Block(func() {
+		select {
+		case err := <-errCh:
+			ended <- err
+		case <-sig:
+			log.Print("c4hd: shutting down")
+			srv.Close()
+			ended <- nil
+		}
+	})
+	return <-ended
+}
+
+// buildHome builds the home cloud the flags describe on clock: the
+// simulated public cloud and its instance, the home nodes, the built-in
+// services on each, and each node's first resource publish and monitor.
+// It runs as an actor; on an unpaced clock it is a deterministic function
+// of the flags, ending at the same virtual instant every time.
+func buildHome(clock *vclock.Virtual) (*core.Home, error) {
 	home := core.NewHome(clock, core.HomeOptions{
 		Seed:   *seed,
 		Config: core.Config{Workers: *workers, Overlap: *overlap, Speculation: *speculate},
@@ -74,7 +118,7 @@ func serve(clock *vclock.Virtual) error {
 		c := cloudsim.New(clock, home.Net())
 		home.AttachCloud(c)
 		if _, err := c.LaunchInstance("xl-1", cloudsim.ExtraLargeSpec("ec2-xl")); err != nil {
-			return err
+			return nil, err
 		}
 	}
 
@@ -96,7 +140,7 @@ func serve(clock *vclock.Virtual) error {
 			DataDir:        nodeDir(fmt.Sprintf("netbook-%d", i+1)),
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		nodes = append(nodes, n)
 	}
@@ -109,7 +153,7 @@ func serve(clock *vclock.Virtual) error {
 			DataDir:        nodeDir("desktop"),
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		nodes = append(nodes, n)
 	}
@@ -130,35 +174,16 @@ func serve(clock *vclock.Virtual) error {
 			}
 		}
 		if err := n.Monitor().PublishOnce(); err != nil {
-			return err
+			return nil, err
 		}
 		n.Monitor().Start()
 	}
 	if home.Cloud() != nil {
 		for _, spec := range services.Builtin() {
 			if err := home.DeployCloudService(spec, "xl-1"); err != nil {
-				return err
+				return nil, err
 			}
 		}
 	}
-
-	srv := daemon.NewServer(home)
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.Serve(*listen) }()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	log.Printf("c4hd: home cloud up with %d nodes on %s (cloud=%v)", len(nodes), *listen, *cloud)
-	ended := make(chan error, 1)
-	clock.Block(func() {
-		select {
-		case err := <-errCh:
-			ended <- err
-		case <-sig:
-			log.Print("c4hd: shutting down")
-			srv.Close()
-			ended <- nil
-		}
-	})
-	return <-ended
+	return home, nil
 }

@@ -13,7 +13,6 @@ import (
 
 	"cloud4home/internal/command"
 	"cloud4home/internal/core"
-	"cloud4home/internal/vclock"
 )
 
 // helperEnv, set in a re-run of the test binary, makes it a daemon that
@@ -34,17 +33,8 @@ func TestMain(m *testing.M) {
 }
 
 func serveUntilStdinCloses() error {
-	clock := vclock.NewPaced()
-	quit, stopped := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(stopped)
-		clock.Run(func() { clock.Block(func() { <-quit }) })
-	}()
-	defer func() {
-		close(quit)
-		<-stopped
-	}()
-	home, err := newTestHome(clock, core.Config{})
+	home, stop, err := runTestHome(core.Config{})
+	defer stop()
 	if err != nil {
 		return err
 	}

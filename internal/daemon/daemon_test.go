@@ -18,8 +18,8 @@ import (
 // testNodes are the home nodes startServer builds.
 var testNodes = []string{"dev-a:9000", "dev-b:9000"}
 
-// startServer builds a small home cloud on a paced clock and serves it
-// on an ephemeral port.
+// startServer builds a small home cloud and serves it on an ephemeral
+// port.
 func startServer(t *testing.T) (*Server, string) {
 	return startServerWith(t, core.Config{})
 }
@@ -27,18 +27,9 @@ func startServer(t *testing.T) (*Server, string) {
 // startServerWith is startServer with the home's modeled behaviour set.
 func startServerWith(t *testing.T, cfg core.Config) (*Server, string) {
 	t.Helper()
-	clock := vclock.NewPaced()
-	quit, stopped := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(stopped)
-		clock.Run(func() { clock.Block(func() { <-quit }) })
-	}()
+	home, stop, err := runTestHome(cfg)
 	// Cleanups run last first: this one after the server's below.
-	t.Cleanup(func() {
-		close(quit)
-		<-stopped
-	})
-	home, err := newTestHome(clock, cfg)
+	t.Cleanup(stop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,33 +46,48 @@ func startServerWith(t *testing.T, cfg core.Config) (*Server, string) {
 	return srv, srv.Addr()
 }
 
-// newTestHome builds the test home on a running paced clock.
+// runTestHome builds the test home at host speed, in the root actor of
+// an unpaced clock, then paces the clock as c4hd does before it listens.
+// The clock runs until stop.
+func runTestHome(cfg core.Config) (home *core.Home, stop func(), err error) {
+	clock := vclock.NewVirtual(time.Now())
+	built, quit, stopped := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		clock.Run(func() {
+			home, err = newTestHome(clock, cfg)
+			clock.Pace()
+			close(built)
+			clock.Block(func() { <-quit })
+		})
+	}()
+	<-built
+	return home, func() {
+		close(quit)
+		<-stopped
+	}, err
+}
+
+// newTestHome builds the test home. The caller is an actor on clock.
 func newTestHome(clock *vclock.Virtual, cfg core.Config) (*core.Home, error) {
-	var home *core.Home
-	var err error
-	setUp := make(chan struct{})
-	clock.Post(func() {
-		defer close(setUp)
-		home = core.NewHome(clock, core.HomeOptions{Seed: 1, Config: cfg})
-		spec := machine.Spec{Name: "dev", Cores: 2, GHz: 2.0, MemMB: 1024, Battery: 1}
-		for _, addr := range testNodes {
-			var n *core.Node
-			if n, err = home.AddNode(core.NodeConfig{
-				Addr: addr, Machine: spec,
-				MandatoryBytes: 1 << 30, VoluntaryBytes: 1 << 30,
-			}); err != nil {
-				return
-			}
-			if err = n.DeployService(services.FaceDetect(), "performance"); err != nil {
-				return
-			}
-			if err = n.Monitor().PublishOnce(); err != nil {
-				return
-			}
+	home := core.NewHome(clock, core.HomeOptions{Seed: 1, Config: cfg})
+	spec := machine.Spec{Name: "dev", Cores: 2, GHz: 2.0, MemMB: 1024, Battery: 1}
+	for _, addr := range testNodes {
+		n, err := home.AddNode(core.NodeConfig{
+			Addr: addr, Machine: spec,
+			MandatoryBytes: 1 << 30, VoluntaryBytes: 1 << 30,
+		})
+		if err != nil {
+			return nil, err
 		}
-	})
-	<-setUp
-	return home, err
+		if err := n.DeployService(services.FaceDetect(), "performance"); err != nil {
+			return nil, err
+		}
+		if err := n.Monitor().PublishOnce(); err != nil {
+			return nil, err
+		}
+	}
+	return home, nil
 }
 
 // serveTestHome serves home on an ephemeral port and returns once the

@@ -3,8 +3,9 @@
 // experiment harness runs it unpaced from a fixed epoch, so the paper's
 // multi-minute experiments (e.g. the 700 MB trace replay behind Fig 6)
 // reproduce in milliseconds of wall time, with zero flakiness. c4hd runs
-// it paced to the wall clock (NewPaced), so the same modeled costs take
-// real time while clients wait on them.
+// it paced to the wall clock, so the same modeled costs take real time
+// while clients wait on them: it builds its home unpaced and calls Pace
+// just before it listens.
 //
 // The clock is a run-to-block scheduler. Run's fn and every function
 // passed to Go or Post is an actor: a coroutine (iter.Pull) that only the
@@ -20,13 +21,13 @@
 // "Why there is one clock engine").
 //
 // A paced clock's Run keeps virtual time equal to wall time minus a fixed
-// offset (the wall instant NewPaced was called). It waits on the wall
-// clock until the earliest deadline is due, so no actor runs early, and
-// moves time to that deadline, not to the instant it woke, so a late wake
-// only brings later deadlines nearer: an actor's sleeps end at absolute
-// deadlines and one timer's lateness does not add up across them. With
-// nothing due, Run waits for a Post, which files a new actor at
-// max(now, wall − offset).
+// offset, which Pace set so that the virtual instant it was called at is
+// the wall instant it was called at. It waits on the wall clock until the
+// earliest deadline is due, so no actor runs early, and moves time to
+// that deadline, not to the instant it woke, so a late wake only brings
+// later deadlines nearer: an actor's sleeps end at absolute deadlines and
+// one timer's lateness does not add up across them. With nothing due, Run
+// waits for a Post, which files a new actor at max(now, wall − offset).
 //
 // A Virtual has no lock. Only the goroutine that called Run and the actor
 // holding the turn may call its methods (and those of its Events); a
@@ -62,6 +63,7 @@ type Virtual struct {
 	in      chan *actor // Block's helpers and Post hand actors to Run here
 	paced   bool        // Run waits on the wall clock for each deadline
 	timer   *time.Timer // paced: Run's wait for the earliest deadline
+	origin  time.Time   // paced: the wall instant of virtual instant 0
 }
 
 var _ Clock = (*Virtual)(nil)
@@ -77,10 +79,24 @@ func NewVirtual(epoch time.Time) *Virtual {
 // holding the turn was due.
 func NewPaced() *Virtual {
 	v := NewVirtual(time.Now())
+	v.Pace()
+	return v
+}
+
+// Pace paces an unpaced clock from the current instant: from now on
+// virtual time runs with the wall clock, offset so that the current
+// virtual instant is the current wall instant. The epoch stays, so Now
+// stays monotonic and actors already filed keep their virtual deadlines;
+// Post becomes legal. The caller holds the turn (or Run has not started).
+// On a paced clock it does nothing.
+func (v *Virtual) Pace() {
+	if v.paced {
+		return
+	}
+	v.origin = time.Now().Add(-time.Duration(v.now))
 	v.paced = true
 	v.timer = time.NewTimer(time.Hour)
 	v.timer.Stop()
-	return v
 }
 
 // Now implements Clock.
@@ -112,8 +128,8 @@ func (v *Virtual) Go(fn func()) { v.push(newActor(fn), v.now) }
 // offset): an op that arrives after an idle spell starts at its arrival
 // instant, so none of its sleeps is skipped. Any goroutine but the
 // clock's own may call it; it returns once Run has filed the actor, so
-// posts made one after another run in that order. An actor spawns with
-// Go instead.
+// posts made one after another run in that order. The poster must start
+// after Pace (c4hd's listener does). An actor spawns with Go instead.
 func (v *Virtual) Post(fn func()) {
 	if !v.paced {
 		panic("vclock: Post on an unpaced clock")
@@ -154,9 +170,9 @@ func (v *Virtual) Run(fn func()) {
 	}
 }
 
-// wall is the wall time since the epoch, which a paced clock's virtual
-// time never passes.
-func (v *Virtual) wall() int64 { return int64(time.Since(v.epoch)) }
+// wall is the wall time as a virtual instant, which a paced clock's
+// virtual time never passes.
+func (v *Virtual) wall() int64 { return int64(time.Since(v.origin)) }
 
 // arrival is the instant an actor handed in from outside the schedule is
 // filed at: now, or on a paced clock the wall instant if that is later.

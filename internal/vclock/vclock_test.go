@@ -306,6 +306,162 @@ func TestPostOnUnpacedPanics(t *testing.T) {
 	NewVirtual(epoch).Post(func() {})
 }
 
+// The tests below pin Pace, which c4hd calls once its home is built
+// unpaced, just before it listens.
+
+// TestPaceUnpacedSleepsWaitOnNoTimer: before Pace a clock is unpaced, so
+// a day of virtual sleeps, taken on a clock that Pace turns paced
+// afterwards, costs no wall time.
+func TestPaceUnpacedSleepsWaitOnNoTimer(t *testing.T) {
+	v := NewVirtual(epoch)
+	start := time.Now()
+	v.Run(func() {
+		for i := 0; i < 24; i++ {
+			v.Sleep(time.Hour)
+		}
+		v.Pace()
+	})
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("a virtual day before Pace took %v of wall time", elapsed)
+	}
+	if got := v.Now().Sub(epoch); got != 24*time.Hour {
+		t.Fatalf("virtual time advanced %v, want 24h", got)
+	}
+}
+
+// TestPaceNowMonotonic: Pace keeps the epoch, so Now reads the same
+// instant just before and just after it, and a paced sleep carries on
+// from there.
+func TestPaceNowMonotonic(t *testing.T) {
+	v := NewVirtual(epoch)
+	v.Run(func() {
+		v.Sleep(time.Hour)
+		before := v.Now()
+		v.Pace()
+		if after := v.Now(); !after.Equal(before) {
+			t.Fatalf("Pace moved Now from %v to %v", before, after)
+		}
+		v.Sleep(time.Millisecond)
+		if got := v.Now().Sub(before); got != time.Millisecond {
+			t.Fatalf("a 1 ms paced sleep moved Now %v", got)
+		}
+	})
+}
+
+// TestPaceKeepsPeriod: a periodic actor started before Pace ticks at
+// the same virtual instants either side of it, and after Pace no tick
+// comes sooner on the wall clock than its virtual distance from Pace.
+func TestPaceKeepsPeriod(t *testing.T) {
+	const period = 2 * time.Millisecond
+	v := NewVirtual(epoch)
+	type tick struct {
+		virt time.Duration
+		wall time.Time
+	}
+	var ticks []tick
+	var paced time.Duration
+	var pacedWall time.Time
+	stop := false
+	v.Run(func() {
+		v.Go(func() {
+			for !stop {
+				v.Sleep(period)
+				ticks = append(ticks, tick{v.Now().Sub(epoch), time.Now()})
+			}
+		})
+		v.Sleep(5 * time.Millisecond)
+		paced, pacedWall = v.Now().Sub(epoch), time.Now()
+		v.Pace()
+		v.Sleep(20 * time.Millisecond)
+		stop = true
+	})
+	if len(ticks) != 12 {
+		t.Fatalf("%d ticks in 25 ms of virtual time, want 12", len(ticks))
+	}
+	for i, tk := range ticks {
+		if want := time.Duration(i+1) * period; tk.virt != want {
+			t.Fatalf("tick %d at %v, want %v", i, tk.virt, want)
+		}
+		if tk.virt > paced && tk.wall.Sub(pacedWall) < tk.virt-paced {
+			t.Fatalf("tick %d came %v after Pace on the wall clock, %v in virtual time", i, tk.wall.Sub(pacedWall), tk.virt-paced)
+		}
+	}
+}
+
+// TestPacedSleepTakesWallTime: after Pace a Sleep(d) takes at least d of
+// wall time, however far set-up ran virtual time ahead first.
+func TestPacedSleepTakesWallTime(t *testing.T) {
+	const d = 5 * time.Millisecond
+	v := NewVirtual(epoch)
+	var took time.Duration
+	v.Run(func() {
+		v.Sleep(time.Hour)
+		v.Pace()
+		t0 := time.Now()
+		v.Sleep(d)
+		took = time.Since(t0)
+	})
+	if took < d {
+		t.Fatalf("a %v sleep after Pace took %v of wall time", d, took)
+	}
+}
+
+// TestPacedPostFiledAtArrival: a post made 20 ms after Pace starts 20 ms
+// of virtual time after the instant Pace was called at, not at the
+// instant virtual time had reached before it (which, after an hour of
+// unpaced set-up, is far behind wall − epoch).
+func TestPacedPostFiledAtArrival(t *testing.T) {
+	v := NewVirtual(epoch)
+	var paced time.Time
+	var pacedWall time.Time
+	v.Run(func() {
+		v.Sleep(time.Hour)
+		paced, pacedWall = v.Now(), time.Now()
+		v.Pace()
+	})
+	stop := servePaced(t, v)
+	defer stop()
+	time.Sleep(20 * time.Millisecond)
+	posted := time.Now()
+	started := make(chan time.Time, 1)
+	v.Post(func() { started <- v.Now() })
+	start := <-started
+	if lo, got := posted.Sub(pacedWall), start.Sub(paced); got < lo || got > lo+10*time.Millisecond {
+		t.Fatalf("post made %v after Pace started %v of virtual time after it", lo, got)
+	}
+}
+
+// TestPostBeforePacePanics: a clock that Pace will pace takes no post
+// until it has, and one afterwards.
+func TestPostBeforePacePanics(t *testing.T) {
+	v := NewVirtual(epoch)
+	func() {
+		defer func() {
+			if r, _ := recover().(string); !strings.Contains(r, "unpaced") {
+				t.Fatalf("recovered %q, want the unpaced panic", r)
+			}
+		}()
+		v.Post(func() {})
+	}()
+	v.Run(v.Pace)
+	stop := servePaced(t, v)
+	defer stop()
+	ran := make(chan struct{})
+	v.Post(func() { close(ran) })
+	<-ran
+}
+
+// TestSecondPaceDoesNothing: Pace on a paced clock keeps its offset.
+func TestSecondPaceDoesNothing(t *testing.T) {
+	v := NewPaced()
+	origin, timer := v.origin, v.timer
+	time.Sleep(2 * time.Millisecond)
+	v.Run(v.Pace)
+	if v.origin != origin || v.timer != timer {
+		t.Fatalf("second Pace moved the offset from %v to %v", origin, v.origin)
+	}
+}
+
 func eventWorkload(t *testing.T, v *Virtual) []time.Duration {
 	t.Helper()
 	waits := make([]time.Duration, 4)
