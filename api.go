@@ -27,7 +27,7 @@ type (
 	// VirtualClock is the discrete-event clock. It has no lock: only the
 	// goroutine inside its Run and the code Run is executing may call its
 	// methods, so a goroutine of your own must not read Now while Run
-	// drives the clock; on a paced clock it hands work in with Post.
+	// drives the clock.
 	VirtualClock = vclock.Virtual
 )
 

@@ -68,9 +68,10 @@ func run() error {
 
 // serve builds the home cloud on the unpaced clock, paces the clock and
 // serves the home until a signal or a listener error. It runs as Run's
-// actor; the wait for the end runs in a Block, so the clock serves the
-// connections' ops meanwhile, and returning ends the clock without
-// waiting for a monitor's next tick.
+// actor and receives its end from an inbox, so the clock serves the
+// connections' ops meanwhile; returning ends the clock without waiting for
+// a monitor's next tick. The server is closed off the clock before the end
+// is delivered: Close waits for the residents that serve ops in flight.
 func serve(clock *vclock.Virtual) error {
 	start, hostStart := clock.Now(), time.Now()
 	home, err := buildHome(clock)
@@ -83,25 +84,24 @@ func serve(clock *vclock.Virtual) error {
 	clock.Pace()
 
 	srv := daemon.NewServer(home)
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.Serve(*listen) }()
-
+	end := vclock.NewInbox[error](clock)
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(*listen) }()
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	log.Printf("c4hd: home cloud up with %d nodes on %s (cloud=%v); set-up took %v modeled, %v on the host",
-		len(home.Nodes()), *listen, *cloud, setUp, hostSetUp.Round(time.Microsecond))
-	ended := make(chan error, 1)
-	clock.Block(func() {
+	go func() {
+		var err error
 		select {
-		case err := <-errCh:
-			ended <- err
+		case err = <-served:
 		case <-sig:
 			log.Print("c4hd: shutting down")
-			srv.Close()
-			ended <- nil
 		}
-	})
-	return <-ended
+		srv.Close()
+		end.Deliver(err)
+	}()
+	log.Printf("c4hd: home cloud up with %d nodes on %s (cloud=%v); set-up took %v modeled, %v on the host",
+		len(home.Nodes()), *listen, *cloud, setUp, hostSetUp.Round(time.Microsecond))
+	return end.Receive()
 }
 
 // buildHome builds the home cloud the flags describe on clock: the

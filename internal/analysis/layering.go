@@ -71,7 +71,10 @@ var layerDAG = map[string][]string{
 		"internal/overlay", "internal/parallel", "internal/policy",
 		"internal/services", "internal/vclock", "internal/xenchan",
 	},
-	"internal/daemon": {"internal/canonjson", "internal/command", "internal/core"},
+	"internal/daemon": {
+		"internal/canonjson", "internal/command", "internal/core",
+		"internal/vclock",
+	},
 	"internal/cluster": {
 		"internal/cloudsim", "internal/core", "internal/kv",
 		"internal/machine", "internal/vclock",

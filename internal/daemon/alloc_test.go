@@ -33,12 +33,12 @@ func TestMain(m *testing.M) {
 }
 
 func serveUntilStdinCloses() error {
-	home, stop, err := runTestHome(core.Config{})
+	srv, stop, err := runTestHome(core.Config{})
 	defer stop()
 	if err != nil {
 		return err
 	}
-	srv, done, err := serveTestHome(home)
+	done, err := listen(srv)
 	if err != nil {
 		return err
 	}

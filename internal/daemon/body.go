@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"iter"
 	"strconv"
 	"time"
 
@@ -332,6 +333,20 @@ var optCounters = [...]counter{
 	{key: `,"kvHops":`, field: func(o *core.OpStats) *int64 { return &o.KVHops }},
 	{key: `,"superPeerHops":`, field: func(o *core.OpStats) *int64 { return &o.SuperPeerHops }},
 	{key: `,"arenaBytes":`, field: func(o *core.OpStats) *int64 { return &o.ArenaBytes }},
+}
+
+// Counters yields every counter beyond the six base ones, the counters a
+// stats reply carries only while non-zero: each under its wire name, with
+// its value as the wire carries it, in the wire's order.
+func (n *NodeStats) Counters() iter.Seq2[string, int64] {
+	return func(yield func(string, int64) bool) {
+		for i := range optCounters {
+			c := &optCounters[i]
+			if !yield(c.key[2:len(c.key)-2], c.wireValue(&n.OpStats)) {
+				return
+			}
+		}
+	}
 }
 
 // wireValue is the counter's value as the wire carries it.

@@ -3,6 +3,7 @@ package daemon
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -114,6 +115,26 @@ func TestStatsCarryEveryCounter(t *testing.T) {
 	}
 	if back, err := decodeStats(string(body)); err != nil || !reflect.DeepEqual(back, nodes) {
 		t.Fatalf("stats round trip: %v\n got %+v\nwant %+v", err, back, nodes)
+	}
+
+	// Every field holds a distinct value, so the base counters and what
+	// Counters yields name each OpStats counter exactly once, each as the
+	// reply carries it.
+	seen := map[int64]string{}
+	for _, c := range baseCounters {
+		seen[c.wireValue(&n.OpStats)] = c.key
+	}
+	for name, v := range n.Counters() {
+		if prev, ok := seen[v]; ok {
+			t.Fatalf("Counters yields %s=%d, the value of %s", name, v, prev)
+		}
+		seen[v] = name
+		if pair := fmt.Sprintf(`,"%s":%d`, name, v); !bytes.Contains(body, []byte(pair)) {
+			t.Fatalf("Counters yields %s, which the reply %s lacks", pair, body)
+		}
+	}
+	if len(seen) != ops.NumField() {
+		t.Fatalf("base counters and Counters name %d counters, OpStats has %d", len(seen), ops.NumField())
 	}
 }
 

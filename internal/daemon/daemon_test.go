@@ -27,16 +27,16 @@ func startServer(t *testing.T) (*Server, string) {
 // startServerWith is startServer with the home's modeled behaviour set.
 func startServerWith(t *testing.T, cfg core.Config) (*Server, string) {
 	t.Helper()
-	home, stop, err := runTestHome(cfg)
-	// Cleanups run last first: this one after the server's below.
+	srv, stop, err := runTestHome(cfg)
 	t.Cleanup(stop)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, done, err := serveTestHome(home)
+	done, err := listen(srv)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Cleanups run last first: this one before stop.
 	t.Cleanup(func() {
 		srv.Close()
 		if err := <-done; err != nil {
@@ -47,23 +47,35 @@ func startServerWith(t *testing.T, cfg core.Config) (*Server, string) {
 }
 
 // runTestHome builds the test home at host speed, in the root actor of
-// an unpaced clock, then paces the clock as c4hd does before it listens.
-// The clock runs until stop.
-func runTestHome(cfg core.Config) (home *core.Home, stop func(), err error) {
+// an unpaced clock, then paces the clock and makes its server, as c4hd
+// does before it listens. The root receives its end from an inbox: stop
+// closes the server off the clock, delivers the end and returns once Run
+// has.
+func runTestHome(cfg core.Config) (srv *Server, stop func(), err error) {
 	clock := vclock.NewVirtual(time.Now())
-	built, quit, stopped := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	end := vclock.NewInbox[struct{}](clock)
+	built, stopped := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(stopped)
 		clock.Run(func() {
+			var home *core.Home
 			home, err = newTestHome(clock, cfg)
 			clock.Pace()
+			if err == nil {
+				srv = NewServer(home)
+			}
 			close(built)
-			clock.Block(func() { <-quit })
+			if err == nil {
+				end.Receive()
+			}
 		})
 	}()
 	<-built
-	return home, func() {
-		close(quit)
+	return srv, func() {
+		if srv != nil {
+			srv.Close()
+			end.Deliver(struct{}{})
+		}
 		<-stopped
 	}, err
 }
@@ -90,21 +102,19 @@ func newTestHome(clock *vclock.Virtual, cfg core.Config) (*core.Home, error) {
 	return home, nil
 }
 
-// serveTestHome serves home on an ephemeral port and returns once the
-// listener is bound; done receives Serve's result.
-func serveTestHome(home *core.Home) (*Server, <-chan error, error) {
-	srv := NewServer(home)
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve("127.0.0.1:0") }()
+// listen serves srv on an ephemeral port and returns once the listener
+// is bound; done receives Serve's result.
+func listen(srv *Server) (done <-chan error, err error) {
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve("127.0.0.1:0") }()
 	deadline := time.Now().Add(5 * time.Second)
 	for srv.Addr() == "" {
 		if time.Now().After(deadline) {
-			srv.Close()
-			return nil, nil, errors.New("server did not bind")
+			return nil, errors.New("server did not bind")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	return srv, done, nil
+	return served, nil
 }
 
 func dial(t *testing.T, addr string) *Client {

@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"cloud4home/internal/command"
+	"cloud4home/internal/core"
+	"cloud4home/internal/vclock"
 )
 
 // waitForGoroutines returns once n goroutines have a stack dump holding
@@ -39,10 +41,35 @@ func waitForGoroutines(t *testing.T, n int, marks ...string) {
 	}
 }
 
-// waitForTurnWaiters returns once n ops are blocked waiting for a turn.
-func waitForTurnWaiters(t *testing.T, n int) {
+// waitForQueuedOps returns once n connections wait for a resident to
+// serve their op.
+func waitForQueuedOps(t *testing.T, n int) {
 	t.Helper()
-	waitForGoroutines(t, n, "[chan send", "daemon.(*Server).take(")
+	waitForGoroutines(t, n, "[chan receive", "daemon.(*caller).call(")
+}
+
+// holdNode has the resident of the named node serve a request that parks
+// it until release, so the node's ops queue behind it as behind a long
+// op. release returns once the request is back; calling it again does
+// nothing.
+func holdNode(srv *Server, node string) (release func()) {
+	gate := vclock.NewInbox[struct{}](srv.home.Clock())
+	holding := make(chan struct{})
+	c := newCaller()
+	c.req.atNode, c.req.node = true, node
+	c.req.do = func(*Server, *core.Session, *request) {
+		close(holding)
+		gate.Receive()
+	}
+	srv.desk.Deliver(&c.req)
+	<-holding
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			gate.Deliver(struct{}{})
+			<-c.done
+		})
+	}
 }
 
 // storeN stores n payloads on node under prefix, one after the other.
@@ -145,16 +172,8 @@ func TestSameNodeOpsServedFIFO(t *testing.T) {
 
 func TestStatsAndOtherNodesNotBehindATurn(t *testing.T) {
 	srv, addr := startServer(t)
-	ns, err := srv.take(testNodes[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	held := true
-	defer func() {
-		if held {
-			ns.release()
-		}
-	}()
+	release := holdNode(srv, testNodes[0])
+	defer release()
 
 	// A store on the held node waits for its turn.
 	blocked := dial(t, addr)
@@ -163,7 +182,7 @@ func TestStatsAndOtherNodesNotBehindATurn(t *testing.T) {
 		_, err := blocked.Store("held/a.bin", "b", []byte("a"), 0, testNodes[0])
 		done <- err
 	}()
-	waitForTurnWaiters(t, 1)
+	waitForQueuedOps(t, 1)
 
 	// The other node, Stats and ls are served meanwhile.
 	other, stats := dial(t, addr), dial(t, addr)
@@ -194,8 +213,7 @@ func TestStatsAndOtherNodesNotBehindATurn(t *testing.T) {
 	default:
 	}
 
-	held = false
-	ns.release()
+	release()
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
@@ -224,23 +242,15 @@ func TestCloseDropsIdleClient(t *testing.T) {
 
 func TestCloseLetsInFlightOpReply(t *testing.T) {
 	srv, addr := startServer(t)
-	ns, err := srv.take(testNodes[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	held := true
-	defer func() {
-		if held {
-			ns.release()
-		}
-	}()
+	release := holdNode(srv, testNodes[0])
+	defer release()
 	c := dial(t, addr)
 	done := make(chan error, 1)
 	go func() {
 		_, err := c.Store("inflight.bin", "b", []byte("x"), 0, testNodes[0])
 		done <- err
 	}()
-	waitForTurnWaiters(t, 1)
+	waitForQueuedOps(t, 1)
 
 	closed := make(chan struct{})
 	go func() {
@@ -249,8 +259,7 @@ func TestCloseLetsInFlightOpReply(t *testing.T) {
 	}()
 	// Close has set the read deadlines once it waits for the connections.
 	waitForGoroutines(t, 1, "sync.(*WaitGroup).Wait", "daemon.(*Server).Close(")
-	held = false
-	ns.release()
+	release()
 	if err := <-done; err != nil {
 		t.Fatalf("op in flight at Close: %v", err)
 	}
@@ -307,16 +316,8 @@ func TestUnreadReplyHoldsNoTurn(t *testing.T) {
 // buffer, where no read deadline reaches it.
 func TestCloseDropsBufferedRequest(t *testing.T) {
 	srv, addr := startServer(t)
-	ns, err := srv.take(testNodes[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	held := true
-	defer func() {
-		if held {
-			ns.release()
-		}
-	}()
+	release := holdNode(srv, testNodes[0])
+	defer release()
 	conn := rawConn(t, addr)
 	// Two stores in one write: the first waits for the held turn, the
 	// second is read into the buffer with it.
@@ -327,15 +328,14 @@ func TestCloseDropsBufferedRequest(t *testing.T) {
 	if _, err := conn.Write(msg); err != nil {
 		t.Fatal(err)
 	}
-	waitForTurnWaiters(t, 1)
+	waitForQueuedOps(t, 1)
 	closed := make(chan struct{})
 	go func() {
 		srv.Close()
 		close(closed)
 	}()
 	waitForGoroutines(t, 1, "sync.(*WaitGroup).Wait", "daemon.(*Server).Close(")
-	held = false
-	ns.release()
+	release()
 
 	resp, err := command.Read(conn)
 	if err != nil || resp.Type != command.TypeStore {

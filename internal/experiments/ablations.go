@@ -3,7 +3,6 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"cloud4home/internal/cluster"
@@ -275,8 +274,7 @@ func RunAblationDecision(seed int64) (_ *AblationDecisionResult, err error) {
 		row := AblationDecisionRow{Policy: p.name}
 		names := make([]string, batch)
 		var requester *core.Node
-		var mu sync.Mutex
-		targets := map[string]bool{} // guarded by mu
+		targets := map[string]bool{}
 		check(scenario{
 			name: "decision ablation " + p.name,
 			opts: cluster.Options{Seed: seed},
@@ -309,8 +307,6 @@ func RunAblationDecision(seed int64) (_ *AblationDecisionResult, err error) {
 			client: func(e *env, i int, sess *core.Session) {
 				check(e.PublishResources())
 				pr := must(sess.Process(names[i], "fdet", services.FaceDetectID))
-				mu.Lock()
-				defer mu.Unlock()
 				targets[pr.Target] = true
 			},
 			fold: func(e *env) {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"cloud4home/internal/cloudsim"
@@ -70,8 +69,7 @@ type env struct {
 	// ones setup starts itself, joined after the fold.
 	clients, background actors
 
-	mu       sync.Mutex
-	sessions []*core.Session // guarded by mu; closed when the run ends
+	sessions []*core.Session // closed when the run ends
 }
 
 // run builds the scenario's topology and drives it.
@@ -113,8 +111,6 @@ func (s scenario) drive(e *env) error {
 		if berr := e.background.join(); err == nil {
 			err = berr
 		}
-		e.mu.Lock()
-		defer e.mu.Unlock()
 		for _, sess := range e.sessions {
 			sess.Close()
 		}
@@ -188,8 +184,6 @@ func (e *env) apply(ev netsim.FaultEvent) error {
 // open opens a session on n; the runner closes it when the run ends.
 func (e *env) open(n *core.Node) *core.Session {
 	sess := must(n.OpenSession())
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.sessions = append(e.sessions, sess)
 	return sess
 }
@@ -280,19 +274,17 @@ func (a *actors) join() error {
 	return a.err
 }
 
-// jobQueue hands out job indices [next, limit) to concurrent clients.
-// Which client takes which index varies with scheduling, but every index
-// is dispatched exactly once and results land in indexed slots.
+// jobQueue hands out job indices [next, limit) to the clients, actors
+// on one clock: which client takes which index is fixed by the clock's
+// (instant, seq) order, every index is dispatched exactly once and
+// results land in indexed slots.
 type jobQueue struct {
 	limit int
-	mu    sync.Mutex
-	next  int // guarded by mu; the next undispatched index
+	next  int // the next undispatched index
 }
 
 // take returns the next index, or false when the queue is drained.
 func (q *jobQueue) take() (int, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	if q.next >= q.limit {
 		return 0, false
 	}

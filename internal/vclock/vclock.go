@@ -8,17 +8,17 @@
 // just before it listens.
 //
 // The clock is a run-to-block scheduler. Run's fn and every function
-// passed to Go or Post is an actor: a coroutine (iter.Pull) that only the
+// passed to Go is an actor: a coroutine (iter.Pull) that only the
 // goroutine that called Run ever resumes. Run keeps one (deadline, seq)
 // min-heap of actors due to run; it pops the earliest, moves time to its
 // deadline and switches into it. The actor runs alone until it sleeps,
-// waits on an Event, calls Block or returns, and then switches back. So
-// exactly one actor runs at a time, actors due at one instant run in
-// arrival order, and a hand-off wakes no goroutine: on c4h-perf's
-// home-trace (2-core box) the coroutine switch does 1.38x the host ops/s
-// of parking each sleeper on a sync.Cond of its own (median of 10
-// alternating pairs, all won), with bit-equal virtual results (DESIGN.md,
-// "Why there is one clock engine").
+// waits on an Event or an Inbox, calls Block or returns, and then
+// switches back. So exactly one actor runs at a time, actors due at one
+// instant run in arrival order, and a hand-off wakes no goroutine: on
+// c4h-perf's home-trace (2-core box) the coroutine switch does 1.38x the
+// host ops/s of parking each sleeper on a sync.Cond of its own (median of
+// 10 alternating pairs, all won), with bit-equal virtual results
+// (DESIGN.md, "Why there is one clock engine").
 //
 // A paced clock's Run keeps virtual time equal to wall time minus a fixed
 // offset, which Pace set so that the virtual instant it was called at is
@@ -27,12 +27,14 @@
 // that deadline, not to the instant it woke, so a late wake only brings
 // later deadlines nearer: an actor's sleeps end at absolute deadlines and
 // one timer's lateness does not add up across them. With nothing due, Run
-// waits for a Post, which files a new actor at max(now, wall − offset).
+// waits for a delivery to an Inbox, which it files at max(now, wall −
+// offset).
 //
 // A Virtual has no lock. Only the goroutine that called Run and the actor
-// holding the turn may call its methods (and those of its Events); a
-// coroutine switch orders each turn after the last. The one way in from
-// any other goroutine is Post, on a paced clock.
+// holding the turn may call its methods (and those of its Events and
+// Inboxes); a coroutine switch orders each turn after the last. The one
+// way in from any other goroutine is Inbox.Deliver, on a paced clock: a
+// resident actor parked in Inbox.Receive takes the value on the clock.
 //
 // Group is the one way to spawn background work and join it.
 package vclock
@@ -52,7 +54,7 @@ type Clock interface {
 }
 
 // Virtual is a discrete-event clock. Only Run's goroutine and the actor
-// holding the turn call its methods, except Post.
+// holding the turn call its methods.
 type Virtual struct {
 	epoch   time.Time
 	now     int64       // ns since epoch
@@ -60,10 +62,16 @@ type Virtual struct {
 	seq     uint64      // tie-break so equal deadlines run FIFO
 	cur     *actor      // the actor holding the turn, nil between turns
 	blocked int         // actors inside Block, counted until they resume
-	in      chan *actor // Block's helpers and Post hand actors to Run here
+	in      chan handIn // Block's helpers and Deliver reach Run here
 	paced   bool        // Run waits on the wall clock for each deadline
 	timer   *time.Timer // paced: Run's wait for the earliest deadline
 	origin  time.Time   // paced: the wall instant of virtual instant 0
+}
+
+// handIn is a value delivered to an inbox from another goroutine.
+type handIn struct {
+	box mailbox
+	msg any
 }
 
 var _ Clock = (*Virtual)(nil)
@@ -71,7 +79,7 @@ var _ Clock = (*Virtual)(nil)
 // NewVirtual returns an unpaced virtual clock starting at epoch. The
 // experiment harness passes a fixed epoch so every run is bit-identical.
 func NewVirtual(epoch time.Time) *Virtual {
-	return &Virtual{epoch: epoch, in: make(chan *actor)}
+	return &Virtual{epoch: epoch, in: make(chan handIn)}
 }
 
 // NewPaced returns a virtual clock paced to the wall clock, starting at
@@ -87,7 +95,7 @@ func NewPaced() *Virtual {
 // virtual time runs with the wall clock, offset so that the current
 // virtual instant is the current wall instant. The epoch stays, so Now
 // stays monotonic and actors already filed keep their virtual deadlines;
-// Post becomes legal. The caller holds the turn (or Run has not started).
+// Deliver becomes legal. The caller holds the turn (or Run has not started).
 // On a paced clock it does nothing.
 func (v *Virtual) Pace() {
 	if v.paced {
@@ -124,23 +132,10 @@ func newActor(fn func()) *actor {
 // already due then. The caller keeps the turn.
 func (v *Virtual) Go(fn func()) { v.push(newActor(fn), v.now) }
 
-// Post files fn as a new actor on a paced clock, at max(now, wall −
-// offset): an op that arrives after an idle spell starts at its arrival
-// instant, so none of its sleeps is skipped. Any goroutine but the
-// clock's own may call it; it returns once Run has filed the actor, so
-// posts made one after another run in that order. The poster must start
-// after Pace (c4hd's listener does). An actor spawns with Go instead.
-func (v *Virtual) Post(fn func()) {
-	if !v.paced {
-		panic("vclock: Post on an unpaced clock")
-	}
-	v.in <- newActor(fn)
-}
-
 // Run runs fn as an actor and drives the clock until fn returns: it
 // pops the earliest due actor, advances time to its deadline and
-// switches into it, over and over. Between turns it files every actor
-// handed in by a returned Block or a Post. Unpaced, it waits for one only
+// switches into it, over and over. Between turns it files every hand-in:
+// a returned Block or a delivery. Unpaced, it waits for one only
 // when nothing else is due; paced, it waits on the wall clock until the
 // earliest actor is due, taking hand-ins meanwhile. Actors still filed
 // when fn returns stay filed and resume in the next Run. A panic in any
@@ -174,8 +169,8 @@ func (v *Virtual) Run(fn func()) {
 // virtual time never passes.
 func (v *Virtual) wall() int64 { return int64(time.Since(v.origin)) }
 
-// arrival is the instant an actor handed in from outside the schedule is
-// filed at: now, or on a paced clock the wall instant if that is later.
+// arrival is the instant a hand-in from outside the schedule is filed
+// at: now, or on a paced clock the wall instant if that is later.
 func (v *Virtual) arrival() int64 {
 	if v.paced {
 		return max(v.now, v.wall())
@@ -183,28 +178,29 @@ func (v *Virtual) arrival() int64 {
 	return v.now
 }
 
-// unblock files, at its arrival instant, every actor whose Block helper
-// has reported (or, paced, that was posted meanwhile), and while nothing
-// is due waits for one.
+// file files a delivery into its inbox at its arrival instant.
+func (v *Virtual) file(h handIn) { h.box.put(h.msg, v.arrival()) }
+
+// unblock files every actor whose Block helper has reported (or, paced,
+// every delivery made meanwhile), and while nothing is due waits for one.
 func (v *Virtual) unblock() {
 	for v.blocked > 0 {
-		var a *actor
+		var h handIn
 		if len(v.due) == 0 {
-			a = <-v.in
+			h = <-v.in
 		} else {
 			select {
-			case a = <-v.in:
+			case h = <-v.in:
 			default:
 				return
 			}
 		}
-		v.push(a, v.arrival())
+		v.file(h)
 	}
 }
 
-// pace files every actor handed in at its arrival instant and waits on
-// the wall clock until the earliest filed actor is due; with nothing
-// filed it waits for a hand-in.
+// pace files every hand-in and waits on the wall clock until the earliest
+// filed actor is due; with nothing filed it waits for a hand-in.
 func (v *Virtual) pace() {
 	for {
 		var due <-chan time.Time // nil: nothing filed, wait for a hand-in
@@ -212,8 +208,8 @@ func (v *Virtual) pace() {
 			wait := time.Duration(v.due[0].deadline - v.wall())
 			if wait <= 0 {
 				select {
-				case a := <-v.in:
-					v.push(a, v.arrival())
+				case h := <-v.in:
+					v.file(h)
 					continue
 				default:
 					return
@@ -223,9 +219,9 @@ func (v *Virtual) pace() {
 			due = v.timer.C
 		}
 		select {
-		case a := <-v.in:
+		case h := <-v.in:
 			v.timer.Stop()
-			v.push(a, v.arrival())
+			v.file(h)
 		case <-due:
 		}
 	}
@@ -235,28 +231,28 @@ func (v *Virtual) pace() {
 // its turn. Once fn has returned, the next turn boundary (or, unpaced,
 // Sleep) files the caller again at its arrival instant: the current one,
 // or on a paced clock the wall instant fn returned at if that is later.
-// It is for a wait on something other than the clock: c4hd's wait for
-// shutdown and the three end-of-run Block(wg.Wait) joins in
-// cmd/c4h-perf, which resume at the last finisher's instant because
-// nothing else is due by then. A join between actors that keep running
-// is a Group (or an Event the finisher fires). The caller must be an
-// actor.
+// It is for a wait on something other than the clock: the three
+// end-of-run Block(wg.Wait) joins in cmd/c4h-perf, which resume at the
+// last finisher's instant because nothing else is due by then. A wait
+// for a host goroutine that has something to say is an Inbox; a join
+// between actors that keep running is a Group (or an Event the finisher
+// fires). The caller must be an actor.
 func (v *Virtual) Block(fn func()) {
-	a := v.cur
+	done := NewInbox[struct{}](v)
 	v.blocked++
 	go func() {
 		fn()
-		v.in <- a
+		v.in <- handIn{box: done} // Deliver, on any clock
 	}()
-	a.yield(struct{}{})
+	done.Receive()
 	v.blocked--
 }
 
 // Sleep implements Clock. The caller must be an actor. A sleeper that is
 // itself the next due, once every returned Block is filed, carries on
 // without giving up the turn; on a paced clock only once its deadline has
-// passed on the wall clock, when a post arriving now would be filed after
-// it anyway.
+// passed on the wall clock, when a delivery arriving now would be filed
+// after it anyway.
 //
 // c4h:hotpath
 func (v *Virtual) Sleep(d time.Duration) {
@@ -353,6 +349,71 @@ func (g *Group) Wait() {
 		g.drained = g.v.NewEvent()
 	}
 	g.drained.Wait()
+}
+
+// Inbox is a queue of values for one resident actor, which takes them in
+// the order they were filed: the clock's one entry for work from host
+// goroutines, and a mailbox between actors. A host goroutine delivers,
+// an actor holding the turn sends; both file the value and wake the
+// actor parked in Receive.
+type Inbox[T any] struct {
+	v      *Virtual
+	queue  []T    // filed, not yet received, from head on
+	head   int    // the next to receive
+	waiter *actor // the actor parked in Receive, nil while it runs
+}
+
+// mailbox is an inbox of any type, as Run files a delivery into it.
+type mailbox interface{ put(msg any, at int64) }
+
+// NewInbox returns an empty inbox on v.
+func NewInbox[T any](v *Virtual) *Inbox[T] { return &Inbox[T]{v: v} }
+
+// Deliver hands msg to the inbox from a goroutine that is not the
+// clock's. Run files it at max(now, wall − offset), so a request that
+// arrives after an idle spell starts at its arrival instant. It returns
+// once Run has filed msg: deliveries made one after another are received
+// in that order. The clock must be paced; on an unpaced clock, whose
+// schedule is only what its actors make, an actor sends instead. A
+// pointer-shaped T delivers without allocating.
+func (b *Inbox[T]) Deliver(msg T) {
+	if !b.v.paced {
+		panic("vclock: Deliver on an unpaced clock")
+	}
+	b.v.in <- handIn{box: b, msg: msg}
+}
+
+// Send files msg from the actor holding the turn, on any clock: a parked
+// receiver is due at the current instant, after every actor already due
+// then. The caller keeps the turn.
+func (b *Inbox[T]) Send(msg T) { b.put(msg, b.v.now) }
+
+// put queues msg and files a parked receiver at instant at.
+func (b *Inbox[T]) put(msg any, at int64) {
+	m, _ := msg.(T) // a nil interface delivered is T's zero value
+	b.queue = append(b.queue, m)
+	if a := b.waiter; a != nil {
+		b.waiter = nil
+		b.v.push(a, at)
+	}
+}
+
+// Receive returns the oldest value filed and not yet received; with none,
+// the calling actor gives up its turn until one is filed. One actor
+// receives from an inbox.
+func (b *Inbox[T]) Receive() T {
+	if b.head == len(b.queue) {
+		b.waiter = b.v.cur
+		b.waiter.yield(struct{}{})
+	}
+	msg := b.queue[b.head]
+	var zero T
+	b.queue[b.head] = zero
+	b.head++
+	if b.head == len(b.queue) {
+		b.queue, b.head = b.queue[:0], 0
+	}
+	return msg
 }
 
 // before orders actors by deadline, then arrival.

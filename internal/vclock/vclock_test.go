@@ -3,6 +3,7 @@ package vclock
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -132,7 +133,7 @@ func TestVirtualTimeSkipsIdleGaps(t *testing.T) {
 }
 
 // TestRealClockMonotone: the paced clock's Now never goes back, across
-// sleeps that wake late and posts that arrive between them.
+// sleeps that wake late and deliveries that arrive between them.
 func TestRealClockMonotone(t *testing.T) {
 	v := NewPaced()
 	var last time.Time
@@ -143,43 +144,49 @@ func TestRealClockMonotone(t *testing.T) {
 			last = now
 		}
 	}
-	var stop chan struct{}
+	in := NewInbox[bool](v)
 	stopped := make(chan struct{})
 	go func() {
 		defer close(stopped)
 		v.Run(func() {
 			check()
-			stop = make(chan struct{})
 			v.Go(func() {
 				for i := 0; i < 20; i++ {
 					v.Sleep(time.Duration(i%3) * 100 * time.Microsecond)
 					check()
 				}
 			})
-			v.Block(func() { <-stop })
-			check()
+			for in.Receive() {
+				check()
+			}
 		})
 	}()
 	for i := 0; i < 20; i++ {
-		v.Post(check)
+		in.Deliver(true)
 		time.Sleep(50 * time.Microsecond)
 	}
-	v.Post(func() { close(stop) })
+	in.Deliver(false)
 	<-stopped
 	v.Sleep(-time.Hour) // must not block
 }
 
-// servePaced drives v from a goroutine of its own, with a root that waits
-// for the returned stop function, so the test can post to it.
-func servePaced(t *testing.T, v *Virtual) (stop func()) {
+// servePaced drives v from a goroutine of its own, with a root resident
+// that runs each function delivered to the returned inbox until a nil
+// one, which stop delivers.
+func servePaced(t *testing.T, v *Virtual) (in *Inbox[func()], stop func()) {
 	t.Helper()
-	quit, stopped := make(chan struct{}), make(chan struct{})
+	in = NewInbox[func()](v)
+	stopped := make(chan struct{})
 	go func() {
 		defer close(stopped)
-		v.Run(func() { v.Block(func() { <-quit }) })
+		v.Run(func() {
+			for fn := in.Receive(); fn != nil; fn = in.Receive() {
+				fn()
+			}
+		})
 	}()
-	return func() {
-		close(quit)
+	return in, func() {
+		in.Deliver(nil)
 		<-stopped
 	}
 }
@@ -230,18 +237,18 @@ func TestPacedLatenessDoesNotAddUp(t *testing.T) {
 	}
 }
 
-// TestPacedPostAfterIdleStartsAtArrival: a post made after 20 ms with
-// nothing due starts at the wall instant it arrived, not at the instant
-// the clock last ran, so its own sleep is served in full.
-func TestPacedPostAfterIdleStartsAtArrival(t *testing.T) {
+// TestPacedDeliveryAfterIdleStartsAtArrival: a delivery made after 20 ms
+// with nothing due is received at the wall instant it arrived, not at the
+// instant the clock last ran, so the sleep it asks for is served in full.
+func TestPacedDeliveryAfterIdleStartsAtArrival(t *testing.T) {
 	v := NewPaced()
-	stop := servePaced(t, v)
+	in, stop := servePaced(t, v)
 	defer stop()
 	time.Sleep(20 * time.Millisecond)
 	posted := time.Now()
 	type seen struct{ start, woke, wokeWall time.Time }
 	got := make(chan seen, 1)
-	v.Post(func() {
+	in.Deliver(func() {
 		var s seen
 		s.start = v.Now()
 		v.Sleep(5 * time.Millisecond)
@@ -250,24 +257,24 @@ func TestPacedPostAfterIdleStartsAtArrival(t *testing.T) {
 	})
 	s := <-got
 	if s.start.Before(posted) {
-		t.Fatalf("posted actor started at %v, %v before it was posted", s.start, posted.Sub(s.start))
+		t.Fatalf("delivery received at %v, %v before it was delivered", s.start, posted.Sub(s.start))
 	}
 	if s.start.Sub(posted) > 10*time.Millisecond {
-		t.Fatalf("posted actor started %v after it was posted", s.start.Sub(posted))
+		t.Fatalf("delivery received %v after it was delivered", s.start.Sub(posted))
 	}
 	if s.woke.Sub(s.start) != 5*time.Millisecond || s.wokeWall.Sub(posted) < 5*time.Millisecond {
-		t.Fatalf("5 ms sleep: virtual %v, wall %v since the post", s.woke.Sub(s.start), s.wokeWall.Sub(posted))
+		t.Fatalf("5 ms sleep: virtual %v, wall %v since the delivery", s.woke.Sub(s.start), s.wokeWall.Sub(posted))
 	}
 }
 
-// TestPacedConcurrentPosts: 8 goroutines post 100 actors each. Every one
-// runs; they bump a plain counter with no lock, which -race accepts only
-// because no two actors run at once; and each goroutine's posts run in
-// the order it made them.
-func TestPacedConcurrentPosts(t *testing.T) {
+// TestPacedConcurrentDeliveries: 8 goroutines deliver 100 functions each
+// to one resident. Every one runs; they bump a plain counter with no lock,
+// which -race accepts only because the resident runs on the clock; and
+// each goroutine's deliveries run in the order it made them.
+func TestPacedConcurrentDeliveries(t *testing.T) {
 	const posters, posts = 8, 100
 	v := NewPaced()
-	stop := servePaced(t, v)
+	in, stop := servePaced(t, v)
 	ran := 0
 	var last [posters]int
 	var wg sync.WaitGroup
@@ -276,9 +283,9 @@ func TestPacedConcurrentPosts(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 1; i <= posts; i++ {
-				v.Post(func() {
+				in.Deliver(func() {
 					if last[p] != i-1 {
-						panic(fmt.Sprintf("poster %d: post %d ran after post %d", p, i, last[p]))
+						panic(fmt.Sprintf("goroutine %d: delivery %d ran after delivery %d", p, i, last[p]))
 					}
 					last[p] = i
 					ran++
@@ -288,22 +295,22 @@ func TestPacedConcurrentPosts(t *testing.T) {
 	}
 	wg.Wait()
 	var total int
-	v.Post(func() { total = ran })
+	in.Deliver(func() { total = ran })
 	stop()
 	if total != posters*posts {
-		t.Fatalf("%d posts ran, want %d", total, posters*posts)
+		t.Fatalf("%d deliveries ran, want %d", total, posters*posts)
 	}
 }
 
-// TestPostOnUnpacedPanics: the unpaced clock takes no posts; its schedule
-// is only what its actors make.
-func TestPostOnUnpacedPanics(t *testing.T) {
+// TestDeliverOnUnpacedPanics: the unpaced clock takes no deliveries from
+// host goroutines; its schedule is only what its actors make.
+func TestDeliverOnUnpacedPanics(t *testing.T) {
 	defer func() {
 		if r, _ := recover().(string); !strings.Contains(r, "unpaced") {
 			t.Fatalf("recovered %q, want the unpaced panic", r)
 		}
 	}()
-	NewVirtual(epoch).Post(func() {})
+	NewInbox[int](NewVirtual(epoch)).Deliver(1)
 }
 
 // The tests below pin Pace, which c4hd calls once its home is built
@@ -406,11 +413,11 @@ func TestPacedSleepTakesWallTime(t *testing.T) {
 	}
 }
 
-// TestPacedPostFiledAtArrival: a post made 20 ms after Pace starts 20 ms
-// of virtual time after the instant Pace was called at, not at the
-// instant virtual time had reached before it (which, after an hour of
-// unpaced set-up, is far behind wall − epoch).
-func TestPacedPostFiledAtArrival(t *testing.T) {
+// TestPacedDeliveryFiledAtArrival: a delivery made 20 ms after Pace is
+// received 20 ms of virtual time after the instant Pace was called at,
+// not at the instant virtual time had reached before it (which, after an
+// hour of unpaced set-up, is far behind wall − epoch).
+func TestPacedDeliveryFiledAtArrival(t *testing.T) {
 	v := NewVirtual(epoch)
 	var paced time.Time
 	var pacedWall time.Time
@@ -419,21 +426,21 @@ func TestPacedPostFiledAtArrival(t *testing.T) {
 		paced, pacedWall = v.Now(), time.Now()
 		v.Pace()
 	})
-	stop := servePaced(t, v)
+	in, stop := servePaced(t, v)
 	defer stop()
 	time.Sleep(20 * time.Millisecond)
 	posted := time.Now()
 	started := make(chan time.Time, 1)
-	v.Post(func() { started <- v.Now() })
+	in.Deliver(func() { started <- v.Now() })
 	start := <-started
 	if lo, got := posted.Sub(pacedWall), start.Sub(paced); got < lo || got > lo+10*time.Millisecond {
-		t.Fatalf("post made %v after Pace started %v of virtual time after it", lo, got)
+		t.Fatalf("delivery made %v after Pace received %v of virtual time after it", lo, got)
 	}
 }
 
-// TestPostBeforePacePanics: a clock that Pace will pace takes no post
-// until it has, and one afterwards.
-func TestPostBeforePacePanics(t *testing.T) {
+// TestDeliverBeforePacePanics: a clock that Pace will pace takes no
+// delivery from a host goroutine until it has, and one afterwards.
+func TestDeliverBeforePacePanics(t *testing.T) {
 	v := NewVirtual(epoch)
 	func() {
 		defer func() {
@@ -441,13 +448,13 @@ func TestPostBeforePacePanics(t *testing.T) {
 				t.Fatalf("recovered %q, want the unpaced panic", r)
 			}
 		}()
-		v.Post(func() {})
+		NewInbox[int](v).Deliver(1)
 	}()
 	v.Run(v.Pace)
-	stop := servePaced(t, v)
+	in, stop := servePaced(t, v)
 	defer stop()
 	ran := make(chan struct{})
-	v.Post(func() { close(ran) })
+	in.Deliver(func() { close(ran) })
 	<-ran
 }
 
@@ -926,6 +933,7 @@ func TestDeadlockPanics(t *testing.T) {
 		fn   func(v *Virtual)
 	}{
 		{"event", func(v *Virtual) { v.NewEvent().Wait() }},
+		{"inbox", func(v *Virtual) { NewInbox[int](v).Receive() }},
 		{"group", func(v *Virtual) {
 			g := NewGroup(v)
 			never := v.NewEvent()
@@ -943,6 +951,68 @@ func TestDeadlockPanics(t *testing.T) {
 			v.Run(func() { tc.fn(v) })
 			t.Fatal("Run returned normally")
 		})
+	}
+}
+
+// TestInboxServesInInstantSeqOrder: an actor's Send files a parked
+// receiver at the current instant, after every actor already due then,
+// and values sent at one instant are received in the order sent. A value
+// already queued is received without giving up the turn.
+func TestInboxServesInInstantSeqOrder(t *testing.T) {
+	v := NewVirtual(epoch)
+	in := NewInbox[string](v)
+	var log []string
+	note := func(s string) { log = append(log, fmt.Sprintf("%v %s", v.Now().Sub(epoch), s)) }
+	v.Run(func() {
+		g := NewGroup(v)
+		g.Go(func() {
+			for i := 0; i < 3; i++ {
+				note("got " + in.Receive())
+			}
+		})
+		g.Go(func() {
+			v.Sleep(time.Millisecond)
+			in.Send("a")
+			in.Send("b")
+			v.Go(func() { note("spawned after the sends") })
+			note("sender keeps the turn")
+			v.Sleep(time.Millisecond)
+			in.Send("c")
+		})
+		g.Go(func() {
+			v.Sleep(time.Millisecond)
+			note("due before the sends")
+		})
+		g.Wait()
+	})
+	want := []string{
+		"1ms sender keeps the turn",
+		"1ms due before the sends",
+		"1ms got a",
+		"1ms got b",
+		"1ms spawned after the sends",
+		"2ms got c",
+	}
+	if !slices.Equal(log, want) {
+		t.Fatalf("order\n got %q\nwant %q", log, want)
+	}
+}
+
+// TestInboxReceiveQueuedDoesNotYield: a receiver with a value queued keeps
+// its turn, so an actor due at the same instant runs after it.
+func TestInboxReceiveQueuedDoesNotYield(t *testing.T) {
+	v := NewVirtual(epoch)
+	in := NewInbox[int](v)
+	var order []string
+	v.Run(func() {
+		in.Send(1)
+		v.Go(func() { order = append(order, "other") })
+		in.Receive()
+		order = append(order, "receiver")
+		v.Sleep(time.Millisecond)
+	})
+	if want := []string{"receiver", "other"}; !slices.Equal(order, want) {
+		t.Fatalf("order %v, want %v", order, want)
 	}
 }
 
