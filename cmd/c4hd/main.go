@@ -72,6 +72,7 @@ func run() error {
 // connections' ops meanwhile; returning ends the clock without waiting for
 // a monitor's next tick. The server is closed off the clock before the end
 // is delivered: Close waits for the residents that serve ops in flight.
+// Its last log line gives the paced clock's wakes and their lateness.
 func serve(clock *vclock.Virtual) error {
 	start, hostStart := clock.Now(), time.Now()
 	home, err := buildHome(clock)
@@ -94,14 +95,20 @@ func serve(clock *vclock.Virtual) error {
 		select {
 		case err = <-served:
 		case <-sig:
-			log.Print("c4hd: shutting down")
 		}
 		srv.Close()
 		end.Deliver(err)
 	}()
 	log.Printf("c4hd: home cloud up with %d nodes on %s (cloud=%v); set-up took %v modeled, %v on the host",
 		len(home.Nodes()), *listen, *cloud, setUp, hostSetUp.Round(time.Microsecond))
-	return end.Receive()
+	err = end.Receive()
+	var mean time.Duration
+	if clock.Wakes > 0 {
+		mean = clock.LateSum / time.Duration(clock.Wakes)
+	}
+	log.Printf("c4hd: shut down; the paced clock woke %d times, late by %v on average and %v at most",
+		clock.Wakes, mean.Round(time.Microsecond), clock.LateMax.Round(time.Microsecond))
+	return err
 }
 
 // buildHome builds the home cloud the flags describe on clock: the

@@ -274,6 +274,17 @@ func TestLoadModule(t *testing.T) {
 	if tests == 0 || nonTests == 0 {
 		t.Errorf("netsim file classification off: %d test, %d non-test", tests, nonTests)
 	}
+	// Of a build-tagged pair only the host's half is loaded: vclock's
+	// fine wait is a nanosleep or, where there is none, the timer alone.
+	var fine []string
+	for _, f := range byPath["cloud4home/internal/vclock"].Files {
+		if strings.HasPrefix(f.Path, "internal/vclock/fine_") {
+			fine = append(fine, f.Path)
+		}
+	}
+	if len(fine) != 1 {
+		t.Errorf("vclock's build-tagged pair loaded as %v, want one file", fine)
+	}
 }
 
 // TestAllowlistFormatRoundTrip pins the Format/Parse round trip:

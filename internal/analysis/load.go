@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/parser"
 	"go/token"
 	"os"
@@ -81,8 +82,10 @@ func modulePath(gomod []byte) string {
 	return ""
 }
 
-// LoadModule parses every Go source file under root (skipping testdata,
-// vendor, hidden and underscore directories) into a Module.
+// LoadModule parses every Go source file under root that the host's
+// build compiles (skipping testdata, vendor, hidden and underscore
+// directories, and files whose build constraints exclude them, so a
+// build-tagged pair declares its names once) into a Module.
 func LoadModule(root string) (*Module, error) {
 	gomod, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
@@ -110,6 +113,9 @@ func LoadModule(root string) (*Module, error) {
 		}
 		if !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") {
 			return nil
+		}
+		if ok, err := build.Default.MatchFile(filepath.Dir(path), name); err != nil || !ok {
+			return err
 		}
 		rel, err := filepath.Rel(root, path)
 		if err != nil {

@@ -16,8 +16,8 @@
 // The home's resident passes an op on to its node's resident and serves
 // Stats and ls itself, so neither waits behind a data op; their replies
 // travel in a frame, since a home's object list outgrows a command
-// packet. The server's lock guards only its listener and its map of
-// connections.
+// packet. The server's lock guards only its listener, its map of
+// connections and whether it is closed.
 //
 // Both ends read through one buffered reader per connection into buffers
 // the connection reuses, and send each message, packet and frame

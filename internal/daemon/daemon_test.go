@@ -229,19 +229,26 @@ func TestList(t *testing.T) {
 
 // TestListOfManyObjects: an ls reply grows with the home's objects, past
 // what a command packet carries (command.MaxData), so it travels in a
-// frame. The objects go straight into the nodes' stores; ls reads only
-// those.
+// frame. The objects go straight into the nodes' stores, which ls reads
+// alone, on the clock: one request the home's resident serves puts them.
 func TestListOfManyObjects(t *testing.T) {
 	srv, addr := startServer(t)
-	nodes := srv.home.Nodes()
 	const n = 400
 	want := map[string]bool{}
-	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("cam%d/frame-%06d.jpg", i%4, i)
-		want[name] = true
-		if err := nodes[i%len(nodes)].ObjectStore().Put(objstore.Mandatory, objstore.Object{Name: name, Size: 1}, nil); err != nil {
-			t.Fatal(err)
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("cam%d/frame-%06d.jpg", i%4, i)
+		want[names[i]] = true
+	}
+	var err error
+	newCaller().call(srv, func(s *Server, _ *core.Session, _ *request) {
+		nodes := s.home.Nodes()
+		for i := 0; i < n && err == nil; i++ {
+			err = nodes[i%len(nodes)].ObjectStore().Put(objstore.Mandatory, objstore.Object{Name: names[i], Size: 1}, nil)
 		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	_, objects, err := dial(t, addr).List()
 	if err != nil {

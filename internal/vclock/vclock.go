@@ -23,12 +23,17 @@
 // A paced clock's Run keeps virtual time equal to wall time minus a fixed
 // offset, which Pace set so that the virtual instant it was called at is
 // the wall instant it was called at. It waits on the wall clock until the
-// earliest deadline is due, so no actor runs early, and moves time to
-// that deadline, not to the instant it woke, so a late wake only brings
-// later deadlines nearer: an actor's sleeps end at absolute deadlines and
-// one timer's lateness does not add up across them. With nothing due, Run
-// waits for a delivery to an Inbox, which it files at max(now, wall −
-// offset).
+// earliest deadline is due, so no actor runs early: on the Go timer until
+// fineWait before it, then, where the system has nanosleep, one nanosleep
+// of the rest on Run's own thread, since the runtime's timers wake on the
+// netpoller's whole milliseconds. It moves time to that deadline, not to
+// the instant it woke, so a late wake only brings later deadlines nearer:
+// an actor's sleeps end at absolute deadlines and one wake's lateness
+// does not add up across them. With nothing due, Run waits for a delivery
+// to an Inbox, and files one it was listening for at the instant it takes
+// it. Each delivery carries the wall instant it was made at, and one that
+// had to wait for Run, as through the fine sleep, is filed at its stamp
+// (or now, if later): where a listening Run would have filed it.
 //
 // A Virtual has no lock. Only the goroutine that called Run and the actor
 // holding the turn may call its methods (and those of its Events and
@@ -64,14 +69,22 @@ type Virtual struct {
 	blocked int         // actors inside Block, counted until they resume
 	in      chan handIn // Block's helpers and Deliver reach Run here
 	paced   bool        // Run waits on the wall clock for each deadline
-	timer   *time.Timer // paced: Run's wait for the earliest deadline
+	timer   *time.Timer // paced: Run's coarse wait, made on first use
 	origin  time.Time   // paced: the wall instant of virtual instant 0
+
+	// Paced wakes: how many of Run's waits on the wall clock ended at a
+	// deadline, and the sum and maximum of how late Run resumed. Run
+	// writes them; read them on the clock.
+	Wakes            int
+	LateSum, LateMax time.Duration
 }
 
-// handIn is a value delivered to an inbox from another goroutine.
+// handIn is a value delivered to an inbox from another goroutine, with
+// its arrival instant: paced, the wall instant it was made at, else 0.
 type handIn struct {
 	box mailbox
 	msg any
+	at  int64
 }
 
 var _ Clock = (*Virtual)(nil)
@@ -84,10 +97,12 @@ func NewVirtual(epoch time.Time) *Virtual {
 
 // NewPaced returns a virtual clock paced to the wall clock, starting at
 // the current wall instant: Now reads the wall time at which the actor
-// holding the turn was due.
+// holding the turn was due. Epoch and offset are one reading, so Now is
+// exactly that wall time.
 func NewPaced() *Virtual {
-	v := NewVirtual(time.Now())
-	v.Pace()
+	now := time.Now()
+	v := NewVirtual(now)
+	v.origin, v.paced = now, true
 	return v
 }
 
@@ -101,10 +116,10 @@ func (v *Virtual) Pace() {
 	if v.paced {
 		return
 	}
+	// No other work either side of the reading: a caller's reading just
+	// before or after Pace is as near the offset as a wake to its deadline.
 	v.origin = time.Now().Add(-time.Duration(v.now))
 	v.paced = true
-	v.timer = time.NewTimer(time.Hour)
-	v.timer.Stop()
 }
 
 // Now implements Clock.
@@ -178,8 +193,9 @@ func (v *Virtual) arrival() int64 {
 	return v.now
 }
 
-// file files a delivery into its inbox at its arrival instant.
-func (v *Virtual) file(h handIn) { h.box.put(h.msg, v.arrival()) }
+// file files a delivery into its inbox at its arrival instant, or now if
+// that is later.
+func (v *Virtual) file(h handIn) { h.box.put(h.msg, max(v.now, h.at)) }
 
 // unblock files every actor whose Block helper has reported (or, paced,
 // every delivery made meanwhile), and while nothing is due waits for one.
@@ -200,8 +216,12 @@ func (v *Virtual) unblock() {
 }
 
 // pace files every hand-in and waits on the wall clock until the earliest
-// filed actor is due; with nothing filed it waits for a hand-in.
+// filed actor is due; with nothing filed it waits for a hand-in. It waits
+// on the timer, taking hand-ins, until fineWait before the deadline, and
+// sleeps the rest without taking any; it reads the wall clock again after
+// every wake, so a wake that comes early only waits again.
 func (v *Virtual) pace() {
+	woke := false // a wait on the wall clock has ended
 	for {
 		var due <-chan time.Time // nil: nothing filed, wait for a hand-in
 		if len(v.due) > 0 {
@@ -212,25 +232,43 @@ func (v *Virtual) pace() {
 					v.file(h)
 					continue
 				default:
-					return
 				}
+				if woke {
+					v.Wakes++
+					v.LateSum -= wait
+					v.LateMax = max(v.LateMax, -wait)
+				}
+				return
 			}
-			v.timer.Reset(wait)
+			if wait <= fineWait {
+				sleepFine(wait)
+				woke = true
+				continue
+			}
+			if v.timer == nil {
+				v.timer = time.NewTimer(wait - fineWait)
+			} else {
+				v.timer.Reset(wait - fineWait)
+			}
 			due = v.timer.C
 		}
 		select {
 		case h := <-v.in:
-			v.timer.Stop()
+			if due != nil {
+				v.timer.Stop()
+			}
+			h.at = v.wall() // Run was listening: h arrives as Run takes it
 			v.file(h)
 		case <-due:
+			woke = true
 		}
 	}
 }
 
 // Block runs fn on a helper goroutine while the calling actor gives up
 // its turn. Once fn has returned, the next turn boundary (or, unpaced,
-// Sleep) files the caller again at its arrival instant: the current one,
-// or on a paced clock the wall instant fn returned at if that is later.
+// Sleep) files the caller again at the current instant, or on a paced
+// clock at the wall instant fn returned at if that is later.
 // It is for a wait on something other than the clock: the three
 // end-of-run Block(wg.Wait) joins in cmd/c4h-perf, which resume at the
 // last finisher's instant because nothing else is due by then. A wait
@@ -240,9 +278,14 @@ func (v *Virtual) pace() {
 func (v *Virtual) Block(fn func()) {
 	done := NewInbox[struct{}](v)
 	v.blocked++
+	paced := v.paced // a Pace meanwhile files the caller at now
 	go func() {
 		fn()
-		v.in <- handIn{box: done} // Deliver, on any clock
+		var at int64
+		if paced {
+			at = v.wall()
+		}
+		v.in <- handIn{box: done, at: at} // Deliver, on any clock
 	}()
 	done.Receive()
 	v.blocked--
@@ -370,17 +413,19 @@ type mailbox interface{ put(msg any, at int64) }
 func NewInbox[T any](v *Virtual) *Inbox[T] { return &Inbox[T]{v: v} }
 
 // Deliver hands msg to the inbox from a goroutine that is not the
-// clock's. Run files it at max(now, wall − offset), so a request that
-// arrives after an idle spell starts at its arrival instant. It returns
-// once Run has filed msg: deliveries made one after another are received
-// in that order. The clock must be paced; on an unpaced clock, whose
-// schedule is only what its actors make, an actor sends instead. A
-// pointer-shaped T delivers without allocating.
+// clock's. Run files it at its arrival instant, or now if that is later:
+// the instant Run takes it if Run was listening, else the wall instant
+// Deliver stamped it with, so a request that arrives during a fine sleep
+// or after an idle spell starts at its arrival. It returns once Run has
+// filed msg: deliveries made one after another are received in that
+// order, the order Run takes them in. The clock must be paced; on an
+// unpaced clock, whose schedule is only what its actors make, an actor
+// sends instead. A pointer-shaped T delivers without allocating.
 func (b *Inbox[T]) Deliver(msg T) {
 	if !b.v.paced {
 		panic("vclock: Deliver on an unpaced clock")
 	}
-	b.v.in <- handIn{box: b, msg: msg}
+	b.v.in <- handIn{box: b, msg: msg, at: b.v.wall()}
 }
 
 // Send files msg from the actor holding the turn, on any clock: a parked

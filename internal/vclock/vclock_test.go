@@ -302,6 +302,99 @@ func TestPacedConcurrentDeliveries(t *testing.T) {
 	}
 }
 
+// TestPacedWakesOnTime: a host goroutine delivers 50 sleeps of 300 µs to
+// a resident, one after another, and waits for each. The median of wall
+// time minus modeled time stays within 300 µs, where a wait on the Go
+// timer alone, which wakes on the netpoller's whole milliseconds, is about
+// 0.8 ms late. The clock's vital counts the wakes.
+func TestPacedWakesOnTime(t *testing.T) {
+	const n, d = 50, 300 * time.Microsecond
+	v := NewPaced()
+	in, stop := servePaced(t, v)
+	done := make(chan struct{})
+	sleep := func() {
+		v.Sleep(d)
+		done <- struct{}{}
+	}
+	late := make([]time.Duration, n)
+	for i := range late {
+		t0 := time.Now()
+		in.Deliver(sleep)
+		<-done
+		late[i] = time.Since(t0) - d
+	}
+	stop()
+	slices.Sort(late)
+	if fineWait > 0 && late[n/2] > 300*time.Microsecond {
+		t.Errorf("median reply to a %v sleep %v late (fastest %v, slowest %v), want <= 300µs", d, late[n/2], late[0], late[n-1])
+	}
+	// A sleep whose deadline passed before it was asked for waits on
+	// nothing, so under load a few sleeps make no wake.
+	if v.Wakes == 0 || v.Wakes > n || v.LateMax < v.LateSum/time.Duration(v.Wakes) {
+		t.Errorf("vital: %d wakes, %v late in all, %v at most; want 1 to %d wakes", v.Wakes, v.LateSum, v.LateMax, n)
+	}
+}
+
+// TestPacedDeliveryDuringFineWaitFiledAtArrival: a delivery made while Run
+// sleeps the last fineWait before a deadline waits for the sleep to end,
+// and is then filed at the instant it was made: received at that instant
+// and, since it was made before the deadline, before the actor whose
+// deadline it was.
+func TestPacedDeliveryDuringFineWaitFiledAtArrival(t *testing.T) {
+	if fineWait == 0 {
+		t.Skip("no fine sleep on this system")
+	}
+	v := NewPaced()
+	in, stop := servePaced(t, v)
+	defer stop()
+	wallOf := func(at time.Time) time.Time { return v.origin.Add(at.Sub(v.epoch)) }
+	// A host goroutine or a Run that stalls can miss the window in which
+	// Run sleeps; the attempt then checks nothing and is made again.
+	for attempt := 0; attempt < 20; attempt++ {
+		var order []string
+		var deadline, asleep, received time.Time
+		var tooLate bool
+		sleeping := make(chan struct{})
+		in.Deliver(func() {
+			v.Go(func() {
+				deadline, asleep = v.Now().Add(fineWait), time.Now()
+				close(sleeping)
+				// Run sleeps to deadline once this Sleep yields, which it
+				// does unless deadline has passed.
+				tooLate = wallOf(deadline).Sub(time.Now()) < fineWait/2
+				v.Sleep(fineWait)
+				order = append(order, "sleeper")
+			})
+		})
+		<-sleeping
+		for time.Since(asleep) < fineWait/8 {
+		}
+		posted := time.Now()
+		in.Deliver(func() {
+			received = v.Now()
+			order = append(order, "delivery")
+		})
+		returned := time.Now()
+		got := make(chan struct{})
+		in.Deliver(func() { v.Sleep(fineWait); close(got) })
+		<-got
+		if tooLate || wallOf(deadline).Sub(posted) < fineWait/2 {
+			continue
+		}
+		if deadlineWall := wallOf(deadline); returned.Before(deadlineWall) {
+			t.Fatalf("Deliver returned %v before the deadline Run slept to", deadlineWall.Sub(returned))
+		}
+		if at := wallOf(received); at.Before(posted) || !received.Before(deadline) {
+			t.Fatalf("delivery made %v before the deadline received %v before it", wallOf(deadline).Sub(posted), deadline.Sub(received))
+		}
+		if want := []string{"delivery", "sleeper"}; !slices.Equal(order, want) {
+			t.Fatalf("order %v, want %v", order, want)
+		}
+		return
+	}
+	t.Skip("the host goroutine never delivered within the fine sleep")
+}
+
 // TestDeliverOnUnpacedPanics: the unpaced clock takes no deliveries from
 // host goroutines; its schedule is only what its actors make.
 func TestDeliverOnUnpacedPanics(t *testing.T) {
