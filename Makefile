@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-syntactic lint-typed lint-dataflow lint-concurrency test race check bench perf perf-compare perf-pairs profile profile-process repro examples loc census clean
+.PHONY: all build vet lint lint-syntactic lint-typed lint-dataflow lint-concurrency test race check bench perf perf-compare perf-pairs profile profile-process repro examples loc reach census clean
 
 all: build vet lint test race
 
@@ -142,6 +142,14 @@ loc:
 	@$(GO) list -f '{{.Dir}} {{.ImportPath}}' ./... | while read dir pkg; do \
 		printf '%6d %s\n' "$$(cat /dev/null $$(ls $$dir/*.go | grep -v _test.go) | wc -l)" "$$pkg"; \
 	done
+
+# Reachability census (ROADMAP item 6): every package's tests but
+# internal/analysis's, with coverage counted over the whole module, then
+# the functions no test reaches (0.0 %) outside internal/analysis, cmd/
+# and examples/, and the module's total. A report, not a gate; ~20 s.
+reach:
+	@$(GO) test -count=1 -coverpkg=./... -coverprofile=reach.out $$($(GO) list ./... | grep -v '/internal/analysis$$')
+	@$(GO) tool cover -func=reach.out | grep -vE '^cloud4home/(internal/analysis|cmd|examples)/' | awk '$$NF == "0.0%" || $$1 == "total:"'
 
 # Synchronisation left in the simulated packages, whose state the
 # clock's turn owns: per package, the sync.Mutex/RWMutex fields, the

@@ -38,16 +38,16 @@ var layerDAG = map[string][]string{
 	"internal/detrand":   {},
 	"internal/erasure":   {},
 	"internal/canonjson": {},
+	"internal/objstore":  {},
 
 	// Self-contained subsystems over the leaves.
-	"internal/rbtree":   {"internal/ids"},
-	"internal/netsim":   {"internal/detrand", "internal/vclock"},
-	"internal/machine":  {"internal/vclock"},
-	"internal/xenchan":  {"internal/vclock"},
-	"internal/objstore": {"internal/ids"},
-	"internal/policy":   {"internal/objstore"},
-	"internal/overlay":  {"internal/ids", "internal/rbtree"},
-	"internal/kv":       {"internal/ids", "internal/overlay"},
+	"internal/rbtree":  {"internal/ids"},
+	"internal/netsim":  {"internal/detrand", "internal/vclock"},
+	"internal/machine": {"internal/vclock"},
+	"internal/xenchan": {"internal/vclock"},
+	"internal/policy":  {"internal/objstore"},
+	"internal/overlay": {"internal/ids", "internal/rbtree"},
+	"internal/kv":      {"internal/ids", "internal/overlay"},
 	"internal/monitor": {
 		"internal/ids", "internal/kv", "internal/machine",
 		"internal/objstore", "internal/vclock",

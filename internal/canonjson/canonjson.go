@@ -98,9 +98,6 @@ func (d *Decoder) Fail(want string) {
 	}
 }
 
-// Err returns the recorded failure, if any.
-func (d *Decoder) Err() error { return d.err }
-
 // End returns the recorded failure, or one if input remains.
 func (d *Decoder) End() error {
 	if d.err == nil && d.pos != len(d.s) {

@@ -10,10 +10,9 @@
 //
 // Beyond the paper's single S3 clone, the package federates: any number
 // of heterogeneous storage backends can be built from BackendProfiles
-// (per-backend WAN pipes, latency/bandwidth shape, pricing, durability,
-// scripted outage windows) and attached to a home side by side. The
-// default Cloud is simply the Remote built from S3Profile plus the
-// EC2-like compute tier.
+// (per-backend WAN pipes, latency/bandwidth shape, pricing, durability)
+// and attached to a home side by side. The default Cloud is simply the
+// Remote built from S3Profile plus the EC2-like compute tier.
 package cloudsim
 
 import (
@@ -30,9 +29,6 @@ import (
 // Errors returned by cloud operations.
 var (
 	ErrNoInstance = errors.New("cloudsim: unknown instance")
-	// ErrUnavailable is returned by operations that land inside a
-	// scripted outage window; the request round trip is still charged.
-	ErrUnavailable = errors.New("cloudsim: backend unavailable")
 	// ErrOverQuota is returned when a store would exceed the backend's
 	// capacity. The provider rejects at request time, so only one round
 	// trip is charged — never the payload transfer.
@@ -102,7 +98,6 @@ type Backend interface {
 	UpPipe() *netsim.Resource
 	DownPipe() *netsim.Resource
 	Seed(meta objstore.Object, data []byte) error
-	Available(at time.Time) bool
 	EstimateStore(srcNIC *netsim.Resource, size int64) time.Duration
 	EstimateFetch(dstNIC *netsim.Resource, size int64) time.Duration
 	Spend() Spend
@@ -123,8 +118,8 @@ type Spend struct {
 }
 
 // Remote is one profile-driven storage backend: an object bucket behind
-// its own pair of WAN pipes, with scripted availability and a running
-// bill. All blocking behaviour matches the paper's S3 wrapper.
+// its own pair of WAN pipes, with a running bill. All blocking behaviour
+// matches the paper's S3 wrapper.
 type Remote struct {
 	prof  BackendProfile
 	clock vclock.Clock
@@ -136,14 +131,10 @@ type Remote struct {
 
 	store *objstore.Store
 
-	// The bill and the outage script have no lock: the clock's turn is
-	// their one owner, and only the actor holding the turn calls a Remote.
+	// The bill has no lock: the clock's turn is its one owner, and only
+	// the actor holding the turn calls a Remote.
 	bytesUp, bytesDown, requests int64
-	outages                      []outage
 }
-
-// outage is one scripted availability gap [from, to).
-type outage struct{ from, to time.Time }
 
 var _ Backend = (*Remote)(nil)
 
@@ -225,31 +216,12 @@ func (r *Remote) upPath(src *netsim.Resource) *netsim.Path {
 	return p
 }
 
-// SetOutage schedules an availability gap [from, to): operations inside
-// it charge their request round trip and fail with ErrUnavailable —
-// a deterministic stand-in for provider downtime, aligned with the
-// netsim fault schedules' virtual timestamps.
-func (r *Remote) SetOutage(from, to time.Time) {
-	r.outages = append(r.outages, outage{from: from, to: to})
-}
-
-// Available reports whether the backend is outside every scripted
-// outage window at the given instant.
-func (r *Remote) Available(at time.Time) bool {
-	for _, o := range r.outages {
-		if !at.Before(o.from) && at.Before(o.to) {
-			return false
-		}
-	}
-	return true
-}
-
 // StoreObject uploads an object from a home node (identified by its NIC
 // resource) into the bucket. It blocks for the full upload, like the S3
 // wrapper, and returns the object's URL and the elapsed transfer time.
 //
 // Failure-cost contract (the PR-5 Retries convention): an upload the
-// provider rejects up front — outage, over quota — costs one request
+// provider rejects up front — over quota — costs one request
 // round trip, never the payload transfer; overwrites replace the old
 // object atomically (a failed replace leaves it readable); and only a
 // mid-flight race can burn a full transfer, whose duration is still
@@ -259,10 +231,6 @@ func (r *Remote) StoreObject(srcNIC *netsim.Resource, meta objstore.Object, data
 		meta.Size = int64(len(data))
 	}
 	r.requests++
-	if !r.Available(r.clock.Now()) {
-		d := r.net.Message(r.upPath(srcNIC))
-		return "", d, fmt.Errorf("cloudsim: store %q: %w", meta.Name, ErrUnavailable)
-	}
 	if !r.fits(meta) {
 		// The provider rejects at the request handshake: the object's
 		// bytes never cross the wire, so a full home cloud cannot be
@@ -305,10 +273,6 @@ func (r *Remote) fits(meta objstore.Object) bool {
 // and copies it where it leaves for code outside VStore++.
 func (r *Remote) FetchObject(dstNIC *netsim.Resource, name string) (objstore.Object, []byte, time.Duration, error) {
 	r.requests++
-	if !r.Available(r.clock.Now()) {
-		d := r.net.Message(r.downPath(dstNIC))
-		return objstore.Object{}, nil, d, fmt.Errorf("cloudsim: fetch %q: %w", name, ErrUnavailable)
-	}
 	meta, data, err := r.store.GetRef(name)
 	if err != nil {
 		return objstore.Object{}, nil, 0, fmt.Errorf("cloudsim: fetch %q: %w", name, err)
@@ -334,11 +298,7 @@ func (r *Remote) Delete(name string) error {
 // exists).
 func (r *Remote) Stat(dstNIC *netsim.Resource, name string) (objstore.Object, error) {
 	r.requests++
-	path := r.downPath(dstNIC)
-	r.net.Message(path)
-	if !r.Available(r.clock.Now()) {
-		return objstore.Object{}, fmt.Errorf("cloudsim: stat %q: %w", name, ErrUnavailable)
-	}
+	r.net.Message(r.downPath(dstNIC))
 	meta, _, err := r.store.Stat(name)
 	if err != nil {
 		return objstore.Object{}, fmt.Errorf("cloudsim: stat %q: %w", name, err)

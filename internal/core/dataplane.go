@@ -4,37 +4,20 @@ import (
 	"time"
 
 	"cloud4home/internal/vclock"
-	"cloud4home/internal/xenchan"
 )
 
 // domainSink is the one chunk-fed serial stage in a pull's destination
 // dom0: each wire chunk's work starts once the chunk is there, the stage
 // is ready and the chunks before it are done, concurrently with the rest
-// of the wire. Its two users are the guest drain of a pipelined fetch
-// (Config.Pipelined), and an overlapped process's first service step
-// (Config.Overlap, firstStep). After the pull the caller settles the work
-// extending past the wire.
+// of the wire. Its one user is an overlapped process's first service step
+// (Config.Overlap, firstStep); pull sees only this type. After the pull
+// the caller settles the work extending past the wire.
 type domainSink struct {
 	clock vclock.Clock
-	chunk int64                       // the wire granularity it asks for; 0 is the wire's own
 	price func(b int64) time.Duration // one chunk's work; without one the stage takes none
 	begin func()                      // run once as the first wire into dst starts
 	ready time.Time                   // when the first chunk's work can start
 	done  time.Time                   // when the work on the bytes delivered so far ends
-	cost  time.Duration               // the full modeled work: the drain's InterDomain
-	used  bool
-}
-
-// guestDrain is the pipelined fetch's stage, the serial dom0→guest drain
-// through chn's page ring, whose Pipeline the caller settles; nil when chn
-// is closed.
-func guestDrain(chn *xenchan.Channel, clock vclock.Clock) (*domainSink, *xenchan.Pipeline) {
-	pl, err := chn.StartPipeline()
-	if err != nil {
-		return nil, nil
-	}
-	cfg := chn.Config()
-	return &domainSink{clock: clock, chunk: int64(cfg.PageSize) * int64(cfg.NumPages), price: pl.ChunkCost}, pl
 }
 
 // onChunk is called from the wire's event loop with the clock standing at
@@ -50,10 +33,7 @@ func (ds *domainSink) onChunk(b int64) {
 	if at.Before(ds.ready) {
 		at = ds.ready
 	}
-	c := ds.price(b)
-	ds.cost += c
-	ds.done = at.Add(c)
-	ds.used = true
+	ds.done = at.Add(ds.price(b))
 }
 
 // settle feeds the sink b bytes the wire did not stream, all at once; a

@@ -161,58 +161,6 @@ func TestStripedFetchCrashMidStripeFallsBack(t *testing.T) {
 	})
 }
 
-func TestPipelinedFetchBeatsSerialPhaseSum(t *testing.T) {
-	const size = 20 << 20
-	fetch := func(cfg Config) FetchBreakdown {
-		tb := newDataPlaneTestbed(t, cfg)
-		var bd FetchBreakdown
-		tb.run(func() {
-			owner, err := tb.desktop.OpenSession()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := owner.CreateObject("big.bin", "bin", nil); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := owner.StoreObject("big.bin", nil, size, StoreOptions{Blocking: true}); err != nil {
-				t.Fatal(err)
-			}
-			reader, err := tb.netbook.OpenSession()
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := reader.FetchObject("big.bin")
-			if err != nil {
-				t.Fatal(err)
-			}
-			bd = res.Breakdown
-		})
-		return bd
-	}
-
-	serial := fetch(Config{})
-	sum := serial.DHTLookup + serial.InterNode + serial.InterDomain
-	if serial.Total < sum {
-		t.Fatalf("serial fetch total %v below its phase sum %v", serial.Total, sum)
-	}
-
-	piped := fetch(Config{Pipelined: true})
-	pipedSum := piped.DHTLookup + piped.InterNode + piped.InterDomain
-	if piped.Total >= pipedSum {
-		t.Fatalf("pipelined fetch total %v not below phase sum %v", piped.Total, pipedSum)
-	}
-	// The drain really overlapped: the saving should be a large share of
-	// the inter-domain phase, and the phases themselves stay comparable to
-	// the serial run's.
-	saved := pipedSum - piped.Total
-	if saved < piped.InterDomain/2 {
-		t.Fatalf("pipelining saved only %v of an %v inter-domain phase", saved, piped.InterDomain)
-	}
-	if piped.InterDomain < serial.InterDomain/2 || piped.InterDomain > 2*serial.InterDomain {
-		t.Fatalf("pipelined InterDomain %v far from serial %v", piped.InterDomain, serial.InterDomain)
-	}
-}
-
 func TestCacheHitServesAtNearLocalLatency(t *testing.T) {
 	tb := newDataPlaneTestbed(t, Config{CacheBytes: 256 << 20})
 	tb.run(func() {

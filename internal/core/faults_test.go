@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
-	"time"
 
 	"cloud4home/internal/kv"
 	"cloud4home/internal/vclock"
@@ -122,111 +121,6 @@ func TestFallbackOffPreservesPaperFailure(t *testing.T) {
 		}
 		if got := tb.netbook.OpStats().FetchRetries; got != 0 {
 			t.Fatalf("FetchRetries = %d with faults off, want 0", got)
-		}
-	})
-}
-
-func TestPipelinedFetchCrashMidTransferFallsBack(t *testing.T) {
-	tb := newFaultTestbed(t, Config{Pipelined: true, DataReplicas: 1, Fallback: true})
-	payload := make([]byte, 8<<20)
-	rand.New(rand.NewSource(11)).Read(payload)
-	tb.run(func() {
-		storeWithReplica(t, tb, "midcrash.bin", payload)
-		// Crash the primary mid-transfer: an 8 MB LAN transfer takes ≈1 s
-		// of wire time, so 300 ms is inside the pipelined TransferSet.
-		g := vclock.NewGroup(tb.v)
-		g.Go(func() {
-			tb.v.Sleep(300 * time.Millisecond)
-			if err := tb.home.RemoveNode(tb.atom.addr, false); err != nil {
-				t.Error(err)
-			}
-		})
-		reader, err := tb.netbook.OpenSession()
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := reader.FetchObject("midcrash.bin")
-		g.Wait()
-		if err != nil {
-			t.Fatalf("pipelined fetch with crash mid-transfer: %v", err)
-		}
-		if res.Source != tb.desktop.addr {
-			t.Fatalf("source = %q, want the surviving replica %q", res.Source, tb.desktop.addr)
-		}
-		if !bytes.Equal(res.Data, payload) {
-			t.Fatal("fallback fetch returned wrong bytes")
-		}
-		if res.Breakdown.Retries <= 0 {
-			t.Fatalf("breakdown %+v charges no retry cost for the aborted attempt", res.Breakdown)
-		}
-		if res.Breakdown.Total < res.Breakdown.Retries {
-			t.Fatalf("breakdown %+v: total below retry cost", res.Breakdown)
-		}
-	})
-}
-
-func TestPipelinedFetchErrorSettlesSink(t *testing.T) {
-	// No payload replicas and no cloud: the ladder is exhausted after the
-	// crash, so the fetch fails — but the half-delivered sink must be
-	// settled so the channel's accounting still matches what moved.
-	tb := newFaultTestbed(t, Config{Pipelined: true, Fallback: true})
-	payload := make([]byte, 8<<20)
-	rand.New(rand.NewSource(13)).Read(payload)
-	tb.run(func() {
-		owner, err := tb.atom.OpenSession()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := owner.StoreObjectData("lost.bin", "bin", payload, StoreOptions{Blocking: true}); err != nil {
-			t.Fatal(err)
-		}
-		owner.Close()
-
-		g := vclock.NewGroup(tb.v)
-		g.Go(func() {
-			tb.v.Sleep(300 * time.Millisecond)
-			if err := tb.home.RemoveNode(tb.atom.addr, false); err != nil {
-				t.Error(err)
-			}
-		})
-		reader, err := tb.netbook.OpenSession()
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = reader.FetchObject("lost.bin")
-		g.Wait()
-		if !errors.Is(err, ErrObjectNotFound) {
-			t.Fatalf("fetch with no surviving copy: %v, want ErrObjectNotFound", err)
-		}
-		failedStats := reader.chn.Stats()
-		if failedStats.Transfers == 0 || failedStats.BytesMoved == 0 {
-			t.Fatalf("aborted pipelined fetch left the sink unsettled: %+v", failedStats)
-		}
-
-		// The channel must account a follow-up fetch exactly: one command
-		// packet plus one settled payload pipeline, moving at least the
-		// object's size.
-		small := []byte("intact accounting")
-		owner2, err := tb.desktop.OpenSession()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := owner2.StoreObjectData("after.bin", "bin", small, StoreOptions{Blocking: true}); err != nil {
-			t.Fatal(err)
-		}
-		res, err := reader.FetchObject("after.bin")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(res.Data, small) {
-			t.Fatal("follow-up fetch returned wrong bytes")
-		}
-		after := reader.chn.Stats()
-		if after.Transfers != failedStats.Transfers+2 {
-			t.Fatalf("transfers %d -> %d, want two more (command + pipeline)", failedStats.Transfers, after.Transfers)
-		}
-		if moved := after.BytesMoved - failedStats.BytesMoved; moved < int64(len(small)) {
-			t.Fatalf("follow-up moved %d bytes through the channel, want >= %d", moved, len(small))
 		}
 	})
 }

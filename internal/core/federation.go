@@ -28,7 +28,6 @@ func (n *Node) cloudBackend(obj objstore.Object) (cloudsim.Backend, string, erro
 	if len(roster) == 0 {
 		return nil, "", ErrNoCloud
 	}
-	now := n.clock.Now()
 	infos := make([]policy.BackendInfo, len(roster))
 	for i, b := range roster {
 		p := b.Profile()
@@ -41,7 +40,6 @@ func (n *Node) cloudBackend(obj objstore.Object) (cloudsim.Backend, string, erro
 			GetPerGB:        p.GetPerGB,
 			PerRequest:      p.PerRequest,
 			Durability:      p.Durability,
-			Available:       b.Available(now),
 		}
 	}
 	idx, err := pol.Choose(obj, infos)

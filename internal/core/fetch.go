@@ -7,7 +7,6 @@ import (
 
 	"cloud4home/internal/command"
 	"cloud4home/internal/netsim"
-	"cloud4home/internal/xenchan"
 )
 
 // FetchBreakdown is the per-phase cost profile of a fetch — the columns
@@ -51,30 +50,13 @@ func (s *Session) FetchObject(name string) (FetchResult, error) {
 	if err := s.sendCommand(command.TypeFetch, 0, name); err != nil {
 		return FetchResult{}, err
 	}
-	// With the pipelined data plane, wire chunks stream into the guest
-	// channel as they arrive instead of the two phases running serially.
-	var sink *domainSink
-	var pl *xenchan.Pipeline
-	if s.node.home.cfg.Pipelined {
-		sink, pl = guestDrain(s.chn, s.node.clock)
-	}
-	meta, data, source, breakdown, err := s.node.fetchToDom0(name, s.principal, sink)
-	if sink != nil && sink.used {
-		// The wire phase already drained most pages concurrently; settle
-		// the tail extending past it, also after a failure, so that a
-		// half-delivered sink cannot corrupt the next fetch's accounting
-		// on this channel.
-		pl.Finish(sink.done.Sub(s.node.clock.Now()))
-	}
+	meta, data, source, breakdown, err := s.node.fetchToDom0(name, s.principal)
 	if err != nil {
 		return FetchResult{}, err
 	}
-	// InterDomain is the full modeled drain cost, so a pipelined fetch's
-	// Total comes out below the serial phase sum; without a pipeline dom0
-	// → guest runs over the shared-memory channel now, serially.
-	if sink != nil && sink.used {
-		breakdown.InterDomain = sink.cost
-	} else if breakdown.InterDomain, err = s.interDomain(meta.Size); err != nil {
+	// Once the object is in dom0, it crosses the shared-memory channel
+	// into the guest.
+	if breakdown.InterDomain, err = s.interDomain(meta.Size); err != nil {
 		return FetchResult{}, err
 	}
 	breakdown.Total = s.node.clock.Now().Sub(start)
@@ -94,15 +76,12 @@ func (s *Session) FetchObject(name string) (FetchResult, error) {
 // returning the metadata, payload, source, and the partial cost
 // breakdown (lookup + inter-node phases). Access is enforced at metadata
 // resolution, before any payload moves. Only a cloud-resident object and
-// a neighbour home's take an arm of their own; the rest is one pull. A
-// non-nil sink streams LAN wire chunks into the guest channel as they
-// arrive (the pipelined data plane); local, cached, cloud, and federated
-// paths leave it untouched.
+// a neighbour home's take an arm of their own; the rest is one pull.
 //
 // Ownership: the payload is a read-only borrow (objstore.Store.GetRef) —
 // core may read it and pass it on, never write it, and copies it only
 // where it leaves for the application (FetchObject, finishProcess).
-func (n *Node) fetchToDom0(name, principal string, sink *domainSink) (ObjectMeta, []byte, string, FetchBreakdown, error) {
+func (n *Node) fetchToDom0(name, principal string) (ObjectMeta, []byte, string, FetchBreakdown, error) {
 	var bd FetchBreakdown
 	meta, lookup, err := n.getMeta(name)
 	bd.DHTLookup = lookup
@@ -146,6 +125,6 @@ func (n *Node) fetchToDom0(name, principal string, sink *domainSink) (ObjectMeta
 		}, meta.Size)
 		return meta, data, holder.addr, bd, nil
 	}
-	data, src, err := n.pull(n, meta, n.fetchLadder(), sink, &bd)
+	data, src, err := n.pull(n, meta, n.fetchLadder(), nil, &bd)
 	return meta, data, src, bd, err
 }

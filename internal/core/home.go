@@ -112,10 +112,6 @@ type Config struct {
 	// pulled from every live payload holder in parallel, reassembling in
 	// dom0; it needs DataReplicas > 0 to have more than one holder.
 	StripedFetch bool
-	// Pipelined overlaps the inter-node wire phase with the dom0→guest
-	// channel drain at page-ring granularity, so large fetches observe
-	// Total < DHTLookup + InterNode + InterDomain.
-	Pipelined bool
 	// DataReplicas is how many extra best-effort payload copies a store
 	// places in peers' voluntary bins beside the primary copy.
 	DataReplicas int

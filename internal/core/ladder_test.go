@@ -235,9 +235,6 @@ func ladderScenarios() []ladderScenario {
 	replica := []int64{1, 4, 1}         // replica on n01; n02 reads
 	stripes := []int64{1, 4, 3, 1}      // replicas on n01, n02; n03 reads
 	shards := []int64{1, 5, 4, 3, 1, 1} // shards on n01, n02, n03; n05 reads
-	pipelined := func(replicas int, fallback bool) Config {
-		return Config{Pipelined: true, DataReplicas: replicas, Fallback: fallback}
-	}
 	var scs []ladderScenario
 
 	scs = append(scs, ladderScenario{name: "paper", voluntaryGB: []int64{1, 1, 1}, run: func(b *ladderBed) {
@@ -252,31 +249,6 @@ func ladderScenarios() []ladderScenario {
 		b.crash(0)
 		b.fetch("holder-gone", 1, "doc.bin")
 	}})
-
-	for _, fallback := range []bool{false, true} {
-		name := "pipelined"
-		if fallback {
-			name += "+fallback"
-		}
-		scs = append(scs, ladderScenario{name: name, voluntaryGB: replica, cfg: pipelined(1, fallback), run: func(b *ladderBed) {
-			b.store("a.bin", 8*mb, false)
-			b.store("b.bin", 8*mb, false)
-			b.fetch("direct", 2, "a.bin")
-			wait := b.crashAfter(300*time.Millisecond, 0)
-			b.fetch("crash-mid", 2, "b.bin")
-			wait()
-			b.fetch("primary-gone", 2, "a.bin")
-		}})
-		// TestPipelinedFetchErrorSettlesSink's case: no copy, no cloud.
-		scs = append(scs, ladderScenario{name: name + "/lost", voluntaryGB: replica, cfg: pipelined(0, fallback), noCloud: true, run: func(b *ladderBed) {
-			b.store("lost.bin", 8*mb, false)
-			b.store("after.bin", 1024, false)
-			wait := b.crashAfter(300*time.Millisecond, 0)
-			b.fetch("crash-mid", 2, "lost.bin")
-			wait()
-			b.fetch("holder-gone", 2, "after.bin")
-		}})
-	}
 
 	scs = append(scs, ladderScenario{name: "fallback", voluntaryGB: replica,
 		cfg: Config{DataReplicas: 1, Fallback: true},
@@ -294,47 +266,36 @@ func ladderScenarios() []ladderScenario {
 			b.fetch("whole-copy-sparse", 2, "sparse.bin")
 		}})
 
-	for _, pipe := range []bool{false, true} {
-		name := "striped"
-		if pipe {
-			name += "+pipelined"
-		}
-		cfg := Config{StripedFetch: true, Pipelined: pipe, DataReplicas: 2}
-		scs = append(scs, ladderScenario{name: name, voluntaryGB: stripes, cfg: cfg, run: func(b *ladderBed) {
-			b.store("s.bin", 8*mb, false)
-			b.store("sparse.bin", 8*mb, true)
-			b.store("odd.bin", 8*mb+5, false)
-			b.fetch("all-live", 3, "s.bin")
-			b.fetch("all-live-sparse", 3, "sparse.bin")
-			wait := b.crashAfter(100*time.Millisecond, 1)
-			b.fetch("one-crash", 3, "odd.bin")
-			wait()
-		}})
-		scs = append(scs, ladderScenario{name: name + "/all-but-one", voluntaryGB: stripes, cfg: cfg, run: func(b *ladderBed) {
-			b.store("s.bin", 8*mb, false)
-			wait := b.crashAfter(100*time.Millisecond, 1, 2)
-			b.fetch("crash-mid", 3, "s.bin")
-			wait()
-			b.fetch("one-holder", 3, "s.bin")
-		}})
-		fb := cfg
-		fb.Fallback = true
-		scs = append(scs, ladderScenario{name: name + "+fallback/all", voluntaryGB: stripes, cfg: fb, run: func(b *ladderBed) {
-			b.store("s.bin", 8*mb, false)
-			b.seedCloud("s.bin")
-			wait := b.crashAfter(100*time.Millisecond, 0, 1, 2)
-			b.fetch("crash-mid", 3, "s.bin")
-			wait()
-		}})
-	}
+	striped := Config{StripedFetch: true, DataReplicas: 2}
+	scs = append(scs, ladderScenario{name: "striped", voluntaryGB: stripes, cfg: striped, run: func(b *ladderBed) {
+		b.store("s.bin", 8*mb, false)
+		b.store("sparse.bin", 8*mb, true)
+		b.store("odd.bin", 8*mb+5, false)
+		b.fetch("all-live", 3, "s.bin")
+		b.fetch("all-live-sparse", 3, "sparse.bin")
+		wait := b.crashAfter(100*time.Millisecond, 1)
+		b.fetch("one-crash", 3, "odd.bin")
+		wait()
+	}})
+	scs = append(scs, ladderScenario{name: "striped/all-but-one", voluntaryGB: stripes, cfg: striped, run: func(b *ladderBed) {
+		b.store("s.bin", 8*mb, false)
+		wait := b.crashAfter(100*time.Millisecond, 1, 2)
+		b.fetch("crash-mid", 3, "s.bin")
+		wait()
+		b.fetch("one-holder", 3, "s.bin")
+	}})
+	striped.Fallback = true
+	scs = append(scs, ladderScenario{name: "striped+fallback/all", voluntaryGB: stripes, cfg: striped, run: func(b *ladderBed) {
+		b.store("s.bin", 8*mb, false)
+		b.seedCloud("s.bin")
+		wait := b.crashAfter(100*time.Millisecond, 0, 1, 2)
+		b.fetch("crash-mid", 3, "s.bin")
+		wait()
+	}})
 
-	for _, pipe := range []bool{false, true} {
-		name := "gather"
-		if pipe {
-			name += "+pipelined"
-		}
-		cfg := Config{Pipelined: pipe, Fallback: true, ErasureK: 2, ErasureN: 3}
-		scs = append(scs, ladderScenario{name: name, voluntaryGB: shards, cfg: cfg, run: func(b *ladderBed) {
+	scs = append(scs, ladderScenario{name: "gather", voluntaryGB: shards,
+		cfg: Config{Fallback: true, ErasureK: 2, ErasureN: 3},
+		run: func(b *ladderBed) {
 			b.store("g1.bin", 6*mb, false)
 			b.store("g2.bin", 6*mb, false)
 			b.store("g3.bin", 6*mb, false)
@@ -349,15 +310,10 @@ func ladderScenarios() []ladderScenario {
 			b.crash(2)
 			b.fetch("too-few", 5, "g3.bin")
 		}})
-	}
 
-	for _, pipe := range []bool{false, true} {
-		name := "cloud"
-		if pipe {
-			name += "+pipelined"
-		}
-		cfg := Config{Pipelined: pipe, Fallback: true}
-		scs = append(scs, ladderScenario{name: name, voluntaryGB: []int64{1, 1, 1}, cfg: cfg, run: func(b *ladderBed) {
+	scs = append(scs, ladderScenario{name: "cloud", voluntaryGB: []int64{1, 1, 1},
+		cfg: Config{Fallback: true},
+		run: func(b *ladderBed) {
 			b.store("hit.bin", 2*mb, false)
 			b.store("miss.bin", 2*mb, false)
 			b.seedCloud("hit.bin")
@@ -365,7 +321,6 @@ func ladderScenarios() []ladderScenario {
 			b.fetch("hit", 1, "hit.bin")
 			b.fetch("miss", 1, "miss.bin")
 		}})
-	}
 
 	scs = append(scs, ladderScenario{name: "local", voluntaryGB: replica,
 		cfg: Config{DataReplicas: 1, CacheBytes: 64 * mb},
@@ -376,42 +331,36 @@ func ladderScenarios() []ladderScenario {
 			b.fetch("cache-hit", 2, "r.bin")
 		}})
 
-	for _, pipe := range []bool{false, true} {
-		name := "coalesce"
-		if pipe {
-			name += "+pipelined"
-		}
-		scs = append(scs, ladderScenario{name: name, voluntaryGB: []int64{1, 1},
-			cfg: Config{Pipelined: pipe, CoalesceFetch: true},
-			run: func(b *ladderBed) {
-				b.store("hot.bin", 704<<10, false)
-				const k = 4
-				res := make([]FetchResult, k)
-				errs := make([]error, k)
-				elapsed := make([]time.Duration, k)
-				before := b.counters()
-				g := vclock.NewGroup(b.v)
-				for w := 0; w < k; w++ {
-					g.Go(func() {
-						sess, err := b.nodes[1].OpenSession()
-						if err != nil {
-							errs[w] = err
-							return
-						}
-						defer sess.Close()
-						b.v.Sleep(time.Duration(w) * 500 * time.Microsecond)
-						start := b.v.Now()
-						res[w], errs[w] = sess.FetchObject("hot.bin")
-						elapsed[w] = b.v.Now().Sub(start)
-					})
-				}
-				g.Wait()
-				delta := b.counters().since(before)
-				for w := 0; w < k; w++ {
-					b.line(fmt.Sprintf("fetcher-%d", w), elapsed[w], res[w], errs[w], "group:"+delta)
-				}
-			}})
-	}
+	scs = append(scs, ladderScenario{name: "coalesce", voluntaryGB: []int64{1, 1},
+		cfg: Config{CoalesceFetch: true},
+		run: func(b *ladderBed) {
+			b.store("hot.bin", 704<<10, false)
+			const k = 4
+			res := make([]FetchResult, k)
+			errs := make([]error, k)
+			elapsed := make([]time.Duration, k)
+			before := b.counters()
+			g := vclock.NewGroup(b.v)
+			for w := 0; w < k; w++ {
+				g.Go(func() {
+					sess, err := b.nodes[1].OpenSession()
+					if err != nil {
+						errs[w] = err
+						return
+					}
+					defer sess.Close()
+					b.v.Sleep(time.Duration(w) * 500 * time.Microsecond)
+					start := b.v.Now()
+					res[w], errs[w] = sess.FetchObject("hot.bin")
+					elapsed[w] = b.v.Now().Sub(start)
+				})
+			}
+			g.Wait()
+			delta := b.counters().since(before)
+			for w := 0; w < k; w++ {
+				b.line(fmt.Sprintf("fetcher-%d", w), elapsed[w], res[w], errs[w], "group:"+delta)
+			}
+		}})
 
 	scs = append(scs, ladderScenario{name: "repair", voluntaryGB: shards,
 		cfg: Config{Fallback: true, Repair: true, ErasureK: 2, ErasureN: 3},
@@ -495,12 +444,11 @@ func ladderScenarios() []ladderScenario {
 			b.fetch("whole-copy", 4, "f.bin")
 		}})
 
-	// Zero-byte objects skip the striped rung, so the pipelined primary
-	// pull, and with Fallback the whole-copy pull, move them as a bare
-	// message.
+	// Zero-byte objects skip the striped rung, so the primary pull, and
+	// with Fallback the whole-copy pull, move them as a bare message.
 	for _, fallback := range []bool{false, true} {
 		scs = append(scs, ladderScenario{name: fmt.Sprintf("zero-byte/fallback=%v", fallback), voluntaryGB: stripes,
-			cfg: Config{Pipelined: true, StripedFetch: true, DataReplicas: 2, Fallback: fallback},
+			cfg: Config{StripedFetch: true, DataReplicas: 2, Fallback: fallback},
 			run: func(b *ladderBed) {
 				b.store("empty.bin", 0, false)
 				b.store("empty2.bin", 0, true)
@@ -541,7 +489,7 @@ func ladderScenarios() []ladderScenario {
 }
 
 // TestFetchLadderTranscript runs every rung of the fetch ladder — direct,
-// pipelined, striped, whole-copy and shard fallbacks, the cloud rung, the
+// striped, whole-copy and shard fallbacks, the cloud rung, the
 // local replica and dom0 cache, coalesced followers, repair's gather, the
 // federated and input-move substitutes — and requires each operation's
 // breakdown, counters, traffic and bytes to equal the frozen transcript.

@@ -276,7 +276,7 @@ func (n *Node) execute(p *plan, cancelled *bool) (ProcessResult, error) {
 	size, next := p.meta.Size, 0
 	switch p.mode {
 	case ModeRequester:
-		_, raw, _, _, err := n.fetchToDom0(p.meta.Name, p.guest.principal, nil)
+		_, raw, _, _, err := n.fetchToDom0(p.meta.Name, p.guest.principal)
 		if err != nil {
 			return ProcessResult{}, err
 		}

@@ -103,8 +103,9 @@ type attempt struct {
 // pull brings meta's payload into dst's dom0 — this node's for a fetch
 // or a repair, the target's for the process path's input move — climbing
 // the rungs of l in order until one delivers; this node sends the
-// requests, and a non-nil sink sees the payload stream in. The payload is
-// a read-only borrow, as everywhere in core. A ladder with the primary
+// requests. A non-nil sink, which only an overlapped input move passes
+// (its first step), sees the payload stream in. The payload is a
+// read-only borrow, as everywhere in core. A ladder with the primary
 // rung counts climbing past the primary in FetchRetries and, pulled over
 // a wire into this dom0, leaves the payload in the dom0 cache.
 func (n *Node) pull(dst *Node, meta ObjectMeta, l ladder, sink *domainSink, bd *FetchBreakdown) ([]byte, string, error) {
@@ -114,7 +115,7 @@ func (n *Node) pull(dst *Node, meta ObjectMeta, l ladder, sink *domainSink, bd *
 			continue
 		}
 		if r == rungCache {
-			return n.cached(meta, l&^(rungHere|rungCache), sink, bd)
+			return n.cached(meta, l&^(rungHere|rungCache), bd)
 		}
 		if r == rungPieces && l&rungPrimary != 0 {
 			n.ops.FetchRetries++
@@ -166,9 +167,8 @@ type fetchFlight struct {
 // fetch leads a new flight and climbs the rest of the ladder, l; a later
 // one parks on the flight until the leader's bytes arrive — so its
 // inter-node time is exactly the remaining duration of the shared
-// transfer — then shares the leader's borrowed payload and leaves its
-// sink untouched.
-func (n *Node) cached(meta ObjectMeta, l ladder, sink *domainSink, bd *FetchBreakdown) ([]byte, string, error) {
+// transfer — then shares the leader's borrowed payload.
+func (n *Node) cached(meta ObjectMeta, l ladder, bd *FetchBreakdown) ([]byte, string, error) {
 	if n.dataCache != nil {
 		if data, hit := n.dataCache.get(meta.Name); hit { // nil for sparse objects
 			n.ops.CacheHits++
@@ -177,7 +177,7 @@ func (n *Node) cached(meta ObjectMeta, l ladder, sink *domainSink, bd *FetchBrea
 		n.ops.CacheMisses++
 	}
 	if !n.home.cfg.CoalesceFetch {
-		return n.pull(n, meta, l, sink, bd)
+		return n.pull(n, meta, l, nil, bd)
 	}
 	f, follower := n.flights[meta.Name]
 	if !follower {
@@ -194,7 +194,7 @@ func (n *Node) cached(meta ObjectMeta, l ladder, sink *domainSink, bd *FetchBrea
 		bd.InterNode += n.clock.Now().Sub(start)
 		return f.data, f.src, f.err
 	}
-	f.data, f.src, f.err = n.pull(n, meta, l, sink, bd)
+	f.data, f.src, f.err = n.pull(n, meta, l, nil, bd)
 	// Unregister before firing: fetches arriving after completion start a
 	// fresh flight instead of reading a finished one.
 	delete(n.flights, meta.Name)
@@ -331,7 +331,6 @@ func (n *Node) run(dst *Node, meta ObjectMeta, a *attempt, sink *domainSink, bd 
 		return nil, "", nil
 	default: // refetch
 		interNode += n.home.net.Transfer(a.srcs[survivor].holder.lanPathTo(dst), missing)
-		sink.settle(missing)
 	}
 
 	var data []byte
@@ -372,7 +371,7 @@ func (n *Node) run(dst *Node, meta ObjectMeta, a *attempt, sink *domainSink, bd 
 	}
 	// What the first member did not stream (all of a decoded payload)
 	// drains once the payload is whole.
-	rest := meta.Size - missing
+	rest := meta.Size
 	if streaming {
 		rest -= a.srcs[0].moved
 	}
@@ -411,11 +410,8 @@ func (n *Node) transfer(dst *Node, a *attempt, sink *domainSink, streaming bool)
 		if h := s.holder; a.poll {
 			req.Cancel = func() bool { _, alive := n.home.Node(h.addr); return !alive }
 		}
-		if streaming {
-			req.Chunk = sink.chunk
-			if i == 0 {
-				req.OnChunk = sink.onChunk
-			}
+		if streaming && i == 0 {
+			req.OnChunk = sink.onChunk
 		}
 		reqs = append(reqs, req)
 	}

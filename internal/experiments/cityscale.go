@@ -33,11 +33,6 @@ type CityScaleConfig struct {
 	Host func() time.Time
 }
 
-// DefaultCityScale returns the full 1k/10k/100k sweep.
-func DefaultCityScale(seed int64) CityScaleConfig {
-	return CityScaleConfig{Seed: seed, Nodes: []int{1_000, 10_000, 100_000}}
-}
-
 // CityScaleMetrics are one run's virtual-time (and virtual-traffic)
 // results: every field is schedule-determined, so two runs of the same
 // city differing only in host-side mechanism must produce equal structs

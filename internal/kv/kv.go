@@ -743,15 +743,6 @@ func (s *Store) Delete(from, key ids.ID) error {
 	return nil
 }
 
-// Keys returns all keys for which node holds an authoritative copy.
-func (s *Store) Keys(node ids.ID) ([]ids.ID, error) {
-	ns, err := s.node(node)
-	if err != nil {
-		return nil, err
-	}
-	return ns.entryKeys(), nil
-}
-
 // repair runs at a surviving node after a peer departed: every key this
 // node holds authoritatively is re-pushed to its (possibly new) replica
 // set, restoring both ownership and the replication factor. This is the

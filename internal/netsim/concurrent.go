@@ -8,7 +8,8 @@ import (
 )
 
 // This file provides the concurrent-transfer helpers behind the striped
-// replica fetch and the pipelined inter-node→inter-domain path. Rather
+// replica fetch and the pulls that watch their wire chunk by chunk, for
+// a holder's death or to feed an overlapped first service step. Rather
 // than spawning one goroutine per transfer (whose interleaving would
 // depend on the Go scheduler), TransferSet interleaves all member
 // transfers in a single nested event loop driven by the calling
@@ -17,17 +18,14 @@ import (
 // and all randomness is drawn in a fixed order — so the same seed gives
 // a bit-identical schedule on the virtual clock.
 
-// TransferReq describes one member of a concurrent transfer set.
+// TransferReq describes one member of a concurrent transfer set. Its
+// chunks are the wire's own scheduling granularity (chunkFor).
 type TransferReq struct {
 	// Path the member crosses; members may share resources, in which
 	// case processor sharing divides the capacity between them.
 	Path *Path
 	// Size is the member's payload in bytes.
 	Size int64
-	// Chunk overrides the scheduling granularity (0 = automatic). The
-	// pipelined fetch passes the xenchan page-ring size so the dom0→guest
-	// stage can overlap at ring granularity.
-	Chunk int64
 	// OnChunk, if non-nil, runs in the event loop each time a chunk of
 	// this member finishes crossing the wire, with the bytes delivered.
 	// The clock stands at the chunk's completion instant.
@@ -136,11 +134,7 @@ func (n *Network) TransferSet(reqs []TransferReq) ([]TransferStatus, time.Durati
 	// Draw every member's RNG stream up front, in index order, so the
 	// schedule does not depend on who reaches the counter first.
 	for i, r := range reqs {
-		chunk := r.Chunk
-		if chunk <= 0 {
-			chunk = chunkFor(r.Size)
-		}
-		st := &stripe{req: r, rng: n.rng(), chunk: chunk, remaining: r.Size, start: start}
+		st := &stripe{req: r, rng: n.rng(), chunk: chunkFor(r.Size), remaining: r.Size, start: start}
 		for _, res := range r.Path.Resources {
 			res.acquire()
 		}

@@ -188,7 +188,7 @@ func TestTransferSetOnChunkAccountsEveryByte(t *testing.T) {
 		p1, _, _, _ := lanPath()
 		p2, _, _, _ := lanPath()
 		return []TransferReq{
-			{Path: p1, Size: 7 * MB, Chunk: 128 << 10, OnChunk: func(n int64) { a += n }},
+			{Path: p1, Size: 7 * MB, OnChunk: func(n int64) { a += n }},
 			{Path: p2, Size: 3 * MB, OnChunk: func(n int64) { b += n }},
 		}
 	})

@@ -24,8 +24,6 @@ import (
 	"path/filepath"
 	"sort"
 	"time"
-
-	"cloud4home/internal/ids"
 )
 
 // Bin selects which storage bin an object lands in.
@@ -70,10 +68,6 @@ type Object struct {
 	Owner   string    `json:"owner,omitempty"`
 	Created time.Time `json:"created"`
 }
-
-// Key returns the object's 40-bit DHT key ("every object's key is a 40
-// bit hash value generated by the object name").
-func (o Object) Key() ids.ID { return ids.HashString(o.Name) }
 
 // Usage reports one bin's occupancy; the "file system watcher component"
 // of §IV feeds these numbers into resource monitoring.

@@ -210,11 +210,6 @@ func (m *Mesh) EnableSuperPeers(n int) {
 	}
 }
 
-// SuperPeerRegions returns the configured region count (0 = tier off).
-func (m *Mesh) SuperPeerRegions() int {
-	return m.regions
-}
-
 // regionOf maps an identifier to its regional domain; m.regions > 0.
 func (m *Mesh) regionOf(id ids.ID) int {
 	span := (uint64(1)<<ids.Bits + uint64(m.regions) - 1) / uint64(m.regions)

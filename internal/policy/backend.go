@@ -26,9 +26,6 @@ type BackendInfo struct {
 	// Durability is the backend's advertised annual object-survival
 	// probability.
 	Durability float64
-	// Available reports the backend outside any scripted outage window
-	// at decision time. Policies must skip unavailable backends.
-	Available bool
 }
 
 // MonthlyCost is the modeled first-month bill for parking size bytes on
@@ -40,7 +37,8 @@ func (b BackendInfo) MonthlyCost(size int64) float64 {
 	return float64(size)/gb*(b.StorePerGBMonth+b.PutPerGB) + b.PerRequest
 }
 
-// ErrNoBackend is returned when no attached backend is eligible.
+// ErrNoBackend is returned when no backend is attached, or not the one a
+// policy requires.
 var ErrNoBackend = errors.New("policy: no eligible backend")
 
 // BackendPolicy picks the cloud backend for one TargetCloud placement.
@@ -66,9 +64,6 @@ func (CheapestBackend) Choose(obj objstore.Object, backends []BackendInfo) (int,
 	best := -1
 	var bestCost float64
 	for i, b := range backends {
-		if !b.Available {
-			continue
-		}
 		c := b.MonthlyCost(obj.Size)
 		if best == -1 || c < bestCost {
 			best, bestCost = i, c
@@ -94,9 +89,6 @@ func (FastestBackend) Choose(obj objstore.Object, backends []BackendInfo) (int, 
 	best := -1
 	var bestD time.Duration
 	for i, b := range backends {
-		if !b.Available {
-			continue
-		}
 		d := b.EstStore + b.EstFetch
 		if best == -1 || d < bestD {
 			best, bestD = i, d
@@ -121,9 +113,6 @@ func (MostDurableBackend) Name() string { return "most-durable-backend" }
 func (MostDurableBackend) Choose(obj objstore.Object, backends []BackendInfo) (int, error) {
 	best := -1
 	for i, b := range backends {
-		if !b.Available {
-			continue
-		}
 		if best == -1 || b.Durability > backends[best].Durability {
 			best = i
 		}

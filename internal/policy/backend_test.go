@@ -16,17 +16,17 @@ func backendSet() []BackendInfo {
 		{
 			Name: "s3", EstStore: 8 * time.Second, EstFetch: 6 * time.Second,
 			StorePerGBMonth: 0.14, PutPerGB: 0.10, GetPerGB: 0.15, PerRequest: 0.00001,
-			Durability: 0.99999999999, Available: true,
+			Durability: 0.99999999999,
 		},
 		{
 			Name: "archive", EstStore: 20 * time.Second, EstFetch: 30 * time.Second,
 			StorePerGBMonth: 0.03, PutPerGB: 0.05, GetPerGB: 0.30, PerRequest: 0.0005,
-			Durability: 0.999999999999, Available: true,
+			Durability: 0.999999999999,
 		},
 		{
 			Name: "metro", EstStore: 2 * time.Second, EstFetch: 1 * time.Second,
 			StorePerGBMonth: 0.45, PutPerGB: 0.12, GetPerGB: 0.25, PerRequest: 0.00002,
-			Durability: 0.99999, Available: true,
+			Durability: 0.99999,
 		},
 	}
 }
@@ -85,27 +85,9 @@ func TestMostDurableBackendMaximisesNines(t *testing.T) {
 	}
 }
 
-func TestBackendPoliciesSkipUnavailable(t *testing.T) {
-	set := backendSet()
-	set[1].Available = false // archive in an outage window
-	for _, pol := range []BackendPolicy{CheapestBackend{}, MostDurableBackend{}} {
-		idx, err := pol.Choose(bigObj(), set)
-		if err != nil {
-			t.Fatalf("%s: %v", pol.Name(), err)
-		}
-		if idx == 1 {
-			t.Fatalf("%s chose the unavailable backend", pol.Name())
-		}
-	}
-}
-
 func TestBackendPoliciesErrWhenNoneEligible(t *testing.T) {
-	set := backendSet()
-	for i := range set {
-		set[i].Available = false
-	}
 	for _, pol := range []BackendPolicy{CheapestBackend{}, FastestBackend{}, MostDurableBackend{}} {
-		if _, err := pol.Choose(bigObj(), set); !errors.Is(err, ErrNoBackend) {
+		if _, err := pol.Choose(bigObj(), nil); !errors.Is(err, ErrNoBackend) {
 			t.Fatalf("%s: err = %v, want ErrNoBackend", pol.Name(), err)
 		}
 	}

@@ -221,16 +221,6 @@ func (t *Tree[V]) Ascend(fn func(key ids.ID, value V) bool) {
 	}
 }
 
-// Keys returns all keys in ascending order.
-func (t *Tree[V]) Keys() []ids.ID {
-	out := make([]ids.ID, 0, t.size)
-	t.Ascend(func(k ids.ID, _ V) bool {
-		out = append(out, k)
-		return true
-	})
-	return out
-}
-
 func (t *Tree[V]) find(key ids.ID) *node[V] {
 	cur := t.root
 	for cur != nil {

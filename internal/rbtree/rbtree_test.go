@@ -53,7 +53,7 @@ func TestAscendSorted(t *testing.T) {
 		want = append(want, k)
 	}
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	got := tr.Keys()
+	got := ascending(tr)
 	if len(got) != len(want) {
 		t.Fatalf("Keys len = %d, want %d", len(got), len(want))
 	}
@@ -210,7 +210,7 @@ func TestQuickMatchesSortedSlice(t *testing.T) {
 			tr.Insert(k, i)
 			set[k] = true
 		}
-		keys := tr.Keys()
+		keys := ascending(tr)
 		if len(keys) != len(set) {
 			return false
 		}
@@ -229,4 +229,14 @@ func TestQuickMatchesSortedSlice(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// ascending returns tr's keys in Ascend's order.
+func ascending[V any](tr *Tree[V]) []ids.ID {
+	var out []ids.ID
+	tr.Ascend(func(k ids.ID, _ V) bool {
+		out = append(out, k)
+		return true
+	})
+	return out
 }

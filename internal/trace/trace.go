@@ -306,17 +306,6 @@ type PopulationOp struct {
 	Object int
 }
 
-// DefaultPopulation returns a city workload sized for homes nodes.
-func DefaultPopulation(seed int64, homes int) PopulationConfig {
-	return PopulationConfig{
-		Seed:          seed,
-		Homes:         homes,
-		Objects:       256,
-		Ops:           4096,
-		StoreFraction: 0.4,
-	}
-}
-
 // GeneratePopulation builds a deterministic city-scale workload. The
 // first reference to an object is always a store, so fetches never miss.
 func GeneratePopulation(cfg PopulationConfig) ([]PopulationOp, error) {

@@ -489,7 +489,9 @@ func TestPaceKeepsPeriod(t *testing.T) {
 }
 
 // TestPacedSleepTakesWallTime: after Pace a Sleep(d) takes at least d of
-// wall time, however far set-up ran virtual time ahead first.
+// wall time, however far set-up ran virtual time ahead first. It is
+// measured from the wall instant Pace mapped the current instant to, the
+// clock's own reading, not from a second one near it.
 func TestPacedSleepTakesWallTime(t *testing.T) {
 	const d = 5 * time.Millisecond
 	v := NewVirtual(epoch)
@@ -497,7 +499,7 @@ func TestPacedSleepTakesWallTime(t *testing.T) {
 	v.Run(func() {
 		v.Sleep(time.Hour)
 		v.Pace()
-		t0 := time.Now()
+		t0 := v.origin.Add(v.Now().Sub(epoch))
 		v.Sleep(d)
 		took = time.Since(t0)
 	})
@@ -509,15 +511,16 @@ func TestPacedSleepTakesWallTime(t *testing.T) {
 // TestPacedDeliveryFiledAtArrival: a delivery made 20 ms after Pace is
 // received 20 ms of virtual time after the instant Pace was called at,
 // not at the instant virtual time had reached before it (which, after an
-// hour of unpaced set-up, is far behind wall − epoch).
+// hour of unpaced set-up, is far behind wall − epoch). Pace's instant on
+// the wall clock is the one the clock maps it to.
 func TestPacedDeliveryFiledAtArrival(t *testing.T) {
 	v := NewVirtual(epoch)
-	var paced time.Time
-	var pacedWall time.Time
+	var paced, pacedWall time.Time
 	v.Run(func() {
 		v.Sleep(time.Hour)
-		paced, pacedWall = v.Now(), time.Now()
 		v.Pace()
+		paced = v.Now()
+		pacedWall = v.origin.Add(paced.Sub(epoch))
 	})
 	in, stop := servePaced(t, v)
 	defer stop()

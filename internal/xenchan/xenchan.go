@@ -122,9 +122,6 @@ func (c *Channel) Close() {
 // Stats returns activity counters.
 func (c *Channel) Stats() Stats { return c.stats }
 
-// Config returns the channel's configuration.
-func (c *Channel) Config() Config { return c.cfg }
-
 // Transfer moves data across the domain boundary and returns the bytes as
 // they arrived on the far side, plus the elapsed (charged) duration. Data
 // flows in ring-capacity windows, so a transfer larger than the ring
@@ -212,59 +209,4 @@ func (c *Channel) charge(size, pages int64) time.Duration {
 		time.Duration(float64(size)/c.cfg.BytesPerSec*float64(time.Second))
 	c.clock.Sleep(d)
 	return d
-}
-
-// Pipeline drains one transfer through the channel incrementally, so the
-// caller can overlap the dom0→guest phase with an upstream wire transfer:
-// as each ring's worth of pages arrives from the network, ChunkCost
-// prices its drain without sleeping, the caller folds that cost into its
-// own schedule, and Finish settles whatever drain time extends past the
-// wire phase. A pipeline priced ring by ring costs exactly what
-// Estimate/TransferSize charge for the whole object — only the overlap
-// with the wire differs.
-type Pipeline struct {
-	c     *Channel
-	first bool
-	bytes int64
-	pages int64
-}
-
-// StartPipeline begins an incremental transfer. Nothing is charged until
-// Finish; the grant handshake is folded into the first chunk's cost.
-func (c *Channel) StartPipeline() (*Pipeline, error) {
-	if c.closed {
-		return nil, ErrClosed
-	}
-	return &Pipeline{c: c, first: true}, nil
-}
-
-// ChunkCost returns the modeled time to drain size bytes through the ring
-// and accounts them toward the pipeline's totals. It does not sleep — the
-// caller schedules the drain against its own timeline.
-func (p *Pipeline) ChunkCost(size int64) time.Duration {
-	if size <= 0 {
-		return 0
-	}
-	ps := int64(p.c.cfg.PageSize)
-	pages := (size + ps - 1) / ps
-	d := time.Duration(pages)*p.c.cfg.PerPage +
-		time.Duration(float64(size)/p.c.cfg.BytesPerSec*float64(time.Second))
-	if p.first {
-		d += p.c.cfg.GrantSetup
-		p.first = false
-	}
-	p.bytes += size
-	p.pages += pages
-	return d
-}
-
-// Finish sleeps the tail — the drain time left over once the wire phase
-// ended — and records the completed transfer in the channel's stats.
-func (p *Pipeline) Finish(tail time.Duration) {
-	if tail > 0 {
-		p.c.clock.Sleep(tail)
-	}
-	p.c.stats.Transfers++
-	p.c.stats.BytesMoved += p.bytes
-	p.c.stats.PagesConsumed += p.pages
 }

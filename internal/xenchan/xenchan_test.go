@@ -217,57 +217,6 @@ func TestTransferReusesStagingBuffer(t *testing.T) {
 	})
 }
 
-func TestPipelineCostMatchesEstimate(t *testing.T) {
-	// Draining ring-granular chunks must price to exactly what a whole-
-	// object TransferSize charges; pipelining changes the overlap with the
-	// wire phase, never the channel's total cost.
-	v := vclock.NewVirtual(epoch)
-	c := openDefault(t, v)
-	const size = 20 << 20
-	ring := int64(c.cfg.PageSize * c.cfg.NumPages)
-	var total time.Duration
-	var chunks int64
-	v.Run(func() {
-		p, err := c.StartPipeline()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for left := int64(size); left > 0; {
-			n := ring
-			if n > left {
-				n = left
-			}
-			total += p.ChunkCost(n)
-			chunks++
-			left -= n
-		}
-		before := v.Now()
-		p.Finish(42 * time.Millisecond)
-		if got := v.Now().Sub(before); got != 42*time.Millisecond {
-			t.Errorf("Finish slept %v, want 42ms", got)
-		}
-	})
-	// Per-chunk float→Duration truncation can shave under a nanosecond per
-	// chunk off the whole-object figure; nothing more.
-	est := c.Estimate(size)
-	if diff := est - total; diff < 0 || diff > time.Duration(chunks) {
-		t.Fatalf("pipelined cost %v vs Estimate %v (diff %v over %d chunks)", total, est, est-total, chunks)
-	}
-	st := c.Stats()
-	if st.Transfers != 1 || st.BytesMoved != size {
-		t.Fatalf("stats after pipeline: %+v", st)
-	}
-}
-
-func TestStartPipelineClosed(t *testing.T) {
-	v := vclock.NewVirtual(epoch)
-	c := openDefault(t, v)
-	c.Close()
-	if _, err := c.StartPipeline(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("StartPipeline on closed channel: %v, want ErrClosed", err)
-	}
-}
-
 func TestQuickRoundTrip(t *testing.T) {
 	v := vclock.NewVirtual(epoch)
 	c := openDefault(t, v)
