@@ -144,11 +144,19 @@ loc:
 	done
 
 # Reachability census (ROADMAP item 6): every package's tests but
-# internal/analysis's, with coverage counted over the whole module, then
-# the functions no test reaches (0.0 %) outside internal/analysis, cmd/
-# and examples/, and the module's total. A report, not a gate; ~20 s.
+# internal/analysis's, and every example run once from a `go build
+# -cover` binary, with coverage counted over the whole module, then
+# the functions nothing reaches (0.0 %) outside internal/analysis, cmd/
+# and examples/, and the module's total. A report, not a gate; ~30 s.
 reach:
 	@$(GO) test -count=1 -coverpkg=./... -coverprofile=reach.out $$($(GO) list ./... | grep -v '/internal/analysis$$')
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && mkdir "$$tmp/cov" && \
+	for ex in examples/*/; do \
+		$(GO) build -cover -coverpkg=./... -o "$$tmp/example" ./$$ex && \
+		GOCOVERDIR="$$tmp/cov" "$$tmp/example" > /dev/null || exit 1; \
+	done && \
+	$(GO) tool covdata textfmt -i="$$tmp/cov" -o "$$tmp/examples.out" && \
+	tail -n +2 "$$tmp/examples.out" >> reach.out
 	@$(GO) tool cover -func=reach.out | grep -vE '^cloud4home/(internal/analysis|cmd|examples)/' | awk '$$NF == "0.0%" || $$1 == "total:"'
 
 # Synchronisation left in the simulated packages, whose state the

@@ -146,19 +146,12 @@ func NewRemote(clock vclock.Clock, net *netsim.Network, prof BackendProfile) *Re
 	if capacity <= 0 {
 		capacity = unbounded
 	}
-	downName, upName := "wan-down", "wan-up"
-	if prof.Name != "s3" {
-		// The default backend keeps the historical pipe names; extra
-		// backends prefix theirs so diagnostics tell the pipes apart.
-		downName = prof.Name + "-wan-down"
-		upName = prof.Name + "-wan-up"
-	}
 	return &Remote{
 		prof:  prof,
 		clock: clock,
 		net:   net,
-		down:  netsim.NewResource(downName, prof.DownBps),
-		up:    netsim.NewResource(upName, prof.UpBps),
+		down:  netsim.NewResource(prof.DownBps),
+		up:    netsim.NewResource(prof.UpBps),
 		store: objstore.NewMem(capacity, 0),
 	}
 }

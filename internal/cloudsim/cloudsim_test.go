@@ -17,7 +17,7 @@ var epoch = time.Date(2011, 6, 1, 0, 0, 0, 0, time.UTC)
 func newCloud() (*Cloud, *vclock.Virtual, *netsim.Resource) {
 	v := vclock.NewVirtual(epoch)
 	net := netsim.New(v, 21)
-	nic := netsim.NewResource("home-nic", netsim.NodeNICBps)
+	nic := netsim.NewResource(netsim.NodeNICBps)
 	return New(v, net), v, nic
 }
 
@@ -180,8 +180,8 @@ func TestConcurrentDownloadsContend(t *testing.T) {
 	// WAN pipe, so two parallel 10 MB downloads take about as long as a
 	// sequential pair.
 	c, v, _ := newCloud()
-	nicA := netsim.NewResource("nicA", netsim.NodeNICBps)
-	nicB := netsim.NewResource("nicB", netsim.NodeNICBps)
+	nicA := netsim.NewResource(netsim.NodeNICBps)
+	nicB := netsim.NewResource(netsim.NodeNICBps)
 	if err := c.Seed(objstore.Object{Name: "shared", Size: 10 << 20}, nil); err != nil {
 		t.Fatal(err)
 	}

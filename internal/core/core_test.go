@@ -5,7 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -841,4 +846,35 @@ func TestBatteryPolicyAvoidsDrainedNetbook(t *testing.T) {
 			t.Errorf("battery policy chose %q", res.Target)
 		}
 	})
+}
+
+// TestKnobTableListsEveryConfigField holds DESIGN.md's "Every option, in
+// one table" to Config: the table's rows name, in declaration order,
+// exactly Config's fields, so a knob added or deleted without its row
+// fails here.
+func TestKnobTableListsEveryConfigField(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(raw), "**Every option, in one table.**")
+	if !ok {
+		t.Fatal(`DESIGN.md has no "Every option, in one table" section`)
+	}
+	var documented []string
+	for _, line := range strings.Split(section, "\n") {
+		if strings.HasPrefix(line, "| `") {
+			name, _, _ := strings.Cut(strings.TrimPrefix(line, "| `"), "`")
+			documented = append(documented, name)
+		} else if len(documented) > 0 && !strings.HasPrefix(line, "|") {
+			break // the table ended
+		}
+	}
+	var fields []string
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Config{})) {
+		fields = append(fields, f.Name)
+	}
+	if !slices.Equal(documented, fields) {
+		t.Errorf("DESIGN.md's knob table lists %d knobs %v;\ncore.Config has %d fields %v", len(documented), documented, len(fields), fields)
+	}
 }

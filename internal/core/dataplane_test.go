@@ -52,37 +52,8 @@ func newDataPlaneTestbed(t *testing.T, cfg Config) *testbed {
 	return tb
 }
 
-func TestStoreWithDataReplicasPlacesCopies(t *testing.T) {
-	tb := newDataPlaneTestbed(t, Config{DataReplicas: 2})
-	tb.run(func() {
-		sess, err := tb.atom.OpenSession()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sess.StoreObjectData("rep.bin", "bin", []byte("replicated payload"), StoreOptions{Blocking: true}); err != nil {
-			t.Fatal(err)
-		}
-		meta, _, err := tb.atom.getMeta("rep.bin")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if meta.Location != tb.atom.addr {
-			t.Fatalf("primary at %q, want atom", meta.Location)
-		}
-		if len(meta.Replicas) != 2 {
-			t.Fatalf("replicas = %v, want 2 entries", meta.Replicas)
-		}
-		for _, addr := range meta.Replicas {
-			holder, ok := tb.home.Node(addr)
-			if !ok || !holder.store.Has("rep.bin") {
-				t.Fatalf("replica %q does not hold the object", addr)
-			}
-		}
-	})
-}
-
 func TestStripedFetchReturnsCorrectBytes(t *testing.T) {
-	tb := newDataPlaneTestbed(t, Config{StripedFetch: true, DataReplicas: 1})
+	tb := newDataPlaneTestbed(t, Config{StripedFetch: true, ErasureK: 1, ErasureN: 1})
 	payload := make([]byte, 3<<20)
 	rand.New(rand.NewSource(7)).Read(payload)
 	tb.run(func() {
@@ -114,7 +85,7 @@ func TestStripedFetchReturnsCorrectBytes(t *testing.T) {
 }
 
 func TestStripedFetchCrashMidStripeFallsBack(t *testing.T) {
-	tb := newDataPlaneTestbed(t, Config{StripedFetch: true, DataReplicas: 1})
+	tb := newDataPlaneTestbed(t, Config{StripedFetch: true, ErasureK: 1, ErasureN: 1})
 	payload := make([]byte, 8<<20)
 	rand.New(rand.NewSource(11)).Read(payload)
 	tb.run(func() {
@@ -249,7 +220,7 @@ func TestCacheInvalidatedOnOverwriteAndDelete(t *testing.T) {
 }
 
 func TestDeleteRemovesReplicaCopies(t *testing.T) {
-	tb := newDataPlaneTestbed(t, Config{DataReplicas: 2})
+	tb := newDataPlaneTestbed(t, Config{ErasureK: 1, ErasureN: 2})
 	tb.run(func() {
 		sess, err := tb.atom.OpenSession()
 		if err != nil {
@@ -277,7 +248,7 @@ func TestDeleteRemovesReplicaCopies(t *testing.T) {
 }
 
 func TestFetchServedByLocalReplica(t *testing.T) {
-	tb := newDataPlaneTestbed(t, Config{StripedFetch: true, DataReplicas: 2})
+	tb := newDataPlaneTestbed(t, Config{StripedFetch: true, ErasureK: 1, ErasureN: 2})
 	tb.run(func() {
 		owner, err := tb.atom.OpenSession()
 		if err != nil {

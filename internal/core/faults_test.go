@@ -75,7 +75,7 @@ func storeWithReplica(t *testing.T, tb *testbed, name string, payload []byte) Ob
 }
 
 func TestFallbackFetchSurvivesHolderCrash(t *testing.T) {
-	tb := newFaultTestbed(t, Config{DataReplicas: 1, Fallback: true})
+	tb := newFaultTestbed(t, Config{ErasureK: 1, ErasureN: 1, Fallback: true})
 	payload := make([]byte, 1<<20)
 	rand.New(rand.NewSource(7)).Read(payload)
 	tb.run(func() {
@@ -106,7 +106,7 @@ func TestFallbackFetchSurvivesHolderCrash(t *testing.T) {
 }
 
 func TestFallbackOffPreservesPaperFailure(t *testing.T) {
-	tb := newFaultTestbed(t, Config{DataReplicas: 1})
+	tb := newFaultTestbed(t, Config{ErasureK: 1, ErasureN: 1})
 	tb.run(func() {
 		storeWithReplica(t, tb, "doomed.bin", []byte("paper behaviour"))
 		if err := tb.home.RemoveNode(tb.atom.addr, false); err != nil {
@@ -126,7 +126,7 @@ func TestFallbackOffPreservesPaperFailure(t *testing.T) {
 }
 
 func TestCrashTriggersPayloadRepair(t *testing.T) {
-	tb := newFaultTestbed(t, Config{DataReplicas: 1, Fallback: true, Repair: true})
+	tb := newFaultTestbed(t, Config{ErasureK: 1, ErasureN: 1, Fallback: true, Repair: true})
 	payload := []byte("repair me")
 	tb.run(func() {
 		storeWithReplica(t, tb, "heal.bin", payload)
@@ -157,7 +157,7 @@ func TestCrashTriggersPayloadRepair(t *testing.T) {
 }
 
 func TestCrashOfPrimaryPromotesReplica(t *testing.T) {
-	tb := newFaultTestbed(t, Config{DataReplicas: 1, Fallback: true, Repair: true})
+	tb := newFaultTestbed(t, Config{ErasureK: 1, ErasureN: 1, Fallback: true, Repair: true})
 	payload := make([]byte, 1<<20)
 	rand.New(rand.NewSource(17)).Read(payload)
 	tb.run(func() {
@@ -194,7 +194,7 @@ func TestCrashOfPrimaryPromotesReplica(t *testing.T) {
 }
 
 func TestRepairOffLosesReplicaCount(t *testing.T) {
-	tb := newFaultTestbed(t, Config{DataReplicas: 1, Fallback: true})
+	tb := newFaultTestbed(t, Config{ErasureK: 1, ErasureN: 1, Fallback: true})
 	tb.run(func() {
 		storeWithReplica(t, tb, "unrepaired.bin", []byte("x"))
 		if err := tb.home.RemoveNode(tb.desktop.addr, false); err != nil {
@@ -219,7 +219,7 @@ func TestRepairOffLosesReplicaCount(t *testing.T) {
 }
 
 func TestMoveInputFallsBackToSurvivingReplica(t *testing.T) {
-	tb := newFaultTestbed(t, Config{DataReplicas: 1, Fallback: true})
+	tb := newFaultTestbed(t, Config{ErasureK: 1, ErasureN: 1, Fallback: true})
 	tb.run(func() {
 		storeWithReplica(t, tb, "input.bin", []byte("process me"))
 		if err := tb.home.RemoveNode(tb.atom.addr, false); err != nil {

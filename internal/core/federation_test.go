@@ -75,8 +75,7 @@ func newFederationTestbed(t *testing.T, cfg Config, backends []cloudsim.BackendP
 
 func (tb *federationTestbed) run(fn func()) { tb.v.Run(fn) }
 
-// storeErasure stores payload at the atom and returns metadata that must
-// carry coded shards instead of whole-copy replicas.
+// storeErasure stores payload at the atom and returns its metadata.
 func storeErasure(t *testing.T, tb *federationTestbed, name string, payload []byte) ObjectMeta {
 	t.Helper()
 	owner, err := tb.atom.OpenSession()
@@ -94,41 +93,47 @@ func storeErasure(t *testing.T, tb *federationTestbed, name string, payload []by
 	return meta
 }
 
+// TestErasureStorePlacesShardsNotReplicas stores under both forms of
+// the redundancy code: 2-of-3 places three coded shards, counted in
+// ShardsPlaced; 1-of-2 places two whole copies under the object's own
+// name, no shard, and writes the Replicas form of the record that
+// TestObjectMetaPiecesKeepWireFormat pins, with no erasure_k/erasure_n.
+// Every piece lands on its own peer, never on the primary.
 func TestErasureStorePlacesShardsNotReplicas(t *testing.T) {
-	tb := newFederationTestbed(t, Config{Fallback: true, ErasureK: 2, ErasureN: 3}, nil)
 	payload := make([]byte, 1<<20)
 	rand.New(rand.NewSource(17)).Read(payload)
-	tb.run(func() {
-		meta := storeErasure(t, tb, "coded.bin", payload)
-		if meta.ErasureK != 2 || meta.ErasureN != 3 {
-			t.Fatalf("erasure params = %d-of-%d, want 2-of-3", meta.ErasureK, meta.ErasureN)
-		}
-		if len(meta.Replicas) != 0 {
-			t.Fatalf("replicas = %v, want none under erasure", meta.Replicas)
-		}
-		if len(meta.Shards) != 3 {
-			t.Fatalf("shards = %v, want 3", meta.Shards)
-		}
-		seen := map[string]bool{}
-		var placed int64
-		for _, ref := range meta.Shards {
-			if ref.Addr == tb.atom.addr {
-				t.Fatalf("shard %d landed on the primary", ref.Index)
-			}
-			if seen[ref.Addr] {
-				t.Fatalf("two shards on %s", ref.Addr)
-			}
-			seen[ref.Addr] = true
-			holder, ok := tb.home.Node(ref.Addr)
-			if !ok || !holder.store.Has(shardName("coded.bin", ref.Index)) {
-				t.Fatalf("holder %s missing shard %d", ref.Addr, ref.Index)
-			}
-			placed += holder.OpStats().ShardsPlaced
-		}
-		if got := tb.atom.OpStats().ShardsPlaced; got != 3 {
-			t.Fatalf("primary ShardsPlaced = %d, want 3", got)
-		}
-	})
+	for _, c := range []struct {
+		k, n   int
+		placed int64 // the primary's ShardsPlaced
+		record string
+	}{
+		{2, 3, 3, `{"name":"a.bin","type":"bin","size":1048576,"location":"atom:9000","bin":"mandatory","erasure_k":2,"erasure_n":3,"shards":[{"i":0,"addr":"desktop:9000"},{"i":1,"addr":"netbook-1:9000"},{"i":2,"addr":"netbook-2:9000"}]}`},
+		{1, 2, 0, `{"name":"a.bin","type":"bin","size":1048576,"location":"atom:9000","bin":"mandatory","replicas":["desktop:9000","netbook-1:9000"]}`},
+	} {
+		t.Run(fmt.Sprintf("%d-of-%d", c.k, c.n), func(t *testing.T) {
+			tb := newFederationTestbed(t, Config{Fallback: true, ErasureK: c.k, ErasureN: c.n}, nil)
+			tb.run(func() {
+				meta := storeErasure(t, tb, "a.bin", payload)
+				if got, err := meta.Marshal(); err != nil || string(got) != c.record {
+					t.Fatalf("record = %s (%v), want %s", got, err, c.record)
+				}
+				seen := map[string]bool{meta.Location: true}
+				for _, p := range meta.pieces() {
+					if seen[p.addr] {
+						t.Fatalf("piece %d shares %s with the primary or another piece", p.index, p.addr)
+					}
+					seen[p.addr] = true
+					holder, ok := tb.home.Node(p.addr)
+					if !ok || !holder.store.Has(meta.pieceName(p.index)) {
+						t.Fatalf("holder %s missing piece %d", p.addr, p.index)
+					}
+				}
+				if got := tb.atom.OpStats().ShardsPlaced; got != c.placed {
+					t.Fatalf("primary ShardsPlaced = %d, want %d", got, c.placed)
+				}
+			})
+		})
+	}
 }
 
 func TestErasureRepairPromotesNewPrimaryAndRestoresShards(t *testing.T) {
@@ -334,19 +339,29 @@ func TestPinnedPolicyRoutesStoreToNamedBackend(t *testing.T) {
 	})
 }
 
-// TestAddNodeValidatesErasurePair: a half-configured or over-limit
-// erasure pair is input from outside the program, so AddNode rejects it
-// with a message naming the pair; no code and a valid code are accepted.
+// TestAddNodeValidatesErasurePair: a redundancy code outside (0, 0),
+// (1, n ≥ 1) and 1 < k < n, or with n over erasure.MaxShards, is input
+// from outside the program, so AddNode rejects it with a message naming
+// the pair; no code, whole copies and a valid RS code are accepted.
 func TestAddNodeValidatesErasurePair(t *testing.T) {
+	refused := func(k, n int) string {
+		return fmt.Sprintf("core: redundancy (ErasureK, ErasureN) = (%d, %d): need (0, 0), (1, n >= 1) or 1 < k < n, with n <= %d", k, n, erasure.MaxShards)
+	}
 	for _, c := range []struct {
 		k, n int
 		want string // errText's "-" = accepted
 	}{
 		{0, 0, "-"},
+		{1, 1, "-"},
+		{1, 3, "-"},
 		{2, 3, "-"},
-		{0, 3, "core: federation: need 1 <= ErasureK < ErasureN, got k=0 n=3"},
-		{3, 2, "core: federation: need 1 <= ErasureK < ErasureN, got k=3 n=2"},
-		{2, erasure.MaxShards + 1, fmt.Sprintf("core: federation: ErasureN %d exceeds GF(2^8) limit %d", erasure.MaxShards+1, erasure.MaxShards)},
+		{0, 3, refused(0, 3)},
+		{3, 2, refused(3, 2)},
+		{2, 2, refused(2, 2)},
+		{1, 0, refused(1, 0)},
+		{-1, 2, refused(-1, 2)},
+		{1, erasure.MaxShards + 1, refused(1, erasure.MaxShards+1)},
+		{2, erasure.MaxShards + 1, refused(2, erasure.MaxShards+1)},
 	} {
 		v := vclock.NewVirtual(epoch)
 		v.Run(func() {

@@ -110,11 +110,8 @@ type HomeOptions struct {
 type Config struct {
 	// Data plane. StripedFetch splits large fetches into contiguous ranges
 	// pulled from every live payload holder in parallel, reassembling in
-	// dom0; it needs DataReplicas > 0 to have more than one holder.
+	// dom0; it needs ErasureK = 1 to have more than one holder.
 	StripedFetch bool
-	// DataReplicas is how many extra best-effort payload copies a store
-	// places in peers' voluntary bins beside the primary copy.
-	DataReplicas int
 	// CacheBytes bounds each node's dom0 payload cache; it is further
 	// capped by the node's voluntary bin. 0 disables the cache.
 	CacheBytes int64
@@ -153,11 +150,12 @@ type Config struct {
 	// placement from the home's attached roster (default cloud first, then
 	// attachment order); nil routes everything to the default cloud.
 	Backend policy.BackendPolicy
-	// ErasureK/ErasureN switch the home tier's redundancy from whole
-	// DataReplicas copies to k-of-n Reed–Solomon shards: stores spread n
-	// coded shards (each 1/k of the object) over peers' voluntary bins,
-	// and any k of them — or the primary copy — serve a fetch. Both zero
-	// disables coding; otherwise 1 ≤ K < N ≤ erasure.MaxShards.
+	// ErasureK/ErasureN are the home tier's redundancy, a (k, n) code
+	// whose n pieces a store places in peers' voluntary bins beside the
+	// primary copy, best effort; any k of them — or the primary — serve
+	// a fetch. (0, 0) places none (the paper); k = 1 means n whole
+	// copies under the object's own name; 1 < k < n means n
+	// Reed–Solomon shards, each 1/k of the object. n ≤ erasure.MaxShards.
 	ErasureK, ErasureN int
 
 	// Home. CoalesceFetch merges concurrent remote fetches of the same
@@ -173,22 +171,15 @@ type Config struct {
 	SuperPeerRegions int
 }
 
-// erasureOn reports whether home-tier redundancy is coded shards.
-func (c Config) erasureOn() bool {
-	return c.ErasureK > 0 && c.ErasureN > c.ErasureK
-}
-
-// validate rejects half-configured erasure parameters at AddNode time.
+// validate rejects a redundancy code outside the three forms at AddNode
+// time: (0, 0), (1, n ≥ 1) and 1 < k < n, each with n ≤ erasure.MaxShards.
 func (c Config) validate() error {
 	k, n := c.ErasureK, c.ErasureN
 	if k == 0 && n == 0 {
 		return nil
 	}
-	if k < 1 || n <= k {
-		return fmt.Errorf("core: federation: need 1 <= ErasureK < ErasureN, got k=%d n=%d", k, n)
-	}
-	if n > erasure.MaxShards {
-		return fmt.Errorf("core: federation: ErasureN %d exceeds GF(2^8) limit %d", n, erasure.MaxShards)
+	if k < 1 || n < 1 || k > 1 && n <= k || n > erasure.MaxShards {
+		return fmt.Errorf("core: redundancy (ErasureK, ErasureN) = (%d, %d): need (0, 0), (1, n >= 1) or 1 < k < n, with n <= %d", k, n, erasure.MaxShards)
 	}
 	return nil
 }
@@ -196,7 +187,7 @@ func (c Config) validate() error {
 // NewHome builds an empty home cloud on the given clock.
 func NewHome(clock *vclock.Virtual, opts HomeOptions) *Home {
 	net := netsim.New(clock, opts.Seed)
-	fabric := netsim.NewResource("home-lan", netsim.LANFabricBps)
+	fabric := netsim.NewResource(netsim.LANFabricBps)
 	wire := newLANWire(net, fabric)
 	mesh := overlay.NewMesh(wire)
 	if opts.Config.SuperPeerRegions > 1 {

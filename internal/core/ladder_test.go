@@ -251,7 +251,7 @@ func ladderScenarios() []ladderScenario {
 	}})
 
 	scs = append(scs, ladderScenario{name: "fallback", voluntaryGB: replica,
-		cfg: Config{DataReplicas: 1, Fallback: true},
+		cfg: Config{ErasureK: 1, ErasureN: 1, Fallback: true},
 		run: func(b *ladderBed) {
 			b.store("a.bin", 8*mb, false)
 			b.store("b.bin", 8*mb, false)
@@ -266,7 +266,7 @@ func ladderScenarios() []ladderScenario {
 			b.fetch("whole-copy-sparse", 2, "sparse.bin")
 		}})
 
-	striped := Config{StripedFetch: true, DataReplicas: 2}
+	striped := Config{StripedFetch: true, ErasureK: 1, ErasureN: 2}
 	scs = append(scs, ladderScenario{name: "striped", voluntaryGB: stripes, cfg: striped, run: func(b *ladderBed) {
 		b.store("s.bin", 8*mb, false)
 		b.store("sparse.bin", 8*mb, true)
@@ -323,7 +323,7 @@ func ladderScenarios() []ladderScenario {
 		}})
 
 	scs = append(scs, ladderScenario{name: "local", voluntaryGB: replica,
-		cfg: Config{DataReplicas: 1, CacheBytes: 64 * mb},
+		cfg: Config{ErasureK: 1, ErasureN: 1, CacheBytes: 64 * mb},
 		run: func(b *ladderBed) {
 			b.store("r.bin", 2*mb, false)
 			b.fetch("replica", 1, "r.bin")
@@ -380,7 +380,7 @@ func ladderScenarios() []ladderScenario {
 		}})
 
 	scs = append(scs, ladderScenario{name: "moveinput", voluntaryGB: replica,
-		cfg: Config{DataReplicas: 1, Fallback: true},
+		cfg: Config{ErasureK: 1, ErasureN: 1, Fallback: true},
 		run: func(b *ladderBed) {
 			b.store("m1.bin", 2*mb, false)
 			b.store("m2.bin", 2*mb, false)
@@ -406,14 +406,14 @@ func ladderScenarios() []ladderScenario {
 			b.moveInput("primary-gone", 5, "c.bin", b.nodes[4].addr)
 		}})
 	scs = append(scs, ladderScenario{name: "moveinput/stale", voluntaryGB: replica,
-		cfg: Config{DataReplicas: 1, Fallback: true},
+		cfg: Config{ErasureK: 1, ErasureN: 1, Fallback: true},
 		run: func(b *ladderBed) {
 			b.store("s.bin", 2*mb, false)
 			b.dropPrimaryCopy("s.bin")
 			b.moveInput("primary-lacks-copy", 2, "s.bin", b.nodes[2].addr)
 		}})
 	scs = append(scs, ladderScenario{name: "moveinput/no-fallback", voluntaryGB: replica,
-		cfg: Config{DataReplicas: 1},
+		cfg: Config{ErasureK: 1, ErasureN: 1},
 		run: func(b *ladderBed) {
 			b.store("s.bin", 2*mb, false)
 			b.store("g.bin", 2*mb, false)
@@ -427,7 +427,7 @@ func ladderScenarios() []ladderScenario {
 	// primary crashed: the federated fetch substitutes the replica only
 	// with Fallback on.
 	scs = append(scs, ladderScenario{name: "federated", voluntaryGB: replica,
-		cfg: Config{DataReplicas: 1},
+		cfg: Config{ErasureK: 1, ErasureN: 1},
 		run: func(b *ladderBed) {
 			b.store("f.bin", 2*mb, false)
 			b.crash(0)
@@ -448,7 +448,7 @@ func ladderScenarios() []ladderScenario {
 	// with Fallback the whole-copy pull, move them as a bare message.
 	for _, fallback := range []bool{false, true} {
 		scs = append(scs, ladderScenario{name: fmt.Sprintf("zero-byte/fallback=%v", fallback), voluntaryGB: stripes,
-			cfg: Config{StripedFetch: true, DataReplicas: 2, Fallback: fallback},
+			cfg: Config{StripedFetch: true, ErasureK: 1, ErasureN: 2, Fallback: fallback},
 			run: func(b *ladderBed) {
 				b.store("empty.bin", 0, false)
 				b.store("empty2.bin", 0, true)
@@ -464,7 +464,7 @@ func ladderScenarios() []ladderScenario {
 	// an input move to the object's location once that node has departed.
 	for _, fallback := range []bool{false, true} {
 		scs = append(scs, ladderScenario{name: fmt.Sprintf("local-stale/fallback=%v", fallback), voluntaryGB: replica,
-			cfg: Config{DataReplicas: 1, Fallback: fallback},
+			cfg: Config{ErasureK: 1, ErasureN: 1, Fallback: fallback},
 			run: func(b *ladderBed) {
 				b.store("s.bin", 2*mb, false)
 				b.dropPrimaryCopy("s.bin")
@@ -472,13 +472,13 @@ func ladderScenarios() []ladderScenario {
 			}})
 	}
 	scs = append(scs, ladderScenario{name: "moveinput/replica-target", voluntaryGB: replica,
-		cfg: Config{DataReplicas: 1},
+		cfg: Config{ErasureK: 1, ErasureN: 1},
 		run: func(b *ladderBed) {
 			b.store("m.bin", 2*mb, false)
 			b.moveInput("replica-at-target", 2, "m.bin", b.nodes[1].addr)
 		}})
 	scs = append(scs, ladderScenario{name: "moveinput/location-departed", voluntaryGB: replica,
-		cfg: Config{DataReplicas: 1},
+		cfg: Config{ErasureK: 1, ErasureN: 1},
 		run: func(b *ladderBed) {
 			b.store("m.bin", 2*mb, false)
 			b.crash(0)

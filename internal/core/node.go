@@ -154,7 +154,7 @@ func (h *Home) AddNode(cfg NodeConfig) (*Node, error) {
 		router:   router,
 		store:    store,
 		mach:     mach,
-		nic:      netsim.NewResource("nic:"+cfg.Addr, nicBps),
+		nic:      netsim.NewResource(nicBps),
 		bg:       vclock.NewGroup(h.clock),
 		deployed: make(map[serviceRef]services.Spec),
 	}

@@ -204,7 +204,7 @@ func processScenarios() []ladderScenario {
 	// The input move's substitutes once the owner is gone: a whole copy
 	// on a peer, and the cloud's copy pulled down to the target.
 	scs = append(scs, ladderScenario{name: "fallback", voluntaryGB: []int64{1, 4, 1, 1},
-		cfg: Config{DataReplicas: 1, Fallback: true},
+		cfg: Config{ErasureK: 1, ErasureN: 1, Fallback: true},
 		run: func(b *ladderBed) {
 			b.deploy(fdet, 2)
 			b.store("r.bin", mb, false)
@@ -222,7 +222,7 @@ func processScenarios() []ladderScenario {
 	// whole copy and from k shards, and the overlapped move whose only
 	// holder dies mid-wire, with Fallback off and on.
 	scs = append(scs, ladderScenario{name: "overlap/whole-copy", voluntaryGB: []int64{1, 4, 1, 1},
-		cfg: Config{Overlap: true, DataReplicas: 1, Fallback: true},
+		cfg: Config{Overlap: true, ErasureK: 1, ErasureN: 1, Fallback: true},
 		run: func(b *ladderBed) {
 			b.deploy(fdet, 2)
 			b.store("r.bin", 4*mb, false)
@@ -261,7 +261,7 @@ func processScenarios() []ladderScenario {
 		}})
 	for _, fallback := range []bool{false, true} {
 		scs = append(scs, ladderScenario{name: fmt.Sprintf("overlap/stale/fallback=%v", fallback), voluntaryGB: []int64{1, 4, 1, 1},
-			cfg: Config{Overlap: true, DataReplicas: 1, Fallback: fallback},
+			cfg: Config{Overlap: true, ErasureK: 1, ErasureN: 1, Fallback: fallback},
 			run: func(b *ladderBed) {
 				b.deploy(fdet, 2)
 				b.store("s.bin", 4*mb, false)

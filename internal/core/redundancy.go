@@ -17,9 +17,9 @@ import (
 // k of which rebuild the payload:
 //
 //   - ObjectMeta.Replicas are pieces of a k = 1 code: whole copies stored
-//     under the object's own name (Config.DataReplicas of them);
+//     under the object's own name (Config.ErasureN of them at ErasureK 1);
 //   - ObjectMeta.Shards are pieces of an (ErasureK, ErasureN) Reed–Solomon
-//     code stored under shardName (Config.ErasureK/ErasureN).
+//     code, 1 < k < n, stored under shardName.
 //
 // Placement, repair and evacuation below, and the fetch executor's
 // pieces rung (pull.go), are written once over that view; the metadata
@@ -94,13 +94,16 @@ func (m ObjectMeta) pieceSize() int64 {
 }
 
 // wantPieces is how many pieces the object should have: the code's n for
-// shards, this node's configured DataReplicas for whole copies (the
-// record does not carry a replica target).
+// shards, this home's configured n for whole copies (the record does not
+// carry a replica target).
 func (n *Node) wantPieces(m ObjectMeta) int {
 	if m.coded() {
 		return m.ErasureN
 	}
-	return n.home.cfg.DataReplicas
+	if cfg := n.home.cfg; cfg.ErasureK == 1 {
+		return cfg.ErasureN
+	}
+	return 0
 }
 
 // missingIndices returns the indices in [0, total) that have lacks.
@@ -186,14 +189,17 @@ func (n *Node) holderFor(h *Home, meta ObjectMeta, cloud *cloudsim.Cloud) (holde
 	return holder, inCloud
 }
 
-// addRedundancy gives a freshly placed home-tier object its pieces: n
-// coded shards when erasure is configured, DataReplicas whole copies
-// otherwise. With neither configured it returns before building anything.
+// addRedundancy gives a freshly placed home-tier object the configured
+// code's n pieces: whole copies at k = 1, which the record lists as
+// Replicas with no code, else coded shards. With no code configured it
+// returns before building anything.
 func (n *Node) addRedundancy(meta *ObjectMeta, obj objstore.Object, data []byte, primaryAddr string) {
-	if fed := n.home.cfg; fed.erasureOn() {
-		meta.ErasureK, meta.ErasureN = fed.ErasureK, fed.ErasureN
-	} else if n.home.cfg.DataReplicas <= 0 {
+	cfg := n.home.cfg
+	if cfg.ErasureN == 0 {
 		return
+	}
+	if cfg.ErasureK > 1 {
+		meta.ErasureK, meta.ErasureN = cfg.ErasureK, cfg.ErasureN
 	}
 	meta.setPieces(n.placePieces(*meta, obj, data,
 		missingIndices(nil, n.wantPieces(*meta)), map[string]bool{primaryAddr: true}))

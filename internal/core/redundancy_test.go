@@ -126,32 +126,27 @@ func combinations(n, k int) [][]int {
 }
 
 // TestErasureFetchSurvivesAnyHolderCrash is the round-trip property of
-// the one redundancy mechanism, over whole copies (k = 1, the primary and
-// its DataReplicas = n−1 replicas being the n copies) and coded shards
-// (k > 1, n shards beside the primary): whichever k pieces survive the
-// crash of the primary and of every other piece holder, a fetch returns
-// the payload byte for byte; with Repair on the piece count is back to
-// full afterwards; and deleting the object leaves every live bin empty.
+// the one redundancy mechanism, over whole copies (k = 1) and coded
+// shards (k > 1), n pieces beside the primary either way: whichever k
+// pieces survive the crash of the primary and of every other piece
+// holder, a fetch returns the payload byte for byte; with Repair on the
+// piece count is back to full afterwards; and deleting the object leaves
+// every live bin empty.
 func TestErasureFetchSurvivesAnyHolderCrash(t *testing.T) {
 	payload := make([]byte, 256<<10+1)
 	rand.New(rand.NewSource(19)).Read(payload)
-	for _, code := range []struct{ k, n int }{{1, 2}, {1, 3}, {2, 3}, {3, 5}} {
+	for _, code := range []struct{ k, n int }{{1, 1}, {1, 2}, {1, 3}, {2, 3}, {3, 5}} {
 		code := code
 		t.Run(fmt.Sprintf("%d-of-%d", code.k, code.n), func(t *testing.T) {
 			cfg := Config{ErasureK: code.k, ErasureN: code.n}
-			pieces := code.n
-			if code.k == 1 {
-				cfg = Config{DataReplicas: code.n - 1}
-				pieces = code.n - 1
-			}
-			for _, survivors := range combinations(pieces, code.k) {
+			for _, survivors := range combinations(code.n, code.k) {
 				survivors := survivors
 				keep := strings.Trim(strings.ReplaceAll(fmt.Sprint(survivors), " ", "+"), "[]")
 				for _, repair := range []bool{false, true} {
 					cfg := cfg
 					cfg.Fallback, cfg.Repair = true, repair
 					t.Run(fmt.Sprintf("keep-%s/repair-%v", keep, repair), func(t *testing.T) {
-						testSurvivingPieces(t, cfg, code.k, pieces, survivors, payload)
+						testSurvivingPieces(t, cfg, code.k, code.n, survivors, payload)
 					})
 				}
 			}
@@ -249,7 +244,7 @@ func testSurvivingPieces(t *testing.T, cfg Config, k, pieces int, survivors []in
 // and stays the best voluntary fit afterwards; node 2 is next.
 func TestGracefulDepartureKeepsPieces(t *testing.T) {
 	payload := []byte("frame 0042, motion in the driveway")
-	replicated := Config{DataReplicas: 1}
+	replicated := Config{ErasureK: 1, ErasureN: 1}
 	fetchFrom := func(t *testing.T, n *Node) FetchResult {
 		t.Helper()
 		sess, err := n.OpenSession()

@@ -16,7 +16,7 @@ func TestReviewStaleLocalCopyServed(t *testing.T) {
 	var home *Home
 	var n1, n2, n3, n4 *Node
 	v.Run(func() {
-		home = NewHome(v, HomeOptions{Seed: 31, KV: kv.Options{CacheEnabled: true}, Config: Config{DataReplicas: 1}})
+		home = NewHome(v, HomeOptions{Seed: 31, KV: kv.Options{CacheEnabled: true}, Config: Config{ErasureK: 1, ErasureN: 1}})
 		add := func(addr string, spec NodeConfig) *Node {
 			spec.Addr = addr
 			n, err := home.AddNode(spec)

@@ -49,7 +49,7 @@ type OpStats struct {
 	// time; ShardsRestored counts shards re-placed during post-crash
 	// repair; ShardReconstructs counts payload rebuilds from k shards on
 	// the fetch/repair path. All stay zero unless Config.ErasureK/N
-	// enable erasure coding.
+	// set a coded 1 < k < n; k = 1's whole copies are not shards.
 	ShardsPlaced      int64
 	ShardsRestored    int64
 	ShardReconstructs int64

@@ -27,7 +27,7 @@ type AvailabilityConfig struct {
 	Accesses int
 	// MinSize/MaxSize bound the uniform file-size band.
 	MinSize, MaxSize int64
-	// Replicas is the payload replica count (core.Config.DataReplicas).
+	// Replicas is the payload replica count (core.Config.ErasureN at ErasureK 1).
 	Replicas int
 	// MeanGap is the mean inter-arrival time per client.
 	MeanGap time.Duration
@@ -106,9 +106,9 @@ func RunAvailability(cfg AvailabilityConfig) (_ *AvailabilityResult, err error) 
 		name string
 		cfg  core.Config
 	}{
-		{"faults-off", core.Config{DataReplicas: cfg.Replicas}},
-		{"fallback", core.Config{DataReplicas: cfg.Replicas, Fallback: true}},
-		{"fallback+repair", core.Config{DataReplicas: cfg.Replicas, Fallback: true, Repair: true}},
+		{"faults-off", core.Config{ErasureK: 1, ErasureN: cfg.Replicas}},
+		{"fallback", core.Config{ErasureK: 1, ErasureN: cfg.Replicas, Fallback: true}},
+		{"fallback+repair", core.Config{ErasureK: 1, ErasureN: cfg.Replicas, Fallback: true, Repair: true}},
 	} {
 		row := AvailabilityRow{Mode: mode.name}
 		check(replay("availability "+mode.name, cluster.Options{

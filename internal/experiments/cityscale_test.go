@@ -2,8 +2,11 @@ package experiments
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -70,4 +73,22 @@ func TestCityScaleIdentity(t *testing.T) {
 	}
 	t.Logf("superpeer n=%d r=%d hops=%.2f (max %d) super=%d home=%d",
 		sp.Nodes, sp.Regions, sp.MeanHops, sp.MaxHops, sp.SuperHops, sp.HomeHops)
+
+	// The rendered table: title, header, rule, one row per size, then the
+	// super-peer cell.
+	lines := strings.Split(strings.TrimSuffix(res.Table().Render(), "\n"), "\n")
+	if want := 3 + len(sizes) + 1; len(lines) != want {
+		t.Fatalf("table has %d lines, want %d:\n%s", len(lines), want, strings.Join(lines, "\n"))
+	}
+	if f := strings.Fields(lines[1]); len(f) == 0 || f[0] != "Nodes" || !strings.HasSuffix(lines[1], "Host wall") {
+		t.Errorf("table header = %q", lines[1])
+	}
+	for i, n := range sizes {
+		if f := strings.Fields(lines[3+i]); len(f) == 0 || f[0] != strconv.Itoa(n) {
+			t.Errorf("table row %d = %q, want it to start with %d", i, lines[3+i], n)
+		}
+	}
+	if cell := fmt.Sprintf("sp:%d/r%d", sp.Nodes, sp.Regions); !strings.HasPrefix(lines[len(lines)-1], cell) {
+		t.Errorf("last table row = %q, want the %s cell", lines[len(lines)-1], cell)
+	}
 }

@@ -154,7 +154,7 @@ func RunFederation(cfg FederationConfig) (_ *FederationResult, err error) {
 			opts: cluster.Options{
 				Seed:     cfg.Seed,
 				Netbooks: 2 + cfg.Clients + 2,
-				Config:   core.Config{DataReplicas: cfg.Replicas, Fallback: true, Repair: true},
+				Config:   core.Config{ErasureK: 1, ErasureN: cfg.Replicas, Fallback: true, Repair: true},
 			},
 		},
 		{
@@ -278,14 +278,11 @@ func runFrontierPolicy(cfg FederationConfig, pol policy.BackendPolicy) (_ Fronti
 // scheme's storage overhead.
 func runRedundancyArm(cfg FederationConfig, tr *trace.Trace, name string, opts cluster.Options) RedundancyRow {
 	row := RedundancyRow{Mode: name}
+	// n pieces of ⌈size/k⌉ bytes each: whole copies at k = 1.
+	k, n := int64(opts.Config.ErasureK), int64(opts.Config.ErasureN)
 	for _, f := range tr.Files {
 		row.DataBytes += f.Size
-		if opts.Config.ErasureK > 0 {
-			shard := (f.Size + int64(cfg.ErasureK) - 1) / int64(cfg.ErasureK)
-			row.RedundantBytes += int64(cfg.ErasureN) * shard
-		} else {
-			row.RedundantBytes += int64(cfg.Replicas) * f.Size
-		}
+		row.RedundantBytes += n * ((f.Size + k - 1) / k)
 	}
 	if row.DataBytes > 0 {
 		row.Overhead = float64(row.RedundantBytes) / float64(row.DataBytes)

@@ -39,7 +39,7 @@ func faultReplayDigest(t *testing.T, seed int64, clients int, tr *trace.Trace, s
 	err := replay("fault replay", cluster.Options{
 		Seed:     seed,
 		Netbooks: 2 + clients,
-		Config:   core.Config{DataReplicas: 1, Fallback: true, Repair: true},
+		Config:   core.Config{ErasureK: 1, ErasureN: 1, Fallback: true, Repair: true},
 	}, tr, clients, schedule, func(e *env, samples [][]fetchSample) {
 		for c, cs := range samples {
 			for _, s := range cs {

@@ -70,9 +70,9 @@ func RunScaleUp(cfg ScaleUpConfig) (_ *ScaleUpResult, err error) {
 		cfg  core.Config
 	}{
 		{"sequential", core.Config{}},
-		{"striped", core.Config{StripedFetch: true, DataReplicas: cfg.Replicas}},
+		{"striped", core.Config{StripedFetch: true, ErasureK: 1, ErasureN: cfg.Replicas}},
 		{"striped+cache", core.Config{
-			StripedFetch: true, DataReplicas: cfg.Replicas, CacheBytes: 512 * MB,
+			StripedFetch: true, ErasureK: 1, ErasureN: cfg.Replicas, CacheBytes: 512 * MB,
 		}},
 	} {
 		for _, clients := range cfg.Clients {

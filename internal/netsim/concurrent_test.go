@@ -40,7 +40,7 @@ func TestTransferSetMatchesTransferSingle(t *testing.T) {
 	}{
 		{"lan", func() *Path { p, _, _, _ := lanPath(); return p }, 20 * MB},
 		{"wan", func() *Path {
-			return WANDownPath(NewResource("wan", WANDownBps), NewResource("dst", NodeNICBps))
+			return WANDownPath(NewResource(WANDownBps), NewResource(NodeNICBps))
 		}, 60 * MB},
 		{"zero-byte", func() *Path { p, _, _, _ := lanPath(); return p }, 0},
 	}
@@ -79,10 +79,10 @@ func TestTransferSetMatchesTransferSingle(t *testing.T) {
 
 func TestTransferSetDeterministic(t *testing.T) {
 	build := func() []TransferReq {
-		src1 := NewResource("src1", NodeNICBps)
-		src2 := NewResource("src2", NodeNICBps)
-		dst := NewResource("dst", NodeNICBps)
-		fabric := NewResource("lan", LANFabricBps)
+		src1 := NewResource(NodeNICBps)
+		src2 := NewResource(NodeNICBps)
+		dst := NewResource(NodeNICBps)
+		fabric := NewResource(LANFabricBps)
 		return []TransferReq{
 			{Path: HomePath(src1, dst, fabric), Size: 10 * MB},
 			{Path: HomePath(src2, dst, fabric), Size: 10 * MB},
@@ -106,16 +106,16 @@ func TestTransferSetStripesShareDestination(t *testing.T) {
 	// the destination is the bottleneck, so striping buys nothing — the
 	// set takes about as long as one full-size transfer (not half).
 	full, _ := runSet(t, 5, func() []TransferReq {
-		src := NewResource("src", NodeNICBps)
-		dst := NewResource("dst", NodeNICBps)
-		fabric := NewResource("lan", LANFabricBps)
+		src := NewResource(NodeNICBps)
+		dst := NewResource(NodeNICBps)
+		fabric := NewResource(LANFabricBps)
 		return []TransferReq{{Path: HomePath(src, dst, fabric), Size: 20 * MB}}
 	})
 	_, striped := runSet(t, 5, func() []TransferReq {
-		src1 := NewResource("src1", NodeNICBps)
-		src2 := NewResource("src2", NodeNICBps)
-		dst := NewResource("dst", NodeNICBps)
-		fabric := NewResource("lan", LANFabricBps)
+		src1 := NewResource(NodeNICBps)
+		src2 := NewResource(NodeNICBps)
+		dst := NewResource(NodeNICBps)
+		fabric := NewResource(LANFabricBps)
 		return []TransferReq{
 			{Path: HomePath(src1, dst, fabric), Size: 10 * MB},
 			{Path: HomePath(src2, dst, fabric), Size: 10 * MB},
@@ -133,21 +133,21 @@ func TestTransferSetRelievesSharedSource(t *testing.T) {
 	// in roughly half the time. This is the effect the striped replica
 	// fetch exploits.
 	_, contended := runSet(t, 6, func() []TransferReq {
-		holder := NewResource("holder", NodeNICBps)
-		dst1 := NewResource("dst1", NodeNICBps)
-		dst2 := NewResource("dst2", NodeNICBps)
-		fabric := NewResource("lan", LANFabricBps)
+		holder := NewResource(NodeNICBps)
+		dst1 := NewResource(NodeNICBps)
+		dst2 := NewResource(NodeNICBps)
+		fabric := NewResource(LANFabricBps)
 		return []TransferReq{
 			{Path: HomePath(holder, dst1, fabric), Size: 20 * MB},
 			{Path: HomePath(holder, dst2, fabric), Size: 20 * MB},
 		}
 	})
 	_, spread := runSet(t, 6, func() []TransferReq {
-		h1 := NewResource("holder1", NodeNICBps)
-		h2 := NewResource("holder2", NodeNICBps)
-		dst1 := NewResource("dst1", NodeNICBps)
-		dst2 := NewResource("dst2", NodeNICBps)
-		fabric := NewResource("lan", LANFabricBps)
+		h1 := NewResource(NodeNICBps)
+		h2 := NewResource(NodeNICBps)
+		dst1 := NewResource(NodeNICBps)
+		dst2 := NewResource(NodeNICBps)
+		fabric := NewResource(LANFabricBps)
 		return []TransferReq{
 			{Path: HomePath(h1, dst1, fabric), Size: 20 * MB},
 			{Path: HomePath(h2, dst2, fabric), Size: 20 * MB},
@@ -233,9 +233,9 @@ func TestPropertyEstimateBoundsConcurrentTransfer(t *testing.T) {
 		size := int64(sizeRaw%24+4) * MB // 4..27 MB
 		v := vclock.NewVirtual(epoch)
 		net := New(v, 13)
-		src := NewResource("src", NodeNICBps)
-		dst := NewResource("dst", NodeNICBps)
-		fabric := NewResource("lan", LANFabricBps)
+		src := NewResource(NodeNICBps)
+		dst := NewResource(NodeNICBps)
+		fabric := NewResource(LANFabricBps)
 		p := HomePath(src, dst, fabric)
 		est := EstimateTransfer(p, size)
 		bulk := est - p.Setup - p.RTT/2
@@ -272,10 +272,10 @@ func TestPropertyEstimateBoundsConcurrentTransfer(t *testing.T) {
 func TestEstimateBoundsTransferUnderBackgroundLoad(t *testing.T) {
 	v := vclock.NewVirtual(epoch)
 	net := New(v, 17)
-	src := NewResource("src", NodeNICBps)
-	dst1 := NewResource("dst1", NodeNICBps)
-	dst2 := NewResource("dst2", NodeNICBps)
-	fabric := NewResource("lan", LANFabricBps)
+	src := NewResource(NodeNICBps)
+	dst1 := NewResource(NodeNICBps)
+	dst2 := NewResource(NodeNICBps)
+	fabric := NewResource(LANFabricBps)
 	fg := HomePath(src, dst1, fabric)
 	est := EstimateTransfer(fg, 15*MB)
 	var d time.Duration

@@ -43,7 +43,6 @@ import (
 // Resource is a processor-sharing capacity (a NIC, a LAN segment, a WAN
 // pipe). Concurrent transfers crossing it divide CapacityBps equally.
 type Resource struct {
-	name    string
 	nominal float64 // bytes/sec as configured
 
 	capacity float64 // bytes/sec currently available
@@ -52,12 +51,9 @@ type Resource struct {
 
 // NewResource returns a resource with the given nominal capacity in
 // bytes per second.
-func NewResource(name string, capacityBps float64) *Resource {
-	return &Resource{name: name, nominal: capacityBps, capacity: capacityBps}
+func NewResource(capacityBps float64) *Resource {
+	return &Resource{nominal: capacityBps, capacity: capacityBps}
 }
-
-// Name returns the resource's label (used in diagnostics).
-func (r *Resource) Name() string { return r.name }
 
 // Active returns the number of transfers currently crossing the resource.
 func (r *Resource) Active() int { return r.active }

@@ -15,9 +15,9 @@ func newNet() (*Network, *vclock.Virtual) {
 }
 
 func lanPath() (*Path, *Resource, *Resource, *Resource) {
-	src := NewResource("src", NodeNICBps)
-	dst := NewResource("dst", NodeNICBps)
-	fabric := NewResource("lan", LANFabricBps)
+	src := NewResource(NodeNICBps)
+	dst := NewResource(NodeNICBps)
+	fabric := NewResource(LANFabricBps)
 	return HomePath(src, dst, fabric), src, dst, fabric
 }
 
@@ -73,10 +73,10 @@ func TestProcessorSharingHalvesRate(t *testing.T) {
 	net, v := newNet()
 	// Two transfers crossing the same bottleneck NIC should each take
 	// roughly twice as long as one alone.
-	src := NewResource("src", NodeNICBps)
-	dst1 := NewResource("dst1", NodeNICBps)
-	dst2 := NewResource("dst2", NodeNICBps)
-	fabric := NewResource("lan", 10*NodeNICBps) // fabric not the bottleneck
+	src := NewResource(NodeNICBps)
+	dst1 := NewResource(NodeNICBps)
+	dst2 := NewResource(NodeNICBps)
+	fabric := NewResource(10 * NodeNICBps) // fabric not the bottleneck
 	var solo, shared1, shared2 time.Duration
 	v.Run(func() {
 		solo = net.Transfer(HomePath(src, dst1, fabric), 20*MB)
@@ -97,14 +97,14 @@ func TestFabricCapsAggregate(t *testing.T) {
 	net, v := newNet()
 	// Three disjoint node pairs share the LAN fabric; aggregate throughput
 	// must not exceed fabric capacity.
-	fabric := NewResource("lan", LANFabricBps)
+	fabric := NewResource(LANFabricBps)
 	start := v.Now()
 	var done time.Time
 	v.Run(func() {
 		g := vclock.NewGroup(v)
 		for i := 0; i < 3; i++ {
-			src := NewResource("s", NodeNICBps)
-			dst := NewResource("d", NodeNICBps)
+			src := NewResource(NodeNICBps)
+			dst := NewResource(NodeNICBps)
 			g.Go(func() { net.Transfer(HomePath(src, dst, fabric), 30*MB) })
 		}
 		g.Wait()
@@ -124,8 +124,8 @@ func TestFabricCapsAggregate(t *testing.T) {
 
 func TestWANSlowStartPenalizesSmallObjects(t *testing.T) {
 	net, v := newNet()
-	wan := NewResource("wan", WANDownBps)
-	dst := NewResource("dst", NodeNICBps)
+	wan := NewResource(WANDownBps)
+	dst := NewResource(NodeNICBps)
 	tput := func(size int64) float64 {
 		var d time.Duration
 		v.Run(func() { d = net.Transfer(WANDownPath(wan, dst), size) })
@@ -141,8 +141,8 @@ func TestWANSlowStartPenalizesSmallObjects(t *testing.T) {
 
 func TestWANShapingPenalizesHugeObjects(t *testing.T) {
 	net, v := newNet()
-	wan := NewResource("wan", WANDownBps)
-	dst := NewResource("dst", NodeNICBps)
+	wan := NewResource(WANDownBps)
+	dst := NewResource(NodeNICBps)
 	tput := func(size int64) float64 {
 		var d time.Duration
 		v.Run(func() { d = net.Transfer(WANDownPath(wan, dst), size) })
@@ -158,7 +158,7 @@ func TestWANShapingPenalizesHugeObjects(t *testing.T) {
 
 func TestWANMoreVariableThanLAN(t *testing.T) {
 	net, v := newNet()
-	wan := NewResource("wan", WANDownBps)
+	wan := NewResource(WANDownBps)
 	lanP, _, _, _ := lanPath()
 	stdev := func(f func() time.Duration, n int) (mean, sd float64) {
 		var xs []float64
@@ -177,7 +177,7 @@ func TestWANMoreVariableThanLAN(t *testing.T) {
 		sd /= float64(n)
 		return mean, sd
 	}
-	dst := NewResource("dst", NodeNICBps)
+	dst := NewResource(NodeNICBps)
 	lanMean, lanVar := stdev(func() time.Duration { return net.Transfer(lanP, 10*MB) }, 12)
 	wanMean, wanVar := stdev(func() time.Duration { return net.Transfer(WANDownPath(wan, dst), 10*MB) }, 12)
 	if wanMean < 3*lanMean {
@@ -254,7 +254,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 
 func TestMessageChargesHalfRTT(t *testing.T) {
 	net, v := newNet()
-	p := &Path{Resources: []*Resource{NewResource("x", 1e6)}, RTT: 100 * time.Millisecond}
+	p := &Path{Resources: []*Resource{NewResource(1e6)}, RTT: 100 * time.Millisecond}
 	var d time.Duration
 	v.Run(func() { d = net.Message(p) })
 	if d != 50*time.Millisecond {
@@ -264,10 +264,10 @@ func TestMessageChargesHalfRTT(t *testing.T) {
 
 func TestWirelessPathSlowerAndJitterier(t *testing.T) {
 	net, v := newNet()
-	fabric := NewResource("lan", LANFabricBps)
-	wired := NewResource("wired", NodeNICBps)
-	wifi := NewResource("wifi", WifiNICBps)
-	dst := NewResource("dst", NodeNICBps)
+	fabric := NewResource(LANFabricBps)
+	wired := NewResource(NodeNICBps)
+	wifi := NewResource(WifiNICBps)
+	dst := NewResource(NodeNICBps)
 	var dWired, dWifi time.Duration
 	v.Run(func() {
 		dWired = net.Transfer(HomePathMixed(wired, dst, fabric, false, false), 8*MB)
@@ -335,8 +335,8 @@ func TestResourceSharedByActors(t *testing.T) {
 	const nominal = 1e12 // fast enough that a 64 KB transfer sleeps ~65 ns
 	v := vclock.NewVirtual(epoch)
 	n := New(v, 3)
-	link := NewResource("link", nominal)
-	p := &Path{Resources: []*Resource{NewResource("nic", nominal), link}}
+	link := NewResource(nominal)
+	p := &Path{Resources: []*Resource{NewResource(nominal), link}}
 
 	degraded := 0
 	v.Run(func() {

@@ -22,7 +22,7 @@ func TestPropertyTransferMonotoneInSize(t *testing.T) {
 		v := vclock.NewVirtual(epoch)
 		net := New(v, 5) // same seed: same jitter stream shape
 		p := &Path{
-			Resources: []*Resource{NewResource("r", NodeNICBps)},
+			Resources: []*Resource{NewResource(NodeNICBps)},
 			RTT:       LANRTT,
 		}
 		var da, db time.Duration
@@ -42,8 +42,8 @@ func TestPropertyTransferMonotoneInSize(t *testing.T) {
 }
 
 func TestPropertyEstimateMonotoneInSize(t *testing.T) {
-	wan := NewResource("wan", WANDownBps)
-	dst := NewResource("dst", NodeNICBps)
+	wan := NewResource(WANDownBps)
+	dst := NewResource(NodeNICBps)
 	p := WANDownPath(wan, dst)
 	f := func(a, b uint32) bool {
 		sa := int64(a%500+1) * (1 << 16)
@@ -65,7 +65,7 @@ func TestPropertyDegradeNeverSpeedsUp(t *testing.T) {
 		run := func(deg float64) time.Duration {
 			v := vclock.NewVirtual(epoch)
 			net := New(v, 11)
-			r := NewResource("r", NodeNICBps)
+			r := NewResource(NodeNICBps)
 			p := &Path{Resources: []*Resource{r}, RTT: LANRTT}
 			if deg < 1 {
 				r.Degrade(deg)
